@@ -1,7 +1,8 @@
 // Command unsnap-bench regenerates the tables and figures of the UnSNAP
-// paper, plus the ablations indexed in DESIGN.md. Every experiment has a
-// bench-scale default that completes on a laptop; -paper switches to the
-// paper's full problem sizes (hours of runtime on a small machine).
+// paper, plus the ablations listed below and the perf-ledger experiments
+// docs/BENCH.md documents. Every experiment has a bench-scale default
+// that completes on a laptop; -paper switches to the paper's full problem
+// sizes (hours of runtime on a small machine).
 //
 // Usage:
 //
@@ -377,6 +378,9 @@ func run(args []string) error {
 			cfg.Problem.NX, cfg.Problem.NY, cfg.Problem.NZ = 4, 4, 4
 			cfg.Problem.AnglesPerOctant, cfg.Problem.Groups = 2, 2
 			cfg.AllocSweeps = 2
+			cfg.LASizes = []int{8, 27}
+			cfg.Uncached.NX, cfg.Uncached.NY, cfg.Uncached.NZ = 2, 2, 2
+			cfg.Uncached.AnglesPerOctant, cfg.Uncached.Groups = 1, 1
 		}
 		override(&cfg.Problem)
 		cfg.Threads = threads
@@ -390,8 +394,14 @@ func run(args []string) error {
 			return err
 		}
 		harness.FprintKernel(os.Stdout, cfg, rows)
+		laRows := harness.RunLA(cfg.LASizes)
+		uncached, err := harness.RunUncached(cfg)
+		if err != nil {
+			return err
+		}
+		harness.FprintLA(os.Stdout, cfg, laRows, uncached)
 		fmt.Println()
-		sections.Kernel = harness.KernelSectionOf(cfg, rows)
+		sections.Kernel = harness.KernelSectionOf(cfg, rows, laRows, uncached)
 	}
 	if want("accel") {
 		ran = true

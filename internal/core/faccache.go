@@ -24,12 +24,14 @@ import (
 // geometry class have bitwise-identical element matrices (build.GeomClass
 // guarantees it), so the builder's assembled matrix is the matrix every
 // reader would have assembled; SolverGE's elimination (SolveGEMulti) and
-// the Factor + SolveFactoredMulti pair apply the same pivot choices and
-// the same floating-point sequence to matrix and right-hand sides, so the
-// split changes nothing. Tangent faces are the one hazard — the
-// lower-element-index tie-break can classify them differently within a
-// class — so each entry records the builder's outflow-face mask and a
-// reader with a different mask falls back to the private path.
+// Factor are the same loop in la (eliminate) with and without the
+// right-hand sides carried along, and SolveFactoredMulti's forward solve
+// subtracts the stored multipliers from each right-hand side in the order
+// that loop does, so the split changes nothing. Tangent faces are the one
+// hazard — the lower-element-index tie-break can classify them
+// differently within a class — so each entry records the builder's
+// outflow-face mask and a reader with a different mask falls back to the
+// private path.
 //
 // Concurrency: each entry carries an atomic state (empty, building,
 // ready, failed). The first task to claim an empty entry assembles and
@@ -170,8 +172,8 @@ func (c *factorCache) acquire(s *Solver, st *workerState, a, e, mat int) *facEnt
 			var err error
 			if blocked {
 				// SolverDGESV's uncached path factors with FactorBlocked;
-				// SolverGE's runs SolveGEMulti, whose pivot and update
-				// sequence the unblocked Factor reproduces exactly.
+				// SolverGE's runs SolveGEMulti, which is Factor's own
+				// elimination loop with the right-hand sides carried.
 				err = la.FactorBlocked(m, ent.pivs[r], la.DefaultBlockSize)
 			} else {
 				err = la.Factor(m, ent.pivs[r])

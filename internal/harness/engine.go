@@ -240,6 +240,11 @@ func WriteSweepJSON(path, commit string, s Sections) error {
 	if s.Kernel != nil {
 		sec := *s.Kernel
 		sec.Commit, sec.Machine = commit, mi
+		if old := rep.Kernel; old != nil && old.Commit != commit && old.Machine != nil && *old.Machine == *mi {
+			prev := *old
+			prev.Previous = nil
+			sec.Previous = &prev
+		}
 		rep.Kernel = &sec
 	}
 	if s.Accel != nil {

@@ -1,9 +1,10 @@
 // Package harness drives the experiments that regenerate every table and
-// figure of the UnSNAP paper (and the ablations DESIGN.md calls out). Each
-// experiment has a bench-scale default configuration that completes on a
-// laptop and accepts the paper's full parameters; the cmd/unsnap-bench
-// binary exposes them behind flags. Outputs are aligned text tables with
-// the same rows/series the paper reports.
+// figure of the UnSNAP paper, its ablations, and the perf-ledger sections
+// docs/BENCH.md documents. Each experiment has a bench-scale default
+// configuration that completes on a laptop and accepts the paper's full
+// parameters; the cmd/unsnap-bench binary exposes them behind flags.
+// Outputs are aligned text tables with the same rows/series the paper
+// reports.
 package harness
 
 import (

@@ -5,9 +5,11 @@ import (
 	"io"
 	"runtime"
 	"text/tabwriter"
+	"time"
 
 	"unsnap"
 	"unsnap/internal/core"
+	"unsnap/internal/la"
 	"unsnap/internal/mesh"
 	"unsnap/internal/quadrature"
 	"unsnap/internal/xs"
@@ -26,6 +28,11 @@ type KernelConfig struct {
 	// AllocSweeps is the number of steady-state sweeps the allocation
 	// probe averages over (after one warm-up sweep builds the engine).
 	AllocSweeps int
+	// LASizes are the matrix sizes of the dense-solve table.
+	LASizes []int
+	// Uncached is the high-order problem whose factorisations the factor
+	// cache refuses, so every task pays its O(n^3) solves.
+	Uncached unsnap.Problem
 }
 
 // DefaultKernel measures on the engine experiment's workload (6^3
@@ -36,6 +43,12 @@ func DefaultKernel() KernelConfig {
 	p.NX, p.NY, p.NZ = 6, 6, 6
 	p.AnglesPerOctant = 4
 	p.Groups = 8
+	// The benchmark's solve_ho shape: order 3 on a twisted 4^3 mesh makes
+	// every element its own geometry class, and 16 angles x 64 classes x
+	// 4 groups of 32 KiB factors is just over the factor cache's 128 MiB.
+	ho := unsnap.DefaultProblem()
+	ho.NX, ho.NY, ho.NZ = 4, 4, 4
+	ho.Order, ho.AnglesPerOctant, ho.Groups = 3, 2, 4
 	return KernelConfig{
 		Problem: p,
 		Threads: []int{1, 2, 4},
@@ -44,6 +57,9 @@ func DefaultKernel() KernelConfig {
 		// deltas, which 10-inner windows bury in scheduler noise.
 		Inners:      30,
 		AllocSweeps: 3,
+		// (order+1)^3 for orders 1..4.
+		LASizes:  []int{8, 27, 64, 125},
+		Uncached: ho,
 	}
 }
 
@@ -64,21 +80,45 @@ type KernelRow struct {
 	AllocsPerTask float64 `json:"allocs_per_task"`
 }
 
+// LARow is the dense local solve at one matrix size: nanoseconds per
+// la.SolveGE, la.Factor and la.SolveFactored call, and the rates computed
+// from the 2n^3/3 flops of an elimination.
+type LARow struct {
+	N            int     `json:"n"`
+	GENs         float64 `json:"ge_ns"`
+	FactorNs     float64 `json:"factor_ns"`
+	TriSolveNs   float64 `json:"trisolve_ns"`
+	GEGflops     float64 `json:"ge_gflops"`
+	FactorGflops float64 `json:"factor_gflops"`
+}
+
 // KernelSection is the serialised kernel comparison for BENCH_sweep.json.
+// UncachedTaskNs is the batched kernel's per-task time on Uncached, the
+// high-order problem the factor cache refuses. Previous is the
+// measurement this one replaced, kept when it came from another commit
+// on the same machine: the before/after pair a speedup claim needs.
 type KernelSection struct {
-	Commit  string       `json:"commit,omitempty"`
-	Machine *MachineInfo `json:"machine,omitempty"`
-	Problem ProblemShape `json:"problem"`
-	Inners  int          `json:"inners_per_run"`
-	Rows    []KernelRow  `json:"rows"`
+	Commit         string         `json:"commit,omitempty"`
+	Machine        *MachineInfo   `json:"machine,omitempty"`
+	Problem        ProblemShape   `json:"problem"`
+	Inners         int            `json:"inners_per_run"`
+	Rows           []KernelRow    `json:"rows"`
+	LA             []LARow        `json:"la,omitempty"`
+	Uncached       *ProblemShape  `json:"uncached_problem,omitempty"`
+	UncachedTaskNs float64        `json:"uncached_task_ns,omitempty"`
+	Previous       *KernelSection `json:"previous,omitempty"`
 }
 
 // KernelSectionOf packages a kernel run for WriteSweepJSON.
-func KernelSectionOf(cfg KernelConfig, rows []KernelRow) *KernelSection {
+func KernelSectionOf(cfg KernelConfig, rows []KernelRow, la []LARow, uncachedNs float64) *KernelSection {
+	shape := shapeOf(cfg.Uncached)
 	return &KernelSection{
-		Problem: shapeOf(cfg.Problem),
-		Inners:  cfg.Inners,
-		Rows:    rows,
+		Problem:        shapeOf(cfg.Problem),
+		Inners:         cfg.Inners,
+		Rows:           rows,
+		LA:             la,
+		Uncached:       &shape,
+		UncachedTaskNs: uncachedNs,
 	}
 }
 
@@ -242,6 +282,82 @@ func RunKernel(cfg KernelConfig) ([]KernelRow, error) {
 	return rows, nil
 }
 
+// RunLA times the dense local solve at each size on a diagonally
+// dominated random matrix: the best of kernelTaskRepeats rounds of about
+// 100 Mflop each, with the cost of restoring the matrix and right-hand
+// side between calls measured the same way and subtracted.
+func RunLA(sizes []int) []LARow {
+	// The solver runs before this leave garbage; collect it now so the
+	// collector does not share the timed rounds.
+	runtime.GC()
+	rows := make([]LARow, 0, len(sizes))
+	for _, n := range sizes {
+		src := la.NewMatrix(n)
+		seed := uint64(n)
+		for i := range src.Data {
+			seed = seed*6364136223846793005 + 1442695040888963407
+			src.Data[i] = float64(seed>>11)/(1<<53) - 0.5
+		}
+		for i := 0; i < n; i++ {
+			src.Add(i, i, float64(n))
+		}
+		ws := la.NewWorkspace(n)
+		iters := max(20, 100_000_000/(n*n*n))
+		best := func(fn func()) float64 {
+			b := 0.0
+			for r := 0; r < kernelTaskRepeats; r++ {
+				start := time.Now()
+				for i := 0; i < iters; i++ {
+					fn()
+				}
+				if d := float64(time.Since(start).Nanoseconds()) / float64(iters); r == 0 || d < b {
+					b = d
+				}
+			}
+			return b
+		}
+		resetB := func() {
+			for i := range ws.B {
+				ws.B[i] = 1
+			}
+		}
+		restore := func() { ws.A.CopyFrom(src); resetB() }
+		must := func(err error) {
+			if err != nil {
+				panic(err) // diagonally dominated: cannot be singular
+			}
+		}
+		restoreNs := best(restore)
+		row := LARow{N: n}
+		row.GENs = best(func() { restore(); must(la.SolveGE(ws.A, ws.B, ws.X)) }) - restoreNs
+		row.FactorNs = best(func() { restore(); must(la.Factor(ws.A, ws.Piv)) }) - restoreNs
+		// ws.A holds the factors of the last Factor call. The right-hand
+		// side is reset each time (and its n stores counted): solving
+		// into the previous solution would shrink it into subnormals.
+		row.TriSolveNs = best(func() { resetB(); la.SolveFactored(ws.A, ws.Piv, ws.B) })
+		flops := 2 * float64(n*n*n) / 3
+		row.GEGflops, row.FactorGflops = flops/row.GENs, flops/row.FactorNs
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// RunUncached times the batched kernel on cfg.Uncached at the first
+// thread count: the best per-task ns of three two-inner runs.
+func RunUncached(cfg KernelConfig) (float64, error) {
+	best := 0.0
+	for r := 0; r < 3; r++ {
+		ns, err := kernelTaskNs(cfg.Uncached, cfg.Threads[0], 2, core.KernelBatched, false)
+		if err != nil {
+			return 0, fmt.Errorf("harness: kernel experiment uncached order-3 row: %w", err)
+		}
+		if r == 0 || ns < best {
+			best = ns
+		}
+	}
+	return best, nil
+}
+
 // FprintKernel writes the kernel comparison table.
 func FprintKernel(w io.Writer, cfg KernelConfig, rows []KernelRow) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -252,4 +368,18 @@ func FprintKernel(w io.Writer, cfg KernelConfig, rows []KernelRow) {
 			r.FlatScalarNs, r.FlatBatchedNs, r.FlatSpeedup, r.AllocsPerTask)
 	}
 	tw.Flush()
+}
+
+// FprintLA writes the dense-solve table and the uncached order-3 row.
+func FprintLA(w io.Writer, cfg KernelConfig, rows []LARow, uncachedNs float64) {
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(tw, "n\tGE (ns)\tFactor (ns)\ttrisolve (ns)\tGE Gflop/s\tFactor Gflop/s\n")
+	for _, r := range rows {
+		fmt.Fprintf(tw, "%d\t%.0f\t%.0f\t%.0f\t%.2f\t%.2f\n",
+			r.N, r.GENs, r.FactorNs, r.TriSolveNs, r.GEGflops, r.FactorGflops)
+	}
+	tw.Flush()
+	p := cfg.Uncached
+	fmt.Fprintf(w, "uncached order %d (%d^3 twisted, %d ang/oct, %d groups): %.0f ns/task\n",
+		p.Order, p.NX, p.AnglesPerOctant, p.Groups, uncachedNs)
 }

@@ -1,5 +1,7 @@
 package la
 
+import "fmt"
+
 // Multi-RHS ("batched") solve kernels. The sweep engine's unit of work is
 // all energy groups of one (ordinate, element): the local matrices of
 // those groups differ only through the sigma_t,g * M term, so groups with
@@ -58,13 +60,22 @@ func SolveFactoredMulti(a *Matrix, piv []int, bs []float64, k int) {
 			b[i] = s
 		}
 	}
-	// Back solve U X = Y.
+	backSolve(a, bs)
+}
+
+// backSolve solves U X = Y in place for the len(bs)/n right-hand sides in
+// bs (RHS-major), U the upper triangle eliminate leaves in a. Row-outer,
+// column-inner, so each row of U is read once and streamed against every
+// column.
+func backSolve(a *Matrix, bs []float64) {
+	n := a.N
+	ad := a.Data
 	for i := n - 1; i >= 0; i-- {
 		row := ad[i*n : i*n+n]
 		inv := row[i]
 		tail := row[i+1:]
-		for r := 0; r < k; r++ {
-			b := bs[r*n : r*n+n]
+		for o := 0; o < len(bs); o += n {
+			b := bs[o : o+n]
 			bt := b[i+1:]
 			bt = bt[:len(tail)]
 			s := b[i]
@@ -78,93 +89,17 @@ func SolveFactoredMulti(a *Matrix, piv []int, bs []float64, k int) {
 
 // SolveGEMulti solves A X = B for k right-hand sides by Gaussian
 // elimination with partial pivoting, running the elimination once and
-// applying each row operation to all k columns. A is overwritten by the
-// elimination; bs (length k*n, RHS-major) is overwritten with the
+// carrying all k columns through each row operation. A is overwritten by
+// its LU factors; bs (length k*n, RHS-major) is overwritten with the
 // solutions. Each column's result is bitwise identical to a SolveGE call
 // on a fresh copy of A with that column alone.
 func SolveGEMulti(a *Matrix, bs []float64, k int) error {
-	n := a.N
-	ad := a.Data
-	if k == 1 {
-		// Single column: the scalar routine's hoisted pivot-row loads beat
-		// the block loops' per-row column reslicing (the length-1 runs of a
-		// per-group sigma_t ramp all land here).
-		return SolveGE(a, bs[:n], bs[:n])
+	if k < 1 || len(bs) != k*a.N {
+		return fmt.Errorf("la: SolveGEMulti size mismatch: n=%d k=%d len(bs)=%d", a.N, k, len(bs))
 	}
-	bs = bs[: k*n : k*n]
-	for kk := 0; kk < n; kk++ {
-		// Partial pivot: find the largest |a[i][kk]| for i >= kk.
-		p := kk
-		pv := abs(ad[kk*n+kk])
-		for i := kk + 1; i < n; i++ {
-			if v := abs(ad[i*n+kk]); v > pv {
-				pv = v
-				p = i
-			}
-		}
-		if pv == 0 {
-			return ErrSingular
-		}
-		if p != kk {
-			rowK := ad[kk*n : kk*n+n]
-			rowP := ad[p*n : p*n+n]
-			for j := kk; j < n; j++ {
-				rowK[j], rowP[j] = rowP[j], rowK[j]
-			}
-			for r := 0; r < k; r++ {
-				b := bs[r*n : r*n+n]
-				b[kk], b[p] = b[p], b[kk]
-			}
-		}
-		// Eliminate below the pivot; the multiplier row operation streams
-		// the trailing row (contiguous) and then the k pivot-row entries.
-		// Trailing reslices are length-matched for bounds-check
-		// elimination, as in SolveFactoredMulti.
-		inv := 1 / ad[kk*n+kk]
-		kt := ad[kk*n+kk+1 : kk*n+n]
-		for i := kk + 1; i < n; i++ {
-			f := ad[i*n+kk] * inv
-			if f == 0 {
-				continue
-			}
-			rowI := ad[i*n : i*n+n]
-			rowI[kk] = 0
-			rt := rowI[kk+1:]
-			rt = rt[:len(kt)]
-			for j, v := range kt {
-				rt[j] -= f * v
-			}
-			for r := 0; r < k; r++ {
-				b := bs[r*n : r*n+n]
-				b[i] -= f * b[kk]
-			}
-		}
+	if err := eliminate(a, nil, bs, 0, a.N); err != nil {
+		return err
 	}
-	// Back substitution, in place (column r's solution lands in its own
-	// slot of bs; entries above i already hold solution values).
-	for i := n - 1; i >= 0; i-- {
-		row := ad[i*n : i*n+n]
-		inv := row[i]
-		tail := row[i+1:]
-		for r := 0; r < k; r++ {
-			b := bs[r*n : r*n+n]
-			bt := b[i+1:]
-			bt = bt[:len(tail)]
-			s := b[i]
-			for j, v := range tail {
-				s -= v * bt[j]
-			}
-			b[i] = s / inv
-		}
-	}
+	backSolve(a, bs)
 	return nil
-}
-
-// abs is math.Abs without the import: the pivot searches above are the
-// only callers and the compiler intrinsifies this form identically.
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

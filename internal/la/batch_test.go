@@ -1,7 +1,6 @@
 package la
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -103,16 +102,5 @@ func TestSolveGEMultiSingular(t *testing.T) {
 	bs := make([]float64, 6)
 	if err := SolveGEMulti(a, bs, 2); err != ErrSingular {
 		t.Fatalf("got %v, want ErrSingular", err)
-	}
-}
-
-// TestAbsMatchesMath: the local pivot-search abs must agree with math.Abs
-// on every class of input the search can see.
-func TestAbsMatchesMath(t *testing.T) {
-	for _, v := range []float64{0, math.Copysign(0, -1), 1.5, -1.5, math.Inf(1), math.Inf(-1)} {
-		got, want := abs(v), math.Abs(v)
-		if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-			t.Fatalf("abs(%v) = %v, math.Abs = %v", v, got, want)
-		}
 	}
 }

@@ -76,64 +76,20 @@ func Residual(a *Matrix, x, b []float64) float64 {
 	return r
 }
 
-// SolveGE solves A x = b by Gaussian elimination with partial pivoting.
-// A and b are overwritten; on return x holds the solution (x may alias b).
-// This is the hand-written solver from the paper: forward elimination with
-// stride-1 row updates, then back substitution.
+// SolveGE solves A x = b by Gaussian elimination with partial pivoting:
+// the paper's hand-written solver. A is overwritten by its LU factors and
+// b by the forward-eliminated right-hand side; on return x holds the
+// solution (x may alias b).
 func SolveGE(a *Matrix, b, x []float64) error {
 	n := a.N
 	if len(b) != n || len(x) != n {
 		return fmt.Errorf("la: SolveGE size mismatch: n=%d len(b)=%d len(x)=%d", n, len(b), len(x))
 	}
-	ad := a.Data
-	for k := 0; k < n; k++ {
-		// Partial pivot: find the largest |a[i][k]| for i >= k.
-		p := k
-		pv := math.Abs(ad[k*n+k])
-		for i := k + 1; i < n; i++ {
-			if v := math.Abs(ad[i*n+k]); v > pv {
-				pv = v
-				p = i
-			}
-		}
-		if pv == 0 {
-			return ErrSingular
-		}
-		if p != k {
-			rowK := ad[k*n : k*n+n]
-			rowP := ad[p*n : p*n+n]
-			for j := k; j < n; j++ {
-				rowK[j], rowP[j] = rowP[j], rowK[j]
-			}
-			b[k], b[p] = b[p], b[k]
-		}
-		// Eliminate below the pivot. The inner j-loop is contiguous over
-		// the trailing part of each row (the "vectorised" loop).
-		inv := 1 / ad[k*n+k]
-		rowK := ad[k*n : k*n+n]
-		bk := b[k]
-		for i := k + 1; i < n; i++ {
-			f := ad[i*n+k] * inv
-			if f == 0 {
-				continue
-			}
-			rowI := ad[i*n : i*n+n]
-			rowI[k] = 0
-			for j := k + 1; j < n; j++ {
-				rowI[j] -= f * rowK[j]
-			}
-			b[i] -= f * bk
-		}
+	if err := eliminate(a, nil, b, 0, n); err != nil {
+		return err
 	}
-	// Back substitution.
-	for i := n - 1; i >= 0; i-- {
-		row := ad[i*n : i*n+n]
-		s := b[i]
-		for j := i + 1; j < n; j++ {
-			s -= row[j] * x[j]
-		}
-		x[i] = s / row[i]
-	}
+	copy(x, b)
+	backSolve(a, x)
 	return nil
 }
 
@@ -143,53 +99,10 @@ func SolveGE(a *Matrix, b, x []float64) error {
 const DefaultBlockSize = 32
 
 // Factor computes an in-place LU factorisation of A with partial pivoting
-// using the unblocked right-looking algorithm (LAPACK getrf2). piv records
+// (unblocked, right-looking: LAPACK getrf2). piv, of length n, records
 // the row interchanged with row k at step k.
 func Factor(a *Matrix, piv []int) error {
-	return factorRange(a, piv, 0, a.N)
-}
-
-// factorRange factors the square trailing block that starts at (k0, k0)
-// and spans cols k0..k1-1, pivoting over rows k0..n-1 and applying the row
-// swaps to the entire matrix rows (LAPACK convention).
-func factorRange(a *Matrix, piv []int, k0, k1 int) error {
-	n := a.N
-	ad := a.Data
-	for k := k0; k < k1; k++ {
-		p := k
-		pv := math.Abs(ad[k*n+k])
-		for i := k + 1; i < n; i++ {
-			if v := math.Abs(ad[i*n+k]); v > pv {
-				pv = v
-				p = i
-			}
-		}
-		if pv == 0 {
-			return ErrSingular
-		}
-		piv[k] = p
-		if p != k {
-			rowK := ad[k*n : k*n+n]
-			rowP := ad[p*n : p*n+n]
-			for j := 0; j < n; j++ {
-				rowK[j], rowP[j] = rowP[j], rowK[j]
-			}
-		}
-		inv := 1 / ad[k*n+k]
-		rowK := ad[k*n : k*n+n]
-		for i := k + 1; i < n; i++ {
-			l := ad[i*n+k] * inv
-			ad[i*n+k] = l
-			if l == 0 {
-				continue
-			}
-			rowI := ad[i*n : i*n+n]
-			for j := k + 1; j < k1; j++ {
-				rowI[j] -= l * rowK[j]
-			}
-		}
-	}
-	return nil
+	return eliminate(a, piv, nil, 0, a.N)
 }
 
 // FactorBlocked computes an in-place LU factorisation with partial
@@ -198,9 +111,6 @@ func factorRange(a *Matrix, piv []int, k0, k1 int) error {
 // update organised as a cache-friendly i-k-j matrix product.
 func FactorBlocked(a *Matrix, piv []int, nb int) error {
 	n := a.N
-	if len(piv) != n {
-		return fmt.Errorf("la: FactorBlocked pivot length %d, want %d", len(piv), n)
-	}
 	if nb < 1 {
 		nb = DefaultBlockSize
 	}
@@ -214,7 +124,7 @@ func FactorBlocked(a *Matrix, piv []int, nb int) error {
 			kend = n
 		}
 		// Factor the panel (cols k..kend-1), swaps applied across all cols.
-		if err := factorRange(a, piv, k, kend); err != nil {
+		if err := eliminate(a, piv, nil, k, kend); err != nil {
 			return err
 		}
 		if kend == n {

@@ -1,6 +1,7 @@
 package la
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -289,5 +290,444 @@ func TestBlockedLUQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The three elimination loops the package carried before they became one
+// (eliminate): kept verbatim as the bitwise oracle. geReference is the
+// multi-RHS Gaussian elimination (for k = 1 it is, operation for
+// operation, the old scalar SolveGE), factorReference the unblocked
+// right-looking LU over pivot steps k0..k1-1.
+
+func geReference(a *Matrix, bs []float64, k int) error {
+	n := a.N
+	ad := a.Data
+	for kk := 0; kk < n; kk++ {
+		p := kk
+		pv := math.Abs(ad[kk*n+kk])
+		for i := kk + 1; i < n; i++ {
+			if v := math.Abs(ad[i*n+kk]); v > pv {
+				pv = v
+				p = i
+			}
+		}
+		if pv == 0 {
+			return ErrSingular
+		}
+		if p != kk {
+			for j := kk; j < n; j++ {
+				ad[kk*n+j], ad[p*n+j] = ad[p*n+j], ad[kk*n+j]
+			}
+			for r := 0; r < k; r++ {
+				bs[r*n+kk], bs[r*n+p] = bs[r*n+p], bs[r*n+kk]
+			}
+		}
+		inv := 1 / ad[kk*n+kk]
+		for i := kk + 1; i < n; i++ {
+			f := ad[i*n+kk] * inv
+			if f == 0 {
+				continue
+			}
+			ad[i*n+kk] = 0
+			for j := kk + 1; j < n; j++ {
+				ad[i*n+j] -= f * ad[kk*n+j]
+			}
+			for r := 0; r < k; r++ {
+				bs[r*n+i] -= f * bs[r*n+kk]
+			}
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		for r := 0; r < k; r++ {
+			s := bs[r*n+i]
+			for j := i + 1; j < n; j++ {
+				s -= ad[i*n+j] * bs[r*n+j]
+			}
+			bs[r*n+i] = s / ad[i*n+i]
+		}
+	}
+	return nil
+}
+
+func factorReference(a *Matrix, piv []int, k0, k1 int) error {
+	n := a.N
+	ad := a.Data
+	for k := k0; k < k1; k++ {
+		p := k
+		pv := math.Abs(ad[k*n+k])
+		for i := k + 1; i < n; i++ {
+			if v := math.Abs(ad[i*n+k]); v > pv {
+				pv = v
+				p = i
+			}
+		}
+		if pv == 0 {
+			return ErrSingular
+		}
+		piv[k] = p
+		if p != k {
+			for j := 0; j < n; j++ {
+				ad[k*n+j], ad[p*n+j] = ad[p*n+j], ad[k*n+j]
+			}
+		}
+		inv := 1 / ad[k*n+k]
+		for i := k + 1; i < n; i++ {
+			l := ad[i*n+k] * inv
+			ad[i*n+k] = l
+			if l == 0 {
+				continue
+			}
+			for j := k + 1; j < k1; j++ {
+				ad[i*n+j] -= l * ad[k*n+j]
+			}
+		}
+	}
+	return nil
+}
+
+// elimValue decodes one byte of a test case into a matrix or RHS entry:
+// a few specials (both zeros, subnormals whose multipliers underflow to
+// zero, a diagonal-dominating 4099) and otherwise a small signed number
+// over 7 or 8, so products round (sevenths) and cancel exactly (eighths)
+// in the same matrix.
+func elimValue(b byte) float64 {
+	switch b {
+	case 0:
+		return 0
+	case 1:
+		return math.Copysign(0, -1)
+	case 2:
+		return 5e-324
+	case 3:
+		return -5e-324
+	case 4:
+		return 4099
+	}
+	d := 8.0
+	if b&1 == 1 {
+		d = 7
+	}
+	return float64(int(b)-128) / d
+}
+
+// elimSystem builds the n x n matrix and k right-hand sides of a test
+// case from its bytes (cycled when short; no bytes is the zero matrix).
+func elimSystem(n, k int, data []byte) (*Matrix, []float64) {
+	at := func(i int) float64 {
+		if len(data) == 0 {
+			return 0
+		}
+		return elimValue(data[i%len(data)])
+	}
+	a := NewMatrix(n)
+	for i := range a.Data {
+		a.Data[i] = at(i)
+	}
+	bs := make([]float64, k*n)
+	for i := range bs {
+		bs[i] = at(n*n + i)
+	}
+	return a, bs
+}
+
+func sameBits(x, y []float64) bool {
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return false
+		}
+	}
+	return len(x) == len(y)
+}
+
+// checkEliminate runs every wrapper over eliminate on one case and holds
+// each to the reference loops bit for bit: solutions, LU factors, pivot
+// records, the error and the step it was raised at.
+func checkEliminate(t *testing.T, n, k int, data []byte) {
+	t.Helper()
+	a0, bs0 := elimSystem(n, k, data)
+	fresh := func() (*Matrix, []float64) {
+		a := NewMatrix(n)
+		a.CopyFrom(a0)
+		return a, append([]float64(nil), bs0...)
+	}
+	unset := func() []int {
+		piv := make([]int, n)
+		for i := range piv {
+			piv[i] = -1
+		}
+		return piv
+	}
+	samePiv := func(x, y []int) bool {
+		for i := range x {
+			if x[i] != y[i] {
+				return false
+			}
+		}
+		return true
+	}
+
+	// Gaussian elimination: multi-RHS, then column by column with x
+	// aliasing b and apart from it.
+	aRef, want := fresh()
+	errRef := geReference(aRef, want, k)
+	a, bs := fresh()
+	if err := SolveGEMulti(a, bs, k); err != errRef {
+		t.Fatalf("SolveGEMulti err %v, reference %v", err, errRef)
+	}
+	if errRef == nil && !sameBits(bs, want) {
+		t.Fatalf("SolveGEMulti not bitwise the reference")
+	}
+	for r := 0; r < k; r++ {
+		for _, alias := range []bool{true, false} {
+			a, bs := fresh()
+			b := bs[r*n : (r+1)*n]
+			x := b
+			if !alias {
+				x = make([]float64, n)
+			}
+			if err := SolveGE(a, b, x); err != errRef {
+				t.Fatalf("SolveGE err %v, reference %v", err, errRef)
+			}
+			if errRef == nil && !sameBits(x, want[r*n:(r+1)*n]) {
+				t.Fatalf("SolveGE column %d (alias %v) not bitwise the reference", r, alias)
+			}
+		}
+	}
+
+	// LU: factors and pivot record; on a singular input the steps
+	// recorded before the error say where it was raised.
+	luRef, _ := fresh()
+	pivRef := unset()
+	errRef = factorReference(luRef, pivRef, 0, n)
+	lu, _ := fresh()
+	piv := unset()
+	if err := Factor(lu, piv); err != errRef {
+		t.Fatalf("Factor err %v, reference %v", err, errRef)
+	}
+	if !samePiv(piv, pivRef) {
+		t.Fatalf("Factor pivots %v, reference %v", piv, pivRef)
+	}
+	if errRef == nil {
+		if !sameBits(lu.Data, luRef.Data) {
+			t.Fatalf("Factor not bitwise the reference")
+		}
+		// GE == Factor + SolveFactored: bitwise unless the right-hand
+		// side holds a -0.0, which the triangular solve (it subtracts
+		// 0*b where elimination skips) may return as +0.0. Overflowed
+		// systems are exempt: there 0*Inf separates the two.
+		negZero, finite := false, true
+		for _, v := range bs0 {
+			negZero = negZero || (v == 0 && math.Signbit(v))
+		}
+		for _, v := range want {
+			finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
+		}
+		_, got := fresh()
+		SolveFactoredMulti(lu, piv, got, k)
+		_, got1 := fresh()
+		for r := 0; r < k; r++ {
+			SolveFactored(lu, piv, got1[r*n:(r+1)*n])
+		}
+		if !sameBits(got, got1) {
+			t.Fatalf("SolveFactoredMulti not bitwise SolveFactored")
+		}
+		for i := range got {
+			if !finite {
+				break
+			}
+			if got[i] != want[i] || (!negZero && math.Float64bits(got[i]) != math.Float64bits(want[i])) {
+				t.Fatalf("Factor+SolveFactored[%d] = %v, GE %v", i, got[i], want[i])
+			}
+		}
+	}
+
+	// Panels (FactorBlocked's use of the core): the same column ranges
+	// through both, without the trailing update in between — the later
+	// panels then factor stale columns, which is as good a test matrix.
+	for _, nb := range []int{1, 3, 8} {
+		luRef, _ := fresh()
+		lu, _ := fresh()
+		pivRef, piv := unset(), unset()
+		for k0 := 0; k0 < n; k0 += nb {
+			k1 := min(k0+nb, n)
+			errRef := factorReference(luRef, pivRef, k0, k1)
+			if err := eliminate(lu, piv, nil, k0, k1); err != errRef {
+				t.Fatalf("panel [%d,%d) err %v, reference %v", k0, k1, err, errRef)
+			}
+			if !samePiv(piv, pivRef) {
+				t.Fatalf("panel [%d,%d) pivots %v, reference %v", k0, k1, piv, pivRef)
+			}
+			if errRef != nil {
+				break
+			}
+			if !sameBits(lu.Data, luRef.Data) {
+				t.Fatalf("panel [%d,%d) not bitwise the reference", k0, k1)
+			}
+		}
+	}
+}
+
+// elimCases are the hand-built shapes of the bitwise suite, as bytes for
+// elimSystem: the table test runs them at every size, the fuzz target
+// starts from them.
+func elimCases(n, k int, seed int64) map[string][]byte {
+	rng := rand.New(rand.NewSource(seed))
+	size := n*n + k*n
+	random := func() []byte {
+		d := make([]byte, size)
+		for i := range d {
+			d[i] = byte(5 + rng.Intn(251))
+		}
+		return d
+	}
+	cases := map[string][]byte{"zero": nil}
+	// Dense, no dominant entry: a row swap at nearly every step, so at
+	// both steps of most pairs.
+	cases["swaps"] = random()
+	// Dominant diagonal: no swaps at all.
+	d := random()
+	for i := 0; i < n; i++ {
+		d[i*n+i] = 4
+	}
+	cases["dominant"] = d
+	// Dominant entries on a permutation: a forced swap wherever the
+	// permutation moves a row.
+	d = random()
+	for i, j := range rng.Perm(n) {
+		d[i*n+j] = 4
+	}
+	cases["permuted"] = d
+	// Exact-zero multipliers. Below a dominant diagonal: column k zero
+	// for the first step of each pair, for the second (which also needs
+	// a[k-1][k] = 0, or step k-1 fills it in), for both, and scattered
+	// +0/-0/subnormal entries so blocks of four rows mix zero and
+	// non-zero multipliers.
+	for name, zero := range map[string]func(i, j int) bool{
+		"zero-first":  func(i, j int) bool { return j%2 == 0 && i > j },
+		"zero-second": func(i, j int) bool { return j%2 == 1 && i >= j-1 && i != j },
+		"zero-both":   func(i, j int) bool { return i > j },
+		"zero-mixed":  func(i, j int) bool { return i != j && rng.Intn(2) == 0 },
+	} {
+		d = random()
+		for i := 0; i < n; i++ {
+			d[i*n+i] = 4
+			for j := 0; j < n; j++ {
+				if zero(i, j) {
+					d[i*n+j] = byte(rng.Intn(4))
+				}
+			}
+		}
+		cases[name] = d
+	}
+	// -0.0 through matrix and right-hand sides, swaps included.
+	d = random()
+	for i := range d {
+		if rng.Intn(3) == 0 {
+			d[i] = 1
+		}
+	}
+	cases["negzero"] = d
+	// Singular at a late step (two equal rows cancel exactly) and at an
+	// early one (a zero column).
+	if n > 1 {
+		d = random()
+		copy(d[(n-1)*n:n*n], d[(n/2)*n:(n/2+1)*n])
+		cases["singular-rows"] = d
+		d = random()
+		for i := 0; i < n; i++ {
+			d[i*n+n/3] = 0
+		}
+		cases["singular-column"] = d
+	}
+	return cases
+}
+
+// TestEliminateBitwise: every wrapper, every shape, sizes on both sides
+// of the pair and four-row block boundaries (odd n leaves an unpaired
+// last step).
+func TestEliminateBitwise(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 8, 27, 64, 65, 125} {
+		for _, k := range []int{1, 2, 5} {
+			for name, data := range elimCases(n, k, int64(1000*n+k)) {
+				t.Run(fmt.Sprintf("n%d/k%d/%s", n, k, name), func(t *testing.T) {
+					checkEliminate(t, n, k, data)
+				})
+			}
+		}
+	}
+}
+
+func FuzzEliminateBitwise(f *testing.F) {
+	for _, n := range []int{3, 8, 13} {
+		for _, data := range elimCases(n, 2, int64(n)) {
+			f.Add(uint8(n), uint8(2), data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, n, k uint8, data []byte) {
+		checkEliminate(t, int(n%34), 1+int(k%3), data)
+	})
+}
+
+// TestEliminateArguments: mis-sized pivot records and right-hand sides
+// are errors, never panics or silent truncation.
+func TestEliminateArguments(t *testing.T) {
+	const n = 4
+	f := make([]float64, 3*n)
+	for _, tc := range []struct {
+		name string
+		call func(a *Matrix) error
+	}{
+		{"Factor short piv", func(a *Matrix) error { return Factor(a, make([]int, n-1)) }},
+		{"Factor long piv", func(a *Matrix) error { return Factor(a, make([]int, n+1)) }},
+		{"Factor nil piv", func(a *Matrix) error { return Factor(a, nil) }},
+		{"FactorBlocked short piv", func(a *Matrix) error { return FactorBlocked(a, make([]int, n-1), 2) }},
+		{"FactorBlocked long piv", func(a *Matrix) error { return FactorBlocked(a, make([]int, n+1), 2) }},
+		{"FactorBlocked big block short piv", func(a *Matrix) error { return FactorBlocked(a, make([]int, n-1), n) }},
+		{"SolveDGESV short piv", func(a *Matrix) error { return SolveDGESV(a, f[:n], make([]int, n-1)) }},
+		{"SolveGE short b", func(a *Matrix) error { return SolveGE(a, f[:n-1], f[:n]) }},
+		{"SolveGE long b", func(a *Matrix) error { return SolveGE(a, f[:n+1], f[:n]) }},
+		{"SolveGE short x", func(a *Matrix) error { return SolveGE(a, f[:n], f[:n-1]) }},
+		{"SolveGEMulti short bs", func(a *Matrix) error { return SolveGEMulti(a, f[:2*n-1], 2) }},
+		{"SolveGEMulti long bs", func(a *Matrix) error { return SolveGEMulti(a, f[:2*n+1], 2) }},
+		{"SolveGEMulti negative k", func(a *Matrix) error { return SolveGEMulti(a, nil, -1) }},
+		{"SolveGEMulti zero k", func(a *Matrix) error { return SolveGEMulti(a, nil, 0) }},
+	} {
+		a := NewMatrix(n)
+		for i := 0; i < n; i++ {
+			a.Set(i, i, 1)
+		}
+		if err := tc.call(a); err == nil || err == ErrSingular {
+			t.Errorf("%s: err = %v, want a size error", tc.name, err)
+		}
+	}
+}
+
+// TestEliminateAllocFree: the sweep's zero-allocation contract reaches
+// down to every wrapper.
+func TestEliminateAllocFree(t *testing.T) {
+	const n, k = 27, 3
+	rng := rand.New(rand.NewSource(17))
+	a0, bs0 := randomSystem(t, rng, n, k)
+	a := NewMatrix(n)
+	bs := make([]float64, k*n)
+	x := make([]float64, n)
+	piv := make([]int, n)
+	for name, fn := range map[string]func() error{
+		"SolveGE":       func() error { return SolveGE(a, bs[:n], x) },
+		"SolveGEMulti":  func() error { return SolveGEMulti(a, bs, k) },
+		"Factor":        func() error { return Factor(a, piv) },
+		"FactorBlocked": func() error { return FactorBlocked(a, piv, 8) },
+		"SolveDGESV":    func() error { return SolveDGESV(a, bs[:n], piv) },
+	} {
+		allocs := testing.AllocsPerRun(20, func() {
+			a.CopyFrom(a0)
+			copy(bs, bs0)
+			if err := fn(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per run, want 0", name, allocs)
+		}
 	}
 }

@@ -5,9 +5,10 @@
 // transport code are reproduced without any proprietary data.
 //
 // The constants follow SNAP's spirit (two materials, mild per-group
-// scaling, a banded scattering matrix) with the exact values documented in
-// DESIGN.md section 9. The scattering ratio sigs/sigt is kept at or below
-// 0.6 so that source iteration converges briskly.
+// scaling, a banded scattering matrix); the exact values are the
+// constants below and the formulas in NewLibrary. The scattering ratio
+// sigs/sigt is kept at or below 0.6 so that source iteration converges
+// briskly.
 package xs
 
 import "fmt"

@@ -17,5 +17,10 @@
 set -e
 cd "$(dirname "$0")/.."
 COMMIT=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+# Uncommitted changes (other than the ledger this script writes) are not
+# HEAD's numbers: say so in the stamp.
+if [ -n "$(git status --porcelain -- . ':!BENCH_sweep.json' 2>/dev/null)" ]; then
+	COMMIT="$COMMIT-dirty"
+fi
 exec go run ./cmd/unsnap-bench -experiment engine,comm,cycles,setup,kernel,accel -threads 1,2,4 \
 	-json BENCH_sweep.json -commit "$COMMIT" "$@"

@@ -41,6 +41,15 @@ go run ./cmd/unsnap -nx 4 -nang 2 -ng 2 -iitm 4 -oitm 1 -force-iterations -cache
 # drain. The verdict line is machine-checkable; grep pins it.
 go run ./cmd/unsnap-serve -smoke \
 	| grep -q 'serve-smoke: converged true, warm builds 0, shutdown clean true'
+# The end-to-end benchmark is its own module (benchmark/go.mod), so the
+# root `go test ./...` never reaches it: run its test here, or a facade
+# or internal/la change can break the benchmark unseen.
+(cd benchmark && go test .)
+# Dense-solve bitwise suite: every wrapper over la's one elimination core
+# against the reference loops, uncached and under the race detector, then
+# a short fuzz of the same oracle.
+go test -race -count=1 -run 'Eliminate|Bitwise' ./internal/la
+go test -run '^$' -fuzz=FuzzEliminateBitwise -fuzztime=5s ./internal/la
 # Cyclic-mesh equivalence first (engine vs legacy bucket path, pipelined
 # vs single domain, 1e-12 — including the per-cycle-order strategy
 # equivalence tests) under the race detector: the cycle-aware engine's
