@@ -1,5 +1,5 @@
 // Command unsnap-bench regenerates the tables and figures of the UnSNAP
-// paper, plus the ablations listed below and the perf-ledger experiments
+// paper, plus the ablations listed below and the task-kernel micro-table
 // docs/BENCH.md documents. Every experiment has a bench-scale default
 // that completes on a laptop; -paper switches to the paper's full problem
 // sizes (hours of runtime on a small machine).
@@ -8,38 +8,27 @@
 //
 //	unsnap-bench -experiment table1
 //	unsnap-bench -experiment fig3 -threads 1,2,4
-//	unsnap-bench -experiment engine,comm -threads 1,2,4 -json BENCH_sweep.json
-//	unsnap-bench -experiment engine,comm,cycles -smoke
+//	unsnap-bench -experiment kernel -threads 1,2,4 -json BENCH_sweep.json
+//	unsnap-bench -experiment kernel -smoke
 //	unsnap-bench -experiment all
 //
 // Experiments (comma-separable): table1, table2, fig3, fig4, tradeoffs,
-// jacobi, atomic, preassembled, engine, comm, cycles, setup, kernel,
-// accel, all.
-// The engine experiment compares the persistent worker-pool sweep engine
-// against a legacy bucket executor; the comm experiment compares the
-// lagged (block Jacobi) and pipelined (mid-sweep streaming) halo
-// protocols across rank grids; the cycles experiment runs a genuinely
-// cyclic twisted mesh (AllowCycles) through the legacy lagged bucket
-// path, the cycle-aware engine under both within-SCC cut rules
-// (element-index and feedback-arc, with a per-strategy lag-set and
-// inners-to-convergence comparison) and the engine behind the pipelined
-// protocol; the kernel experiment compares the engine's batched
-// (group-blocked, allocation-free) task body against the scalar
-// per-group body, reporting per-task nanoseconds and steady-state
-// allocations per task; the accel experiment iterates a
-// scattering-dominated problem to convergence with synthetic diffusion
-// acceleration off and on (single-domain, cyclic and 2-rank
-// lagged/pipelined configurations), reporting inner-iteration and
-// wall-clock speedups plus the converged-flux agreement. With -json, all
-// record their measurements for
-// the perf trajectory: sections merge by key, so refreshing one
-// experiment preserves the others' history (scripts/bench.sh runs them
-// and writes BENCH_sweep.json). -smoke shrinks the sweep experiments
-// (engine, comm, cycles, kernel) to a seconds-scale correctness pass —
-// tiny meshes, one forced inner, no JSON write — so CI can exercise the
-// bench paths on every push without bit-rot between real refreshes; the
+// jacobi, atomic, preassembled, kernel, all.
+// The kernel experiment compares the engine's batched (group-blocked,
+// allocation-free) task body against the scalar per-group body,
+// reporting per-task nanoseconds and steady-state allocations per task,
+// the dense local solve at the matrix sizes of orders 1..4, and the
+// per-task time of a high-order problem the factor cache refuses. With
+// -json it records its measurements as the one section of
+// BENCH_sweep.json (scripts/bench.sh runs it), keeping the section it
+// replaces as the before/after pair. -smoke shrinks it to a
+// seconds-scale correctness pass — tiny meshes, one forced inner, no
+// JSON write — so CI can exercise the bench path on every push; the
 // paper-table experiments are not shrunk and keep their bench-scale
-// defaults.
+// defaults. Engine, halo-protocol, cyclic-mesh, build-cache and
+// acceleration performance is judged by the traced benchmark
+// (benchmark/run.sh --trace 1; docs/BENCH.md maps each question to its
+// metric).
 //
 // -cpuprofile / -memprofile write pprof profiles covering the selected
 // experiments (see the README's benchmarking section for the analysis
@@ -81,16 +70,16 @@ func parseThreads(s string) ([]int, error) {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("unsnap-bench", flag.ContinueOnError)
-	experiment := fs.String("experiment", "all", "comma-separated list of table1|table2|fig3|fig4|tradeoffs|jacobi|atomic|preassembled|engine|comm|cycles|setup|kernel|accel|all")
+	experiment := fs.String("experiment", "all", "comma-separated list of table1|table2|fig3|fig4|tradeoffs|jacobi|atomic|preassembled|kernel|all")
 	threadsFlag := fs.String("threads", "1,2", "comma-separated worker counts for scaling experiments")
-	jsonPath := fs.String("json", "", "write the engine experiment's comparison to this JSON file")
-	commit := fs.String("commit", "", "git revision to stamp into the engine JSON report")
+	jsonPath := fs.String("json", "", "write the kernel experiment's section to this JSON file")
+	commit := fs.String("commit", "", "git revision to stamp into the JSON report")
 	paper := fs.Bool("paper", false, "use the paper's full problem sizes (slow)")
-	smoke := fs.Bool("smoke", false, "CI smoke mode for the sweep experiments (engine, comm, cycles): tiny meshes, 1 forced inner, loose convergence bounds, no JSON write; other experiments keep their defaults")
+	smoke := fs.Bool("smoke", false, "CI smoke mode for the kernel experiment: tiny meshes, 1 forced inner, no JSON write; other experiments keep their defaults")
 	nx := fs.Int("nx", 0, "override elements per dimension")
 	nang := fs.Int("nang", 0, "override angles per octant")
 	ng := fs.Int("ng", 0, "override energy groups")
-	inners := fs.Int("inners", 5, "inner iterations (timing runs; the engine experiment defaults to 10 unless set)")
+	inners := fs.Int("inners", 5, "inner iterations (timing runs; the kernel experiment defaults to 30 unless set)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile covering the selected experiments to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile (after the experiments) to this file")
 	if err := fs.Parse(args); err != nil {
@@ -161,7 +150,7 @@ func run(args []string) error {
 	}
 	want := func(name string) bool { return wanted[name] || wanted["all"] }
 	ran := false
-	var sections harness.Sections
+	var kernel *harness.KernelSection
 
 	if want("table1") {
 		ran = true
@@ -278,99 +267,6 @@ func run(args []string) error {
 		harness.FprintPreassembled(os.Stdout, rows)
 		fmt.Println()
 	}
-	if want("engine") {
-		ran = true
-		cfg := harness.DefaultEngine()
-		if *smoke {
-			cfg.Problem.NX, cfg.Problem.NY, cfg.Problem.NZ = 4, 4, 4
-			cfg.Problem.AnglesPerOctant, cfg.Problem.Groups = 2, 2
-		}
-		override(&cfg.Problem)
-		cfg.Threads = threads
-		// Keep DefaultEngine's inner count (tuned for bench stability)
-		// unless the flag was given explicitly.
-		if innersSet {
-			cfg.Inners = *inners
-		}
-		fmt.Printf("== Sweep engine vs legacy %s (%d^3 elements, %d ang/oct, %d groups) ==\n",
-			cfg.Legacy, cfg.Problem.NX, cfg.Problem.AnglesPerOctant, cfg.Problem.Groups)
-		rows, err := harness.RunEngine(cfg)
-		if err != nil {
-			return err
-		}
-		harness.FprintEngine(os.Stdout, cfg, rows)
-		fmt.Println()
-		sections.Engine = harness.EngineSectionOf(cfg, rows)
-	}
-	if want("comm") {
-		ran = true
-		cfg := harness.DefaultComm()
-		if *smoke {
-			cfg.Problem.NX, cfg.Problem.NY, cfg.Problem.NZ = 4, 4, 4
-			cfg.Problem.AnglesPerOctant, cfg.Problem.Groups = 2, 2
-			cfg.Epsi = 1e-4
-		}
-		override(&cfg.Problem)
-		cfg.Threads = threads
-		if innersSet {
-			cfg.Inners = *inners
-		}
-		fmt.Printf("== Halo protocols: lagged vs pipelined (%d^3 elements, %d ang/oct, %d groups) ==\n",
-			cfg.Problem.NX, cfg.Problem.AnglesPerOctant, cfg.Problem.Groups)
-		rows, conv, err := harness.RunComm(cfg)
-		if err != nil {
-			return err
-		}
-		harness.FprintComm(os.Stdout, cfg, rows, conv)
-		fmt.Println()
-		sections.Comm = harness.CommSectionOf(cfg, rows, conv)
-	}
-	if want("cycles") {
-		ran = true
-		cfg := harness.DefaultCycles()
-		if *smoke {
-			// The smallest verified-cyclic shape (the core package's cyclic
-			// tests pin it): the mesh must stay genuinely cyclic or
-			// RunCycles fails loudly.
-			cfg.Problem.NX, cfg.Problem.NY, cfg.Problem.NZ = 4, 4, 4
-			cfg.Problem.Twist, cfg.Problem.TwistPeriods = 0.8, 3
-			cfg.Problem.Groups = 2
-		}
-		override(&cfg.Problem)
-		cfg.Threads = threads
-		if innersSet {
-			cfg.Inners = *inners
-		}
-		fmt.Printf("== Cyclic meshes: legacy lagged vs cycle-aware engine (both cycle orders) vs engine+pipelined (%d^3 elements, twist %g over %g periods, %d ang/oct, %d groups) ==\n",
-			cfg.Problem.NX, cfg.Problem.Twist, cfg.Problem.TwistPeriods,
-			cfg.Problem.AnglesPerOctant, cfg.Problem.Groups)
-		rows, strats, err := harness.RunCycles(cfg)
-		if err != nil {
-			return err
-		}
-		harness.FprintCycles(os.Stdout, cfg, rows, strats)
-		fmt.Println()
-		sections.Cycles = harness.CyclesSectionOf(cfg, rows, strats)
-	}
-	if want("setup") {
-		ran = true
-		cfg := harness.DefaultSetup()
-		if *smoke {
-			cfg.Problem.NX, cfg.Problem.NY, cfg.Problem.NZ = 4, 4, 4
-			cfg.Problem.AnglesPerOctant, cfg.Problem.Groups = 2, 2
-			cfg.Warm = 2
-		}
-		override(&cfg.Problem)
-		fmt.Printf("== Problem build: cold artifact build vs warm cache fetch (%d^3 elements, %d ang/oct, %d groups) ==\n",
-			cfg.Problem.NX, cfg.Problem.AnglesPerOctant, cfg.Problem.Groups)
-		sec, err := harness.RunSetup(cfg)
-		if err != nil {
-			return err
-		}
-		harness.FprintSetup(os.Stdout, sec)
-		fmt.Println()
-		sections.Setup = sec
-	}
 	if want("kernel") {
 		ran = true
 		cfg := harness.DefaultKernel()
@@ -384,6 +280,8 @@ func run(args []string) error {
 		}
 		override(&cfg.Problem)
 		cfg.Threads = threads
+		// Keep DefaultKernel's inner count (tuned for bench stability)
+		// unless the flag was given explicitly.
 		if innersSet {
 			cfg.Inners = *inners
 		}
@@ -401,39 +299,13 @@ func run(args []string) error {
 		}
 		harness.FprintLA(os.Stdout, cfg, laRows, uncached)
 		fmt.Println()
-		sections.Kernel = harness.KernelSectionOf(cfg, rows, laRows, uncached)
-	}
-	if want("accel") {
-		ran = true
-		cfg := harness.DefaultAccel()
-		if *smoke {
-			// Keep the domains optically thick (the experiment fails loudly
-			// when a run does not converge or DSA does not engage); shrink
-			// the ratio sweep and the angular resolution instead.
-			cfg.Problem.NX, cfg.Problem.NY, cfg.Problem.NZ = 6, 6, 6
-			cfg.Problem.LX, cfg.Problem.LY, cfg.Problem.LZ = 6, 6, 6
-			cfg.Cyclic.NX, cfg.Cyclic.NY, cfg.Cyclic.NZ = 4, 4, 4
-			cfg.Cyclic.LX, cfg.Cyclic.LY, cfg.Cyclic.LZ = 4, 4, 4
-			cfg.Ratios = []float64{0.9}
-			cfg.Epsi = 1e-5
-		}
-		override(&cfg.Problem)
-		cfg.Threads = threads[len(threads)-1]
-		fmt.Printf("== Synthetic diffusion acceleration: inners to convergence, DSA off vs on (%d^3 elements, %d ang/oct, %d groups) ==\n",
-			cfg.Problem.NX, cfg.Problem.AnglesPerOctant, cfg.Problem.Groups)
-		rows, err := harness.RunAccel(cfg)
-		if err != nil {
-			return err
-		}
-		harness.FprintAccel(os.Stdout, cfg, rows)
-		fmt.Println()
-		sections.Accel = harness.AccelSectionOf(cfg, rows)
+		kernel = harness.KernelSectionOf(cfg, rows, laRows, uncached)
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q", *experiment)
 	}
-	if *jsonPath != "" && sections != (harness.Sections{}) {
-		if err := harness.WriteSweepJSON(*jsonPath, *commit, sections); err != nil {
+	if *jsonPath != "" && kernel != nil {
+		if err := harness.WriteSweepJSON(*jsonPath, *commit, kernel); err != nil {
 			return err
 		}
 		fmt.Println("wrote", *jsonPath)

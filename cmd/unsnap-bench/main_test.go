@@ -34,6 +34,12 @@ func TestRunUnknownExperiment(t *testing.T) {
 	if err := run([]string{"-experiment", "nope,bogus"}); err == nil {
 		t.Fatal("expected unknown-experiment error for list")
 	}
+	// The ledger experiments the traced benchmark replaced are gone.
+	for _, name := range []string{"engine", "comm", "cycles", "setup", "accel"} {
+		if err := run([]string{"-experiment", name}); err == nil {
+			t.Fatalf("deleted experiment %q should be unknown", name)
+		}
+	}
 }
 
 func TestRunExperimentList(t *testing.T) {
@@ -51,20 +57,20 @@ func TestRunBadFlags(t *testing.T) {
 }
 
 func TestSmokeRejectsPaper(t *testing.T) {
-	if err := run([]string{"-experiment", "engine", "-smoke", "-paper"}); err == nil {
+	if err := run([]string{"-experiment", "kernel", "-smoke", "-paper"}); err == nil {
 		t.Fatal("-smoke -paper should be rejected")
 	}
 }
 
-// TestRunSmoke executes the full CI smoke pass through the bench tool
-// (tiny meshes, one inner, all three sweep experiments). Skipped under
-// -short: scripts/ci.sh invokes the identical command directly, so the
-// short suite need not pay for it twice.
+// TestRunSmoke executes the CI smoke pass through the bench tool (tiny
+// meshes, one inner). Skipped under -short: scripts/ci.sh invokes the
+// identical command directly, so the short suite need not pay for it
+// twice.
 func TestRunSmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("ci.sh runs `unsnap-bench -experiment engine,comm,cycles -smoke` directly")
+		t.Skip("ci.sh runs `unsnap-bench -experiment kernel -smoke` directly")
 	}
-	if err := run([]string{"-experiment", "engine,comm,cycles", "-smoke"}); err != nil {
+	if err := run([]string{"-experiment", "kernel", "-smoke"}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -71,7 +71,7 @@ func run(args []string) error {
 	}
 
 	s := serve.New(cfg)
-	httpServer := &http.Server{Addr: *addr, Handler: s.Handler()}
+	httpServer := newHTTPServer(s.Handler())
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -109,6 +109,20 @@ const smokeSpec = `{
 	"options": {"epsi":1e-4,"max_inners":10,"max_outers":4}
 }`
 
+// newHTTPServer builds the server both the real and the smoke path serve
+// on, so the two cannot drift. A client that never finishes its request
+// headers, or parks an idle keep-alive connection, must not hold a
+// goroutine and a descriptor forever. There is deliberately no
+// WriteTimeout (or ReadTimeout): GET /v1/jobs/{id}/events is a long-lived
+// SSE stream, and a whole-response deadline would cut it off mid-job.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
 // runSmoke boots the service on loopback and drives it as a client. It
 // always prints the verdict line (CI greps for it) and returns an error
 // on any failed expectation.
@@ -118,7 +132,7 @@ func runSmoke(cfg serve.Config) error {
 	if err != nil {
 		return err
 	}
-	httpServer := &http.Server{Handler: s.Handler()}
+	httpServer := newHTTPServer(s.Handler())
 	go func() { _ = httpServer.Serve(ln) }()
 	base := "http://" + ln.Addr().String()
 

@@ -21,9 +21,9 @@ type Distributed struct {
 
 // NewDistributed builds a multi-rank solver over py x pz ranks. Options
 // that cannot apply under the selected protocol are rejected up front:
-// the lagged protocol can never engage octant fusion (halo callbacks pin
-// sequential octant phases), and the pipelined protocol needs an
-// engine-backed scheme and the fused cross-octant phase. Cyclic meshes
+// the pipelined protocol needs the engine scheme (the lagged protocol's
+// halo callbacks run sequential octant phases under any scheme). Cyclic
+// meshes
 // need AllowCycles under either protocol; the pipelined one then
 // distributes a single global cycle condensation so its flux still
 // matches the single-domain solver exactly.

@@ -104,8 +104,8 @@ type Artifact struct {
 
 	// FusedFull is the all-angles pre-fused face-matrix cache
 	// om·Fx + om·Fy + om·Fz, laid out [angle][elem][face][NF*NF], or nil
-	// when the full tier exceeds FusedFaceCacheLimit (solvers then build
-	// their own per-octant slab, which is per-solve mutable state).
+	// when it would exceed FusedFaceCacheLimit (solvers then fuse the
+	// three directional factors on the fly).
 	FusedFull []float64
 
 	// Accel is the geometric skeleton of the synthetic diffusion
@@ -244,13 +244,11 @@ func Build(spec Spec) (*Artifact, error) {
 	}
 	art.GeomClasses = int(next)
 
-	// Full-tier fused face matrices: at sizes where every angle fits the
-	// cache budget, pre-fuse om·Fx + om·Fy + om·Fz here so all sharing
-	// solvers read one immutable copy. Above the budget solvers fall back
-	// to their own per-octant slab, which is mutable per-solve state and
-	// cannot live in a shared artifact.
+	// Fused face matrices: at sizes where every angle fits the cache
+	// budget, pre-fuse om·Fx + om·Fy + om·Fz here so all sharing solvers
+	// read one immutable copy. Above the budget solvers fuse on the fly.
 	block := re.NF * re.NF
-	if full, _ := FusedCachePlan(nA, spec.Quad.PerOctant, nE, block); full {
+	if FusedCachePlan(nA, nE, block) {
 		art.FusedFull = make([]float64, nA*nE*fem.NumFaces*block)
 		parallelFor(threads, nA*nE, func(_, idx int) {
 			a := idx / nE
@@ -495,18 +493,14 @@ func (d KernelDims) WorkerScratchDoubles(nG int) int {
 		n // effective source scratch
 }
 
-// FusedFaceCacheLimit caps the fused face-matrix cache; see the solver's
-// engine documentation for the tier semantics. It lives here so the
-// artifact's full-tier decision and the solver's slab fallback can never
-// drift apart.
+// FusedFaceCacheLimit caps the artifact's fused face-matrix cache. The
+// paper-scale Figure 3 problem (288 ordinates, 4096 elements) would need
+// ~0.9 GiB, so it fuses on the fly.
 const FusedFaceCacheLimit = 512 << 20
 
-// FusedCachePlan decides the fused face-matrix cache tier for the given
-// problem shape: full (every angle resident, built into the Artifact),
-// a per-octant slab (per-solve, rebuilt each sequential octant phase),
-// or neither. block is the per-face matrix size NF*NF.
-func FusedCachePlan(nA, perOctant, nE, block int) (full, slab bool) {
-	full = nA*nE*fem.NumFaces*block*8 <= FusedFaceCacheLimit
-	slab = !full && perOctant*nE*fem.NumFaces*block*8 <= FusedFaceCacheLimit
-	return full, slab
+// FusedCachePlan reports whether the all-angles fused face-matrix cache
+// of the given problem shape fits FusedFaceCacheLimit and is built into
+// the Artifact. block is the per-face matrix size NF*NF.
+func FusedCachePlan(nA, nE, block int) bool {
+	return nA*nE*fem.NumFaces*block*8 <= FusedFaceCacheLimit
 }

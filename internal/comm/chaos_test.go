@@ -442,3 +442,143 @@ func TestFaultHealthChecksLagged(t *testing.T) {
 		t.Fatalf("NaN source should surface a *core.HealthError, got %T (%v)", err, err)
 	}
 }
+
+// scriptTransport hands a receiver a fixed message sequence; publishes are
+// dropped.
+type scriptTransport struct {
+	msgs  chan pipeMsg
+	abort <-chan struct{}
+}
+
+func (t *scriptTransport) Send(int, bool, pipeMsg) bool { return true }
+
+func (t *scriptTransport) Recv(int, bool) (pipeMsg, bool) {
+	select {
+	case m := <-t.msgs:
+		return m, true
+	case <-t.abort:
+		return pipeMsg{}, false
+	}
+}
+
+// TestChaosSlotWrittenOncePerSweep is the regression for the drop+retry
+// data race: a receiver must write an inflow slot, and resolve its task,
+// exactly once per sweep. When a transfer of the gated sweep is missing,
+// the next sweep's first message arrives inside its quota; the receiver
+// used to apply it — rewriting a slot a running task reads and firing a
+// counter twice ("engine stalled", not retryable). It must instead leave
+// every slot alone, and fail the run at once with a retryable SweepError
+// naming the edge and the starved ordinate. A stray from another epoch is
+// recycled without effect, and a repeat within the sweep fails likewise.
+func TestChaosSlotWrittenOncePerSweep(t *testing.T) {
+	d, err := New(chaosConfig(t, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const epoch = 1
+	ei := d.pipe.outIdx[0][1]
+	ed := d.pipe.edges[ei]
+	s := d.solvers[ed.to]
+
+	// One sweep's transfers of the edge, in slot order.
+	type transfer struct{ idx, a, elem, face int }
+	var all []transfer
+	angles := d.cfg.Rank.Quad.Angles
+	for i, rf := range d.remote[ed.to] {
+		for a := range angles {
+			if core.ExternalInflow(angles[a].Omega, rf.Normal, rf.Canonical) {
+				all = append(all, transfer{i, a, rf.Key.Elem, rf.Key.Face})
+			}
+		}
+	}
+	if len(all) != ed.stream || ed.lag != 0 || len(all) < 3 {
+		t.Fatalf("edge 0->1 carries %d streamed + %d lagged transfers, enumerated %d", ed.stream, ed.lag, len(all))
+	}
+	msg := func(tr transfer, epoch, sweep int, fill float64) pipeMsg {
+		m := pipeMsg{epoch: epoch, sweep: sweep, a: tr.a, elem: tr.elem, face: tr.face, data: d.pipe.getBuf()}
+		for i := range m.data {
+			m.data[i] = fill
+		}
+		return m
+	}
+
+	// run arms one sweep of the receiving rank, feeds its streamed
+	// receiver the script and returns the run's failure.
+	run := func(script []pipeMsg) (*pipeRun, error) {
+		t.Helper()
+		pr := &pipeRun{d: d, n: 2, epoch: epoch,
+			abort: make(chan struct{}), done: make(chan struct{}),
+			sweep:    make([]int, 2),
+			wrote:    [][]int32{nil, make([]int32, len(d.remote[ed.to])*d.nA)},
+			gates:    make([]chan int, len(d.pipe.edges)),
+			lagGates: make([]chan int, len(d.pipe.edges)),
+		}
+		tr := &scriptTransport{msgs: make(chan pipeMsg, len(script)), abort: pr.abort}
+		for _, m := range script {
+			tr.msgs <- m
+		}
+		pr.tr = tr
+		pr.gates[ei] = make(chan int, 1)
+		s.ResetState()
+		s.ResetSweepCancel()
+		s.ComputeOuterSource()
+		s.PrepareInner()
+		if err := s.ArmSweep(); err != nil {
+			t.Fatal(err)
+		}
+		pr.gates[ei] <- 0
+		pr.receiver(ei, false) // returns once it has failed the run
+		err := pr.err()
+		s.CancelSweep()
+		if ferr := s.FinishSweep(); !core.IsSweepCancelled(ferr) {
+			t.Fatalf("cancelled sweep finished with %v", ferr)
+		}
+		return pr, err
+	}
+	check := func(what string, pr *pipeRun, err error, cause error, named transfer, written []transfer) {
+		t.Helper()
+		var se *SweepError
+		if !errors.As(err, &se) || !retryable(err) || !errors.Is(err, cause) {
+			t.Fatalf("%s: want a retryable *SweepError wrapping %q, got %v", what, cause, err)
+		}
+		if se.Rank != ed.to || se.Peer != ed.from || se.Ordinate != named.a || se.Elem != named.elem {
+			t.Fatalf("%s: error names rank %d peer %d ordinate %d elem %d, want %d %d %d %d",
+				what, se.Rank, se.Peer, se.Ordinate, se.Elem, ed.to, ed.from, named.a, named.elem)
+		}
+		isWritten := make(map[int]bool)
+		for _, tr := range written {
+			isWritten[tr.idx*d.nA+tr.a] = true
+		}
+		for _, tr := range all {
+			slot := tr.idx*d.nA + tr.a
+			wantFill, wantStamp := 0.0, int32(0)
+			if isWritten[slot] {
+				wantFill, wantStamp = 1, 1
+			}
+			if got := pr.wrote[ed.to][slot]; got != wantStamp {
+				t.Fatalf("%s: slot (face %d, ordinate %d) stamped %d, want %d", what, tr.idx, tr.a, got, wantStamp)
+			}
+			for _, v := range s.ExternalInflowBuffer(tr.idx, tr.a) {
+				if v != wantFill {
+					t.Fatalf("%s: slot (face %d, ordinate %d) holds %v, want %v", what, tr.idx, tr.a, v, wantFill)
+				}
+			}
+		}
+	}
+
+	// Lost transfer: every transfer of sweep 0 but the last, a stray of
+	// another epoch, then the first message of sweep 1.
+	last := all[len(all)-1]
+	var script []pipeMsg
+	for _, tr := range all[:len(all)-1] {
+		script = append(script, msg(tr, epoch, 0, 1))
+	}
+	script = append(script, msg(all[0], epoch-1, 0, 7), msg(all[0], epoch, 1, 9))
+	pr, err := run(script)
+	check("lost transfer", pr, err, errTransferLost, last, all[:len(all)-1])
+
+	// Repeated transfer within one sweep.
+	pr, err = run([]pipeMsg{msg(all[0], epoch, 0, 1), msg(all[1], epoch, 0, 1), msg(all[0], epoch, 0, 9)})
+	check("repeated transfer", pr, err, errTransferRepeated, all[0], all[:2])
+}

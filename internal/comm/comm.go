@@ -55,7 +55,7 @@ type Config struct {
 
 	// Rank is the solver-configuration template applied identically to
 	// every rank: set the solver knobs — Order, Quad, Lib, Scheme,
-	// Threads (per rank), Solver, Octants, AllowCycles, CycleOrder,
+	// Threads (per rank), Solver, AllowCycles, CycleOrder,
 	// PreAssembled, Epsi, MaxInners, MaxOuters, ForceIterations,
 	// Instrument, HealthChecks, ScatOrder — exactly as for a
 	// single-domain core.Config. Leave Mesh and the coupling fields
@@ -67,10 +67,8 @@ type Config struct {
 	// condensation joins the same cache.
 	//
 	// Octant-phasing note: under the lagged protocol the halo boundary
-	// callback forces sequential octant phases regardless, so requesting
-	// OctantsFused there is rejected as impossible; the pipelined
-	// protocol requires the fused cross-octant phase, so
-	// OctantsSequential is rejected in turn. Under the pipelined protocol
+	// callback runs sequential octant phases; the pipelined protocol's
+	// ranks run the fused cross-octant phase. Under the pipelined protocol
 	// one global SCC condensation is computed up front (AllowCycles) and
 	// distributed via each rank's CycleLag, preserving single-domain flux
 	// parity; under the lagged protocol each rank condenses its own
@@ -118,15 +116,9 @@ func (cfg Config) validate() error {
 	}
 	switch cfg.Protocol {
 	case Lagged:
-		if cfg.Rank.Octants == core.OctantsFused {
-			return fmt.Errorf("comm: octant fusion can never engage under the lagged protocol (halo callbacks force sequential octant phases); use OctantsAuto, or the pipelined protocol")
-		}
 	case Pipelined:
 		if !cfg.Rank.Scheme.EngineBacked() {
 			return fmt.Errorf("comm: the pipelined protocol requires an engine-backed scheme (%v is a bucket executor that cannot hold latent remote dependencies)", cfg.Rank.Scheme)
-		}
-		if cfg.Rank.Octants == core.OctantsSequential {
-			return fmt.Errorf("comm: the pipelined protocol streams resolutions into all octants at once and requires the fused cross-octant phase; OctantsSequential cannot apply")
 		}
 	default:
 		return fmt.Errorf("comm: unknown protocol %d", int(cfg.Protocol))

@@ -16,10 +16,11 @@ import (
 // FailurePolicy state machine (fail fast / retry with backoff / degrade
 // to the lagged protocol) Run applies around pipelined attempts.
 
-// SweepError reports a partitioned sweep that could not complete within
-// its deadline: which rank was stuck, the cross-rank edge it starved on,
-// the blocked ordinate and element, and how much of the sweep was still
-// outstanding. It unwraps to context.DeadlineExceeded. Rank/Peer/
+// SweepError reports a partitioned sweep that could not complete — it
+// ran past its deadline (Cause unwraps to context.DeadlineExceeded), or a
+// halo lane lost or repeated a transfer (Deadline zero): which rank was
+// stuck, the cross-rank edge it starved on, the blocked ordinate and
+// element, and how much of the sweep was still outstanding. Rank/Peer/
 // Ordinate/Elem are -1 when the corresponding detail could not be
 // attributed (e.g. every rank was between sweeps waiting on the
 // convergence coordinator).
@@ -30,14 +31,24 @@ type SweepError struct {
 	Elem      int           // its local element, -1 unknown
 	Remaining int64         // unfinished sweep tasks on Rank
 	Pending   int64         // unresolved streamed dependencies on Rank
-	Deadline  time.Duration // the deadline that expired
+	Deadline  time.Duration // the deadline that expired; zero for a lane failure
 	Cause     error
 }
+
+// The lane failures a pipelined receiver raises as a SweepError.
+var (
+	errTransferLost     = errors.New("a halo transfer was lost")
+	errTransferRepeated = errors.New("a halo transfer arrived twice")
+)
 
 // Error formats the failure with every attributed detail.
 func (e *SweepError) Error() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "comm: sweep exceeded %v deadline", e.Deadline)
+	if e.Deadline > 0 {
+		fmt.Fprintf(&b, "comm: sweep exceeded %v deadline", e.Deadline)
+	} else {
+		fmt.Fprintf(&b, "comm: sweep aborted, %v", e.Cause)
+	}
 	if e.Rank < 0 {
 		b.WriteString(" (no rank holds an armed sweep; stuck between sweeps)")
 		return b.String()
@@ -129,9 +140,9 @@ func (m FailureMode) String() string {
 }
 
 // FailurePolicy bounds the retry/degrade state machine of pipelined runs.
-// Only deadline timeouts (a *SweepError) are retried: context
-// cancellation, Close, build errors and health failures are terminal
-// under every mode.
+// Only a *SweepError (a deadline timeout or a broken halo lane) is
+// retried: context cancellation, Close, build errors and health failures
+// are terminal under every mode.
 type FailurePolicy struct {
 	Mode FailureMode
 	// MaxRetries is the number of reruns after the first failed attempt
@@ -157,9 +168,9 @@ func (p FailurePolicy) validate() error {
 }
 
 // retryable reports whether the policy may rerun after err: only the
-// watchdog's structured timeout qualifies — everything else (ctx
-// cancellation, driver closed, per-element solve errors, health
-// failures) is terminal.
+// structured SweepError of the watchdog or a receiver qualifies —
+// everything else (ctx cancellation, driver closed, per-element solve
+// errors, health failures) is terminal.
 func retryable(err error) bool {
 	var se *SweepError
 	return errors.As(err, &se)
@@ -244,11 +255,6 @@ func (d *Driver) degradeToLagged() error {
 	}
 	d.pipe = nil
 	d.inj = nil
-	if d.cfg.Rank.Octants == core.OctantsFused {
-		// Octant fusion can never engage under halo callbacks; fall back
-		// rather than reject mid-solve.
-		d.cfg.Rank.Octants = core.OctantsAuto
-	}
 	if err := d.buildLagged(); err != nil {
 		return fmt.Errorf("comm: degrading to the lagged protocol: %w", err)
 	}

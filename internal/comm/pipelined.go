@@ -28,11 +28,22 @@ import (
 // the canonical face classification, and both sides derive it from the
 // same mesh.RemoteFace metadata through core.ExternalInflow. Each edge's
 // channel is FIFO and the publisher emits exactly one message per
-// (ordinate, face) per sweep, so the receiver just consumes its quota per
+// (ordinate, face) per sweep, so the receiver consumes its quota per
 // sweep — gated on its own rank arming the sweep, which keeps a
 // fast upstream rank from overwriting inflow slots the current sweep
 // still reads while letting it run ahead into the next sweep under
 // channel backpressure.
+//
+// The quota alone aligns sweeps only while no message is lost. Every
+// message therefore carries the run's epoch and its sender's sweep index,
+// and a receiver applies only messages stamped with the sweep it was
+// gated for: when a transfer of sweep n never arrives, the first message
+// of sweep n+1 shows up inside sweep n's quota, and the receiver fails the
+// run with a retryable *SweepError naming the edge and the starved
+// ordinate — at once, not at the watchdog's deadline, and before the
+// stray could overwrite a slot a running task reads or fire a counter
+// twice. Each inflow slot records the sweep it was last written in, so a
+// second write within one sweep fails the same way.
 //
 // Cyclic meshes (AllowCycles): the same SCC condensation the
 // single-domain solver runs (sweep.Condense, deduplicated over the bitmap
@@ -69,9 +80,11 @@ type pipeEdgeDef struct {
 
 // pipeMsg carries one (ordinate, face) transfer: all groups' nodal flux
 // in the sender's face-node order; elem/face address the receiver's side.
-// The data buffer comes from the driver's message pool and is returned by
-// the consuming receiver.
+// epoch names the run (attempt) and sweep the sending rank's sweep within
+// it. The data buffer comes from the driver's message pool and is
+// returned by the consuming receiver.
 type pipeMsg struct {
+	epoch, sweep  int
 	a, elem, face int
 	data          []float64 // [group][sender face node]
 }
@@ -104,7 +117,8 @@ type pipelinedState struct {
 	pool   sync.Pool
 	msgLen int
 
-	run *pipeRun // active run, nil otherwise (see runPipelined)
+	run   *pipeRun // active run, nil otherwise (see runPipelined)
+	epoch int      // runs started so far; stamps the active run's messages
 }
 
 func (ps *pipelinedState) getBuf() []float64 {
@@ -262,7 +276,8 @@ func (d *Driver) publishFace(rank, a, e, f int) {
 	}
 	key := mesh.FaceKey{Elem: e, Face: f}
 	ref := d.part.Subs[rank].Remote[key]
-	msg := pipeMsg{a: a, elem: ref.Elem, face: ref.Face, data: d.pipe.getBuf()}
+	msg := pipeMsg{epoch: pr.epoch, sweep: pr.sweep[rank],
+		a: a, elem: ref.Elem, face: ref.Face, data: d.pipe.getBuf()}
 	s := d.solvers[rank]
 	for g := 0; g < d.nG; g++ {
 		s.PsiFaceValues(a, e, g, f, msg.data[g*d.nF:(g+1)*d.nF])
@@ -288,11 +303,21 @@ type pipeDecision struct {
 type pipeRun struct {
 	d        *Driver
 	n        int
-	tr       Transport       // per-edge message lanes (chanTransport, possibly fault-wrapped)
-	gates    []chan struct{} // per edge: streamed-receiver go-ahead, one send per sweep
-	lagGates []chan struct{} // per edge: lagged-receiver go-ahead, one send per sweep
-	abort    chan struct{}   // closed on first failure (or Close mid-run)
-	done     chan struct{}   // closed when Run is over; stops receivers/watchers
+	epoch    int           // this run's stamp on every message it sends
+	tr       Transport     // per-edge message lanes (chanTransport, possibly fault-wrapped)
+	gates    []chan int    // per edge: streamed-receiver go-ahead, the rank's sweep index once per sweep
+	lagGates []chan int    // per edge: lagged-receiver go-ahead, likewise
+	abort    chan struct{} // closed on first failure (or Close mid-run)
+	done     chan struct{} // closed when the rank loops are over; stops receivers/watchers
+	joined   chan struct{} // closed once aux has drained: what a concurrent Close waits for
+
+	// sweep[r] is rank r's sweep index within the run: written by the
+	// rank loop between sweeps, read by the rank's publishing workers.
+	// wrote[r][i*nA+a] is one more than the sweep of rank r that last
+	// filled the inflow slot of (external face i, ordinate a); each slot
+	// belongs to exactly one receiver goroutine.
+	sweep []int
+	wrote [][]int32
 
 	abortOnce sync.Once
 	errMu     sync.Mutex
@@ -327,13 +352,20 @@ func (pr *pipeRun) err() error {
 }
 
 // applyMsg writes one received transfer into the solver's inflow slot
-// (permuted into the receiving side's face-node order), recycles the
-// buffer and resolves the dependent task.
-func (pr *pipeRun) applyMsg(ei int, m pipeMsg) {
+// (permuted into the receiving side's face-node order) during sweep n of
+// the receiving rank, recycles the buffer and resolves the dependent task.
+// It refuses — reporting false, slot and counter untouched — a slot
+// already written this sweep.
+func (pr *pipeRun) applyMsg(ei, n int, m pipeMsg) bool {
 	d := pr.d
 	ed := d.pipe.edges[ei]
 	s := d.solvers[ed.to]
 	idx := d.pipe.extIdx[ed.to][mesh.FaceKey{Elem: m.elem, Face: m.face}]
+	wrote := &pr.wrote[ed.to][idx*d.nA+m.a]
+	if *wrote == int32(n+1) {
+		return false
+	}
+	*wrote = int32(n + 1)
 	perm := d.remote[ed.to][idx].Perm
 	buf := s.ExternalInflowBuffer(idx, m.a)
 	for g := 0; g < d.nG; g++ {
@@ -345,77 +377,115 @@ func (pr *pipeRun) applyMsg(ei int, m pipeMsg) {
 	}
 	d.pipe.putBuf(m.data)
 	s.ResolveExternal(m.a, m.elem)
+	return true
 }
 
-// receiver drains one in-edge's streamed transfers: per sweep, wait for
-// the owning rank to arm (the gate), then consume exactly the edge's
-// stream quota, writing each message into the solver's inflow slot and
-// resolving the dependent task. FIFO channels plus fixed quotas keep
-// sweeps aligned without sequence numbers even when the upstream rank
-// runs ahead.
-func (pr *pipeRun) receiver(ei int) {
-	d := pr.d
-	ed := d.pipe.edges[ei]
-	for {
-		select {
-		case <-pr.gates[ei]:
-		case <-pr.done:
-			return
-		case <-pr.abort:
-			return
-		}
-		for i := 0; i < ed.stream; i++ {
-			m, ok := pr.tr.Recv(ei, false)
-			if !ok {
-				return
-			}
-			pr.applyMsg(ei, m)
-		}
-	}
-}
-
-// lagReceiver drains one in-edge's lagged transfers with a one-sweep
-// shift: during sweep n it consumes the lag quota the upstream rank
+// receiver drains one lane of in-edge ei. Per sweep it waits for the
+// owning rank to arm (the gate carries the rank's sweep index n), then
+// consumes the lane's quota of messages stamped with the sweep it expects,
+// writing each into the solver's inflow slot and resolving the dependent
+// task. The streamed lane expects the sender's sweep n. The lagged lane
+// runs one sweep behind: during sweep n it consumes what the upstream rank
 // published in its sweep n-1, which is exactly the previous-iterate value
 // the single-domain snapshot read sees. On the first sweep of a run the
-// previous iterate is the zero initial flux — the slots were zeroed at
-// run start — so the dependencies resolve immediately. The final sweep's
+// previous iterate is the zero initial flux — the slots were zeroed at run
+// start — so the dependencies resolve immediately. The final sweep's
 // lagged batch is intentionally never consumed (it has no next sweep);
 // the 2x-quota channel buffer absorbs it.
-func (pr *pipeRun) lagReceiver(ei int) {
+func (pr *pipeRun) receiver(ei int, lagged bool) {
 	d := pr.d
 	ed := d.pipe.edges[ei]
-	s := d.solvers[ed.to]
-	first := true
+	gate, quota := pr.gates[ei], ed.stream
+	if lagged {
+		gate, quota = pr.lagGates[ei], ed.lag
+	}
 	for {
+		var n int
 		select {
-		case <-pr.lagGates[ei]:
+		case n = <-gate:
 		case <-pr.done:
 			return
 		case <-pr.abort:
 			return
 		}
-		if first {
-			first = false
-			for _, ld := range d.pipe.lagResolve[ei] {
-				s.ResolveExternal(ld.a, ld.elem)
+		want := n
+		if lagged {
+			if n == 0 {
+				for _, ld := range d.pipe.lagResolve[ei] {
+					d.solvers[ed.to].ResolveExternal(ld.a, ld.elem)
+				}
+				continue
 			}
-			continue
+			want = n - 1
 		}
-		for i := 0; i < ed.lag; i++ {
-			m, ok := pr.tr.Recv(ei, true)
+		for got := 0; got < quota; {
+			m, ok := pr.tr.Recv(ei, lagged)
 			if !ok {
 				return
 			}
-			pr.applyMsg(ei, m)
+			if m.epoch != pr.epoch || m.sweep < want {
+				// A stray of an abandoned attempt: not this sweep's data.
+				d.pipe.putBuf(m.data)
+				continue
+			}
+			if m.sweep == want && pr.applyMsg(ei, n, m) {
+				got++
+				continue
+			}
+			d.pipe.putBuf(m.data)
+			a, elem, cause := m.a, m.elem, errTransferRepeated
+			if m.sweep > want {
+				// The lane is FIFO, so a later sweep's message inside this
+				// sweep's quota means one of this sweep's was lost.
+				a, elem = pr.firstMissing(ei, n, lagged)
+				cause = errTransferLost
+			}
+			pr.fail(pr.laneError(ei, a, elem, cause))
+			return
 		}
 	}
+}
+
+// firstMissing names the first transfer (ordinate, receiving element) of
+// edge ei's lane that sweep n of the receiving rank has not been handed.
+// It reads only the lane's own slots of pr.wrote, which no other
+// goroutine writes.
+func (pr *pipeRun) firstMissing(ei, n int, lagged bool) (a, elem int) {
+	d := pr.d
+	ed := d.pipe.edges[ei]
+	lagDeps := make(map[[2]int]bool, len(d.pipe.lagResolve[ei]))
+	for _, ld := range d.pipe.lagResolve[ei] {
+		lagDeps[[2]int{ld.face, ld.a}] = true
+	}
+	angles := d.cfg.Rank.Quad.Angles
+	for i, rf := range d.remote[ed.to] {
+		if rf.Ref.Rank != ed.from {
+			continue
+		}
+		for a := range angles {
+			if core.ExternalInflow(angles[a].Omega, rf.Normal, rf.Canonical) &&
+				lagDeps[[2]int{i, a}] == lagged && pr.wrote[ed.to][i*d.nA+a] != int32(n+1) {
+				return a, rf.Key.Elem
+			}
+		}
+	}
+	return -1, -1
+}
+
+// laneError is the structured failure of a lane that broke the
+// one-message-per-(ordinate, face)-per-sweep contract.
+func (pr *pipeRun) laneError(ei, a, elem int, cause error) *SweepError {
+	ed := pr.d.pipe.edges[ei]
+	rem, pend := pr.d.solvers[ed.to].SweepProgress()
+	return &SweepError{Rank: ed.to, Peer: ed.from, Ordinate: a, Elem: elem,
+		Remaining: rem, Pending: pend, Cause: cause}
 }
 
 // sweepOnce runs one armed sweep of rank r: install the phase, signal the
 // rank's receivers, join.
 func (pr *pipeRun) sweepOnce(r int) (float64, error) {
 	s := pr.d.solvers[r]
+	n := pr.sweep[r]
 	s.PrepareInner()
 	if err := s.ArmSweep(); err != nil {
 		return 0, err
@@ -423,14 +493,14 @@ func (pr *pipeRun) sweepOnce(r int) (float64, error) {
 	for _, ei := range pr.d.pipe.inOf[r] {
 		if pr.gates[ei] != nil {
 			select {
-			case pr.gates[ei] <- struct{}{}:
+			case pr.gates[ei] <- n:
 			case <-pr.abort:
 				// Receivers are gone; the watcher cancels the armed sweep.
 			}
 		}
 		if pr.lagGates[ei] != nil {
 			select {
-			case pr.lagGates[ei] <- struct{}{}:
+			case pr.lagGates[ei] <- n:
 			case <-pr.abort:
 			}
 		}
@@ -438,6 +508,8 @@ func (pr *pipeRun) sweepOnce(r int) (float64, error) {
 	if err := s.FinishSweep(); err != nil {
 		return 0, err
 	}
+	// The sweep is joined: no worker of this rank publishes any more.
+	pr.sweep[r] = n + 1
 	// Rank-local synthetic acceleration (no-op under AccelNone). With DSA
 	// on, the pipelined protocol's exact single-domain iterate parity is
 	// intentionally traded for the rank-local correction — both still
@@ -618,8 +690,9 @@ func (pr *pipeRun) rankLoop(r int) (res rankResult) {
 func (d *Driver) runPipelined(ctx context.Context) (*Result, error) {
 	pr := &pipeRun{
 		d: d, n: len(d.solvers),
-		abort: make(chan struct{}),
-		done:  make(chan struct{}),
+		abort:  make(chan struct{}),
+		done:   make(chan struct{}),
+		joined: make(chan struct{}),
 	}
 	// The whole setup — abort registration, channel allocation, engine
 	// construction — runs under the driver mutex: a Close arriving while
@@ -630,14 +703,21 @@ func (d *Driver) runPipelined(ctx context.Context) (*Result, error) {
 	// lagged protocol.)
 	d.mu.Lock()
 	d.runAbort = func() { pr.fail(errDriverClosed) }
-	d.runDone = pr.done
+	d.runDone = pr.joined
 	ct := &chanTransport{
 		chans:    make([]chan pipeMsg, len(d.pipe.edges)),
 		lagChans: make([]chan pipeMsg, len(d.pipe.edges)),
 		abort:    pr.abort,
 	}
-	pr.gates = make([]chan struct{}, len(d.pipe.edges))
-	pr.lagGates = make([]chan struct{}, len(d.pipe.edges))
+	d.pipe.epoch++
+	pr.epoch = d.pipe.epoch
+	pr.sweep = make([]int, pr.n)
+	pr.wrote = make([][]int32, pr.n)
+	for r := range pr.wrote {
+		pr.wrote[r] = make([]int32, len(d.remote[r])*d.nA)
+	}
+	pr.gates = make([]chan int, len(d.pipe.edges))
+	pr.lagGates = make([]chan int, len(d.pipe.edges))
 	for ei, ed := range d.pipe.edges {
 		// Two sweeps of buffering: the upstream rank can complete a full
 		// sweep ahead before publishes start to block (for the lagged
@@ -645,11 +725,11 @@ func (d *Driver) runPipelined(ctx context.Context) (*Result, error) {
 		// which has no consumer).
 		if ed.stream > 0 {
 			ct.chans[ei] = make(chan pipeMsg, 2*ed.stream)
-			pr.gates[ei] = make(chan struct{}, 1)
+			pr.gates[ei] = make(chan int, 1)
 		}
 		if ed.lag > 0 {
 			ct.lagChans[ei] = make(chan pipeMsg, 2*ed.lag)
-			pr.lagGates[ei] = make(chan struct{}, 1)
+			pr.lagGates[ei] = make(chan int, 1)
 		}
 	}
 	pr.tr = Transport(ct)
@@ -723,11 +803,11 @@ func (d *Driver) runPipelined(ctx context.Context) (*Result, error) {
 	for ei, ed := range d.pipe.edges {
 		if ed.stream > 0 {
 			pr.aux.Add(1)
-			go func(ei int) { defer pr.aux.Done(); pr.receiver(ei) }(ei)
+			go func(ei int) { defer pr.aux.Done(); pr.receiver(ei, false) }(ei)
 		}
 		if ed.lag > 0 {
 			pr.aux.Add(1)
-			go func(ei int) { defer pr.aux.Done(); pr.lagReceiver(ei) }(ei)
+			go func(ei int) { defer pr.aux.Done(); pr.receiver(ei, true) }(ei)
 		}
 	}
 	if !d.cfg.Rank.ForceIterations {
@@ -751,6 +831,9 @@ func (d *Driver) runPipelined(ctx context.Context) (*Result, error) {
 	wg.Wait()
 	close(pr.done)
 	pr.aux.Wait()
+	// Only now may a concurrent Close stop the solver pools: a receiver
+	// still applying its last message resolves into a live engine.
+	close(pr.joined)
 
 	err := pr.err()
 	for _, rr := range ranks {

@@ -195,20 +195,9 @@ func TestProtocolValidation(t *testing.T) {
 	}
 	cfg = base
 	cfg.Protocol = Pipelined
-	cfg.Rank.Octants = core.OctantsSequential
-	if _, err := New(cfg); err == nil {
-		t.Fatal("pipelined + OctantsSequential should be rejected")
-	}
-	cfg = base
-	cfg.Protocol = Pipelined
 	cfg.Rank.Scheme = core.SchemeAEG
 	if _, err := New(cfg); err == nil {
 		t.Fatal("pipelined + bucket scheme should be rejected")
-	}
-	cfg = base
-	cfg.Rank.Octants = core.OctantsFused
-	if _, err := New(cfg); err == nil {
-		t.Fatal("lagged + OctantsFused should be rejected (fusion can never engage)")
 	}
 	cfg = base
 	cfg.Protocol = Protocol(99)

@@ -5,15 +5,11 @@ import "unsnap/internal/fem"
 // SetBoundary installs (or replaces) the boundary-flux callback after
 // construction. Reflective boundaries need the solver's own flux state, so
 // they cannot be wired through Config before New returns. Any existing
-// sweep engine and fused face-matrix cache are discarded (octant-fusion
-// eligibility and the cache's full-vs-slab tier both depend on the
-// callback); the next sweep rebuilds them.
+// sweep engine is discarded (octant-fusion eligibility depends on the
+// callback); the next sweep rebuilds it.
 func (s *Solver) SetBoundary(fn BoundaryFlux) {
 	s.cfg.Boundary = fn
 	s.closeEngine()
-	s.fusedFace = nil
-	s.fusedSlab = false
-	s.fusedOct = 0
 }
 
 // SetBalanceSkip installs the boundary-face filter Run's balance report

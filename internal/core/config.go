@@ -58,11 +58,6 @@ const (
 	SchemeAGE
 	// SchemeAgE: angle / group / element, threading the element loop.
 	SchemeAgE
-	// SchemeAngles: the section IV-A3 angle-threading ablation. It now
-	// maps onto the sweep engine, whose wavefronts are angle-parallel by
-	// construction and whose ordered reduction replaces the striped
-	// scalar-flux locks the paper found do not scale.
-	SchemeAngles
 
 	numSchemes
 )
@@ -93,8 +88,6 @@ func (s Scheme) String() string {
 		return "angle/GROUP/ELEMENT"
 	case SchemeAgE:
 		return "angle/group/ELEMENT"
-	case SchemeAngles:
-		return "ANGLE/element/group"
 	default:
 		return fmt.Sprintf("Scheme(%d)", int(s))
 	}
@@ -120,58 +113,12 @@ func (s Scheme) Layout() Layout {
 	}
 }
 
-// engineBacked reports whether the scheme executes on the persistent
-// sweep engine rather than the legacy bucket-by-bucket executors.
-func (s Scheme) engineBacked() bool {
-	return s == SchemeEngine || s == SchemeAngles
-}
-
 // EngineBacked reports whether the scheme executes on the persistent sweep
-// engine. The pipelined halo protocol requires an engine-backed scheme:
-// only the counter-driven task graph can hold remote upwind faces as
-// latent dependencies (the bucket executors would block a whole wavefront
-// level on them).
-func (s Scheme) EngineBacked() bool { return s.engineBacked() }
-
-// OctantMode selects how the sweep engine orders the eight octant
-// phases of a full sweep.
-type OctantMode int
-
-const (
-	// OctantsAuto (the default) fuses all eight octants into one
-	// counter-driven task graph whenever that is safe: vacuum boundaries
-	// (no Boundary callback) and no cycle lagging (AllowCycles off), with
-	// the fused face-matrix cache either holding every angle or disabled.
-	// Ineligible configurations fall back to sequential octant phases
-	// automatically.
-	OctantsAuto OctantMode = iota
-	// OctantsSequential forces one quiesced phase per octant (the
-	// pre-overlap engine behaviour), preserved for A/B benchmarking and
-	// for callers that want the smaller per-octant working set.
-	OctantsSequential
-	// OctantsFused prefers the fused cross-octant graph over the
-	// per-octant slab of the face-matrix cache: at problem sizes where
-	// the full cache does not fit, OctantsAuto keeps the slab cache and
-	// sequential phases, while OctantsFused drops the cache (on-the-fly
-	// face fusing) and overlaps the octants. The safety conditions
-	// (vacuum boundaries, no cycle lagging) still apply — an unsafe
-	// configuration falls back to sequential phases.
-	OctantsFused
-)
-
-// String names the octant mode.
-func (m OctantMode) String() string {
-	switch m {
-	case OctantsAuto:
-		return "auto"
-	case OctantsSequential:
-		return "sequential"
-	case OctantsFused:
-		return "fused"
-	default:
-		return fmt.Sprintf("OctantMode(%d)", int(m))
-	}
-}
+// engine rather than the legacy bucket-by-bucket executors. The pipelined
+// halo protocol requires it: only the counter-driven task graph can hold
+// remote upwind faces as latent dependencies (the bucket executors would
+// block a whole wavefront level on them).
+func (s Scheme) EngineBacked() bool { return s == SchemeEngine }
 
 // SolverKind selects the local dense solver (Table II).
 type SolverKind int
@@ -214,18 +161,6 @@ const (
 	// kernel benchmark and the bitwise-parity tests.
 	KernelScalar
 )
-
-// String names the kernel mode.
-func (k KernelMode) String() string {
-	switch k {
-	case KernelBatched:
-		return "batched"
-	case KernelScalar:
-		return "scalar"
-	default:
-		return fmt.Sprintf("KernelMode(%d)", int(k))
-	}
-}
 
 // AccelMode selects the between-inner iteration accelerator.
 type AccelMode int
@@ -273,7 +208,6 @@ type Config struct {
 	Scheme  Scheme
 	Threads int        // worker pool size; <= 0 means GOMAXPROCS
 	Solver  SolverKind // local solver choice
-	Octants OctantMode // octant phasing of the sweep engine
 	Kernel  KernelMode // engine task-body implementation (see KernelMode)
 
 	Epsi      float64 // pointwise relative convergence tolerance
@@ -359,9 +293,9 @@ type Config struct {
 	// it is upwind of, resolved by ResolveExternal as the data arrives;
 	// for the ordinates it is downwind of, the engine publishes the
 	// outgoing flux through the SetPublish hook the moment the owning task
-	// completes. Mutually exclusive with Boundary; requires an
-	// engine-backed Scheme and forces the fused cross-octant phase (so
-	// OctantsSequential is rejected). Combines with AllowCycles: lagged
+	// completes. Mutually exclusive with Boundary (so the sweep runs as
+	// the one fused cross-octant phase); requires an engine-backed
+	// Scheme. Combines with AllowCycles: lagged
 	// local couplings read the previous-iterate snapshot, and the comm
 	// layer shifts lagged cross-rank resolutions by one sweep. See
 	// external.go.
@@ -474,9 +408,6 @@ func (c Config) validate() error {
 	if c.Solver != SolverGE && c.Solver != SolverDGESV {
 		return fmt.Errorf("core: unknown solver kind %d", c.Solver)
 	}
-	if c.Octants != OctantsAuto && c.Octants != OctantsSequential && c.Octants != OctantsFused {
-		return fmt.Errorf("core: unknown octant mode %d", c.Octants)
-	}
 	if c.Kernel != KernelBatched && c.Kernel != KernelScalar {
 		return fmt.Errorf("core: unknown kernel mode %d", c.Kernel)
 	}
@@ -562,14 +493,11 @@ func validateLibrary(lib *xs.Library) error {
 // honour. External dependencies live inside one fused whole-sweep task
 // graph, so everything that pins the legacy octant order is incompatible.
 func (c Config) validateExternal() error {
-	if !c.Scheme.engineBacked() {
+	if !c.Scheme.EngineBacked() {
 		return fmt.Errorf("core: External faces require an engine-backed scheme, not %v", c.Scheme)
 	}
 	if c.Boundary != nil {
 		return fmt.Errorf("core: External faces and a Boundary callback are mutually exclusive")
-	}
-	if c.Octants == OctantsSequential {
-		return fmt.Errorf("core: External faces require the fused cross-octant phase; OctantsSequential cannot apply")
 	}
 	if c.Time != nil {
 		return fmt.Errorf("core: External faces do not support time-dependent mode")

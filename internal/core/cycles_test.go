@@ -235,7 +235,7 @@ func TestCyclicSequentialOctantsMatch(t *testing.T) {
 	seq := cyclicProblem(t)
 	seq.Scheme = SchemeEngine
 	seq.Threads = 2
-	seq.Octants = OctantsSequential
+	seq.Boundary = vacuumBoundary
 	phi, psi := runAndSnapshot(t, seq)
 	for i := range refPhi {
 		if math.Abs(phi[i]-refPhi[i]) > 1e-12*(1+math.Abs(refPhi[i])) {

@@ -5,16 +5,14 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"unsnap/internal/build"
 	"unsnap/internal/fem"
-	"unsnap/internal/la"
 	"unsnap/internal/sweep"
 )
 
-// This file implements the persistent sweep engine behind SchemeEngine
-// (and the engine-backed SchemeAngles compatibility mode). Instead of the
-// legacy fork/join per schedule bucket per ordinate, a pool of long-lived
-// workers executes each octant of SweepAllAngles as one task graph:
+// This file implements the persistent sweep engine behind SchemeEngine.
+// Instead of the legacy fork/join per schedule bucket per ordinate, a
+// pool of long-lived workers executes each octant of SweepAllAngles as
+// one task graph:
 //
 //   - Counter-driven wavefronts: a task is all energy groups of one
 //     (ordinate, element) pair. Workers pop ready tasks from per-worker
@@ -25,20 +23,21 @@ import (
 //     at once (their dependency graphs are independent), multiplying the
 //     available parallelism by Quad.PerOctant on shallow-bucket meshes.
 //   - Octant overlap: on vacuum problems (no Boundary callback) nothing
-//     couples the octants inside one sweep, so under OctantsAuto the
-//     engine fuses all eight octants into a single counter-driven phase —
-//     task ids span (octant, ordinate, element) — removing the seven
-//     quiesce barriers and the per-octant wavefront starvation behind the
-//     paper's Figure 3 strong-scaling wall. Cyclic meshes stay fused:
+//     couples the octants inside one sweep, so the engine fuses all eight
+//     octants into a single counter-driven phase — task ids span (octant,
+//     ordinate, element) — removing the seven quiesce barriers and the
+//     per-octant wavefront starvation behind the paper's Figure 3
+//     strong-scaling wall. Cyclic meshes stay fused:
 //     their lagged couplings read the previous-iterate psi snapshot, not
-//     an in-sweep ordering. Reflective boundaries fall back to sequential
-//     octant phases, preserving the legacy mirror-ordinate ordering.
+//     an in-sweep ordering. Boundary callbacks (reflective mirrors, lagged
+//     halos) run sequential octant phases, preserving the legacy
+//     mirror-ordinate ordering.
 //   - Lock-free deterministic flux reduction: tasks store only the
 //     angular flux; the scalar flux (and P1 current) is reduced from psi
 //     once per sweep in fixed ordinate order, so results are bitwise
 //     identical across runs and across thread counts, with no locks.
 //
-// The engine also pre-fuses the per-angle face matrices
+// The engine also reads the artifact's pre-fused per-angle face matrices
 // om·Fx + om·Fy + om·Fz (and assembles the group-independent matrix part
 // once per task), cutting the assembly flops the legacy path spends
 // re-combining the three directional factors for every group.
@@ -177,8 +176,9 @@ type engine struct {
 	// fused selects the cross-octant mode: one phase per sweep over all
 	// nA*nE tasks instead of eight quiesced per-octant phases. Decided
 	// once at build time (see Solver.octantsFusable). External (streamed
-	// halo) solvers always fuse: their arriving resolutions address tasks
-	// of any octant, so the whole sweep must be armed as one phase.
+	// halo) solvers always fuse (Config.External excludes a Boundary
+	// callback): their arriving resolutions address tasks of any octant,
+	// so the whole sweep must be armed as one phase.
 	fused bool
 
 	// External-coupling schedule (Config.External only): extDeg[t] is the
@@ -319,13 +319,10 @@ func newEngine(s *Solver) *engine {
 	return e
 }
 
-// ensureEngine lazily builds the engine (and the fused face-matrix cache)
-// on the first engine-backed sweep (or the first after Close).
+// ensureEngine lazily builds the engine on the first engine-backed sweep
+// (or the first after Close).
 func (s *Solver) ensureEngine() *engine {
 	if s.engine == nil {
-		if s.fusedFace == nil {
-			s.buildFusedFaces()
-		}
 		s.engine = newEngine(s)
 	}
 	return s.engine
@@ -395,11 +392,10 @@ func (e *engine) shutdown() {
 }
 
 // runSweep executes one full sweep: the single fused phase in
-// cross-octant mode, or eight sequential octant phases otherwise (with
-// the fused face-matrix slab rebuilt per octant when the cache runs in
-// slab mode). A stalled phase aborts the remaining octants — the sweep
-// is already failed, so their work would be wasted. Per-element solve
-// errors do NOT abort (the legacy executors finish the sweep too).
+// cross-octant mode, or eight sequential octant phases otherwise. A
+// stalled phase aborts the remaining octants — the sweep is already
+// failed, so their work would be wasted. Per-element solve errors do NOT
+// abort (the legacy executors finish the sweep too).
 func (e *engine) runSweep(record func(error)) {
 	if e.fused {
 		e.runPhase(0, len(e.counts), e.allSeeds, record)
@@ -407,7 +403,6 @@ func (e *engine) runSweep(record func(error)) {
 	}
 	per := e.s.cfg.Quad.PerOctant
 	for o := 0; o < 8; o++ {
-		e.s.prepareFusedOctant(o)
 		if stalled := e.runPhase(o*per*e.s.nE, (o+1)*per*e.s.nE, e.octSeeds[o], record); stalled {
 			return
 		}
@@ -633,17 +628,10 @@ func (s *Solver) reduceFluxFromPsi() {
 // ---- octant fusion eligibility ----
 
 // octantsFusable reports whether the engine may run all eight octants as
-// one task graph. It requires:
-//
-//   - OctantsAuto or OctantsFused (OctantsSequential forces phases);
-//   - vacuum boundaries: a Boundary callback (reflective mirror reads,
-//     block Jacobi halos) may observe the in-sweep octant order, which
-//     the fused phase does not preserve;
-//   - a fused face-matrix cache that is not running in per-octant slab
-//     mode, since a slab can only track sequential octant phases. Under
-//     OctantsAuto the slab (and sequential phases) wins at sizes where
-//     the full cache does not fit; OctantsFused makes the opposite call
-//     (buildFusedFaces skips the slab tier, so this term never bites).
+// one task graph. It requires vacuum boundaries: a Boundary callback
+// (reflective mirror reads, block Jacobi halos) may observe the in-sweep
+// octant order, which the fused phase does not preserve, so those runs
+// keep eight sequential octant phases.
 //
 // Cycle lagging (AllowCycles) does NOT pin the octant order: lagged
 // couplings read the immutable previous-iterate psi snapshot, so their
@@ -651,17 +639,7 @@ func (s *Solver) reduceFluxFromPsi() {
 // problems keep the fused eight-octant phase. The deterministic
 // reduceFluxFromPsi reduction makes the relaxed execution order
 // bitwise-safe for everything else.
-func (s *Solver) octantsFusable() bool {
-	return s.octantOverlapSafe() && !s.fusedSlab
-}
-
-// octantOverlapSafe holds the configuration-level terms of the fusion
-// decision (knob, boundary), shared between octantsFusable and
-// buildFusedFaces' slab-tier choice so the two cannot drift.
-func (s *Solver) octantOverlapSafe() bool {
-	return s.cfg.Octants != OctantsSequential &&
-		s.cfg.Boundary == nil
-}
+func (s *Solver) octantsFusable() bool { return s.cfg.Boundary == nil }
 
 // OctantsFused reports whether the engine overlaps all eight octants in
 // one task graph (diagnostics; meaningful after the first engine sweep).
@@ -671,101 +649,14 @@ func (s *Solver) OctantsFused() bool {
 
 // ---- pre-fused per-angle face matrices ----
 
-// The fused face-matrix cache is capped at build.FusedFaceCacheLimit;
-// above it the cache drops to a per-octant slab (rebuilt at each
-// sequential octant phase), and only above eight slabs' worth of
-// headroom per octant does the assembly fall back to fusing on the fly
-// (the cache is an optimisation, not a requirement). The paper-scale
-// Figure 3 problem (288 ordinates, 4096 elements) needs ~0.9 GiB for the
-// full cache and ~113 MiB per slab, so it runs in slab mode.
-
-// fusedCachePlan decides the cache tier for the given problem shape:
-// full (every angle resident), a per-octant slab, or neither. block is
-// the per-face matrix size NF*NF. The decision lives in the build layer
-// (the full tier is precomputed into the shared artifact); this wrapper
-// keeps solver code and tests on one name.
-func fusedCachePlan(nA, perOctant, nE, block int) (full, slab bool) {
-	return build.FusedCachePlan(nA, perOctant, nE, block)
-}
-
-// buildFusedFaces attaches or builds the fused om·Fx + om·Fy + om·Fz
-// face-matrix cache shared by matrix and RHS assembly. The full tier
-// (every angle resident) was precomputed into the artifact at build time
-// and is attached read-only — solvers sharing a cached artifact share
-// one copy, and nothing on the solve side ever writes it (fillFusedFaces
-// only runs in slab mode). Above the limit a single-octant slab is
-// allocated per solver instead, filled per octant by prepareFusedOctant.
-func (s *Solver) buildFusedFaces() {
-	if s.art.FusedFull != nil {
-		s.fusedFace = s.art.FusedFull
-		return
-	}
-	nf := s.re.NF
-	block := nf * nf
-	per := s.cfg.Quad.PerOctant
-	_, slab := fusedCachePlan(s.nA, per, s.nE, block)
-	if (s.cfg.Octants == OctantsFused || s.ext != nil) && s.octantOverlapSafe() {
-		// The caller chose octant overlap over the slab cache: a slab can
-		// only track sequential phases, so it is full cache or nothing.
-		// When overlap is ineligible anyway (boundary callback) the run
-		// stays sequential and the slab remains the right call.
-		// External (streamed halo) solvers must overlap — resolutions
-		// address tasks of any octant — so they make the same choice.
-		slab = false
-	}
-	if slab {
-		s.fusedFace = make([]float64, per*s.nE*fem.NumFaces*block)
-		s.fusedSlab = true
-		s.fusedOct = -1
-	}
-}
-
-// fillFusedFaces fuses the face matrices of angles [a0, a0+nAng) into the
-// cache, which starts at angle a0 (0 for the full cache, the octant base
-// for a slab).
-func (s *Solver) fillFusedFaces(a0, nAng int) {
-	nf := s.re.NF
-	block := nf * nf
-	parallelFor(s.cfg.Threads, nAng*s.nE, func(_, idx int) {
-		a := a0 + idx/s.nE
-		e := idx % s.nE
-		om := s.cfg.Quad.Angles[a].Omega
-		em := s.em[e]
-		for f := 0; f < fem.NumFaces; f++ {
-			dst := s.fusedFace[(idx*fem.NumFaces+f)*block : (idx*fem.NumFaces+f+1)*block]
-			la.Fuse3(dst, em.Face[f][0], em.Face[f][1], em.Face[f][2], om[0], om[1], om[2])
-		}
-	})
-}
-
-// prepareFusedOctant rebuilds the slab cache for octant o before its
-// sequential phase; a no-op for the full cache (or no cache). The rebuild
-// writes each slab once per octant per sweep, while the assembly reads
-// every block O(groups) times — at paper scale this keeps the fused-face
-// optimisation live where the old all-angles cache had to fall back.
-func (s *Solver) prepareFusedOctant(o int) {
-	if !s.fusedSlab || s.fusedOct == o {
-		return
-	}
-	per := s.cfg.Quad.PerOctant
-	s.fillFusedFaces(o*per, per)
-	s.fusedOct = o
-}
-
-// fusedFaceBlock returns the fused face matrix of (angle, elem, face), or
-// nil when the cache is disabled or not yet built. In slab mode the
-// caller must only ask for angles of the octant most recently prepared by
-// prepareFusedOctant, which the sequential phase structure guarantees.
+// fusedFaceBlock returns the pre-fused om·Fx + om·Fy + om·Fz face matrix
+// of (angle, elem, face) from the artifact's all-angles cache, or nil
+// when the solver does not use it (bucket executors, or a problem whose
+// cache would exceed build.FusedFaceCacheLimit): assembly then fuses the
+// three directional factors on the fly, with bitwise-identical results.
 func (s *Solver) fusedFaceBlock(a, e, f int) []float64 {
 	if s.fusedFace == nil {
 		return nil
-	}
-	if s.fusedSlab {
-		o := a / s.cfg.Quad.PerOctant
-		if o != s.fusedOct {
-			return nil // slab holds another octant (pre-assembly, diagnostics)
-		}
-		a -= o * s.cfg.Quad.PerOctant
 	}
 	nf := s.re.NF
 	block := nf * nf

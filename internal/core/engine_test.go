@@ -81,6 +81,11 @@ func TestEngineMatchesLegacy(t *testing.T) {
 	}
 }
 
+// vacuumBoundary is a Boundary callback that reports vacuum everywhere:
+// it changes no value, but any callback makes the engine run sequential
+// octant phases, so tests use it to pin fused == sequential.
+func vacuumBoundary(_, _, _, _ int, _ []float64) []float64 { return nil }
+
 // TestOctantOverlapMatchesLegacy checks the cross-octant fused task graph
 // (the default on this vacuum problem) against both the legacy bucket
 // executor and the sequential-octant engine, across thread counts, to
@@ -125,15 +130,15 @@ func TestOctantOverlapMatchesLegacy(t *testing.T) {
 		seq := engineProblem(t)
 		seq.Scheme = SchemeEngine
 		seq.Threads = threads
-		seq.Octants = OctantsSequential
+		seq.Boundary = vacuumBoundary
 		sphi, spsi := runAndSnapshot(t, seq)
 		check("sequential", sphi, spsi)
 	}
 }
 
 // TestOctantOverlapFallback checks the automatic eligibility detection:
-// the OctantsSequential knob, a boundary callback (reflective or halo),
-// and cycle lagging must all force sequential octant phases.
+// a boundary callback (vacuum, reflective or halo) forces sequential
+// octant phases; cycle lagging does not.
 func TestOctantOverlapFallback(t *testing.T) {
 	build := func(mut func(*Config)) *Solver {
 		cfg := engineProblem(t)
@@ -154,16 +159,16 @@ func TestOctantOverlapFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !s.OctantsFused() {
-		t.Fatal("vacuum OctantsAuto run should fuse")
+		t.Fatal("vacuum run should fuse")
 	}
 	s.Close()
 
-	s = build(func(c *Config) { c.Octants = OctantsSequential })
+	s = build(func(c *Config) { c.Boundary = vacuumBoundary })
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if s.OctantsFused() {
-		t.Fatal("OctantsSequential must not fuse")
+		t.Fatal("a Config.Boundary callback must not fuse")
 	}
 	s.Close()
 
@@ -173,24 +178,6 @@ func TestOctantOverlapFallback(t *testing.T) {
 	}
 	if !s.OctantsFused() {
 		t.Fatal("AllowCycles no longer pins the octant order: vacuum runs must stay fused")
-	}
-	s.Close()
-
-	s = build(func(c *Config) { c.Octants = OctantsFused })
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !s.OctantsFused() {
-		t.Fatal("OctantsFused on a vacuum problem should fuse")
-	}
-	s.Close()
-
-	s = build(func(c *Config) { c.Octants = OctantsFused; c.AllowCycles = true })
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !s.OctantsFused() {
-		t.Fatal("OctantsFused + AllowCycles should fuse (lagged reads are snapshot-based)")
 	}
 	s.Close()
 
@@ -321,25 +308,6 @@ func TestEngineDeterministic(t *testing.T) {
 	}
 }
 
-// TestEngineAnglesCompatMatches checks the SchemeAngles compatibility
-// mode (now engine-backed) still agrees with the legacy executor.
-func TestEngineAnglesCompatMatches(t *testing.T) {
-	legacy := engineProblem(t)
-	legacy.Scheme = SchemeAEG
-	legacy.Threads = 2
-	refPhi, _ := runAndSnapshot(t, legacy)
-
-	ang := engineProblem(t)
-	ang.Scheme = SchemeAngles
-	ang.Threads = 4
-	phi, _ := runAndSnapshot(t, ang)
-	for i := range refPhi {
-		if math.Abs(phi[i]-refPhi[i]) > 1e-12*(1+math.Abs(refPhi[i])) {
-			t.Fatalf("phi[%d] angles-compat %v vs legacy %v", i, phi[i], refPhi[i])
-		}
-	}
-}
-
 // TestEnginePreassembledMatches checks the engine composes with the
 // pre-factorised matrix mode.
 func TestEnginePreassembledMatches(t *testing.T) {
@@ -438,11 +406,11 @@ func TestEngineCloseAndReuse(t *testing.T) {
 	s.Close()
 }
 
-// TestEngineSlabCacheMatches forces the fused-face cache into per-octant
-// slab mode (as it runs at paper scale, where the full cache exceeds the
-// limit) and checks the per-octant rebuilds produce the same answer as
-// the full cache.
-func TestEngineSlabCacheMatches(t *testing.T) {
+// TestEngineFusedCacheDisabled checks the over-limit fallback path (no
+// fused face cache in the artifact): the run keeps the one fused octant
+// phase, fuses the face matrices on the fly and matches the cached run
+// bitwise.
+func TestEngineFusedCacheDisabled(t *testing.T) {
 	cfg := engineProblem(t)
 	cfg.Scheme = SchemeEngine
 	cfg.Threads = 2
@@ -453,73 +421,25 @@ func TestEngineSlabCacheMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	// Install a slab before the first sweep, exactly as buildFusedFaces
-	// does when the full cache would exceed the limit.
-	nf := s.re.NF
-	per := s.cfg.Quad.PerOctant
-	s.fusedFace = make([]float64, per*s.nE*6*nf*nf)
-	s.fusedSlab = true
-	s.fusedOct = -1
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
+	if s.fusedFace == nil {
+		t.Fatal("bench-scale engine solver should read the artifact's fused face cache")
 	}
-	if s.OctantsFused() {
-		t.Fatal("slab mode must force sequential octant phases")
-	}
-	phi, psi := snapshotSolver(s)
-	for i := range refPhi {
-		if math.Abs(phi[i]-refPhi[i]) > 1e-12*(1+math.Abs(refPhi[i])) {
-			t.Fatalf("slab phi[%d] %v vs full-cache %v", i, phi[i], refPhi[i])
-		}
-	}
-	for i := range refPsi {
-		if math.Abs(psi[i]-refPsi[i]) > 1e-12*(1+math.Abs(refPsi[i])) {
-			t.Fatalf("slab psi[%d] %v vs full-cache %v", i, psi[i], refPsi[i])
-		}
-	}
-}
-
-// TestFusedCachePlanPaperScale pins the acceptance criterion that the
-// paper-scale Figure 3 problem (288 ordinates, 4096 elements, linear
-// elements so 4 nodes per face) no longer falls back to uncached
-// assembly: the full cache (~0.9 GiB) is over the limit, but the
-// per-octant slab (~113 MiB) is in.
-func TestFusedCachePlanPaperScale(t *testing.T) {
-	full, slab := fusedCachePlan(288, 36, 4096, 4*4)
-	if full {
-		t.Fatal("paper-scale full cache should exceed the limit")
-	}
-	if !slab {
-		t.Fatal("paper-scale per-octant slab should fit the limit")
-	}
-	// Bench scale keeps the full cache.
-	full, slab = fusedCachePlan(32, 4, 216, 4*4)
-	if !full || slab {
-		t.Fatalf("bench scale should use the full cache (full=%v slab=%v)", full, slab)
-	}
-}
-
-// TestEngineFusedCacheDisabled checks the over-limit fallback path (no
-// fused face cache) produces the same answer.
-func TestEngineFusedCacheDisabled(t *testing.T) {
-	cfg := engineProblem(t)
-	cfg.Scheme = SchemeEngine
-	cfg.Threads = 2
-	refPhi, _ := runAndSnapshot(t, cfg)
-
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.ensureEngine()
 	s.fusedFace = nil // simulate a problem too large for the cache
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	phi, _ := snapshotSolver(s)
+	if !s.OctantsFused() {
+		t.Fatal("an absent face cache must not cost the fused octant phase")
+	}
+	phi, psi := snapshotSolver(s)
 	for i := range refPhi {
-		if math.Abs(phi[i]-refPhi[i]) > 1e-12*(1+math.Abs(refPhi[i])) {
+		if phi[i] != refPhi[i] {
 			t.Fatalf("uncached phi[%d] %v vs cached %v", i, phi[i], refPhi[i])
+		}
+	}
+	for i := range refPsi {
+		if psi[i] != refPsi[i] {
+			t.Fatalf("uncached psi[%d] %v vs cached %v", i, psi[i], refPsi[i])
 		}
 	}
 }

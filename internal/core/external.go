@@ -229,7 +229,7 @@ func (s *Solver) ResetSweepCancel() { s.cancelled.Store(false) }
 // watcher and receiver goroutines — never observe the engine mid-
 // construction. A no-op for non-engine schemes or an already-built engine.
 func (s *Solver) InitSweepEngine() {
-	if s.cfg.Scheme.engineBacked() {
+	if s.cfg.Scheme.EngineBacked() {
 		s.ensureEngine()
 	}
 }

@@ -201,11 +201,6 @@ func TestExternalConfigValidation(t *testing.T) {
 		t.Fatal("CycleLag without AllowCycles should be rejected")
 	}
 	bad = base
-	bad.Octants = OctantsSequential
-	if _, err := New(bad); err == nil {
-		t.Fatal("External + OctantsSequential should be rejected")
-	}
-	bad = base
 	bad.Boundary = func(a, e, f, g int, buf []float64) []float64 { return nil }
 	if _, err := New(bad); err == nil {
 		t.Fatal("External + Boundary should be rejected")

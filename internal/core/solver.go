@@ -78,15 +78,11 @@ type Solver struct {
 	workers []*workerState
 
 	// The persistent sweep engine (engine-backed schemes only, built on
-	// first use) and its pre-fused per-angle face matrices; see engine.go.
-	// The cache holds either every angle or, when that would exceed the
-	// cache limit, a single octant's slab (fusedSlab) rebuilt per
-	// sequential octant phase; fusedOct names the octant currently in the
-	// slab (-1 before the first rebuild).
+	// first use) and its view of the artifact's pre-fused per-angle face
+	// matrices (nil for bucket executors, or when the artifact carries
+	// none: assembly then fuses on the fly); see engine.go.
 	engine    *engine
 	fusedFace []float64
-	fusedSlab bool
-	fusedOct  int
 
 	// Streamed halo coupling (Config.External) and the sticky cancel flag
 	// of the externally-driven sweep API; see external.go.
@@ -161,6 +157,10 @@ func New(cfg Config) (*Solver, error) {
 		nA:    cfg.Quad.NumAngles(),
 	}
 
+	if cfg.Scheme.EngineBacked() {
+		s.fusedFace = art.FusedFull
+	}
+
 	// Per-solve view of the streamed halo faces (the classification
 	// itself was baked into the artifact's topologies).
 	s.buildExternal()
@@ -220,7 +220,7 @@ func New(cfg Config) (*Solver, error) {
 
 	s.workers = make([]*workerState, cfg.Threads)
 	for w := range s.workers {
-		s.workers[w] = newWorkerState(art.KernelDims(), cfg.Scheme.engineBacked())
+		s.workers[w] = newWorkerState(art.KernelDims(), cfg.Scheme.EngineBacked())
 	}
 
 	s.fc = newFactorCache(s)

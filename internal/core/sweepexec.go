@@ -367,7 +367,7 @@ func (s *Solver) SweepAllAngles() error {
 	// (initSweepClosures): a fresh closure per sweep would be steady-state
 	// garbage. The solver is quiescent here, so the unlocked reset is safe.
 	s.sweepErr = nil
-	if s.cfg.Scheme.engineBacked() {
+	if s.cfg.Scheme.EngineBacked() {
 		eng := s.ensureEngine()
 		eng.runSweep(s.recordFn)
 		s.reduceFluxFromPsi()

@@ -1,10 +1,12 @@
 // Package harness drives the experiments that regenerate every table and
-// figure of the UnSNAP paper, its ablations, and the perf-ledger sections
-// docs/BENCH.md documents. Each experiment has a bench-scale default
+// figure of the UnSNAP paper and its ablations, plus the task-kernel
+// micro-table docs/BENCH.md documents (the one section of
+// BENCH_sweep.json). Each experiment has a bench-scale default
 // configuration that completes on a laptop and accepts the paper's full
 // parameters; the cmd/unsnap-bench binary exposes them behind flags.
 // Outputs are aligned text tables with the same rows/series the paper
-// reports.
+// reports. End-to-end and per-layer performance claims are judged by
+// the traced benchmark under benchmark/, not here.
 package harness
 
 import (

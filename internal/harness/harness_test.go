@@ -189,7 +189,7 @@ func TestRunAtomicTiny(t *testing.T) {
 		t.Fatalf("got %d rows", len(rows))
 	}
 	for _, r := range rows {
-		if r.AEGSeconds <= 0 || r.AnglesSeconds <= 0 {
+		if r.AEGSeconds <= 0 || r.EngineSeconds <= 0 {
 			t.Fatalf("missing timing: %+v", r)
 		}
 	}

@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
 	"text/tabwriter"
 	"time"
@@ -35,9 +37,9 @@ type KernelConfig struct {
 	Uncached unsnap.Problem
 }
 
-// DefaultKernel measures on the engine experiment's workload (6^3
-// elements, 4 angles per octant, 8 groups), so the kernel and engine
-// sections of BENCH_sweep.json are directly comparable.
+// DefaultKernel measures on a Figure 3-style workload at bench scale:
+// linear elements on a twisted 6^3 mesh with 4 angles per octant and 8
+// groups.
 func DefaultKernel() KernelConfig {
 	p := unsnap.DefaultProblem()
 	p.NX, p.NY, p.NZ = 6, 6, 6
@@ -52,9 +54,9 @@ func DefaultKernel() KernelConfig {
 	return KernelConfig{
 		Problem: p,
 		Threads: []int{1, 2, 4},
-		// 30 forced inners per timing run (vs the engine experiment's 10):
-		// the kernel comparison resolves single-digit-percent per-task
-		// deltas, which 10-inner windows bury in scheduler noise.
+		// 30 forced inners per timing run: the kernel comparison resolves
+		// single-digit-percent per-task deltas, which 10-inner windows bury
+		// in scheduler noise.
 		Inners:      30,
 		AllocSweeps: 3,
 		// (order+1)^3 for orders 1..4.
@@ -92,6 +94,36 @@ type LARow struct {
 	FactorGflops float64 `json:"factor_gflops"`
 }
 
+// ProblemShape is the serialised problem identification of the bench
+// section.
+type ProblemShape struct {
+	NX              int `json:"nx"`
+	Order           int `json:"order"`
+	AnglesPerOctant int `json:"angles_per_octant"`
+	Groups          int `json:"groups"`
+}
+
+func shapeOf(p unsnap.Problem) ProblemShape {
+	return ProblemShape{NX: p.NX, Order: p.Order, AnglesPerOctant: p.AnglesPerOctant, Groups: p.Groups}
+}
+
+// MachineInfo identifies the hardware and toolchain the bench section
+// was measured on: numbers from different machines (or Go versions) are
+// not comparable, and the stamp makes mixing them visible.
+type MachineInfo struct {
+	NumCPU     int    `json:"num_cpu"`
+	GoMaxProcs int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+}
+
+func machineInfo() *MachineInfo {
+	return &MachineInfo{
+		NumCPU:     runtime.NumCPU(),
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+	}
+}
+
 // KernelSection is the serialised kernel comparison for BENCH_sweep.json.
 // UncachedTaskNs is the batched kernel's per-task time on Uncached, the
 // high-order problem the factor cache refuses. Previous is the
@@ -120,6 +152,42 @@ func KernelSectionOf(cfg KernelConfig, rows []KernelRow, la []LARow, uncachedNs 
 		Uncached:       &shape,
 		UncachedTaskNs: uncachedNs,
 	}
+}
+
+// SweepReport is BENCH_sweep.json: the kernel section and the revision
+// it was written at.
+type SweepReport struct {
+	Commit string         `json:"commit,omitempty"`
+	Kernel *KernelSection `json:"kernel,omitempty"`
+}
+
+// WriteSweepJSON records the kernel section (scripts/bench.sh writes it
+// to BENCH_sweep.json at the repo root), stamped with the measured git
+// commit and the machine. The section it replaces is kept as Previous
+// when it was measured at another commit on the same machine. An
+// existing file that does not parse is an error, not a silent overwrite.
+func WriteSweepJSON(path, commit string, sec *KernelSection) error {
+	var old SweepReport
+	if prev, err := os.ReadFile(path); err == nil {
+		if err := json.Unmarshal(prev, &old); err != nil {
+			return fmt.Errorf("harness: existing %s is not a sweep report (refusing to overwrite): %w", path, err)
+		}
+	} else if !os.IsNotExist(err) {
+		return err
+	}
+	// Stamp a copy: the caller's section stays untouched.
+	stamped := *sec
+	stamped.Commit, stamped.Machine = commit, machineInfo()
+	if k := old.Kernel; k != nil && k.Commit != commit && k.Machine != nil && *k.Machine == *stamped.Machine {
+		prev := *k
+		prev.Previous = nil
+		stamped.Previous = &prev
+	}
+	data, err := json.MarshalIndent(&SweepReport{Commit: commit, Kernel: &stamped}, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // kernelParts builds the problem's mesh, quadrature and library the way
@@ -200,10 +268,9 @@ func kernelTaskNs(p unsnap.Problem, threads, inners int, k core.KernelMode, flat
 // kernelAllocsPerTask measures the steady-state heap allocation rate of
 // the batched engine sweep: one warm-up sweep builds the engine and its
 // scratch, then each of AllocSweeps full sweeps is measured as its own
-// Mallocs delta and the minimum per-task rate is reported (like the warm
-// build fetch, the min rejects one-off runtime noise — goroutine stack
-// growth, background GC bookkeeping — that is not part of the sweep
-// path). The engine pre-sizes every task buffer at pool creation, so the
+// Mallocs delta and the minimum per-task rate is reported (the min
+// rejects one-off runtime noise — goroutine stack growth, background GC
+// bookkeeping — that is not part of the sweep path). The engine pre-sizes every task buffer at pool creation, so the
 // expected value is zero.
 func kernelAllocsPerTask(p unsnap.Problem, threads, sweeps int) (float64, error) {
 	s, err := newKernelSolver(p, threads, 1, core.KernelBatched, false)

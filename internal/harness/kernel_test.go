@@ -1,0 +1,59 @@
+package harness
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// TestKernelSectionLAAndPrevious: the la table measures every size, and a
+// kernel refresh keeps the section it replaces as the "before" of a
+// before/after pair — once, from another commit on the same machine.
+func TestKernelSectionLAAndPrevious(t *testing.T) {
+	rows := RunLA([]int{27, 64})
+	if len(rows) != 2 || rows[1].N != 64 || rows[1].GENs <= 0 || rows[1].FactorNs <= 0 || rows[1].TriSolveNs <= 0 {
+		t.Fatalf("la rows not measured: %+v", rows)
+	}
+	path := filepath.Join(t.TempDir(), "bench.json")
+	write := func(commit string) *KernelSection {
+		t.Helper()
+		sec := &KernelSection{LA: rows, UncachedTaskNs: 1}
+		if err := WriteSweepJSON(path, commit, sec); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep SweepReport
+		if err := json.Unmarshal(data, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if rep.Commit != commit || rep.Kernel.Commit != commit || rep.Kernel.Machine == nil {
+			t.Fatalf("commit/machine stamp lost: %+v", rep)
+		}
+		return rep.Kernel
+	}
+	if k := write("aaaa"); k.Previous != nil || len(k.LA) != 2 || k.UncachedTaskNs != 1 {
+		t.Fatalf("first write: %+v", k)
+	}
+	if k := write("aaaa"); k.Previous != nil {
+		t.Fatalf("same-commit refresh kept a previous section: %+v", k.Previous)
+	}
+	if k := write("bbbb"); k.Previous == nil || k.Previous.Commit != "aaaa" {
+		t.Fatalf("new-commit refresh lost the previous section: %+v", k)
+	}
+	if k := write("cccc"); k.Previous == nil || k.Previous.Commit != "bbbb" || k.Previous.Previous != nil {
+		t.Fatalf("previous sections must not chain: %+v", k.Previous)
+	}
+
+	// A corrupt existing file must refuse the write instead of clobbering.
+	bad := filepath.Join(t.TempDir(), "corrupt.json")
+	if err := os.WriteFile(bad, []byte("not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteSweepJSON(bad, "cccc", &KernelSection{}); err == nil {
+		t.Fatal("corrupt existing report should refuse the write")
+	}
+}

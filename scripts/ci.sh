@@ -22,13 +22,11 @@ fi
 go vet ./...
 go build ./...
 go build ./examples/...
-# Bench-tool smoke pass: every experiment path the perf trajectory
-# depends on (engine, comm protocols, cyclic meshes with both cycle
-# orders, build cache, task kernels, diffusion acceleration) executes end
-# to end on tiny problems — seconds, not minutes — so the bench plumbing
-# cannot bit-rot between real BENCH_sweep.json refreshes. -smoke never
-# writes JSON.
-go run ./cmd/unsnap-bench -experiment engine,comm,cycles,setup,kernel,accel -smoke
+# Bench-tool smoke pass: the kernel experiment (the one BENCH_sweep.json
+# section) executes end to end on tiny problems — seconds, not minutes —
+# so the bench plumbing cannot bit-rot between real refreshes. -smoke
+# never writes JSON.
+go run ./cmd/unsnap-bench -experiment kernel -smoke
 # Artifact-cache smoke: two solves of one problem through one cache must
 # hit on the second build and match bitwise. The binary prints a
 # machine-checkable verdict line; grep pins it so a silent cache miss
@@ -50,6 +48,9 @@ go run ./cmd/unsnap-serve -smoke \
 # a short fuzz of the same oracle.
 go test -race -count=1 -run 'Eliminate|Bitwise' ./internal/la
 go test -run '^$' -fuzz=FuzzEliminateBitwise -fuzztime=5s ./internal/la
+# Wire-format fuzz: ParseSpec never panics, and every spec it accepts
+# round-trips through SpecOf(Resolve()).
+go test -run '^$' -fuzz=FuzzParseSpec -fuzztime=5s .
 # Cyclic-mesh equivalence first (engine vs legacy bucket path, pipelined
 # vs single domain, 1e-12 — including the per-cycle-order strategy
 # equivalence tests) under the race detector: the cycle-aware engine's
@@ -66,8 +67,9 @@ go test -race -run 'Accel|DSA|SolvePCG' ./internal/core ./internal/comm ./intern
 # parity, drop+retry recovery, stall-within-deadline, degrade-to-lagged,
 # Close-mid-fault, goroutine-leak checks) under the race detector — the
 # failure-domain layer's whole contract is concurrency-shaped, so it
-# only counts when the detector watches it.
-go test -race -run 'Fault|Chaos|Deadline' ./internal/fault ./internal/comm .
+# only counts when the detector watches it, and a schedule-dependent race
+# only shows over repeated runs.
+go test -race -count=20 -run 'Fault|Chaos|Deadline' ./internal/fault ./internal/comm .
 # Solve-service suite under the race detector: the worker pool, the
 # close-and-replace event broadcast, cancel-vs-dequeue and the
 # shutdown drain are all cross-goroutine by design, and the cancel test's

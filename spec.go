@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"time"
-
-	"unsnap/internal/core"
 )
 
 // Spec is the wire-format description of one solve: a Problem plus the
@@ -42,10 +40,6 @@ type SpecOptions struct {
 	Threads int    `json:"threads,omitempty"`
 	// Solver is "GE" (default) or "DGESV".
 	Solver string `json:"solver,omitempty"`
-	// Octants is "auto" (default), "sequential" or "fused".
-	Octants string `json:"octants,omitempty"`
-	// Kernel is "batched" (default) or "scalar".
-	Kernel string `json:"kernel,omitempty"`
 	// Accelerate is "none" (default) or "dsa".
 	Accelerate string `json:"accelerate,omitempty"`
 
@@ -129,22 +123,6 @@ func (sp Spec) Resolve() (Problem, Options, error) {
 	default:
 		return Problem{}, Options{}, fmt.Errorf("unsnap: unknown solver %q (GE|DGESV)", so.Solver)
 	}
-	switch so.Octants {
-	case "", "auto":
-	case "sequential":
-		o.Octants = OctantsSequential
-	case "fused":
-		o.Octants = OctantsFused
-	default:
-		return Problem{}, Options{}, fmt.Errorf("unsnap: unknown octant mode %q (auto|sequential|fused)", so.Octants)
-	}
-	switch so.Kernel {
-	case "", "batched":
-	case "scalar":
-		o.Kernel = KernelScalar
-	default:
-		return Problem{}, Options{}, fmt.Errorf("unsnap: unknown kernel %q (batched|scalar)", so.Kernel)
-	}
 	switch so.Accelerate {
 	case "", "none":
 	case "dsa":
@@ -164,6 +142,11 @@ func (sp Spec) Resolve() (Problem, Options, error) {
 			return Problem{}, Options{}, fmt.Errorf("unsnap: deadline_seconds %v invalid (need a finite positive number)", so.DeadlineSeconds)
 		}
 		o.Deadline = time.Duration(so.DeadlineSeconds * float64(time.Second))
+		if o.Deadline == 0 {
+			// Below the clock's resolution: resolving it to "no deadline"
+			// would silently drop the caller's bound.
+			return Problem{}, Options{}, fmt.Errorf("unsnap: deadline_seconds %v invalid (below one nanosecond)", so.DeadlineSeconds)
+		}
 	}
 	if err := validateOptions(o, false); err != nil {
 		return Problem{}, Options{}, err
@@ -195,12 +178,6 @@ func SpecOf(p Problem, o Options) Spec {
 	}
 	if o.Solver != GE {
 		so.Solver = o.Solver.String()
-	}
-	if o.Octants != OctantsAuto {
-		so.Octants = core.OctantMode(o.Octants).String()
-	}
-	if o.Kernel != KernelBatched {
-		so.Kernel = core.KernelMode(o.Kernel).String()
 	}
 	if o.Accelerate != AccelNone {
 		so.Accelerate = o.Accelerate.String()

@@ -2,49 +2,105 @@ package unsnap
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
-	"time"
 )
 
-// TestSpecResolveRoundTrip pins the wire format: a spec serialises to the
-// documented JSON names, survives a JSON round trip, and resolves to the
-// Options the same knobs would configure directly.
+// specLegal gives every SpecOptions field a legal non-default value. A
+// field added to SpecOptions without an entry here fails
+// TestSpecResolveRoundTrip, which is the point: the new field must be
+// carried through Resolve and SpecOf before the test can pass.
+var specLegal = map[string]any{
+	"Scheme":          AEG.String(),
+	"Threads":         2,
+	"Solver":          DGESV.String(),
+	"Accelerate":      AccelDSA.String(),
+	"Epsi":            1e-5,
+	"MaxInners":       7,
+	"MaxOuters":       3,
+	"ForceIterations": true,
+	"AllowCycles":     true,
+	"CycleOrder":      OrderFeedbackArc.String(),
+	"Reflect":         [3]bool{true, false, true},
+	"TimeSteps":       2,
+	"TimeDt":          0.25,
+	"DeadlineSeconds": 30.0,
+	"HealthChecks":    true,
+}
+
+// optionsOffWire lists the Options fields that deliberately have no
+// SpecOptions counterpart: process-local resources, distributed-driver
+// knobs and the paper-ablation switches the service does not expose.
+// Deadline travels as DeadlineSeconds.
+var optionsOffWire = map[string]bool{
+	"Protocol": true, "FailurePolicy": true, "Fault": true,
+	"Artifact": true, "Cache": true, "CacheTenant": true, "CacheTenantBytes": true,
+	"Progress": true, "PreAssembled": true, "Instrument": true, "Deadline": true,
+}
+
+// TestSpecResolveRoundTrip pins the wire format by reflection: with every
+// SpecOptions field set to a non-default legal value, a spec survives the
+// JSON round trip and Resolve -> SpecOf reproduces it exactly, so a field
+// that exists at one level and is not carried to the other fails here.
+// DSA excludes reflective and time-dependent runs, so the fields are
+// covered by two variants.
 func TestSpecResolveRoundTrip(t *testing.T) {
+	var full SpecOptions
+	fv := reflect.ValueOf(&full).Elem()
+	for i := 0; i < fv.NumField(); i++ {
+		name := fv.Type().Field(i).Name
+		val, ok := specLegal[name]
+		if !ok {
+			t.Fatalf("SpecOptions.%s has no legal non-default value in specLegal", name)
+		}
+		fv.Field(i).Set(reflect.ValueOf(val))
+	}
+	noAccel, noTime := full, full
+	noAccel.Accelerate = ""
+	noTime.Reflect, noTime.TimeSteps, noTime.TimeDt = [3]bool{}, 0, 0
+
 	p := DefaultProblem()
 	p.TwistPeriods = 2
 	p.Twist = 0.35
-	want := Options{
-		Scheme: Engine, Threads: 2, Solver: DGESV,
-		Octants: OctantsSequential, Kernel: KernelScalar,
-		Accelerate: AccelDSA,
-		Epsi:       1e-5, MaxInners: 7, MaxOuters: 3,
-		AllowCycles: true, CycleOrder: OrderFeedbackArc,
-		Deadline:     30 * time.Second,
-		HealthChecks: true,
+	covered := make(map[string]bool)
+	for _, so := range []SpecOptions{noAccel, noTime} {
+		sp := Spec{Problem: p, Options: so}
+		data, err := json.Marshal(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed, err := ParseSpec(data)
+		if err != nil {
+			t.Fatalf("spec rejected: %v\n%s", err, data)
+		}
+		if parsed != sp {
+			t.Fatalf("JSON round trip: got %+v, want %+v", parsed, sp)
+		}
+		gotP, gotO, err := parsed.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back := SpecOf(gotP, gotO); back != sp {
+			t.Fatalf("Resolve -> SpecOf: got %+v, want %+v", back, sp)
+		}
+		sv := reflect.ValueOf(so)
+		for i := 0; i < sv.NumField(); i++ {
+			if !sv.Field(i).IsZero() {
+				covered[sv.Type().Field(i).Name] = true
+			}
+		}
 	}
-	sp := SpecOf(p, want)
-	data, err := json.Marshal(sp)
-	if err != nil {
-		t.Fatal(err)
+	ot := reflect.TypeOf(Options{})
+	for i := 0; i < ot.NumField(); i++ {
+		name := ot.Field(i).Name
+		if _, onWire := specLegal[name]; onWire == optionsOffWire[name] {
+			t.Errorf("Options.%s must be either a SpecOptions field or listed in optionsOffWire", name)
+		}
 	}
-	back, err := ParseSpec(data)
-	if err != nil {
-		t.Fatalf("round-tripped spec rejected: %v\n%s", err, data)
-	}
-	gotP, gotO, err := back.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotP != p {
-		t.Fatalf("problem round trip: got %+v, want %+v", gotP, p)
-	}
-	if gotO.Scheme != want.Scheme || gotO.Solver != want.Solver ||
-		gotO.Octants != want.Octants || gotO.Kernel != want.Kernel ||
-		gotO.Accelerate != want.Accelerate || gotO.CycleOrder != want.CycleOrder ||
-		gotO.Epsi != want.Epsi || gotO.MaxInners != want.MaxInners ||
-		gotO.MaxOuters != want.MaxOuters || gotO.AllowCycles != want.AllowCycles ||
-		gotO.Deadline != want.Deadline || gotO.HealthChecks != want.HealthChecks {
-		t.Fatalf("options round trip: got %+v, want %+v", gotO, want)
+	for name := range specLegal {
+		if !covered[name] {
+			t.Errorf("SpecOptions.%s was never set to a non-default value", name)
+		}
 	}
 }
 
@@ -60,7 +116,7 @@ func TestSpecMinimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Scheme != Engine || o.Kernel != KernelBatched || o.Accelerate != AccelNone {
+	if o.Scheme != Engine || o.Solver != GE || o.Accelerate != AccelNone {
 		t.Fatalf("minimal spec did not resolve to defaults: %+v", o)
 	}
 }
@@ -75,11 +131,13 @@ func TestSpecRejections(t *testing.T) {
 		"unknown field":      `{` + valid + `, "optoins":{}}`,
 		"unknown scheme":     `{` + valid + `, "options":{"scheme":"warp"}}`,
 		"unknown solver":     `{` + valid + `, "options":{"solver":"MKL"}}`,
-		"unknown octants":    `{` + valid + `, "options":{"octants":"diagonal"}}`,
-		"unknown kernel":     `{` + valid + `, "options":{"kernel":"simd"}}`,
+		"removed octants":    `{` + valid + `, "options":{"octants":"sequential"}}`,
+		"removed kernel":     `{` + valid + `, "options":{"kernel":"scalar"}}`,
+		"removed scheme":     `{` + valid + `, "options":{"scheme":"ANGLE/element/group"}}`,
 		"unknown accel":      `{` + valid + `, "options":{"accelerate":"p-air"}}`,
 		"unknown cycle rule": `{` + valid + `, "options":{"cycle_order":"random"}}`,
 		"negative deadline":  `{` + valid + `, "options":{"deadline_seconds":-1}}`,
+		"sub-ns deadline":    `{` + valid + `, "options":{"deadline_seconds":1e-12}}`,
 		"zero grid":          `{"problem":{"nx":0,"ny":4,"nz":4,"lx":1,"ly":1,"lz":1,"order":1,"angles_per_octant":2,"groups":2}}`,
 		"bad scat ratio":     `{"problem":{"nx":4,"ny":4,"nz":4,"lx":1,"ly":1,"lz":1,"order":1,"angles_per_octant":2,"groups":2,"scat_ratio":1.5}}`,
 		"dsa with reflect":   `{` + valid + `, "options":{"accelerate":"dsa","reflect":[true,false,false]}}`,
@@ -90,6 +148,57 @@ func TestSpecRejections(t *testing.T) {
 			t.Errorf("%s: spec %s was accepted", name, body)
 		}
 	}
+}
+
+// FuzzParseSpec: ParseSpec never panics, and every spec it accepts
+// round-trips through SpecOf(Resolve()) to an equal spec — up to the
+// explicit spellings of the defaults, which SpecOf omits, and the
+// nanosecond resolution of the deadline.
+func FuzzParseSpec(f *testing.F) {
+	problem := `"problem":{"nx":4,"ny":4,"nz":4,"lx":1,"ly":1,"lz":1,"order":1,"angles_per_octant":2,"groups":2}`
+	for _, seed := range []string{
+		// README.md's service walkthrough and the specs of this file.
+		`{"problem": {"nx":8,"ny":8,"nz":8,"lx":1,"ly":1,"lz":1,"order":1,"angles_per_octant":4,"groups":4},
+		  "options": {"epsi":1e-5,"accelerate":"dsa","deadline_seconds":60}}`,
+		`{` + problem + `}`,
+		`{` + problem + `, "options":{"epsi":1e-4,"max_inners":10,"max_outers":4}}`,
+		`{` + problem + `, "options":{"scheme":"engine","solver":"GE","accelerate":"none","cycle_order":"element-index"}}`,
+		`{` + problem + `, "options":{"scheme":"angle/ELEMENT/GROUP","solver":"DGESV","threads":2,"reflect":[true,false,false],"time_steps":2,"time_dt":0.1}}`,
+		`{` + problem + `, "options":{"allow_cycles":true,"cycle_order":"feedback-arc","deadline_seconds":1.5e-9,"health_checks":true}}`,
+		`{` + problem + `, "options":{"octants":"sequential","kernel":"scalar"}}`,
+		`{` + problem + `, "optoins":{}}`,
+		`{"problem":`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sp, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		p, o, err := sp.Resolve()
+		if err != nil {
+			t.Fatalf("ParseSpec accepted a spec Resolve rejects: %v\n%s", err, data)
+		}
+		want := sp
+		for _, def := range []struct {
+			field    *string
+			spelling string
+		}{
+			{&want.Options.Scheme, Engine.String()},
+			{&want.Options.Solver, GE.String()},
+			{&want.Options.Accelerate, AccelNone.String()},
+			{&want.Options.CycleOrder, OrderElementIndex.String()},
+		} {
+			if *def.field == def.spelling {
+				*def.field = ""
+			}
+		}
+		want.Options.DeadlineSeconds = o.Deadline.Seconds()
+		if got := SpecOf(p, o); got != want {
+			t.Fatalf("SpecOf(Resolve()): got %+v, want %+v\n%s", got, want, data)
+		}
+	})
 }
 
 // TestSpecSolves pins that a resolved spec actually drives a solve: the

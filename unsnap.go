@@ -73,10 +73,6 @@ const (
 	AGE
 	// AgE threads the elements (group-major layout).
 	AgE
-	// Angles threads the angles within each octant — the paper's
-	// section IV-A3 ablation, now executed by the sweep engine (whose
-	// wavefronts are angle-parallel by construction).
-	Angles
 )
 
 // String returns the paper-style scheme name.
@@ -96,41 +92,6 @@ func AllSchemes() []Scheme {
 	}
 	return out
 }
-
-// OctantMode selects how the sweep engine orders the eight octant phases
-// of a full sweep; see the core package's OctantMode.
-type OctantMode int
-
-const (
-	// OctantsAuto (the default) overlaps all eight octants in one task
-	// graph whenever that is safe — vacuum boundaries and no cycle
-	// lagging — and falls back to sequential octant phases otherwise.
-	OctantsAuto OctantMode = iota
-	// OctantsSequential forces one quiesced engine phase per octant (the
-	// pre-overlap behaviour), kept for A/B benchmarking.
-	OctantsSequential
-	// OctantsFused prefers octant overlap over the per-octant slab of
-	// the fused face-matrix cache at sizes where the full cache does not
-	// fit (OctantsAuto makes the opposite call there). Unsafe
-	// configurations still fall back to sequential phases.
-	OctantsFused
-)
-
-// KernelMode selects the engine's task body; see the core package's
-// KernelMode.
-type KernelMode int
-
-const (
-	// KernelBatched (the default) runs each (ordinate, element) task as
-	// one group-batched, allocation-free kernel: all right-hand sides
-	// assembled in one pass, one factorisation shared by every run of
-	// equal-sigma_t groups, multi-RHS solves. Bitwise identical to
-	// KernelScalar.
-	KernelBatched KernelMode = iota
-	// KernelScalar runs the pre-batching one-group-at-a-time task body,
-	// kept for A/B benchmarking and parity pins.
-	KernelScalar
-)
 
 // CycleOrder selects the within-SCC ordering strategy of the cycle
 // condensation that AllowCycles runs (which intra-SCC dependency edges
@@ -342,13 +303,6 @@ type Options struct {
 	Scheme  Scheme
 	Threads int
 	Solver  SolverKind
-	// Octants controls the engine's octant phasing: OctantsAuto overlaps
-	// all eight octants on vacuum problems, OctantsSequential forces the
-	// per-octant phases.
-	Octants OctantMode
-	// Kernel selects the engine task body: the group-batched
-	// KernelBatched (default) or the scalar per-group KernelScalar.
-	Kernel KernelMode
 
 	// Protocol selects the cross-rank communication scheme of
 	// NewDistributed (ignored by the single-domain solver): CommLagged is
@@ -682,8 +636,7 @@ func coreConfig(p Problem, o Options, m *mesh.Mesh, q *quadrature.Set, lib *xs.L
 	cfg := core.Config{
 		Mesh: m, Order: p.Order, Quad: q, Lib: lib,
 		Scheme: core.Scheme(o.Scheme), Threads: o.Threads,
-		Solver: core.SolverKind(o.Solver), Octants: core.OctantMode(o.Octants),
-		Kernel: core.KernelMode(o.Kernel),
+		Solver: core.SolverKind(o.Solver),
 		Epsi:   o.Epsi, MaxInners: o.MaxInners, MaxOuters: o.MaxOuters,
 		ForceIterations:  o.ForceIterations,
 		AllowCycles:      o.AllowCycles,

@@ -112,14 +112,8 @@ func TestNewDistributedValidatesOptions(t *testing.T) {
 	} else {
 		d.Close()
 	}
-	if _, err := NewDistributed(p, Options{Protocol: CommPipelined, Octants: OctantsSequential}, 2, 1); err == nil {
-		t.Fatal("pipelined + OctantsSequential should be rejected")
-	}
 	if _, err := NewDistributed(p, Options{Protocol: CommPipelined, Scheme: AEG}, 2, 1); err == nil {
 		t.Fatal("pipelined + bucket scheme should be rejected")
-	}
-	if _, err := NewDistributed(p, Options{Octants: OctantsFused}, 2, 1); err == nil {
-		t.Fatal("lagged + OctantsFused should be rejected (fusion can never engage)")
 	}
 	if _, err := NewDistributed(p, Options{TimeSteps: 2, TimeDt: 0.1}, 2, 1); err == nil {
 		t.Fatal("distributed + time-dependent should be rejected")
