@@ -462,8 +462,7 @@ func artifactSize(a *Artifact) int64 {
 // the local system size and face width every per-worker scratch buffer is
 // sized from. It lives on the artifact so the solve layer pre-sizes all
 // kernel scratch at pool creation — the steady-state task path never
-// allocates — and so the bench layer can report the per-worker working
-// set without re-deriving element shapes.
+// allocates.
 type KernelDims struct {
 	// NN is the nodes per element: the local dense systems are NN x NN.
 	NN int
@@ -475,22 +474,6 @@ type KernelDims struct {
 // KernelDims reports the kernel scratch shape baked into the artifact.
 func (a *Artifact) KernelDims() KernelDims {
 	return KernelDims{NN: a.Re.N, NF: a.Re.NF}
-}
-
-// WorkerScratchDoubles reports the float64 count of one worker's
-// steady-state kernel scratch for an nG-group solve: the dense workspace
-// (matrix, RHS, solution), the group-independent base matrix, the
-// group-major RHS block of the batched kernel, and the upwind/source
-// gather buffers. Pivot and gather index scratch (ints) are excluded —
-// they are noise at this scale.
-func (d KernelDims) WorkerScratchDoubles(nG int) int {
-	n := d.NN
-	return n*n + // workspace matrix
-		2*n + // workspace RHS + solution
-		n*n + // group-independent base
-		nG*n + // batched RHS block
-		d.NF + // upwind face gather
-		n // effective source scratch
 }
 
 // FusedFaceCacheLimit caps the artifact's fused face-matrix cache. The

@@ -37,4 +37,25 @@
 // RunContext observes cancellation and deadlines between inners, so a
 // cancelled solve returns a structured error promptly with the solver
 // still safe to Close.
+//
+// # Where the right-hand side is formed, and who is charged for it
+//
+// The volumetric source of a task, M q_tot, does not depend on the
+// ordinate, so PrepareInner forms it once per inner (mq; with P1
+// scattering also M q1 per direction, and RunTimeDependent stores
+// M psi_prev once per step) and every task, under either kernel, starts
+// from a copy: no task multiplies by the mass matrix. The P1 and
+// time-dependent right-hand sides are sums of stored products, by
+// linearity (b = mq + 3 Omega.mq1 + vdelt mPrev). The product is a plain
+// row-by-row dot product whose order is pinned: TestKernelFluxDigest
+// holds an isotropic steady-state flux to a recorded sha256.
+//
+// With Config.Instrument the assembly timer therefore covers three
+// places: the in-task assembly (base matrix, face pass, per-run matrix
+// formation), the per-inner source pass inside PrepareInner, and the
+// per-step M psi_prev pass. Each is timed on the worker that ran it and
+// folded into the solver totals at the end of the next sweep, so
+// Result.AssembleTime / PhaseTimes — and the assemble share the paper's
+// tables and the traced benchmark derive from them — still account for
+// all right-hand-side formation, not only the part left inside a task.
 package core

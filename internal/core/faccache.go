@@ -41,10 +41,14 @@ import (
 // All entry storage is allocated eagerly at New, keeping the steady-state
 // task body allocation-free (TestSweepTaskAllocFree).
 
-// factorCacheLimit caps the cache's predicted resident size. Meshes
-// whose geometry classes do not repeat (twisted grids: every element its
-// own class) blow past it immediately and run uncached, so the gate also
-// serves as the "is caching worthwhile" test.
+// factorCacheLimit caps the cache's predicted resident size; a problem
+// over it runs uncached, all or nothing. Geometry classes need not repeat
+// for the cache to pay: on a twisted mesh every element is its own class,
+// yet an order-1 problem still fits (the benchmark's solve_lo — 8^3, 32
+// ordinates, 8 groups, n = 8 — predicts 75 MB and runs cached, each task
+// reusing across inners the factors it built in the first), while an
+// order-3 one does not (solve_ho predicts 136 MB and refactors every
+// task every inner).
 const factorCacheLimit = 128 << 20
 
 const (
@@ -74,7 +78,8 @@ type factorCache struct {
 // newFactorCache sizes and allocates the cache, or returns nil when
 // caching is off: non-batched kernels and pre-assembled mode never run
 // the batched task body, Config.noFactorCache is the A/B test knob, and
-// the byte budget rejects meshes without repeated geometry.
+// the byte budget rejects problems whose factors would not fit
+// (factorCacheLimit).
 func newFactorCache(s *Solver) *factorCache {
 	cfg := &s.cfg
 	if cfg.Kernel != KernelBatched || cfg.PreAssembled || cfg.noFactorCache {

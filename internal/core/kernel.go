@@ -13,13 +13,18 @@ import (
 // element) task executed as one group-batched, allocation-free body.
 //
 //   - RHS batching: the right-hand sides of every group are assembled in
-//     one pass over the element. The volumetric source pass streams the
-//     mass matrix group by group; the face pass is restructured
-//     face-outer / group-inner, so the per-face bookkeeping the scalar
-//     kernel repeats per group — inflow classification, neighbour lookup,
-//     the conforming-face permutation chase, the fused face-matrix block
-//     offset — is hoisted out of the group loop and each face-matrix
-//     block is read while hot for all nG groups (cache blocking).
+//     one pass over the element. The volumetric term does not depend on
+//     the angle, so no task forms it: PrepareInner stores M q_tot once per
+//     inner and the task starts from a copy of its element's block
+//     (loadSource; P1 and time-dependent runs add their angle-dependent
+//     remainders from the same kind of stored product). The face pass is
+//     face-outer: the per-face bookkeeping the scalar kernel repeats per
+//     group — inflow classification, neighbour lookup, the conforming-face
+//     permutation chase, the fused face-matrix block offset — happens
+//     once per face, every group's upwind face values are gathered into
+//     one group-major panel, and the face block is applied to the panel
+//     four groups at a time with each block row held in registers
+//     (subInflowPanel, the one face-apply loop of this kernel).
 //   - Factorisation batching: the per-group matrix is base + sigma_t,g M,
 //     so groups with equal sigma_t share the matrix bitwise. The kernel
 //     factors once per run of equal-sigma_t groups and solves the run's
@@ -73,9 +78,9 @@ func buildSigtRuns(sigtEff [][]float64) [][]sigtRun {
 // The RHS block is assembled and solved directly in the task's psi slab:
 // the engine layout ([angle][element][group][node]) makes the task's
 // groups contiguous, no task of the current phase reads psi(a, e) before
-// this task's counters resolve, and every in-task read (upwind
-// neighbours, psiLag, psiPrev, streamed halos, boundary mirrors) comes
-// from a different slab — so the solve lands in place and the scalar
+// this task's counters resolve, and every in-task read (the stored
+// source products, upwind neighbours, psiLag, streamed halos, boundary
+// mirrors) comes from a different slab — so the solve lands in place and the scalar
 // kernel's X-to-psi block store disappears.
 //
 // On a solve failure the remaining sigma_t runs still execute (matching
@@ -152,78 +157,34 @@ func (s *Solver) solveElemBatched(st *workerState, a, e int) error {
 
 // assembleRHSAll builds the right-hand sides of every group of one
 // (angle, elem) task into rhs (group-major, node fastest — the caller
-// passes the task's own psi slab): b_g = M q_tot,g minus the upwind
-// inflow terms. Per group the arithmetic is identical to assembleRHS;
-// the face pass runs face-outer / group-inner with the gather indices
-// and face-matrix block resolved once per face.
+// passes the task's own psi slab): the hoisted volumetric source
+// (loadSource) minus the upwind inflow terms. Per group the arithmetic is
+// identical to assembleRHS; the face pass runs face-outer with one
+// face's upwind values of all groups gathered into a group-major panel
+// and the face block applied to the whole panel (subInflowPanel).
 func (s *Solver) assembleRHSAll(st *workerState, rhs []float64, a, e int) {
-	em := s.em[e]
-	om := s.cfg.Quad.Angles[a].Omega
 	n := s.nN
 	nf := s.re.NF
 	nG := s.nG
-	mass := em.Mass[: n*n : n*n]
 	rhs = rhs[: nG*n : nG*n]
-
-	// Volumetric source pass: b_g = M q_tot,g with the P1 and BDF1
-	// corrections applied per group exactly as the scalar path does.
-	p1 := s.cfg.ScatOrder >= 1
-	for g := 0; g < nG; g++ {
-		base := s.phiIdx(e, g)
-		qt := s.qTot[base : base+n]
-		if p1 {
-			q1x := s.qTot1[0][base : base+n]
-			q1y := s.qTot1[1][base : base+n]
-			q1z := s.qTot1[2][base : base+n]
-			sqt := st.qt[:n:n]
-			for i := range sqt {
-				sqt[i] = qt[i] + 3*(om[0]*q1x[i]+om[1]*q1y[i]+om[2]*q1z[i])
-			}
-			qt = sqt
-		}
-		if s.psiPrev != nil {
-			vd := s.vdelt(g)
-			pb := s.psiIdx(a, e, g)
-			prev := s.psiPrev[pb : pb+n]
-			if &qt[0] != &st.qt[0] {
-				copy(st.qt, qt)
-				qt = st.qt[:n:n]
-			}
-			for i := range qt {
-				qt[i] += vd * prev[i]
-			}
-		}
-		b := rhs[g*n : g*n+n]
-		for i := range b {
-			// Length-matched reslice: the prove pass drops the qt[j] bounds
-			// check from the dot product (check_bce).
-			row := mass[i*n : i*n+n][:len(qt)]
-			acc := 0.0
-			for j, v := range row {
-				acc += v * qt[j]
-			}
-			b[i] = acc
-		}
-	}
+	s.loadSource(rhs, a, e, 0)
 
 	// Face pass: subtract the upwind inflow of each inflow face from
-	// every group's RHS while the face's matrices and gather indices are
+	// every group's RHS while the face's block and gather indices are
 	// hot. Faces are visited in ascending order, so each group sees its
 	// face terms in the scalar kernel's order.
 	t := s.topos[a]
+	panel := st.up[: nG*nf : nG*nf]
 	for f := 0; f < fem.NumFaces; f++ {
 		if !t.IsInflow(e, f) {
 			continue
 		}
-		fn := s.re.FaceNodes[f]
-		fb := s.fusedFaceBlock(a, e, f)
 		fc := &s.cfg.Mesh.Elems[e].Faces[f]
 		switch {
 		case fc.Neighbor >= 0:
 			// Interior (or lagged) upwind neighbour: resolve the
-			// conforming-face gather indices once, then gather and apply
-			// for all groups in one call (the group loop lives inside the
-			// helper — one call per face, not one per face per group).
+			// conforming-face gather indices once, then gather every
+			// group's face values into the panel.
 			src := s.psi
 			if t.Lagged != nil && t.IsLagged(e, f) {
 				src = s.psiLag
@@ -234,114 +195,112 @@ func (s *Solver) assembleRHSAll(st *workerState, rhs []float64, a, e int) {
 			for l := range gather {
 				gather[l] = int32(nbNodes[perm[l]])
 			}
-			s.subInflowInteriorAll(st, rhs, src, a, fc.Neighbor, gather, fb, fn, om, em, f)
+			pb := s.psiIdx(a, fc.Neighbor, 0)
+			for g := 0; g < nG; g++ {
+				pslab := src[pb+g*n : pb+g*n+n]
+				up := panel[g*nf : g*nf+nf][:len(gather)]
+				for l, node := range gather {
+					up[l] = pslab[node]
+				}
+			}
+			s.subInflowPanel(st, rhs, panel, a, e, f)
 		case s.ext != nil:
 			// Streamed halo inflow: slots were filled and published by
-			// ResolveExternal before this task became ready.
+			// ResolveExternal before this task became ready, and a
+			// (face, angle) slot is already group-major — no gather.
 			fi := s.ext.faceIdx[e*fem.NumFaces+f]
 			if fi < 0 {
 				continue // vacuum
 			}
-			for g := 0; g < nG; g++ {
-				off := ((int(fi)*s.nA+a)*s.nG + g) * nf
-				s.subInflowFace(rhs[g*n:g*n+n], s.ext.data[off:off+nf], fb, fn, om, em, f, nf)
-			}
+			off := (int(fi)*s.nA + a) * nG * nf
+			s.subInflowPanel(st, rhs, s.ext.data[off:off+nG*nf], a, e, f)
 		case s.cfg.Boundary != nil:
 			// Boundary callback (reflective mirrors, block Jacobi halos).
 			// Callbacks are pure reads of state no task of the current
-			// phase writes, so the face-outer call order is immaterial.
+			// phase writes, so the face-outer call order is immaterial. A
+			// nil return is vacuum for that group: the groups gathered so
+			// far are applied and the panel restarts after it.
+			g0 := 0
 			for g := 0; g < nG; g++ {
-				if up := s.cfg.Boundary(a, e, f, g, st.up); up != nil {
-					s.subInflowFace(rhs[g*n:g*n+n], up, fb, fn, om, em, f, nf)
+				slot := panel[g*nf : g*nf+nf]
+				up := s.cfg.Boundary(a, e, f, g, slot)
+				if up == nil {
+					s.subInflowPanel(st, rhs[g0*n:g*n], panel[g0*nf:g*nf], a, e, f)
+					g0 = g + 1
+				} else if &up[0] != &slot[0] {
+					copy(slot, up)
 				}
 			}
+			s.subInflowPanel(st, rhs[g0*n:], panel[g0*nf:], a, e, f)
 		}
 	}
 }
 
-// subInflowInteriorAll subtracts one interior (or lagged) inflow face's
-// upwind terms from every group's RHS: gather the neighbour's face nodes
-// and apply the face matrix, group by group, with the face's block and
-// gather indices held hot across the whole group sweep. Per group the
-// arithmetic is exactly subInflowFace's; hoisting the group loop in here
-// removes the per-group call overhead of the batch kernel's hottest face
-// case.
-func (s *Solver) subInflowInteriorAll(st *workerState, rhs, src []float64, a, nbElem int, gather []int32, fb []float64, fn []int, om [3]float64, em *fem.ElementMatrices, f int) {
+// subInflowPanel subtracts one inflow face's surface term from the RHS of
+// len(up)/nf consecutive groups: rhs holds their nN-vectors and up their
+// upwind face values (nf each, in our face-node ordering), both
+// group-major. The nf x nf face block comes pre-fused from the artifact
+// or is fused into worker scratch first (the same sum the scalar kernel
+// forms entry by entry). Groups go four at a time: each block row is
+// loaded once and feeds four independent accumulators, which is what
+// lifts the pass off the one-add-latency-per-term chain of a single dot
+// product; the nG mod 4 tail runs one group at a time. Per (group, row)
+// the order over l, and per RHS entry the order over faces, are the
+// scalar kernel's, so the result is bit for bit assembleRHS's. (Inflow
+// faces have Omega . n < 0, so subtracting the surface term adds the
+// upwind in-flow.)
+func (s *Solver) subInflowPanel(st *workerState, rhs, up []float64, a, e, f int) {
 	n := s.nN
-	nf := len(gather)
-	nG := s.nG
-	up := st.up[:nf:nf]
-	if fb != nil {
-		for g := 0; g < nG; g++ {
-			pb := s.psiIdx(a, nbElem, g)
-			pslab := src[pb : pb+n]
-			for l, node := range gather {
-				up[l] = pslab[node]
-			}
-			b := rhs[g*n : g*n+n]
-			for k, gi := range fn {
-				fr := fb[k*nf : k*nf+nf][:len(up)]
-				acc := 0.0
-				for l, v := range up {
-					acc += fr[l] * v
-				}
-				b[gi] -= acc
-			}
-		}
+	nf := s.re.NF
+	k := len(up) / nf
+	if k == 0 {
 		return
 	}
-	fx, fy, fz := em.Face[f][0], em.Face[f][1], em.Face[f][2]
-	for g := 0; g < nG; g++ {
-		pb := s.psiIdx(a, nbElem, g)
-		pslab := src[pb : pb+n]
-		for l, node := range gather {
-			up[l] = pslab[node]
-		}
-		b := rhs[g*n : g*n+n]
-		for k, gi := range fn {
-			fr := k * nf
-			fxr := fx[fr : fr+nf][:len(up)]
-			fyr := fy[fr : fr+nf][:len(up)]
-			fzr := fz[fr : fr+nf][:len(up)]
-			acc := 0.0
-			for l, v := range up {
-				acc += (om[0]*fxr[l] + om[1]*fyr[l] + om[2]*fzr[l]) * v
+	fb := s.fusedFaceBlock(a, e, f)
+	if fb == nil {
+		om := s.cfg.Quad.Angles[a].Omega
+		face := &s.em[e].Face[f]
+		fb = st.fb[: nf*nf : nf*nf]
+		la.Fuse3(fb, face[0], face[1], face[2], om[0], om[1], om[2])
+	}
+	fn := s.re.FaceNodes[f]
+	g := 0
+	for ; g+4 <= k; g += 4 {
+		b0 := rhs[g*n : g*n+n]
+		b1 := rhs[(g+1)*n : (g+1)*n+n]
+		b2 := rhs[(g+2)*n : (g+2)*n+n]
+		b3 := rhs[(g+3)*n : (g+3)*n+n]
+		// Length-matched reslices: the prove pass drops the inner loop's
+		// bounds checks (check_bce).
+		u0 := up[g*nf : g*nf+nf]
+		u1 := up[(g+1)*nf : (g+1)*nf+nf][:len(u0)]
+		u2 := up[(g+2)*nf : (g+2)*nf+nf][:len(u0)]
+		u3 := up[(g+3)*nf : (g+3)*nf+nf][:len(u0)]
+		for r, gi := range fn {
+			fr := fb[r*nf : r*nf+nf][:len(u0)]
+			var a0, a1, a2, a3 float64
+			for l, m := range fr {
+				a0 += m * u0[l]
+				a1 += m * u1[l]
+				a2 += m * u2[l]
+				a3 += m * u3[l]
 			}
-			b[gi] -= acc
+			b0[gi] -= a0
+			b1[gi] -= a1
+			b2[gi] -= a2
+			b3[gi] -= a3
 		}
 	}
-}
-
-// subInflowFace subtracts one inflow face's surface term from one
-// group's RHS, through the pre-fused face-matrix block when available —
-// arithmetic identical to assembleRHS's inner face loop. (Inflow faces
-// have Omega . n < 0, so subtracting the surface term adds the upwind
-// in-flow.)
-func (s *Solver) subInflowFace(b, up []float64, fb []float64, fn []int, om [3]float64, em *fem.ElementMatrices, f, nf int) {
-	// The length-matched reslices below let the prove pass drop the
-	// inner-loop bounds checks (check_bce); the arithmetic is untouched.
-	up = up[:nf:nf]
-	if fb != nil {
-		for k, gi := range fn {
-			fr := fb[k*nf : k*nf+nf][:len(up)]
+	for ; g < k; g++ {
+		b := rhs[g*n : g*n+n]
+		u := up[g*nf : g*nf+nf]
+		for r, gi := range fn {
+			fr := fb[r*nf : r*nf+nf][:len(u)]
 			acc := 0.0
-			for l, v := range up {
+			for l, v := range u {
 				acc += fr[l] * v
 			}
 			b[gi] -= acc
 		}
-		return
-	}
-	fx, fy, fz := em.Face[f][0], em.Face[f][1], em.Face[f][2]
-	for k, gi := range fn {
-		fr := k * nf
-		fxr := fx[fr : fr+nf][:len(up)]
-		fyr := fy[fr : fr+nf][:len(up)]
-		fzr := fz[fr : fr+nf][:len(up)]
-		acc := 0.0
-		for l, v := range up {
-			acc += (om[0]*fxr[l] + om[1]*fyr[l] + om[2]*fzr[l]) * v
-		}
-		b[gi] -= acc
 	}
 }

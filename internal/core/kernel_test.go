@@ -1,8 +1,13 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"testing"
 
+	"unsnap/internal/fem"
 	"unsnap/internal/mesh"
 	"unsnap/internal/quadrature"
 	"unsnap/internal/xs"
@@ -77,23 +82,8 @@ func TestKernelBatchedBitwise(t *testing.T) {
 		{"vacuum/t4", engineProblem, 4, false},
 		{"reflective/t4", engineProblem, 4, true},
 		{"cyclic/t4", cyclicProblem, 4, false},
-		{"timedep/t2", func(t *testing.T) Config {
-			cfg := engineProblem(t)
-			cfg.MaxInners, cfg.MaxOuters = 2, 1
-			cfg.Time = &TimeConfig{Steps: 2, Dt: 0.5,
-				Velocity: DefaultVelocities(cfg.Lib.NumGroups)}
-			return cfg
-		}, 2, false},
-		{"p1/t2", func(t *testing.T) Config {
-			cfg := engineProblem(t)
-			lib, err := xs.NewLibraryP1(cfg.Lib.NumGroups)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Lib = lib
-			cfg.ScatOrder = 1
-			return cfg
-		}, 2, false},
+		{"timedep/t2", timedepProblem, 2, false},
+		{"p1/t2", p1Problem, 2, false},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
@@ -205,28 +195,340 @@ func TestKernelDGESVBatchedBitwise(t *testing.T) {
 // after warm-up, a full engine sweep — every task body included — must
 // allocate nothing. AllocsPerRun forces GOMAXPROCS(1), so the pin runs
 // the single-threaded engine (inline execution, no pool goroutines); the
-// task body is the same code the pooled workers run.
+// task body is the same code the pooled workers run. The P1 and
+// time-dependent variants hold the mq1 / mPrev source paths to the same
+// contract (the time-dependent one after a stored step, so mPrev is live).
 func TestSweepTaskAllocFree(t *testing.T) {
+	variants := []struct {
+		name string
+		cfg  func(t *testing.T) Config
+	}{
+		{"isotropic", engineProblem},
+		{"p1", p1Problem},
+		{"timedep", timedepProblem},
+	}
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			cfg := v.cfg(t)
+			cfg.Scheme = SchemeEngine
+			cfg.Threads = 1
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			s.ComputeOuterSource()
+			s.PrepareInner()
+			if err := s.SweepAllAngles(); err != nil { // warm-up: builds the engine
+				t.Fatal(err)
+			}
+			if cfg.Time != nil {
+				s.storePrevStep()
+			}
+			avg := testing.AllocsPerRun(5, func() {
+				s.PrepareInner()
+				if err := s.SweepAllAngles(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg != 0 {
+				t.Fatalf("steady-state sweep allocates %.1f objects per sweep, want 0", avg)
+			}
+		})
+	}
+}
+
+// p1Problem is engineProblem with linearly anisotropic scattering.
+func p1Problem(t *testing.T) Config {
 	cfg := engineProblem(t)
-	cfg.Scheme = SchemeEngine
-	cfg.Threads = 1
+	lib, err := xs.NewLibraryP1(cfg.Lib.NumGroups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Lib = lib
+	cfg.ScatOrder = 1
+	return cfg
+}
+
+// timedepProblem is engineProblem stepped twice with BDF1.
+func timedepProblem(t *testing.T) Config {
+	cfg := engineProblem(t)
+	cfg.MaxInners, cfg.MaxOuters = 2, 1
+	cfg.Time = &TimeConfig{Steps: 2, Dt: 0.5,
+		Velocity: DefaultVelocities(cfg.Lib.NumGroups)}
+	return cfg
+}
+
+// fluxDigest hashes the bit patterns of a flux snapshot.
+func fluxDigest(phi, psi []float64) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, vs := range [][]float64{phi, psi} {
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestKernelFluxDigest pins the isotropic steady-state flux of one
+// twisted 4^3 problem (6 groups: one four-group panel plus a two-group
+// tail) to the sha256 the commit before the source hoist produced: moving
+// M q_tot into PrepareInner and the face pass onto the panel routine
+// changed no bit of it, under either kernel.
+func TestKernelFluxDigest(t *testing.T) {
+	const want = "75e16339ca17fc6532b5cbf6306b8ad66e679f1c0256dd2202ce18a3f2c8e51d"
+	for _, k := range []KernelMode{KernelBatched, KernelScalar} {
+		m, q, lib := testProblem(t, 4, 6, 2, 0.004)
+		cfg := Config{Mesh: m, Order: 1, Quad: q, Lib: lib, Threads: 2,
+			MaxInners: 3, MaxOuters: 2, ForceIterations: true}
+		phi, psi := runKernel(t, cfg, k, false)
+		if got := fluxDigest(phi, psi); got != want {
+			t.Errorf("%v kernel: flux digest %s, want %s", k, got, want)
+		}
+	}
+}
+
+// kernelCase is one small problem of the batched-vs-scalar oracle: the
+// table test's matrix as a product space the fuzzer can walk.
+type kernelCase struct {
+	groups  int // 1..9: the four-group panel count and its 0-3 group tail
+	order   int // 1..2
+	twist   float64
+	bc      int // 0 vacuum, 1 reflective, 2 cyclic (lagged couplings), 3 streamed halo
+	mode    int // 0 isotropic, 1 P1, 2 time-dependent
+	threads int // 1..4
+}
+
+func (kc kernelCase) config(t *testing.T) Config {
+	t.Helper()
+	mc := mesh.Config{NX: 3, NY: 3, NZ: 3, LX: 1, LY: 1, LZ: 1, Twist: kc.twist,
+		MatOpt: xs.MatOptCentre, SrcOpt: xs.SrcOptEverywhere}
+	if kc.bc == 2 {
+		mc.Twist, mc.TwistPeriods = 0.8, 1 // 48 lagged couplings on 3^3
+	}
+	m, err := mesh.New(mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := quadrature.NewSNAP(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newLib := xs.NewLibrary
+	if kc.mode == 1 {
+		newLib = xs.NewLibraryP1
+	}
+	lib, err := newLib(kc.groups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Mesh: m, Order: kc.order, Quad: q, Lib: lib, Threads: kc.threads,
+		Scheme: SchemeEngine, MaxInners: 2, MaxOuters: 1, ForceIterations: true,
+		AllowCycles: kc.bc == 2}
+	if kc.mode == 1 {
+		cfg.ScatOrder = 1
+	}
+	if kc.mode == 2 {
+		cfg.Time = &TimeConfig{Steps: 2, Dt: 0.5, Velocity: DefaultVelocities(kc.groups)}
+	}
+	return cfg
+}
+
+// run solves the case under one kernel. The streamed-halo variant drives
+// two sweeps by hand with every +y inflow slot holding a fixed pattern.
+func (kc kernelCase) run(t *testing.T, k KernelMode) (phi, psi []float64) {
+	t.Helper()
+	cfg := kc.config(t)
+	if kc.bc != 3 {
+		return runKernel(t, cfg, k, kc.bc == 1)
+	}
+	re, err := fem.NewRefElement(kc.order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Kernel = k
+	cfg.External = boundaryExternals(cfg.Mesh, re)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.ComputeOuterSource()
-	s.PrepareInner()
-	if err := s.SweepAllAngles(); err != nil { // warm-up: builds the engine
-		t.Fatal(err)
+	for fi := range cfg.External {
+		for a := 0; a < s.nA; a++ {
+			for i, buf := 0, s.ExternalInflowBuffer(fi, a); i < len(buf); i++ {
+				buf[i] = 0.25 + float64((fi*7+a*3+i)%11)/16
+			}
+		}
 	}
-	avg := testing.AllocsPerRun(5, func() {
+	s.ComputeOuterSource()
+	for inner := 0; inner < 2; inner++ {
 		s.PrepareInner()
+		if err := s.ArmSweep(); err != nil {
+			t.Fatal(err)
+		}
+		for a, ang := range cfg.Quad.Angles {
+			for _, ef := range cfg.External {
+				if ExternalInflow(ang.Omega, ef.Normal, ef.Canonical) {
+					s.ResolveExternal(a, ef.Elem)
+				}
+			}
+		}
+		if err := s.FinishSweep(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return snapshotSolver(s)
+}
+
+// checkKernelCase asserts batched == scalar bit for bit on one case.
+func checkKernelCase(t *testing.T, kc kernelCase) {
+	t.Helper()
+	if kc.bc == 3 && kc.mode == 2 {
+		kc.mode = 0 // time stepping runs through Run, which a streamed solver refuses
+	}
+	ref := kc
+	ref.threads = 1
+	refPhi, refPsi := ref.run(t, KernelScalar)
+	phi, psi := kc.run(t, KernelBatched)
+	for i := range refPhi {
+		if math.Float64bits(phi[i]) != math.Float64bits(refPhi[i]) {
+			t.Fatalf("%+v: phi[%d]: batched %v vs scalar %v (not bitwise)", kc, i, phi[i], refPhi[i])
+		}
+	}
+	for i := range refPsi {
+		if math.Float64bits(psi[i]) != math.Float64bits(refPsi[i]) {
+			t.Fatalf("%+v: psi[%d]: batched %v vs scalar %v (not bitwise)", kc, i, psi[i], refPsi[i])
+		}
+	}
+}
+
+// TestKernelPanelTails walks every panel shape — zero to two four-group
+// panels with every tail length — across the boundary kinds, including
+// the streamed-halo slots the table test above cannot reach.
+func TestKernelPanelTails(t *testing.T) {
+	for groups := 1; groups <= 9; groups++ {
+		for bc := 0; bc <= 3; bc++ {
+			checkKernelCase(t, kernelCase{groups: groups, order: 1, twist: 0.004,
+				bc: bc, mode: groups % 3, threads: 1 + groups%4})
+		}
+	}
+}
+
+// FuzzKernelBatchedBitwise is the fuzz twin of TestKernelBatchedBitwise:
+// small problems drawn from the fuzz input, batched == scalar bit for bit.
+func FuzzKernelBatchedBitwise(f *testing.F) {
+	// The table test's matrix: vacuum/t1, vacuum/t4, reflective/t4,
+	// cyclic/t4, timedep/t2, p1/t2 — at group counts with and without a tail.
+	f.Add(uint8(2), uint8(1), uint8(4), uint8(0), uint8(0), uint8(1))
+	f.Add(uint8(8), uint8(1), uint8(4), uint8(0), uint8(0), uint8(4))
+	f.Add(uint8(5), uint8(1), uint8(4), uint8(1), uint8(0), uint8(4))
+	f.Add(uint8(6), uint8(1), uint8(0), uint8(2), uint8(0), uint8(4))
+	f.Add(uint8(7), uint8(1), uint8(4), uint8(0), uint8(2), uint8(2))
+	f.Add(uint8(9), uint8(1), uint8(4), uint8(0), uint8(1), uint8(2))
+	f.Add(uint8(4), uint8(2), uint8(9), uint8(3), uint8(1), uint8(3))
+	f.Fuzz(func(t *testing.T, groups, order, twist, bc, mode, threads uint8) {
+		checkKernelCase(t, kernelCase{
+			groups:  1 + int(groups%9),
+			order:   1 + int(order%2),
+			twist:   float64(twist%16) * 0.001,
+			bc:      int(bc % 4),
+			mode:    int(mode % 3),
+			threads: 1 + int(threads%4),
+		})
+	})
+}
+
+// TestResetStateReproducesFresh: a solver that has run, been reset and
+// run again holds the flux of a fresh solver bit for bit — every iterate
+// ResetState must clear (the stored source products mq / mq1, the
+// time-stepping history mPrev, the lag snapshot) is live in one variant.
+func TestResetStateReproducesFresh(t *testing.T) {
+	variants := []struct {
+		name string
+		cfg  func(t *testing.T) Config
+	}{
+		{"isotropic", engineProblem},
+		{"p1", p1Problem},
+		{"timedep", timedepProblem},
+		{"cyclic", cyclicProblem},
+	}
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			run := func(s *Solver) {
+				t.Helper()
+				var err error
+				if v.name == "timedep" {
+					_, err = s.RunTimeDependent()
+				} else {
+					_, err = s.Run()
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			cfg := v.cfg(t)
+			cfg.Scheme = SchemeEngine
+			cfg.Threads = 2
+			fresh, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fresh.Close()
+			run(fresh)
+			wantPhi, wantPsi := snapshotSolver(fresh)
+
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			run(s)
+			s.ResetState()
+			run(s)
+			phi, psi := snapshotSolver(s)
+			if fluxDigest(phi, psi) != fluxDigest(wantPhi, wantPsi) {
+				t.Fatal("run, ResetState, run differs from a fresh solver's run")
+			}
+		})
+	}
+}
+
+// TestInstrumentChargesSourcePass: with Config.Instrument the per-inner
+// source pass (and the per-step M psi_prev pass) land in the assembly
+// timer, so AssembleTime covers RHS formation that no longer happens
+// inside a task; without it they cost no timer calls.
+func TestInstrumentChargesSourcePass(t *testing.T) {
+	for _, instrument := range []bool{true, false} {
+		cfg := timedepProblem(t)
+		cfg.Scheme = SchemeEngine
+		cfg.Threads = 2
+		cfg.Instrument = instrument
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		pending := func() (ns int64) {
+			for _, st := range s.workers {
+				ns += st.asmNS
+			}
+			return ns
+		}
+		s.ComputeOuterSource()
+		s.PrepareInner()
+		prep := pending()
+		s.storePrevStep()
+		step := pending() - prep
+		if instrument != (prep > 0) || instrument != (step > 0) {
+			t.Fatalf("instrument=%v: source pass charged %d ns, step pass %d ns", instrument, prep, step)
+		}
 		if err := s.SweepAllAngles(); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state sweep allocates %.1f objects per sweep, want 0", avg)
+		if asm, _ := s.PhaseTimes(); instrument && asm.Nanoseconds() < prep+step {
+			t.Fatalf("PhaseTimes assemble %v dropped the %d ns charged before the sweep", asm, prep+step)
+		}
 	}
 }

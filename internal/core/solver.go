@@ -42,12 +42,17 @@ type Solver struct {
 	phi    []float64 // scalar flux
 	phiOld []float64
 	qOuter []float64 // fixed + group-to-group source (per outer)
-	qTot   []float64 // qOuter + within-group source (per inner)
+	// mq is the mass-weighted total source M (qOuter + within-group
+	// scattering): the angle-independent volumetric right-hand side of
+	// every task, formed once per inner by PrepareInner so no task
+	// multiplies by the mass matrix (see loadSource).
+	mq []float64
 
-	// Time-dependent state: previous-step angular flux and the effective
-	// total cross section sigma_t + 1/(v_g dt); for steady runs sigtEff
-	// aliases the library totals and psiPrev is nil.
-	psiPrev []float64
+	// Time-dependent state: the mass-weighted previous-step angular flux
+	// M psi_prev (psi layout) and the effective total cross section
+	// sigma_t + 1/(v_g dt); for steady runs sigtEff aliases the library
+	// totals and mPrev is nil.
+	mPrev   []float64
 	sigtEff [][]float64
 
 	// sigtRuns[m] is the equal-sigma_t run decomposition of sigtEff[m] —
@@ -68,12 +73,13 @@ type Solver struct {
 	// cache; nil when disabled (see newFactorCache for the gates).
 	fc *factorCache
 
-	// P1 scattering state (ScatOrder 1): the current J per dimension and
-	// its source arrays, all in the scalar-flux layout; nil when
-	// isotropic.
+	// P1 scattering state (ScatOrder 1): the current J per dimension, its
+	// outer source and the mass-weighted total first-moment source
+	// mq1[d] = M (qOuter1[d] + within-group P1 scattering), all in the
+	// scalar-flux layout; nil when isotropic.
 	cur     [3][]float64
 	qOuter1 [3][]float64
-	qTot1   [3][]float64
+	mq1     [3][]float64
 
 	workers []*workerState
 
@@ -175,7 +181,7 @@ func New(cfg Config) (*Solver, error) {
 	s.phi = make([]float64, size)
 	s.phiOld = make([]float64, size)
 	s.qOuter = make([]float64, size)
-	s.qTot = make([]float64, size)
+	s.mq = make([]float64, size)
 
 	// Effective total cross section: the steady value, or the steady
 	// value plus the time-absorption term vdelt for BDF1 stepping.
@@ -183,7 +189,7 @@ func New(cfg Config) (*Solver, error) {
 		if err := cfg.Time.validate(s.nG); err != nil {
 			return nil, err
 		}
-		s.psiPrev = make([]float64, s.nA*size)
+		s.mPrev = make([]float64, s.nA*size)
 		s.sigtEff = make([][]float64, len(cfg.Lib.Total))
 		for m := range cfg.Lib.Total {
 			s.sigtEff[m] = make([]float64, s.nG)
@@ -214,13 +220,13 @@ func New(cfg Config) (*Solver, error) {
 		for d := 0; d < 3; d++ {
 			s.cur[d] = make([]float64, size)
 			s.qOuter1[d] = make([]float64, size)
-			s.qTot1[d] = make([]float64, size)
+			s.mq1[d] = make([]float64, size)
 		}
 	}
 
 	s.workers = make([]*workerState, cfg.Threads)
 	for w := range s.workers {
-		s.workers[w] = newWorkerState(art.KernelDims(), cfg.Scheme.EngineBacked())
+		s.workers[w] = newWorkerState(art.KernelDims(), s.nG, cfg.Scheme.EngineBacked())
 	}
 
 	s.fc = newFactorCache(s)
@@ -253,25 +259,47 @@ func (s *Solver) initSweepClosures() {
 
 	lib := s.cfg.Lib
 	p1 := s.cfg.ScatOrder >= 1
-	s.prepInnerFn = func(_, e int) {
+	s.prepInnerFn = func(w, e int) {
+		st := s.workers[w]
 		mat := s.cfg.Mesh.Elems[e].Material
+		n := s.nN
 		for g := 0; g < s.nG; g++ {
 			base := s.phiIdx(e, g)
 			sc := lib.Scatter[mat][g][g]
-			for i := 0; i < s.nN; i++ {
-				s.qTot[base+i] = s.qOuter[base+i] + sc*s.phi[base+i]
+			for i := 0; i < n; i++ {
+				s.mq[base+i] = s.qOuter[base+i] + sc*s.phi[base+i]
 				s.phiOld[base+i] = s.phi[base+i]
 				s.phi[base+i] = 0
 			}
 			if p1 {
 				sc1 := lib.ScatterP1[mat][g][g]
 				for d := 0; d < 3; d++ {
-					for i := 0; i < s.nN; i++ {
-						s.qTot1[d][base+i] = s.qOuter1[d][base+i] + sc1*s.cur[d][base+i]
+					for i := 0; i < n; i++ {
+						s.mq1[d][base+i] = s.qOuter1[d][base+i] + sc1*s.cur[d][base+i]
 						s.cur[d][base+i] = 0
 					}
 				}
 			}
+		}
+		// The source pass: the element's total sources become M q in
+		// place. This is RHS formation hoisted out of the tasks, so it is
+		// charged to the assembly timer.
+		var t0 time.Time
+		if s.cfg.Instrument {
+			t0 = time.Now()
+		}
+		mass := s.em[e].Mass
+		for g := 0; g < s.nG; g++ {
+			base := s.phiIdx(e, g)
+			massApply(s.mq[base:base+n], mass, st.tmp)
+			if p1 {
+				for d := 0; d < 3; d++ {
+					massApply(s.mq1[d][base:base+n], mass, st.tmp)
+				}
+			}
+		}
+		if s.cfg.Instrument {
+			st.asmNS += time.Since(t0).Nanoseconds()
 		}
 	}
 
@@ -386,15 +414,15 @@ func (s *Solver) ResetState() {
 	zero(s.phi)
 	zero(s.phiOld)
 	zero(s.qOuter)
-	zero(s.qTot)
-	if s.psiPrev != nil {
-		zero(s.psiPrev)
+	zero(s.mq)
+	if s.mPrev != nil {
+		zero(s.mPrev)
 	}
 	for d := 0; d < 3; d++ {
 		if s.cur[d] != nil {
 			zero(s.cur[d])
 			zero(s.qOuter1[d])
-			zero(s.qTot1[d])
+			zero(s.mq1[d])
 		}
 	}
 	if s.ext != nil {
@@ -451,7 +479,7 @@ func (s *Solver) preAssemble() error {
 // ---- layout index helpers ----
 
 // phiIdx returns the offset of node 0 of (elem, group) in the scalar-flux
-// sized arrays (phi, phiOld, qOuter, qTot).
+// sized arrays (phi, phiOld, qOuter, mq).
 func (s *Solver) phiIdx(e, g int) int {
 	if s.cfg.Scheme.Layout() == LayoutGE {
 		return (g*s.nE + e) * s.nN

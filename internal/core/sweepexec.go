@@ -28,26 +28,85 @@ type workerState struct {
 	ws      *la.Workspace
 	base    []float64 // engine: -Omega·G + outflow faces, reused per group
 	gather  []int32   // engine: upwind gather node offsets of one face
-	up      []float64 // upwind nodal values in our face ordering
-	qt      []float64 // per-angle effective source (time-dependent runs)
+	fb      []float64 // engine: one face block fused on the fly (no artifact cache)
+	up      []float64 // upwind nodal values in our face ordering, group-major
+	tmp     []float64 // massApply's copy of its operand (the source passes)
 	asmNS   int64
 	solveNS int64
 }
 
 // newWorkerState allocates one worker's scratch, sized from the
-// artifact's kernel dimensions; the base matrix and gather scratch are
-// engine-only and skipped for the legacy bucket schemes.
-func newWorkerState(dims build.KernelDims, engine bool) *workerState {
+// artifact's kernel dimensions and the group count (the batched kernel
+// gathers one face's upwind values for all groups at once); the base
+// matrix, gather indices and fused-block scratch are engine-only and
+// skipped for the legacy bucket schemes.
+func newWorkerState(dims build.KernelDims, nG int, engine bool) *workerState {
 	st := &workerState{
-		ws: la.NewWorkspace(dims.NN),
-		up: make([]float64, dims.NF),
-		qt: make([]float64, dims.NN),
+		ws:  la.NewWorkspace(dims.NN),
+		up:  make([]float64, nG*dims.NF),
+		tmp: make([]float64, dims.NN),
 	}
 	if engine {
 		st.base = make([]float64, dims.NN*dims.NN)
 		st.gather = make([]int32, dims.NF)
+		st.fb = make([]float64, dims.NF*dims.NF)
 	}
 	return st
+}
+
+// massApply overwrites v with M v: row by row, one ascending dot product
+// per entry. That order is part of the bitwise contract — it is what
+// TestKernelFluxDigest's recorded digest was computed with — so it must
+// not be blocked or reordered. tmp (len >= len(v)) receives the operand.
+func massApply(v, mass, tmp []float64) {
+	n := len(v)
+	tmp = tmp[:n:n]
+	copy(tmp, v)
+	for i := range v {
+		// Length-matched reslice: the prove pass drops the tmp[j] bounds
+		// check from the dot product (check_bce).
+		row := mass[i*n : i*n+n][:len(tmp)]
+		acc := 0.0
+		for j, m := range row {
+			acc += m * tmp[j]
+		}
+		v[i] = acc
+	}
+}
+
+// loadSource writes the volumetric right-hand side of (angle, elem) for
+// the len(b)/nN groups starting at g0 into b: the mass-weighted total
+// source PrepareInner stored, plus — by linearity of M — the P1 term
+// 3 Omega . (M q1) and the BDF1 term vdelt_g (M psi_prev). No task
+// multiplies by the mass matrix. Both task kernels build their RHS from
+// this one expression, which is what keeps them bitwise equal. More than
+// one group needs the engine layout, where an element's groups are
+// contiguous.
+func (s *Solver) loadSource(b []float64, a, e, g0 int) {
+	base := s.phiIdx(e, g0)
+	copy(b, s.mq[base:base+len(b)])
+	if s.cfg.ScatOrder >= 1 {
+		om := s.cfg.Quad.Angles[a].Omega
+		m1x := s.mq1[0][base : base+len(b)]
+		m1y := s.mq1[1][base : base+len(b)]
+		m1z := s.mq1[2][base : base+len(b)]
+		for i := range b {
+			b[i] += 3 * (om[0]*m1x[i] + om[1]*m1y[i] + om[2]*m1z[i])
+		}
+	}
+	if s.mPrev != nil {
+		// BDF1: the previous step's angular flux enters the source with
+		// the time-absorption coefficient (SNAP's vdelt * psi_prev).
+		n := s.nN
+		prev := s.mPrev[s.psiIdx(a, e, g0):]
+		for g := 0; g*n < len(b); g++ {
+			vd := s.vdelt(g0 + g)
+			bg := b[g*n : g*n+n]
+			for i, p := range prev[g*n : g*n+n] {
+				bg[i] += vd * p
+			}
+		}
+	}
 }
 
 // assembleMatrix builds the local matrix of (angle, elem, group) into dst
@@ -110,49 +169,16 @@ func (s *Solver) addOutflowFaces(a, e int, dst []float64) {
 	}
 }
 
-// assembleRHS builds b = M q_tot minus the upwind inflow terms for
-// (angle, elem, group) into st.ws.B, gathering neighbour (or halo) values
-// through st.up.
+// assembleRHS builds b = M q_tot (loadSource) minus the upwind inflow
+// terms for (angle, elem, group) into st.ws.B, gathering neighbour (or
+// halo) values through st.up.
 func (s *Solver) assembleRHS(st *workerState, a, e, g int) {
 	em := s.em[e]
 	om := s.cfg.Quad.Angles[a].Omega
 	n := s.nN
 	nf := s.re.NF
 	b := st.ws.B
-	mass := em.Mass
-	base := s.phiIdx(e, g)
-	qt := s.qTot[base : base+n]
-	if s.cfg.ScatOrder >= 1 {
-		// P1: the angular source gains 3 Omega . q1 from the current.
-		q1x := s.qTot1[0][base : base+n]
-		q1y := s.qTot1[1][base : base+n]
-		q1z := s.qTot1[2][base : base+n]
-		for i := 0; i < n; i++ {
-			st.qt[i] = qt[i] + 3*(om[0]*q1x[i]+om[1]*q1y[i]+om[2]*q1z[i])
-		}
-		qt = st.qt
-	}
-	if s.psiPrev != nil {
-		// BDF1: the previous step's angular flux enters the source with
-		// the time-absorption coefficient (SNAP's vdelt * psi_prev).
-		vd := s.vdelt(g)
-		prev := s.psiPrev[s.psiIdx(a, e, g) : s.psiIdx(a, e, g)+n]
-		if &qt[0] != &st.qt[0] {
-			copy(st.qt, qt)
-			qt = st.qt
-		}
-		for i := 0; i < n; i++ {
-			st.qt[i] += vd * prev[i]
-		}
-	}
-	for i := 0; i < n; i++ {
-		row := mass[i*n : (i+1)*n]
-		acc := 0.0
-		for j, v := range row {
-			acc += v * qt[j]
-		}
-		b[i] = acc
-	}
+	s.loadSource(b[:n], a, e, g)
 	t := s.topos[a]
 	for f := 0; f < fem.NumFaces; f++ {
 		if !t.IsInflow(e, f) {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -95,6 +96,7 @@ type jobView struct {
 	Finished  *time.Time  `json:"finished,omitempty"`
 	Inners    int         `json:"inners,omitempty"` // progress so far
 	Error     string      `json:"error,omitempty"`
+	ErrorKind string      `json:"error_kind,omitempty"` // "internal": the solve panicked (a server bug, not the request)
 	Result    *resultView `json:"result,omitempty"`
 }
 
@@ -116,6 +118,10 @@ func (j *job) view() jobView {
 	}
 	if j.err != nil {
 		v.Error = j.err.Error()
+		var ie *internalError
+		if errors.As(j.err, &ie) {
+			v.ErrorKind = "internal"
+		}
 	}
 	if j.res != nil {
 		v.Result = &resultView{

@@ -48,7 +48,9 @@
 // drains the queue and the in-flight jobs, and — if its context expires
 // first — cancels every remaining job through the same context path a
 // DELETE uses, so shutdown can never hang on a stuck solve and never
-// leaks a goroutine (pinned under -race by the package tests).
+// leaks a goroutine (pinned under -race by the package tests). A panic
+// on a job's goroutine fails that job alone — state "failed",
+// "error_kind": "internal" — and the worker goes on to the next job.
 package serve
 
 import (
@@ -117,6 +119,11 @@ type Server struct {
 	wg sync.WaitGroup // workers
 
 	inFlight int // jobs currently executing (mu-guarded)
+
+	// onProgress, when set, runs on the job goroutine after every inner
+	// iteration's event is published: the package tests' seam for
+	// injecting a fault into a running job. Set it before submitting.
+	onProgress func(unsnap.Progress)
 }
 
 // New builds the service and starts its worker pool.
@@ -233,9 +240,24 @@ func (s *Server) worker() {
 	}
 }
 
+// internalError is the terminal error of a job whose solve panicked: a
+// bug in the solver (or a hook), not in the request.
+type internalError struct {
+	value any
+}
+
+func (e *internalError) Error() string {
+	return fmt.Sprintf("serve: internal error: solve panicked: %v", e.value)
+}
+
 // runJob executes one job end to end: a solver built against the shared
 // cache under the job's tenant budget, a progress hook feeding the job's
 // event stream, and a context that both DELETE and Shutdown can cancel.
+// A panic on the job goroutine (solver construction, the iteration loop
+// between sweeps, the progress hook) fails this job with an internalError
+// and leaves the worker, the process and every other tenant's jobs
+// running; a panic on one of the solver's own sweep goroutines is beyond
+// recover's reach.
 func (s *Server) runJob(j *job) {
 	j.mu.Lock()
 	if j.state != StateQueued { // cancelled while queued
@@ -251,6 +273,9 @@ func (s *Server) runJob(j *job) {
 	s.inFlight++
 	s.mu.Unlock()
 	defer func() {
+		if r := recover(); r != nil {
+			j.finish(nil, nil, &internalError{value: r})
+		}
 		s.mu.Lock()
 		s.inFlight--
 		s.mu.Unlock()
@@ -263,6 +288,9 @@ func (s *Server) runJob(j *job) {
 	opts.CacheTenantBytes = s.cfg.TenantBytes
 	opts.Progress = func(p unsnap.Progress) {
 		j.publish(Event{Outer: p.Outer, Inner: p.Inner, Inners: p.Inners, DF: p.DF})
+		if s.onProgress != nil {
+			s.onProgress(p)
+		}
 	}
 
 	solver, err := unsnap.NewSolver(j.prob, opts)

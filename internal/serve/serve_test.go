@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"unsnap"
 	"unsnap/internal/build"
 )
 
@@ -322,6 +323,63 @@ func TestServeCancelMidSweepNoLeak(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d before, %d after shutdown", before, runtime.NumGoroutine())
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// waitTerminal polls a job until it reaches any terminal state.
+func waitTerminal(t *testing.T, ts *httptest.Server, id string) jobView {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if v := getJob(t, ts, id); v.State.terminal() {
+			return v
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never reached a terminal state", id)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestServePanicIsolatedToJob: a panic on a job's goroutine (injected
+// through the progress hook, mid-iteration) fails that job with a
+// structured internal error; the single worker survives it, another
+// tenant's job then completes on the same server, and its event stream
+// closes with the failed state.
+func TestServePanicIsolatedToJob(t *testing.T) {
+	s, ts := startServer(t, Config{MaxConcurrent: 1})
+	armed := true
+	s.onProgress = func(p unsnap.Progress) {
+		if armed && p.Inners == 2 {
+			armed = false // only the worker goroutine touches it
+			panic("injected fault")
+		}
+	}
+	_, m := submit(t, ts, longSpec, "faulty")
+	bad := m["id"].(string)
+	status, m := submit(t, ts, tinySpec, "bystander")
+	if status != http.StatusAccepted {
+		t.Fatalf("second submit: status %d (%v)", status, m)
+	}
+	good := m["id"].(string)
+
+	v := waitTerminal(t, ts, bad)
+	if v.State != StateFailed || v.ErrorKind != "internal" || !strings.Contains(v.Error, "injected fault") {
+		t.Fatalf("panicked job: state %q kind %q error %q, want failed/internal naming the panic", v.State, v.ErrorKind, v.Error)
+	}
+	if v.Inners != 2 || v.Result != nil {
+		t.Fatalf("panicked job reports %d inners and result %+v, want 2 and none", v.Inners, v.Result)
+	}
+	events := readSSE(t, ts, bad)
+	if last := events[len(events)-1]; last.name != "done" || !strings.Contains(last.data, `"failed"`) {
+		t.Fatalf("panicked job's terminal event %+v, want done/failed", last)
+	}
+
+	if v := waitState(t, ts, good, StateDone); v.Result == nil || !v.Result.Converged {
+		t.Fatalf("bystander job after the panic: %+v", v)
+	}
+	if _, inFlight := s.jobCounts(); inFlight != 0 {
+		t.Fatalf("in-flight count %d after both jobs finished, want 0", inFlight)
 	}
 }
 

@@ -48,6 +48,14 @@ go run ./cmd/unsnap-serve -smoke \
 # a short fuzz of the same oracle.
 go test -race -count=1 -run 'Eliminate|Bitwise' ./internal/la
 go test -run '^$' -fuzz=FuzzEliminateBitwise -fuzztime=5s ./internal/la
+# Task-kernel bitwise suite (kernel_test.go): batched == scalar across the
+# boundary / scattering / time-stepping matrix and every four-group panel
+# shape, the parent-commit flux digest, the zero-allocation sweep and
+# reset == fresh — uncached and under the race detector (the source pass
+# in PrepareInner and the face panel share per-worker scratch) — then a
+# short fuzz of the same oracle.
+go test -race -count=1 -run 'Kernel|SweepTaskAllocFree|ResetState|BuildSigtRuns' ./internal/core
+go test -run '^$' -fuzz=FuzzKernelBatchedBitwise -fuzztime=5s ./internal/core
 # Wire-format fuzz: ParseSpec never panics, and every spec it accepts
 # round-trips through SpecOf(Resolve()).
 go test -run '^$' -fuzz=FuzzParseSpec -fuzztime=5s .
