@@ -8,7 +8,6 @@ import (
 
 	"unsnap/internal/accel"
 	"unsnap/internal/fem"
-	"unsnap/internal/la"
 	"unsnap/internal/mesh"
 	"unsnap/internal/quadrature"
 	"unsnap/internal/sweep"
@@ -22,7 +21,7 @@ type Spec struct {
 	Quad  *quadrature.Set
 
 	// Threads bounds the build's own parallelism (element-matrix
-	// integration, fused-face precomputation); <= 0 means GOMAXPROCS. It
+	// integration); <= 0 means GOMAXPROCS. It
 	// does not join the cache key — the product is identical at any
 	// thread count.
 	Threads int
@@ -102,12 +101,6 @@ type Artifact struct {
 	// Distinct counts the deduplicated topologies behind Topos.
 	Distinct int
 
-	// FusedFull is the all-angles pre-fused face-matrix cache
-	// om·Fx + om·Fy + om·Fz, laid out [angle][elem][face][NF*NF], or nil
-	// when it would exceed FusedFaceCacheLimit (solvers then fuse the
-	// three directional factors on the fly).
-	FusedFull []float64
-
 	// Accel is the geometric skeleton of the synthetic diffusion
 	// accelerator (face areas and distances, cell volumes, node
 	// quadrature weights) — cross-section-independent, so it lives here
@@ -160,7 +153,9 @@ func (a *Artifact) Compatible(s *Spec) error {
 // Build runs the full problem build for spec: reference element,
 // face-node matching, element matrices (in parallel), per-ordinate
 // classification with deduplicated schedules, condensations and counter
-// graphs, and the full-tier fused face-matrix cache when it fits.
+// graphs, the DSA geometry and the element geometry classes. No
+// per-ordinate matrix is stored: a local operator that is worth keeping
+// is kept, factored, by the solve layer (core/faccache.go).
 func Build(spec Spec) (*Artifact, error) {
 	threads := spec.Threads
 	if threads <= 0 {
@@ -243,23 +238,6 @@ func Build(spec Spec) (*Artifact, error) {
 		next++
 	}
 	art.GeomClasses = int(next)
-
-	// Fused face matrices: at sizes where every angle fits the cache
-	// budget, pre-fuse om·Fx + om·Fy + om·Fz here so all sharing solvers
-	// read one immutable copy. Above the budget solvers fuse on the fly.
-	block := re.NF * re.NF
-	if FusedCachePlan(nA, nE, block) {
-		art.FusedFull = make([]float64, nA*nE*fem.NumFaces*block)
-		parallelFor(threads, nA*nE, func(_, idx int) {
-			a := idx / nE
-			e := idx % nE
-			om := spec.Quad.Angles[a].Omega
-			for f := 0; f < fem.NumFaces; f++ {
-				dst := art.FusedFull[(idx*fem.NumFaces+f)*block : (idx*fem.NumFaces+f+1)*block]
-				la.Fuse3(dst, em[e].Face[f][0], em[e].Face[f][1], em[e].Face[f][2], om[0], om[1], om[2])
-			}
-		})
-	}
 	art.size = artifactSize(art)
 	return art, nil
 }
@@ -448,7 +426,6 @@ func artifactSize(a *Artifact) int64 {
 			n += int64(len(t.Graph.Indeg)+len(t.Graph.DownOff)+len(t.Graph.Down)+len(t.Graph.Roots)) * 4
 		}
 	}
-	n += int64(len(a.FusedFull)) * 8
 	if g := a.Accel; g != nil {
 		n += int64(len(g.Vol)+len(g.W)) * 8
 		n += int64(len(g.Interior)) * 32
@@ -474,16 +451,4 @@ type KernelDims struct {
 // KernelDims reports the kernel scratch shape baked into the artifact.
 func (a *Artifact) KernelDims() KernelDims {
 	return KernelDims{NN: a.Re.N, NF: a.Re.NF}
-}
-
-// FusedFaceCacheLimit caps the artifact's fused face-matrix cache. The
-// paper-scale Figure 3 problem (288 ordinates, 4096 elements) would need
-// ~0.9 GiB, so it fuses on the fly.
-const FusedFaceCacheLimit = 512 << 20
-
-// FusedCachePlan reports whether the all-angles fused face-matrix cache
-// of the given problem shape fits FusedFaceCacheLimit and is built into
-// the Artifact. block is the per-face matrix size NF*NF.
-func FusedCachePlan(nA, nE, block int) bool {
-	return nA*nE*fem.NumFaces*block*8 <= FusedFaceCacheLimit
 }

@@ -251,16 +251,3 @@ func TestCacheUncacheableSpecBypasses(t *testing.T) {
 		t.Fatalf("uncacheable spec moved cache counters: %+v", st)
 	}
 }
-
-// TestFusedCachePlan pins the fused face-matrix cache decision: the
-// paper-scale Figure 3 problem (288 ordinates, 4096 linear elements, 4
-// nodes per face: ~0.9 GiB) is over the limit and fuses on the fly;
-// bench scale keeps the cache in the artifact.
-func TestFusedCachePlan(t *testing.T) {
-	if FusedCachePlan(288, 4096, 4*4) {
-		t.Fatal("paper-scale fused face cache should exceed the limit")
-	}
-	if !FusedCachePlan(32, 216, 4*4) {
-		t.Fatal("bench-scale fused face cache should fit the limit")
-	}
-}

@@ -2,9 +2,17 @@
 // from the mesh topology and the angular quadrature alone — the
 // face-node matching, the per-element basis-pair matrices, the
 // per-ordinate inflow classification with its deduplicated sweep
-// schedules, cycle condensations and counter graphs, and the pre-fused
-// per-angle face matrices — is computed here, once, into an immutable
-// Artifact keyed by a canonical content fingerprint.
+// schedules, cycle condensations and counter graphs, the DSA geometry
+// and the element geometry classes — is computed here, once, into an
+// immutable Artifact keyed by a canonical content fingerprint.
+//
+// An Artifact holds topology and element matrices only. Nothing in it is
+// a product of an ordinate with a matrix: the face blocks om·Fx + om·Fy +
+// om·Fz and the local operators they enter are formed by the sweep
+// kernels, and the one kind of local operator the solver keeps resident —
+// LU factors — lives per solver in core's factor store
+// (core/faccache.go), which reads the GeomClass ids built here as its
+// sharing key.
 //
 // Splitting the build from the solve makes the expensive setup phase
 // independently cacheable: a Cache (size-bounded, LRU by bytes) hands

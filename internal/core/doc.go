@@ -12,6 +12,21 @@
 // Gaussian elimination vs. the blocked-LU dgesv stand-in) of Table II, and
 // the pre-assembled-matrix mode discussed as future work in section IV-B1.
 //
+// # One resident local operator
+//
+// The paper's question — which part of the local operator A(a,e,g) is
+// worth keeping and which is cheaper to rebuild — has one answer here:
+// LU factors, in the factor store (faccache.go), and nothing else. Face
+// blocks om·Fx + om·Fy + om·Fz are fused per task into worker scratch,
+// the base matrix is assembled per task, and the build artifact carries
+// no per-ordinate matrix. The store has two fill policies over one
+// layout and one fill routine: lazy (the engine's batched kernel; keyed
+// on geometry class, so repeated geometries share factors; all or
+// nothing under a 128 MiB prediction) and eager (Config.PreAssembled;
+// every element its own class, filled in parallel at New, refused above
+// 16 GiB). The engine runs the same cached batched body under both; the
+// bucket schemes read the eager store one group at a time.
+//
 // # Determinism and parity contract
 //
 // Every knob trades time, never the answer. The scheme executors, the
@@ -53,7 +68,10 @@
 // With Config.Instrument the assembly timer therefore covers three
 // places: the in-task assembly (base matrix, face pass, per-run matrix
 // formation), the per-inner source pass inside PrepareInner, and the
-// per-step M psi_prev pass. Each is timed on the worker that ran it and
+// per-step M psi_prev pass. Filling a factor-store entry is charged to
+// the solve timer, whole (its base assembly included): it is the
+// factorisation the cached sweeps stop paying, whether the first task
+// to need the entry fills it or PreAssembled fills them all at New. Each is timed on the worker that ran it and
 // folded into the solver totals at the end of the next sweep, so
 // Result.AssembleTime / PhaseTimes — and the assemble share the paper's
 // tables and the traced benchmark derive from them — still account for

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"unsnap/internal/fem"
 	"unsnap/internal/sweep"
 )
 
@@ -37,10 +36,12 @@ import (
 //     once per sweep in fixed ordinate order, so results are bitwise
 //     identical across runs and across thread counts, with no locks.
 //
-// The engine also reads the artifact's pre-fused per-angle face matrices
-// om·Fx + om·Fy + om·Fz (and assembles the group-independent matrix part
-// once per task), cutting the assembly flops the legacy path spends
-// re-combining the three directional factors for every group.
+// The engine's task body (kernel.go) also fuses each face block
+// om·Fx + om·Fy + om·Fz once per task and assembles the group-independent
+// matrix part once per task, cutting the assembly flops the legacy path
+// spends re-combining the three directional factors for every group; the
+// local operators worth keeping across tasks are kept, factored, in the
+// one factor store (faccache.go).
 
 // ---- work-stealing deque ----
 
@@ -328,11 +329,11 @@ func (s *Solver) ensureEngine() *engine {
 	return s.engine
 }
 
-// Close stops the engine's background workers deterministically. Without
-// it the workers are only reclaimed when the garbage collector notices
-// the solver is unreachable — fine for short-lived solvers, but a
-// process that holds many solvers alive should Close the ones it is done
-// sweeping with. The solver remains fully usable: state queries work,
+// Close stops the engine's and the fork-join pool's background workers
+// deterministically. Without it the workers are only reclaimed when the
+// garbage collector notices the solver is unreachable — fine for
+// short-lived solvers, but a process that holds many solvers alive should
+// Close the ones it is done sweeping with. The solver remains fully usable: state queries work,
 // and a later sweep simply builds a fresh worker pool. Safe to call
 // multiple times, including concurrently: a mutex serialises the
 // teardown, so the second Close observes the cleared engine and is a
@@ -364,7 +365,7 @@ func (s *Solver) closeEngine() {
 // executes inline.
 func (s *Solver) ensureForkJoin() *forkJoin {
 	if s.fj == nil && s.cfg.Threads > 1 {
-		s.fj = newForkJoin(s.cfg.Threads)
+		s.fj = newForkJoin(s, s.cfg.Threads)
 	}
 	return s.fj
 }
@@ -645,21 +646,4 @@ func (s *Solver) octantsFusable() bool { return s.cfg.Boundary == nil }
 // one task graph (diagnostics; meaningful after the first engine sweep).
 func (s *Solver) OctantsFused() bool {
 	return s.engine != nil && s.engine.fused
-}
-
-// ---- pre-fused per-angle face matrices ----
-
-// fusedFaceBlock returns the pre-fused om·Fx + om·Fy + om·Fz face matrix
-// of (angle, elem, face) from the artifact's all-angles cache, or nil
-// when the solver does not use it (bucket executors, or a problem whose
-// cache would exceed build.FusedFaceCacheLimit): assembly then fuses the
-// three directional factors on the fly, with bitwise-identical results.
-func (s *Solver) fusedFaceBlock(a, e, f int) []float64 {
-	if s.fusedFace == nil {
-		return nil
-	}
-	nf := s.re.NF
-	block := nf * nf
-	base := ((a*s.nE+e)*fem.NumFaces + f) * block
-	return s.fusedFace[base : base+block]
 }

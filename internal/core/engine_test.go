@@ -309,21 +309,31 @@ func TestEngineDeterministic(t *testing.T) {
 }
 
 // TestEnginePreassembledMatches checks the engine composes with the
-// pre-factorised matrix mode.
+// pre-factorised matrix mode. PreAssembled is the factor store filled
+// eagerly with every element its own class; the engine then runs the
+// cached batched path, and cached == uncached is bitwise, so the flux is
+// the on-the-fly run's bit for bit, at any thread count of the fill.
 func TestEnginePreassembledMatches(t *testing.T) {
 	base := engineProblem(t)
 	base.Scheme = SchemeEngine
 	base.Threads = 2
-	refPhi, _ := runAndSnapshot(t, base)
+	refPhi, refPsi := runAndSnapshot(t, base)
 
-	pre := engineProblem(t)
-	pre.Scheme = SchemeEngine
-	pre.Threads = 2
-	pre.PreAssembled = true
-	phi, _ := runAndSnapshot(t, pre)
-	for i := range refPhi {
-		if math.Abs(phi[i]-refPhi[i]) > 1e-10*(1+math.Abs(refPhi[i])) {
-			t.Fatalf("phi[%d] pre-assembled %v vs on-the-fly %v", i, phi[i], refPhi[i])
+	for _, threads := range []int{1, 3} {
+		pre := engineProblem(t)
+		pre.Scheme = SchemeEngine
+		pre.Threads = threads
+		pre.PreAssembled = true
+		phi, psi := runAndSnapshot(t, pre)
+		for i := range refPhi {
+			if phi[i] != refPhi[i] {
+				t.Fatalf("threads=%d phi[%d] pre-assembled %v vs on-the-fly %v (not bitwise)", threads, i, phi[i], refPhi[i])
+			}
+		}
+		for i := range refPsi {
+			if psi[i] != refPsi[i] {
+				t.Fatalf("threads=%d psi[%d] pre-assembled %v vs on-the-fly %v (not bitwise)", threads, i, psi[i], refPsi[i])
+			}
 		}
 	}
 }
@@ -404,42 +414,4 @@ func TestEngineCloseAndReuse(t *testing.T) {
 		t.Fatalf("rebuilt pool diverged from uninterrupted solver: %v vs %v", got, want)
 	}
 	s.Close()
-}
-
-// TestEngineFusedCacheDisabled checks the over-limit fallback path (no
-// fused face cache in the artifact): the run keeps the one fused octant
-// phase, fuses the face matrices on the fly and matches the cached run
-// bitwise.
-func TestEngineFusedCacheDisabled(t *testing.T) {
-	cfg := engineProblem(t)
-	cfg.Scheme = SchemeEngine
-	cfg.Threads = 2
-	refPhi, refPsi := runAndSnapshot(t, cfg)
-
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.fusedFace == nil {
-		t.Fatal("bench-scale engine solver should read the artifact's fused face cache")
-	}
-	s.fusedFace = nil // simulate a problem too large for the cache
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !s.OctantsFused() {
-		t.Fatal("an absent face cache must not cost the fused octant phase")
-	}
-	phi, psi := snapshotSolver(s)
-	for i := range refPhi {
-		if phi[i] != refPhi[i] {
-			t.Fatalf("uncached phi[%d] %v vs cached %v", i, phi[i], refPhi[i])
-		}
-	}
-	for i := range refPsi {
-		if psi[i] != refPsi[i] {
-			t.Fatalf("uncached psi[%d] %v vs cached %v", i, psi[i], refPsi[i])
-		}
-	}
 }

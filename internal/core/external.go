@@ -194,11 +194,7 @@ func (s *Solver) FinishSweep() error {
 	p.job = nil
 	p.mu.Unlock()
 	s.reduceFluxFromPsi()
-	for _, st := range s.workers {
-		s.asmNS += st.asmNS
-		s.solveNS += st.solveNS
-		st.asmNS, st.solveNS = 0, 0
-	}
+	s.flushPhaseTimes()
 	job.errMu.Lock()
 	err := job.err
 	job.errMu.Unlock()

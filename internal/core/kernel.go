@@ -20,11 +20,11 @@ import (
 //     remainders from the same kind of stored product). The face pass is
 //     face-outer: the per-face bookkeeping the scalar kernel repeats per
 //     group — inflow classification, neighbour lookup, the conforming-face
-//     permutation chase, the fused face-matrix block offset — happens
-//     once per face, every group's upwind face values are gathered into
-//     one group-major panel, and the face block is applied to the panel
-//     four groups at a time with each block row held in registers
-//     (subInflowPanel, the one face-apply loop of this kernel).
+//     permutation chase, fusing the face block om·Fx + om·Fy + om·Fz —
+//     happens once per face, every group's upwind face values are
+//     gathered into one group-major panel, and the face block is applied
+//     to the panel four groups at a time with each block row held in
+//     registers (subInflowPanel, the one face-apply loop of this kernel).
 //   - Factorisation batching: the per-group matrix is base + sigma_t,g M,
 //     so groups with equal sigma_t share the matrix bitwise. The kernel
 //     factors once per run of equal-sigma_t groups and solves the run's
@@ -34,12 +34,14 @@ import (
 //     one and only the RHS batching pays; on flat-sigma_t groups (and
 //     any within-material group structure with repeats) the whole task
 //     costs one factorisation.
-//   - Factor caching: the matrices themselves repeat across tasks — base
-//     + sigma_t,g M is a pure function of (ordinate, element-geometry
-//     class, outflow set, material) — so on meshes with repeated
-//     geometries a shared cache (faccache.go) factors each distinct
-//     matrix once, process-wide per solver, and matching tasks skip
-//     assembly and factorisation entirely.
+//   - Factor store: the matrices themselves repeat across tasks and
+//     across inners — base + sigma_t,g M is a pure function of (ordinate,
+//     element-geometry class, outflow set, material) — so the solver's
+//     one store of resident local operators (faccache.go) factors each
+//     distinct matrix once, per solver, and matching tasks skip assembly
+//     and factorisation entirely. Filled by the first task to need an
+//     entry, or all at once at New under Config.PreAssembled; either way
+//     this body is the one that runs.
 //   - Zero steady-state allocations: every buffer the body touches is
 //     pre-sized in workerState at pool creation from the artifact's
 //     KernelDims (pinned by TestSweepTaskAllocFree).
@@ -90,18 +92,20 @@ func buildSigtRuns(sigtEff [][]float64) [][]sigtRun {
 // already returned an error can observe.
 func (s *Solver) solveElemBatched(st *workerState, a, e int) error {
 	instr := s.cfg.Instrument
-	var t0 time.Time
-	if instr {
-		t0 = time.Now()
-	}
 	mat := s.cfg.Mesh.Elems[e].Material
-	// Shared factor cache: a ready entry for this task's (ordinate,
-	// geometry class, material) key replaces base assembly, per-run
-	// matrix formation and factorisation with pure triangular solves —
-	// bitwise identical output (see faccache.go).
+	// Factor store: a ready entry for this task's (ordinate, geometry
+	// class, material) key replaces base assembly, per-run matrix
+	// formation and factorisation with pure triangular solves — bitwise
+	// identical output (see faccache.go). The lookup runs before the
+	// assembly timer starts: a task that fills the entry charges the fill
+	// to the solve timer itself.
 	var fent *facEntry
 	if s.fc != nil {
 		fent = s.fc.acquire(s, st, a, e, mat)
+	}
+	var t0 time.Time
+	if instr {
+		t0 = time.Now()
 	}
 	if fent == nil {
 		s.assembleBase(a, e, st.base)
@@ -239,10 +243,10 @@ func (s *Solver) assembleRHSAll(st *workerState, rhs []float64, a, e int) {
 // subInflowPanel subtracts one inflow face's surface term from the RHS of
 // len(up)/nf consecutive groups: rhs holds their nN-vectors and up their
 // upwind face values (nf each, in our face-node ordering), both
-// group-major. The nf x nf face block comes pre-fused from the artifact
-// or is fused into worker scratch first (the same sum the scalar kernel
-// forms entry by entry). Groups go four at a time: each block row is
-// loaded once and feeds four independent accumulators, which is what
+// group-major. The nf x nf face block om·Fx + om·Fy + om·Fz is fused into
+// worker scratch first, once for all groups (the same sum the scalar
+// kernel forms entry by entry). Groups go four at a time: each block row
+// is loaded once and feeds four independent accumulators, which is what
 // lifts the pass off the one-add-latency-per-term chain of a single dot
 // product; the nG mod 4 tail runs one group at a time. Per (group, row)
 // the order over l, and per RHS entry the order over faces, are the
@@ -256,13 +260,10 @@ func (s *Solver) subInflowPanel(st *workerState, rhs, up []float64, a, e, f int)
 	if k == 0 {
 		return
 	}
-	fb := s.fusedFaceBlock(a, e, f)
-	if fb == nil {
-		om := s.cfg.Quad.Angles[a].Omega
-		face := &s.em[e].Face[f]
-		fb = st.fb[: nf*nf : nf*nf]
-		la.Fuse3(fb, face[0], face[1], face[2], om[0], om[1], om[2])
-	}
+	om := s.cfg.Quad.Angles[a].Omega
+	face := &s.em[e].Face[f]
+	fb := st.fb[: nf*nf : nf*nf]
+	la.Fuse3(fb, face[0], face[1], face[2], om[0], om[1], om[2])
 	fn := s.re.FaceNodes[f]
 	g := 0
 	for ; g+4 <= k; g += 4 {

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"unsnap/internal/fem"
 	"unsnap/internal/mesh"
@@ -197,7 +199,8 @@ func TestKernelDGESVBatchedBitwise(t *testing.T) {
 // the single-threaded engine (inline execution, no pool goroutines); the
 // task body is the same code the pooled workers run. The P1 and
 // time-dependent variants hold the mq1 / mPrev source paths to the same
-// contract (the time-dependent one after a stored step, so mPrev is live).
+// contract (the time-dependent one after a stored step, so mPrev is live),
+// and the PreAssembled one the eagerly filled factor store.
 func TestSweepTaskAllocFree(t *testing.T) {
 	variants := []struct {
 		name string
@@ -206,6 +209,11 @@ func TestSweepTaskAllocFree(t *testing.T) {
 		{"isotropic", engineProblem},
 		{"p1", p1Problem},
 		{"timedep", timedepProblem},
+		{"preassembled", func(t *testing.T) Config {
+			cfg := engineProblem(t)
+			cfg.PreAssembled = true
+			return cfg
+		}},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
@@ -530,5 +538,144 @@ func TestInstrumentChargesSourcePass(t *testing.T) {
 		if asm, _ := s.PhaseTimes(); instrument && asm.Nanoseconds() < prep+step {
 			t.Fatalf("PhaseTimes assemble %v dropped the %d ns charged before the sweep", asm, prep+step)
 		}
+	}
+}
+
+// TestPreAssembledStoreOneFactorPerRun pins what makes PreAssembled a
+// fill policy of the factor store rather than a store of its own: every
+// element is its own class, every entry is ready when New returns, and an
+// entry holds one factor per sigma_t run — one on a flat-sigma_t library,
+// not one per group. The bucket executors read the same entries through
+// factor's group -> run lookup and still match on-the-fly assembly.
+func TestPreAssembledStoreOneFactorPerRun(t *testing.T) {
+	cfg := flatSigtConfig(t, 4)
+	cfg.Scheme = SchemeEngine
+	cfg.Threads = 3
+	cfg.PreAssembled = true
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.fc == nil || s.fc.nSlots != s.nE {
+		t.Fatalf("eager store: %+v, want one slot per element (%d)", s.fc, s.nE)
+	}
+	if len(s.fc.entries) != s.nA*s.nE {
+		t.Fatalf("eager store has %d entries, want %d", len(s.fc.entries), s.nA*s.nE)
+	}
+	for i := range s.fc.entries {
+		ent := &s.fc.entries[i]
+		if ent.state.Load() != facReady {
+			t.Fatalf("entry %d not ready after New", i)
+		}
+		if len(ent.mats) != 1 {
+			t.Fatalf("entry %d holds %d factors on a flat library of %d groups, want 1", i, len(ent.mats), s.nG)
+		}
+	}
+	for g := 0; g < s.nG; g++ {
+		if m, _ := s.fc.factor(s, 0, 0, g); m != &s.fc.entries[0].mats[0] {
+			t.Fatalf("group %d does not resolve to the element's one run", g)
+		}
+	}
+
+	run := func(pre bool) float64 {
+		cfg := flatSigtConfig(t, 4)
+		cfg.Scheme = SchemeAGE
+		cfg.Threads = 2
+		cfg.PreAssembled = pre
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return s.FluxIntegral(s.nG - 1)
+	}
+	if a, b := run(false), run(true); math.Abs(a-b) > 1e-9*(1+math.Abs(a)) {
+		t.Fatalf("bucket scheme over the eager store diverges: %v vs %v", b, a)
+	}
+}
+
+// TestInstrumentChargesFillToSolve: filling a factor-store entry is
+// factorisation work, so with Config.Instrument it lands in the solve
+// timer and not in the assembly timer — for the lazy fill a task performs
+// in its first sweep and for PreAssembled's eager fill at New — and
+// without Instrument it costs no timer calls.
+func TestInstrumentChargesFillToSolve(t *testing.T) {
+	for _, instrument := range []bool{true, false} {
+		cfg := engineProblem(t)
+		cfg.Scheme = SchemeEngine
+		cfg.Threads = 1
+		cfg.Instrument = instrument
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := s.workers[0]
+		ent := s.fc.acquire(s, st, 0, 0, cfg.Mesh.Elems[0].Material)
+		if ent == nil || ent.state.Load() != facReady {
+			t.Fatal("first acquire did not fill the entry")
+		}
+		if st.asmNS != 0 || instrument != (st.solveNS > 0) {
+			t.Fatalf("instrument=%v: lazy fill charged assemble %d ns, solve %d ns", instrument, st.asmNS, st.solveNS)
+		}
+		before := st.solveNS
+		if s.fc.acquire(s, st, 0, 0, cfg.Mesh.Elems[0].Material) != ent || st.solveNS != before {
+			t.Fatal("a hit on a ready entry must return it and charge nothing")
+		}
+		s.Close()
+
+		cfg.PreAssembled = true
+		cfg.Threads = 2
+		s, err = New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		asm, solve := s.PhaseTimes()
+		if asm != 0 || instrument != (solve > 0) {
+			t.Fatalf("instrument=%v: eager fill charged assemble %v, solve %v", instrument, asm, solve)
+		}
+		s.Close()
+	}
+}
+
+// TestUnclosedSolverIsCollected pins Close's documented fallback: a
+// multi-thread solver that is run and dropped without Close is reclaimed
+// by the garbage collector, fork-join and engine workers included. A
+// parked fork-join worker must therefore hold nothing that reaches the
+// solver between rounds. The goroutine count may start above zero (other
+// tests drop solvers too); it must come back to where it started.
+func TestUnclosedSolverIsCollected(t *testing.T) {
+	// Cleanups run on their own goroutine some time after a cycle, so
+	// collect repeatedly: a fixed few rounds for the baseline (solvers
+	// earlier tests dropped go too), then until the count is back.
+	collect := func() {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	for i := 0; i < 5; i++ {
+		collect()
+	}
+	base := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		cfg := engineProblem(t)
+		cfg.Scheme = SchemeEngine
+		cfg.Threads = 3
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		collect()
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after dropping five Threads=3 solvers and collecting, baseline %d", n, base)
 	}
 }

@@ -1,6 +1,9 @@
 package core
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+)
 
 // parallelFor runs fn(worker, i) for i in [0, n) over a pool of `workers`
 // goroutines with static chunked distribution, the Go analogue of an
@@ -42,17 +45,25 @@ func parallelFor(workers, n int, fn func(worker, i int)) {
 // worked to eliminate (pinned by TestSweepAllocFree).
 type forkJoin struct {
 	// body is the current round's work, set by run before the workers are
-	// released; the channel send orders the write before each worker's
-	// read, and wg.Wait orders the reads before run returns.
+	// released and cleared when the round ends; the channel send orders the
+	// write before each worker's read, and wg.Wait orders the reads before
+	// run returns. A parked worker holds fj, so a body left in place would
+	// root whatever its closure captures — the Solver — for as long as the
+	// goroutine lives.
 	body  func(w int)
 	start []chan struct{}
 	wg    sync.WaitGroup
 	quit  chan struct{}
+	// cleanup is the GC-path stop registered by newForkJoin; close cancels
+	// it, as engine.shutdown does for the engine pool's.
+	cleanup runtime.Cleanup
 }
 
 // newForkJoin starts workers-1 parked goroutines (the caller acts as
-// worker 0).
-func newForkJoin(workers int) *forkJoin {
+// worker 0) and registers a runtime cleanup that releases them when owner
+// becomes unreachable without a close. The goroutines hold no reference
+// to owner between rounds (see body), so that cleanup can fire.
+func newForkJoin(owner *Solver, workers int) *forkJoin {
 	fj := &forkJoin{quit: make(chan struct{})}
 	if workers > 1 {
 		fj.start = make([]chan struct{}, workers-1)
@@ -74,6 +85,7 @@ func newForkJoin(workers int) *forkJoin {
 			}
 		}()
 	}
+	fj.cleanup = runtime.AddCleanup(owner, func(q chan struct{}) { close(q) }, quit)
 	return fj
 }
 
@@ -92,41 +104,15 @@ func (fj *forkJoin) run(body func(w int)) {
 	}
 	body(0)
 	fj.wg.Wait()
+	fj.body = nil
 }
 
 // close releases the parked workers; the pool must be idle. (Solver.Close
 // serialises callers and drops its pool reference, so close runs once.)
 func (fj *forkJoin) close() {
 	if fj != nil && fj.quit != nil {
+		fj.cleanup.Stop() // explicit stop supersedes the GC-path registration
 		close(fj.quit)
 		fj.quit = nil
 	}
-}
-
-// parallelRanges statically splits [0, n) into one contiguous range per
-// worker and runs fn(worker, lo, hi) on each — the chunked variant of
-// parallelFor for vector kernels that want whole slices rather than
-// single indices (the engine's flux reduction).
-func parallelRanges(workers, n int, fn func(worker, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
 }

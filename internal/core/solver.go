@@ -69,8 +69,10 @@ type Solver struct {
 	dsaDphi []float64
 	dsaCorr []float64
 
-	// fc is the batched kernel's shared (geometry class, material) factor
-	// cache; nil when disabled (see newFactorCache for the gates).
+	// fc is the factor store, the one resident form of a local operator:
+	// filled lazily by the batched kernel's tasks, or eagerly at New under
+	// Config.PreAssembled; nil when the solver keeps no factors (see
+	// newFactorCache for the gates).
 	fc *factorCache
 
 	// P1 scattering state (ScatOrder 1): the current J per dimension, its
@@ -84,11 +86,8 @@ type Solver struct {
 	workers []*workerState
 
 	// The persistent sweep engine (engine-backed schemes only, built on
-	// first use) and its view of the artifact's pre-fused per-angle face
-	// matrices (nil for bucket executors, or when the artifact carries
-	// none: assembly then fuses on the fly); see engine.go.
-	engine    *engine
-	fusedFace []float64
+	// first use); see engine.go.
+	engine *engine
 
 	// Streamed halo coupling (Config.External) and the sticky cancel flag
 	// of the externally-driven sweep API; see external.go.
@@ -101,11 +100,6 @@ type Solver struct {
 	// down exactly once. Close-vs-sweep remains the caller's contract.
 	closeMu sync.Mutex
 
-	// pre-assembled factored matrices (PreAssembled mode):
-	// preA[(a*nE+e)*nG+g] and prePiv likewise.
-	preA   []la.Matrix
-	prePiv [][]int
-
 	// Persistent per-sweep helpers: the shared error sink every task of a
 	// self-driven sweep records into, plus the closures SweepAllAngles,
 	// PrepareInner and the flux reduction hand to the parallel loops —
@@ -115,7 +109,6 @@ type Solver struct {
 	sweepErr    error
 	recordFn    func(error)
 	prepInnerFn func(w, e int)
-	reduceFn    func(w, lo, hi int)
 
 	// fj runs those closures over a persistent worker pool (nil at one
 	// thread — the loops then run inline); prepRoundFn and reduceRoundFn
@@ -138,8 +131,8 @@ type Solver struct {
 // (Config.Artifact), cached (Config.Cache) or built privately — and
 // allocates the per-solve state arrays in the scheme's layout. The
 // artifact carries everything topology-derived (face matching, element
-// matrices, per-ordinate schedules and condensations, the full-tier
-// fused face cache); a cache hit therefore skips the entire build phase.
+// matrices, per-ordinate schedules and condensations); a cache hit
+// therefore skips the entire build phase.
 func New(cfg Config) (*Solver, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -161,10 +154,6 @@ func New(cfg Config) (*Solver, error) {
 		nG:    cfg.Lib.NumGroups,
 		nN:    art.Re.N,
 		nA:    cfg.Quad.NumAngles(),
-	}
-
-	if cfg.Scheme.EngineBacked() {
-		s.fusedFace = art.FusedFull
 	}
 
 	// Per-solve view of the streamed halo faces (the classification
@@ -229,12 +218,8 @@ func New(cfg Config) (*Solver, error) {
 		s.workers[w] = newWorkerState(art.KernelDims(), s.nG, cfg.Scheme.EngineBacked())
 	}
 
-	s.fc = newFactorCache(s)
-
-	if cfg.PreAssembled {
-		if err := s.preAssemble(); err != nil {
-			return nil, err
-		}
+	if s.fc, err = newFactorCache(s); err != nil {
+		return nil, err
 	}
 	s.initSweepClosures()
 	s.setupTime = time.Since(start)
@@ -309,25 +294,20 @@ func (s *Solver) initSweepClosures() {
 			s.prepInnerFn(w, e)
 		}
 	}
-	s.reduceRoundFn = func(w int) {
-		n := len(s.phi)
-		if lo, hi := w*n/threads, (w+1)*n/threads; lo < hi {
-			s.reduceFn(w, lo, hi)
-		}
-	}
 	angles := s.cfg.Quad.Angles
 	size := s.nE * s.nG * s.nN
-	s.reduceFn = func(_, lo, hi int) {
+	s.reduceRoundFn = func(w int) {
+		lo, hi := w*size/threads, (w+1)*size/threads
 		// Read s.psi through the solver: rotateLagSnapshot swaps the
 		// buffers, so a captured slice would go stale.
 		for a := range angles {
-			w := angles[a].Weight
+			wt := angles[a].Weight
 			ps := s.psi[a*size+lo : a*size+hi]
-			la.AddScaled(s.phi[lo:hi], ps, w)
+			la.AddScaled(s.phi[lo:hi], ps, wt)
 			if p1 {
 				om := angles[a].Omega
 				for d := 0; d < 3; d++ {
-					la.AddScaled(s.cur[d][lo:hi], ps, w*om[d])
+					la.AddScaled(s.cur[d][lo:hi], ps, wt*om[d])
 				}
 			}
 		}
@@ -441,39 +421,6 @@ func (s *Solver) rotateLagSnapshot() {
 	if s.psiLag != nil {
 		s.psi, s.psiLag = s.psiLag, s.psi
 	}
-}
-
-// preAssemble builds and factorises every (angle, element, group) matrix.
-func (s *Solver) preAssemble() error {
-	total := s.nA * s.nE * s.nG
-	// Guard against absurd memory demands: the paper notes this costs a
-	// factor of numNodes over the (already large) angular flux array.
-	if bytes := total * s.nN * s.nN * 8; bytes > 16<<30 {
-		return fmt.Errorf("core: pre-assembled matrices would need %d GiB; refuse above 16 GiB", bytes>>30)
-	}
-	s.preA = make([]la.Matrix, total)
-	s.prePiv = make([][]int, total)
-	var mu sync.Mutex
-	var firstErr error
-	parallelFor(s.cfg.Threads, total, func(_, idx int) {
-		g := idx % s.nG
-		e := (idx / s.nG) % s.nE
-		a := idx / (s.nG * s.nE)
-		m := la.NewMatrix(s.nN)
-		s.assembleMatrix(a, e, g, m.Data)
-		piv := make([]int, s.nN)
-		if err := la.FactorBlocked(m, piv, la.DefaultBlockSize); err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("core: pre-factorising angle %d elem %d group %d: %w", a, e, g, err)
-			}
-			mu.Unlock()
-			return
-		}
-		s.preA[idx] = *m
-		s.prePiv[idx] = piv
-	})
-	return firstErr
 }
 
 // ---- layout index helpers ----

@@ -26,9 +26,9 @@ var errEngineStalled = errors.New("core: sweep engine stalled with unfinished el
 // directly in the task's psi slab (see solveElemBatched).
 type workerState struct {
 	ws      *la.Workspace
-	base    []float64 // engine: -Omega·G + outflow faces, reused per group
+	base    []float64 // -Omega·G + outflow faces, reused per group (engine tasks, store fills)
 	gather  []int32   // engine: upwind gather node offsets of one face
-	fb      []float64 // engine: one face block fused on the fly (no artifact cache)
+	fb      []float64 // engine: the face block subInflowPanel fuses per inflow face
 	up      []float64 // upwind nodal values in our face ordering, group-major
 	tmp     []float64 // massApply's copy of its operand (the source passes)
 	asmNS   int64
@@ -37,17 +37,18 @@ type workerState struct {
 
 // newWorkerState allocates one worker's scratch, sized from the
 // artifact's kernel dimensions and the group count (the batched kernel
-// gathers one face's upwind values for all groups at once); the base
-// matrix, gather indices and fused-block scratch are engine-only and
-// skipped for the legacy bucket schemes.
+// gathers one face's upwind values for all groups at once); the gather
+// indices and fused-block scratch are engine-only and skipped for the
+// legacy bucket schemes (which still need base: the factor store's eager
+// fill runs under every scheme).
 func newWorkerState(dims build.KernelDims, nG int, engine bool) *workerState {
 	st := &workerState{
-		ws:  la.NewWorkspace(dims.NN),
-		up:  make([]float64, nG*dims.NF),
-		tmp: make([]float64, dims.NN),
+		ws:   la.NewWorkspace(dims.NN),
+		base: make([]float64, dims.NN*dims.NN),
+		up:   make([]float64, nG*dims.NF),
+		tmp:  make([]float64, dims.NN),
 	}
 	if engine {
-		st.base = make([]float64, dims.NN*dims.NN)
 		st.gather = make([]int32, dims.NF)
 		st.fb = make([]float64, dims.NF*dims.NF)
 	}
@@ -111,7 +112,7 @@ func (s *Solver) loadSource(b []float64, a, e, g0 int) {
 
 // assembleMatrix builds the local matrix of (angle, elem, group) into dst
 // (length nN*nN): sigma_t M - sum_d Omega_d G^d plus the outflow face
-// terms. It is shared by the sweep and the pre-assembly pass.
+// terms.
 func (s *Solver) assembleMatrix(a, e, g int, dst []float64) {
 	em := s.em[e]
 	om := s.cfg.Quad.Angles[a].Omega
@@ -135,8 +136,7 @@ func (s *Solver) assembleBase(a, e int, dst []float64) {
 }
 
 // addOutflowFaces accumulates the outflow surface terms of (angle, elem)
-// into the local matrix, through the pre-fused per-angle face cache when
-// available.
+// into the local matrix.
 func (s *Solver) addOutflowFaces(a, e int, dst []float64) {
 	om := s.cfg.Quad.Angles[a].Omega
 	em := s.em[e]
@@ -148,16 +148,6 @@ func (s *Solver) addOutflowFaces(a, e int, dst []float64) {
 			continue
 		}
 		fn := s.re.FaceNodes[f]
-		if fb := s.fusedFaceBlock(a, e, f); fb != nil {
-			for k, gi := range fn {
-				row := dst[gi*n : (gi+1)*n]
-				fr := fb[k*nf : (k+1)*nf]
-				for l, gj := range fn {
-					row[gj] += fr[l]
-				}
-			}
-			continue
-		}
 		fx, fy, fz := em.Face[f][0], em.Face[f][1], em.Face[f][2]
 		for k, gi := range fn {
 			row := dst[gi*n : (gi+1)*n]
@@ -217,17 +207,6 @@ func (s *Solver) assembleRHS(st *workerState, a, e, g int) {
 			continue // vacuum
 		}
 		fn := s.re.FaceNodes[f]
-		if fb := s.fusedFaceBlock(a, e, f); fb != nil {
-			for k, gi := range fn {
-				fr := fb[k*nf : (k+1)*nf]
-				acc := 0.0
-				for l := 0; l < nf; l++ {
-					acc += fr[l] * up[l]
-				}
-				b[gi] -= acc
-			}
-			continue
-		}
 		fx, fy, fz := em.Face[f][0], em.Face[f][1], em.Face[f][2]
 		for k, gi := range fn {
 			fr := k * nf
@@ -243,8 +222,9 @@ func (s *Solver) assembleRHS(st *workerState, a, e, g int) {
 }
 
 // solveLocal runs the configured dense solver on the system prepared in
-// st.ws (or the pre-factorised matrix), leaving the solution in st.ws.X,
-// and charges the time to the worker's solve accumulator.
+// st.ws (under PreAssembled, the triangular solves on the factor store's
+// matrix), leaving the solution in st.ws.X, and charges the time to the
+// worker's solve accumulator.
 func (s *Solver) solveLocal(st *workerState, a, e, g int) error {
 	var t1 time.Time
 	if s.cfg.Instrument {
@@ -252,9 +232,9 @@ func (s *Solver) solveLocal(st *workerState, a, e, g int) error {
 	}
 	x := st.ws.X
 	switch {
-	case s.preA != nil:
-		idx := (a*s.nE+e)*s.nG + g
-		la.SolveFactored(&s.preA[idx], s.prePiv[idx], st.ws.B)
+	case s.cfg.PreAssembled:
+		m, piv := s.fc.factor(s, a, e, g)
+		la.SolveFactored(m, piv, st.ws.B)
 		copy(x, st.ws.B)
 	case s.cfg.Solver == SolverGE:
 		if err := la.SolveGE(st.ws.A, st.ws.B, x); err != nil {
@@ -281,7 +261,7 @@ func (s *Solver) solveOne(st *workerState, a, e, g int) error {
 	if instr {
 		t0 = time.Now()
 	}
-	if s.preA == nil {
+	if !s.cfg.PreAssembled {
 		s.assembleMatrix(a, e, g, st.ws.A.Data)
 	}
 	s.assembleRHS(st, a, e, g)
@@ -320,13 +300,13 @@ func (s *Solver) solveOne(st *workerState, a, e, g int) error {
 // (angle, elem) task. The default batched kernel (kernel.go) factors
 // once per sigma_t run and solves the run's groups as a multi-RHS block;
 // the scalar kernel below is the pre-batching baseline, kept for A/B
-// benchmarking and as the bitwise-parity reference (and it also carries
-// the pre-assembled-matrix mode, whose per-group factors leave nothing
-// to batch). The scalar flux is NOT accumulated here — the engine
+// benchmarking and as the bitwise-parity reference. Config.Kernel alone
+// chooses; PreAssembled is a fill policy of the factor store either
+// kernel reads. The scalar flux is NOT accumulated here — the engine
 // reduces it from psi once per sweep, in deterministic ordinate order
 // (see reduceFluxFromPsi).
 func (s *Solver) solveElem(st *workerState, a, e int) error {
-	if s.preA == nil && s.cfg.Kernel == KernelBatched {
+	if s.cfg.Kernel == KernelBatched {
 		return s.solveElemBatched(st, a, e)
 	}
 	return s.solveElemScalar(st, a, e)
@@ -339,7 +319,7 @@ func (s *Solver) solveElem(st *workerState, a, e int) error {
 // executors) and the first error is returned.
 func (s *Solver) solveElemScalar(st *workerState, a, e int) error {
 	instr := s.cfg.Instrument
-	pre := s.preA != nil
+	pre := s.cfg.PreAssembled // solveLocal reads the stored factor: no matrix to form
 	var t0 time.Time
 	if instr {
 		t0 = time.Now()
@@ -405,12 +385,18 @@ func (s *Solver) SweepAllAngles() error {
 			}
 		}
 	}
+	s.flushPhaseTimes()
+	return s.sweepErr
+}
+
+// flushPhaseTimes folds the workers' local timer accumulators into the
+// solver totals PhaseTimes reports; the solver must be quiescent.
+func (s *Solver) flushPhaseTimes() {
 	for _, st := range s.workers {
 		s.asmNS += st.asmNS
 		s.solveNS += st.solveNS
 		st.asmNS, st.solveNS = 0, 0
 	}
-	return s.sweepErr
 }
 
 // sweepAngle processes one ordinate bucket by bucket under the scheme's

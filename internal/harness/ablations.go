@@ -243,6 +243,7 @@ func RunPreassembled(p unsnap.Problem, orders []int, inners int) ([]Preassembled
 				return nil, err
 			}
 			res, err := s.Run()
+			s.Close()
 			if err != nil {
 				return nil, err
 			}

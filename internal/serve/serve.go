@@ -5,7 +5,7 @@
 //
 // The economics are the point. Everything expensive about a transport
 // solve — face matching, per-element DG matrices, inflow classification,
-// SCC condensation, sweep graphs, the fused face-matrix cache — is
+// SCC condensation, sweep graphs, the DSA geometry — is
 // per-topology, not per-job (the PR 7 build/solve split), so a service
 // that keeps one content-addressed build.Cache alive amortises that setup
 // across every job that shares a mesh fingerprint: N submissions of one

@@ -53,8 +53,11 @@ go test -run '^$' -fuzz=FuzzEliminateBitwise -fuzztime=5s ./internal/la
 # shape, the parent-commit flux digest, the zero-allocation sweep and
 # reset == fresh — uncached and under the race detector (the source pass
 # in PrepareInner and the face panel share per-worker scratch) — then a
-# short fuzz of the same oracle.
-go test -race -count=1 -run 'Kernel|SweepTaskAllocFree|ResetState|BuildSigtRuns' ./internal/core
+# short fuzz of the same oracle. The PreAssembled tests ride the same
+# line: the factor store's eager fill is a parallel writer over that
+# per-worker scratch, and the unclosed-solver leak test only means
+# something with the detector on.
+go test -race -count=1 -run 'Kernel|SweepTaskAllocFree|ResetState|BuildSigtRuns|PreAssembled|Preassembled|UnclosedSolver' ./internal/core
 go test -run '^$' -fuzz=FuzzKernelBatchedBitwise -fuzztime=5s ./internal/core
 # Wire-format fuzz: ParseSpec never panics, and every spec it accepts
 # round-trips through SpecOf(Resolve()).

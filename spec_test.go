@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+	"time"
 )
 
 // specLegal gives every SpecOptions field a legal non-default value. A
@@ -100,6 +101,72 @@ func TestSpecResolveRoundTrip(t *testing.T) {
 	for name := range specLegal {
 		if !covered[name] {
 			t.Errorf("SpecOptions.%s was never set to a non-default value", name)
+		}
+	}
+}
+
+// optionsLegal gives every Options field a legal non-default value, as
+// specLegal does for the wire form. A field added to Options without an
+// entry here fails TestOptionsReachCoreConfig.
+var optionsLegal = map[string]any{
+	"Scheme": AEG, "Threads": 2, "Solver": DGESV, "Protocol": CommPipelined,
+	"Accelerate": AccelDSA, "Epsi": 1e-5, "MaxInners": 7, "MaxOuters": 3,
+	"ForceIterations": true, "AllowCycles": true, "CycleOrder": OrderFeedbackArc,
+	"PreAssembled": true, "Instrument": true, "Reflect": [3]bool{true, false, true},
+	"TimeSteps": 2, "TimeDt": 0.25, "Deadline": time.Second,
+	"FailurePolicy": FailurePolicy{Mode: FailRetry}, "HealthChecks": true, "Fault": &FaultSchedule{},
+	"Artifact": &Artifact{}, "Cache": NewCache(1 << 20), "CacheTenant": "t",
+	"CacheTenantBytes": int64(1 << 20), "Progress": func(Progress) {},
+}
+
+// optionsFacadeOnly lists the Options fields the facade consumes itself
+// (the distributed driver's knobs, the boundary callback it installs, the
+// run deadline); every other field must reach core.Config, under its own
+// name unless optionsCoreName renames it.
+var (
+	optionsFacadeOnly = map[string]bool{
+		"Protocol": true, "Reflect": true, "Deadline": true, "FailurePolicy": true, "Fault": true,
+	}
+	optionsCoreName = map[string]string{"TimeSteps": "Time", "TimeDt": "Time"}
+)
+
+// TestOptionsReachCoreConfig pins the Options -> core.Config hand copy by
+// reflection: with every Options field set to a non-default value,
+// coreConfig yields a Config whose counterpart field is non-zero. A knob
+// added to Options and forgotten in coreConfig — how PR 7 found ScatOrder
+// silently dropped on the distributed path — fails here.
+func TestOptionsReachCoreConfig(t *testing.T) {
+	var o Options
+	ov := reflect.ValueOf(&o).Elem()
+	for i := 0; i < ov.NumField(); i++ {
+		name := ov.Type().Field(i).Name
+		val, ok := optionsLegal[name]
+		if !ok {
+			t.Fatalf("Options.%s has no legal non-default value in optionsLegal", name)
+		}
+		ov.Field(i).Set(reflect.ValueOf(val))
+	}
+	p := DefaultProblem()
+	p.ScatOrder = 1
+	cfg := coreConfig(p, o, nil, nil, nil)
+	if cfg.ScatOrder != 1 || cfg.Order != p.Order {
+		t.Errorf("Problem.ScatOrder / Order did not reach core.Config: %d / %d", cfg.ScatOrder, cfg.Order)
+	}
+	cv := reflect.ValueOf(cfg)
+	for i := 0; i < ov.NumField(); i++ {
+		name := ov.Type().Field(i).Name
+		if optionsFacadeOnly[name] {
+			continue
+		}
+		core := name
+		if renamed, ok := optionsCoreName[name]; ok {
+			core = renamed
+		}
+		f := cv.FieldByName(core)
+		if !f.IsValid() {
+			t.Errorf("Options.%s: core.Config has no field %s", name, core)
+		} else if f.IsZero() {
+			t.Errorf("Options.%s is set but core.Config.%s is zero: coreConfig drops it", name, core)
 		}
 	}
 }
