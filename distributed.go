@@ -44,7 +44,7 @@ func NewDistributed(p Problem, o Options, py, pz int) (*Distributed, error) {
 	rank := coreConfig(p, o, nil, q, lib)
 	d, err := comm.New(comm.Config{
 		Mesh: m, PY: py, PZ: pz,
-		Protocol: comm.Protocol(o.Protocol),
+		Protocol: o.Protocol,
 		Rank:     rank,
 		Deadline: o.Deadline, Policy: o.FailurePolicy, Fault: o.Fault,
 	})
@@ -71,20 +71,9 @@ func (d *Distributed) RunContext(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Outers: r.Outers, Inners: r.Inners,
-		Converged: r.Converged, FinalDF: r.FinalDF,
-		DFHistory: append([]float64(nil), r.DFHistory...),
-		Attempts:  r.Attempts,
-		Degraded:  r.Degraded,
-		Balance: Balance{
-			Source:     r.Balance.Source,
-			Absorption: r.Balance.Absorption,
-			Leakage:    r.Balance.Leakage,
-			Residual:   r.Balance.Residual,
-		},
-		SweepSeconds: r.SweepTime.Seconds(),
-	}, nil
+	res := fromCoreResult(&r.Result)
+	res.Attempts, res.Degraded = r.Attempts, r.Degraded
+	return res, nil
 }
 
 // Degraded reports whether a FailDegrade policy has permanently switched

@@ -173,9 +173,6 @@ func New(cfg Config) (*Driver, error) {
 	if cfg.Mesh == nil {
 		return nil, fmt.Errorf("comm: config needs a mesh")
 	}
-	if cfg.Rank.Epsi <= 0 {
-		cfg.Rank.Epsi = 1e-4
-	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -291,15 +288,11 @@ func (d *Driver) forEachRank(fn func(r int) error) error {
 	return nil
 }
 
-// Result reports a partitioned run.
+// Result reports a partitioned run: the iteration record core.Iterate
+// filled, the slowest rank's in-sweep time and the global balance, plus
+// what the failure policy spent.
 type Result struct {
-	Outers    int
-	Inners    int
-	Converged bool
-	FinalDF   float64
-	DFHistory []float64
-	SweepTime time.Duration
-	Balance   core.Balance
+	core.Result
 
 	// Attempts counts the runs the failure policy spent (1 without
 	// faults or retries; the degraded lagged run counts as one more).
@@ -369,17 +362,4 @@ func (d *Driver) FluxIntegral(g int) float64 {
 		total += s.FluxIntegral(g)
 	}
 	return total
-}
-
-// maxIterLimits applies the shared iteration-limit defaults.
-func (d *Driver) maxIterLimits() (maxOuters, maxInners int) {
-	maxOuters = d.cfg.Rank.MaxOuters
-	if maxOuters <= 0 {
-		maxOuters = 1
-	}
-	maxInners = d.cfg.Rank.MaxInners
-	if maxInners <= 0 {
-		maxInners = 5
-	}
-	return maxOuters, maxInners
 }

@@ -26,11 +26,21 @@
 //     ones read the rank's psi snapshot, cross-rank ones are consumed one
 //     sweep late on a dedicated channel — while everything off-cycle
 //     still streams mid-sweep. Iteration counts and fluxes match the
-//     single-domain solver exactly. Convergence-gated runs exchange one
-//     scalar (the flux change) per inner iteration to agree on
-//     termination; forced-iteration runs need no synchronisation at all,
-//     so ranks pipeline freely across inner (and outer) boundaries under
-//     channel backpressure.
+//     single-domain solver exactly.
+//
+// Neither protocol has an iteration loop of its own. core.Iterate — the
+// source iteration the single-domain solver runs, with its limits,
+// stopping rule, context check and divergence monitor — drives both; a
+// protocol supplies only what one step does. Lagged hands it one stepper
+// whose inner is the super-step over all ranks and whose flux changes are
+// the maxima over the ranks. Pipelined runs Iterate on every rank
+// goroutine with the rank's armed sweep as the inner: a forced-iteration
+// run needs no synchronisation at all, so ranks pipeline freely across
+// inner (and outer) boundaries under channel backpressure, and a
+// convergence-gated run passes Iterate a max-barrier over the ranks as
+// its reduction — one scalar per inner, the flux-change all-reduce any
+// production sweeper performs — so every rank takes the identical
+// decision from the identical maximum.
 //
 // Lagged remains the default and the paper-faithful A/B baseline; the
 // protocols share the partition metadata (mesh.RemoteFaces), the

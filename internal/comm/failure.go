@@ -22,8 +22,8 @@ import (
 // stuck, the cross-rank edge it starved on, the blocked ordinate and
 // element, and how much of the sweep was still outstanding. Rank/Peer/
 // Ordinate/Elem are -1 when the corresponding detail could not be
-// attributed (e.g. every rank was between sweeps waiting on the
-// convergence coordinator).
+// attributed (e.g. every rank was between sweeps, waiting at the
+// convergence barrier).
 type SweepError struct {
 	Rank      int           // stuck rank, -1 unknown
 	Peer      int           // upstream rank of the starved edge, -1 unknown

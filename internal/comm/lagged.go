@@ -2,6 +2,7 @@ package comm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -90,95 +91,90 @@ func (d *Driver) exchange() {
 	})
 }
 
-// runLagged executes the block Jacobi iteration in BSP super-steps.
-// BSP sweeps cannot block on a peer, so ctx cancellation, the configured
-// deadline and the per-inner health checks are all applied between
-// super-steps — the natural synchronisation points of the protocol.
-func (d *Driver) runLagged(ctx context.Context) (*Result, error) {
-	res := &Result{}
-	maxOuters, maxInners := d.maxIterLimits()
-	prev := make([][]float64, len(d.solvers))
-	start := time.Now()
-	mons := make([]core.DivergenceMonitor, len(d.solvers))
-	checkpoint := func() error {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("comm: run cancelled after %d inners: %w", res.Inners, err)
+// laggedStepper is the block Jacobi iteration's core.Stepper: every step
+// is the same step on all ranks at once, and the flux changes are the
+// maxima over the ranks. sweep accumulates the wall time of the concurrent
+// super-steps.
+type laggedStepper struct {
+	d     *Driver
+	dfs   []float64
+	sweep time.Duration
+}
+
+func (l *laggedStepper) BeginOuter() {
+	_ = l.d.forEachRank(func(r int) error {
+		l.d.solvers[r].BeginOuter()
+		return nil
+	})
+}
+
+// Inner is one BSP super-step: every rank sources, sweeps against the
+// previous inner's halos and closes its inner (FinishInner: the
+// acceleration is rank-local — each rank corrects its own block with its
+// own diffusion operator, vacuum Marshak closure at the rank interfaces;
+// the correction vanishes at the fixed point, so the converged flux is the
+// lagged protocol's usual answer), then the halos are exchanged.
+func (l *laggedStepper) Inner() (float64, error) {
+	d := l.d
+	t0 := time.Now()
+	err := d.forEachRank(func(r int) error {
+		s := d.solvers[r]
+		s.PrepareInner()
+		err := s.SweepAllAngles()
+		if err == nil {
+			l.dfs[r], err = s.FinishInner()
 		}
-		if d.cfg.Deadline > 0 && time.Since(start) > d.cfg.Deadline {
-			return &SweepError{Rank: -1, Peer: -1, Ordinate: -1, Elem: -1,
-				Deadline: d.cfg.Deadline, Cause: context.DeadlineExceeded}
+		if err != nil {
+			return fmt.Errorf("comm: rank %d: %w", r, err)
 		}
 		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
+	l.sweep += time.Since(t0)
+	d.exchange()
+	return maxOf(l.dfs), nil
+}
 
-	for outer := 0; outer < maxOuters; outer++ {
-		for r, s := range d.solvers {
-			prev[r] = s.PhiSnapshot(prev[r])
-		}
-		if err := d.forEachRank(func(r int) error {
-			d.solvers[r].ComputeOuterSource()
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		res.Outers++
-		for inner := 0; inner < maxInners; inner++ {
-			t0 := time.Now()
-			if err := d.forEachRank(func(r int) error {
-				s := d.solvers[r]
-				s.PrepareInner()
-				if err := s.SweepAllAngles(); err != nil {
-					return err
-				}
-				// Rank-local synthetic acceleration: each rank corrects its
-				// own block with its own diffusion operator (vacuum Marshak
-				// closure at the rank interfaces). The correction vanishes at
-				// the fixed point, so the converged flux is the lagged
-				// protocol's usual answer.
-				return s.Accelerate()
-			}); err != nil {
-				return nil, err
-			}
-			res.SweepTime += time.Since(t0)
-			d.exchange()
-			df := 0.0
-			for _, s := range d.solvers {
-				if v := s.MaxRelChange(); v > df {
-					df = v
-				}
-			}
-			res.DFHistory = append(res.DFHistory, df)
-			res.FinalDF = df
-			res.Inners++
-			if d.cfg.Rank.HealthChecks {
-				for r, s := range d.solvers {
-					if herr := s.ScanFluxHealth(); herr != nil {
-						return nil, fmt.Errorf("comm: rank %d: %w", r, herr)
-					}
-					if herr := mons[r].Observe(s.MaxRelChange()); herr != nil {
-						return nil, fmt.Errorf("comm: rank %d: %w", r, herr)
-					}
-				}
-			}
-			if err := checkpoint(); err != nil {
-				return nil, err
-			}
-			if !d.cfg.Rank.ForceIterations && df < d.cfg.Rank.Epsi {
-				break
-			}
-		}
-		if !d.cfg.Rank.ForceIterations {
-			outerDF := 0.0
-			for r, s := range d.solvers {
-				if v := s.MaxRelDiff(prev[r]); v > outerDF {
-					outerDF = v
-				}
-			}
-			if outerDF <= 10*d.cfg.Rank.Epsi {
-				res.Converged = true
-				break
-			}
+func (l *laggedStepper) OuterChange() float64 {
+	for r, s := range l.d.solvers {
+		l.dfs[r] = s.OuterChange()
+	}
+	return maxOf(l.dfs)
+}
+
+func maxOf(vs []float64) float64 {
+	m := 0.0
+	for _, v := range vs {
+		if v > m {
+			m = v
 		}
 	}
-	return res, nil
+	return m
+}
+
+// runLagged executes the block Jacobi iteration: core.Iterate over the
+// laggedStepper. BSP sweeps cannot block on a peer, so cancellation and
+// Config.Deadline — a timeout on the iteration's context — are answered
+// between super-steps, the natural synchronisation points of the protocol.
+// The expiry of that timeout is reported as a rankless *SweepError.
+func (d *Driver) runLagged(ctx context.Context) (*Result, error) {
+	ictx := ctx
+	if d.cfg.Deadline > 0 {
+		var cancel context.CancelFunc
+		ictx, cancel = context.WithTimeout(ctx, d.cfg.Deadline)
+		defer cancel()
+	}
+	st := &laggedStepper{d: d, dfs: make([]float64, len(d.solvers))}
+	res, err := core.Iterate(ictx, d.cfg.Rank, st, nil)
+	if err != nil {
+		if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
+			err = &SweepError{Rank: -1, Peer: -1, Ordinate: -1, Elem: -1,
+				Deadline: d.cfg.Deadline, Cause: context.DeadlineExceeded}
+		}
+		return nil, err
+	}
+	res.SweepTime = st.sweep
+	return &Result{Result: *res}, nil
 }

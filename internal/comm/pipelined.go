@@ -65,11 +65,15 @@ import (
 // iterate, while a single-domain repeat Run reads its own final psi;
 // both converge to the same fixed point, but the iterates differ.)
 //
-// Termination: forced-iteration runs need no cross-rank agreement at all
-// (every rank executes the same fixed schedule and the ranks overlap
-// freely); convergence-gated runs exchange one scalar per rank per inner
-// — the flux-change all-reduce any production sweeper performs — through
-// a small coordinator that replays core.Run's exact decision sequence.
+// Termination: every rank goroutine runs core.Iterate — the one source
+// iteration the single-domain solver runs — with sweepOnce as its inner.
+// Forced-iteration runs need no cross-rank agreement at all (every rank
+// executes the same fixed schedule and the ranks overlap freely);
+// convergence-gated runs pass Iterate a max-barrier (pipeRun.agree) as its
+// reduction, so the ranks exchange one scalar per inner — the flux-change
+// all-reduce any production sweeper performs — and each takes the
+// identical decision from the identical maximum. The barrier knows nothing
+// of inners, outers or tolerances.
 
 // pipeEdgeDef is one directed rank pair with cross-rank transfers.
 type pipeEdgeDef struct {
@@ -287,18 +291,6 @@ func (d *Driver) publishFace(rank, a, e, f int) {
 	pr.tr.Send(ei, lagged, msg)
 }
 
-// pipeReport and pipeDecision are the coordinator wire types of
-// convergence-gated runs.
-type pipeReport struct {
-	val float64
-	err error
-}
-
-type pipeDecision struct {
-	cont bool
-	err  error
-}
-
 // pipeRun is the state of one Run invocation.
 type pipeRun struct {
 	d        *Driver
@@ -329,10 +321,18 @@ type pipeRun struct {
 	// path against the state it is about to tear down.
 	aux sync.WaitGroup
 
-	// Coordinator state (convergence-gated runs only).
-	reports   chan pipeReport
-	decide    []chan pipeDecision
-	converged bool
+	// Max-barrier state (convergence-gated runs only; see agree): the
+	// round the ranks are currently arriving at, and how many have.
+	barMu   sync.Mutex
+	round   *barrierRound
+	arrived int
+}
+
+// barrierRound is one round of the max-barrier: max is written under
+// pipeRun.barMu by every arrival and read only after done is closed.
+type barrierRound struct {
+	max  float64
+	done chan struct{}
 }
 
 // fail records the first error and releases every blocked participant.
@@ -510,176 +510,58 @@ func (pr *pipeRun) sweepOnce(r int) (float64, error) {
 	}
 	// The sweep is joined: no worker of this rank publishes any more.
 	pr.sweep[r] = n + 1
-	// Rank-local synthetic acceleration (no-op under AccelNone). With DSA
-	// on, the pipelined protocol's exact single-domain iterate parity is
-	// intentionally traded for the rank-local correction — both still
-	// converge to the same fixed point, since the correction vanishes
-	// there.
-	if err := s.Accelerate(); err != nil {
-		return 0, err
+	// FinishInner's acceleration is rank-local (a no-op under AccelNone).
+	// With DSA on, the pipelined protocol's exact single-domain iterate
+	// parity is intentionally traded for the rank-local correction — both
+	// still converge to the same fixed point, since the correction
+	// vanishes there.
+	return s.FinishInner()
+}
+
+// agree is the max-barrier of a convergence-gated run, handed to every
+// rank's core.Iterate as its reduction: each of the n ranks hands in one
+// value per round and leaves with the maximum over all n. The last arrival
+// opens the next round before releasing the others, so a fast rank's next
+// value can never land in the round a slow rank is still leaving. A failed
+// run releases every waiter with the run's error: a rank that dropped out
+// of its iteration will never arrive.
+func (pr *pipeRun) agree(v float64) (float64, error) {
+	pr.barMu.Lock()
+	rd := pr.round
+	if v > rd.max {
+		rd.max = v
 	}
-	return s.MaxRelChange(), nil
-}
-
-// sync reports rank r's value (inner df, or outer flux diff) and blocks
-// for the coordinator's decision.
-func (pr *pipeRun) sync(r int, val float64, err error) (bool, error) {
-	pr.reports <- pipeReport{val: val, err: err}
-	dec := <-pr.decide[r]
-	return dec.cont, dec.err
-}
-
-// collect gathers one report from every rank. A reported error aborts the
-// run immediately (before the remaining ranks are collected) so that
-// ranks blocked mid-sweep on the failed peer are cancelled and can still
-// deliver their own report.
-func (pr *pipeRun) collect() (float64, error) {
-	var val float64
-	var err error
-	for i := 0; i < pr.n; i++ {
-		m := <-pr.reports
-		if m.err != nil {
-			if err == nil {
-				err = m.err
-			}
-			pr.fail(m.err)
-		}
-		if m.val > val {
-			val = m.val
-		}
+	if pr.arrived++; pr.arrived == pr.n {
+		pr.arrived, pr.round = 0, &barrierRound{done: make(chan struct{})}
+		pr.barMu.Unlock()
+		close(rd.done)
+		return rd.max, nil
 	}
-	return val, err
-}
-
-func (pr *pipeRun) broadcast(dec pipeDecision) {
-	for r := 0; r < pr.n; r++ {
-		pr.decide[r] <- dec
+	pr.barMu.Unlock()
+	select {
+	case <-rd.done:
+		return rd.max, nil
+	case <-pr.abort:
+		return 0, pr.err()
 	}
 }
 
-// coordinate replays core.Run's termination logic over the global flux
-// change — the one scalar exchanged per inner iteration.
-func (pr *pipeRun) coordinate() {
-	maxOuters, maxInners := pr.d.maxIterLimits()
-	epsi := pr.d.cfg.Rank.Epsi
-	for outer := 0; outer < maxOuters; outer++ {
-		for inner := 0; inner < maxInners; inner++ {
-			df, err := pr.collect()
-			if err != nil {
-				pr.broadcast(pipeDecision{err: err})
-				return
-			}
-			stop := df < epsi || inner+1 == maxInners
-			pr.broadcast(pipeDecision{cont: !stop})
-			if stop {
-				break
-			}
-		}
-		odf, err := pr.collect()
-		if err != nil {
-			pr.broadcast(pipeDecision{err: err})
-			return
-		}
-		conv := odf <= 10*epsi
-		stop := conv || outer+1 == maxOuters
-		if conv {
-			// Written before the broadcast: the rank loops' decision
-			// receives (and their join) order this store before the
-			// driver reads it.
-			pr.converged = true
-		}
-		pr.broadcast(pipeDecision{cont: !stop})
-		if stop {
-			return
-		}
-	}
+// pipeRank is rank r's core.Stepper: the rank solver's own outer steps
+// around sweepOnce as the inner. sweep is the wall time spent inside the
+// rank's inners (armed to joined — which includes waiting on upstream
+// data, the honest per-rank sweep cost of a pipelined run).
+type pipeRank struct {
+	*core.Solver
+	pr    *pipeRun
+	r     int
+	sweep time.Duration
 }
 
-// rankResult is one rank loop's record: the per-inner flux changes, the
-// outer count, the wall time spent inside the rank's sweeps (armed to
-// joined — which includes waiting on upstream data, the honest per-rank
-// sweep cost of a pipelined run), and the terminating error.
-type rankResult struct {
-	hist   []float64
-	outers int
-	sweep  time.Duration
-	err    error
-}
-
-// rankLoop is one rank's iteration driver. In forced mode it executes the
-// fixed schedule with no cross-rank agreement — the rank is free to run
-// into the next inner (or outer) the moment its own sweep completes, and
-// the dependency structure alone paces the pipeline. In convergence-gated
-// mode every decision comes from the coordinator, so all ranks take
-// exactly the iteration path the single-domain solver would.
-func (pr *pipeRun) rankLoop(r int) (res rankResult) {
-	d := pr.d
-	s := d.solvers[r]
-	maxOuters, maxInners := d.maxIterLimits()
-	var mon core.DivergenceMonitor
-	sweep := func() (float64, error) {
-		t0 := time.Now()
-		df, err := pr.sweepOnce(r)
-		res.sweep += time.Since(t0)
-		if err == nil && d.cfg.Rank.HealthChecks {
-			if herr := s.ScanFluxHealth(); herr != nil {
-				err = fmt.Errorf("comm: rank %d: %w", r, herr)
-			} else if herr := mon.Observe(df); herr != nil {
-				err = fmt.Errorf("comm: rank %d: %w", r, herr)
-			}
-		}
-		return df, err
-	}
-
-	if d.cfg.Rank.ForceIterations {
-		for outer := 0; outer < maxOuters; outer++ {
-			s.ComputeOuterSource()
-			res.outers++
-			for inner := 0; inner < maxInners; inner++ {
-				df, serr := sweep()
-				if serr != nil {
-					pr.fail(serr)
-					res.err = serr
-					return res
-				}
-				res.hist = append(res.hist, df)
-			}
-			select {
-			case <-pr.abort:
-				res.err = pr.err()
-				return res
-			default:
-			}
-		}
-		return res
-	}
-
-	var prev []float64
-	for {
-		prev = s.PhiSnapshot(prev)
-		s.ComputeOuterSource()
-		res.outers++
-		for {
-			df, serr := sweep()
-			cont, derr := pr.sync(r, df, serr)
-			if derr != nil {
-				res.err = derr
-				return res
-			}
-			res.hist = append(res.hist, df)
-			if !cont {
-				break
-			}
-		}
-		cont, derr := pr.sync(r, s.MaxRelDiff(prev), nil)
-		if derr != nil {
-			res.err = derr
-			return res
-		}
-		if !cont {
-			return res
-		}
-	}
+func (k *pipeRank) Inner() (float64, error) {
+	t0 := time.Now()
+	df, err := k.pr.sweepOnce(k.r)
+	k.sweep += time.Since(t0)
+	return df, err
 }
 
 // runPipelined executes one pipelined iteration. ctx cancellation and the
@@ -693,6 +575,7 @@ func (d *Driver) runPipelined(ctx context.Context) (*Result, error) {
 		abort:  make(chan struct{}),
 		done:   make(chan struct{}),
 		joined: make(chan struct{}),
+		round:  &barrierRound{done: make(chan struct{})},
 	}
 	// The whole setup — abort registration, channel allocation, engine
 	// construction — runs under the driver mutex: a Close arriving while
@@ -810,22 +693,23 @@ func (d *Driver) runPipelined(ctx context.Context) (*Result, error) {
 			go func(ei int) { defer pr.aux.Done(); pr.receiver(ei, true) }(ei)
 		}
 	}
-	if !d.cfg.Rank.ForceIterations {
-		pr.reports = make(chan pipeReport, pr.n)
-		pr.decide = make([]chan pipeDecision, pr.n)
-		for r := range pr.decide {
-			pr.decide[r] = make(chan pipeDecision, 1)
-		}
-		go pr.coordinate()
-	}
-
-	ranks := make([]rankResult, pr.n)
+	// Every rank runs the one source iteration; a rank whose iteration
+	// fails takes the run down with it, which releases its peers from the
+	// barrier and (through the watchers) from their armed sweeps.
+	ranks := make([]*core.Result, pr.n)
 	var wg sync.WaitGroup
 	for r := 0; r < pr.n; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			ranks[r] = pr.rankLoop(r)
+			rk := &pipeRank{Solver: d.solvers[r], pr: pr, r: r}
+			res, err := core.Iterate(ctx, d.cfg.Rank, rk, pr.agree)
+			if err != nil {
+				pr.fail(fmt.Errorf("comm: rank %d: %w", r, err))
+				return
+			}
+			res.SweepTime = rk.sweep
+			ranks[r] = res
 		}(r)
 	}
 	wg.Wait()
@@ -835,40 +719,28 @@ func (d *Driver) runPipelined(ctx context.Context) (*Result, error) {
 	// still applying its last message resolves into a live engine.
 	close(pr.joined)
 
-	err := pr.err()
-	for _, rr := range ranks {
-		if err == nil && rr.err != nil {
-			err = rr.err
-		}
-	}
-	if err != nil {
+	if err := pr.err(); err != nil {
 		return nil, err
 	}
 
-	res := &Result{
-		Outers:    ranks[0].outers,
-		Converged: pr.converged,
-	}
-	// The ranks' sweeps overlap, so the slowest rank's in-sweep time is
-	// the comparable analogue of the lagged protocol's per-inner wall
-	// accumulation.
-	for _, rr := range ranks {
-		if rr.sweep > res.SweepTime {
-			res.SweepTime = rr.sweep
+	// All ranks execute the same inner sequence and, when gated, take the
+	// same decisions, so rank 0's record is the run's — except the two
+	// per-rank measurements. The ranks' sweeps overlap, so the slowest
+	// rank's in-sweep time is the comparable analogue of the lagged
+	// protocol's per-inner wall accumulation; and a forced run's flux
+	// changes were never reduced, so the global per-inner change is the
+	// elementwise max over the rank histories.
+	res := &Result{Result: *ranks[0]}
+	for _, rr := range ranks[1:] {
+		if rr.SweepTime > res.SweepTime {
+			res.SweepTime = rr.SweepTime
 		}
-	}
-	// Per-inner global flux change: elementwise max over the rank
-	// histories (all ranks execute the same inner sequence).
-	for _, rr := range ranks {
-		for i, v := range rr.hist {
-			if i == len(res.DFHistory) {
-				res.DFHistory = append(res.DFHistory, v)
-			} else if v > res.DFHistory[i] {
+		for i, v := range rr.DFHistory {
+			if v > res.DFHistory[i] {
 				res.DFHistory[i] = v
 			}
 		}
 	}
-	res.Inners = len(res.DFHistory)
 	if res.Inners > 0 {
 		res.FinalDF = res.DFHistory[res.Inners-1]
 	}

@@ -43,15 +43,25 @@
 // A solver built from a cached artifact (internal/build) is
 // indistinguishable from one built cold.
 //
-// Run and RunContext are the iteration drivers: inners within a group
-// until the pointwise flux change clears Epsi (or MaxInners), Jacobi
-// outers over the scattering source until global convergence (or
-// MaxOuters), an optional DSA correction between inners, and an optional
-// Progress hook invoked synchronously after every inner — the hook's
-// cost is the caller's, and it must not call back into the solver.
-// RunContext observes cancellation and deadlines between inners, so a
-// cancelled solve returns a structured error promptly with the solver
-// still safe to Close.
+// # One source iteration
+//
+// Iterate (iterate.go) is the only place that knows how a solve iterates
+// and when it stops: inners within a group until the pointwise flux
+// change clears Epsi (or MaxInners), Jacobi outers over the scattering
+// source until the change across an outer is within ten times Epsi (or
+// MaxOuters), neither exit under ForceIterations; the context check
+// before every inner, the divergence monitor of HealthChecks, and the
+// Progress hook invoked synchronously after every inner — the hook's cost
+// is the caller's, and it must not call back into the solver. The limits
+// and Epsi are defaulted in Config.withDefaults and nowhere else. What an
+// iteration does is a three-method Stepper: the Solver is its own
+// (RunContext; RunTimeDependent sends every time step through it), and
+// internal/comm supplies one for the lagged protocol's super-step and one
+// per rank of a pipelined run, whose decisions agree through the
+// max-reduction Iterate accepts. FinishInner is the tail every one of
+// them shares: DSA correction, the HealthChecks NaN/Inf scan, the flux
+// change. A cancelled solve returns a structured error within one inner,
+// with the solver still safe to Close.
 //
 // # Where the right-hand side is formed, and who is charged for it
 //

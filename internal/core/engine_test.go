@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -251,7 +252,7 @@ func TestEngineTimeDependentMatchesLegacy(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		steps, err := s.RunTimeDependent()
+		steps, err := s.RunTimeDependent(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -101,97 +101,152 @@ const convergenceFloor = 1e-12
 
 // MaxRelChange returns the pointwise maximum relative change of the scalar
 // flux against the PrepareInner snapshot (SNAP's df convergence monitor).
-func (s *Solver) MaxRelChange() float64 {
-	df := 0.0
-	for i, v := range s.phi {
-		old := s.phiOld[i]
-		var d float64
-		if math.Abs(old) > convergenceFloor {
-			d = math.Abs((v - old) / old)
-		} else {
-			d = math.Abs(v - old)
-		}
-		if d > df {
-			df = d
-		}
-	}
-	return df
+func (s *Solver) MaxRelChange() float64 { return s.MaxRelDiff(s.phiOld) }
+
+// Stepper is what a source iteration does; Iterate decides how often. The
+// single-domain Solver is one, the lagged driver wraps all its ranks in
+// one, and every rank of a pipelined run is one.
+type Stepper interface {
+	// BeginOuter snapshots the scalar flux for the outer convergence test
+	// and forms the outer (group-to-group) source.
+	BeginOuter()
+	// Inner runs one inner iteration and returns its flux change.
+	Inner() (df float64, err error)
+	// OuterChange returns the flux change since BeginOuter.
+	OuterChange() float64
 }
 
-// Run executes the full iteration: MaxOuters outer iterations of
-// MaxInners inner sweeps each, with convergence exits unless
-// ForceIterations is set. It returns the iteration record together with
-// the particle balance of the final flux.
+// Iterate is the source iteration — the only place that knows how a solve
+// iterates and when it stops: up to MaxOuters outers of up to MaxInners
+// inners each, an inner exit once the flux change drops below Epsi, an
+// outer exit once the change across the outer is within 10x Epsi (SNAP
+// uses a looser outer criterion), neither exit under ForceIterations. It
+// reads Epsi, MaxInners, MaxOuters (defaulted as New defaults them),
+// ForceIterations, HealthChecks and Progress from cfg and fills the
+// iteration record of the Result (Outers, Inners, Converged, FinalDF,
+// DFHistory); timings and balance are the caller's.
+//
+// ctx is checked before every inner, so cancellation is answered within
+// one inner and surfaces wrapped around ctx.Err(). With HealthChecks the
+// sequence of flux changes st reports is watched for divergence (the
+// NaN/Inf scan of the flux itself is part of a solver's inner, see
+// FinishInner).
+//
+// agree, when non-nil, is a max-reduction across concurrent Iterate calls
+// that must take identical decisions (the ranks of a pipelined run): every
+// value a convergence test reads goes through it first. A forced run takes
+// no decisions and never calls it.
+func Iterate(ctx context.Context, cfg Config, st Stepper, agree func(float64) (float64, error)) (*Result, error) {
+	cfg = cfg.withDefaults()
+	if agree == nil || cfg.ForceIterations {
+		agree = func(v float64) (float64, error) { return v, nil }
+	}
+	res := &Result{}
+	var mon DivergenceMonitor
+	for outer := 1; outer <= cfg.MaxOuters; outer++ {
+		st.BeginOuter()
+		res.Outers++
+		for inner := 1; inner <= cfg.MaxInners; inner++ {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("core: run cancelled after %d inners: %w", res.Inners, err)
+			}
+			df, err := st.Inner()
+			if err != nil {
+				return nil, err
+			}
+			if cfg.HealthChecks {
+				if err := mon.Observe(df); err != nil {
+					return nil, err
+				}
+			}
+			if df, err = agree(df); err != nil {
+				return nil, err
+			}
+			res.DFHistory = append(res.DFHistory, df)
+			res.FinalDF = df
+			res.Inners++
+			if cfg.Progress != nil {
+				cfg.Progress(Progress{Outer: outer, Inner: inner, Inners: res.Inners, DF: df})
+			}
+			if !cfg.ForceIterations && df < cfg.Epsi {
+				break
+			}
+		}
+		if cfg.ForceIterations {
+			continue
+		}
+		odf, err := agree(st.OuterChange())
+		if err != nil {
+			return nil, err
+		}
+		if odf <= 10*cfg.Epsi {
+			res.Converged = true
+			break
+		}
+	}
+	return res, nil
+}
+
+// BeginOuter, Inner and OuterChange make the solver the Stepper of its own
+// Run.
+func (s *Solver) BeginOuter() {
+	s.outerPrev = s.PhiSnapshot(s.outerPrev)
+	s.ComputeOuterSource()
+}
+
+// Inner runs one single-domain inner iteration: source, sweep, and
+// FinishInner. Only the sweep counts towards Result.SweepTime.
+func (s *Solver) Inner() (float64, error) {
+	s.PrepareInner()
+	t0 := time.Now()
+	if err := s.SweepAllAngles(); err != nil {
+		return 0, err
+	}
+	s.sweepTime += time.Since(t0)
+	return s.FinishInner()
+}
+
+// FinishInner closes an inner iteration whose sweep has completed — under
+// any driver, however the sweep was run: the configured acceleration, with
+// Config.HealthChecks the NaN/Inf scan of the flux, and the inner's flux
+// change.
+func (s *Solver) FinishInner() (float64, error) {
+	if err := s.Accelerate(); err != nil {
+		return 0, err
+	}
+	if s.cfg.HealthChecks {
+		if err := s.ScanFluxHealth(); err != nil {
+			return 0, err
+		}
+	}
+	return s.MaxRelChange(), nil
+}
+
+// OuterChange measures the flux change across the whole outer iteration.
+func (s *Solver) OuterChange() float64 { return s.MaxRelDiff(s.outerPrev) }
+
+// Run executes the full iteration (see Iterate) and returns the iteration
+// record together with the particle balance of the final flux.
 func (s *Solver) Run() (*Result, error) { return s.RunContext(context.Background()) }
 
 // RunContext is Run under a context: cancellation (or a deadline on ctx)
 // is checked between inner iterations — a single-domain sweep cannot
 // block on anything external, so per-inner granularity bounds the
 // response time by one sweep — and surfaces as ctx.Err(). With
-// Config.HealthChecks the flux is scanned for NaN/Inf after every inner
-// and the flux-change sequence is watched for divergence, both reported
-// as a typed *HealthError.
+// Config.HealthChecks a NaN/Inf flux or a diverging flux-change sequence
+// is reported as a typed *HealthError.
 func (s *Solver) RunContext(ctx context.Context) (*Result, error) {
-	res := &Result{SetupTime: s.setupTime}
-	s.asmNS, s.solveNS = 0, 0
-	outerPrev := make([]float64, len(s.phi))
-	var mon DivergenceMonitor
-
-	for outer := 0; outer < s.cfg.MaxOuters; outer++ {
-		copy(outerPrev, s.phi)
-		s.ComputeOuterSource()
-		res.Outers++
-		for inner := 0; inner < s.cfg.MaxInners; inner++ {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("core: run cancelled after %d inners: %w", res.Inners, err)
-			}
-			s.PrepareInner()
-			t0 := time.Now()
-			if err := s.SweepAllAngles(); err != nil {
-				return nil, err
-			}
-			res.SweepTime += time.Since(t0)
-			if err := s.Accelerate(); err != nil {
-				return nil, err
-			}
-			df := s.MaxRelChange()
-			res.DFHistory = append(res.DFHistory, df)
-			res.FinalDF = df
-			res.Inners++
-			if s.cfg.Progress != nil {
-				s.cfg.Progress(Progress{
-					Outer: outer + 1, Inner: inner + 1,
-					Inners: res.Inners, DF: df,
-				})
-			}
-			if s.cfg.HealthChecks {
-				if err := s.ScanFluxHealth(); err != nil {
-					return nil, err
-				}
-				if err := mon.Observe(df); err != nil {
-					return nil, err
-				}
-			}
-			if !s.cfg.ForceIterations && df < s.cfg.Epsi {
-				break
-			}
-		}
-		if !s.cfg.ForceIterations && s.outerConverged(outerPrev) {
-			res.Converged = true
-			break
-		}
+	s.asmNS, s.solveNS, s.sweepTime = 0, 0, 0
+	res, err := Iterate(ctx, s.cfg, s, nil)
+	if err != nil {
+		return nil, err
 	}
+	res.SetupTime = s.setupTime
+	res.SweepTime = s.sweepTime
 	res.AssembleTime = time.Duration(s.asmNS)
 	res.SolveTime = time.Duration(s.solveNS)
 	res.Balance = s.ComputeBalanceExcluding(s.balanceSkip)
 	return res, nil
-}
-
-// outerConverged measures the flux change across the whole outer
-// iteration against the outer tolerance (SNAP uses a looser outer
-// criterion; we follow with 10x epsi).
-func (s *Solver) outerConverged(prev []float64) bool {
-	return s.MaxRelDiff(prev) <= 10*s.cfg.Epsi
 }
 
 // PhiSnapshot copies the scalar flux into dst (allocating when dst is too
@@ -205,8 +260,7 @@ func (s *Solver) PhiSnapshot(dst []float64) []float64 {
 }
 
 // MaxRelDiff returns the pointwise maximum relative difference between the
-// current scalar flux and a PhiSnapshot. The block Jacobi driver uses it
-// for its cross-rank outer convergence test.
+// current scalar flux and a PhiSnapshot.
 func (s *Solver) MaxRelDiff(prev []float64) float64 {
 	df := 0.0
 	for i, v := range s.phi {

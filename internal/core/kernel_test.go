@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -59,7 +60,7 @@ func runKernel(t *testing.T, cfg Config, k KernelMode, reflect bool) (phi, psi [
 		s.SetBalanceSkip(ReflectiveSkip(s, dims))
 	}
 	if cfg.Time != nil {
-		if _, err := s.RunTimeDependent(); err != nil {
+		if _, err := s.RunTimeDependent(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	} else if _, err := s.Run(); err != nil {
@@ -468,7 +469,7 @@ func TestResetStateReproducesFresh(t *testing.T) {
 				t.Helper()
 				var err error
 				if v.name == "timedep" {
-					_, err = s.RunTimeDependent()
+					_, err = s.RunTimeDependent(context.Background())
 				} else {
 					_, err = s.Run()
 				}

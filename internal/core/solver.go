@@ -120,6 +120,11 @@ type Solver struct {
 	// instrumentation totals (nanoseconds)
 	asmNS, solveNS int64
 
+	// Run state of the solver as its own Stepper: the flux at the start
+	// of the current outer, and the time spent inside Inner's sweeps.
+	outerPrev []float64
+	sweepTime time.Duration
+
 	// balanceSkip filters boundary faces out of Run's leakage accounting
 	// (reflective faces are not leakage surfaces); nil counts everything.
 	balanceSkip func(elem, face int) bool

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 )
@@ -61,16 +62,17 @@ type StepResult struct {
 
 // RunTimeDependent executes Config.Time.Steps backward-Euler steps from
 // the zero initial condition, converging the scattering source within each
-// step exactly as the steady Run does. The per-step records let callers
-// watch the approach to steady state.
-func (s *Solver) RunTimeDependent() ([]StepResult, error) {
+// step exactly as the steady Run does — every step is one RunContext, so
+// ctx bounds the whole march and is checked between inners. The per-step
+// records let callers watch the approach to steady state.
+func (s *Solver) RunTimeDependent(ctx context.Context) ([]StepResult, error) {
 	tc := s.cfg.Time
 	if tc == nil {
 		return nil, fmt.Errorf("core: RunTimeDependent requires Config.Time")
 	}
 	steps := make([]StepResult, 0, tc.Steps)
 	for step := 0; step < tc.Steps; step++ {
-		res, err := s.Run()
+		res, err := s.RunContext(ctx)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestRunTimeDependentRequiresConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RunTimeDependent(); err == nil {
+	if _, err := s.RunTimeDependent(context.Background()); err == nil {
 		t.Fatal("expected error without Config.Time")
 	}
 }
@@ -81,7 +82,7 @@ func TestTimeDependentInfiniteMediumRecurrence(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetBoundary(ReflectiveBoundary(s, [3]bool{true, true, true}))
-	rec, err := s.RunTimeDependent()
+	rec, err := s.RunTimeDependent(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestTimeDependentApproachesSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := td.RunTimeDependent()
+	rec, err := td.RunTimeDependent(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestTimeDependentPreAssembled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, err := s.RunTimeDependent()
+		rec, err := s.RunTimeDependent(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -74,6 +74,14 @@ go test -race -run 'Cyclic|CycleOrder|FeedbackArc' ./internal/core ./internal/co
 # construction; the suite also pins the cached kernel's bitwise parity
 # and DSA's fewer-inners/same-answer contract.
 go test -race -run 'Accel|DSA|SolvePCG' ./internal/core ./internal/comm ./internal/accel ./internal/la .
+# The one source iteration and the pipelined max-barrier: every rank of a
+# convergence-gated pipelined run calls core.Iterate on its own goroutine
+# and agrees each decision through the barrier, so the scripted-stepper
+# table and the pipelined == single-domain parity suites (flux and
+# iteration counts) run repeated under the detector — a barrier round
+# handed to the wrong generation shows as a count mismatch or a race only
+# on some schedules.
+go test -race -count=3 -run 'Iterate|Pipelined|MultiRank|SingleRank' ./internal/core ./internal/comm
 # Chaos smoke pass: the seeded fault-injection suite (delay/reorder
 # parity, drop+retry recovery, stall-within-deadline, degrade-to-lagged,
 # Close-mid-fault, goroutine-leak checks) under the race detector — the

@@ -50,7 +50,7 @@ const (
 // so the ablation tables still regenerate. Their mnemonic reads the loop
 // nest angle/element/group from outer to inner with upper case marking
 // the threaded loops; the array layout always matches the loop order.
-type Scheme int
+type Scheme = core.Scheme
 
 const (
 	// Engine is the default executor: the persistent worker-pool sweep
@@ -60,38 +60,27 @@ const (
 	// once, and the scalar flux is reduced from the angular flux once
 	// per sweep in a fixed order, making results bitwise reproducible
 	// across runs and thread counts.
-	Engine Scheme = iota
+	Engine = core.SchemeEngine
 	// AEg threads the elements of each schedule bucket.
-	AEg
+	AEg = core.SchemeAEg
 	// AEG threads the collapsed element x group iteration space.
-	AEG
+	AEG = core.SchemeAEG
 	// AeG threads the group loop (element-major layout).
-	AeG
+	AeG = core.SchemeAeG
 	// AGe threads the group loop (group-major layout).
-	AGe
+	AGe = core.SchemeAGe
 	// AGE threads the collapsed group x element iteration space.
-	AGE
+	AGE = core.SchemeAGE
 	// AgE threads the elements (group-major layout).
-	AgE
+	AgE = core.SchemeAgE
 )
 
-// String returns the paper-style scheme name.
-func (s Scheme) String() string { return core.Scheme(s).String() }
-
-// ParseScheme resolves a paper-style scheme name.
-func ParseScheme(name string) (Scheme, error) {
-	cs, err := core.ParseScheme(name)
-	return Scheme(cs), err
-}
+// ParseScheme resolves a paper-style scheme name (as Scheme.String
+// prints it).
+func ParseScheme(name string) (Scheme, error) { return core.ParseScheme(name) }
 
 // AllSchemes lists every scheme.
-func AllSchemes() []Scheme {
-	out := make([]Scheme, 0, len(core.Schemes()))
-	for _, s := range core.Schemes() {
-		out = append(out, Scheme(s))
-	}
-	return out
-}
+func AllSchemes() []Scheme { return core.Schemes() }
 
 // CycleOrder selects the within-SCC ordering strategy of the cycle
 // condensation that AllowCycles runs (which intra-SCC dependency edges
@@ -100,14 +89,15 @@ func AllSchemes() []Scheme {
 // determinism requirement: a partitioned pipelined run condenses the
 // global mesh once and distributes the decisions by global element id, so
 // every rank must (and, with Options threading one value everywhere,
-// does) apply the identical rule the single-domain solver would.
-type CycleOrder int
+// does) apply the identical rule the single-domain solver would. String
+// gives the spelling the -cycle-order flags accept.
+type CycleOrder = sweep.CycleOrder
 
 const (
 	// OrderElementIndex (the default) lags the intra-SCC edges whose
 	// upwind element index exceeds the downwind one — the simplest
 	// deterministic rule, blind to the cycle structure.
-	OrderElementIndex CycleOrder = iota
+	OrderElementIndex = sweep.OrderElementIndex
 	// OrderFeedbackArc orders each SCC by a greedy feedback-arc-set
 	// heuristic (Eades/Lin/Smyth sink/source peeling), lagging only the
 	// edges that point backwards in the peeled sequence. It never lags
@@ -115,37 +105,26 @@ const (
 	// real twisted meshes (162 vs 960 on the 6^3 oscillating-twist bench
 	// mesh), which both shrinks the per-sweep lagged reads and speeds
 	// the fixed-point convergence of strongly cyclic problems.
-	OrderFeedbackArc
+	OrderFeedbackArc = sweep.OrderFeedbackArc
 )
-
-// String names the strategy (the spelling the -cycle-order flags accept).
-func (o CycleOrder) String() string { return sweep.CycleOrder(o).String() }
 
 // ParseCycleOrder resolves a strategy name as produced by String
 // ("element-index" or "feedback-arc").
-func ParseCycleOrder(name string) (CycleOrder, error) {
-	so, err := sweep.ParseCycleOrder(name)
-	return CycleOrder(so), err
-}
+func ParseCycleOrder(name string) (CycleOrder, error) { return sweep.ParseCycleOrder(name) }
 
 // AllCycleOrders lists every within-SCC ordering strategy.
-func AllCycleOrders() []CycleOrder {
-	out := make([]CycleOrder, 0, len(sweep.CycleOrders()))
-	for _, o := range sweep.CycleOrders() {
-		out = append(out, CycleOrder(o))
-	}
-	return out
-}
+func AllCycleOrders() []CycleOrder { return sweep.CycleOrders() }
 
 // AccelMode selects the between-inner acceleration of the source
-// iteration; see Options.Accelerate.
-type AccelMode int
+// iteration; see Options.Accelerate. String gives the spelling the
+// -accelerate flags accept.
+type AccelMode = core.AccelMode
 
 const (
 	// AccelNone runs plain source iteration (the paper's scheme).
 	// Unaccelerated runs are bitwise identical to solvers built before
 	// acceleration existed.
-	AccelNone AccelMode = iota
+	AccelNone = core.AccelNone
 	// AccelDSA applies a synthetic diffusion correction between inner
 	// iterations: the sweep's cell-averaged flux change drives one SPD
 	// cell-centred diffusion solve per group (preconditioned conjugate
@@ -155,22 +134,19 @@ const (
 	// the unaccelerated answer — reached in fewer inner iterations on
 	// scattering-dominated problems. Steady-state, isotropic scattering
 	// and vacuum boundaries only.
-	AccelDSA
+	AccelDSA = core.AccelDSA
 )
-
-// String names the mode (the spelling the -accelerate flags accept).
-func (m AccelMode) String() string { return core.AccelMode(m).String() }
 
 // CommProtocol selects how NewDistributed couples its ranks; see the
 // internal/comm package comment for the full protocol descriptions.
-type CommProtocol int
+type CommProtocol = comm.Protocol
 
 const (
 	// CommLagged (the default) is the paper's parallel block Jacobi: BSP
 	// super-steps with halo fluxes lagged by one inner iteration. Every
 	// rank sweeps concurrently from the start, paying for that concurrency
 	// with extra inner iterations as the rank count grows.
-	CommLagged CommProtocol = iota
+	CommLagged = comm.Lagged
 	// CommPipelined streams angular flux across ranks mid-sweep: remote
 	// upwind faces are latent dependencies of each rank's task graph,
 	// resolved in wavefront order as upstream ranks publish them. No
@@ -181,24 +157,18 @@ const (
 	// single-domain solver) decides which couplings lag to the previous
 	// iterate, and everything else still streams mid-sweep. Requires an
 	// engine-backed Scheme.
-	CommPipelined
+	CommPipelined = comm.Pipelined
 )
 
-// String names the protocol.
-func (p CommProtocol) String() string { return comm.Protocol(p).String() }
-
 // SolverKind selects the local dense solver (paper Table II).
-type SolverKind int
+type SolverKind = core.SolverKind
 
 const (
 	// GE is the hand-written Gaussian elimination.
-	GE SolverKind = iota
+	GE = core.SolverGE
 	// DGESV is the blocked-LU LAPACK-style solver standing in for MKL.
-	DGESV
+	DGESV = core.SolverDGESV
 )
-
-// String names the solver kind.
-func (k SolverKind) String() string { return core.SolverKind(k).String() }
 
 // Problem describes the physical and discretisation setup: the SNAP-style
 // structured box stored as an unstructured twisted mesh, the element
@@ -361,7 +331,8 @@ type Options struct {
 	TimeSteps int
 	TimeDt    float64
 
-	// Deadline bounds each Run's wall-clock time. When it expires the run
+	// Deadline bounds each Run's wall-clock time, and each
+	// RunTimeDependent's across all its steps. When it expires the run
 	// unwinds cleanly — no hung sweep, no leaked goroutines — and returns
 	// a structured error: a *SweepError naming the stuck rank, peer edge,
 	// ordinate and remaining task count for a distributed sweep, or a
@@ -417,9 +388,9 @@ type Options struct {
 	// iteration with the iteration indices and the flux change — the hook
 	// the solve service's per-job event streams are fed from. It runs
 	// synchronously on the iteration goroutine, so implementations must
-	// hand the event off and return quickly. Single-domain solvers only
-	// (the distributed drivers own their iteration loops); NewDistributed
-	// rejects it.
+	// hand the event off and return quickly. Single-domain solvers only;
+	// NewDistributed rejects it (a pipelined run iterates on every rank
+	// goroutine at once, so there is no one iteration to report from).
 	Progress func(Progress)
 }
 
@@ -545,7 +516,7 @@ func validateOptions(o Options, distributed bool) error {
 			return fmt.Errorf("unsnap: Artifact injection is single-domain only; ranks share builds through Options.Cache")
 		}
 		if o.Progress != nil {
-			return fmt.Errorf("unsnap: Progress hooks are single-domain only; distributed drivers own their iteration loops")
+			return fmt.Errorf("unsnap: Progress hooks are single-domain only")
 		}
 	}
 	if (o.CacheTenant != "" || o.CacheTenantBytes > 0) && o.Cache == nil {
@@ -565,13 +536,10 @@ type StepRecord struct {
 	FluxIntegral []float64 // per group
 }
 
-// Balance is the global particle balance of a solution; see core.Balance.
-type Balance struct {
-	Source     float64
-	Absorption float64
-	Leakage    float64
-	Residual   float64
-}
+// Balance is the global particle balance of a solution: fixed-source
+// emission, absorption, net boundary leakage, and Residual =
+// |Source - Absorption - Leakage| / max(Source, 1).
+type Balance = core.Balance
 
 // Result reports a run.
 type Result struct {
@@ -635,16 +603,15 @@ func buildParts(p Problem) (*mesh.Mesh, *quadrature.Set, *xs.Library, error) {
 func coreConfig(p Problem, o Options, m *mesh.Mesh, q *quadrature.Set, lib *xs.Library) core.Config {
 	cfg := core.Config{
 		Mesh: m, Order: p.Order, Quad: q, Lib: lib,
-		Scheme: core.Scheme(o.Scheme), Threads: o.Threads,
-		Solver: core.SolverKind(o.Solver),
-		Epsi:   o.Epsi, MaxInners: o.MaxInners, MaxOuters: o.MaxOuters,
+		Scheme: o.Scheme, Threads: o.Threads, Solver: o.Solver,
+		Epsi: o.Epsi, MaxInners: o.MaxInners, MaxOuters: o.MaxOuters,
 		ForceIterations:  o.ForceIterations,
 		AllowCycles:      o.AllowCycles,
-		CycleOrder:       sweep.CycleOrder(o.CycleOrder),
+		CycleOrder:       o.CycleOrder,
 		PreAssembled:     o.PreAssembled,
 		Instrument:       o.Instrument,
 		ScatOrder:        p.ScatOrder,
-		Accelerate:       core.AccelMode(o.Accelerate),
+		Accelerate:       o.Accelerate,
 		HealthChecks:     o.HealthChecks,
 		Artifact:         o.Artifact,
 		Cache:            o.Cache,
@@ -666,13 +633,8 @@ func fromCoreResult(r *core.Result) *Result {
 		Attempts: 1,
 		Outers:   r.Outers, Inners: r.Inners,
 		Converged: r.Converged, FinalDF: r.FinalDF,
-		DFHistory: append([]float64(nil), r.DFHistory...),
-		Balance: Balance{
-			Source:     r.Balance.Source,
-			Absorption: r.Balance.Absorption,
-			Leakage:    r.Balance.Leakage,
-			Residual:   r.Balance.Residual,
-		},
+		DFHistory:       append([]float64(nil), r.DFHistory...),
+		Balance:         r.Balance,
 		SetupSeconds:    r.SetupTime.Seconds(),
 		SweepSeconds:    r.SweepTime.Seconds(),
 		AssembleSeconds: r.AssembleTime.Seconds(),
@@ -717,11 +679,8 @@ func (s *Solver) Run() (*Result, error) {
 // iterations, so a cancelled run returns promptly with a structured
 // error instead of finishing the solve.
 func (s *Solver) RunContext(ctx context.Context) (*Result, error) {
-	if s.deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.deadline)
-		defer cancel()
-	}
+	ctx, cancel := s.withDeadline(ctx)
+	defer cancel()
 	r, err := s.inner.RunContext(ctx)
 	if err != nil {
 		return nil, err
@@ -729,10 +688,22 @@ func (s *Solver) RunContext(ctx context.Context) (*Result, error) {
 	return fromCoreResult(r), nil
 }
 
+// withDeadline composes Options.Deadline on top of ctx.
+func (s *Solver) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
+	if s.deadline > 0 {
+		return context.WithTimeout(ctx, s.deadline)
+	}
+	return ctx, func() {}
+}
+
 // RunTimeDependent executes the configured backward-Euler time steps
 // (Options.TimeSteps/TimeDt) and reports one record per step.
+// Options.Deadline bounds the whole march, checked between inners like
+// RunContext's.
 func (s *Solver) RunTimeDependent() ([]StepRecord, error) {
-	rec, err := s.inner.RunTimeDependent()
+	ctx, cancel := s.withDeadline(context.Background())
+	defer cancel()
+	rec, err := s.inner.RunTimeDependent(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -95,6 +95,22 @@ func TestSolverDeadline(t *testing.T) {
 	}
 }
 
+// TestTimeDependentDeadline pins that Options.Deadline bounds
+// RunTimeDependent too: every time step goes through the same iteration
+// RunContext drives, under one deadline across the whole march.
+func TestTimeDependentDeadline(t *testing.T) {
+	s, err := NewSolver(smallProblem(), Options{
+		Deadline: time.Nanosecond, TimeSteps: 3, TimeDt: 0.1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.RunTimeDependent(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expected deadline exceeded, got %v", err)
+	}
+}
+
 // TestDistributedFaultStallFacade extends the goroutine-leak regression
 // to the injected-fault path through the public facade: a rank stall
 // fails the pipelined sweep within the deadline with a structured
