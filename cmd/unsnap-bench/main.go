@@ -46,6 +46,7 @@ import (
 
 	"unsnap"
 	"unsnap/internal/harness"
+	"unsnap/internal/la"
 )
 
 func main() {
@@ -285,8 +286,8 @@ func run(args []string) error {
 		if innersSet {
 			cfg.Inners = *inners
 		}
-		fmt.Printf("== Task kernel: batched vs scalar bodies (%d^3 elements, %d ang/oct, %d groups) ==\n",
-			cfg.Problem.NX, cfg.Problem.AnglesPerOctant, cfg.Problem.Groups)
+		fmt.Printf("== Task kernel: batched vs scalar bodies (%d^3 elements, %d ang/oct, %d groups; la kernels: %s) ==\n",
+			cfg.Problem.NX, cfg.Problem.AnglesPerOctant, cfg.Problem.Groups, la.Kernels())
 		rows, err := harness.RunKernel(cfg)
 		if err != nil {
 			return err

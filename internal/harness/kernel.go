@@ -129,9 +129,14 @@ func machineInfo() *MachineInfo {
 // high-order problem the factor cache refuses. Previous is the
 // measurement this one replaced, kept when it came from another commit
 // on the same machine: the before/after pair a speedup claim needs.
+// LAKernels is la.Kernels() at measure time ("avx2" or "generic"): which
+// implementation of the dense-solve loops the numbers belong to. It is
+// not part of Machine, whose equality decides whether Previous is kept —
+// a section measured before the vector kernels existed has none.
 type KernelSection struct {
 	Commit         string         `json:"commit,omitempty"`
 	Machine        *MachineInfo   `json:"machine,omitempty"`
+	LAKernels      string         `json:"la_kernels,omitempty"`
 	Problem        ProblemShape   `json:"problem"`
 	Inners         int            `json:"inners_per_run"`
 	Rows           []KernelRow    `json:"rows"`
@@ -142,13 +147,14 @@ type KernelSection struct {
 }
 
 // KernelSectionOf packages a kernel run for WriteSweepJSON.
-func KernelSectionOf(cfg KernelConfig, rows []KernelRow, la []LARow, uncachedNs float64) *KernelSection {
+func KernelSectionOf(cfg KernelConfig, rows []KernelRow, laRows []LARow, uncachedNs float64) *KernelSection {
 	shape := shapeOf(cfg.Uncached)
 	return &KernelSection{
+		LAKernels:      la.Kernels(),
 		Problem:        shapeOf(cfg.Problem),
 		Inners:         cfg.Inners,
 		Rows:           rows,
-		LA:             la,
+		LA:             laRows,
 		Uncached:       &shape,
 		UncachedTaskNs: uncachedNs,
 	}

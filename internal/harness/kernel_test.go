@@ -16,9 +16,9 @@ func TestKernelSectionLAAndPrevious(t *testing.T) {
 		t.Fatalf("la rows not measured: %+v", rows)
 	}
 	path := filepath.Join(t.TempDir(), "bench.json")
-	write := func(commit string) *KernelSection {
+	write := func(commit, kernels string) *KernelSection {
 		t.Helper()
-		sec := &KernelSection{LA: rows, UncachedTaskNs: 1}
+		sec := &KernelSection{LA: rows, UncachedTaskNs: 1, LAKernels: kernels}
 		if err := WriteSweepJSON(path, commit, sec); err != nil {
 			t.Fatal(err)
 		}
@@ -35,16 +35,18 @@ func TestKernelSectionLAAndPrevious(t *testing.T) {
 		}
 		return rep.Kernel
 	}
-	if k := write("aaaa"); k.Previous != nil || len(k.LA) != 2 || k.UncachedTaskNs != 1 {
+	if k := write("aaaa", ""); k.Previous != nil || len(k.LA) != 2 || k.UncachedTaskNs != 1 {
 		t.Fatalf("first write: %+v", k)
 	}
-	if k := write("aaaa"); k.Previous != nil {
+	if k := write("aaaa", ""); k.Previous != nil {
 		t.Fatalf("same-commit refresh kept a previous section: %+v", k.Previous)
 	}
-	if k := write("bbbb"); k.Previous == nil || k.Previous.Commit != "aaaa" {
+	// la_kernels is not part of the machine stamp: a section written
+	// before the field existed is still the "before" of one with it.
+	if k := write("bbbb", "avx2"); k.Previous == nil || k.Previous.Commit != "aaaa" || k.LAKernels != "avx2" || k.Previous.LAKernels != "" {
 		t.Fatalf("new-commit refresh lost the previous section: %+v", k)
 	}
-	if k := write("cccc"); k.Previous == nil || k.Previous.Commit != "bbbb" || k.Previous.Previous != nil {
+	if k := write("cccc", "avx2"); k.Previous == nil || k.Previous.Commit != "bbbb" || k.Previous.Previous != nil {
 		t.Fatalf("previous sections must not chain: %+v", k.Previous)
 	}
 

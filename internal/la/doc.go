@@ -21,25 +21,68 @@
 //     pivot record, then permuted triangular solves per right-hand side.
 //   - FactorBlocked, SolveDGESV: the LAPACK-style stand-in for Intel
 //     MKL's dgesv (closed source): blocked right-looking LU (getrf) whose
-//     panels go through eliminate and whose trailing update is a rank-nb
-//     matrix product with its own summation order, followed by getrs.
-//     The blocking gives it the cache behaviour that lets a library solve
-//     overtake naive elimination once the matrix outgrows L1, which is the
-//     effect Table II measures.
+//     panels go through eliminate, whose block-row solve is the panel's
+//     elimination carried on to the columns right of it and whose rank-nb
+//     trailing update takes a few target rows at a time and runs the
+//     panel's pivot pairs over them — both through the pair update
+//     eliminate itself uses (pairUpdate) — followed by getrs. The
+//     blocking changes which rows are in cache when, not what is computed:
+//     each element has the same terms subtracted in the same order, so
+//     its factors and pivots are bitwise Factor's. What Table II compares
+//     is therefore memory behaviour alone — the order in which a library
+//     solve walks a matrix that has outgrown L1.
 //
 // eliminate takes its pivot steps two at a time. After step k it brings
 // only column k+1 up to date — all the next pivot search needs — and once
 // step k+1 has chosen its pivot, both row operations reach the trailing
-// matrix in a single pass over four target rows: six loads and four
-// stores per sixteen flops, where one rank-1 update at a time moves
-// sixteen and eight. Deferring is bitwise-neutral because between steps k
-// and k+1 elimination reads only column k+1 (the pivot search) and row
-// k+1 (the source of the next row operation), and both are brought up to
-// date first: every other a[i][j] still has step k's term subtracted and
-// rounded, then step k+1's, with the operands the textbook loop would
-// use, and a zero multiplier still skips its row (x - 0*y is not x when x
-// is -0 or y is not finite). The textbook loops live on in la_test.go as
-// the oracle the core is held to bit for bit.
+// matrix in a single pass over four target rows that share each load of
+// the two pivot rows (pairUpdate). Deferring is bitwise-neutral because
+// between steps k and k+1 elimination reads only column k+1 (the pivot
+// search) and row k+1 (the source of the next row operation), and both
+// are brought up to date first: every other a[i][j] still has step k's
+// term subtracted and rounded, then step k+1's, with the operands the
+// textbook loop would use, and a zero multiplier still skips its row
+// (x - 0*y is not x when x is -0 or y is not finite). The textbook loops
+// live on in la_test.go as the oracle the core is held to bit for bit.
+//
+// # Vector kernels
+//
+// Four loops have an AVX2 form in kernels_amd64.s, called from inside
+// the Go functions that own them, so no caller and no signature knows:
+// pairUpdate's four-row trailing update t = (t - l0*u) - l1*v
+// (update2AVX2: the eight multipliers broadcast, the pivot rows loaded
+// once per four columns, four target rows updated per load), and the
+// element-wise passes AddScaled, AddScaledTo and Fuse3. In each, a lane is
+// one matrix entry and performs exactly the IEEE-754 operations the Go
+// loop performs on that entry — VMULPD, then VSUBPD or VADDPD, operands
+// in the same order, each result rounded to float64 before the next
+// uses it — under the same (default, untouched) MXCSR, so the vector
+// path is bitwise the scalar one. A fused multiply-add is not: VFMADD
+// rounds t - l*u once where the loop rounds the product and then the
+// difference, and would move the last bit of most entries (scripts/ci.sh
+// greps the assembly for FMA mnemonics). AVX-512 would be the same
+// argument over eight lanes and is left out only for want of a workload
+// that needs it.
+//
+// What is not vectorised, and why: the triangular solves and MatVec are
+// ordered reductions (lanes would reassociate the sum); the pivot search
+// and the multiplier pass walk a column of a row-major matrix, one cache
+// line per entry; the right-hand sides eliminate carries are one entry
+// per row per step.
+//
+// Dispatch is one unexported variable, useAVX2, set at package
+// initialisation from CPUID (leaf 1 OSXSAVE and AVX, XCR0 bits 1-2 via
+// XGETBV, leaf 7 AVX2) and the constant false where kernels_amd64.s is
+// not built; Kernels reports it. It is not a knob — only this package's
+// tests set it, to run the bitwise suite over both paths and hold them
+// to each other. The Go loops stay as the path on other CPUs and as the
+// handler of what the kernels decline: column ranges and slices below
+// the measured minimums (minUpdateWidth, minVectorLen), the len mod 4
+// tail of an element-wise pass, the rows a block of four leaves over, and
+// every row from the first exact-zero multiplier of a pair on —
+// pairUpdate scans the two multiplier columns first, hands the zero-free
+// leading rows to the kernel (which subtracts unconditionally) and the
+// rest to the per-block loop, which knows how to skip.
 //
 // Matrices are dense row-major; all routines are allocation-free given a
 // Workspace so they can run inside sweep worker pools.
@@ -65,10 +108,11 @@
 //     elimination skips a zero multiplier where the triangular solve
 //     subtracts 0*b, so a -0.0 in the right-hand side can come back +0.0
 //     from the factored path. Equal as numbers, not as bits.)
-//
-// GE and DGESV may differ in the last bits above n = DefaultBlockSize,
-// where the blocked trailing update sums in a different order; the
-// package tests pin both against known solutions and against each other
-// to near machine precision, and every solver-facing layer treats the
-// choice as an Options knob with identical convergence behaviour.
+//   - DGESV == GE: FactorBlocked is bitwise Factor at every size and
+//     block width (TestFactorBlockedMatchesUnblocked), so SolveDGESV
+//     returns SolveGE's bits, the same -0.0 corner aside. The choice is
+//     still an Options knob because the paper's Table II compares the
+//     two; it cannot change a converged flux.
+//   - Vector path == scalar path, for every routine above (the bitwise
+//     suite runs each case on both and compares them).
 package la

@@ -1,0 +1,205 @@
+// AVX2 kernels of package la. Every lane performs the IEEE-754 multiply
+// and the subtract (or add) the pure-Go loop performs on that element,
+// operands in the same order, each rounded on its own: VMULPD then
+// VSUBPD / VADDPD, never a fused multiply-add (doc.go, "Vector kernels";
+// ci.sh greps this file for FMA mnemonics). No routine loads or stores
+// outside the ranges named by its arguments, and each ends in VZEROUPPER.
+
+#include "textflag.h"
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	XORL CX, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET
+
+// One target row of the update at byte offset AX: t <- (t - l0*u) - l1*v
+// with u, v in Y0, Y1 (X0, X1 for the one-column form), the row's two
+// broadcast multipliers in L0, L1 and T, P scratch.
+#define ROW_PD(ROW, L0, L1, T, P) \
+	VMOVUPD (ROW)(AX*1), T; \
+	VMULPD  Y0, L0, P; \
+	VSUBPD  P, T, T; \
+	VMULPD  Y1, L1, P; \
+	VSUBPD  P, T, T; \
+	VMOVUPD T, (ROW)(AX*1)
+
+#define ROW_SD(ROW, L0, L1, T, P) \
+	VMOVSD (ROW)(AX*1), T; \
+	VMULSD X0, L0, P; \
+	VSUBSD P, T, T; \
+	VMULSD X1, L1, P; \
+	VSUBSD P, T, T; \
+	VMOVSD T, (ROW)(AX*1)
+
+// func update2AVX2(ad []float64, n, k, c, k1, i0, rows int)
+//
+// Closes pivot pair (k-1, k) for rows i0..i0+rows-1 (rows a positive
+// multiple of four) over columns c..k1-1 of the row-major n x n matrix
+// ad: a[i][j] <- (a[i][j] - a[i][k-1]*a[k-1][j]) - a[i][k]*a[k][j].
+// Four rows share each load of the two pivot rows; columns go four to a
+// pass, the (k1-c) mod 4 left over one at a time with the scalar forms.
+TEXT ·update2AVX2(SB), NOSPLIT, $0-72
+	MOVQ ad_base+0(FP), R12
+	MOVQ n+24(FP), R8
+	MOVQ k+32(FP), R9
+	MOVQ c+40(FP), R10
+	MOVQ k1+48(FP), R11
+	MOVQ i0+56(FP), AX
+	MOVQ rows+64(FP), R13
+	SHLQ $3, R8                 // R8: row stride in bytes
+	SUBQ R10, R11
+	SHLQ $3, R11                // R11: bytes of one row's columns c..k1-1
+	SHLQ $3, R10                // R10: byte offset of column c
+	LEAQ -1(R9), SI
+	IMULQ R8, SI
+	ADDQ R12, SI
+	ADDQ R10, SI                // SI: &a[k-1][c]
+	LEAQ (SI)(R8*1), DX         // DX: &a[k][c]
+	SHLQ $3, R9
+	SUBQ $8, R9
+	SUBQ R10, R9                // R9: byte offset of column k-1 from column c
+	IMULQ R8, AX
+	ADDQ AX, R12
+	ADDQ R10, R12               // R12: &a[i0][c]
+	MOVQ R11, BX
+	ANDQ $~31, BX               // BX: bytes the four-lane body covers
+	SHRQ $2, R13                // R13: four-row blocks to go
+
+rows4:
+	LEAQ (R12)(R8*1), CX
+	LEAQ (R12)(R8*2), DI
+	LEAQ (DI)(R8*1), R10        // R12, CX, DI, R10: the four target rows
+	VBROADCASTSD (R12)(R9*1), Y8
+	VBROADCASTSD 8(R12)(R9*1), Y9
+	VBROADCASTSD (CX)(R9*1), Y10
+	VBROADCASTSD 8(CX)(R9*1), Y11
+	VBROADCASTSD (DI)(R9*1), Y12
+	VBROADCASTSD 8(DI)(R9*1), Y13
+	VBROADCASTSD (R10)(R9*1), Y14
+	VBROADCASTSD 8(R10)(R9*1), Y15
+	XORQ AX, AX
+	CMPQ AX, BX
+	JGE  tail
+
+cols4:
+	VMOVUPD (SI)(AX*1), Y0
+	VMOVUPD (DX)(AX*1), Y1
+	ROW_PD(R12, Y8, Y9, Y2, Y6)
+	ROW_PD(CX, Y10, Y11, Y3, Y7)
+	ROW_PD(DI, Y12, Y13, Y4, Y6)
+	ROW_PD(R10, Y14, Y15, Y5, Y7)
+	ADDQ $32, AX
+	CMPQ AX, BX
+	JLT  cols4
+
+tail:
+	CMPQ AX, R11
+	JGE  next
+
+cols1:
+	VMOVSD (SI)(AX*1), X0
+	VMOVSD (DX)(AX*1), X1
+	ROW_SD(R12, X8, X9, X2, X6)
+	ROW_SD(CX, X10, X11, X3, X7)
+	ROW_SD(DI, X12, X13, X4, X6)
+	ROW_SD(R10, X14, X15, X5, X7)
+	ADDQ $8, AX
+	CMPQ AX, R11
+	JLT  cols1
+
+next:
+	LEAQ (R12)(R8*4), R12
+	DECQ R13
+	JNZ  rows4
+	VZEROUPPER
+	RET
+
+// The three element-wise passes take slices whose common length is a
+// positive multiple of four; la.go runs the leftover entries.
+
+// func addScaledAVX2(y, x []float64, w float64)
+//
+// y[i] = y[i] + w*x[i].
+TEXT ·addScaledAVX2(SB), NOSPLIT, $0-56
+	MOVQ y_base+0(FP), DI
+	MOVQ y_len+8(FP), CX
+	MOVQ x_base+24(FP), SI
+	VBROADCASTSD w+48(FP), Y0
+	SHLQ $3, CX
+	XORQ AX, AX
+
+axpy4:
+	VMOVUPD (DI)(AX*1), Y1
+	VMULPD  (SI)(AX*1), Y0, Y2
+	VADDPD  Y2, Y1, Y1
+	VMOVUPD Y1, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     axpy4
+	VZEROUPPER
+	RET
+
+// func addScaledToAVX2(dst, base, x []float64, w float64)
+//
+// dst[i] = base[i] + w*x[i].
+TEXT ·addScaledToAVX2(SB), NOSPLIT, $0-80
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ base_base+24(FP), DX
+	MOVQ x_base+48(FP), SI
+	VBROADCASTSD w+72(FP), Y0
+	SHLQ $3, CX
+	XORQ AX, AX
+
+axpyto4:
+	VMOVUPD (DX)(AX*1), Y1
+	VMULPD  (SI)(AX*1), Y0, Y2
+	VADDPD  Y2, Y1, Y1
+	VMOVUPD Y1, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     axpyto4
+	VZEROUPPER
+	RET
+
+// func fuse3AVX2(dst, a, b, c []float64, wa, wb, wc float64)
+//
+// dst[i] = (wa*a[i] + wb*b[i]) + wc*c[i].
+TEXT ·fuse3AVX2(SB), NOSPLIT, $0-120
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), DX
+	MOVQ c_base+72(FP), BX
+	VBROADCASTSD wa+96(FP), Y0
+	VBROADCASTSD wb+104(FP), Y1
+	VBROADCASTSD wc+112(FP), Y2
+	SHLQ $3, CX
+	XORQ AX, AX
+
+fuse4:
+	VMULPD  (SI)(AX*1), Y0, Y3
+	VMULPD  (DX)(AX*1), Y1, Y4
+	VADDPD  Y4, Y3, Y3
+	VMULPD  (BX)(AX*1), Y2, Y4
+	VADDPD  Y4, Y3, Y3
+	VMOVUPD Y3, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     fuse4
+	VZEROUPPER
+	RET

@@ -1,0 +1,12 @@
+//go:build !amd64
+
+package la
+
+// useAVX2 is false wherever kernels_amd64.s is not built: the pure-Go
+// loops are the only path and the calls below are dead code.
+const useAVX2 = false
+
+func update2AVX2(ad []float64, n, k, c, k1, i0, rows int)  { panic("la: no vector kernels") }
+func addScaledAVX2(y, x []float64, w float64)              { panic("la: no vector kernels") }
+func addScaledToAVX2(dst, base, x []float64, w float64)    { panic("la: no vector kernels") }
+func fuse3AVX2(dst, a, b, c []float64, wa, wb, wc float64) { panic("la: no vector kernels") }

@@ -159,27 +159,37 @@ func TestFactorSolveRandom(t *testing.T) {
 	}
 }
 
+// TestFactorBlockedMatchesUnblocked: the blocked factorisation reaches its
+// trailing block through the row operations of the elimination core, so
+// factors, pivot record and error are bit for bit Factor's — on both
+// kernel paths, with panels wider and narrower than a vector pass, odd
+// panel widths, swaps and exact-zero multipliers.
 func TestFactorBlockedMatchesUnblocked(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{4, 8, 33, 64, 125} {
-		a0, _, _ := randSystem(rng, n)
-		a1 := NewMatrix(n)
-		a1.CopyFrom(a0)
-		p0 := make([]int, n)
-		p1 := make([]int, n)
-		if err := Factor(a0, p0); err != nil {
-			t.Fatal(err)
-		}
-		if err := FactorBlocked(a1, p1, 8); err != nil {
-			t.Fatal(err)
-		}
-		for i := range p0 {
-			if p0[i] != p1[i] {
-				t.Fatalf("n=%d: pivot %d differs: %d vs %d", n, i, p0[i], p1[i])
+	for _, n := range []int{4, 8, 33, 64, 65, 125, 216} {
+		for _, nb := range []int{5, 32} {
+			for name, data := range elimCases(n, 0, int64(n+nb)) {
+				eachKernelPath(t, func(path string) {
+					a0, _ := elimSystem(n, 0, data)
+					a1 := NewMatrix(n)
+					a1.CopyFrom(a0)
+					p0, p1 := make([]int, n), make([]int, n)
+					err0, err1 := Factor(a0, p0), FactorBlocked(a1, p1, nb)
+					if err0 != err1 {
+						t.Fatalf("n=%d nb=%d %s (%s): FactorBlocked err %v, Factor %v", n, nb, name, path, err1, err0)
+					}
+					if err0 != nil {
+						return
+					}
+					for i := range p0 {
+						if p0[i] != p1[i] {
+							t.Fatalf("n=%d nb=%d %s (%s): pivot %d differs: %d vs %d", n, nb, name, path, i, p0[i], p1[i])
+						}
+					}
+					if !sameBits(a0.Data, a1.Data) {
+						t.Fatalf("n=%d nb=%d %s (%s): FactorBlocked not bitwise Factor", n, nb, name, path)
+					}
+				})
 			}
-		}
-		if d := maxAbsDiff(a0.Data, a1.Data); d > 1e-10 {
-			t.Fatalf("n=%d: factor mismatch %v", n, d)
 		}
 	}
 }
@@ -213,10 +223,12 @@ func TestFactorBlockedPivLengthMismatch(t *testing.T) {
 	}
 }
 
+// TestGEAndDGESVAgree: the two Table II solvers return the same bits (the
+// random right-hand sides hold no -0.0, doc.go's one corner).
 func TestGEAndDGESVAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(40)
+		n := 1 + rng.Intn(100) // on both sides of DefaultBlockSize
 		a, _, b := randSystem(rng, n)
 		a2 := NewMatrix(n)
 		a2.CopyFrom(a)
@@ -229,8 +241,8 @@ func TestGEAndDGESVAgree(t *testing.T) {
 		if err := SolveDGESV(a2, b2, piv); err != nil {
 			t.Fatal(err)
 		}
-		if d := maxAbsDiff(x1, b2); d > 1e-8 {
-			t.Fatalf("n=%d: solver disagreement %v", n, d)
+		if !sameBits(x1, b2) {
+			t.Fatalf("n=%d: DGESV not bitwise GE, max difference %v", n, maxAbsDiff(x1, b2))
 		}
 	}
 }
@@ -439,10 +451,28 @@ func sameBits(x, y []float64) bool {
 	return len(x) == len(y)
 }
 
-// checkEliminate runs every wrapper over eliminate on one case and holds
-// each to the reference loops bit for bit: solutions, LU factors, pivot
-// records, the error and the step it was raised at.
+// checkEliminate runs one case on every kernel path of this machine and
+// holds each to the reference loops, and the paths to each other, bit for
+// bit.
 func checkEliminate(t *testing.T, n, k int, data []byte) {
+	t.Helper()
+	var generic []float64
+	eachKernelPath(t, func(path string) {
+		got := checkEliminatePath(t, n, k, data)
+		if path == "generic" {
+			generic = got
+		} else if !sameBits(got, generic) {
+			t.Fatalf("%s path not bitwise the generic path", path)
+		}
+	})
+}
+
+// checkEliminatePath runs every wrapper over eliminate on one case and
+// holds each to the reference loops bit for bit: solutions, LU factors,
+// pivot records, the error and the step it was raised at. It returns
+// everything the wrappers wrote — after an error too — for the caller to
+// compare across kernel paths.
+func checkEliminatePath(t *testing.T, n, k int, data []byte) (out []float64) {
 	t.Helper()
 	a0, bs0 := elimSystem(n, k, data)
 	fresh := func() (*Matrix, []float64) {
@@ -477,6 +507,7 @@ func checkEliminate(t *testing.T, n, k int, data []byte) {
 	if errRef == nil && !sameBits(bs, want) {
 		t.Fatalf("SolveGEMulti not bitwise the reference")
 	}
+	out = append(append(out, a.Data...), bs...)
 	for r := 0; r < k; r++ {
 		for _, alias := range []bool{true, false} {
 			a, bs := fresh()
@@ -507,6 +538,7 @@ func checkEliminate(t *testing.T, n, k int, data []byte) {
 	if !samePiv(piv, pivRef) {
 		t.Fatalf("Factor pivots %v, reference %v", piv, pivRef)
 	}
+	out = append(out, lu.Data...)
 	if errRef == nil {
 		if !sameBits(lu.Data, luRef.Data) {
 			t.Fatalf("Factor not bitwise the reference")
@@ -564,7 +596,9 @@ func checkEliminate(t *testing.T, n, k int, data []byte) {
 				t.Fatalf("panel [%d,%d) not bitwise the reference", k0, k1)
 			}
 		}
+		out = append(out, lu.Data...)
 	}
+	return out
 }
 
 // elimCases are the hand-built shapes of the bitwise suite, as bytes for

@@ -22,6 +22,19 @@ fi
 go vet ./...
 go build ./...
 go build ./examples/...
+# The pure-Go side of internal/la's kernel split (kernels_generic.go) is
+# never compiled on the amd64 boxes this runs on: cross-build it, and vet
+# the package with its tests, so the stub path cannot stop compiling
+# unseen. (go vet's asmdecl above checks kernels_amd64.s's frame layouts
+# against the Go declarations.)
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/la
+# The vector kernels are bitwise the scalar loops only while every lane
+# rounds its product before the subtract: no fused multiply-add, ever.
+if grep -n 'VFMADD\|VFNMADD\|VFMSUB\|VFNMSUB' internal/la/*.s; then
+	echo "fused multiply-add in internal/la assembly" >&2
+	exit 1
+fi
 # Bench-tool smoke pass: the kernel experiment (the one BENCH_sweep.json
 # section) executes end to end on tiny problems — seconds, not minutes —
 # so the bench plumbing cannot bit-rot between real refreshes. -smoke
@@ -44,9 +57,11 @@ go run ./cmd/unsnap-serve -smoke \
 # or internal/la change can break the benchmark unseen.
 (cd benchmark && go test .)
 # Dense-solve bitwise suite: every wrapper over la's one elimination core
-# against the reference loops, uncached and under the race detector, then
-# a short fuzz of the same oracle.
-go test -race -count=1 -run 'Eliminate|Bitwise' ./internal/la
+# against the reference loops — on the pure-Go loops and on the AVX2
+# kernels, the two also against each other — and the kernels' window
+# (canary) tests, uncached and under the race detector, then a short fuzz
+# of the same oracle.
+go test -race -count=1 -run 'Eliminate|Bitwise|Window|FactorBlocked' ./internal/la
 go test -run '^$' -fuzz=FuzzEliminateBitwise -fuzztime=5s ./internal/la
 # Task-kernel bitwise suite (kernel_test.go): batched == scalar across the
 # boundary / scattering / time-stepping matrix and every four-group panel
