@@ -5,8 +5,8 @@ import "sync"
 // parallelFor runs fn(worker, i) for i in [0, n) over a pool of `workers`
 // goroutines with static chunked distribution, the Go analogue of an
 // OpenMP `parallel for schedule(static)`. Worker ids index per-worker
-// scratch. With one worker (or one item) it runs inline. Mirrors
-// core.parallelFor; the build layer cannot import core.
+// scratch. With one worker (or one item) it runs inline. It spawns per
+// call: the build runs once per artifact and keeps no team.
 func parallelFor(workers, n int, fn func(worker, i int)) {
 	if n <= 0 {
 		return

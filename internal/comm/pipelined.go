@@ -703,7 +703,11 @@ func (d *Driver) runPipelined(ctx context.Context) (*Result, error) {
 		go func(r int) {
 			defer wg.Done()
 			rk := &pipeRank{Solver: d.solvers[r], pr: pr, r: r}
-			res, err := core.Iterate(ctx, d.cfg.Rank, rk, pr.agree)
+			cfg := d.cfg.Rank
+			if r != 0 {
+				cfg.Progress = nil // every rank iterates; rank 0 reports
+			}
+			res, err := core.Iterate(ctx, cfg, rk, pr.agree)
 			if err != nil {
 				pr.fail(fmt.Errorf("comm: rank %d: %w", r, err))
 				return

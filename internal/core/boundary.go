@@ -5,11 +5,12 @@ import "unsnap/internal/fem"
 // SetBoundary installs (or replaces) the boundary-flux callback after
 // construction. Reflective boundaries need the solver's own flux state, so
 // they cannot be wired through Config before New returns. Any existing
-// sweep engine is discarded (octant-fusion eligibility depends on the
-// callback); the next sweep rebuilds it.
+// engine schedule is dropped (octant-fusion eligibility depends on the
+// callback); the next sweep rebuilds it. The workers are the pool's and
+// stay.
 func (s *Solver) SetBoundary(fn BoundaryFlux) {
 	s.cfg.Boundary = fn
-	s.closeEngine()
+	s.engine = nil
 }
 
 // SetBalanceSkip installs the boundary-face filter Run's balance report

@@ -267,12 +267,10 @@ type Config struct {
 	// Table II (small overhead per local solve, as the paper notes).
 	Instrument bool
 
-	// Progress, when non-nil, is called after every completed inner
-	// iteration of RunContext with the iteration indices and the flux
-	// change (see Progress). It runs synchronously on the iteration
-	// goroutine between inners — the hook for per-inner streaming in
-	// long-running services. Only the single-domain Run path calls it;
-	// the distributed drivers own their iteration loops.
+	// Progress, when non-nil, is called by Iterate after every completed
+	// inner iteration with the iteration indices and the flux change (see
+	// Progress). It runs synchronously on the iteration goroutine between
+	// inners — the hook for per-inner streaming in long-running services.
 	Progress func(Progress)
 
 	// HealthChecks enables the numerical-health guards: a NaN/Inf scan of

@@ -43,6 +43,39 @@
 // A solver built from a cached artifact (internal/build) is
 // indistinguishable from one built cold.
 //
+// # Worker pool and lifecycle
+//
+// A Solver has one team of workers (workerPool, parallel.go), the
+// analogue of the persistent OpenMP team the paper's solver runs every
+// parallel region on: Threads-1 goroutines parked on a condition variable
+// plus the calling goroutine as worker 0. Nothing else in the package
+// starts a goroutine. Every parallel loop is a round of it — fork(body)
+// releases the background workers onto body(w), join runs body(0) on the
+// caller and waits for them to leave, run is the two back to back:
+// ComputeOuterSource, PrepareInner's source pass, each engine phase (the
+// body is the engine's worker loop; the engine owns deques, counters and
+// the mid-phase park/wake of workers with nothing ready, but no
+// goroutines), each bucket of a bucket scheme, the ordered flux
+// reduction, storePrevStep and the eager factor fill. An armed sweep is
+// the same round held open: ArmSweep forks, FinishSweep joins. Rounds do
+// not nest — no body may reach another fork; the lazy factor fill runs
+// inside a task and is pool-free. The static loops split their range at
+// w*n/Threads, which is part of the thread-count determinism pin.
+//
+// The workers start on the first round and hold no reference to the
+// solver between rounds, so two things stop them: Close (stops and joins
+// them; the solver stays usable and the next round starts them again) and
+// the one runtime cleanup registered at New, which lets the workers of a
+// solver dropped without Close return once it is collected. A sweep's
+// first error — a task's failed solve, a stall, a cancel — collects in
+// the pool and is handed over by the call that ends the sweep. A panic in
+// any body on any worker, the caller's slot included, is recovered in the
+// pool's one wrapper: it becomes that error, carrying the panic value and
+// the stack, the engine phase in flight is abandoned so its parked peers
+// leave, and the process, the pool and the solver live on (a panic in a
+// loop whose caller returns no error, such as PrepareInner, surfaces from
+// the sweep that follows).
+//
 // # One source iteration
 //
 // Iterate (iterate.go) is the only place that knows how a solve iterates

@@ -1,17 +1,16 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"unsnap/internal/sweep"
 )
 
-// This file implements the persistent sweep engine behind SchemeEngine.
-// Instead of the legacy fork/join per schedule bucket per ordinate, a
-// pool of long-lived workers executes each octant of SweepAllAngles as
-// one task graph:
+// This file implements the sweep engine behind SchemeEngine. Instead of
+// the legacy fork/join per schedule bucket per ordinate, the solver's
+// workers (doc.go, "Worker pool and lifecycle") execute each octant of
+// SweepAllAngles as one task graph:
 //
 //   - Counter-driven wavefronts: a task is all energy groups of one
 //     (ordinate, element) pair. Workers pop ready tasks from per-worker
@@ -67,7 +66,7 @@ func newWSDeque(capacity int) *wsDeque {
 }
 
 // reset may only be called while no worker owns or steals from the deque
-// (the engine quiesces the pool between octant phases).
+// (every worker has left a phase before the next begins).
 func (d *wsDeque) reset() { d.top.Store(0); d.bottom.Store(0) }
 
 func (d *wsDeque) push(t int64) {
@@ -113,55 +112,13 @@ func (d *wsDeque) steal() (int64, bool) {
 
 func (d *wsDeque) size() int64 { return d.bottom.Load() - d.top.Load() }
 
-// ---- persistent worker pool ----
-
-// enginePool is the long-lived state shared with the background worker
-// goroutines. It deliberately holds no reference back to the Solver:
-// phases hand workers an engineJob carrying all per-phase context and
-// clear it on completion, so a quiescent pool never roots the solver's
-// (large) arrays. That lets the runtime cleanup registered in newEngine
-// stop the workers once the solver itself becomes unreachable.
-type enginePool struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	idle    atomic.Int32 // workers parked mid-phase; updated under mu
-	job     *engineJob   // current phase; nil when quiescent (under mu)
-	seq     uint64       // bumped with every installed job (under mu)
-	stop    bool         // set by the solver's cleanup (under mu)
-	running int          // live background workers (under mu)
-}
-
-func poolWorker(p *enginePool, w int) {
-	// Jobs are tracked by sequence number, not by retaining the pointer:
-	// a parked worker must hold no reference into the completed phase, or
-	// it would root the solver and the cleanup could never fire.
-	var lastSeq uint64
-	for {
-		p.mu.Lock()
-		for (p.job == nil || p.seq == lastSeq) && !p.stop {
-			p.cond.Wait()
-		}
-		if p.stop {
-			p.running--
-			p.cond.Broadcast() // shutdown joins on running == 0
-			p.mu.Unlock()
-			return
-		}
-		job := p.job
-		lastSeq = p.seq
-		p.mu.Unlock()
-		job.run(w)
-		p.mu.Lock()
-		job.exited++
-		p.cond.Broadcast()
-		p.mu.Unlock()
-	}
-}
+// ---- engine ----
 
 // engine owns the scheduling state of the engine-backed schemes for one
 // Solver: the per-ordinate task graphs, the whole-sweep schedule (initial
 // remaining-upwind counters and seed lists over global task ids), the
-// worker deques, and the pool of workers (created once).
+// worker deques and the state of the one phase in flight. It owns no
+// goroutines: a phase is a round of the solver's worker pool.
 //
 // Task ids are global across the whole sweep: task a*nE+e is all energy
 // groups of (ordinate a, element e). Sequential octant phases execute the
@@ -170,7 +127,6 @@ func poolWorker(p *enginePool, w int) {
 type engine struct {
 	s      *Solver
 	nw     int
-	pool   *enginePool // nil when nw == 1 (fully inline execution)
 	deques []*wsDeque
 	graphs []*sweep.Graph // per angle, shared across angles of one topo
 
@@ -186,13 +142,13 @@ type engine struct {
 	// number of streamed upwind faces folded into task t's initial
 	// counter, totalExt their sum (one sweep's expected ResolveExternal
 	// calls), and pubOff/pubFace the CSR lists of external faces each
-	// task publishes on completion. armed is the job installed by
-	// ArmSweep and not yet joined by FinishSweep (driver goroutine only).
+	// task publishes on completion. armed marks a phase begun by ArmSweep
+	// and not yet ended by FinishSweep (driver goroutine only).
 	extDeg   []int32
 	pubOff   []int32
 	pubFace  []int32
 	totalExt int64
-	armed    *engineJob
+	armed    bool
 
 	// Immutable whole-sweep schedule: initCounts[a*nE+e] is the initial
 	// remaining-upwind counter of task (a, e); octSeeds[o] lists octant
@@ -204,59 +160,41 @@ type engine struct {
 
 	counts []int32 // working counters of the current phase
 
-	// phaseJob is the reusable job of self-driven phases (runPhase); see
-	// the reset comment there.
-	phaseJob engineJob
-
-	// cleanup is the GC-path stop registration for the pool; shutdown
-	// cancels it so Close/Run cycles do not accumulate cleanup records
-	// (and retained stopped pools) on the solver.
-	cleanup runtime.Cleanup
-}
-
-// engineJob is one phase (an octant slab, or the whole fused sweep)
-// handed to the pool.
-type engineJob struct {
-	eng       *engine
-	seeds     []int32
-	cursor    atomic.Int64
-	remaining atomic.Int64
-	stalled   atomic.Bool // a worker detected a stalled phase
-	exited    int         // background workers done with this job (under pool.mu)
-	record    func(error)
-
-	// External-sweep state: inbox holds tasks made ready by
-	// ResolveExternal (workers cannot be pushed to another worker's deque,
-	// so injections queue here, under pool.mu), extPending counts the
-	// sweep's still-unresolved external dependencies (the stall detector
-	// must not fire while data is still in flight), and err collects the
-	// job-owned error for FinishSweep (sweeps driven through runSweep
-	// record into the caller's closure instead).
-	inbox      []int64
+	// The phase in flight (an octant slab, or the whole fused sweep), reset
+	// in place by begin so that a steady-state sweep, self-driven or armed,
+	// allocates nothing. extPending counts the sweep's still-unresolved
+	// external dependencies: the stall detector must not fire while data is
+	// still in flight. runFn and abandonFn are the phase's round body and
+	// abort hook, built once.
+	seeds      []int32
+	cursor     atomic.Int64
+	remaining  atomic.Int64
 	extPending atomic.Int64
-	errMu      sync.Mutex
-	err        error
+	stalled    atomic.Bool // a worker detected a stalled phase
+	runFn      func(w int)
+	abandonFn  func()
+
+	// Mid-phase park and wake: workers with nothing to do sleep on cond
+	// (idle counts them), and goroutines outside the team — the comm
+	// layer's receivers and watchdog — meet the phase here. active marks a
+	// phase installed; inbox holds tasks made ready by ResolveExternal (a
+	// foreign goroutine cannot push onto a worker's deque). idle is
+	// updated, active and inbox accessed, under mu.
+	mu     sync.Mutex
+	cond   *sync.Cond
+	idle   atomic.Int32
+	active bool
+	inbox  []int64
 }
 
-// recordErr is the record sink of externally-driven jobs.
-func (j *engineJob) recordErr(err error) {
-	if err == nil {
-		return
-	}
-	j.errMu.Lock()
-	if j.err == nil {
-		j.err = err
-	}
-	j.errMu.Unlock()
-}
-
-// newEngine builds the engine for s and starts its Threads-1 background
-// workers (the sweeping goroutine acts as worker 0). Workers outlive any
-// single sweep; a runtime cleanup stops them when s is collected.
+// newEngine builds the schedule of s's engine-backed sweeps.
 func newEngine(s *Solver) *engine {
 	per := s.cfg.Quad.PerOctant
 	total := s.nA * s.nE
 	e := &engine{s: s, nw: s.cfg.Threads, fused: s.octantsFusable()}
+	e.cond = sync.NewCond(&e.mu)
+	e.runFn = e.run
+	e.abandonFn = func() { e.abandon(nil) }
 	phaseTasks := per * s.nE
 	if e.fused {
 		phaseTasks = total
@@ -300,28 +238,11 @@ func newEngine(s *Solver) *engine {
 			e.allSeeds = append(e.allSeeds, seeds...)
 		}
 	}
-	if e.nw > 1 || s.ext != nil {
-		// External solvers need the pool's park/wake machinery even with a
-		// single worker: worker 0 must be able to sleep awaiting streamed
-		// resolutions instead of spinning (with nw == 1 no background
-		// goroutines are started, only the condition variable is used).
-		e.pool = &enginePool{running: e.nw - 1}
-		e.pool.cond = sync.NewCond(&e.pool.mu)
-		for w := 1; w < e.nw; w++ {
-			go poolWorker(e.pool, w)
-		}
-		e.cleanup = runtime.AddCleanup(s, func(p *enginePool) {
-			p.mu.Lock()
-			p.stop = true
-			p.cond.Broadcast()
-			p.mu.Unlock()
-		}, e.pool)
-	}
 	return e
 }
 
 // ensureEngine lazily builds the engine on the first engine-backed sweep
-// (or the first after Close).
+// (or the first after SetBoundary dropped it).
 func (s *Solver) ensureEngine() *engine {
 	if s.engine == nil {
 		s.engine = newEngine(s)
@@ -329,82 +250,30 @@ func (s *Solver) ensureEngine() *engine {
 	return s.engine
 }
 
-// Close stops the engine's and the fork-join pool's background workers
-// deterministically. Without it the workers are only reclaimed when the
-// garbage collector notices the solver is unreachable — fine for
-// short-lived solvers, but a process that holds many solvers alive should
-// Close the ones it is done sweeping with. The solver remains fully usable: state queries work,
-// and a later sweep simply builds a fresh worker pool. Safe to call
-// multiple times, including concurrently: a mutex serialises the
-// teardown, so the second Close observes the cleared engine and is a
-// no-op. (Close concurrent with an in-flight sweep remains the caller's
-// responsibility — the comm driver aborts and joins its run first.)
-func (s *Solver) Close() {
-	s.closeEngine()
-	s.closeMu.Lock()
-	defer s.closeMu.Unlock()
-	s.fj.close()
-	s.fj = nil
-}
-
-// closeEngine tears down just the sweep engine, leaving the solver usable
-// (the next sweep rebuilds the pool): the SetBoundary path, which must
-// keep the fork-join helper alive for the sweeps that follow.
-func (s *Solver) closeEngine() {
-	s.closeMu.Lock()
-	defer s.closeMu.Unlock()
-	if s.engine != nil {
-		s.engine.shutdown()
-		s.engine = nil
-	}
-}
-
-// ensureForkJoin returns the between-phase fork-join pool, rebuilding it
-// if a Close discarded it — like the sweep engine, the pool comes back
-// lazily so a closed solver stays usable. Nil at one thread: run then
-// executes inline.
-func (s *Solver) ensureForkJoin() *forkJoin {
-	if s.fj == nil && s.cfg.Threads > 1 {
-		s.fj = newForkJoin(s, s.cfg.Threads)
-	}
-	return s.fj
-}
-
-// shutdown terminates the pool's background workers and joins them: on
-// return every worker has observed stop and is past its last pool access
-// (the goroutines themselves retire a hair later, on their final return)
-// — the "deterministic" in Close's contract. The pool is quiescent
-// between sweeps, so this never interrupts a phase. The GC cleanup path
-// deliberately skips the join — it must not block the finalizer
-// goroutine — and just signals stop.
-func (e *engine) shutdown() {
-	if e.pool == nil {
-		return
-	}
-	e.cleanup.Stop() // explicit stop supersedes the GC-path registration
-	p := e.pool
-	p.mu.Lock()
-	p.stop = true
-	p.cond.Broadcast()
-	for p.running > 0 {
-		p.cond.Wait()
-	}
-	p.mu.Unlock()
-}
+// Close stops the solver's background workers and joins them. Without it
+// they are only reclaimed when the garbage collector notices the solver is
+// unreachable — fine for short-lived solvers, but a process that holds
+// many solvers alive should Close the ones it is done sweeping with. The
+// solver remains fully usable: state queries work, and a later sweep
+// restarts the workers. Safe to call multiple times, including
+// concurrently. (Close concurrent with an in-flight sweep remains the
+// caller's responsibility — the comm driver aborts and joins its run
+// first.)
+func (s *Solver) Close() { s.pool.halt(true) }
 
 // runSweep executes one full sweep: the single fused phase in
 // cross-octant mode, or eight sequential octant phases otherwise. A
 // stalled phase aborts the remaining octants — the sweep is already
 // failed, so their work would be wasted. Per-element solve errors do NOT
 // abort (the legacy executors finish the sweep too).
-func (e *engine) runSweep(record func(error)) {
+func (e *engine) runSweep() {
 	if e.fused {
-		e.runPhase(0, len(e.counts), e.allSeeds, record)
+		e.runPhase(0, len(e.counts), e.allSeeds)
 		return
 	}
 	per := e.s.cfg.Quad.PerOctant
 	for o := 0; o < 8; o++ {
-		if stalled := e.runPhase(o*per*e.s.nE, (o+1)*per*e.s.nE, e.octSeeds[o], record); stalled {
+		if stalled := e.runPhase(o*per*e.s.nE, (o+1)*per*e.s.nE, e.octSeeds[o]); stalled {
 			return
 		}
 	}
@@ -414,128 +283,120 @@ func (e *engine) runSweep(record func(error)) {
 // a stall, which it reports). The pool is quiescent on entry and on
 // return: the caller may touch counters, deques and worker scratch
 // freely in between.
-func (e *engine) runPhase(lo, hi int, seeds []int32, record func(error)) (stalled bool) {
+func (e *engine) runPhase(lo, hi int, seeds []int32) (stalled bool) {
+	e.begin(lo, hi, seeds, 0)
+	return e.end()
+}
+
+// begin resets the phase state to the tasks with ids in [lo, hi), ext of
+// whose dependencies are streamed, and forks it: the background workers
+// start at once, the caller's share waits for end.
+func (e *engine) begin(lo, hi int, seeds []int32, ext int64) {
 	copy(e.counts[lo:hi], e.initCounts[lo:hi])
 	for _, d := range e.deques {
 		d.reset()
 	}
-	// Reuse the engine's phase job in place: the pool is quiescent between
-	// phases, so the reset races with nobody, and the steady-state sweep
-	// allocates nothing. Externally-driven sweeps (ArmSweep) build their
-	// own job — their lifetime spans FinishSweep, not one phase.
-	job := &e.phaseJob
-	job.eng = e
-	job.seeds = seeds
-	job.record = record
-	job.cursor.Store(0)
-	job.stalled.Store(false)
-	job.exited = 0
-	job.remaining.Store(int64(hi - lo))
-	if e.nw == 1 {
-		job.run(0)
-		return job.stalled.Load()
+	e.seeds = seeds
+	e.cursor.Store(0)
+	e.stalled.Store(false)
+	e.remaining.Store(int64(hi - lo))
+	e.extPending.Store(ext)
+	e.mu.Lock()
+	e.inbox = e.inbox[:0]
+	e.active = true
+	e.mu.Unlock()
+	e.s.pool.fork(e.runFn, e.abandonFn)
+}
+
+// end works the phase as worker 0 until it completes, stalls or is
+// abandoned, and waits for every background worker to leave it.
+func (e *engine) end() (stalled bool) {
+	e.s.pool.join()
+	e.mu.Lock()
+	e.active = false
+	e.mu.Unlock()
+	return e.stalled.Load()
+}
+
+// abandon fails the phase in flight, if any, with err (nil: the failure is
+// already recorded) and releases all its workers.
+func (e *engine) abandon(err error) {
+	e.mu.Lock()
+	if e.active {
+		e.s.pool.record(err)
+		e.remaining.Store(0)
+		e.cond.Broadcast()
 	}
-	p := e.pool
-	p.mu.Lock()
-	p.job = job
-	p.seq++
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	job.run(0)
-	// Quiesce: wait for every background worker to leave the job before
-	// the next phase reuses the deques and counters.
-	p.mu.Lock()
-	for job.exited < e.nw-1 {
-		p.cond.Wait()
-	}
-	p.job = nil
-	p.mu.Unlock()
-	return job.stalled.Load()
+	e.mu.Unlock()
 }
 
 // run is the per-worker phase loop: drain own deque, then the seed list,
 // then steal, then the external inbox; park when nothing is ready and not
 // done.
-func (j *engineJob) run(w int) {
-	e := j.eng
+func (e *engine) run(w int) {
 	own := e.deques[w]
-	for {
-		if j.remaining.Load() <= 0 {
-			return
-		}
+	for e.remaining.Load() > 0 {
 		t, ok := own.pop()
 		if !ok {
-			t, ok = j.takeSeed()
+			t, ok = e.takeSeed()
 		}
 		if !ok {
-			t, ok = j.stealFrom(w)
+			t, ok = e.stealFrom(w)
 		}
-		if !ok {
-			if e.pool == nil {
-				// Inline mode cannot park: an empty scan with work
-				// remaining would be a scheduler bug, not contention.
-				if j.remaining.Load() > 0 && !j.hasWork() {
-					j.stalled.Store(true)
-					j.record(errEngineStalled)
-					return
-				}
-				continue
-			}
-			p := e.pool
-			p.mu.Lock()
-			if t, ok = j.takeInbox(); ok {
-				p.mu.Unlock()
-				j.exec(w, t)
-				continue
-			}
-			p.idle.Add(1)
-			for !j.hasWork() && j.remaining.Load() > 0 {
-				// Every worker (including the sweeping worker 0) is
-				// parked here with tasks remaining and nothing visible.
-				// If no external resolutions are in flight either, no one
-				// holds a task, so nothing can ever be pushed — the phase
-				// is stalled. Fail the sweep instead of deadlocking;
-				// zeroing remaining releases the peers. With external
-				// dependencies pending the workers simply sleep until the
-				// comm layer injects the next resolved task.
-				if int(p.idle.Load()) == e.nw && j.extPending.Load() == 0 {
-					j.stalled.Store(true)
-					j.record(errEngineStalled)
-					j.remaining.Store(0)
-					p.cond.Broadcast()
-					break
-				}
-				p.cond.Wait()
-			}
-			p.idle.Add(-1)
-			p.mu.Unlock()
+		if ok {
+			e.exec(w, t)
 			continue
 		}
-		j.exec(w, t)
+		e.mu.Lock()
+		if t, ok = e.takeInbox(); ok {
+			e.mu.Unlock()
+			e.exec(w, t)
+			continue
+		}
+		e.idle.Add(1)
+		for !e.hasWork() && e.remaining.Load() > 0 {
+			// Every worker (including the sweeping worker 0) is
+			// parked here with tasks remaining and nothing visible.
+			// If no external resolutions are in flight either, no one
+			// holds a task, so nothing can ever be pushed — the phase
+			// is stalled. Fail the sweep instead of deadlocking;
+			// zeroing remaining releases the peers. With external
+			// dependencies pending the workers simply sleep until the
+			// comm layer injects the next resolved task.
+			if int(e.idle.Load()) == e.nw && e.extPending.Load() == 0 {
+				e.stalled.Store(true)
+				e.s.pool.record(errEngineStalled)
+				e.remaining.Store(0)
+				e.cond.Broadcast()
+				break
+			}
+			e.cond.Wait()
+		}
+		e.idle.Add(-1)
+		e.mu.Unlock()
 	}
 }
 
-// takeInbox pops one externally-resolved task; caller holds pool.mu.
-func (j *engineJob) takeInbox() (int64, bool) {
-	n := len(j.inbox)
+// takeInbox pops one externally-resolved task; caller holds mu.
+func (e *engine) takeInbox() (int64, bool) {
+	n := len(e.inbox)
 	if n == 0 {
 		return 0, false
 	}
-	t := j.inbox[n-1]
-	j.inbox = j.inbox[:n-1]
+	t := e.inbox[n-1]
+	e.inbox = e.inbox[:n-1]
 	return t, true
 }
 
-func (j *engineJob) takeSeed() (int64, bool) {
-	i := j.cursor.Add(1) - 1
-	if i >= int64(len(j.seeds)) {
+func (e *engine) takeSeed() (int64, bool) {
+	i := e.cursor.Add(1) - 1
+	if i >= int64(len(e.seeds)) {
 		return 0, false
 	}
-	return int64(j.seeds[i]), true
+	return int64(e.seeds[i]), true
 }
 
-func (j *engineJob) stealFrom(w int) (int64, bool) {
-	e := j.eng
+func (e *engine) stealFrom(w int) (int64, bool) {
 	for round := 0; round < 2; round++ {
 		for k := 1; k < e.nw; k++ {
 			v := e.deques[(w+k)%e.nw]
@@ -548,18 +409,17 @@ func (j *engineJob) stealFrom(w int) (int64, bool) {
 }
 
 // hasWork reports whether any task is visible in the seed list, the
-// external inbox or any deque. Parked workers re-check it under the pool
-// mutex, which pairs with pushers taking the mutex to broadcast, so no
-// wakeup is lost (the inbox is only ever read and written under that same
-// mutex).
-func (j *engineJob) hasWork() bool {
-	if j.cursor.Load() < int64(len(j.seeds)) {
+// external inbox or any deque. Parked workers re-check it under mu, which
+// pairs with pushers taking mu to broadcast, so no wakeup is lost (the
+// inbox is only ever read and written under that same mutex).
+func (e *engine) hasWork() bool {
+	if e.cursor.Load() < int64(len(e.seeds)) {
 		return true
 	}
-	if len(j.inbox) > 0 {
+	if len(e.inbox) > 0 {
 		return true
 	}
-	for _, d := range j.eng.deques {
+	for _, d := range e.deques {
 		if d.size() > 0 {
 			return true
 		}
@@ -570,14 +430,13 @@ func (j *engineJob) hasWork() bool {
 // exec solves all groups of one task and releases its downwind tasks.
 // Task ids are global, so the decode needs no phase context: the ordinate
 // is t/nE and the element t%nE.
-func (j *engineJob) exec(w int, t int64) {
-	e := j.eng
+func (e *engine) exec(w int, t int64) {
 	s := e.s
 	nE := int64(s.nE)
 	a := int(t / nE)
 	el := int(t % nE)
 	if err := s.solveElem(s.workers[w], a, el); err != nil {
-		j.record(err)
+		s.pool.record(err)
 	}
 	if e.pubOff != nil && s.ext.publish != nil {
 		// Stream the finished boundary outflow to downstream ranks before
@@ -598,19 +457,12 @@ func (j *engineJob) exec(w int, t int64) {
 			pushed = true
 		}
 	}
-	if e.pool != nil {
-		if pushed && e.pool.idle.Load() > 0 {
-			e.pool.mu.Lock()
-			e.pool.cond.Broadcast()
-			e.pool.mu.Unlock()
-		}
-		if j.remaining.Add(-1) == 0 {
-			e.pool.mu.Lock()
-			e.pool.cond.Broadcast()
-			e.pool.mu.Unlock()
-		}
-	} else {
-		j.remaining.Add(-1)
+	// Wake parked peers for the pushed tasks, and everyone when the phase
+	// has just completed.
+	if done := e.remaining.Add(-1) == 0; done || pushed && e.idle.Load() > 0 {
+		e.mu.Lock()
+		e.cond.Broadcast()
+		e.mu.Unlock()
 	}
 }
 
@@ -622,9 +474,7 @@ func (j *engineJob) exec(w int, t int64) {
 // every node so the result is bitwise reproducible across runs and
 // thread counts. Both layouts place psi of angle a at a*len(phi) plus
 // the scalar-flux offset, so the reduction is a strided daxpy stream.
-func (s *Solver) reduceFluxFromPsi() {
-	s.ensureForkJoin().run(s.reduceRoundFn)
-}
+func (s *Solver) reduceFluxFromPsi() { s.pool.run(s.reduceRoundFn) }
 
 // ---- octant fusion eligibility ----
 

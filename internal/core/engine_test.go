@@ -370,12 +370,15 @@ func TestEngineReflectiveMatches(t *testing.T) {
 }
 
 // TestEngineCloseAndReuse checks Close stops the pool deterministically,
-// is idempotent, and that a later Run transparently rebuilds it with
-// identical results.
+// is idempotent, and that a later Run transparently restarts it with
+// identical results — and the goroutine budget along the way: a
+// Threads = 4 solver parks exactly 3 goroutines after a Run, none after
+// Close, and Close -> Run -> Close returns to none.
 func TestEngineCloseAndReuse(t *testing.T) {
-	// Reference: two warm-started Runs on a solver that is never closed
-	// (Run continues from the current flux, so the second differs from
-	// the first by design).
+	base := goroutineBaseline()
+	// Reference: two warm-started Runs on a solver that is not closed in
+	// between (Run continues from the current flux, so the second differs
+	// from the first by design).
 	ref, err := New(func() Config {
 		cfg := engineProblem(t)
 		cfg.Scheme = SchemeEngine
@@ -391,6 +394,9 @@ func TestEngineCloseAndReuse(t *testing.T) {
 	if _, err := ref.Run(); err != nil {
 		t.Fatal(err)
 	}
+	wantGoroutines(t, base+3, "after two Runs")
+	ref.Close()
+	wantGoroutines(t, base, "after Close")
 
 	cfg := engineProblem(t)
 	cfg.Scheme = SchemeEngine
@@ -402,17 +408,21 @@ func TestEngineCloseAndReuse(t *testing.T) {
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
+	wantGoroutines(t, base+3, "after Run")
 	first := s.FluxIntegral(0)
 	s.Close()
 	s.Close() // idempotent
+	wantGoroutines(t, base, "after Close")
 	if got := s.FluxIntegral(0); got != first {
 		t.Fatalf("state changed by Close: %v vs %v", got, first)
 	}
 	if _, err := s.Run(); err != nil {
 		t.Fatalf("run after Close: %v", err)
 	}
+	wantGoroutines(t, base+3, "after Close and Run")
 	if got, want := s.FluxIntegral(0), ref.FluxIntegral(0); got != want {
-		t.Fatalf("rebuilt pool diverged from uninterrupted solver: %v vs %v", got, want)
+		t.Fatalf("restarted pool diverged from uninterrupted solver: %v vs %v", got, want)
 	}
 	s.Close()
+	wantGoroutines(t, base, "after Close, Run, Close")
 }

@@ -116,19 +116,18 @@ func (s *Solver) ResolveExternal(angle, elem int) {
 	eng := s.engine
 	t := int64(angle)*int64(s.nE) + int64(elem)
 	ready := atomic.AddInt32(&eng.counts[t], -1) == 0
-	p := eng.pool
-	p.mu.Lock()
-	if j := p.job; j != nil {
+	eng.mu.Lock()
+	if eng.active {
 		if ready {
-			j.inbox = append(j.inbox, t)
+			eng.inbox = append(eng.inbox, t)
 		}
-		j.extPending.Add(-1)
-		p.cond.Broadcast()
+		eng.extPending.Add(-1)
+		eng.cond.Broadcast()
 	}
-	p.mu.Unlock()
+	eng.mu.Unlock()
 }
 
-// ArmSweep installs one whole-sweep engine phase over the fused
+// ArmSweep begins one whole-sweep engine phase over the fused
 // cross-octant task graph and returns immediately: background workers
 // start on the internally-ready tasks at once, and ResolveExternal calls
 // may land from other goroutines from this point on. The caller signals
@@ -142,32 +141,19 @@ func (s *Solver) ArmSweep() error {
 		return errSweepCancelled
 	}
 	eng := s.ensureEngine()
-	if eng.armed != nil {
+	if eng.armed {
 		return fmt.Errorf("core: ArmSweep called with a sweep already armed")
 	}
 	// Cyclic topologies: expose the just-finished sweep to lagged local
 	// couplings before any task of the new sweep can run.
 	s.rotateLagSnapshot()
-	copy(eng.counts, eng.initCounts)
-	for _, d := range eng.deques {
-		d.reset()
-	}
-	job := &engineJob{eng: eng, seeds: eng.allSeeds}
-	job.record = job.recordErr
-	job.remaining.Store(int64(len(eng.counts)))
-	job.extPending.Store(eng.totalExt)
-	p := eng.pool
-	p.mu.Lock()
-	p.job = job
-	p.seq++
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	eng.armed = job
+	eng.begin(0, len(eng.counts), eng.allSeeds, eng.totalExt)
+	eng.armed = true
 	if s.cancelled.Load() {
-		// CancelSweep raced with the install and may have missed the job;
+		// CancelSweep raced with the install and may have missed the phase;
 		// cancel it ourselves so FinishSweep cannot wait on peers that are
 		// already gone.
-		eng.cancelJob()
+		eng.abandon(errSweepCancelled)
 	}
 	return nil
 }
@@ -180,25 +166,14 @@ func (s *Solver) ArmSweep() error {
 // resolve.
 func (s *Solver) FinishSweep() error {
 	eng := s.engine
-	if eng == nil || eng.armed == nil {
+	if eng == nil || !eng.armed {
 		return fmt.Errorf("core: FinishSweep without a matching ArmSweep")
 	}
-	job := eng.armed
-	eng.armed = nil
-	job.run(0)
-	p := eng.pool
-	p.mu.Lock()
-	for job.exited < eng.nw-1 {
-		p.cond.Wait()
-	}
-	p.job = nil
-	p.mu.Unlock()
+	eng.armed = false
+	eng.end()
 	s.reduceFluxFromPsi()
 	s.flushPhaseTimes()
-	job.errMu.Lock()
-	err := job.err
-	job.errMu.Unlock()
-	return err
+	return s.pool.takeErr()
 }
 
 // CancelSweep aborts the armed sweep (if any) and makes every future
@@ -210,8 +185,8 @@ func (s *Solver) FinishSweep() error {
 // goroutine, any number of times, in any sweep state.
 func (s *Solver) CancelSweep() {
 	s.cancelled.Store(true)
-	if eng := s.engine; eng != nil && eng.pool != nil {
-		eng.cancelJob()
+	if eng := s.engine; eng != nil {
+		eng.abandon(errSweepCancelled)
 	}
 }
 
@@ -230,41 +205,39 @@ func (s *Solver) InitSweepEngine() {
 	}
 }
 
-// SweepProgress reports the installed sweep job's unfinished task count
-// and its unresolved streamed-dependency count (zeroes when no job is
+// SweepProgress reports the phase in flight's unfinished task count and
+// its unresolved streamed-dependency count (zeroes when none is
 // installed). Safe from any goroutine; the comm driver's deadline
 // watchdog uses it to name how much work a stuck rank still holds.
 func (s *Solver) SweepProgress() (remaining, extPending int64) {
 	eng := s.engine
-	if eng == nil || eng.pool == nil {
+	if eng == nil {
 		return 0, 0
 	}
-	p := eng.pool
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.job == nil {
+	eng.mu.Lock()
+	defer eng.mu.Unlock()
+	if !eng.active {
 		return 0, 0
 	}
-	return p.job.remaining.Load(), p.job.extPending.Load()
+	return eng.remaining.Load(), eng.extPending.Load()
 }
 
-// FirstBlockedExternal scans the installed sweep for the first task that
+// FirstBlockedExternal scans the phase in flight for the first task that
 // both depends on a streamed cross-rank face and has not fired, returning
 // its (ordinate, local element). It is a diagnostic for the deadline
 // watchdog — the task it names is blocked on (at least transitively) an
-// external resolution that never arrived. The scan runs under the pool
-// mutex with atomic counter reads: ArmSweep's non-atomic counter reset
-// happens strictly before the job is installed, so a scan that observes a
-// job races only with the workers' atomic decrements.
+// external resolution that never arrived. The scan runs under the engine
+// mutex with atomic counter reads: begin's non-atomic counter reset
+// happens strictly before the phase is installed, so a scan that observes
+// one races only with the workers' atomic decrements.
 func (s *Solver) FirstBlockedExternal() (angle, elem int, ok bool) {
 	eng := s.engine
-	if eng == nil || eng.pool == nil || eng.extDeg == nil {
+	if eng == nil || eng.extDeg == nil {
 		return 0, 0, false
 	}
-	p := eng.pool
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.job == nil {
+	eng.mu.Lock()
+	defer eng.mu.Unlock()
+	if !eng.active {
 		return 0, 0, false
 	}
 	for t := range eng.extDeg {
@@ -273,18 +246,6 @@ func (s *Solver) FirstBlockedExternal() (angle, elem int, ok bool) {
 		}
 	}
 	return 0, 0, false
-}
-
-// cancelJob fails the currently-installed job, releasing all workers.
-func (e *engine) cancelJob() {
-	p := e.pool
-	p.mu.Lock()
-	if j := p.job; j != nil {
-		j.record(errSweepCancelled)
-		j.remaining.Store(0)
-		p.cond.Broadcast()
-	}
-	p.mu.Unlock()
 }
 
 // buildExternalSchedule derives the engine-side coupling tables from the
@@ -309,6 +270,14 @@ func (e *engine) buildExternalSchedule(s *Solver) {
 			}
 		}
 	}
+	// Every externally-blocked task enters the inbox at most once a sweep.
+	blocked := 0
+	for _, d := range e.extDeg {
+		if d > 0 {
+			blocked++
+		}
+	}
+	e.inbox = make([]int64, 0, blocked)
 	e.pubOff = make([]int32, nT+1)
 	for i := 0; i < nT; i++ {
 		e.pubOff[i+1] = e.pubOff[i] + pubCount[i]

@@ -274,3 +274,53 @@ func TestCancelSweep(t *testing.T) {
 		}
 	}
 }
+
+// TestArmedSweepAllocFree brings the externally-driven sweep under the
+// zero-allocation contract of TestSweepTaskAllocFree: in steady state
+// ArmSweep + every ResolveExternal + FinishSweep, and the source passes
+// around them, allocate nothing — the phase state is the engine's one
+// reusable one and the inbox is sized for a whole sweep. Threads = 1 is
+// the no-goroutine case whose worker 0 still parks on the condition
+// variable; at 3 the background workers drain the inbox concurrently.
+func TestArmedSweepAllocFree(t *testing.T) {
+	for _, threads := range []int{1, 3} {
+		m, q, lib := externalParts(t, 3, 0.002)
+		re, err := fem.NewRefElement(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ext := boundaryExternals(m, re)
+		s, err := New(Config{Mesh: m, Order: 1, Quad: q, Lib: lib,
+			Scheme: SchemeEngine, Threads: threads, External: ext})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		type dep struct{ a, e int }
+		var deps []dep
+		for a := 0; a < q.NumAngles(); a++ {
+			for _, ef := range ext {
+				if ExternalInflow(q.Angles[a].Omega, ef.Normal, ef.Canonical) {
+					deps = append(deps, dep{a, ef.Elem})
+				}
+			}
+		}
+		sweep := func() {
+			s.ComputeOuterSource()
+			s.PrepareInner()
+			if err := s.ArmSweep(); err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range deps {
+				s.ResolveExternal(d.a, d.e)
+			}
+			if err := s.FinishSweep(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sweep() // warm-up: builds the engine, starts the workers
+		if avg := testing.AllocsPerRun(10, sweep); avg != 0 {
+			t.Fatalf("threads=%d: an armed sweep allocates %.1f objects, want 0", threads, avg)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -54,7 +53,7 @@ import (
 // factors it, then publishes with a release store; readers acquire-load
 // the state, so a ready entry's factors are safely visible. Tasks that
 // catch an entry mid-build just run the private path — nobody blocks.
-// The eager fill writes disjoint entries from parallelFor workers, each
+// The eager fill writes disjoint entries from the pool's workers, each
 // over its own workerState scratch, and is joined before New returns.
 // All entry storage is allocated at New, keeping the steady-state task
 // body allocation-free (TestSweepTaskAllocFree).
@@ -181,21 +180,13 @@ func newFactorCache(s *Solver) (*factorCache, error) {
 // parallel, each worker over its own scratch. The fill time is flushed
 // into the solver's totals here: PhaseTimes must show it before a sweep.
 func (c *factorCache) fillAll(s *Solver) error {
-	var mu sync.Mutex
-	var firstErr error
-	parallelFor(s.cfg.Threads, s.nA*s.nE, func(w, t int) {
+	s.pool.each(s.nA*s.nE, func(w, t int) {
 		a, e := t/s.nE, t%s.nE
 		mat := s.cfg.Mesh.Elems[e].Material
-		if err := c.fill(s, s.workers[w], c.entry(a, e, mat), a, e, mat); err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-		}
+		s.pool.record(c.fill(s, s.workers[w], c.entry(a, e, mat), a, e, mat))
 	})
 	s.flushPhaseTimes()
-	return firstErr
+	return s.pool.takeErr()
 }
 
 // entry returns the store's entry for (angle, elem, material).

@@ -40,60 +40,59 @@ type Result struct {
 // and the group-to-group scattering of the previous outer's scalar flux
 // (Jacobi over groups, as in SNAP). With P1 scattering it also rebuilds
 // the first-moment source from the lagged current.
-func (s *Solver) ComputeOuterSource() {
+func (s *Solver) ComputeOuterSource() { s.pool.run(s.outerSrcRoundFn) }
+
+// outerSource is ComputeOuterSource's pass over element e.
+func (s *Solver) outerSource(e int) {
 	lib := s.cfg.Lib
 	p1 := s.cfg.ScatOrder >= 1
-	parallelFor(s.cfg.Threads, s.nE, func(_, e int) {
-		mat := s.cfg.Mesh.Elems[e].Material
-		q := s.cfg.Mesh.Elems[e].Source
-		for g := 0; g < s.nG; g++ {
-			base := s.phiIdx(e, g)
-			dst := s.qOuter[base : base+s.nN]
-			for i := range dst {
-				dst[i] = q
+	mat := s.cfg.Mesh.Elems[e].Material
+	q := s.cfg.Mesh.Elems[e].Source
+	for g := 0; g < s.nG; g++ {
+		base := s.phiIdx(e, g)
+		dst := s.qOuter[base : base+s.nN]
+		for i := range dst {
+			dst[i] = q
+		}
+		if p1 {
+			for d := 0; d < 3; d++ {
+				dst1 := s.qOuter1[d][base : base+s.nN]
+				for i := range dst1 {
+					dst1[i] = 0
+				}
+			}
+		}
+		for gp := 0; gp < s.nG; gp++ {
+			if gp == g {
+				continue
+			}
+			srcBase := s.phiIdx(e, gp)
+			if sc := lib.Scatter[mat][gp][g]; sc != 0 {
+				src := s.phi[srcBase : srcBase+s.nN]
+				for i := range dst {
+					dst[i] += sc * src[i]
+				}
 			}
 			if p1 {
-				for d := 0; d < 3; d++ {
-					dst1 := s.qOuter1[d][base : base+s.nN]
-					for i := range dst1 {
-						dst1[i] = 0
-					}
-				}
-			}
-			for gp := 0; gp < s.nG; gp++ {
-				if gp == g {
-					continue
-				}
-				srcBase := s.phiIdx(e, gp)
-				if sc := lib.Scatter[mat][gp][g]; sc != 0 {
-					src := s.phi[srcBase : srcBase+s.nN]
-					for i := range dst {
-						dst[i] += sc * src[i]
-					}
-				}
-				if p1 {
-					if sc1 := lib.ScatterP1[mat][gp][g]; sc1 != 0 {
-						for d := 0; d < 3; d++ {
-							dst1 := s.qOuter1[d][base : base+s.nN]
-							src1 := s.cur[d][srcBase : srcBase+s.nN]
-							for i := range dst1 {
-								dst1[i] += sc1 * src1[i]
-							}
+				if sc1 := lib.ScatterP1[mat][gp][g]; sc1 != 0 {
+					for d := 0; d < 3; d++ {
+						dst1 := s.qOuter1[d][base : base+s.nN]
+						src1 := s.cur[d][srcBase : srcBase+s.nN]
+						for i := range dst1 {
+							dst1[i] += sc1 * src1[i]
 						}
 					}
 				}
 			}
 		}
-	})
+	}
 }
 
 // PrepareInner forms the total source for the next inner iteration
 // (qOuter plus within-group scattering of the current flux), snapshots the
 // flux for the convergence test, and zeroes the accumulators (including
 // the P1 current when anisotropic scattering is on).
-func (s *Solver) PrepareInner() {
-	s.ensureForkJoin().run(s.prepRoundFn)
-}
+func (s *Solver) PrepareInner() { s.pool.run(s.prepRoundFn) }
 
 // convergenceFloor guards the relative-change denominator, mirroring
 // SNAP's tolr.

@@ -43,7 +43,7 @@ import (
 //     entry, or all at once at New under Config.PreAssembled; either way
 //     this body is the one that runs.
 //   - Zero steady-state allocations: every buffer the body touches is
-//     pre-sized in workerState at pool creation from the artifact's
+//     pre-sized in workerState at New from the artifact's
 //     KernelDims (pinned by TestSweepTaskAllocFree).
 //
 // Bitwise contract: for every group the floating-point operation

@@ -1,118 +1,163 @@
 package core
 
 import (
-	"runtime"
+	"fmt"
+	"runtime/debug"
 	"sync"
 )
 
-// parallelFor runs fn(worker, i) for i in [0, n) over a pool of `workers`
-// goroutines with static chunked distribution, the Go analogue of an
-// OpenMP `parallel for schedule(static)`. Worker ids index per-worker
-// scratch. With one worker (or one item) it runs inline.
-func parallelFor(workers, n int, fn func(worker, i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(w, i)
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-}
+// workerPool is the solver's one team of workers, the analogue of the
+// persistent OpenMP team every parallel region of the paper's solver runs
+// on: n-1 parked goroutines plus the caller as worker 0. See doc.go,
+// "Worker pool and lifecycle", for the contract.
+type workerPool struct {
+	n    int // team size, the caller included
+	mu   sync.Mutex
+	cond *sync.Cond
 
-// forkJoin is a persistent fork-join pool for the per-sweep loops that
-// run between task phases (source preparation, flux reduction). Unlike
-// parallelFor it spawns its workers once: every `go func` statement
-// heap-allocates its closure, so spawning per call would put a few
-// allocations back into the steady-state sweep that the task bodies
-// worked to eliminate (pinned by TestSweepAllocFree).
-type forkJoin struct {
-	// body is the current round's work, set by run before the workers are
-	// released and cleared when the round ends; the channel send orders the
-	// write before each worker's read, and wg.Wait orders the reads before
-	// run returns. A parked worker holds fj, so a body left in place would
-	// root whatever its closure captures — the Solver — for as long as the
-	// goroutine lives.
+	// The round in flight (under mu; nil between rounds, so a parked
+	// worker reaches nothing of the solver): every worker runs body(w) once;
+	// abort, when non-nil, releases workers the body may have parked after
+	// one of them panicked.
 	body  func(w int)
-	start []chan struct{}
-	wg    sync.WaitGroup
-	quit  chan struct{}
-	// cleanup is the GC-path stop registered by newForkJoin; close cancels
-	// it, as engine.shutdown does for the engine pool's.
-	cleanup runtime.Cleanup
+	abort func()
+	seq   uint64 // bumped by every fork
+	busy  int    // background workers that have not left the round
+	live  int    // background goroutines started and not yet returned
+	stop  bool
+
+	err error // first error recorded since the last takeErr
 }
 
-// newForkJoin starts workers-1 parked goroutines (the caller acts as
-// worker 0) and registers a runtime cleanup that releases them when owner
-// becomes unreachable without a close. The goroutines hold no reference
-// to owner between rounds (see body), so that cleanup can fire.
-func newForkJoin(owner *Solver, workers int) *forkJoin {
-	fj := &forkJoin{quit: make(chan struct{})}
-	if workers > 1 {
-		fj.start = make([]chan struct{}, workers-1)
+func newWorkerPool(n int) *workerPool {
+	p := &workerPool{n: n}
+	p.cond = sync.NewCond(&p.mu)
+	return p
+}
+
+// fork installs a round and returns at once: the background workers start
+// on body immediately (the first fork, or the first after close, starts
+// them). body must be a func value that outlives the call site if the
+// round is to allocate nothing. Rounds do not nest: no body may reach
+// another fork.
+func (p *workerPool) fork(body func(w int), abort func()) {
+	p.mu.Lock()
+	if p.live == 0 {
+		p.stop = false
+		for w := 1; w < p.n; w++ {
+			p.live++
+			go p.work(w)
+		}
 	}
-	quit := fj.quit
-	for i := range fj.start {
-		c := make(chan struct{}, 1)
-		fj.start[i] = c
-		w := i + 1
-		go func() {
-			for {
-				select {
-				case <-c:
-					fj.body(w)
-					fj.wg.Done()
-				case <-quit:
-					return
-				}
+	p.body, p.abort = body, abort
+	p.seq++
+	p.busy = p.n - 1
+	p.cond.Broadcast()
+	p.mu.Unlock()
+}
+
+// join runs the caller's share of the forked round as worker 0 and waits
+// for every background worker to leave it.
+func (p *workerPool) join() {
+	p.guard(0)
+	p.mu.Lock()
+	for p.busy > 0 {
+		p.cond.Wait()
+	}
+	p.body, p.abort = nil, nil
+	p.mu.Unlock()
+}
+
+func (p *workerPool) run(body func(w int)) {
+	p.fork(body, nil)
+	p.join()
+}
+
+// chunk is worker w's static share [lo, hi) of n items (OpenMP's
+// schedule(static)). The boundaries are part of the thread-count
+// determinism pin of the source pass and the flux reduction.
+func (p *workerPool) chunk(w, n int) (lo, hi int) { return w * n / p.n, (w + 1) * n / p.n }
+
+// each runs fn(w, i) for every i in [0, n), statically chunked over the
+// team. The round closure is built per call: for the loops outside the
+// zero-allocation contract (the bucket schemes, the eager factor fill).
+func (p *workerPool) each(n int, fn func(w, i int)) {
+	p.run(func(w int) {
+		for i, hi := p.chunk(w, n); i < hi; i++ {
+			fn(w, i)
+		}
+	})
+}
+
+func (p *workerPool) work(w int) {
+	// Rounds are told apart by sequence number, not by keeping the body: a
+	// parked worker must hold nothing of the finished round.
+	var seen uint64
+	p.mu.Lock()
+	for {
+		for p.seq == seen && !p.stop {
+			p.cond.Wait()
+		}
+		if p.seq == seen { // stopped, and no round is owed
+			p.live--
+			p.cond.Broadcast()
+			p.mu.Unlock()
+			return
+		}
+		seen = p.seq
+		p.mu.Unlock()
+		p.guard(w)
+		p.mu.Lock()
+		if p.busy--; p.busy == 0 {
+			p.cond.Broadcast()
+		}
+	}
+}
+
+// guard runs the round's body as worker w and contains a panic in it: the
+// panic becomes the round's error and the abort hook lets the peers leave.
+func (p *workerPool) guard(w int) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.record(fmt.Errorf("core: panic on sweep worker %d: %v\n%s", w, r, debug.Stack()))
+			if p.abort != nil {
+				p.abort()
 			}
-		}()
-	}
-	fj.cleanup = runtime.AddCleanup(owner, func(q chan struct{}) { close(q) }, quit)
-	return fj
+		}
+	}()
+	p.body(w)
 }
 
-// run executes body(w) on every worker (0 on the caller) and returns when
-// all have finished. body must be a persistent func value — a fresh
-// closure literal here would allocate per call, defeating the pool.
-func (fj *forkJoin) run(body func(w int)) {
-	if fj == nil || len(fj.start) == 0 {
-		body(0)
+// record keeps the first error of a sweep (a task's solve failure, a
+// stall, a cancel, a contained panic); takeErr hands it over and clears it.
+func (p *workerPool) record(err error) {
+	if err == nil {
 		return
 	}
-	fj.body = body
-	fj.wg.Add(len(fj.start))
-	for _, c := range fj.start {
-		c <- struct{}{}
+	p.mu.Lock()
+	if p.err == nil {
+		p.err = err
 	}
-	body(0)
-	fj.wg.Wait()
-	fj.body = nil
+	p.mu.Unlock()
 }
 
-// close releases the parked workers; the pool must be idle. (Solver.Close
-// serialises callers and drops its pool reference, so close runs once.)
-func (fj *forkJoin) close() {
-	if fj != nil && fj.quit != nil {
-		fj.cleanup.Stop() // explicit stop supersedes the GC-path registration
-		close(fj.quit)
-		fj.quit = nil
+func (p *workerPool) takeErr() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	err := p.err
+	p.err = nil
+	return err
+}
+
+// halt tells the background workers to return; with wait it also joins
+// them (Close), without it returns at once (the GC path must not block
+// the cleanup goroutine). The pool must be between rounds.
+func (p *workerPool) halt(wait bool) {
+	p.mu.Lock()
+	p.stop = true
+	p.cond.Broadcast()
+	for wait && p.live > 0 {
+		p.cond.Wait()
 	}
+	p.mu.Unlock()
 }

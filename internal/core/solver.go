@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sync"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -85,8 +85,14 @@ type Solver struct {
 
 	workers []*workerState
 
-	// The persistent sweep engine (engine-backed schemes only, built on
-	// first use); see engine.go.
+	// pool is the solver's one team of workers: every parallel loop — the
+	// source passes, the engine's phases, the bucket schemes' loops, the
+	// flux reduction — is a round of it, and a sweep's first error collects
+	// in it. See doc.go, "Worker pool and lifecycle".
+	pool *workerPool
+
+	// The sweep engine's schedule and phase state (engine-backed schemes
+	// only, built on first use); see engine.go.
 	engine *engine
 
 	// Streamed halo coupling (Config.External) and the sticky cancel flag
@@ -94,28 +100,15 @@ type Solver struct {
 	ext       *extState
 	cancelled atomic.Bool
 
-	// closeMu serialises Close against itself: concurrent or repeated
-	// Closes (a driver unwinding a failed run while the owner also shuts
-	// down) must each see a consistent engine pointer and tear the pool
-	// down exactly once. Close-vs-sweep remains the caller's contract.
-	closeMu sync.Mutex
-
-	// Persistent per-sweep helpers: the shared error sink every task of a
-	// self-driven sweep records into, plus the closures SweepAllAngles,
-	// PrepareInner and the flux reduction hand to the parallel loops —
-	// all built once at New so the steady-state sweep creates no garbage
-	// (pinned by TestSweepAllocFree).
-	sweepErrMu  sync.Mutex
-	sweepErr    error
-	recordFn    func(error)
-	prepInnerFn func(w, e int)
-
-	// fj runs those closures over a persistent worker pool (nil at one
-	// thread — the loops then run inline); prepRoundFn and reduceRoundFn
-	// are the statically-chunked per-worker round bodies handed to it.
-	fj            *forkJoin
-	prepRoundFn   func(w int)
-	reduceRoundFn func(w int)
+	// The statically-chunked round bodies of ComputeOuterSource,
+	// PrepareInner, the flux reduction and storePrevStep, built once at New
+	// so the steady-state iteration creates no garbage (pinned by
+	// TestSweepTaskAllocFree): a closure literal at the call site would be
+	// allocated on every round.
+	outerSrcRoundFn func(w int)
+	prepRoundFn     func(w int)
+	reduceRoundFn   func(w int)
+	prevStepRoundFn func(w int)
 
 	// instrumentation totals (nanoseconds)
 	asmNS, solveNS int64
@@ -222,87 +215,45 @@ func New(cfg Config) (*Solver, error) {
 	for w := range s.workers {
 		s.workers[w] = newWorkerState(art.KernelDims(), s.nG, cfg.Scheme.EngineBacked())
 	}
+	// The one GC-path stop: an unreachable solver's parked workers return.
+	// It must not wait for them — that would block the cleanup goroutine.
+	s.pool = newWorkerPool(cfg.Threads)
+	runtime.AddCleanup(s, func(p *workerPool) { p.halt(false) }, s.pool)
 
+	s.initRoundBodies()
 	if s.fc, err = newFactorCache(s); err != nil {
+		s.Close() // the eager fill may have started the workers
 		return nil, err
 	}
-	s.initSweepClosures()
 	s.setupTime = time.Since(start)
 	return s, nil
 }
 
-// initSweepClosures builds the closures the per-sweep loops hand to the
-// parallel helpers. Creating them once here (instead of at every sweep)
-// keeps the steady-state sweep path allocation-free: a closure literal
-// passed to a non-inlined function heap-allocates its capture record on
-// every evaluation.
-func (s *Solver) initSweepClosures() {
-	s.recordFn = func(err error) {
-		if err != nil {
-			s.sweepErrMu.Lock()
-			if s.sweepErr == nil {
-				s.sweepErr = err
-			}
-			s.sweepErrMu.Unlock()
+// initRoundBodies builds the round bodies of the static loops, each worker
+// taking its chunk of the elements (or, for the reduction, of the flux
+// array).
+func (s *Solver) initRoundBodies() {
+	p := s.pool
+	s.outerSrcRoundFn = func(w int) {
+		for e, hi := p.chunk(w, s.nE); e < hi; e++ {
+			s.outerSource(e)
 		}
 	}
-
-	lib := s.cfg.Lib
-	p1 := s.cfg.ScatOrder >= 1
-	s.prepInnerFn = func(w, e int) {
-		st := s.workers[w]
-		mat := s.cfg.Mesh.Elems[e].Material
-		n := s.nN
-		for g := 0; g < s.nG; g++ {
-			base := s.phiIdx(e, g)
-			sc := lib.Scatter[mat][g][g]
-			for i := 0; i < n; i++ {
-				s.mq[base+i] = s.qOuter[base+i] + sc*s.phi[base+i]
-				s.phiOld[base+i] = s.phi[base+i]
-				s.phi[base+i] = 0
-			}
-			if p1 {
-				sc1 := lib.ScatterP1[mat][g][g]
-				for d := 0; d < 3; d++ {
-					for i := 0; i < n; i++ {
-						s.mq1[d][base+i] = s.qOuter1[d][base+i] + sc1*s.cur[d][base+i]
-						s.cur[d][base+i] = 0
-					}
-				}
-			}
-		}
-		// The source pass: the element's total sources become M q in
-		// place. This is RHS formation hoisted out of the tasks, so it is
-		// charged to the assembly timer.
-		var t0 time.Time
-		if s.cfg.Instrument {
-			t0 = time.Now()
-		}
-		mass := s.em[e].Mass
-		for g := 0; g < s.nG; g++ {
-			base := s.phiIdx(e, g)
-			massApply(s.mq[base:base+n], mass, st.tmp)
-			if p1 {
-				for d := 0; d < 3; d++ {
-					massApply(s.mq1[d][base:base+n], mass, st.tmp)
-				}
-			}
-		}
-		if s.cfg.Instrument {
-			st.asmNS += time.Since(t0).Nanoseconds()
-		}
-	}
-
-	threads := s.cfg.Threads
 	s.prepRoundFn = func(w int) {
-		for e := w * s.nE / threads; e < (w+1)*s.nE/threads; e++ {
-			s.prepInnerFn(w, e)
+		for e, hi := p.chunk(w, s.nE); e < hi; e++ {
+			s.prepInner(s.workers[w], e)
+		}
+	}
+	s.prevStepRoundFn = func(w int) {
+		for idx, hi := p.chunk(w, s.nA*s.nE); idx < hi; idx++ {
+			s.prevStep(s.workers[w], idx/s.nE, idx%s.nE)
 		}
 	}
 	angles := s.cfg.Quad.Angles
+	p1 := s.cfg.ScatOrder >= 1
 	size := s.nE * s.nG * s.nN
 	s.reduceRoundFn = func(w int) {
-		lo, hi := w*size/threads, (w+1)*size/threads
+		lo, hi := p.chunk(w, size)
 		// Read s.psi through the solver: rotateLagSnapshot swaps the
 		// buffers, so a captured slice would go stale.
 		for a := range angles {
@@ -316,6 +267,52 @@ func (s *Solver) initSweepClosures() {
 				}
 			}
 		}
+	}
+}
+
+// prepInner is PrepareInner's pass over element e.
+func (s *Solver) prepInner(st *workerState, e int) {
+	lib := s.cfg.Lib
+	p1 := s.cfg.ScatOrder >= 1
+	mat := s.cfg.Mesh.Elems[e].Material
+	n := s.nN
+	for g := 0; g < s.nG; g++ {
+		base := s.phiIdx(e, g)
+		sc := lib.Scatter[mat][g][g]
+		for i := 0; i < n; i++ {
+			s.mq[base+i] = s.qOuter[base+i] + sc*s.phi[base+i]
+			s.phiOld[base+i] = s.phi[base+i]
+			s.phi[base+i] = 0
+		}
+		if p1 {
+			sc1 := lib.ScatterP1[mat][g][g]
+			for d := 0; d < 3; d++ {
+				for i := 0; i < n; i++ {
+					s.mq1[d][base+i] = s.qOuter1[d][base+i] + sc1*s.cur[d][base+i]
+					s.cur[d][base+i] = 0
+				}
+			}
+		}
+	}
+	// The source pass: the element's total sources become M q in
+	// place. This is RHS formation hoisted out of the tasks, so it is
+	// charged to the assembly timer.
+	var t0 time.Time
+	if s.cfg.Instrument {
+		t0 = time.Now()
+	}
+	mass := s.em[e].Mass
+	for g := 0; g < s.nG; g++ {
+		base := s.phiIdx(e, g)
+		massApply(s.mq[base:base+n], mass, st.tmp)
+		if p1 {
+			for d := 0; d < 3; d++ {
+				massApply(s.mq1[d][base:base+n], mass, st.tmp)
+			}
+		}
+	}
+	if s.cfg.Instrument {
+		st.asmNS += time.Since(t0).Nanoseconds()
 	}
 }
 

@@ -19,7 +19,7 @@ var errEngineStalled = errors.New("core: sweep engine stalled with unfinished el
 // workspace plus the group-independent matrix base, the batched kernel's
 // gather-index scratch, face gather buffers and local nanosecond
 // accumulators (flushed into the solver's totals after each sweep to
-// avoid contention). Every buffer is pre-sized at pool creation from the
+// avoid contention). Every buffer is pre-sized at New from the
 // artifact's kernel dimensions — the steady-state task path performs
 // zero allocations (pinned by TestSweepTaskAllocFree). The batched
 // kernel needs no RHS scratch: it assembles and solves the group block
@@ -369,24 +369,18 @@ func (s *Solver) SweepAllAngles() error {
 		return fmt.Errorf("core: solver has External faces; drive sweeps with ArmSweep/FinishSweep")
 	}
 	s.rotateLagSnapshot()
-	// The error sink and its record closure are persistent solver state
-	// (initSweepClosures): a fresh closure per sweep would be steady-state
-	// garbage. The solver is quiescent here, so the unlocked reset is safe.
-	s.sweepErr = nil
 	if s.cfg.Scheme.EngineBacked() {
-		eng := s.ensureEngine()
-		eng.runSweep(s.recordFn)
+		s.ensureEngine().runSweep()
 		s.reduceFluxFromPsi()
 	} else {
 		for o := 0; o < 8; o++ {
 			for m := 0; m < s.cfg.Quad.PerOctant; m++ {
-				a := s.cfg.Quad.AngleIndex(o, m)
-				s.sweepAngle(a, s.recordFn)
+				s.sweepAngle(s.cfg.Quad.AngleIndex(o, m))
 			}
 		}
 	}
 	s.flushPhaseTimes()
-	return s.sweepErr
+	return s.pool.takeErr()
 }
 
 // flushPhaseTimes folds the workers' local timer accumulators into the
@@ -400,49 +394,50 @@ func (s *Solver) flushPhaseTimes() {
 }
 
 // sweepAngle processes one ordinate bucket by bucket under the scheme's
-// threading choice.
-func (s *Solver) sweepAngle(a int, record func(error)) {
+// threading choice: every bucket is one round of the worker pool, as it
+// was one `parallel for` region of the paper's persistent OpenMP team.
+func (s *Solver) sweepAngle(a int) {
 	t := s.topos[a]
-	nw := s.cfg.Threads
+	p := s.pool
 	for _, bucket := range t.Sched.Buckets {
 		nb := len(bucket)
 		switch s.cfg.Scheme {
 		case SchemeAEg, SchemeAgE:
 			// Thread the elements of the bucket; groups sequential inside.
-			parallelFor(nw, nb, func(w, bi int) {
+			p.each(nb, func(w, bi int) {
 				st := s.workers[w]
 				e := bucket[bi]
 				for g := 0; g < s.nG; g++ {
-					record(s.solveOne(st, a, e, g))
+					p.record(s.solveOne(st, a, e, g))
 				}
 			})
 		case SchemeAEG:
 			// Collapse (element, group), group fastest (the inner loop),
 			// matching OpenMP collapse(2) lexicographic ordering.
-			parallelFor(nw, nb*s.nG, func(w, idx int) {
+			p.each(nb*s.nG, func(w, idx int) {
 				st := s.workers[w]
 				e := bucket[idx/s.nG]
 				g := idx % s.nG
-				record(s.solveOne(st, a, e, g))
+				p.record(s.solveOne(st, a, e, g))
 			})
 		case SchemeAGE:
 			// Collapse (group, element), element fastest.
-			parallelFor(nw, s.nG*nb, func(w, idx int) {
+			p.each(s.nG*nb, func(w, idx int) {
 				st := s.workers[w]
 				g := idx / nb
 				e := bucket[idx%nb]
-				record(s.solveOne(st, a, e, g))
+				p.record(s.solveOne(st, a, e, g))
 			})
 		case SchemeAeG, SchemeAGe:
 			// Thread the groups; each worker walks the whole bucket.
-			parallelFor(nw, s.nG, func(w, g int) {
+			p.each(s.nG, func(w, g int) {
 				st := s.workers[w]
 				for _, e := range bucket {
-					record(s.solveOne(st, a, e, g))
+					p.record(s.solveOne(st, a, e, g))
 				}
 			})
 		default:
-			record(fmt.Errorf("core: scheme %v has no bucket executor", s.cfg.Scheme))
+			p.record(fmt.Errorf("core: scheme %v has no bucket executor", s.cfg.Scheme))
 			return
 		}
 	}

@@ -97,20 +97,21 @@ func (s *Solver) RunTimeDependent(ctx context.Context) ([]StepResult, error) {
 // source pass.
 func (s *Solver) storePrevStep() {
 	copy(s.mPrev, s.psi)
+	s.pool.run(s.prevStepRoundFn)
+}
+
+// prevStep is storePrevStep's pass over (angle a, element e).
+func (s *Solver) prevStep(st *workerState, a, e int) {
+	var t0 time.Time
+	if s.cfg.Instrument {
+		t0 = time.Now()
+	}
 	n := s.nN
-	parallelFor(s.cfg.Threads, s.nA*s.nE, func(w, idx int) {
-		st := s.workers[w]
-		var t0 time.Time
-		if s.cfg.Instrument {
-			t0 = time.Now()
-		}
-		a, e := idx/s.nE, idx%s.nE
-		for g := 0; g < s.nG; g++ {
-			pb := s.psiIdx(a, e, g)
-			massApply(s.mPrev[pb:pb+n], s.em[e].Mass, st.tmp)
-		}
-		if s.cfg.Instrument {
-			st.asmNS += time.Since(t0).Nanoseconds()
-		}
-	})
+	for g := 0; g < s.nG; g++ {
+		pb := s.psiIdx(a, e, g)
+		massApply(s.mPrev[pb:pb+n], s.em[e].Mass, st.tmp)
+	}
+	if s.cfg.Instrument {
+		st.asmNS += time.Since(t0).Nanoseconds()
+	}
 }

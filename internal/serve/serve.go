@@ -256,8 +256,9 @@ func (e *internalError) Error() string {
 // A panic on the job goroutine (solver construction, the iteration loop
 // between sweeps, the progress hook) fails this job with an internalError
 // and leaves the worker, the process and every other tenant's jobs
-// running; a panic on one of the solver's own sweep goroutines is beyond
-// recover's reach.
+// running; a panic on one of the solver's own sweep workers is recovered
+// by the solver's pool and arrives here as the error RunContext returns,
+// failing the job the ordinary way.
 func (s *Server) runJob(j *job) {
 	j.mu.Lock()
 	if j.state != StateQueued { // cancelled while queued

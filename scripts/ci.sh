@@ -35,6 +35,15 @@ if grep -n 'VFMADD\|VFNMADD\|VFMSUB\|VFNMSUB' internal/la/*.s; then
 	echo "fused multiply-add in internal/la assembly" >&2
 	exit 1
 fi
+# One worker pool per solver: internal/core starts goroutines in exactly
+# one place (the pool's fork) and registers exactly one GC-path stop, so a
+# second pool cannot come back unseen.
+CORE_SRC=$(ls internal/core/*.go | grep -v _test.go)
+if [ "$(cat $CORE_SRC | grep -c '^[[:space:]]*go [a-zA-Z_(]')" != 1 ] ||
+	[ "$(cat $CORE_SRC | grep -c 'runtime\.AddCleanup(')" != 1 ]; then
+	echo "internal/core must hold one go statement and one runtime.AddCleanup" >&2
+	exit 1
+fi
 # Bench-tool smoke pass: the kernel experiment (the one BENCH_sweep.json
 # section) executes end to end on tiny problems — seconds, not minutes —
 # so the bench plumbing cannot bit-rot between real refreshes. -smoke
@@ -95,8 +104,10 @@ go test -race -run 'Accel|DSA|SolvePCG' ./internal/core ./internal/comm ./intern
 # table and the pipelined == single-domain parity suites (flux and
 # iteration counts) run repeated under the detector — a barrier round
 # handed to the wrong generation shows as a count mismatch or a race only
-# on some schedules.
-go test -race -count=3 -run 'Iterate|Pipelined|MultiRank|SingleRank' ./internal/core ./internal/comm
+# on some schedules. The worker pool rides the same line: its rounds,
+# restart after Close, goroutine budget, panic containment and the armed
+# sweep's zero allocations are lost-wake-up and leak questions.
+go test -race -count=3 -run 'Iterate|Pipelined|MultiRank|SingleRank|Pool|PanicContained|GoroutineBudget|CloseAndReuse|ArmedSweepAllocFree|StaticLoopsAllocFree' ./internal/core ./internal/comm
 # Chaos smoke pass: the seeded fault-injection suite (delay/reorder
 # parity, drop+retry recovery, stall-within-deadline, degrade-to-lagged,
 # Close-mid-fault, goroutine-leak checks) under the race detector — the

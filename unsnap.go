@@ -388,9 +388,11 @@ type Options struct {
 	// iteration with the iteration indices and the flux change — the hook
 	// the solve service's per-job event streams are fed from. It runs
 	// synchronously on the iteration goroutine, so implementations must
-	// hand the event off and return quickly. Single-domain solvers only;
-	// NewDistributed rejects it (a pipelined run iterates on every rank
-	// goroutine at once, so there is no one iteration to report from).
+	// hand the event off and return quickly. A NewDistributed driver
+	// reports the run's one iteration: the lagged protocol once per
+	// super-step, the pipelined protocol from rank 0's iteration (whose
+	// flux change is the all-rank maximum, except under ForceIterations,
+	// where no reduction runs and it is rank 0's own).
 	Progress func(Progress)
 }
 
@@ -514,9 +516,6 @@ func validateOptions(o Options, distributed bool) error {
 	} else {
 		if o.Artifact != nil {
 			return fmt.Errorf("unsnap: Artifact injection is single-domain only; ranks share builds through Options.Cache")
-		}
-		if o.Progress != nil {
-			return fmt.Errorf("unsnap: Progress hooks are single-domain only")
 		}
 	}
 	if (o.CacheTenant != "" || o.CacheTenantBytes > 0) && o.Cache == nil {
@@ -750,11 +749,11 @@ func (s *Solver) Artifact() *Artifact { return s.inner.Artifact() }
 // (benchmark drivers that step PrepareInner/SweepAllAngles manually).
 func (s *Solver) Internal() *core.Solver { return s.inner }
 
-// Close stops the sweep engine's background workers deterministically
-// (they are otherwise reclaimed when the solver is garbage collected).
-// The solver stays usable — queries keep working and a later Run builds
-// a fresh pool — so Close is just the polite thing to do in processes
-// that hold many solvers alive. Safe to call multiple times.
+// Close stops the solver's background workers deterministically (they
+// are otherwise reclaimed when the solver is garbage collected). The
+// solver stays usable — queries keep working and a later Run restarts
+// them — so Close is just the polite thing to do in processes that hold
+// many solvers alive. Safe to call multiple times.
 func (s *Solver) Close() { s.inner.Close() }
 
 // Validate sanity-checks a problem without building a solver.

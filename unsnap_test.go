@@ -170,6 +170,38 @@ func TestDistributedPipelinedMatchesSingle(t *testing.T) {
 	}
 }
 
+// TestDistributedProgress pins Options.Progress under both protocols: the
+// hook fires inside the one source iteration (core.Iterate) every driver
+// runs, so a 1x2 run reports exactly one event per inner — the lagged
+// protocol once per super-step, the pipelined one from rank 0 only — and
+// the flux changes it saw are the result's history.
+func TestDistributedProgress(t *testing.T) {
+	p := smallProblem()
+	p.NX, p.NY, p.NZ = 4, 4, 4
+	for _, proto := range []CommProtocol{CommLagged, CommPipelined} {
+		var events []Progress
+		o := Options{Epsi: 1e-6, MaxInners: 100, MaxOuters: 10, Threads: 2, Protocol: proto}
+		o.Progress = func(pr Progress) { events = append(events, pr) }
+		d, err := NewDistributed(p, o, 1, 2)
+		if err != nil {
+			t.Fatalf("protocol %v: NewDistributed with a Progress hook: %v", proto, err)
+		}
+		res, err := d.Run()
+		d.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Inners < 2 || len(events) != res.Inners || len(res.DFHistory) != res.Inners {
+			t.Fatalf("protocol %v: %d events, %d inners, %d history entries", proto, len(events), res.Inners, len(res.DFHistory))
+		}
+		for i, ev := range events {
+			if ev.Inners != i+1 || ev.DF != res.DFHistory[i] {
+				t.Fatalf("protocol %v: event %d is %+v, history has df %v", proto, i, ev, res.DFHistory[i])
+			}
+		}
+	}
+}
+
 func smallProblem() Problem {
 	p := DefaultProblem()
 	p.NX, p.NY, p.NZ = 3, 3, 3
