@@ -17,8 +17,9 @@
 // The kernel experiment compares the engine's batched (group-blocked,
 // allocation-free) task body against the scalar per-group body,
 // reporting per-task nanoseconds and steady-state allocations per task,
-// the dense local solve at the matrix sizes of orders 1..4, and the
-// per-task time of a high-order problem the factor cache refuses. With
+// the dense local solve at the matrix sizes of orders 1..4, the
+// per-task time of a high-order problem the factor cache refuses, and
+// fem.ComputeMatrices per twisted element at orders 1..3. With
 // -json it records its measurements as the one section of
 // BENCH_sweep.json (scripts/bench.sh runs it), keeping the section it
 // replaces as the before/after pair. -smoke shrinks it to a
@@ -278,6 +279,7 @@ func run(args []string) error {
 			cfg.LASizes = []int{8, 27}
 			cfg.Uncached.NX, cfg.Uncached.NY, cfg.Uncached.NZ = 2, 2, 2
 			cfg.Uncached.AnglesPerOctant, cfg.Uncached.Groups = 1, 1
+			cfg.MatrixOrders = []int{1, 2}
 		}
 		override(&cfg.Problem)
 		cfg.Threads = threads
@@ -299,8 +301,13 @@ func run(args []string) error {
 			return err
 		}
 		harness.FprintLA(os.Stdout, cfg, laRows, uncached)
+		matrices, err := harness.RunMatrices(cfg.Uncached, cfg.MatrixOrders)
+		if err != nil {
+			return err
+		}
+		harness.FprintMatrices(os.Stdout, cfg.Uncached, matrices)
 		fmt.Println()
-		kernel = harness.KernelSectionOf(cfg, rows, laRows, uncached)
+		kernel = harness.KernelSectionOf(cfg, rows, laRows, uncached, matrices)
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q", *experiment)

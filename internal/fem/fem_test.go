@@ -3,6 +3,7 @@ package fem
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -476,6 +477,326 @@ func TestFaceMatrixTotalIsSignedArea(t *testing.T) {
 			}
 			if math.Abs(sum-want) > 1e-11 {
 				t.Fatalf("face %d dim %d: integral %v, want %v", f, d, sum, want)
+			}
+		}
+	}
+}
+
+// referenceMatrices is the scalar quadrature loop that integrated a
+// general hexahedron before generalMatrices went through la.MulTN, kept
+// verbatim (its own allocations aside) as the bitwise oracle: every
+// entry a sum over q in ascending order, face coefficients that are
+// exactly zero skipped.
+func referenceMatrices(re *RefElement, geo *Geometry) (*ElementMatrices, error) {
+	n := re.N
+	em := &ElementMatrices{N: n, NF: re.NF}
+	em.Mass = make([]float64, n*n)
+	for d := 0; d < 3; d++ {
+		em.Grad[d] = make([]float64, n*n)
+	}
+	for f := 0; f < NumFaces; f++ {
+		for d := 0; d < 3; d++ {
+			em.Face[f][d] = make([]float64, re.NF*re.NF)
+		}
+	}
+	// Scratch for the physical gradients of all basis functions at one
+	// quadrature point.
+	gx := make([]float64, n)
+	gy := make([]float64, n)
+	gz := make([]float64, n)
+
+	for q := range re.QPos {
+		j := geo.Jacobian(re.QPos[q])
+		c, det, err := InvTranspose3(j)
+		if err != nil {
+			return nil, err
+		}
+		w := re.QWeight[q] * det
+		em.Volume += w
+		vals := re.Val[q*n : (q+1)*n]
+		grads := re.GradXi[q*n*3 : (q+1)*n*3]
+		for i := 0; i < n; i++ {
+			g0 := grads[i*3]
+			g1 := grads[i*3+1]
+			g2 := grads[i*3+2]
+			gx[i] = c[0][0]*g0 + c[0][1]*g1 + c[0][2]*g2
+			gy[i] = c[1][0]*g0 + c[1][1]*g1 + c[1][2]*g2
+			gz[i] = c[2][0]*g0 + c[2][1]*g1 + c[2][2]*g2
+		}
+		for i := 0; i < n; i++ {
+			wvi := w * vals[i]
+			wgx := w * gx[i]
+			wgy := w * gy[i]
+			wgz := w * gz[i]
+			mRow := em.Mass[i*n : (i+1)*n]
+			xRow := em.Grad[0][i*n : (i+1)*n]
+			yRow := em.Grad[1][i*n : (i+1)*n]
+			zRow := em.Grad[2][i*n : (i+1)*n]
+			for jj := 0; jj < n; jj++ {
+				vj := vals[jj]
+				mRow[jj] += wvi * vj
+				xRow[jj] += wgx * vj
+				yRow[jj] += wgy * vj
+				zRow[jj] += wgz * vj
+			}
+		}
+	}
+
+	// Faces.
+	nf := re.NF
+	for f := 0; f < NumFaces; f++ {
+		t1, t2 := FaceTangents(f)
+		sign := faceNormalSign[f]
+		for q := range re.FQ2 {
+			xi := re.FQPos3[f][q]
+			j := geo.Jacobian(xi)
+			// Tangent vectors are the Jacobian columns of the two in-face
+			// reference dimensions.
+			a := [3]float64{j[0][t1], j[1][t1], j[2][t1]}
+			b := [3]float64{j[0][t2], j[1][t2], j[2][t2]}
+			ndA := [3]float64{
+				sign * (a[1]*b[2] - a[2]*b[1]),
+				sign * (a[2]*b[0] - a[0]*b[2]),
+				sign * (a[0]*b[1] - a[1]*b[0]),
+			}
+			fw := re.FWeight[q]
+			fvals := re.FVal[f][q*nf : (q+1)*nf]
+			for d := 0; d < 3; d++ {
+				wd := fw * ndA[d]
+				if wd == 0 {
+					continue
+				}
+				fm := em.Face[f][d]
+				for k := 0; k < nf; k++ {
+					wk := wd * fvals[k]
+					if wk == 0 {
+						continue
+					}
+					row := fm[k*nf : (k+1)*nf]
+					for l := 0; l < nf; l++ {
+						row[l] += wk * fvals[l]
+					}
+				}
+			}
+		}
+		em.Normal[f] = re.faceCentreNormal(geo, f)
+	}
+	return em, nil
+}
+
+func sameBits(x, y []float64) bool {
+	if len(x) != len(y) {
+		return false
+	}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkMatricesBitwise holds ComputeMatrices to referenceMatrices on one
+// general geometry: the same error, or every field bit for bit. It
+// returns the matrices, nil on an invalid element.
+func checkMatricesBitwise(t *testing.T, re *RefElement, g *Geometry) *ElementMatrices {
+	t.Helper()
+	want, errRef := referenceMatrices(re, g)
+	got, err := re.ComputeMatrices(g)
+	if (err == nil) != (errRef == nil) || (err != nil && err.Error() != errRef.Error()) {
+		t.Fatalf("p=%d: err %v, reference %v", re.P, err, errRef)
+	}
+	if err != nil {
+		return nil
+	}
+	if got.N != want.N || got.NF != want.NF {
+		t.Fatalf("p=%d: sizes %d/%d, reference %d/%d", re.P, got.N, got.NF, want.N, want.NF)
+	}
+	if !sameBits(got.Mass, want.Mass) {
+		t.Fatalf("p=%d: Mass not bitwise the reference", re.P)
+	}
+	for d := 0; d < 3; d++ {
+		if !sameBits(got.Grad[d], want.Grad[d]) {
+			t.Fatalf("p=%d: Grad[%d] not bitwise the reference", re.P, d)
+		}
+		for f := 0; f < NumFaces; f++ {
+			if !sameBits(got.Face[f][d], want.Face[f][d]) {
+				t.Fatalf("p=%d: Face[%d][%d] not bitwise the reference", re.P, f, d)
+			}
+		}
+	}
+	for f := 0; f < NumFaces; f++ {
+		if !sameBits(got.Normal[f][:], want.Normal[f][:]) {
+			t.Fatalf("p=%d: Normal[%d] not bitwise the reference", re.P, f)
+		}
+	}
+	if math.Float64bits(got.Volume) != math.Float64bits(want.Volume) {
+		t.Fatalf("p=%d: Volume %v, reference %v", re.P, got.Volume, want.Volume)
+	}
+	return got
+}
+
+// oracleGeometry derives a general hexahedron from a seed: the unit cube
+// with every vertex displaced by up to eps (large eps inverts it), then
+// the faces named in the low six bits of planar pinned to a coordinate
+// plane through 0 (for a high face the cube is first shifted by -1 in
+// that dimension; of two opposite faces only the low one is pinned).
+// Every Jacobian term in a pinned coordinate is then w*0, so two ndA
+// components of the face are exact (signed) zeros — the coefficients the
+// old loop skipped — while the element as a whole stays general.
+func oracleGeometry(seed int64, eps float64, planar uint8) *Geometry {
+	g := perturbedCube(rand.New(rand.NewSource(seed)), eps)
+	for dim := 0; dim < 3; dim++ {
+		side := 0
+		switch {
+		case planar>>(2*dim)&1 == 1:
+		case planar>>(2*dim+1)&1 == 1:
+			side = 1
+			for c := range g.V {
+				g.V[c][dim]--
+			}
+		default:
+			continue
+		}
+		for c := range g.V {
+			if c>>dim&1 == side {
+				g.V[c][dim] = 0
+			}
+		}
+	}
+	return g
+}
+
+// TestComputeMatricesBitwise: the la.MulTN integration is bitwise the
+// scalar loop at orders 1-4 on twisted elements, elements with exactly
+// axis-aligned faces, and inverted ones (same error).
+func TestComputeMatricesBitwise(t *testing.T) {
+	for p := 1; p <= 4; p++ {
+		re, err := NewRefElement(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		valid := 0
+		for trial := 0; trial < 12; trial++ {
+			eps := []float64{0.05, 0.2, 0.45}[trial%3]
+			planar := []uint8{0, 0x01, 0x2a, 0x3f}[trial/3]
+			em := checkMatricesBitwise(t, re, oracleGeometry(int64(100*p+trial), eps, planar))
+			if em == nil {
+				continue
+			}
+			valid++
+			// A pinned face's in-plane directional matrices sum products
+			// with exact-zero coefficients only: they must come out +0.
+			for f := 0; f < NumFaces; f++ {
+				for d := 0; d < 3; d++ {
+					dim := FaceDim(f)
+					pinned := planar>>f&1 == 1 && (FaceSide(f) == 0 || planar>>(2*dim)&1 == 0)
+					if !pinned || d == dim {
+						continue
+					}
+					for _, v := range em.Face[f][d] {
+						if math.Float64bits(v) != 0 {
+							t.Fatalf("p=%d face %d dim %d: %v, want +0", p, f, d, v)
+						}
+					}
+				}
+			}
+		}
+		if valid < 8 {
+			t.Fatalf("p=%d: only %d of 12 oracle elements valid", p, valid)
+		}
+	}
+}
+
+func FuzzComputeMatricesBitwise(f *testing.F) {
+	for p := uint8(0); p < 4; p++ {
+		f.Add(int64(p), p, uint8(40), uint8(0))
+		f.Add(int64(p)+10, p, uint8(200), uint8(0x09))
+		f.Add(int64(p)+20, p, uint8(255), uint8(0x3f))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, order, scale, planar uint8) {
+		re, err := NewRefElement(1 + int(order%4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := oracleGeometry(seed, 0.6*float64(scale)/255, planar)
+		if _, _, ok := g.IsAxisAlignedBox(); ok {
+			return // the tensor-product path, not the quadrature
+		}
+		checkMatricesBitwise(t, re, g)
+	})
+}
+
+// heapBytesPerCall is the heap, size-class rounding included, that one
+// call of fn allocates, averaged over runs calls.
+func heapBytesPerCall(runs int, fn func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+var (
+	sinkHeader   *ElementMatrices
+	sinkMatrices []float64
+)
+
+// TestComputeMatricesAllocs: a general element costs three allocations,
+// the ElementMatrices header and its volume and face blocks (the
+// integration scratch lives on the stack up to order 4), and, size
+// classes included, at most 3% more heap than the 22 separate matrices
+// (order 3's face block is rounded to whole pages: +2.4%; one slab would
+// be +10% at orders 1 and 2). A cache holds artifacts by their entry
+// length, so heap per element is resident memory per cached artifact.
+func TestComputeMatricesAllocs(t *testing.T) {
+	g := perturbedCube(rand.New(rand.NewSource(15)), 0.15)
+	for p := 1; p <= 3; p++ {
+		re, _ := NewRefElement(p)
+		call := func() {
+			if _, err := re.ComputeMatrices(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, call); allocs > 3 {
+			t.Fatalf("ComputeMatrices at order %d: %v allocs per call, want <= 3", p, allocs)
+		}
+		got := heapBytesPerCall(50, call)
+		separate := heapBytesPerCall(50, func() {
+			sinkHeader = &ElementMatrices{}
+			for i := 0; i < 4; i++ {
+				sinkMatrices = make([]float64, re.N*re.N)
+			}
+			for i := 0; i < NumFaces*3; i++ {
+				sinkMatrices = make([]float64, re.NF*re.NF)
+			}
+		})
+		if got > 1.03*separate {
+			t.Fatalf("ComputeMatrices at order %d: %.0f heap bytes per call, the 22 separate matrices %.0f", p, got, separate)
+		}
+	}
+}
+
+// TestVolumeMatchesComputeMatrices: the volume-only path returns
+// ElementMatrices.Volume's bits, box or general, and the same error on an
+// inverted element.
+func TestVolumeMatchesComputeMatrices(t *testing.T) {
+	for p := 1; p <= 3; p++ {
+		re, _ := NewRefElement(p)
+		geos := []*Geometry{boxGeometry([3]float64{0.5, 1, 2}, [3]float64{1.5, 0.5, 2})}
+		for trial := 0; trial < 6; trial++ {
+			geos = append(geos, oracleGeometry(int64(trial), []float64{0.1, 0.5}[trial%2], uint8(trial)))
+		}
+		for i, g := range geos {
+			em, errEM := re.ComputeMatrices(g)
+			vol, err := re.Volume(g)
+			if (err == nil) != (errEM == nil) || (err != nil && err.Error() != errEM.Error()) {
+				t.Fatalf("p=%d geometry %d: err %v, ComputeMatrices %v", p, i, err, errEM)
+			}
+			if err == nil && math.Float64bits(vol) != math.Float64bits(em.Volume) {
+				t.Fatalf("p=%d geometry %d: Volume %v, ElementMatrices.Volume %v", p, i, vol, em.Volume)
 			}
 		}
 	}

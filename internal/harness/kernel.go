@@ -11,6 +11,7 @@ import (
 
 	"unsnap"
 	"unsnap/internal/core"
+	"unsnap/internal/fem"
 	"unsnap/internal/la"
 	"unsnap/internal/mesh"
 	"unsnap/internal/quadrature"
@@ -35,6 +36,9 @@ type KernelConfig struct {
 	// Uncached is the high-order problem whose factorisations the factor
 	// cache refuses, so every task pays its O(n^3) solves.
 	Uncached unsnap.Problem
+	// MatrixOrders are the element orders of the element-matrix table,
+	// timed on Uncached's (twisted) mesh.
+	MatrixOrders []int
 }
 
 // DefaultKernel measures on a Figure 3-style workload at bench scale:
@@ -60,8 +64,9 @@ func DefaultKernel() KernelConfig {
 		Inners:      30,
 		AllocSweeps: 3,
 		// (order+1)^3 for orders 1..4.
-		LASizes:  []int{8, 27, 64, 125},
-		Uncached: ho,
+		LASizes:      []int{8, 27, 64, 125},
+		Uncached:     ho,
+		MatrixOrders: []int{1, 2, 3},
 	}
 }
 
@@ -92,6 +97,15 @@ type LARow struct {
 	TriSolveNs   float64 `json:"trisolve_ns"`
 	GEGflops     float64 `json:"ge_gflops"`
 	FactorGflops float64 `json:"factor_gflops"`
+}
+
+// MatricesRow is fem.ComputeMatrices at one element order: nanoseconds
+// per twisted element (the general quadrature path, every matrix of the
+// element) and n, the element's node count.
+type MatricesRow struct {
+	Order        int     `json:"order"`
+	N            int     `json:"n"`
+	NsPerElement float64 `json:"ns_per_element"`
 }
 
 // ProblemShape is the serialised problem identification of the bench
@@ -130,7 +144,8 @@ func machineInfo() *MachineInfo {
 // measurement this one replaced, kept when it came from another commit
 // on the same machine: the before/after pair a speedup claim needs.
 // LAKernels is la.Kernels() at measure time ("avx2" or "generic"): which
-// implementation of the dense-solve loops the numbers belong to. It is
+// implementation of the dense-solve loops and of the element-matrix
+// product the numbers belong to. It is
 // not part of Machine, whose equality decides whether Previous is kept —
 // a section measured before the vector kernels existed has none.
 type KernelSection struct {
@@ -143,11 +158,12 @@ type KernelSection struct {
 	LA             []LARow        `json:"la,omitempty"`
 	Uncached       *ProblemShape  `json:"uncached_problem,omitempty"`
 	UncachedTaskNs float64        `json:"uncached_task_ns,omitempty"`
+	Matrices       []MatricesRow  `json:"matrices,omitempty"`
 	Previous       *KernelSection `json:"previous,omitempty"`
 }
 
 // KernelSectionOf packages a kernel run for WriteSweepJSON.
-func KernelSectionOf(cfg KernelConfig, rows []KernelRow, laRows []LARow, uncachedNs float64) *KernelSection {
+func KernelSectionOf(cfg KernelConfig, rows []KernelRow, laRows []LARow, uncachedNs float64, matrices []MatricesRow) *KernelSection {
 	shape := shapeOf(cfg.Uncached)
 	return &KernelSection{
 		LAKernels:      la.Kernels(),
@@ -157,6 +173,7 @@ func KernelSectionOf(cfg KernelConfig, rows []KernelRow, laRows []LARow, uncache
 		LA:             laRows,
 		Uncached:       &shape,
 		UncachedTaskNs: uncachedNs,
+		Matrices:       matrices,
 	}
 }
 
@@ -413,6 +430,57 @@ func RunLA(sizes []int) []LARow {
 		rows = append(rows, row)
 	}
 	return rows
+}
+
+// RunMatrices times fem.ComputeMatrices at each order over every element
+// of p's mesh (cfg.Uncached: twisted, so every element takes the general
+// quadrature path): the best of kernelTaskRepeats rounds of at least
+// 2000 elements, garbage collection included as it is in a real build.
+func RunMatrices(p unsnap.Problem, orders []int) ([]MatricesRow, error) {
+	m, _, _, err := kernelParts(p, false)
+	if err != nil {
+		return nil, err
+	}
+	geos := make([]*fem.Geometry, len(m.Elems))
+	for e := range m.Elems {
+		geos[e] = m.Elems[e].Geometry()
+	}
+	rows := make([]MatricesRow, 0, len(orders))
+	for _, order := range orders {
+		re, err := fem.NewRefElement(order)
+		if err != nil {
+			return nil, err
+		}
+		runtime.GC()
+		sweeps := max(1, 2000/len(geos))
+		best := 0.0
+		for r := 0; r < kernelTaskRepeats; r++ {
+			start := time.Now()
+			for i := 0; i < sweeps; i++ {
+				for _, g := range geos {
+					if _, err := re.ComputeMatrices(g); err != nil {
+						return nil, fmt.Errorf("harness: element matrices at order %d: %w", order, err)
+					}
+				}
+			}
+			if d := float64(time.Since(start).Nanoseconds()) / float64(sweeps*len(geos)); r == 0 || d < best {
+				best = d
+			}
+		}
+		rows = append(rows, MatricesRow{Order: order, N: re.N, NsPerElement: best})
+	}
+	return rows, nil
+}
+
+// FprintMatrices writes the element-matrix table.
+func FprintMatrices(w io.Writer, p unsnap.Problem, rows []MatricesRow) {
+	fmt.Fprintf(w, "element matrices (%d^3 twisted mesh, la kernels: %s):\n", p.NX, la.Kernels())
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(tw, "order\tn\tns/element\n")
+	for _, r := range rows {
+		fmt.Fprintf(tw, "%d\t%d\t%.0f\n", r.Order, r.N, r.NsPerElement)
+	}
+	tw.Flush()
 }
 
 // RunUncached times the batched kernel on cfg.Uncached at the first

@@ -59,3 +59,17 @@ func TestKernelSectionLAAndPrevious(t *testing.T) {
 		t.Fatal("corrupt existing report should refuse the write")
 	}
 }
+
+// TestRunMatrices: the element-matrix table times every order it is
+// given on a twisted mesh.
+func TestRunMatrices(t *testing.T) {
+	p := DefaultKernel().Uncached
+	p.NX, p.NY, p.NZ = 2, 2, 2
+	rows, err := RunMatrices(p, []int{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 || rows[0].Order != 1 || rows[1].N != 27 || rows[0].NsPerElement <= 0 || rows[1].NsPerElement <= 0 {
+		t.Fatalf("matrix rows not measured: %+v", rows)
+	}
+}

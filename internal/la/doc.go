@@ -45,18 +45,38 @@
 // (x - 0*y is not x when x is -0 or y is not finite). The textbook loops
 // live on in la_test.go as the oracle the core is held to bit for bit.
 //
+// # The element-integral product
+//
+// MulTN writes C = A^T B for row-major A (k x m) and B (k x n): each
+// entry starts at +0 and adds the rounded product a[q][t]*b[q][j] for
+// q = 0, 1, ..., k-1 in that order — exactly the scalar accumulation
+// "c[t][j] += a[q][t]*b[q][j]" over q. fem integrates every element
+// matrix through it (q a quadrature point, B a basis table), so this
+// summation order is part of every flux bit the solver produces. Two
+// oracles hold it: the textbook triple loop in la_test.go
+// (TestMulTNBitwise, both kernel paths, shapes ragged against the
+// blocks) and fem's verbatim copy of the quadrature loop it replaced
+// (referenceMatrices, TestComputeMatricesBitwise and
+// FuzzComputeMatricesBitwise).
+//
 // # Vector kernels
 //
-// Four loops have an AVX2 form in kernels_amd64.s, called from inside
+// Five loops have an AVX2 form in kernels_amd64.s, called from inside
 // the Go functions that own them, so no caller and no signature knows:
 // pairUpdate's four-row trailing update t = (t - l0*u) - l1*v
 // (update2AVX2: the eight multipliers broadcast, the pivot rows loaded
-// once per four columns, four target rows updated per load), and the
-// element-wise passes AddScaled, AddScaledTo and Fuse3. In each, a lane is
-// one matrix entry and performs exactly the IEEE-754 operations the Go
-// loop performs on that entry — VMULPD, then VSUBPD or VADDPD, operands
-// in the same order, each result rounded to float64 before the next
-// uses it — under the same (default, untouched) MXCSR, so the vector
+// once per four columns, four target rows updated per load), the
+// element-wise passes AddScaled, AddScaledTo and Fuse3, and MulTN
+// (mulTNAVX2: four rows by eight columns of C in eight accumulators, per
+// q two loads of B and four broadcasts of A; then four columns; the
+// n mod 4 columns left over by one more four-column pass ending at the
+// last column, and the m mod 4 rows by one more four-row block ending at
+// the last row — both rewrite entries already written with the bits
+// they hold, so no access leaves the operands and no tail is scalar).
+// In each, a lane is one matrix entry and performs exactly the IEEE-754
+// operations the Go loop performs on that entry — VMULPD, then VSUBPD
+// or VADDPD, operands in the same order, each result rounded to float64
+// before the next uses it — under the same (default, untouched) MXCSR, so the vector
 // path is bitwise the scalar one. A fused multiply-add is not: VFMADD
 // rounds t - l*u once where the loop rounds the product and then the
 // difference, and would move the last bit of most entries (scripts/ci.sh
@@ -82,7 +102,8 @@
 // every row from the first exact-zero multiplier of a pair on —
 // pairUpdate scans the two multiplier columns first, hands the zero-free
 // leading rows to the kernel (which subtracts unconditionally) and the
-// rest to the per-block loop, which knows how to skip.
+// rest to the per-block loop, which knows how to skip. MulTN declines
+// only shapes below one block (m or n under 4) and k = 0.
 //
 // Matrices are dense row-major; all routines are allocation-free given a
 // Workspace so they can run inside sweep worker pools.

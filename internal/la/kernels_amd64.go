@@ -38,3 +38,6 @@ func addScaledToAVX2(dst, base, x []float64, w float64)
 
 //go:noescape
 func fuse3AVX2(dst, a, b, c []float64, wa, wb, wc float64)
+
+//go:noescape
+func mulTNAVX2(c []float64, ldc int, a []float64, lda int, b []float64, ldb, n, k int)

@@ -203,3 +203,127 @@ fuse4:
 	JLT     fuse4
 	VZEROUPPER
 	RET
+
+// One q step of a four-row block: broadcast A[q][r] (byte offset OFF from
+// R13) into Y10 and add its products with the B vectors to the row's
+// accumulators.
+#define TN_ROW8(OFF, ACC0, ACC1) \
+	VBROADCASTSD OFF(R13), Y10; \
+	VMULPD  Y8, Y10, Y11; \
+	VADDPD  Y11, ACC0, ACC0; \
+	VMULPD  Y9, Y10, Y12; \
+	VADDPD  Y12, ACC1, ACC1
+
+#define TN_ROW4(OFF, ACC) \
+	VBROADCASTSD OFF(R13), Y10; \
+	VMULPD  Y8, Y10, Y11; \
+	VADDPD  Y11, ACC, ACC
+
+// func mulTNAVX2(c []float64, ldc int, a []float64, lda int, b []float64, ldb, n, k int)
+//
+// Four rows of C = A^T B: c[r*ldc+j] = sum over q = 0..k-1, in order,
+// of a[q*lda+r]*b[q*ldb+j], for r < 4 and j < n (n >= 4, k >= 1). Each
+// entry starts at +0 and adds one rounded product per q. Columns go
+// eight to a pass (eight accumulators), then four; the n mod 4 columns
+// left over are covered by one more four-column pass that ends at
+// column n-1, rewriting up to three entries with the bits they already
+// hold — so no load or store leaves the block.
+TEXT ·mulTNAVX2(SB), NOSPLIT, $0-112
+	MOVQ c_base+0(FP), DI
+	MOVQ ldc+24(FP), R8
+	MOVQ a_base+32(FP), SI
+	MOVQ lda+56(FP), R9
+	MOVQ b_base+64(FP), DX
+	MOVQ ldb+88(FP), R10
+	MOVQ n+96(FP), R11
+	MOVQ k+104(FP), R12
+	SHLQ $3, R8                 // R8, R9, R10: row strides in bytes
+	SHLQ $3, R9
+	SHLQ $3, R10
+	SHLQ $3, R11                // R11: bytes of one row's n columns
+	XORQ AX, AX                 // AX: byte offset of the current column
+
+cols8:
+	LEAQ 64(AX), CX
+	CMPQ CX, R11
+	JGT  tail4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ SI, R13                // R13: &a[q][0]
+	LEAQ (DX)(AX*1), BX         // BX: &b[q][j]
+	MOVQ R12, CX
+
+q8:
+	VMOVUPD (BX), Y8
+	VMOVUPD 32(BX), Y9
+	TN_ROW8(0, Y0, Y1)
+	TN_ROW8(8, Y2, Y3)
+	TN_ROW8(16, Y4, Y5)
+	TN_ROW8(24, Y6, Y7)
+	ADDQ R9, R13
+	ADDQ R10, BX
+	DECQ CX
+	JNZ  q8
+	LEAQ (DI)(AX*1), BX         // BX: &c[r][j]
+	VMOVUPD Y0, (BX)
+	VMOVUPD Y1, 32(BX)
+	ADDQ R8, BX
+	VMOVUPD Y2, (BX)
+	VMOVUPD Y3, 32(BX)
+	ADDQ R8, BX
+	VMOVUPD Y4, (BX)
+	VMOVUPD Y5, 32(BX)
+	ADDQ R8, BX
+	VMOVUPD Y6, (BX)
+	VMOVUPD Y7, 32(BX)
+	ADDQ $64, AX
+	JMP  cols8
+
+tail4:
+	CMPQ AX, R11
+	JGE  done
+	LEAQ 32(AX), CX
+	CMPQ CX, R11
+	JLE  cols4
+	MOVQ R11, AX                // fewer than four left: end the pass at n-1
+	SUBQ $32, AX
+
+cols4:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ SI, R13
+	LEAQ (DX)(AX*1), BX
+	MOVQ R12, CX
+
+q4:
+	VMOVUPD (BX), Y8
+	TN_ROW4(0, Y0)
+	TN_ROW4(8, Y1)
+	TN_ROW4(16, Y2)
+	TN_ROW4(24, Y3)
+	ADDQ R9, R13
+	ADDQ R10, BX
+	DECQ CX
+	JNZ  q4
+	LEAQ (DI)(AX*1), BX
+	VMOVUPD Y0, (BX)
+	ADDQ R8, BX
+	VMOVUPD Y1, (BX)
+	ADDQ R8, BX
+	VMOVUPD Y2, (BX)
+	ADDQ R8, BX
+	VMOVUPD Y3, (BX)
+	ADDQ $32, AX
+	JMP  tail4
+
+done:
+	VZEROUPPER
+	RET

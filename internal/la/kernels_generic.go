@@ -10,3 +10,6 @@ func update2AVX2(ad []float64, n, k, c, k1, i0, rows int)  { panic("la: no vecto
 func addScaledAVX2(y, x []float64, w float64)              { panic("la: no vector kernels") }
 func addScaledToAVX2(dst, base, x []float64, w float64)    { panic("la: no vector kernels") }
 func fuse3AVX2(dst, a, b, c []float64, wa, wb, wc float64) { panic("la: no vector kernels") }
+func mulTNAVX2(c []float64, ldc int, a []float64, lda int, b []float64, ldb, n, k int) {
+	panic("la: no vector kernels")
+}

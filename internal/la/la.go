@@ -212,7 +212,7 @@ func SolveDGESV(a *Matrix, b []float64, piv []int) error {
 const minVectorLen = 8
 
 // Kernels names the implementation behind the trailing update of the
-// elimination core and the element-wise passes on this CPU: "avx2" (the
+// elimination core, the element-wise passes and MulTN on this CPU: "avx2" (the
 // assembly kernels of kernels_amd64.s) or "generic" (the pure-Go loops).
 // Both produce the same bits; the bench ledger records which one it timed.
 func Kernels() string {
@@ -267,6 +267,51 @@ func AddScaledTo(dst, base, x []float64, w float64) {
 	}
 	for ; i < len(dst); i++ {
 		dst[i] = base[i] + w*x[i]
+	}
+}
+
+// MulTN writes the m x n product C = A^T B of a k x m matrix A and a
+// k x n matrix B, all row-major with leading dimensions lda, ldb, ldc:
+//
+//	c[t*ldc+j] = a[0*lda+t]*b[0*ldb+j] + ... + a[(k-1)*lda+t]*b[(k-1)*ldb+j]
+//
+// summed from +0 in ascending q, each product rounded before it is
+// added — exactly the scalar loop "c[t][j] += a[q][t]*b[q][j]" over q
+// on a zeroed C. fem's element integrals are this product with q the
+// quadrature point, so its summation order is part of every flux bit.
+// Only the m x n window of c is written; c must not overlap a or b.
+func MulTN(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, m, n, k int) {
+	if m <= 0 || n <= 0 {
+		return
+	}
+	if ldc < n || lda < m || ldb < n || k < 0 {
+		panic(fmt.Sprintf("la: MulTN leading dimensions (%d, %d, %d) too small for %d x %d x %d", ldc, lda, ldb, m, n, k))
+	}
+	// Index, not reslice: a reslice may run past len up to cap.
+	_ = c[(m-1)*ldc+n-1]
+	if k > 0 {
+		_ = a[(k-1)*lda+m-1]
+		_ = b[(k-1)*ldb+n-1]
+	}
+	if useAVX2 && m >= 4 && n >= 4 && k > 0 {
+		// Blocks of four rows; a ragged last block ends at row m-1 and
+		// rewrites rows the previous block wrote, with the same bits.
+		for t := 0; t < m; t += 4 {
+			t0 := min(t, m-4)
+			mulTNAVX2(c[t0*ldc:], ldc, a[t0:], lda, b, ldb, n, k)
+		}
+		return
+	}
+	for t := 0; t < m; t++ {
+		row := c[t*ldc : t*ldc+n]
+		clear(row)
+		for q := 0; q < k; q++ {
+			at := a[q*lda+t]
+			bq := b[q*ldb : q*ldb+n]
+			for j := range row {
+				row[j] += at * bq[j]
+			}
+		}
 	}
 }
 

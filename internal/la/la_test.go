@@ -397,6 +397,23 @@ func factorReference(a *Matrix, piv []int, k0, k1 int) error {
 	return nil
 }
 
+// mulTNReference is the textbook triple loop MulTN is held to: C zeroed,
+// then one rank-1 update per q.
+func mulTNReference(c []float64, ldc int, a []float64, lda int, b []float64, ldb, m, n, k int) {
+	for t := 0; t < m; t++ {
+		for j := 0; j < n; j++ {
+			c[t*ldc+j] = 0
+		}
+	}
+	for q := 0; q < k; q++ {
+		for t := 0; t < m; t++ {
+			for j := 0; j < n; j++ {
+				c[t*ldc+j] += a[q*lda+t] * b[q*ldb+j]
+			}
+		}
+	}
+}
+
 // elimValue decodes one byte of a test case into a matrix or RHS entry:
 // a few specials (both zeros, subnormals whose multipliers underflow to
 // zero, a diagonal-dominating 4099) and otherwise a small signed number
@@ -700,6 +717,78 @@ func FuzzEliminateBitwise(f *testing.F) {
 	f.Fuzz(func(t *testing.T, n, k uint8, data []byte) {
 		checkEliminate(t, int(n%34), 1+int(k%3), data)
 	})
+}
+
+// TestMulTNBitwise holds MulTN to mulTNReference bit for bit on both
+// kernel paths, the paths to each other, over shapes ragged against the
+// vector kernel's four-row, eight- and four-column blocks (fem's widths
+// 27 and 9 among them) and k = 0 and 1, with padded leading dimensions
+// and operands from the elimination suite's specials and infinities. C
+// sits in a poisoned slab with gaps between its rows: nothing outside
+// the m x n window may change, nor any operand.
+func TestMulTNBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for _, m := range []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 27, 48} {
+		for _, n := range []int{1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 27, 64} {
+			for _, k := range []int{0, 1, 2, 5, 13} {
+				lda, ldb, ldc := m+rng.Intn(3), n+rng.Intn(3), n+rng.Intn(3)
+				a := make([]float64, max(k*lda, 1))
+				b := make([]float64, max(k*ldb, 1))
+				for i := range a {
+					a[i] = elementValue(rng)
+				}
+				for i := range b {
+					b[i] = elementValue(rng)
+				}
+				a0 := append([]float64(nil), a...)
+				b0 := append([]float64(nil), b...)
+				size := (m-1)*ldc + n
+				off := rng.Intn(4)
+				_, wantSlab := poisoned(size, off)
+				mulTNReference(wantSlab[guard+off:], ldc, a, lda, b, ldb, m, n, k)
+				var generic []float64
+				eachKernelPath(t, func(path string) {
+					c, slab := poisoned(size, off)
+					MulTN(c, ldc, a, lda, b, ldb, m, n, k)
+					if !sameBits(slab, wantSlab) {
+						t.Fatalf("m=%d n=%d k=%d (%s): slab not bitwise the reference", m, n, k, path)
+					}
+					if !sameBits(a, a0) || !sameBits(b, b0) {
+						t.Fatalf("m=%d n=%d k=%d (%s): operand modified", m, n, k, path)
+					}
+					if path == "generic" {
+						generic = slab
+					} else if !sameBits(slab, generic) {
+						t.Fatalf("m=%d n=%d k=%d: %s path not bitwise the generic path", m, n, k, path)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestMulTNArguments: leading dimensions too small for the shape are a
+// panic, never a read or write past a row.
+func TestMulTNArguments(t *testing.T) {
+	buf := make([]float64, 64)
+	for name, call := range map[string]func(){
+		"ldc < n":    func() { MulTN(buf, 3, buf, 4, buf, 4, 4, 4, 2) },
+		"lda < m":    func() { MulTN(buf, 4, buf, 3, buf, 4, 4, 4, 2) },
+		"ldb < n":    func() { MulTN(buf, 4, buf, 4, buf, 3, 4, 4, 2) },
+		"short c":    func() { MulTN(buf[:15], 4, buf, 4, buf, 4, 4, 4, 2) },
+		"short a":    func() { MulTN(buf, 4, buf[:7], 4, buf, 4, 4, 4, 2) },
+		"short b":    func() { MulTN(buf, 4, buf, 4, buf[:7], 4, 4, 4, 2) },
+		"negative k": func() { MulTN(buf, 4, buf, 4, buf, 4, 4, 4, -1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			call()
+		}()
+	}
 }
 
 // TestEliminateArguments: mis-sized pivot records and right-hand sides

@@ -220,15 +220,16 @@ func (m *Mesh) CheckConnectivity() error {
 }
 
 // TotalVolume integrates the volume of all elements with the given
-// reference element's quadrature.
+// reference element's quadrature (each term bitwise the element's
+// ElementMatrices.Volume).
 func (m *Mesh) TotalVolume(re *fem.RefElement) (float64, error) {
 	total := 0.0
 	for e := range m.Elems {
-		em, err := re.ComputeMatrices(m.Elems[e].Geometry())
+		vol, err := re.Volume(m.Elems[e].Geometry())
 		if err != nil {
 			return 0, fmt.Errorf("mesh: element %d: %w", e, err)
 		}
-		total += em.Volume
+		total += vol
 	}
 	return total, nil
 }

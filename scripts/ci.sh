@@ -66,12 +66,18 @@ go run ./cmd/unsnap-serve -smoke \
 # or internal/la change can break the benchmark unseen.
 (cd benchmark && go test .)
 # Dense-solve bitwise suite: every wrapper over la's one elimination core
-# against the reference loops — on the pure-Go loops and on the AVX2
-# kernels, the two also against each other — and the kernels' window
+# and MulTN against the reference loops — on the pure-Go loops and on the
+# AVX2 kernels, the two also against each other — and the kernels' window
 # (canary) tests, uncached and under the race detector, then a short fuzz
 # of the same oracle.
-go test -race -count=1 -run 'Eliminate|Bitwise|Window|FactorBlocked' ./internal/la
+go test -race -count=1 -run 'Eliminate|Bitwise|Window|FactorBlocked|MulTN' ./internal/la
 go test -run '^$' -fuzz=FuzzEliminateBitwise -fuzztime=5s ./internal/la
+# Element-matrix bitwise suite: fem's la.MulTN integration against the
+# scalar quadrature loop it replaced (every field bit for bit, faces with
+# exact-zero normal components included), the allocation and heap-bytes pin and
+# the volume-only path, repeated, then a short fuzz of the same oracle.
+go test -count=3 -run 'ComputeMatricesBitwise|ComputeMatricesAllocs|VolumeMatchesComputeMatrices' ./internal/fem
+go test -run '^$' -fuzz=FuzzComputeMatricesBitwise -fuzztime=5s ./internal/fem
 # Task-kernel bitwise suite (kernel_test.go): batched == scalar across the
 # boundary / scattering / time-stepping matrix and every four-group panel
 # shape, the parent-commit flux digest, the zero-allocation sweep and
