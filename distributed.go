@@ -21,11 +21,10 @@ type Distributed struct {
 
 // NewDistributed builds a multi-rank solver over py x pz ranks. Options
 // that cannot apply under the selected protocol are rejected up front:
-// the pipelined protocol needs the engine scheme (the lagged protocol's
-// halo callbacks run sequential octant phases under any scheme). Cyclic
-// meshes
-// need AllowCycles under either protocol; the pipelined one then
-// distributes a single global cycle condensation so its flux still
+// the pipelined protocol needs the engine scheme, while the lagged one
+// runs any scheme (its ranks sweep self-driven between halo exchanges).
+// Cyclic meshes need AllowCycles under either protocol; the pipelined one
+// then distributes a single global cycle condensation so its flux still
 // matches the single-domain solver exactly.
 func NewDistributed(p Problem, o Options, py, pz int) (*Distributed, error) {
 	if o.Reflect != [3]bool{} {

@@ -55,24 +55,22 @@ type Config struct {
 
 	// Rank is the solver-configuration template applied identically to
 	// every rank: set the solver knobs — Order, Quad, Lib, Scheme,
-	// Threads (per rank), Solver, AllowCycles, CycleOrder,
+	// Threads (per rank), Solver, Kernel, AllowCycles, CycleOrder,
 	// PreAssembled, Epsi, MaxInners, MaxOuters, ForceIterations,
-	// Instrument, HealthChecks, ScatOrder — exactly as for a
-	// single-domain core.Config. Leave Mesh and the coupling fields
-	// (Boundary, External, CycleLag/CycleLagKey, Artifact, Time) unset:
-	// the driver owns those per rank and rejects a template that sets
-	// them. Rank.Cache, when set, is consulted by every rank's build —
-	// ranks whose subdomains share a topology share one artifact instead
-	// of re-deduping independently, and the pipelined protocol's global
-	// condensation joins the same cache.
+	// Instrument, HealthChecks, ScatOrder, Accelerate, Progress (reported
+	// once per inner) and Cache — exactly as for a single-domain
+	// core.Config. Leave Mesh and the coupling fields (Boundary, External,
+	// CycleLag/CycleLagKey, Artifact, Time) unset: the driver owns those
+	// per rank and rejects a template that sets them. Rank.Cache, when
+	// set, is consulted by every rank's build — ranks whose subdomains
+	// share a topology and External faces share one artifact, and the
+	// pipelined protocol's global condensation joins the same cache.
 	//
-	// Octant-phasing note: under the lagged protocol the halo boundary
-	// callback runs sequential octant phases; the pipelined protocol's
-	// ranks run the fused cross-octant phase. Under the pipelined protocol
-	// one global SCC condensation is computed up front (AllowCycles) and
-	// distributed via each rank's CycleLag, preserving single-domain flux
-	// parity; under the lagged protocol each rank condenses its own
-	// subdomain.
+	// Every engine-backed rank runs the fused cross-octant phase under
+	// both protocols. Under the pipelined protocol one global SCC
+	// condensation is computed up front (AllowCycles) and distributed via
+	// each rank's CycleLag, preserving single-domain flux parity; under
+	// the lagged protocol each rank condenses its own subdomain.
 	Rank core.Config
 
 	// Deadline bounds each Run (each attempt, under a retrying Policy):
@@ -104,9 +102,9 @@ func (cfg Config) validate() error {
 	case cfg.Rank.Mesh != nil:
 		return fmt.Errorf("comm: Rank.Mesh is set per rank by the driver; configure the global mesh via Config.Mesh")
 	case cfg.Rank.Boundary != nil:
-		return fmt.Errorf("comm: Rank.Boundary is owned by the lagged protocol's halo exchange; it cannot be set in the template")
+		return fmt.Errorf("comm: Rank.Boundary is for reflective boundaries, which the partitioned driver does not support; cross-rank faces are declared External by the driver")
 	case cfg.Rank.External != nil:
-		return fmt.Errorf("comm: Rank.External is owned by the pipelined protocol; it cannot be set in the template")
+		return fmt.Errorf("comm: Rank.External is set per rank by the driver from the partition; it cannot be set in the template")
 	case cfg.Rank.CycleLag != nil || cfg.Rank.CycleLagKey != "":
 		return fmt.Errorf("comm: Rank.CycleLag is owned by the pipelined protocol's global condensation; it cannot be set in the template")
 	case cfg.Rank.Artifact != nil:
@@ -150,7 +148,6 @@ type Driver struct {
 
 	nG, nA, nF int
 
-	lag  *laggedState
 	pipe *pipelinedState
 	inj  *fault.Injector // nil without Config.Fault
 
@@ -227,12 +224,40 @@ func New(cfg Config) (*Driver, error) {
 
 // rankConfig stamps the Rank template onto rank r's subdomain: the whole
 // solver configuration (including a shared Cache) is the template
-// verbatim, only the mesh — and, per protocol, the coupling fields the
-// caller layers on afterwards — differs between ranks.
+// verbatim; only the mesh and the External declarations of the rank's
+// cross-rank faces (d.remote[r], in order) differ between ranks. Both
+// protocols build on it; the pipelined one adds the global cycle
+// decisions.
 func (d *Driver) rankConfig(r int) core.Config {
 	cfg := d.cfg.Rank
 	cfg.Mesh = d.part.Subs[r].Mesh
+	cfg.External = make([]core.ExternalFace, len(d.remote[r]))
+	for i, rf := range d.remote[r] {
+		cfg.External[i] = core.ExternalFace{Elem: rf.Key.Elem, Face: rf.Key.Face,
+			Normal: rf.Normal, Canonical: rf.Canonical}
+	}
 	return cfg
+}
+
+// gatherFace reads every group's nodal angular flux of (ordinate a, elem
+// e, face f) of solver s into data, group-major, in s's face-node order:
+// one cross-rank transfer.
+func (d *Driver) gatherFace(s *core.Solver, a, e, f int, data []float64) {
+	for g := 0; g < d.nG; g++ {
+		s.PsiFaceValues(a, e, g, f, data[g*d.nF:(g+1)*d.nF])
+	}
+}
+
+// permuteInflow writes one transfer gathered on the sending side into the
+// receiving rank's inflow slot, in the receiver's face-node order.
+func (d *Driver) permuteInflow(slot, data []float64, perm []int) {
+	for g := 0; g < d.nG; g++ {
+		src := data[g*d.nF : (g+1)*d.nF]
+		dst := slot[g*d.nF : (g+1)*d.nF]
+		for k := range dst {
+			dst[k] = src[perm[k]]
+		}
+	}
 }
 
 // NumRanks returns the rank count.

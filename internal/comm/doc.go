@@ -7,10 +7,10 @@
 //   - Lagged (the paper's scheme): parallel block Jacobi driven in BSP
 //     super-steps — every rank sweeps its whole subdomain using the halo
 //     fluxes of the previous inner iteration, a barrier, a bulk halo
-//     exchange, another barrier. Every rank starts sweeping immediately,
-//     but the lagged coupling costs extra inner iterations as the rank
-//     count grows, and the halo boundary callback pins each rank's engine
-//     to sequential octant phases.
+//     exchange into the rank's External inflow slots, another barrier.
+//     Every rank starts sweeping immediately, in the fused eight-octant
+//     phase, but the lagged coupling costs extra inner iterations as the
+//     rank count grows.
 //
 //   - Pipelined: the sweep itself spans the ranks. Remote upwind faces
 //     are latent dependencies of each rank's counter-driven task graph
@@ -42,9 +42,13 @@
 // production sweeper performs — so every rank takes the identical
 // decision from the identical maximum.
 //
-// Lagged remains the default and the paper-faithful A/B baseline; the
-// protocols share the partition metadata (mesh.RemoteFaces), the
-// deterministic per-rank flux reduction, and the balance accounting.
+// Lagged remains the default and the paper-faithful A/B baseline. The
+// protocols build their rank solvers the same way — every cross-rank face
+// declared core.Config.External from mesh.RemoteFaces — and differ only in
+// when the inflow slots are written: between sweeps (lagged, a
+// self-driven SweepAllAngles) or mid-sweep (pipelined, an armed sweep).
+// They share the deterministic per-rank flux reduction and the balance
+// accounting.
 //
 // # Determinism and parity contract
 //

@@ -118,10 +118,11 @@ const (
 	// backoff, then returns the last error.
 	FailRetry
 	// FailDegrade retries like FailRetry, and after the retries are
-	// exhausted rebuilds the driver on the lagged (BSP block Jacobi)
-	// protocol and completes the solve there — the degraded protocol
-	// converges to the same flux, at the cost of extra inner iterations.
-	// The driver stays lagged for subsequent Runs (see Driver.Degraded).
+	// exhausted switches the driver's ranks to the lagged (BSP block
+	// Jacobi) protocol and completes the solve there — the degraded
+	// protocol converges to the same flux, at the cost of extra inner
+	// iterations. The driver stays lagged for subsequent Runs (see
+	// Driver.Degraded).
 	FailDegrade
 )
 
@@ -231,9 +232,7 @@ func (d *Driver) runPipelinedPolicy(ctx context.Context) (*Result, error) {
 			continue
 		}
 		if pol.Mode == FailDegrade {
-			if derr := d.degradeToLagged(); derr != nil {
-				return nil, errors.Join(err, derr)
-			}
+			d.degradeToLagged()
 			res, lerr := d.runLagged(ctx)
 			if lerr != nil {
 				return nil, lerr
@@ -246,22 +245,24 @@ func (d *Driver) runPipelinedPolicy(ctx context.Context) (*Result, error) {
 	}
 }
 
-// degradeToLagged tears the pipelined wiring down and rebuilds every rank
-// solver on the lagged protocol. The degradation is sticky: Run routes to
-// the lagged path from here on.
-func (d *Driver) degradeToLagged() error {
+// degradeToLagged swaps the stepper, not the solvers: a pipelined rank
+// already declares its cross-rank faces External, so the lagged protocol
+// sweeps it self-driven against slots its exchange fills. Only the
+// publish hooks, the transport and the injector go (the retry loop has
+// already reset every rank to the zero iterate). On a cyclic mesh the
+// ranks keep the global condensation's CycleLag: that cut, restricted to
+// one rank, leaves the rank's graph acyclic, which is all block Jacobi
+// needs. The degradation is sticky: Run routes to the lagged path from
+// here on.
+func (d *Driver) degradeToLagged() {
 	for _, s := range d.solvers {
-		s.Close()
+		s.SetPublish(nil)
 	}
 	d.pipe = nil
 	d.inj = nil
-	if err := d.buildLagged(); err != nil {
-		return fmt.Errorf("comm: degrading to the lagged protocol: %w", err)
-	}
 	d.mu.Lock()
 	d.degraded = true
 	d.mu.Unlock()
-	return nil
 }
 
 // Degraded reports whether a FailDegrade policy has demoted the driver to

@@ -7,60 +7,18 @@ import (
 	"time"
 
 	"unsnap/internal/core"
-	"unsnap/internal/mesh"
 )
 
 // This file is the lagged (paper-faithful) protocol: parallel block
 // Jacobi in BSP super-steps — sweep | barrier | bulk halo exchange |
-// barrier — with every rank reading the previous inner iteration's halo
-// fluxes through a synchronous boundary callback.
+// barrier. Every rank declares its cross-rank faces External, like a
+// pipelined rank, and sweeps self-driven (SweepAllAngles) against inflow
+// slots the exchange filled with the previous inner iteration's flux.
 
-// halo is the incoming angular flux storage of one remote face:
-// data[(a*nG+g)*nF + k] holds the value for our face node k.
-type halo struct {
-	ref  mesh.RemoteRef
-	perm []int // our face-node k -> peer face-node index (into peer order)
-	data []float64
-}
-
-// laggedState holds the per-rank halo buffers of the BSP exchange.
-type laggedState struct {
-	halos   []map[mesh.FaceKey]*halo
-	scratch [][]float64 // per-rank gather buffer (peer face ordering)
-}
-
-// buildLagged wires the halo buffers into each rank solver's
-// boundary-flux callback.
+// buildLagged builds one External-coupled solver per rank.
 func (d *Driver) buildLagged() error {
-	lag := &laggedState{
-		halos:   make([]map[mesh.FaceKey]*halo, len(d.part.Subs)),
-		scratch: make([][]float64, len(d.part.Subs)),
-	}
-	d.lag = lag
-	for r := range d.part.Subs {
-		lag.halos[r] = make(map[mesh.FaceKey]*halo, len(d.remote[r]))
-		lag.scratch[r] = make([]float64, d.nF)
-		for _, rf := range d.remote[r] {
-			lag.halos[r][rf.Key] = &halo{
-				ref:  rf.Ref,
-				perm: rf.Perm,
-				data: make([]float64, d.nA*d.nG*d.nF),
-			}
-		}
-	}
-	for r := range d.part.Subs {
-		hs := lag.halos[r]
-		boundary := func(a, e, f, g int, buf []float64) []float64 {
-			h, ok := hs[mesh.FaceKey{Elem: e, Face: f}]
-			if !ok {
-				return nil // true domain boundary: vacuum
-			}
-			off := (a*d.nG + g) * d.nF
-			return h.data[off : off+d.nF]
-		}
-		cfg := d.rankConfig(r)
-		cfg.Boundary = boundary
-		s, err := core.New(cfg)
+	for r := range d.solvers {
+		s, err := core.New(d.rankConfig(r))
 		if err != nil {
 			return fmt.Errorf("comm: building rank %d: %w", r, err)
 		}
@@ -69,21 +27,22 @@ func (d *Driver) buildLagged() error {
 	return nil
 }
 
-// exchange refreshes every halo buffer from the owning peer's current
-// angular flux. It runs between sweeps (BSP), so the peers' flux arrays
-// are stable.
+// exchange refreshes every rank's External inflow slots from the owning
+// peer's current angular flux: for each remote face, the ordinates that
+// flow into this rank through it, through the same gather and permutation
+// as a pipelined transfer. It runs between sweeps (BSP), so the peers' flux arrays are
+// stable.
 func (d *Driver) exchange() {
+	angles := d.cfg.Rank.Quad.Angles
 	_ = d.forEachRank(func(r int) error {
-		buf := d.lag.scratch[r]
-		for _, h := range d.lag.halos[r] {
-			peer := d.solvers[h.ref.Rank]
-			for a := 0; a < d.nA; a++ {
-				for g := 0; g < d.nG; g++ {
-					peer.PsiFaceValues(a, h.ref.Elem, g, h.ref.Face, buf)
-					off := (a*d.nG + g) * d.nF
-					for k := 0; k < d.nF; k++ {
-						h.data[off+k] = buf[h.perm[k]]
-					}
+		s := d.solvers[r]
+		buf := make([]float64, d.nG*d.nF)
+		for i, rf := range d.remote[r] {
+			peer := d.solvers[rf.Ref.Rank]
+			for a := range angles {
+				if core.ExternalInflow(angles[a].Omega, rf.Normal, rf.Canonical) {
+					d.gatherFace(peer, a, rf.Ref.Elem, rf.Ref.Face, buf)
+					d.permuteInflow(s.ExternalInflowBuffer(i, a), buf, rf.Perm)
 				}
 			}
 		}

@@ -180,13 +180,8 @@ func (d *Driver) buildPipelined() error {
 	aw := (d.nA + 63) / 64
 	for r := range d.part.Subs {
 		sub := d.part.Subs[r]
-		ext := make([]core.ExternalFace, len(d.remote[r]))
 		ps.extIdx[r] = make(map[mesh.FaceKey]int, len(d.remote[r]))
 		for i, rf := range d.remote[r] {
-			ext[i] = core.ExternalFace{
-				Elem: rf.Key.Elem, Face: rf.Key.Face,
-				Normal: rf.Normal, Canonical: rf.Canonical,
-			}
 			ps.extIdx[r][rf.Key] = i
 			peer := d.part.Subs[rf.Ref.Rank]
 			gMine := sub.Global[rf.Key.Elem]
@@ -215,7 +210,6 @@ func (d *Driver) buildPipelined() error {
 			}
 		}
 		cfg := d.rankConfig(r)
-		cfg.External = ext
 		if d.cfg.Rank.AllowCycles {
 			// Distribute the global condensation: a rank lags exactly the
 			// intra-rank edges the single-domain solver would, looked up by
@@ -282,10 +276,7 @@ func (d *Driver) publishFace(rank, a, e, f int) {
 	ref := d.part.Subs[rank].Remote[key]
 	msg := pipeMsg{epoch: pr.epoch, sweep: pr.sweep[rank],
 		a: a, elem: ref.Elem, face: ref.Face, data: d.pipe.getBuf()}
-	s := d.solvers[rank]
-	for g := 0; g < d.nG; g++ {
-		s.PsiFaceValues(a, e, g, f, msg.data[g*d.nF:(g+1)*d.nF])
-	}
+	d.gatherFace(d.solvers[rank], a, e, f, msg.data)
 	ei := d.pipe.outIdx[rank][ref.Rank]
 	lagged := d.pipe.isLagOut(rank, d.pipe.extIdx[rank][key], a)
 	pr.tr.Send(ei, lagged, msg)
@@ -366,15 +357,7 @@ func (pr *pipeRun) applyMsg(ei, n int, m pipeMsg) bool {
 		return false
 	}
 	*wrote = int32(n + 1)
-	perm := d.remote[ed.to][idx].Perm
-	buf := s.ExternalInflowBuffer(idx, m.a)
-	for g := 0; g < d.nG; g++ {
-		src := m.data[g*d.nF : (g+1)*d.nF]
-		dst := buf[g*d.nF : (g+1)*d.nF]
-		for k := range dst {
-			dst[k] = src[perm[k]]
-		}
-	}
+	d.permuteInflow(s.ExternalInflowBuffer(idx, m.a), m.data, d.remote[ed.to][idx].Perm)
 	d.pipe.putBuf(m.data)
 	s.ResolveExternal(m.a, m.elem)
 	return true

@@ -59,8 +59,8 @@ func (s *Solver) ComputeBalanceExcluding(skip func(elem, face int) bool) Balance
 			}
 		}
 		// Boundary leakage: outflow faces carry our flux out; inflow faces
-		// are vacuum (or supplied halo flux, which the block Jacobi driver
-		// accounts for separately).
+		// are vacuum (or supplied inflow: a reflected mirror, or a peer
+		// rank's External flux, whose faces the comm driver skips).
 		for f := 0; f < fem.NumFaces; f++ {
 			if m.Elems[e].Faces[f].Neighbor >= 0 {
 				continue

@@ -191,11 +191,11 @@ func (m AccelMode) String() string {
 	}
 }
 
-// BoundaryFlux supplies incoming nodal angular flux on a subdomain
-// boundary face, enabling the block Jacobi coupling between ranks. It is
-// called for inflow boundary faces with a scratch buffer of face-node
-// length, ordered like fem.RefElement.FaceNodes[face]; returning nil means
-// vacuum (the physical boundary condition).
+// BoundaryFlux supplies incoming nodal angular flux on a domain boundary
+// face, such as the reflective mirror ReflectiveBoundary builds (partitioned
+// runs couple ranks through Config.External instead). It is called for inflow boundary faces with a scratch buffer of
+// face-node length, ordered like fem.RefElement.FaceNodes[face];
+// returning nil means vacuum.
 type BoundaryFlux func(angle, elem, face, group int, buf []float64) []float64
 
 // Config assembles a solver.
@@ -280,23 +280,23 @@ type Config struct {
 	// one extra pass over phi per inner when enabled.
 	HealthChecks bool
 
-	// Boundary supplies halo data on subdomain boundaries (block Jacobi);
-	// nil means vacuum everywhere.
+	// Boundary supplies reflected inflow on domain boundary faces; nil
+	// means vacuum everywhere. A callback pins the engine to sequential
+	// octant phases (see octantsFusable).
 	Boundary BoundaryFlux
 
 	// External declares subdomain-boundary faces whose upwind angular flux
-	// is streamed in mid-sweep (the pipelined halo protocol) instead of
-	// read synchronously through Boundary. Each listed face becomes a
-	// latent dependency of the sweep engine's task graph for the ordinates
-	// it is upwind of, resolved by ResolveExternal as the data arrives;
-	// for the ordinates it is downwind of, the engine publishes the
-	// outgoing flux through the SetPublish hook the moment the owning task
-	// completes. Mutually exclusive with Boundary (so the sweep runs as
-	// the one fused cross-octant phase); requires an engine-backed
-	// Scheme. Combines with AllowCycles: lagged
-	// local couplings read the previous-iterate snapshot, and the comm
-	// layer shifts lagged cross-rank resolutions by one sweep. See
-	// external.go.
+	// a peer rank supplies through per-(face, ordinate) inflow slots
+	// (ExternalInflowBuffer), classified by the pair's shared canonical
+	// normal. How the sweep is driven picks the reading: SweepAllAngles
+	// reads the slots as the caller left them (block Jacobi, any scheme);
+	// ArmSweep + FinishSweep (engine only) holds each slot as a latent
+	// task-graph dependency that ResolveExternal releases as streamed data
+	// arrives, and publishes outgoing flux through the SetPublish hook the
+	// moment the owning task completes. Mutually exclusive with Boundary,
+	// so the engine keeps the one fused cross-octant phase. Combines with
+	// AllowCycles: lagged local couplings read the previous-iterate
+	// snapshot. See external.go.
 	External []ExternalFace
 
 	// Time enables SNAP's time-dependent mode (backward-Euler stepping);
@@ -487,13 +487,11 @@ func validateLibrary(lib *xs.Library) error {
 	return nil
 }
 
-// validateExternal rejects configurations the streamed-inflow sweep cannot
-// honour. External dependencies live inside one fused whole-sweep task
-// graph, so everything that pins the legacy octant order is incompatible.
+// validateExternal rejects configurations an External sweep cannot
+// honour. An armed sweep's dependencies live inside one fused whole-sweep
+// task graph, so a Boundary callback, which pins the octant order, is
+// incompatible; the engine-only rule of armed sweeps is ArmSweep's.
 func (c Config) validateExternal() error {
-	if !c.Scheme.EngineBacked() {
-		return fmt.Errorf("core: External faces require an engine-backed scheme, not %v", c.Scheme)
-	}
 	if c.Boundary != nil {
 		return fmt.Errorf("core: External faces and a Boundary callback are mutually exclusive")
 	}

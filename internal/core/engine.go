@@ -20,16 +20,14 @@ import (
 //   - Angle-parallel execution: every ordinate of an octant is in flight
 //     at once (their dependency graphs are independent), multiplying the
 //     available parallelism by Quad.PerOctant on shallow-bucket meshes.
-//   - Octant overlap: on vacuum problems (no Boundary callback) nothing
-//     couples the octants inside one sweep, so the engine fuses all eight
-//     octants into a single counter-driven phase — task ids span (octant,
-//     ordinate, element) — removing the seven quiesce barriers and the
-//     per-octant wavefront starvation behind the paper's Figure 3
-//     strong-scaling wall. Cyclic meshes stay fused:
-//     their lagged couplings read the previous-iterate psi snapshot, not
-//     an in-sweep ordering. Boundary callbacks (reflective mirrors, lagged
-//     halos) run sequential octant phases, preserving the legacy
-//     mirror-ordinate ordering.
+//   - Octant overlap: without a Boundary callback nothing couples the
+//     octants inside one sweep, so the engine fuses all eight octants into
+//     a single counter-driven phase — task ids span (octant, ordinate,
+//     element) — removing the seven quiesce barriers and the per-octant
+//     wavefront starvation behind the paper's Figure 3 strong-scaling
+//     wall. Cyclic meshes and External faces stay fused (see
+//     octantsFusable). A Boundary callback (reflective mirrors) runs
+//     sequential octant phases, preserving the mirror-ordinate ordering.
 //   - Lock-free deterministic flux reduction: tasks store only the
 //     angular flux; the scalar flux (and P1 current) is reduced from psi
 //     once per sweep in fixed ordinate order, so results are bitwise
@@ -132,10 +130,11 @@ type engine struct {
 
 	// fused selects the cross-octant mode: one phase per sweep over all
 	// nA*nE tasks instead of eight quiesced per-octant phases. Decided
-	// once at build time (see Solver.octantsFusable). External (streamed
-	// halo) solvers always fuse (Config.External excludes a Boundary
-	// callback): their arriving resolutions address tasks of any octant,
-	// so the whole sweep must be armed as one phase.
+	// once at build time (see Solver.octantsFusable). External solvers
+	// always fuse (Config.External excludes a Boundary callback): streamed
+	// resolutions address tasks of any octant, so an armed sweep must be
+	// one phase, and a self-driven one resolves every slot of that phase
+	// up front (resolveAll).
 	fused bool
 
 	// External-coupling schedule (Config.External only): extDeg[t] is the
@@ -261,31 +260,26 @@ func (s *Solver) ensureEngine() *engine {
 // first.)
 func (s *Solver) Close() { s.pool.halt(true) }
 
-// runSweep executes one full sweep: the single fused phase in
-// cross-octant mode, or eight sequential octant phases otherwise. A
-// stalled phase aborts the remaining octants — the sweep is already
-// failed, so their work would be wasted. Per-element solve errors do NOT
-// abort (the legacy executors finish the sweep too).
+// runSweep executes one full self-driven sweep: the single fused phase in
+// cross-octant mode, with every External slot read as the caller left it,
+// or eight sequential octant phases otherwise. A stalled phase aborts the
+// remaining octants — the sweep is already failed, so their work would be
+// wasted. Per-element solve errors do NOT abort (the legacy executors
+// finish the sweep too).
 func (e *engine) runSweep() {
 	if e.fused {
-		e.runPhase(0, len(e.counts), e.allSeeds)
+		e.begin(0, len(e.counts), e.allSeeds, e.totalExt)
+		e.resolveAll()
+		e.end()
 		return
 	}
 	per := e.s.cfg.Quad.PerOctant
 	for o := 0; o < 8; o++ {
-		if stalled := e.runPhase(o*per*e.s.nE, (o+1)*per*e.s.nE, e.octSeeds[o]); stalled {
+		e.begin(o*per*e.s.nE, (o+1)*per*e.s.nE, e.octSeeds[o], 0)
+		if stalled := e.end(); stalled {
 			return
 		}
 	}
-}
-
-// runPhase executes the tasks with ids in [lo, hi) to completion (or to
-// a stall, which it reports). The pool is quiescent on entry and on
-// return: the caller may touch counters, deques and worker scratch
-// freely in between.
-func (e *engine) runPhase(lo, hi int, seeds []int32) (stalled bool) {
-	e.begin(lo, hi, seeds, 0)
-	return e.end()
 }
 
 // begin resets the phase state to the tasks with ids in [lo, hi), ext of
@@ -306,6 +300,24 @@ func (e *engine) begin(lo, hi int, seeds []int32, ext int64) {
 	e.active = true
 	e.mu.Unlock()
 	e.s.pool.fork(e.runFn, e.abandonFn)
+}
+
+// resolveAll resolves at once every external dependency of the fused
+// phase in flight, as if each slot had just been streamed in; the inbox is
+// sized for the tasks it releases, so nothing allocates.
+func (e *engine) resolveAll() {
+	if e.totalExt == 0 {
+		return
+	}
+	e.mu.Lock()
+	for t, d := range e.extDeg {
+		if d > 0 && atomic.AddInt32(&e.counts[t], -d) == 0 {
+			e.inbox = append(e.inbox, int64(t))
+		}
+	}
+	e.extPending.Store(0)
+	e.cond.Broadcast()
+	e.mu.Unlock()
 }
 
 // end works the phase as worker 0 until it completes, stalls or is
@@ -479,15 +491,14 @@ func (s *Solver) reduceFluxFromPsi() { s.pool.run(s.reduceRoundFn) }
 // ---- octant fusion eligibility ----
 
 // octantsFusable reports whether the engine may run all eight octants as
-// one task graph. It requires vacuum boundaries: a Boundary callback
-// (reflective mirror reads, block Jacobi halos) may observe the in-sweep
-// octant order, which the fused phase does not preserve, so those runs
-// keep eight sequential octant phases.
+// one task graph. It requires no Boundary callback: a reflective mirror
+// reads the current sweep's psi, so it observes the in-sweep octant order,
+// which the fused phase does not preserve.
 //
-// Cycle lagging (AllowCycles) does NOT pin the octant order: lagged
-// couplings read the immutable previous-iterate psi snapshot, so their
-// values are the same whichever octant runs first — cyclic vacuum
-// problems keep the fused eight-octant phase. The deterministic
+// Neither cycle lagging (AllowCycles) nor External faces pin the octant
+// order: a lagged coupling reads the immutable previous-iterate snapshot,
+// and an External slot holds one value for the whole sweep, so both read
+// the same values whichever octant runs first. The deterministic
 // reduceFluxFromPsi reduction makes the relaxed execution order
 // bitwise-safe for everything else.
 func (s *Solver) octantsFusable() bool { return s.cfg.Boundary == nil }

@@ -9,21 +9,21 @@ import (
 	"unsnap/internal/fem"
 )
 
-// This file implements the solver side of the pipelined halo protocol:
-// subdomain-boundary faces declared in Config.External become latent
-// dependencies of the sweep engine's task graph instead of synchronous
-// Boundary-callback reads. The comm driver streams upwind angular flux
-// into per-face buffers (ExternalInflowBuffer) and resolves the matching
-// task counters (ResolveExternal) as peer ranks publish it mid-sweep; the
-// engine in turn publishes this rank's boundary outflow through the
-// SetPublish hook the moment the owning task completes. The sweep itself
-// is driven in two halves — ArmSweep installs the phase so resolutions can
-// land while the caller wires up its receivers, FinishSweep joins it — so
-// a whole partitioned mesh runs as one cross-rank task graph with no
-// bulk-synchronous exchange step.
+// This file implements the solver side of the cross-rank coupling:
+// subdomain-boundary faces declared in Config.External read their upwind
+// angular flux from per-(face, ordinate) inflow slots
+// (ExternalInflowBuffer) that the comm driver fills from a peer rank. A
+// self-driven sweep (SweepAllAngles: lagged block Jacobi) reads the slots
+// as the caller left them. An armed sweep (ArmSweep + FinishSweep:
+// pipelined) holds every slot as a latent dependency of the engine's task
+// graph: the driver streams flux in and resolves the matching task
+// counters (ResolveExternal) as peers publish it mid-sweep, and the engine
+// publishes this rank's outflow through the SetPublish hook the moment the
+// owning task completes — so a whole partitioned mesh runs as one
+// cross-rank task graph with no bulk-synchronous exchange step.
 
-// ExternalFace declares one subdomain-boundary face fed by streamed halo
-// data. Normal and Canonical carry the pair's shared classification (see
+// ExternalFace declares one subdomain-boundary face fed by a peer rank's
+// flux. Normal and Canonical carry the pair's shared classification (see
 // mesh.RemoteFace): both sides evaluate ExternalInflow on the same
 // canonical normal, so for every ordinate exactly one side treats the face
 // as upwind (a task-graph dependency) and the other as downwind (a
@@ -49,15 +49,15 @@ var errSweepCancelled = errors.New("core: sweep cancelled")
 // IsSweepCancelled reports whether err is the CancelSweep abort error.
 func IsSweepCancelled(err error) bool { return errors.Is(err, errSweepCancelled) }
 
-// extState is the solver-side storage of the streamed halo coupling.
+// extState is the solver-side storage of the cross-rank coupling.
 type extState struct {
 	faces   []ExternalFace
 	faceIdx []int32 // elem*NumFaces+face -> index into faces, or -1
-	// data holds the streamed inflow, laid out
-	// [face][(angle*nG+group)*NF + faceNode] like the lagged halo buffers.
-	// Each (face, angle) slot has exactly one writer per sweep (the comm
-	// receiver) and is read only by the task that depends on it, after its
-	// counter resolves.
+	// data holds the inflow slots, laid out
+	// [face][(angle*nG+group)*NF + faceNode]. Each (face, angle) slot has
+	// exactly one writer per sweep — the exchange before a self-driven
+	// sweep, or the comm receiver before ResolveExternal in an armed one —
+	// and is read only by the task that depends on it.
 	data    []float64
 	publish func(angle, elem, face int)
 }
@@ -98,7 +98,7 @@ func (s *Solver) SetPublish(fn func(angle, elem, face int)) {
 // angle): nG*NF values ordered group-major, face nodes like
 // fem.RefElement.FaceNodes[face]. The caller fills it with the upwind
 // nodal flux (already permuted into this side's face-node order) before
-// resolving the dependency.
+// a self-driven sweep, or before resolving the dependency of an armed one.
 func (s *Solver) ExternalInflowBuffer(face, angle int) []float64 {
 	nf := s.re.NF
 	off := (face*s.nA + angle) * s.nG * nf
@@ -132,10 +132,14 @@ func (s *Solver) ResolveExternal(angle, elem int) {
 // start on the internally-ready tasks at once, and ResolveExternal calls
 // may land from other goroutines from this point on. The caller signals
 // its receivers after ArmSweep returns and then joins the sweep with
-// FinishSweep. Only valid with Config.External.
+// FinishSweep. Only valid with Config.External and an engine-backed
+// scheme (a bucket executor cannot hold a latent dependency).
 func (s *Solver) ArmSweep() error {
 	if s.ext == nil {
 		return fmt.Errorf("core: ArmSweep requires Config.External (use SweepAllAngles)")
+	}
+	if !s.cfg.Scheme.EngineBacked() {
+		return fmt.Errorf("core: ArmSweep requires an engine-backed scheme, not %v (use SweepAllAngles)", s.cfg.Scheme)
 	}
 	if s.cancelled.Load() {
 		return errSweepCancelled

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -137,7 +138,7 @@ func TestExternalVacuumEquivalence(t *testing.T) {
 	}
 }
 
-// TestExternalSweepAPIErrors pins the misuse guards of the streamed-sweep
+// TestExternalSweepAPIErrors pins the misuse guards of the armed-sweep
 // API.
 func TestExternalSweepAPIErrors(t *testing.T) {
 	m, q, lib := externalParts(t, 3, 0)
@@ -165,11 +166,21 @@ func TestExternalSweepAPIErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.SweepAllAngles(); err == nil {
-		t.Fatal("SweepAllAngles with External should fail")
+	if err := s.FinishSweep(); err == nil {
+		t.Fatal("FinishSweep without ArmSweep should fail on an External solver")
 	}
-	if _, err := s.Run(); err == nil {
-		t.Fatal("Run with External should fail (SweepAllAngles is guarded)")
+
+	// A bucket scheme holds External slots but no latent dependencies: it
+	// sweeps self-driven only.
+	m3, q3, lib3 := externalParts(t, 3, 0)
+	b, err := New(Config{Mesh: m3, Order: 1, Quad: q3, Lib: lib3,
+		Scheme: SchemeAEG, Threads: 2, External: boundaryExternals(m3, re)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.ArmSweep(); err == nil {
+		t.Fatal("ArmSweep on a bucket-scheme External solver should fail")
 	}
 }
 
@@ -183,19 +194,21 @@ func TestExternalConfigValidation(t *testing.T) {
 	ext := boundaryExternals(m, re)
 	base := Config{Mesh: m, Order: 1, Quad: q, Lib: lib, Scheme: SchemeEngine, External: ext}
 
-	bad := base
-	bad.Scheme = SchemeAEG
-	if _, err := New(bad); err == nil {
-		t.Fatal("External + bucket scheme should be rejected")
-	}
 	ok := base
+	ok.Scheme = SchemeAEG
+	if s, err := New(ok); err != nil {
+		t.Fatalf("External + bucket scheme should be accepted (self-driven sweeps): %v", err)
+	} else {
+		s.Close()
+	}
+	ok = base
 	ok.AllowCycles = true
 	if s, err := New(ok); err != nil {
 		t.Fatalf("External + AllowCycles should be accepted (cycle-aware engine): %v", err)
 	} else {
 		s.Close()
 	}
-	bad = base
+	bad := base
 	bad.CycleLag = func(a, from, to int) bool { return false }
 	if _, err := New(bad); err == nil {
 		t.Fatal("CycleLag without AllowCycles should be rejected")
@@ -321,6 +334,106 @@ func TestArmedSweepAllocFree(t *testing.T) {
 		sweep() // warm-up: builds the engine, starts the workers
 		if avg := testing.AllocsPerRun(10, sweep); avg != 0 {
 			t.Fatalf("threads=%d: an armed sweep allocates %.1f objects, want 0", threads, avg)
+		}
+		// The self-driven sweep resolves the same dependencies in one pass
+		// through the same inbox.
+		selfDriven := func() {
+			s.ComputeOuterSource()
+			s.PrepareInner()
+			if err := s.SweepAllAngles(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if avg := testing.AllocsPerRun(10, selfDriven); avg != 0 {
+			t.Fatalf("threads=%d: a self-driven External sweep allocates %.1f objects, want 0", threads, avg)
+		}
+	}
+}
+
+// TestSelfDrivenExternalSweep pins the block Jacobi reading of External
+// slots: SweepAllAngles on slots filled beforehand equals, bit for bit,
+// the armed sweep that streams the same values in (ArmSweep, every
+// ResolveExternal, FinishSweep) under both task kernels, and keeps the
+// fused octant phase. A bucket scheme, which cannot arm, reads the same
+// slots to the engine's answer at 1e-12, bitwise across thread counts.
+func TestSelfDrivenExternalSweep(t *testing.T) {
+	type variant struct {
+		scheme Scheme
+		kernel KernelMode
+	}
+	solve := func(v variant, threads int, armed bool) (phi, psi []float64) {
+		t.Helper()
+		m, q, lib := externalParts(t, 3, 0.002)
+		re, err := fem.NewRefElement(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ext := boundaryExternals(m, re)
+		s, err := New(Config{Mesh: m, Order: 1, Quad: q, Lib: lib,
+			Scheme: v.scheme, Kernel: v.kernel, Threads: threads, External: ext})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		for fi := range ext {
+			for a := 0; a < s.nA; a++ {
+				for i, buf := 0, s.ExternalInflowBuffer(fi, a); i < len(buf); i++ {
+					buf[i] = 0.25 + float64((fi*7+a*3+i)%11)/16
+				}
+			}
+		}
+		s.ComputeOuterSource()
+		for inner := 0; inner < 2; inner++ {
+			s.PrepareInner()
+			if !armed {
+				if err := s.SweepAllAngles(); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			if err := s.ArmSweep(); err != nil {
+				t.Fatal(err)
+			}
+			for a, ang := range q.Angles {
+				for _, ef := range ext {
+					if ExternalInflow(ang.Omega, ef.Normal, ef.Canonical) {
+						s.ResolveExternal(a, ef.Elem)
+					}
+				}
+			}
+			if err := s.FinishSweep(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if v.scheme.EngineBacked() && !s.OctantsFused() {
+			t.Fatalf("%+v threads=%d: External solver left the fused octant phase", v, threads)
+		}
+		return snapshotSolver(s)
+	}
+	bitwise := func(what string, a, b []float64) {
+		t.Helper()
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("%s: [%d] %v vs %v (not bitwise)", what, i, a[i], b[i])
+			}
+		}
+	}
+	engPhi, _ := solve(variant{SchemeEngine, KernelBatched}, 1, true)
+	for _, threads := range []int{1, 3} {
+		for _, v := range []variant{{SchemeEngine, KernelBatched}, {SchemeEngine, KernelScalar}} {
+			phi, psi := solve(v, threads, false)
+			wantPhi, wantPsi := solve(v, threads, true)
+			bitwise(fmt.Sprintf("%+v threads=%d phi", v, threads), phi, wantPhi)
+			bitwise(fmt.Sprintf("%+v threads=%d psi", v, threads), psi, wantPsi)
+		}
+		phi, psi := solve(variant{SchemeAEG, KernelBatched}, threads, false)
+		refPhi, refPsi := solve(variant{SchemeAEG, KernelBatched}, 1, false)
+		bitwise(fmt.Sprintf("AEG threads=%d phi", threads), phi, refPhi)
+		bitwise(fmt.Sprintf("AEG threads=%d psi", threads), psi, refPsi)
+		for i := range phi {
+			if math.Abs(phi[i]-engPhi[i]) > 1e-12*(1+math.Abs(engPhi[i])) {
+				t.Fatalf("AEG threads=%d phi[%d]: %v vs engine %v", threads, i, phi[i], engPhi[i])
+			}
 		}
 	}
 }

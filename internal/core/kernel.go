@@ -209,9 +209,9 @@ func (s *Solver) assembleRHSAll(st *workerState, rhs []float64, a, e int) {
 			}
 			s.subInflowPanel(st, rhs, panel, a, e, f)
 		case s.ext != nil:
-			// Streamed halo inflow: slots were filled and published by
-			// ResolveExternal before this task became ready, and a
-			// (face, angle) slot is already group-major — no gather.
+			// External inflow: slots were filled before the sweep (block
+			// Jacobi) or before ResolveExternal made this task ready, and
+			// a (face, angle) slot is already group-major — no gather.
 			fi := s.ext.faceIdx[e*fem.NumFaces+f]
 			if fi < 0 {
 				continue // vacuum
@@ -219,7 +219,7 @@ func (s *Solver) assembleRHSAll(st *workerState, rhs []float64, a, e int) {
 			off := (int(fi)*s.nA + a) * nG * nf
 			s.subInflowPanel(st, rhs, s.ext.data[off:off+nG*nf], a, e, f)
 		case s.cfg.Boundary != nil:
-			// Boundary callback (reflective mirrors, block Jacobi halos).
+			// Boundary callback (reflective mirrors).
 			// Callbacks are pure reads of state no task of the current
 			// phase writes, so the face-outer call order is immaterial. A
 			// nil return is vacuum for that group: the groups gathered so

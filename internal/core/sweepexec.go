@@ -195,8 +195,8 @@ func (s *Solver) assembleRHS(st *workerState, a, e, g int) {
 			}
 		} else if s.ext != nil {
 			if fi := s.ext.faceIdx[e*fem.NumFaces+f]; fi >= 0 {
-				// Streamed halo inflow: the slot was filled and published
-				// by ResolveExternal before this task became ready.
+				// External inflow: the slot was filled before the sweep
+				// (block Jacobi) or before this task became ready.
 				off := ((int(fi)*s.nA+a)*s.nG + g) * nf
 				up = s.ext.data[off : off+nf]
 			}
@@ -354,20 +354,17 @@ func (s *Solver) solveElemScalar(st *workerState, a, e int) error {
 
 // SweepAllAngles performs one full transport sweep over all ordinates.
 // Engine-backed schemes run counter-driven task graphs — one fused phase
-// covering all eight octants on vacuum problems (cyclic meshes included:
-// lagged couplings read the previous-iterate snapshot, not an ordering),
-// or eight sequential octant phases when a boundary callback pins the
-// octant order — and reduce the scalar flux from psi afterwards; legacy
-// schemes follow each ordinate's bucketed schedule under the scheme's
-// threading choice. The scalar flux accumulates the weighted angular
-// fluxes; callers zero it first via PrepareInner.
+// covering all eight octants unless a boundary callback pins the octant
+// order (cyclic meshes included: lagged couplings read the
+// previous-iterate snapshot, not an ordering), eight sequential octant
+// phases otherwise — and reduce the scalar flux from psi afterwards;
+// legacy schemes follow each ordinate's bucketed schedule under the
+// scheme's threading choice. On a solver with External faces the sweep
+// reads every inflow slot as the caller left it (block Jacobi: the slots
+// hold the previous iterate's halo), under every scheme. The scalar flux
+// accumulates the weighted angular fluxes; callers zero it first via
+// PrepareInner.
 func (s *Solver) SweepAllAngles() error {
-	if s.ext != nil {
-		// A self-driven sweep would wait forever on streamed dependencies
-		// nobody resolves; external solvers are driven by ArmSweep +
-		// FinishSweep with a comm layer feeding the resolutions.
-		return fmt.Errorf("core: solver has External faces; drive sweeps with ArmSweep/FinishSweep")
-	}
 	s.rotateLagSnapshot()
 	if s.cfg.Scheme.EngineBacked() {
 		s.ensureEngine().runSweep()

@@ -39,10 +39,11 @@ type RemoteFace struct {
 
 // RemoteFaces computes the coupling metadata of every cross-partition face,
 // one deterministically ordered slice per rank (ascending element, then
-// face index). Both communication protocols build on it: the lagged driver
-// uses Perm for its bulk halo exchange, the pipelined driver additionally
-// needs Normal/Canonical to agree with each peer on which side of every
-// face is upwind for each ordinate.
+// face index). Both communication protocols build on it the same way:
+// Normal/Canonical decide, identically on both sides, which side of every
+// face is upwind for each ordinate, and Perm maps each transfer — a bulk
+// halo exchange (lagged) or a streamed message (pipelined) — onto the
+// receiver's face nodes.
 func (p *Partition) RemoteFaces(re *fem.RefElement) ([][]RemoteFace, error) {
 	out := make([][]RemoteFace, len(p.Subs))
 	for r, sub := range p.Subs {

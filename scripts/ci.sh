@@ -112,8 +112,10 @@ go test -race -run 'Accel|DSA|SolvePCG' ./internal/core ./internal/comm ./intern
 # handed to the wrong generation shows as a count mismatch or a race only
 # on some schedules. The worker pool rides the same line: its rounds,
 # restart after Close, goroutine budget, panic containment and the armed
-# sweep's zero allocations are lost-wake-up and leak questions.
-go test -race -count=3 -run 'Iterate|Pipelined|MultiRank|SingleRank|Pool|PanicContained|GoroutineBudget|CloseAndReuse|ArmedSweepAllocFree|StaticLoopsAllocFree' ./internal/core ./internal/comm
+# sweep's zero allocations are lost-wake-up and leak questions. The
+# lagged protocol shares the External slots: its parity digest, the
+# self-driven sweep's bitwise pin and the in-place degrade ride it too.
+go test -race -count=3 -run 'Iterate|Pipelined|MultiRank|SingleRank|Pool|PanicContained|GoroutineBudget|CloseAndReuse|ArmedSweepAllocFree|StaticLoopsAllocFree|Lagged|Degrade|Digest|SelfDriven' ./internal/core ./internal/comm
 # Chaos smoke pass: the seeded fault-injection suite (delay/reorder
 # parity, drop+retry recovery, stall-within-deadline, degrade-to-lagged,
 # Close-mid-fault, goroutine-leak checks) under the race detector — the
