@@ -59,7 +59,7 @@ type Config struct {
 	// PreAssembled, Epsi, MaxInners, MaxOuters, ForceIterations,
 	// Instrument, HealthChecks, ScatOrder, Accelerate, Progress (reported
 	// once per inner) and Cache — exactly as for a single-domain
-	// core.Config. Leave Mesh and the coupling fields (Boundary, External,
+	// core.Config. Leave Mesh and the coupling fields (Reflect, External,
 	// CycleLag/CycleLagKey, Artifact, Time) unset: the driver owns those
 	// per rank and rejects a template that sets them. Rank.Cache, when
 	// set, is consulted by every rank's build — ranks whose subdomains
@@ -101,8 +101,8 @@ func (cfg Config) validate() error {
 	switch {
 	case cfg.Rank.Mesh != nil:
 		return fmt.Errorf("comm: Rank.Mesh is set per rank by the driver; configure the global mesh via Config.Mesh")
-	case cfg.Rank.Boundary != nil:
-		return fmt.Errorf("comm: Rank.Boundary is for reflective boundaries, which the partitioned driver does not support; cross-rank faces are declared External by the driver")
+	case cfg.Rank.Reflect != [3]bool{}:
+		return fmt.Errorf("comm: Rank.Reflect is not supported: the partitioned driver does not reflect; cross-rank faces are declared External by the driver")
 	case cfg.Rank.External != nil:
 		return fmt.Errorf("comm: Rank.External is set per rank by the driver from the partition; it cannot be set in the template")
 	case cfg.Rank.CycleLag != nil || cfg.Rank.CycleLagKey != "":
@@ -357,17 +357,13 @@ func (d *Driver) RunContext(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// GlobalBalance sums the per-rank balance terms, counting leakage only
-// through true domain boundaries (cross-rank faces are internal transfers
-// that cancel at convergence).
+// GlobalBalance sums the per-rank balance terms. Leakage counts only true
+// domain boundaries: each rank's balance skips its External faces, the
+// cross-rank transfers that cancel at convergence.
 func (d *Driver) GlobalBalance() core.Balance {
 	var b core.Balance
-	for r, s := range d.solvers {
-		remote := d.part.Subs[r].Remote
-		rb := s.ComputeBalanceExcluding(func(e, f int) bool {
-			_, isRemote := remote[mesh.FaceKey{Elem: e, Face: f}]
-			return isRemote
-		})
+	for _, s := range d.solvers {
+		rb := s.ComputeBalance()
 		b.Source += rb.Source
 		b.Absorption += rb.Absorption
 		b.Leakage += rb.Leakage

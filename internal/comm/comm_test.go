@@ -42,6 +42,10 @@ func TestNewInvalid(t *testing.T) {
 		Rank: core.Config{Order: 1, Quad: nil, Lib: lib}}); err == nil {
 		t.Fatal("expected error for nil quadrature")
 	}
+	if _, err := New(Config{Mesh: m, PY: 1, PZ: 1,
+		Rank: core.Config{Order: 1, Quad: q, Lib: lib, Reflect: [3]bool{true, false, false}}}); err == nil {
+		t.Fatal("expected error for a reflective rank template")
+	}
 }
 
 func TestSingleRankMatchesSingleDomain(t *testing.T) {
@@ -182,11 +186,13 @@ func TestDistributedSchemesAgree(t *testing.T) {
 }
 
 func TestGlobalBalanceExcludesInternalFaces(t *testing.T) {
-	// Summing naive per-rank balances double-counts internal faces as
-	// leakage; GlobalBalance must not.
+	// Cross-rank faces are internal transfers, not leakage: each rank's
+	// balance skips its External faces, so the ranks' leakage sums to
+	// GlobalBalance's and to the single-domain solver's, whose balance
+	// closes.
 	m, q, lib := testParts(t, 4, 1, 1, 0)
-	d, err := New(Config{Mesh: m, PY: 2, PZ: 1,
-		Rank: core.Config{Order: 1, Quad: q, Lib: lib, Scheme: core.SchemeAEG, Epsi: 1e-9, MaxInners: 300, MaxOuters: 1}})
+	rank := core.Config{Order: 1, Quad: q, Lib: lib, Scheme: core.SchemeAEG, Epsi: 1e-9, MaxInners: 300, MaxOuters: 1}
+	d, err := New(Config{Mesh: m, PY: 2, PZ: 1, Rank: rank})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,12 +200,26 @@ func TestGlobalBalanceExcludesInternalFaces(t *testing.T) {
 	if _, err := d.Run(); err != nil {
 		t.Fatal(err)
 	}
-	naive := 0.0
+	sum := 0.0
 	for r := 0; r < d.NumRanks(); r++ {
-		naive += d.Rank(r).ComputeBalance().Leakage
+		sum += d.Rank(r).ComputeBalance().Leakage
 	}
 	global := d.GlobalBalance()
-	if naive <= global.Leakage {
-		t.Fatalf("naive leakage %v should exceed filtered %v", naive, global.Leakage)
+	if sum != global.Leakage {
+		t.Fatalf("rank leakages sum to %v, GlobalBalance reports %v", sum, global.Leakage)
+	}
+	single := rank
+	single.Mesh = m
+	s, err := core.New(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := res.Balance.Leakage; math.Abs(global.Leakage-want) > 1e-6*want {
+		t.Fatalf("global leakage %v, single domain %v: cross-rank faces counted as leakage", global.Leakage, want)
 	}
 }

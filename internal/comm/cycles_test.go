@@ -102,9 +102,6 @@ func TestPipelinedCyclicMatchesSingleDomain(t *testing.T) {
 		for r := 0; r < d.NumRanks(); r++ {
 			sub := d.part.Subs[r]
 			rs := d.Rank(r)
-			if !rs.OctantsFused() {
-				t.Fatalf("%dx%d ranks: rank %d fell back to sequential octant phases", grid[0], grid[1], r)
-			}
 			for le, ge := range sub.Global {
 				for g := 0; g < 2; g++ {
 					for n := 0; n < rs.NumNodes(); n++ {

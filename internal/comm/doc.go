@@ -18,8 +18,8 @@
 //     moment the owning task completes, per-edge channels stream it to
 //     the downstream rank, and the receiver resolves the waiting tasks
 //     mid-sweep — so the whole partitioned mesh executes one cross-rank
-//     task graph per sweep in wavefront order, with no halo barrier and
-//     the fused eight-octant phase intact on vacuum problems. Cyclic
+//     task graph per sweep in wavefront order, with no halo barrier,
+//     each rank in its one fused eight-octant phase. Cyclic
 //     meshes ride the same path (AllowCycles): a single global SCC
 //     condensation decides, identically to the single-domain solver,
 //     which couplings are lagged to the previous iterate — intra-rank

@@ -19,15 +19,11 @@ type Balance struct {
 }
 
 // ComputeBalance integrates the balance terms from the current flux.
+// Leakage counts only the faces particles leave the problem through: the
+// reflective faces (Config.Reflect) and the External faces, whose outflow
+// is a peer rank's inflow, are skipped, so at convergence the balance of a
+// reflective problem or of the sum of a partitioned run's ranks closes.
 func (s *Solver) ComputeBalance() Balance {
-	return s.ComputeBalanceExcluding(nil)
-}
-
-// ComputeBalanceExcluding integrates the balance terms, skipping boundary
-// faces for which skip returns true in the leakage term. The block Jacobi
-// driver uses it to exclude subdomain-internal faces (their outflow is a
-// peer's inflow, not domain leakage) when forming the global balance.
-func (s *Solver) ComputeBalanceExcluding(skip func(elem, face int) bool) Balance {
 	var b Balance
 	lib := s.cfg.Lib
 	m := s.cfg.Mesh
@@ -59,13 +55,12 @@ func (s *Solver) ComputeBalanceExcluding(skip func(elem, face int) bool) Balance
 			}
 		}
 		// Boundary leakage: outflow faces carry our flux out; inflow faces
-		// are vacuum (or supplied inflow: a reflected mirror, or a peer
-		// rank's External flux, whose faces the comm driver skips).
+		// are vacuum.
 		for f := 0; f < fem.NumFaces; f++ {
-			if m.Elems[e].Faces[f].Neighbor >= 0 {
+			if m.Elems[e].Faces[f].Neighbor >= 0 || s.cfg.Reflect[fem.FaceDim(f)] {
 				continue
 			}
-			if skip != nil && skip(e, f) {
+			if s.ext != nil && s.ext.faceIdx[e*fem.NumFaces+f] >= 0 {
 				continue
 			}
 			for a := 0; a < s.nA; a++ {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -45,11 +47,11 @@ func TestInfiniteMediumReflective(t *testing.T) {
 	// 0.5 (material 1 everywhere). phi_exact = q / sigma_a = 1 / 0.5 = 2.
 	lib, _ := xs.NewLibrary(1)
 	s, err := New(Config{Mesh: m, Order: 1, Quad: q, Lib: lib,
-		Scheme: SchemeAEG, Epsi: 1e-11, MaxInners: 400, MaxOuters: 5})
+		Scheme: SchemeAEG, Epsi: 1e-11, MaxInners: 400, MaxOuters: 5,
+		Reflect: [3]bool{true, true, true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetBoundary(ReflectiveBoundary(s, [3]bool{true, true, true}))
 	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +69,7 @@ func TestInfiniteMediumReflective(t *testing.T) {
 		}
 	}
 	// Balance with reflective faces excluded: absorption == source.
-	b := s.ComputeBalanceExcluding(ReflectiveSkip(s, [3]bool{true, true, true}))
+	b := s.ComputeBalance()
 	if math.Abs(b.Absorption-b.Source) > 1e-6*b.Source {
 		t.Fatalf("reflective balance: absorption %v != source %v", b.Absorption, b.Source)
 	}
@@ -78,26 +80,23 @@ func TestInfiniteMediumReflective(t *testing.T) {
 // twice as wide (mirror symmetry), here checked via the cheaper property
 // that flux increases over the vacuum-everywhere problem.
 func TestReflectiveRaisesFlux(t *testing.T) {
-	build := func(reflect bool) float64 {
+	build := func(reflect [3]bool) float64 {
 		m, _ := mesh.New(mesh.Config{NX: 3, NY: 3, NZ: 3, LX: 1, LY: 1, LZ: 1,
 			Twist: 0, MatOpt: xs.MatOptHomogeneous, SrcOpt: xs.SrcOptEverywhere})
 		q, _ := quadrature.NewSNAP(2)
 		lib, _ := xs.NewLibrary(1)
 		s, err := New(Config{Mesh: m, Order: 1, Quad: q, Lib: lib,
-			Scheme: SchemeAEG, Epsi: 1e-9, MaxInners: 300, MaxOuters: 1})
+			Scheme: SchemeAEG, Epsi: 1e-9, MaxInners: 300, MaxOuters: 1, Reflect: reflect})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if reflect {
-			s.SetBoundary(ReflectiveBoundary(s, [3]bool{true, false, false}))
 		}
 		if _, err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
 		return s.FluxIntegral(0)
 	}
-	vacuum := build(false)
-	reflected := build(true)
+	vacuum := build([3]bool{})
+	reflected := build([3]bool{true, false, false})
 	if reflected <= vacuum {
 		t.Fatalf("reflective boundaries should raise the flux: %v vs %v", reflected, vacuum)
 	}
@@ -115,11 +114,11 @@ func TestReflectiveMultigroup(t *testing.T) {
 	q, _ := quadrature.NewSNAP(1)
 	lib, _ := xs.NewLibrary(3)
 	s, err := New(Config{Mesh: m, Order: 1, Quad: q, Lib: lib,
-		Scheme: SchemeAEG, Epsi: 1e-10, MaxInners: 300, MaxOuters: 100})
+		Scheme: SchemeAEG, Epsi: 1e-10, MaxInners: 300, MaxOuters: 100,
+		Reflect: [3]bool{true, true, true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetBoundary(ReflectiveBoundary(s, [3]bool{true, true, true}))
 	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -127,9 +126,93 @@ func TestReflectiveMultigroup(t *testing.T) {
 	if !res.Converged {
 		t.Fatalf("did not converge: df=%v", res.FinalDF)
 	}
-	b := s.ComputeBalanceExcluding(ReflectiveSkip(s, [3]bool{true, true, true}))
+	b := s.ComputeBalance()
 	if math.Abs(b.Absorption-b.Source) > 1e-5*b.Source {
 		t.Fatalf("multigroup reflective balance: absorption %v != source %v",
 			b.Absorption, b.Source)
+	}
+}
+
+// TestReflectiveFluxDigest pins reflective solves to the inner counts and
+// flux digests the sequential-octant engine and the legacy AEG executor
+// produced before reflection joined the fused task graph: engineProblem,
+// p1Problem, timedepProblem and cyclicProblem, reflecting x, xz and xyz,
+// each under the engine's batched and scalar kernels (one digest: they are
+// bitwise equal) and under AEG, at 1 and 3 threads.
+func TestReflectiveFluxDigest(t *testing.T) {
+	want := map[string]string{
+		"engine/x/engine":    "6/8d657808b48819591751c5ca1ab184f4b39319562a430859c8ab2ddb981336d9",
+		"engine/x/aeg":       "6/c02348dfd5fa22caf8259c363d725f6f7748e0439e7e74faf23bae11e6a0c5ec",
+		"engine/xz/engine":   "6/11eb26eeef37478b9efe653ec1dbd86bb6551bdd2a4b4bcaec5248b844cee9e2",
+		"engine/xz/aeg":      "6/e3bc0380b211e51121a661ec6c017e2c70d53f0be6ffc3aa700fa29690dc42ee",
+		"engine/xyz/engine":  "6/5f09a4200a0b1b7220e31eaf35388343eef44864a0dcb4d4f19ddf62f0e46ea8",
+		"engine/xyz/aeg":     "6/5e94f195d0f2e2c84aeb8e2d3d84dbedd8538c3ee808d9cb1bbd55783fd93559",
+		"p1/x/engine":        "6/4df850d9e6ff0b664e58cd657595b0db48cb579b0ce400c648a898468afd372a",
+		"p1/x/aeg":           "6/42d0a3b6d139aae2083f3ecdec8359b4cc11202e6bd43601d1cf0bdef9ed1bf7",
+		"p1/xz/engine":       "6/a4e2f07943fe9921e7efd50f150054e2d92834be5eb1b1b0bac0ca6a18ba96c5",
+		"p1/xz/aeg":          "6/17ce698962e7ea0368564ce4d2135d5ba7c7abaa71500ab460373ab59ae11aa0",
+		"p1/xyz/engine":      "6/2fe31a29342aed11474b0ab338fa05e84b2f5b7932b0ac22f61ffc5f1e81ba5d",
+		"p1/xyz/aeg":         "6/2e03c38405600c6b7125004ec0cf848f5b2f691a950f3c5ea7b776123cdb7e0a",
+		"timedep/x/engine":   "4/8cfaf5cd9ccdaf9539f5ad6c8582b7a8586e733f605c8097e0389580fa6a4512",
+		"timedep/x/aeg":      "4/49d6d1b22c460a12d1665f89307194a7b6e793482e34e3f8e8498eb2efb60dde",
+		"timedep/xz/engine":  "4/1d9640df31d3e21a1cb39a396fa22f6da3aacf919a1e890769b08e60148c5fe5",
+		"timedep/xz/aeg":     "4/040ea95fb8d4fa98270aa3ebe7de1e8e6b88728500e311e38761c67d423493f4",
+		"timedep/xyz/engine": "4/8490f8759882eafe477b181d9de660e3a0c31f8d6a17d76d36de29665aae45f3",
+		"timedep/xyz/aeg":    "4/ca8de9d7778b9307b1f9c134e47fe2ecc429fa9543dc48df063d014ef929d1aa",
+		"cyclic/x/engine":    "6/a212b243022a0ac0b2c030a01bf63920129b36a2961dce460c26d2611c407d44",
+		"cyclic/x/aeg":       "6/8c638e6b0218f8220ffe931dea9b7f6b208ac0675388e1afcf4bbbae111d05ff",
+		"cyclic/xz/engine":   "6/650158cdca5b2f3a0b5f9b6b2ad1ce78e1590b60b0d65512766f55366f4a234a",
+		"cyclic/xz/aeg":      "6/a435916a8bcd1f38265dc30c6df07abbe5763a003c7a80e33320f4ba8dedcd9f",
+		"cyclic/xyz/engine":  "6/57ee6ee531110b0cbe354edc689cf4e802a092e9146e0c847de19d0e871ba739",
+		"cyclic/xyz/aeg":     "6/fb30bcba9a72f11798f1dec211bd8ac4014f7e10476236173577d63e653ebf6f",
+	}
+	problems := []struct {
+		name string
+		cfg  func(t *testing.T) Config
+	}{{"engine", engineProblem}, {"p1", p1Problem}, {"timedep", timedepProblem}, {"cyclic", cyclicProblem}}
+	reflects := []struct {
+		name string
+		dims [3]bool
+	}{{"x", [3]bool{true, false, false}}, {"xz", [3]bool{true, false, true}}, {"xyz", [3]bool{true, true, true}}}
+	execs := []struct {
+		family string
+		scheme Scheme
+		kernel KernelMode
+	}{{"engine", SchemeEngine, KernelBatched}, {"engine", SchemeEngine, KernelScalar}, {"aeg", SchemeAEG, KernelBatched}}
+	for _, p := range problems {
+		for _, r := range reflects {
+			for _, x := range execs {
+				for _, threads := range []int{1, 3} {
+					cfg := p.cfg(t)
+					cfg.Scheme, cfg.Kernel, cfg.Threads, cfg.Reflect = x.scheme, x.kernel, threads, r.dims
+					s, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					inners := 0
+					if cfg.Time != nil {
+						steps, err := s.RunTimeDependent(context.Background())
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, st := range steps {
+							inners += st.Inners
+						}
+					} else {
+						res, err := s.Run()
+						if err != nil {
+							t.Fatal(err)
+						}
+						inners = res.Inners
+					}
+					phi, psi := snapshotSolver(s)
+					s.Close()
+					key := p.name + "/" + r.name + "/" + x.family
+					if got := fmt.Sprintf("%d/%s", inners, fluxDigest(phi, psi)); got != want[key] {
+						t.Errorf("%s %v threads=%d: inners/digest %s, want %s", key, x.kernel, threads, got, want[key])
+					}
+				}
+			}
+		}
 	}
 }

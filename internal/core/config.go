@@ -191,13 +191,6 @@ func (m AccelMode) String() string {
 	}
 }
 
-// BoundaryFlux supplies incoming nodal angular flux on a domain boundary
-// face, such as the reflective mirror ReflectiveBoundary builds (partitioned
-// runs couple ranks through Config.External instead). It is called for inflow boundary faces with a scratch buffer of
-// face-node length, ordered like fem.RefElement.FaceNodes[face];
-// returning nil means vacuum.
-type BoundaryFlux func(angle, elem, face, group int, buf []float64) []float64
-
 // Config assembles a solver.
 type Config struct {
 	Mesh  *mesh.Mesh
@@ -224,7 +217,7 @@ type Config struct {
 	// couplings that read a double-buffered previous-iterate angular-flux
 	// snapshot instead of imposing an ordering. Lagged edges therefore
 	// cost no scheduling at all: cyclic meshes keep the counter-driven
-	// engine, the fused eight-octant phase on vacuum problems, and the
+	// engine, its fused eight-octant phase, and the
 	// deterministic ordered flux reduction; the legacy bucket executors
 	// share the identical lag set and snapshot reads, so both paths agree
 	// to machine precision iteration by iteration. Without this flag a
@@ -280,10 +273,17 @@ type Config struct {
 	// one extra pass over phi per inner when enabled.
 	HealthChecks bool
 
-	// Boundary supplies reflected inflow on domain boundary faces; nil
-	// means vacuum everywhere. A callback pins the engine to sequential
-	// octant phases (see octantsFusable).
-	Boundary BoundaryFlux
+	// Reflect selects specular reflection (SNAP's reflective boundary
+	// condition) on the domain faces normal to each marked dimension; the
+	// others are vacuum. A reflective inflow face of ordinate a reads the
+	// outgoing flux of the mirror ordinate on the same element's face
+	// nodes. Ordinates are swept octant by octant in a fixed order, so a
+	// mirror in an earlier octant gives this sweep's value and one in a
+	// later octant the previous sweep's; the engine orders each such pair
+	// of tasks by one graph edge inside its fused phase (engine.go). The
+	// fixed point is the one of the exact reflection, reached in a few more
+	// inners than a vacuum problem needs.
+	Reflect [3]bool
 
 	// External declares subdomain-boundary faces whose upwind angular flux
 	// a peer rank supplies through per-(face, ordinate) inflow slots
@@ -293,10 +293,10 @@ type Config struct {
 	// ArmSweep + FinishSweep (engine only) holds each slot as a latent
 	// task-graph dependency that ResolveExternal releases as streamed data
 	// arrives, and publishes outgoing flux through the SetPublish hook the
-	// moment the owning task completes. Mutually exclusive with Boundary,
-	// so the engine keeps the one fused cross-octant phase. Combines with
-	// AllowCycles: lagged local couplings read the previous-iterate
-	// snapshot. See external.go.
+	// moment the owning task completes. A domain with External faces is a
+	// rank of a partitioned run, which does not reflect, so Reflect must be
+	// unset. Combines with AllowCycles: lagged local couplings read the
+	// previous-iterate snapshot. See external.go.
 	External []ExternalFace
 
 	// Time enables SNAP's time-dependent mode (backward-Euler stepping);
@@ -441,6 +441,9 @@ func (c Config) validate() error {
 	if c.Accelerate == AccelDSA && c.Time != nil {
 		return fmt.Errorf("core: AccelDSA does not support time-dependent mode")
 	}
+	if c.Accelerate == AccelDSA && c.Reflect != [3]bool{} {
+		return fmt.Errorf("core: AccelDSA requires vacuum boundaries (no Reflect)")
+	}
 	if c.Accelerate == AccelDSA && c.ScatOrder >= 1 {
 		return fmt.Errorf("core: AccelDSA requires isotropic scattering (ScatOrder 0), got %d", c.ScatOrder)
 	}
@@ -488,12 +491,10 @@ func validateLibrary(lib *xs.Library) error {
 }
 
 // validateExternal rejects configurations an External sweep cannot
-// honour. An armed sweep's dependencies live inside one fused whole-sweep
-// task graph, so a Boundary callback, which pins the octant order, is
-// incompatible; the engine-only rule of armed sweeps is ArmSweep's.
+// honour; the engine-only rule of armed sweeps is ArmSweep's.
 func (c Config) validateExternal() error {
-	if c.Boundary != nil {
-		return fmt.Errorf("core: External faces and a Boundary callback are mutually exclusive")
+	if c.Reflect != [3]bool{} {
+		return fmt.Errorf("core: External faces and Reflect are mutually exclusive: partitioned runs do not reflect")
 	}
 	if c.Time != nil {
 		return fmt.Errorf("core: External faces do not support time-dependent mode")

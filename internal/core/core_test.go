@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"unsnap/internal/fem"
 	"unsnap/internal/mesh"
 	"unsnap/internal/quadrature"
 	"unsnap/internal/xs"
@@ -99,20 +100,11 @@ func TestConstantSolutionConsistency(t *testing.T) {
 			for e := range m.Elems {
 				m.Elems[e].Source = sigt * c
 			}
-			s, err := New(Config{
+			s := newWithInflow(t, Config{
 				Mesh: m, Order: order, Quad: q, Lib: lib,
 				Scheme: SchemeAEG, Threads: 2, Solver: solver,
 				MaxInners: 1, MaxOuters: 1, ForceIterations: true,
-				Boundary: func(a, e, f, g int, buf []float64) []float64 {
-					for i := range buf {
-						buf[i] = c
-					}
-					return buf
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			}, uniformInflow(c))
 			if _, err := s.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -423,28 +415,62 @@ func TestConvergenceMonotoneTail(t *testing.T) {
 	}
 }
 
+// newWithInflow builds a solver with prescribed inflow on the whole domain
+// boundary: every boundary face is declared External with its outward
+// normal and Canonical set, so it is upwind for exactly the ordinates the
+// vacuum solver's classification makes it upwind for, and fill writes each
+// (face, ordinate) slot — every group's nodal values, group-major, in
+// fem.RefElement.FaceNodes order. A self-driven Run reads the slots.
+func newWithInflow(t *testing.T, cfg Config, fill func(ef ExternalFace, a int, slot []float64)) *Solver {
+	t.Helper()
+	re, err := fem.NewRefElement(cfg.Order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := range cfg.Mesh.Elems {
+		for f := 0; f < fem.NumFaces; f++ {
+			if cfg.Mesh.Elems[e].Faces[f].Neighbor < 0 {
+				cfg.External = append(cfg.External, ExternalFace{Elem: e, Face: f,
+					Normal: re.FaceUnitNormal(cfg.Mesh.Elems[e].Geometry(), f), Canonical: true})
+			}
+		}
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	for i, ef := range cfg.External {
+		for a := 0; a < s.NumAngles(); a++ {
+			fill(ef, a, s.ExternalInflowBuffer(i, a))
+		}
+	}
+	return s
+}
+
+// uniformInflow is a newWithInflow fill of the constant v.
+func uniformInflow(v float64) func(ExternalFace, int, []float64) {
+	return func(_ ExternalFace, _ int, slot []float64) {
+		for i := range slot {
+			slot[i] = v
+		}
+	}
+}
+
 func TestBoundaryFluxIncreasesFlux(t *testing.T) {
-	run := func(boundary BoundaryFlux) float64 {
+	run := func(inflow float64) float64 {
 		m, q, _ := testProblem(t, 2, 1, 1, 0)
 		lib := pureAbsorberLib(1)
-		s, err := New(Config{Mesh: m, Order: 1, Quad: q, Lib: lib,
-			Scheme: SchemeAEG, Boundary: boundary,
-			MaxInners: 2, MaxOuters: 1, ForceIterations: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := newWithInflow(t, Config{Mesh: m, Order: 1, Quad: q, Lib: lib,
+			Scheme: SchemeAEG, MaxInners: 2, MaxOuters: 1, ForceIterations: true},
+			uniformInflow(inflow))
 		if _, err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
 		return s.FluxIntegral(0)
 	}
-	vacuum := run(nil)
-	lit := run(func(a, e, f, g int, buf []float64) []float64 {
-		for i := range buf {
-			buf[i] = 1
-		}
-		return buf
-	})
+	vacuum := run(0)
+	lit := run(1)
 	if lit <= vacuum {
 		t.Fatalf("incoming boundary flux should increase the solution: %v vs %v", lit, vacuum)
 	}

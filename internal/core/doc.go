@@ -30,12 +30,11 @@
 // # Determinism and parity contract
 //
 // Every knob trades time, never the answer. The scheme executors, the
-// persistent counter-driven engine — one fused eight-octant phase (vacuum
-// or External faces), eight sequential octant phases under a reflective
-// Boundary callback; the engine derives which from the configuration, it
-// is not a knob — and the batched task kernel and its in-package scalar
-// reference (Config.Kernel) all update disjoint per-element angular-flux
-// storage and reduce into the scalar flux at
+// persistent counter-driven engine — one fused eight-octant phase per
+// sweep, whatever the boundary: vacuum, reflective (each mirror read is
+// one edge of the task graph) or External — and the batched task kernel
+// and its in-package scalar reference (Config.Kernel) all update disjoint
+// per-element angular-flux storage and reduce into the scalar flux at
 // fixed points of the iteration, so for a given (problem, options) the
 // flux trajectory is bitwise reproducible across runs and thread counts,
 // and the equivalence suites pin the executors against each other (and

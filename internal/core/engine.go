@@ -4,12 +4,13 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"unsnap/internal/fem"
 	"unsnap/internal/sweep"
 )
 
 // This file implements the sweep engine behind SchemeEngine. Instead of
 // the legacy fork/join per schedule bucket per ordinate, the solver's
-// workers (doc.go, "Worker pool and lifecycle") execute each octant of
+// workers (doc.go, "Worker pool and lifecycle") execute the whole of
 // SweepAllAngles as one task graph:
 //
 //   - Counter-driven wavefronts: a task is all energy groups of one
@@ -17,17 +18,17 @@ import (
 //     Chase-Lev work-stealing deques and, on completion, decrement the
 //     remaining-upwind counters of the downwind tasks (sweep.Graph),
 //     pushing the ones that reach zero. No bucket barriers.
-//   - Angle-parallel execution: every ordinate of an octant is in flight
-//     at once (their dependency graphs are independent), multiplying the
-//     available parallelism by Quad.PerOctant on shallow-bucket meshes.
-//   - Octant overlap: without a Boundary callback nothing couples the
-//     octants inside one sweep, so the engine fuses all eight octants into
-//     a single counter-driven phase — task ids span (octant, ordinate,
-//     element) — removing the seven quiesce barriers and the per-octant
-//     wavefront starvation behind the paper's Figure 3 strong-scaling
-//     wall. Cyclic meshes and External faces stay fused (see
-//     octantsFusable). A Boundary callback (reflective mirrors) runs
-//     sequential octant phases, preserving the mirror-ordinate ordering.
+//   - One fused phase: task ids span (octant, ordinate, element), and
+//     every ordinate of all eight octants is in flight at once (their
+//     dependency graphs are independent), multiplying the available
+//     parallelism on shallow-bucket meshes and removing the per-octant
+//     quiesce barriers and wavefront starvation behind the paper's
+//     Figure 3 strong-scaling wall. Nothing pins the octant order: a
+//     lagged coupling reads the immutable previous-iterate snapshot, an
+//     External slot holds one value for the whole sweep, and a reflective
+//     face (Config.Reflect) reads its mirror ordinate's flux on the same
+//     element, which newEngine turns into one more graph edge between the
+//     two tasks (see mirOff).
 //   - Lock-free deterministic flux reduction: tasks store only the
 //     angular flux; the scalar flux (and P1 current) is reduced from psi
 //     once per sweep in fixed ordinate order, so results are bitwise
@@ -45,9 +46,8 @@ import (
 // wsDeque is a fixed-capacity Chase-Lev work-stealing deque of task ids.
 // The owning worker pushes and pops at the bottom without contention;
 // other workers steal from the top with a CAS. The engine sizes every
-// deque to a full phase's task count (one octant's, or the whole sweep's
-// in fused mode), so the buffer can never overflow or wrap onto live
-// entries.
+// deque to the whole sweep's task count, so the buffer can never overflow
+// or wrap onto live entries.
 type wsDeque struct {
 	top    atomic.Int64
 	bottom atomic.Int64
@@ -114,28 +114,20 @@ func (d *wsDeque) size() int64 { return d.bottom.Load() - d.top.Load() }
 
 // engine owns the scheduling state of the engine-backed schemes for one
 // Solver: the per-ordinate task graphs, the whole-sweep schedule (initial
-// remaining-upwind counters and seed lists over global task ids), the
+// remaining-upwind counters and seed list over global task ids), the
 // worker deques and the state of the one phase in flight. It owns no
 // goroutines: a phase is a round of the solver's worker pool.
 //
 // Task ids are global across the whole sweep: task a*nE+e is all energy
-// groups of (ordinate a, element e). Sequential octant phases execute the
-// contiguous id slab of one octant; the fused phase executes all of them
-// at once.
+// groups of (ordinate a, element e), and one phase executes all of them.
+// An armed sweep must be one phase (streamed resolutions address tasks of
+// any octant), and a self-driven one resolves every External slot of that
+// phase up front (resolveAll).
 type engine struct {
 	s      *Solver
 	nw     int
 	deques []*wsDeque
 	graphs []*sweep.Graph // per angle, shared across angles of one topo
-
-	// fused selects the cross-octant mode: one phase per sweep over all
-	// nA*nE tasks instead of eight quiesced per-octant phases. Decided
-	// once at build time (see Solver.octantsFusable). External solvers
-	// always fuse (Config.External excludes a Boundary callback): streamed
-	// resolutions address tasks of any octant, so an armed sweep must be
-	// one phase, and a self-driven one resolves every slot of that phase
-	// up front (resolveAll).
-	fused bool
 
 	// External-coupling schedule (Config.External only): extDeg[t] is the
 	// number of streamed upwind faces folded into task t's initial
@@ -149,27 +141,34 @@ type engine struct {
 	totalExt int64
 	armed    bool
 
+	// Reflective coupling (Config.Reflect only): mirDown[mirOff[t]:
+	// mirOff[t+1]] lists the tasks task t releases besides its downwind
+	// neighbours. A reflective inflow face of task (a, e) reads the mirror
+	// ordinate ma's flux on the same element, so the pair is ordered from
+	// the lower octant to the higher one: (ma, e) first when ma's octant
+	// is earlier (the face reads this sweep's value), (a, e) first when it
+	// is later (the face reads ma's value before ma's task overwrites it).
+	// Edges only climb octants, so the fused graph stays acyclic.
+	mirOff  []int32
+	mirDown []int32
+
 	// Immutable whole-sweep schedule: initCounts[a*nE+e] is the initial
-	// remaining-upwind counter of task (a, e); octSeeds[o] lists octant
-	// o's initially-ready tasks; allSeeds is their concatenation in
-	// octant order (fused mode only).
+	// remaining counter of task (a, e) (upwind neighbours, streamed faces
+	// and lower-octant mirror partners); seeds lists the initially-ready
+	// tasks in ordinate order.
 	initCounts []int32
-	octSeeds   [8][]int32
-	allSeeds   []int32
+	seeds      []int32
 
 	counts []int32 // working counters of the current phase
 
-	// The phase in flight (an octant slab, or the whole fused sweep), reset
-	// in place by begin so that a steady-state sweep, self-driven or armed,
-	// allocates nothing. extPending counts the sweep's still-unresolved
-	// external dependencies: the stall detector must not fire while data is
-	// still in flight. runFn and abandonFn are the phase's round body and
-	// abort hook, built once.
-	seeds      []int32
+	// The phase in flight, reset in place by begin so that a steady-state
+	// sweep, self-driven or armed, allocates nothing. cursor walks seeds;
+	// extPending counts the sweep's still-unresolved external dependencies:
+	// the stall detector must not fire while data is still in flight. runFn
+	// and abandonFn are the phase's round body and abort hook, built once.
 	cursor     atomic.Int64
 	remaining  atomic.Int64
 	extPending atomic.Int64
-	stalled    atomic.Bool // a worker detected a stalled phase
 	runFn      func(w int)
 	abandonFn  func()
 
@@ -188,60 +187,85 @@ type engine struct {
 
 // newEngine builds the schedule of s's engine-backed sweeps.
 func newEngine(s *Solver) *engine {
-	per := s.cfg.Quad.PerOctant
 	total := s.nA * s.nE
-	e := &engine{s: s, nw: s.cfg.Threads, fused: s.octantsFusable()}
+	e := &engine{s: s, nw: s.cfg.Threads}
 	e.cond = sync.NewCond(&e.mu)
 	e.runFn = e.run
 	e.abandonFn = func() { e.abandon(nil) }
-	phaseTasks := per * s.nE
-	if e.fused {
-		phaseTasks = total
-	}
 	e.deques = make([]*wsDeque, e.nw)
 	for w := range e.deques {
-		e.deques[w] = newWSDeque(phaseTasks)
+		e.deques[w] = newWSDeque(total)
 	}
 	e.counts = make([]int32, total)
 	e.initCounts = make([]int32, total)
 	e.graphs = make([]*sweep.Graph, s.nA)
 	for a := range e.graphs {
 		e.graphs[a] = s.topos[a].Graph
+		copy(e.initCounts[a*s.nE:(a+1)*s.nE], e.graphs[a].Indeg)
 	}
 	if s.ext != nil {
+		// Streamed upwind faces join the counters; tasks holding any are
+		// not ready until ResolveExternal drains them.
 		e.buildExternalSchedule(s)
-	}
-	for o := 0; o < 8; o++ {
-		var seeds []int32
-		for m := 0; m < per; m++ {
-			a := s.cfg.Quad.AngleIndex(o, m)
-			g := e.graphs[a]
-			copy(e.initCounts[a*s.nE:(a+1)*s.nE], g.Indeg)
-			if e.extDeg != nil {
-				// Streamed upwind faces join the counters; tasks holding any
-				// are not ready until ResolveExternal drains them.
-				slab := e.initCounts[a*s.nE : (a+1)*s.nE]
-				for i, d := range e.extDeg[a*s.nE : (a+1)*s.nE] {
-					slab[i] += d
-				}
-			}
-			for _, r := range g.Roots {
-				if e.extDeg != nil && e.extDeg[a*s.nE+int(r)] > 0 {
-					continue
-				}
-				seeds = append(seeds, int32(a*s.nE)+r)
-			}
+		for t, d := range e.extDeg {
+			e.initCounts[t] += d
 		}
-		e.octSeeds[o] = seeds
-		if e.fused {
-			e.allSeeds = append(e.allSeeds, seeds...)
+	}
+	if s.cfg.Reflect != [3]bool{} {
+		e.buildMirrorEdges(s)
+	}
+	for a, g := range e.graphs {
+		for _, r := range g.Roots {
+			if t := int32(a*s.nE) + r; e.initCounts[t] == 0 {
+				e.seeds = append(e.seeds, t)
+			}
 		}
 	}
 	return e
 }
 
-// ensureEngine lazily builds the engine on the first engine-backed sweep
-// (or the first after SetBoundary dropped it).
+// buildMirrorEdges adds one edge per (ordinate, reflective inflow face)
+// between the task and its mirror ordinate's task on the same element,
+// from the lower octant to the higher (see mirOff), and folds the edges
+// into the initial counters. Ordinates are numbered octant by octant, so
+// the lower octant is the lower ordinate.
+func (e *engine) buildMirrorEdges(s *Solver) {
+	nT := s.nA * s.nE
+	var from, to []int32
+	for a := 0; a < s.nA; a++ {
+		t := s.topos[a]
+		for el := 0; el < s.nE; el++ {
+			for f := 0; f < fem.NumFaces; f++ {
+				d := fem.FaceDim(f)
+				if !s.cfg.Reflect[d] || s.cfg.Mesh.Elems[el].Faces[f].Neighbor >= 0 || !t.IsInflow(el, f) {
+					continue
+				}
+				lo, hi := a, s.cfg.Quad.MirrorAngle(a, d)
+				if hi < lo {
+					lo, hi = hi, lo
+				}
+				from = append(from, int32(lo*s.nE+el))
+				to = append(to, int32(hi*s.nE+el))
+			}
+		}
+	}
+	e.mirOff = make([]int32, nT+1)
+	for _, t := range from {
+		e.mirOff[t+1]++
+	}
+	for t := 0; t < nT; t++ {
+		e.mirOff[t+1] += e.mirOff[t]
+	}
+	e.mirDown = make([]int32, len(to))
+	fill := append([]int32(nil), e.mirOff[:nT]...)
+	for i, t := range from {
+		e.mirDown[fill[t]] = to[i]
+		fill[t]++
+		e.initCounts[to[i]]++
+	}
+}
+
+// ensureEngine lazily builds the engine on the first engine-backed sweep.
 func (s *Solver) ensureEngine() *engine {
 	if s.engine == nil {
 		s.engine = newEngine(s)
@@ -260,41 +284,27 @@ func (s *Solver) ensureEngine() *engine {
 // first.)
 func (s *Solver) Close() { s.pool.halt(true) }
 
-// runSweep executes one full self-driven sweep: the single fused phase in
-// cross-octant mode, with every External slot read as the caller left it,
-// or eight sequential octant phases otherwise. A stalled phase aborts the
-// remaining octants — the sweep is already failed, so their work would be
-// wasted. Per-element solve errors do NOT abort (the legacy executors
-// finish the sweep too).
+// runSweep executes one full self-driven sweep as the one fused phase,
+// with every External slot read as the caller left it. Per-element solve
+// errors do NOT abort the phase (the legacy executors finish the sweep
+// too).
 func (e *engine) runSweep() {
-	if e.fused {
-		e.begin(0, len(e.counts), e.allSeeds, e.totalExt)
-		e.resolveAll()
-		e.end()
-		return
-	}
-	per := e.s.cfg.Quad.PerOctant
-	for o := 0; o < 8; o++ {
-		e.begin(o*per*e.s.nE, (o+1)*per*e.s.nE, e.octSeeds[o], 0)
-		if stalled := e.end(); stalled {
-			return
-		}
-	}
+	e.begin()
+	e.resolveAll()
+	e.end()
 }
 
-// begin resets the phase state to the tasks with ids in [lo, hi), ext of
-// whose dependencies are streamed, and forks it: the background workers
-// start at once, the caller's share waits for end.
-func (e *engine) begin(lo, hi int, seeds []int32, ext int64) {
-	copy(e.counts[lo:hi], e.initCounts[lo:hi])
+// begin resets the phase state to the whole sweep, totalExt of whose
+// dependencies are streamed, and forks it: the background workers start
+// at once, the caller's share waits for end.
+func (e *engine) begin() {
+	copy(e.counts, e.initCounts)
 	for _, d := range e.deques {
 		d.reset()
 	}
-	e.seeds = seeds
 	e.cursor.Store(0)
-	e.stalled.Store(false)
-	e.remaining.Store(int64(hi - lo))
-	e.extPending.Store(ext)
+	e.remaining.Store(int64(len(e.counts)))
+	e.extPending.Store(e.totalExt)
 	e.mu.Lock()
 	e.inbox = e.inbox[:0]
 	e.active = true
@@ -302,8 +312,8 @@ func (e *engine) begin(lo, hi int, seeds []int32, ext int64) {
 	e.s.pool.fork(e.runFn, e.abandonFn)
 }
 
-// resolveAll resolves at once every external dependency of the fused
-// phase in flight, as if each slot had just been streamed in; the inbox is
+// resolveAll resolves at once every external dependency of the phase in
+// flight, as if each slot had just been streamed in; the inbox is
 // sized for the tasks it releases, so nothing allocates.
 func (e *engine) resolveAll() {
 	if e.totalExt == 0 {
@@ -322,12 +332,11 @@ func (e *engine) resolveAll() {
 
 // end works the phase as worker 0 until it completes, stalls or is
 // abandoned, and waits for every background worker to leave it.
-func (e *engine) end() (stalled bool) {
+func (e *engine) end() {
 	e.s.pool.join()
 	e.mu.Lock()
 	e.active = false
 	e.mu.Unlock()
-	return e.stalled.Load()
 }
 
 // abandon fails the phase in flight, if any, with err (nil: the failure is
@@ -376,7 +385,6 @@ func (e *engine) run(w int) {
 			// dependencies pending the workers simply sleep until the
 			// comm layer injects the next resolved task.
 			if int(e.idle.Load()) == e.nw && e.extPending.Load() == 0 {
-				e.stalled.Store(true)
 				e.s.pool.record(errEngineStalled)
 				e.remaining.Store(0)
 				e.cond.Broadcast()
@@ -469,6 +477,14 @@ func (e *engine) exec(w int, t int64) {
 			pushed = true
 		}
 	}
+	if e.mirOff != nil {
+		for _, d := range e.mirDown[e.mirOff[t]:e.mirOff[t+1]] {
+			if atomic.AddInt32(&e.counts[d], -1) == 0 {
+				own.push(int64(d))
+				pushed = true
+			}
+		}
+	}
 	// Wake parked peers for the pushed tasks, and everyone when the phase
 	// has just completed.
 	if done := e.remaining.Add(-1) == 0; done || pushed && e.idle.Load() > 0 {
@@ -487,24 +503,3 @@ func (e *engine) exec(w int, t int64) {
 // thread counts. Both layouts place psi of angle a at a*len(phi) plus
 // the scalar-flux offset, so the reduction is a strided daxpy stream.
 func (s *Solver) reduceFluxFromPsi() { s.pool.run(s.reduceRoundFn) }
-
-// ---- octant fusion eligibility ----
-
-// octantsFusable reports whether the engine may run all eight octants as
-// one task graph. It requires no Boundary callback: a reflective mirror
-// reads the current sweep's psi, so it observes the in-sweep octant order,
-// which the fused phase does not preserve.
-//
-// Neither cycle lagging (AllowCycles) nor External faces pin the octant
-// order: a lagged coupling reads the immutable previous-iterate snapshot,
-// and an External slot holds one value for the whole sweep, so both read
-// the same values whichever octant runs first. The deterministic
-// reduceFluxFromPsi reduction makes the relaxed execution order
-// bitwise-safe for everything else.
-func (s *Solver) octantsFusable() bool { return s.cfg.Boundary == nil }
-
-// OctantsFused reports whether the engine overlaps all eight octants in
-// one task graph (diagnostics; meaningful after the first engine sweep).
-func (s *Solver) OctantsFused() bool {
-	return s.engine != nil && s.engine.fused
-}

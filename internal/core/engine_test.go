@@ -82,15 +82,8 @@ func TestEngineMatchesLegacy(t *testing.T) {
 	}
 }
 
-// vacuumBoundary is a Boundary callback that reports vacuum everywhere:
-// it changes no value, but any callback makes the engine run sequential
-// octant phases, so tests use it to pin fused == sequential.
-func vacuumBoundary(_, _, _, _ int, _ []float64) []float64 { return nil }
-
 // TestOctantOverlapMatchesLegacy checks the cross-octant fused task graph
-// (the default on this vacuum problem) against both the legacy bucket
-// executor and the sequential-octant engine, across thread counts, to
-// 1e-12. It also pins down that the fused mode actually engaged.
+// against the legacy bucket executor, across thread counts, to 1e-12.
 func TestOctantOverlapMatchesLegacy(t *testing.T) {
 	legacy := engineProblem(t)
 	legacy.Scheme = SchemeAEg
@@ -121,76 +114,10 @@ func TestOctantOverlapMatchesLegacy(t *testing.T) {
 		if _, err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if !s.OctantsFused() {
-			t.Fatalf("threads=%d: vacuum problem should fuse octants", threads)
-		}
 		phi, psi := snapshotSolver(s)
 		check("fused", phi, psi)
 		s.Close()
-
-		seq := engineProblem(t)
-		seq.Scheme = SchemeEngine
-		seq.Threads = threads
-		seq.Boundary = vacuumBoundary
-		sphi, spsi := runAndSnapshot(t, seq)
-		check("sequential", sphi, spsi)
 	}
-}
-
-// TestOctantOverlapFallback checks the automatic eligibility detection:
-// a boundary callback (vacuum, reflective or halo) forces sequential
-// octant phases; cycle lagging does not.
-func TestOctantOverlapFallback(t *testing.T) {
-	build := func(mut func(*Config)) *Solver {
-		cfg := engineProblem(t)
-		cfg.Scheme = SchemeEngine
-		cfg.Threads = 2
-		if mut != nil {
-			mut(&cfg)
-		}
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-
-	s := build(nil)
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !s.OctantsFused() {
-		t.Fatal("vacuum run should fuse")
-	}
-	s.Close()
-
-	s = build(func(c *Config) { c.Boundary = vacuumBoundary })
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if s.OctantsFused() {
-		t.Fatal("a Config.Boundary callback must not fuse")
-	}
-	s.Close()
-
-	s = build(func(c *Config) { c.AllowCycles = true })
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !s.OctantsFused() {
-		t.Fatal("AllowCycles no longer pins the octant order: vacuum runs must stay fused")
-	}
-	s.Close()
-
-	s = build(nil)
-	s.SetBoundary(ReflectiveBoundary(s, [3]bool{true, false, false}))
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if s.OctantsFused() {
-		t.Fatal("a boundary callback must fall back to sequential octants")
-	}
-	s.Close()
 }
 
 // TestEngineStallFailsCleanly corrupts a task counter so one element can
@@ -341,19 +268,18 @@ func TestEnginePreassembledMatches(t *testing.T) {
 
 // TestEngineReflectiveMatches checks the engine respects the reflective
 // boundary coupling (mirror ordinates live in other octants, so the
-// engine's sequential octant phases must preserve the legacy ordering).
+// mirror edges of the engine's fused graph must preserve the legacy
+// octant ordering).
 func TestEngineReflectiveMatches(t *testing.T) {
 	run := func(scheme Scheme, threads int) []float64 {
 		cfg := engineProblem(t)
 		cfg.Scheme = scheme
 		cfg.Threads = threads
+		cfg.Reflect = [3]bool{true, false, true}
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dims := [3]bool{true, false, true}
-		s.SetBoundary(ReflectiveBoundary(s, dims))
-		s.SetBalanceSkip(ReflectiveSkip(s, dims))
 		if _, err := s.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -151,7 +151,7 @@ func (s *Solver) ArmSweep() error {
 	// Cyclic topologies: expose the just-finished sweep to lagged local
 	// couplings before any task of the new sweep can run.
 	s.rotateLagSnapshot()
-	eng.begin(0, len(eng.counts), eng.allSeeds, eng.totalExt)
+	eng.begin()
 	eng.armed = true
 	if s.cancelled.Load() {
 		// CancelSweep raced with the install and may have missed the phase;

@@ -214,9 +214,9 @@ func TestExternalConfigValidation(t *testing.T) {
 		t.Fatal("CycleLag without AllowCycles should be rejected")
 	}
 	bad = base
-	bad.Boundary = func(a, e, f, g int, buf []float64) []float64 { return nil }
+	bad.Reflect = [3]bool{false, false, true}
 	if _, err := New(bad); err == nil {
-		t.Fatal("External + Boundary should be rejected")
+		t.Fatal("External + Reflect should be rejected")
 	}
 	bad = base
 	bad.External = []ExternalFace{{Elem: 0, Face: 99}}
@@ -294,7 +294,9 @@ func TestCancelSweep(t *testing.T) {
 // around them, allocate nothing — the phase state is the engine's one
 // reusable one and the inbox is sized for a whole sweep. Threads = 1 is
 // the no-goroutine case whose worker 0 still parks on the condition
-// variable; at 3 the background workers drain the inbox concurrently.
+// variable; at 3 the background workers drain the inbox concurrently. A
+// reflective self-driven sweep, whose mirror edges are released through
+// the same counters, allocates nothing either.
 func TestArmedSweepAllocFree(t *testing.T) {
 	for _, threads := range []int{1, 3} {
 		m, q, lib := externalParts(t, 3, 0.002)
@@ -346,6 +348,25 @@ func TestArmedSweepAllocFree(t *testing.T) {
 		}
 		if avg := testing.AllocsPerRun(10, selfDriven); avg != 0 {
 			t.Fatalf("threads=%d: a self-driven External sweep allocates %.1f objects, want 0", threads, avg)
+		}
+
+		cfg := engineProblem(t)
+		cfg.Scheme, cfg.Threads, cfg.Reflect = SchemeEngine, threads, [3]bool{true, true, true}
+		r, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		reflective := func() {
+			r.ComputeOuterSource()
+			r.PrepareInner()
+			if err := r.SweepAllAngles(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reflective() // warm-up: builds the engine, starts the workers
+		if avg := testing.AllocsPerRun(10, reflective); avg != 0 {
+			t.Fatalf("threads=%d: a reflective self-driven sweep allocates %.1f objects, want 0", threads, avg)
 		}
 	}
 }
@@ -404,9 +425,6 @@ func TestSelfDrivenExternalSweep(t *testing.T) {
 			if err := s.FinishSweep(); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if v.scheme.EngineBacked() && !s.OctantsFused() {
-			t.Fatalf("%+v threads=%d: External solver left the fused octant phase", v, threads)
 		}
 		return snapshotSolver(s)
 	}

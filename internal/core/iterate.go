@@ -244,7 +244,7 @@ func (s *Solver) RunContext(ctx context.Context) (*Result, error) {
 	res.SweepTime = s.sweepTime
 	res.AssembleTime = time.Duration(s.asmNS)
 	res.SolveTime = time.Duration(s.solveNS)
-	res.Balance = s.ComputeBalanceExcluding(s.balanceSkip)
+	res.Balance = s.ComputeBalance()
 	return res, nil
 }
 

@@ -81,9 +81,9 @@ func buildSigtRuns(sigtEff [][]float64) [][]sigtRun {
 // the engine layout ([angle][element][group][node]) makes the task's
 // groups contiguous, no task of the current phase reads psi(a, e) before
 // this task's counters resolve, and every in-task read (the stored
-// source products, upwind neighbours, psiLag, streamed halos, boundary
-// mirrors) comes from a different slab — so the solve lands in place and the scalar
-// kernel's X-to-psi block store disappears.
+// source products, upwind neighbours, psiLag, streamed halos, reflective
+// mirrors) comes from a different slab — so the solve lands in place and
+// the scalar kernel's X-to-psi block store disappears.
 //
 // On a solve failure the remaining sigma_t runs still execute (matching
 // the scalar kernel, where every group runs) and the first error is
@@ -218,24 +218,20 @@ func (s *Solver) assembleRHSAll(st *workerState, rhs []float64, a, e int) {
 			}
 			off := (int(fi)*s.nA + a) * nG * nf
 			s.subInflowPanel(st, rhs, s.ext.data[off:off+nG*nf], a, e, f)
-		case s.cfg.Boundary != nil:
-			// Boundary callback (reflective mirrors).
-			// Callbacks are pure reads of state no task of the current
-			// phase writes, so the face-outer call order is immaterial. A
-			// nil return is vacuum for that group: the groups gathered so
-			// far are applied and the panel restarts after it.
-			g0 := 0
+		case s.cfg.Reflect[fem.FaceDim(f)]:
+			// Reflective face: gather the mirror ordinate's flux on the
+			// same face nodes of this element, every group, into the panel.
+			src, ma := s.mirror(a, f)
+			fn := s.re.FaceNodes[f]
+			pb := s.psiIdx(ma, e, 0)
 			for g := 0; g < nG; g++ {
-				slot := panel[g*nf : g*nf+nf]
-				up := s.cfg.Boundary(a, e, f, g, slot)
-				if up == nil {
-					s.subInflowPanel(st, rhs[g0*n:g*n], panel[g0*nf:g*nf], a, e, f)
-					g0 = g + 1
-				} else if &up[0] != &slot[0] {
-					copy(slot, up)
+				pslab := src[pb+g*n : pb+g*n+n]
+				up := panel[g*nf : g*nf+nf][:len(fn)]
+				for l, node := range fn {
+					up[l] = pslab[node]
 				}
 			}
-			s.subInflowPanel(st, rhs[g0*n:], panel[g0*nf:], a, e, f)
+			s.subInflowPanel(st, rhs, panel, a, e, f)
 		}
 	}
 }

@@ -49,16 +49,14 @@ func runKernel(t *testing.T, cfg Config, k KernelMode, reflect bool) (phi, psi [
 	t.Helper()
 	cfg.Scheme = SchemeEngine
 	cfg.Kernel = k
+	if reflect {
+		cfg.Reflect = [3]bool{true, false, true}
+	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if reflect {
-		dims := [3]bool{true, false, true}
-		s.SetBoundary(ReflectiveBoundary(s, dims))
-		s.SetBalanceSkip(ReflectiveSkip(s, dims))
-	}
 	if cfg.Time != nil {
 		if _, err := s.RunTimeDependent(context.Background()); err != nil {
 			t.Fatal(err)

@@ -70,11 +70,11 @@ func TestP1InfiniteMediumStillExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, err := New(Config{Mesh: m, Order: 1, Quad: q, Lib: lib,
-		Scheme: SchemeAEG, ScatOrder: 1, Epsi: 1e-11, MaxInners: 500, MaxOuters: 5})
+		Scheme: SchemeAEG, ScatOrder: 1, Epsi: 1e-11, MaxInners: 500, MaxOuters: 5,
+		Reflect: [3]bool{true, true, true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetBoundary(ReflectiveBoundary(s, [3]bool{true, true, true}))
 	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -118,10 +118,6 @@ type Solver struct {
 	outerPrev []float64
 	sweepTime time.Duration
 
-	// balanceSkip filters boundary faces out of Run's leakage accounting
-	// (reflective faces are not leakage surfaces); nil counts everything.
-	balanceSkip func(elem, face int) bool
-
 	setupTime time.Duration
 }
 

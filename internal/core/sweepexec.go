@@ -200,8 +200,13 @@ func (s *Solver) assembleRHS(st *workerState, a, e, g int) {
 				off := ((int(fi)*s.nA+a)*s.nG + g) * nf
 				up = s.ext.data[off : off+nf]
 			}
-		} else if s.cfg.Boundary != nil {
-			up = s.cfg.Boundary(a, e, f, g, st.up)
+		} else if s.cfg.Reflect[fem.FaceDim(f)] {
+			src, ma := s.mirror(a, f)
+			base := s.psiIdx(ma, e, g)
+			up = st.up
+			for k, node := range s.re.FaceNodes[f] {
+				up[k] = src[base+node]
+			}
 		}
 		if up == nil {
 			continue // vacuum
@@ -219,6 +224,17 @@ func (s *Solver) assembleRHS(st *workerState, a, e, g int) {
 			b[gi] -= acc
 		}
 	}
+}
+
+// mirror returns the ordinate whose flux reflective face f of an
+// ordinate-a task reads — the mirror of a across the face's dimension,
+// taken on the same face nodes of the same element — and the buffer that
+// holds it: psi, whose mirror slab the task's ordering leaves holding this
+// sweep's value for a mirror in an earlier octant and the previous
+// sweep's for one in a later octant (see Config.Reflect and the engine's
+// mirOff).
+func (s *Solver) mirror(a, f int) (src []float64, ma int) {
+	return s.psi, s.cfg.Quad.MirrorAngle(a, fem.FaceDim(f))
 }
 
 // solveLocal runs the configured dense solver on the system prepared in
@@ -353,13 +369,12 @@ func (s *Solver) solveElemScalar(st *workerState, a, e int) error {
 }
 
 // SweepAllAngles performs one full transport sweep over all ordinates.
-// Engine-backed schemes run counter-driven task graphs — one fused phase
-// covering all eight octants unless a boundary callback pins the octant
-// order (cyclic meshes included: lagged couplings read the
-// previous-iterate snapshot, not an ordering), eight sequential octant
-// phases otherwise — and reduce the scalar flux from psi afterwards;
-// legacy schemes follow each ordinate's bucketed schedule under the
-// scheme's threading choice. On a solver with External faces the sweep
+// Engine-backed schemes run one counter-driven task graph covering all
+// eight octants (cyclic and reflective problems included: lagged
+// couplings read the previous-iterate snapshot, and each reflective
+// mirror read is one edge of the graph) and reduce the scalar flux from
+// psi afterwards; legacy schemes follow each ordinate's bucketed schedule,
+// octant by octant, under the scheme's threading choice. On a solver with External faces the sweep
 // reads every inflow slot as the caller left it (block Jacobi: the slots
 // hold the previous iterate's halo), under every scheme. The scalar flux
 // accumulates the weighted angular fluxes; callers zero it first via

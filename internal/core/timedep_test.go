@@ -76,12 +76,12 @@ func TestTimeDependentInfiniteMediumRecurrence(t *testing.T) {
 	steps := 6
 	s, err := New(Config{Mesh: m, Order: 1, Quad: q, Lib: lib,
 		Scheme: SchemeAEG, Epsi: 1e-12, MaxInners: 200, MaxOuters: 1,
-		Time: &TimeConfig{Steps: steps, Dt: dt, Velocity: []float64{vel}},
+		Time:    &TimeConfig{Steps: steps, Dt: dt, Velocity: []float64{vel}},
+		Reflect: [3]bool{true, true, true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetBoundary(ReflectiveBoundary(s, [3]bool{true, true, true}))
 	rec, err := s.RunTimeDependent(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -115,7 +115,10 @@ go test -race -run 'Accel|DSA|SolvePCG' ./internal/core ./internal/comm ./intern
 # sweep's zero allocations are lost-wake-up and leak questions. The
 # lagged protocol shares the External slots: its parity digest, the
 # self-driven sweep's bitwise pin and the in-place degrade ride it too.
-go test -race -count=3 -run 'Iterate|Pipelined|MultiRank|SingleRank|Pool|PanicContained|GoroutineBudget|CloseAndReuse|ArmedSweepAllocFree|StaticLoopsAllocFree|Lagged|Degrade|Digest|SelfDriven' ./internal/core ./internal/comm
+# Reflective solves run in the same fused phase, their mirror reads
+# ordered by graph edges: the reflective parity digest and equivalence
+# tests ride the line as well.
+go test -race -count=3 -run 'Iterate|Pipelined|MultiRank|SingleRank|Pool|PanicContained|GoroutineBudget|CloseAndReuse|ArmedSweepAllocFree|StaticLoopsAllocFree|Lagged|Degrade|Digest|SelfDriven|Reflect' ./internal/core ./internal/comm
 # Chaos smoke pass: the seeded fault-injection suite (delay/reorder
 # parity, drop+retry recovery, stall-within-deadline, degrade-to-lagged,
 # Close-mid-fault, goroutine-leak checks) under the race detector — the

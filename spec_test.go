@@ -120,12 +120,12 @@ var optionsLegal = map[string]any{
 }
 
 // optionsFacadeOnly lists the Options fields the facade consumes itself
-// (the distributed driver's knobs, the boundary callback it installs, the
-// run deadline); every other field must reach core.Config, under its own
-// name unless optionsCoreName renames it.
+// (the distributed driver's knobs, the run deadline); every other field
+// must reach core.Config, under its own name unless optionsCoreName
+// renames it.
 var (
 	optionsFacadeOnly = map[string]bool{
-		"Protocol": true, "Reflect": true, "Deadline": true, "FailurePolicy": true, "Fault": true,
+		"Protocol": true, "Deadline": true, "FailurePolicy": true, "Fault": true,
 	}
 	optionsCoreName = map[string]string{"TimeSteps": "Time", "TimeDt": "Time"}
 )

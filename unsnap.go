@@ -302,9 +302,9 @@ type Options struct {
 	// cycle-closing couplings are demoted to lagged reads of the previous
 	// iteration's angular flux — a fixed-point iteration that converges
 	// with the source iteration. Lagged couplings cost no scheduling:
-	// cyclic problems keep the counter-driven engine, the fused
-	// eight-octant phase on vacuum boundaries, bitwise-reproducible
-	// results, and (via CommPipelined) mid-sweep cross-rank streaming.
+	// cyclic problems keep the counter-driven engine, its fused
+	// eight-octant phase, bitwise-reproducible results, and (via
+	// CommPipelined) mid-sweep cross-rank streaming.
 	// Without it a cyclic mesh fails at solver construction.
 	AllowCycles bool
 	// CycleOrder picks which intra-SCC couplings AllowCycles lags (the
@@ -617,6 +617,7 @@ func coreConfig(p Problem, o Options, m *mesh.Mesh, q *quadrature.Set, lib *xs.L
 		CacheTenant:      o.CacheTenant,
 		CacheTenantBytes: o.CacheTenantBytes,
 		Progress:         o.Progress,
+		Reflect:          o.Reflect,
 	}
 	if o.TimeSteps > 0 {
 		cfg.Time = &core.TimeConfig{
@@ -660,10 +661,6 @@ func NewSolver(p Problem, o Options) (*Solver, error) {
 	s, err := core.New(coreConfig(p, o, m, q, lib))
 	if err != nil {
 		return nil, err
-	}
-	if o.Reflect != [3]bool{} {
-		s.SetBoundary(core.ReflectiveBoundary(s, o.Reflect))
-		s.SetBalanceSkip(core.ReflectiveSkip(s, o.Reflect))
 	}
 	return &Solver{inner: s, prob: p, deadline: o.Deadline}, nil
 }
