@@ -138,7 +138,10 @@ func TestReflectiveMultigroup(t *testing.T) {
 // produced before reflection joined the fused task graph: engineProblem,
 // p1Problem, timedepProblem and cyclicProblem, reflecting x, xz and xyz,
 // each under the engine's batched and scalar kernels (one digest: they are
-// bitwise equal) and under AEG, at 1 and 3 threads.
+// bitwise equal) and under AEG, at 1 and 3 threads. The move into the
+// fused graph changed no bit. The cyclic rows were recorded again when a
+// later-octant mirror on a cyclic mesh started reading the previous sweep
+// (psiLag) instead of the sweep before last; see TestReflectiveCyclicLag.
 func TestReflectiveFluxDigest(t *testing.T) {
 	want := map[string]string{
 		"engine/x/engine":    "6/8d657808b48819591751c5ca1ab184f4b39319562a430859c8ab2ddb981336d9",
@@ -159,12 +162,12 @@ func TestReflectiveFluxDigest(t *testing.T) {
 		"timedep/xz/aeg":     "4/040ea95fb8d4fa98270aa3ebe7de1e8e6b88728500e311e38761c67d423493f4",
 		"timedep/xyz/engine": "4/8490f8759882eafe477b181d9de660e3a0c31f8d6a17d76d36de29665aae45f3",
 		"timedep/xyz/aeg":    "4/ca8de9d7778b9307b1f9c134e47fe2ecc429fa9543dc48df063d014ef929d1aa",
-		"cyclic/x/engine":    "6/a212b243022a0ac0b2c030a01bf63920129b36a2961dce460c26d2611c407d44",
-		"cyclic/x/aeg":       "6/8c638e6b0218f8220ffe931dea9b7f6b208ac0675388e1afcf4bbbae111d05ff",
-		"cyclic/xz/engine":   "6/650158cdca5b2f3a0b5f9b6b2ad1ce78e1590b60b0d65512766f55366f4a234a",
-		"cyclic/xz/aeg":      "6/a435916a8bcd1f38265dc30c6df07abbe5763a003c7a80e33320f4ba8dedcd9f",
-		"cyclic/xyz/engine":  "6/57ee6ee531110b0cbe354edc689cf4e802a092e9146e0c847de19d0e871ba739",
-		"cyclic/xyz/aeg":     "6/fb30bcba9a72f11798f1dec211bd8ac4014f7e10476236173577d63e653ebf6f",
+		"cyclic/x/engine":    "6/d1543257a32798baf1d3a420863d744f842110b1a06d2bf3158a9d3b28d572a0",
+		"cyclic/x/aeg":       "6/fcc676d5b227cbc6b819de07447c27e755eb12ebd58eb3c489b7864bac90ea5c",
+		"cyclic/xz/engine":   "6/a84df857abdfd1cc1a9715c0a53b062566ad4c160e86aff74af0f92961948332",
+		"cyclic/xz/aeg":      "6/ebe941feef6a1d99d066bba994c01705e87c27fe771ad3693a410b3fdb3a8b19",
+		"cyclic/xyz/engine":  "6/0d142dd5fd21122ab770f7eee9883e69acb89939d99166e714989abaeb762440",
+		"cyclic/xyz/aeg":     "6/1a536da104e58cc83b8580c8725a262b5ada707c814a38d0a90ef3054c4737c2",
 	}
 	problems := []struct {
 		name string
@@ -212,6 +215,54 @@ func TestReflectiveFluxDigest(t *testing.T) {
 						t.Errorf("%s %v threads=%d: inners/digest %s, want %s", key, x.kernel, threads, got, want[key])
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestReflectiveCyclicLag pins the reflective lag on a cyclic mesh to one
+// sweep: a mirror in a later octant reads the previous sweep's flux from
+// psiLag, not the sweep before last that rotateLagSnapshot leaves in psi.
+// Reading the older iterate (lag2) converged to the same flux more
+// slowly, in 267 inners reflecting x and 720 reflecting xyz; its flux
+// integrals must still agree within the outer tolerance, 10 Epsi.
+func TestReflectiveCyclicLag(t *testing.T) {
+	cases := []struct {
+		dims       [3]bool
+		inners     int
+		flux, lag2 [2]float64
+	}{
+		{[3]bool{true, false, false}, 159,
+			[2]float64{0.41475184644116553, 0.46413230571091907},
+			[2]float64{0.41475184642979784, 0.4641323056609325}},
+		{[3]bool{true, true, true}, 500,
+			[2]float64{1.4160095535180937, 1.9460075802480745},
+			[2]float64{1.4160095494837395, 1.9460075600104063}},
+	}
+	for _, c := range cases {
+		cfg := cyclicProblem(t)
+		cfg.Scheme, cfg.Threads, cfg.Reflect = SchemeAEG, 1, c.dims
+		cfg.ForceIterations = false
+		cfg.Epsi, cfg.MaxInners, cfg.MaxOuters = 1e-8, 5000, 20
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run()
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged || res.Inners != c.inners {
+			t.Errorf("reflect %v: converged %v in %d inners, want %d", c.dims, res.Converged, res.Inners, c.inners)
+		}
+		for g := range c.flux {
+			got := s.FluxIntegral(g)
+			if math.Abs(got-c.flux[g]) > 1e-12*c.flux[g] {
+				t.Errorf("reflect %v: group %d flux integral %.17g, want %.17g", c.dims, g, got, c.flux[g])
+			}
+			if math.Abs(got-c.lag2[g]) > 10*cfg.Epsi*c.lag2[g] {
+				t.Errorf("reflect %v: group %d flux integral %.17g, two-sweep lag converged to %.17g", c.dims, g, got, c.lag2[g])
 			}
 		}
 	}

@@ -36,8 +36,9 @@ type Solver struct {
 	psi []float64 // angular flux, layout per scheme
 	// psiLag is the previous sweep's angular flux (cyclic meshes only):
 	// rotateLagSnapshot swaps it with psi at the start of every sweep, so
-	// lagged couplings read an immutable previous-iterate snapshot while
-	// the sweep overwrites psi. Nil when no topology has lagged edges.
+	// lagged couplings, and reflective mirrors in a later octant, read an
+	// immutable previous-iterate snapshot while the sweep overwrites psi.
+	// Nil when no topology has lagged edges.
 	psiLag []float64
 	phi    []float64 // scalar flux
 	phiOld []float64
@@ -353,9 +354,10 @@ func (s *Solver) hasLaggedTopo() bool {
 // ResetLagSnapshot zeroes the angular-flux double buffer, so the next
 // sweep's lagged couplings read the zero initial iterate (the state of a
 // fresh solver). Both buffers are cleared because rotateLagSnapshot swaps
-// the current psi into the snapshot at sweep start; every non-lagged read
-// of psi only ever sees values written earlier in the same sweep, so the
-// clear cannot change anything else. The pipelined comm driver calls it
+// the current psi into the snapshot at sweep start; every other read of
+// psi — upwind neighbours, and reflective mirrors in an earlier octant
+// (later ones read psiLag) — only ever sees values written earlier in the
+// same sweep, so the clear cannot change anything else. The pipelined comm driver calls it
 // at the start of every Run: its cross-rank lagged slots restart from
 // zero per Run (their channels are per-run), and resetting the intra-rank
 // snapshot keeps both kinds of lagged coupling on identical semantics. A
@@ -373,7 +375,8 @@ func (s *Solver) ResetLagSnapshot() {
 }
 
 // ResetState zeroes every iterate the solver accumulates across sweeps —
-// angular and scalar flux (both lag buffers), the source arrays, the P1
+// angular flux (psi and the psiLag snapshot lagged couplings and
+// later-octant mirrors read), scalar flux, the source arrays, the P1
 // current state, the time-stepping history and the streamed-inflow slots —
 // returning the solver to the state of a fresh New. The comm driver's
 // retry policy calls it between attempts so a rerun after a failed or
@@ -410,11 +413,10 @@ func (s *Solver) ResetState() {
 
 // rotateLagSnapshot swaps the previous-iterate snapshot into psiLag at the
 // start of a sweep: psi (about to be fully overwritten) takes the stale
-// buffer, psiLag holds the sweep that just finished. Lagged couplings read
-// psiLag, so their values are immutable for the whole sweep no matter
-// which order the tasks execute in — the property that keeps cyclic
-// meshes on the fused cross-octant fast path. A no-op on acyclic
-// problems.
+// buffer, psiLag holds the sweep that just finished. Lagged couplings and
+// later-octant reflective mirrors read psiLag, so lagged values are
+// immutable for the whole sweep no matter which order the tasks execute
+// in, and no read sees the sweep before last. A no-op on acyclic problems.
 func (s *Solver) rotateLagSnapshot() {
 	if s.psiLag != nil {
 		s.psi, s.psiLag = s.psiLag, s.psi

@@ -229,12 +229,17 @@ func (s *Solver) assembleRHS(st *workerState, a, e, g int) {
 // mirror returns the ordinate whose flux reflective face f of an
 // ordinate-a task reads — the mirror of a across the face's dimension,
 // taken on the same face nodes of the same element — and the buffer that
-// holds it: psi, whose mirror slab the task's ordering leaves holding this
-// sweep's value for a mirror in an earlier octant and the previous
-// sweep's for one in a later octant (see Config.Reflect and the engine's
-// mirOff).
+// holds the value the task must see: this sweep's for a mirror in an
+// earlier octant, the previous sweep's for one in a later octant (see
+// Config.Reflect and the engine's mirOff). psi holds both while the
+// task's ordering stands, except where rotateLagSnapshot has swapped the
+// previous sweep into psiLag: there a later-octant mirror reads psiLag.
 func (s *Solver) mirror(a, f int) (src []float64, ma int) {
-	return s.psi, s.cfg.Quad.MirrorAngle(a, fem.FaceDim(f))
+	ma = s.cfg.Quad.MirrorAngle(a, fem.FaceDim(f))
+	if ma > a && s.psiLag != nil {
+		return s.psiLag, ma
+	}
+	return s.psi, ma
 }
 
 // solveLocal runs the configured dense solver on the system prepared in
