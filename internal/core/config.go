@@ -217,8 +217,8 @@ type Config struct {
 	// couplings that read a double-buffered previous-iterate angular-flux
 	// snapshot instead of imposing an ordering. Lagged edges therefore
 	// cost no scheduling at all: cyclic meshes keep the counter-driven
-	// engine, its fused eight-octant phase, and the
-	// deterministic ordered flux reduction; the legacy bucket executors
+	// engine, its fused eight-octant phase, and the deterministic ordered
+	// flux reduction; the legacy bucket executors
 	// share the identical lag set and snapshot reads, so both paths agree
 	// to machine precision iteration by iteration. Without this flag a
 	// cyclic mesh fails at setup with sweep.ErrCycle.
@@ -293,10 +293,10 @@ type Config struct {
 	// ArmSweep + FinishSweep (engine only) holds each slot as a latent
 	// task-graph dependency that ResolveExternal releases as streamed data
 	// arrives, and publishes outgoing flux through the SetPublish hook the
-	// moment the owning task completes. A domain with External faces is a
-	// rank of a partitioned run, which does not reflect, so Reflect must be
-	// unset. Combines with AllowCycles: lagged local couplings read the
-	// previous-iterate snapshot. See external.go.
+	// moment the owning task completes. Reflect must be unset: the
+	// partitioned runs External faces serve do not reflect. Combines with
+	// AllowCycles: lagged local couplings read the previous-iterate
+	// snapshot. See external.go.
 	External []ExternalFace
 
 	// Time enables SNAP's time-dependent mode (backward-Euler stepping);
@@ -440,9 +440,6 @@ func (c Config) validate() error {
 	}
 	if c.Accelerate == AccelDSA && c.Time != nil {
 		return fmt.Errorf("core: AccelDSA does not support time-dependent mode")
-	}
-	if c.Accelerate == AccelDSA && c.Reflect != [3]bool{} {
-		return fmt.Errorf("core: AccelDSA requires vacuum boundaries (no Reflect)")
 	}
 	if c.Accelerate == AccelDSA && c.ScatOrder >= 1 {
 		return fmt.Errorf("core: AccelDSA requires isotropic scattering (ScatOrder 0), got %d", c.ScatOrder)

@@ -227,6 +227,12 @@ func TestGoroutineBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		// The artifact build's goroutines may still be returning: sample
+		// once the count has settled.
+		wantGoroutines(t, base+3, scheme.String()+" after Run")
 		stop := make(chan struct{})
 		sampled := sweepGoroutines(s.pool, stop)
 		for runs := 0; runs < 3; runs++ {
@@ -236,7 +242,6 @@ func TestGoroutineBudget(t *testing.T) {
 		}
 		close(stop)
 		got := <-sampled
-		wantGoroutines(t, base+3, scheme.String()+" after Run")
 		if got[1] == 0 {
 			t.Fatalf("%v: no sample landed inside a round", scheme)
 		}

@@ -357,11 +357,11 @@ func (s *Solver) hasLaggedTopo() bool {
 // the current psi into the snapshot at sweep start; every other read of
 // psi — upwind neighbours, and reflective mirrors in an earlier octant
 // (later ones read psiLag) — only ever sees values written earlier in the
-// same sweep, so the clear cannot change anything else. The pipelined comm driver calls it
-// at the start of every Run: its cross-rank lagged slots restart from
-// zero per Run (their channels are per-run), and resetting the intra-rank
-// snapshot keeps both kinds of lagged coupling on identical semantics. A
-// no-op on acyclic problems.
+// same sweep, so the clear cannot change anything else. The pipelined comm
+// driver calls it at the start of every Run: its cross-rank lagged slots
+// restart from zero per Run (their channels are per-run), and resetting
+// the intra-rank snapshot keeps both kinds of lagged coupling on identical
+// semantics. A no-op on acyclic problems.
 func (s *Solver) ResetLagSnapshot() {
 	if s.psiLag == nil {
 		return

@@ -201,6 +201,8 @@ func (s *Solver) assembleRHS(st *workerState, a, e, g int) {
 				up = s.ext.data[off : off+nf]
 			}
 		} else if s.cfg.Reflect[fem.FaceDim(f)] {
+			// Reflective face: the mirror ordinate's flux on the same
+			// face nodes of this element.
 			src, ma := s.mirror(a, f)
 			base := s.psiIdx(ma, e, g)
 			up = st.up
@@ -375,15 +377,15 @@ func (s *Solver) solveElemScalar(st *workerState, a, e int) error {
 
 // SweepAllAngles performs one full transport sweep over all ordinates.
 // Engine-backed schemes run one counter-driven task graph covering all
-// eight octants (cyclic and reflective problems included: lagged
-// couplings read the previous-iterate snapshot, and each reflective
-// mirror read is one edge of the graph) and reduce the scalar flux from
-// psi afterwards; legacy schemes follow each ordinate's bucketed schedule,
-// octant by octant, under the scheme's threading choice. On a solver with External faces the sweep
-// reads every inflow slot as the caller left it (block Jacobi: the slots
-// hold the previous iterate's halo), under every scheme. The scalar flux
-// accumulates the weighted angular fluxes; callers zero it first via
-// PrepareInner.
+// eight octants (cyclic and reflective problems included: lagged couplings
+// read the previous-iterate snapshot, and each reflective mirror read is
+// one edge of the graph) and reduce the scalar flux from psi afterwards;
+// legacy schemes follow each ordinate's bucketed schedule, octant by
+// octant, under the scheme's threading choice. On a solver with External
+// faces the sweep reads every inflow slot as the caller left it (block
+// Jacobi: the slots hold the previous iterate's halo), under every scheme.
+// The scalar flux accumulates the weighted angular fluxes; callers zero it
+// first via PrepareInner.
 func (s *Solver) SweepAllAngles() error {
 	s.rotateLagSnapshot()
 	if s.cfg.Scheme.EngineBacked() {
