@@ -34,15 +34,33 @@ import (
 //     the ordinary cached batched path; the bucket schemes, which have no
 //     batched body, look their per-group factor up here (factor).
 //
+// Layout: one float slab and one int slab, n*n floats and n ints per
+// sigma_t run, each entry a contiguous stretch of both. A material's runs
+// are cut into panels (panelPlan): stretches of single-group runs into
+// widths of 4, then 2, then 1; a multi-group run, and every run under the
+// eager policy, is a width-1 panel. A width-1 panel holds the row-major
+// LU factor and LAPACK pivots, solved in place by la.SolveFactoredMulti.
+// A width-w panel holds its w factors lane-interleaved, entry (i, j) of
+// lane l at (i*n+j)*w + l, and each lane's row interchanges composed into
+// one permutation: the task gathers each group's right-hand side through
+// it into a lane, solves the w systems in one la.TriSolveLanes call (one
+// AVX2 vector per entry) and scatters the solutions back. The bytes are
+// those of one factor per run, so the size prediction does not know the
+// plan.
+//
 // Bitwise contract: the cached path must reproduce the uncached batched
-// kernel bit for bit (TestAccelFactorCacheBitwise). Two elements of one
+// kernel bit for bit (TestAccelFactorCacheBitwise,
+// TestFactorCacheWidthPlans). Two elements of one
 // geometry class have bitwise-identical element matrices (build.GeomClass
 // guarantees it), so the builder's assembled matrix is the matrix every
 // reader would have assembled; SolverGE's elimination (SolveGEMulti) and
 // Factor are the same loop in la (eliminate) with and without the
 // right-hand sides carried along, and SolveFactoredMulti's forward solve
 // subtracts the stored multipliers from each right-hand side in the order
-// that loop does, so the split changes nothing. Tangent faces are the one
+// that loop does, so the split changes nothing. A lane panel changes
+// nothing either: the gather moves values without arithmetic into the
+// order SolveFactored's swaps leave them in, and TriSolveLanes runs
+// SolveFactored's operation sequence in every lane. Tangent faces are the one
 // hazard — the lower-element-index tie-break can classify them
 // differently within a class — so each entry records the builder's
 // outflow-face mask and a reader with a different mask falls back to the
@@ -81,12 +99,19 @@ const (
 )
 
 // facEntry holds the factored per-run matrices of one (ordinate,
-// geometry class, material) key.
+// geometry class, material) key: n*n floats and n ints per sigma_t run,
+// run r's at r*n*n and r*n, laid out by the material's panel plan.
 type facEntry struct {
 	state atomic.Uint32
-	mask  uint8 // outflow-face set baked into the factors
-	mats  []la.Matrix
-	pivs  [][]int
+	mask  uint8     // outflow-face set baked into the factors
+	lu    []float64 // width-1 panel: row-major LU; width w: lane-interleaved, (i*n+j)*w + lane
+	piv   []int     // width-1 panel: the LAPACK pivots; width w: each lane's composed row permutation
+}
+
+// facPanel is one step of a material's panel plan: runs [r0, r0+w) of
+// its sigtRuns, solved as one la.TriSolveLanes call when w > 1.
+type facPanel struct {
+	r0, w int32
 }
 
 type factorCache struct {
@@ -94,7 +119,37 @@ type factorCache struct {
 	slotOf  []int32 // class*nMat+mat -> slot index, -1 if the pair never occurs
 	nMat    int
 	nSlots  int
-	entries []facEntry // indexed angle*nSlots + slot
+	n       int          // nodes per element: the order of every stored system
+	plan    [][]facPanel // per material: its runs grouped into panels
+	entries []facEntry   // indexed angle*nSlots + slot
+}
+
+// panelPlan groups a material's sigma_t runs into panels. A lane holds
+// one right-hand side, so only single-group runs share a panel: each maximal stretch of
+// them is cut greedily into widths of 4, then 2, then 1 (one to eight
+// groups: 1, 2, 2+1, 4, 4+1, ..., 4+4). A run of several groups — one
+// factor serving k right-hand sides — is a width-1 panel of its own, and
+// so is every run when lanes is false (the eager policy).
+func panelPlan(runs []sigtRun, lanes bool) []facPanel {
+	plan := make([]facPanel, 0, len(runs))
+	for r := 0; r < len(runs); {
+		w := 1
+		if lanes {
+			single := 0
+			for single < 4 && r+single < len(runs) && runs[r+single].k == 1 {
+				single++
+			}
+			switch {
+			case single == 4:
+				w = 4
+			case single >= 2:
+				w = 2
+			}
+		}
+		plan = append(plan, facPanel{r0: int32(r), w: int32(w)})
+		r += w
+	}
+	return plan
 }
 
 // newFactorCache sizes and allocates the store and, under
@@ -150,22 +205,23 @@ func newFactorCache(s *Solver) (*factorCache, error) {
 		slotOf:  slotOf,
 		nMat:    nMat,
 		nSlots:  nSlots,
+		n:       n,
+		plan:    make([][]facPanel, nMat),
 		entries: make([]facEntry, s.nA*nSlots),
 	}
-	slab := make([]float64, s.nA*runsTotal*n*n)
-	pivSlab := make([]int, s.nA*runsTotal*n)
+	for mat, runs := range s.sigtRuns {
+		c.plan[mat] = panelPlan(runs, !pre)
+	}
+	lu := make([]float64, s.nA*runsTotal*n*n)
+	piv := make([]int, s.nA*runsTotal*n)
 	idx := 0
 	for a := 0; a < s.nA; a++ {
 		for sl := 0; sl < nSlots; sl++ {
 			nr := len(s.sigtRuns[slotMat[sl]])
 			ent := &c.entries[a*nSlots+sl]
-			ent.mats = make([]la.Matrix, nr)
-			ent.pivs = make([][]int, nr)
-			for r := 0; r < nr; r++ {
-				ent.mats[r] = la.Matrix{N: n, Data: slab[idx*n*n : (idx+1)*n*n]}
-				ent.pivs[r] = pivSlab[idx*n : (idx+1)*n]
-				idx++
-			}
+			ent.lu = lu[idx*n*n : (idx+nr)*n*n : (idx+nr)*n*n]
+			ent.piv = piv[idx*n : (idx+nr)*n : (idx+nr)*n]
+			idx += nr
 		}
 	}
 	if pre {
@@ -194,18 +250,61 @@ func (c *factorCache) entry(a, e, mat int) *facEntry {
 	return &c.entries[a*c.nSlots+int(c.slotOf[int(c.class[e])*c.nMat+mat])]
 }
 
+// run returns the row-major LU factor and pivots of run r of ent, which
+// the plan must hold in a width-1 panel.
+func (c *factorCache) run(ent *facEntry, r int) (la.Matrix, []int) {
+	n := c.n
+	return la.Matrix{N: n, Data: ent.lu[r*n*n : (r+1)*n*n]}, ent.piv[r*n : (r+1)*n]
+}
+
 // factor returns the stored LU factor of (angle, elem, group). Only the
 // eager policy may call it: there every entry is ready once New returns,
-// and every element owns its entry, so no mask can mismatch.
-func (c *factorCache) factor(s *Solver, a, e, g int) (*la.Matrix, []int) {
+// every element owns its entry, so no mask can mismatch, and every run is
+// a width-1 panel.
+func (c *factorCache) factor(s *Solver, a, e, g int) (la.Matrix, []int) {
 	mat := s.cfg.Mesh.Elems[e].Material
-	ent := c.entry(a, e, mat)
 	runs := s.sigtRuns[mat]
 	r := 0
 	for int(runs[r].g0+runs[r].k) <= g {
 		r++
 	}
-	return &ent.mats[r], ent.pivs[r]
+	return c.run(c.entry(a, e, mat), r)
+}
+
+// solve overwrites rhs, the task's group-major right-hand sides, with
+// the solutions against the ready entry ent, panel by panel. A wider
+// panel gathers each of its groups' right-hand sides through the lane's
+// row permutation into the worker's lane scratch, solves the w systems
+// in one la.TriSolveLanes call and scatters the solutions back.
+func (c *factorCache) solve(s *Solver, st *workerState, ent *facEntry, mat int, rhs []float64) {
+	n := c.n
+	runs := s.sigtRuns[mat]
+	for _, p := range c.plan[mat] {
+		r0, w := int(p.r0), int(p.w)
+		g0 := int(runs[r0].g0)
+		if w == 1 {
+			k := int(runs[r0].k)
+			m, piv := c.run(ent, r0)
+			la.SolveFactoredMulti(&m, piv, rhs[g0*n:(g0+k)*n], k)
+			continue
+		}
+		b := rhs[g0*n : (g0+w)*n]
+		perm := ent.piv[r0*n : (r0+w)*n]
+		x := st.lanes[: w*n : w*n]
+		for l := 0; l < w; l++ {
+			bl := b[l*n : l*n+n]
+			for i, q := range perm[l*n : l*n+n] {
+				x[i*w+l] = bl[q]
+			}
+		}
+		la.TriSolveLanes(ent.lu[r0*n*n:(r0+w)*n*n], x, n, w)
+		for l := 0; l < w; l++ {
+			bl := b[l*n : l*n+n]
+			for i := range bl {
+				bl[i] = x[i*w+l]
+			}
+		}
+	}
 }
 
 // outflowMask packs the task's outflow-face classification into the
@@ -251,6 +350,9 @@ func (c *factorCache) acquire(s *Solver, st *workerState, a, e, mat int) *facEnt
 
 // fill assembles and factors every sigma_t run of the entry the caller
 // owns (a won CAS, or the eager fill's disjoint index) and publishes it.
+// A width-1 panel is factored in place; a wider one lane by lane in the
+// worker's scratch, each factor then scattered into its lane and its
+// pivots composed into the row permutation the solve gathers through.
 // The whole fill — base assembly included — is charged to the worker's
 // solve timer: it is the factorisation the cached sweeps no longer pay,
 // and counting it as assembly would skew the two shares the trace reads
@@ -262,22 +364,49 @@ func (c *factorCache) fill(s *Solver, st *workerState, ent *facEntry, a, e, mat 
 	s.assembleBase(a, e, st.base)
 	mass := s.em[e].Mass
 	sigt := s.sigtEff[mat]
+	runs := s.sigtRuns[mat]
 	blocked := s.cfg.Solver != SolverGE
-	for r, run := range s.sigtRuns[mat] {
-		m := &ent.mats[r]
-		la.AddScaledTo(m.Data, st.base, mass, sigt[run.g0])
-		var err error
-		if blocked {
-			// SolverDGESV's uncached path factors with FactorBlocked;
-			// SolverGE's runs SolveGEMulti, which is Factor's own
-			// elimination loop with the right-hand sides carried.
-			err = la.FactorBlocked(m, ent.pivs[r], la.DefaultBlockSize)
-		} else {
-			err = la.Factor(m, ent.pivs[r])
-		}
-		if err != nil {
-			ent.state.Store(facFailed)
-			return fmt.Errorf("core: factorising angle %d elem %d group %d: %w", a, e, run.g0, err)
+	n := c.n
+	for _, p := range c.plan[mat] {
+		r0, w := int(p.r0), int(p.w)
+		for l := 0; l < w; l++ {
+			m, piv := st.ws.A, st.ws.Piv
+			if w == 1 {
+				rm, rp := c.run(ent, r0)
+				m, piv = &rm, rp
+			}
+			g0 := int(runs[r0+l].g0)
+			la.AddScaledTo(m.Data, st.base, mass, sigt[g0])
+			var err error
+			if blocked {
+				// SolverDGESV's uncached path factors with FactorBlocked;
+				// SolverGE's runs SolveGEMulti, which is Factor's own
+				// elimination loop with the right-hand sides carried.
+				err = la.FactorBlocked(m, piv, la.DefaultBlockSize)
+			} else {
+				err = la.Factor(m, piv)
+			}
+			if err != nil {
+				ent.state.Store(facFailed)
+				return fmt.Errorf("core: factorising angle %d elem %d group %d: %w", a, e, g0, err)
+			}
+			if w == 1 {
+				continue
+			}
+			lu := ent.lu[r0*n*n : (r0+w)*n*n]
+			for i, v := range m.Data {
+				lu[i*w+l] = v
+			}
+			// Apply the recorded interchanges to the identity: the
+			// solve's lane entry i is then b[perm[i]], exactly the
+			// vector SolveFactored's swaps leave.
+			perm := ent.piv[(r0+l)*n : (r0+l+1)*n]
+			for i := range perm {
+				perm[i] = i
+			}
+			for k, q := range piv {
+				perm[k], perm[q] = perm[q], perm[k]
+			}
 		}
 	}
 	ent.mask = s.outflowMask(a, e)

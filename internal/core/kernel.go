@@ -41,7 +41,12 @@ import (
 //     distinct matrix once, per solver, and matching tasks skip assembly
 //     and factorisation entirely. Filled by the first task to need an
 //     entry, or all at once at New under Config.PreAssembled; either way
-//     this body is the one that runs.
+//     this body is the one that runs. The store's panel plan sets the
+//     solve (factorCache.solve): single-group runs go four (or two) at a
+//     time through one la.TriSolveLanes call, the groups' right-hand
+//     sides gathered through each run's composed row permutation into
+//     the lanes and scattered back; a width-1 panel runs
+//     la.SolveFactoredMulti in place.
 //   - Zero steady-state allocations: every buffer the body touches is
 //     pre-sized in workerState at New from the artifact's
 //     KernelDims (pinned by TestSweepTaskAllocFree).
@@ -120,10 +125,7 @@ func (s *Solver) solveElemBatched(st *workerState, a, e int) error {
 		if instr {
 			t0 = time.Now()
 		}
-		for r, run := range s.sigtRuns[mat] {
-			g0, k := int(run.g0), int(run.k)
-			la.SolveFactoredMulti(&fent.mats[r], fent.pivs[r], rhs[g0*n:(g0+k)*n], k)
-		}
+		s.fc.solve(s, st, fent, mat, rhs)
 		if instr {
 			st.solveNS += time.Since(t0).Nanoseconds()
 		}

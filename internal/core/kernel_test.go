@@ -5,8 +5,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -213,6 +215,13 @@ func TestSweepTaskAllocFree(t *testing.T) {
 			cfg.PreAssembled = true
 			return cfg
 		}},
+	}
+	for _, p := range widthPlans {
+		groups := p.groups
+		variants = append(variants, struct {
+			name string
+			cfg  func(t *testing.T) Config
+		}{fmt.Sprintf("plan%d", groups), func(t *testing.T) Config { return rampedProblem(t, groups) }})
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
@@ -567,12 +576,13 @@ func TestPreAssembledStoreOneFactorPerRun(t *testing.T) {
 		if ent.state.Load() != facReady {
 			t.Fatalf("entry %d not ready after New", i)
 		}
-		if len(ent.mats) != 1 {
-			t.Fatalf("entry %d holds %d factors on a flat library of %d groups, want 1", i, len(ent.mats), s.nG)
+		if m, _ := s.fc.run(ent, 0); len(ent.lu) != len(m.Data) {
+			t.Fatalf("entry %d holds %d factors on a flat library of %d groups, want 1", i, len(ent.lu)/len(m.Data), s.nG)
 		}
 	}
+	want, _ := s.fc.run(&s.fc.entries[0], 0)
 	for g := 0; g < s.nG; g++ {
-		if m, _ := s.fc.factor(s, 0, 0, g); m != &s.fc.entries[0].mats[0] {
+		if m, _ := s.fc.factor(s, 0, 0, g); &m.Data[0] != &want.Data[0] {
 			t.Fatalf("group %d does not resolve to the element's one run", g)
 		}
 	}
@@ -594,6 +604,132 @@ func TestPreAssembledStoreOneFactorPerRun(t *testing.T) {
 	}
 	if a, b := run(false), run(true); math.Abs(a-b) > 1e-9*(1+math.Abs(a)) {
 		t.Fatalf("bucket scheme over the eager store diverges: %v vs %v", b, a)
+	}
+}
+
+// widthPlans lists, per group count of a ramped library (every group its
+// own sigma_t run), the panel widths the lazy factor store cuts each
+// material's runs into.
+var widthPlans = []struct {
+	groups int
+	widths []int32
+}{
+	{1, []int32{1}},
+	{2, []int32{2}},
+	{3, []int32{2, 1}},
+	{4, []int32{4}},
+	{5, []int32{4, 1}},
+	{8, []int32{4, 4}},
+}
+
+// rampedProblem is cyclicProblem on the default ramped library of the
+// given group count. Its strong twist leaves a few element matrices far
+// enough from diagonal dominance that partial pivoting swaps rows, so
+// some lane permutations are not the identity.
+func rampedProblem(t *testing.T, groups int) Config {
+	cfg := cyclicProblem(t)
+	lib, err := xs.NewLibrary(groups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Lib = lib
+	return cfg
+}
+
+// TestFactorCacheWidthPlans runs every panel plan through the cached
+// path: the store cuts the runs as widthPlans says, some lane of a wider
+// panel gathers through a row permutation that is not the identity, and
+// the flux matches the uncached batched kernel and the scalar kernel bit
+// for bit, on both solver kinds (SolverDGESV fills with FactorBlocked,
+// SolverGE with Factor).
+func TestFactorCacheWidthPlans(t *testing.T) {
+	for _, p := range widthPlans {
+		for _, solver := range []SolverKind{SolverGE, SolverDGESV} {
+			t.Run(fmt.Sprintf("g%d/%v", p.groups, solver), func(t *testing.T) {
+				mk := func(k KernelMode, noCache bool) ([]float64, []float64) {
+					cfg := rampedProblem(t, p.groups)
+					cfg.Solver = solver
+					cfg.Threads = 3
+					cfg.noFactorCache = noCache
+					return runKernel(t, cfg, k, false)
+				}
+				cfg := rampedProblem(t, p.groups)
+				cfg.Scheme = SchemeEngine
+				cfg.Solver = solver
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				if s.fc == nil {
+					t.Fatal("no factor store on a small ramped problem")
+				}
+				for mat, plan := range s.fc.plan {
+					var widths []int32
+					for _, pn := range plan {
+						widths = append(widths, pn.w)
+					}
+					if !slices.Equal(widths, p.widths) {
+						t.Fatalf("material %d: panel widths %v, want %v", mat, widths, p.widths)
+					}
+				}
+				if _, err := s.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if p.groups > 1 && !lanePivots(s, s.fc.plan[0]) {
+					t.Fatal("every lane permutation is the identity: the gather is not exercised")
+				}
+				want := fluxDigest(mk(KernelScalar, true))
+				for _, noCache := range []bool{true, false} {
+					if fluxDigest(mk(KernelBatched, noCache)) != want {
+						t.Fatalf("batched (uncached %v) flux is not bitwise the scalar kernel's", noCache)
+					}
+				}
+			})
+		}
+	}
+}
+
+// lanePivots reports whether some ready entry holds, in a panel wider
+// than one, a lane permutation other than the identity. Every material
+// has the same plan on a ramped library; the caller passes it.
+func lanePivots(s *Solver, plan []facPanel) bool {
+	n := s.fc.n
+	for i := range s.fc.entries {
+		ent := &s.fc.entries[i]
+		if ent.state.Load() != facReady {
+			continue
+		}
+		for _, p := range plan {
+			if p.w == 1 {
+				continue
+			}
+			for i, q := range ent.piv[int(p.r0)*n : int(p.r0+p.w)*n] {
+				if q != i%n {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// TestFactorCacheRefusesHighOrder pins the store's all-or-nothing budget
+// on the solve_ho shape (twisted 4^3, order 3, 16 ordinates, 4 groups):
+// its factors would need more than factorCacheLimit, so it keeps none.
+func TestFactorCacheRefusesHighOrder(t *testing.T) {
+	m, q, lib := testProblem(t, 4, 4, 2, 0.02)
+	s, err := New(Config{Mesh: m, Order: 3, Quad: q, Lib: lib, Scheme: SchemeEngine,
+		MaxInners: 1, MaxOuters: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.nA != 16 || s.nN != 64 {
+		t.Fatalf("problem has %d ordinates and n = %d, want 16 and 64", s.nA, s.nN)
+	}
+	if s.fc != nil {
+		t.Fatal("factor store kept on the solve_ho shape; its prediction is over factorCacheLimit")
 	}
 }
 

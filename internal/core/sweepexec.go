@@ -31,6 +31,7 @@ type workerState struct {
 	fb      []float64 // engine: the face block subInflowPanel fuses per inflow face
 	up      []float64 // upwind nodal values in our face ordering, group-major
 	tmp     []float64 // massApply's copy of its operand (the source passes)
+	lanes   []float64 // engine: four groups' right-hand sides, lane-interleaved (the factor store's panels)
 	asmNS   int64
 	solveNS int64
 }
@@ -51,6 +52,7 @@ func newWorkerState(dims build.KernelDims, nG int, engine bool) *workerState {
 	if engine {
 		st.gather = make([]int32, dims.NF)
 		st.fb = make([]float64, dims.NF*dims.NF)
+		st.lanes = make([]float64, 4*dims.NN)
 	}
 	return st
 }
@@ -257,7 +259,7 @@ func (s *Solver) solveLocal(st *workerState, a, e, g int) error {
 	switch {
 	case s.cfg.PreAssembled:
 		m, piv := s.fc.factor(s, a, e, g)
-		la.SolveFactored(m, piv, st.ws.B)
+		la.SolveFactored(&m, piv, st.ws.B)
 		copy(x, st.ws.B)
 	case s.cfg.Solver == SolverGE:
 		if err := la.SolveGE(st.ws.A, st.ws.B, x); err != nil {

@@ -88,15 +88,17 @@ type KernelRow struct {
 }
 
 // LARow is the dense local solve at one matrix size: nanoseconds per
-// la.SolveGE, la.Factor and la.SolveFactored call, and the rates computed
-// from the 2n^3/3 flops of an elimination.
+// la.SolveGE, la.Factor and la.SolveFactored call, per system of a
+// four-lane la.TriSolveLanes call, and the rates computed from the
+// 2n^3/3 flops of an elimination.
 type LARow struct {
-	N            int     `json:"n"`
-	GENs         float64 `json:"ge_ns"`
-	FactorNs     float64 `json:"factor_ns"`
-	TriSolveNs   float64 `json:"trisolve_ns"`
-	GEGflops     float64 `json:"ge_gflops"`
-	FactorGflops float64 `json:"factor_gflops"`
+	N               int     `json:"n"`
+	GENs            float64 `json:"ge_ns"`
+	FactorNs        float64 `json:"factor_ns"`
+	TriSolveNs      float64 `json:"trisolve_ns"`
+	TriSolveLanesNs float64 `json:"trisolve_lanes_ns"`
+	GEGflops        float64 `json:"ge_gflops"`
+	FactorGflops    float64 `json:"factor_gflops"`
 }
 
 // MatricesRow is fem.ComputeMatrices at one element order: nanoseconds
@@ -425,6 +427,21 @@ func RunLA(sizes []int) []LARow {
 		// side is reset each time (and its n stores counted): solving
 		// into the previous solution would shrink it into subnormals.
 		row.TriSolveNs = best(func() { resetB(); la.SolveFactored(ws.A, ws.Piv, ws.B) })
+		// The factor store's w = 4 panel, the same factors in every lane,
+		// right-hand sides reset the same way: per system.
+		lu := make([]float64, 4*n*n)
+		for i, v := range ws.A.Data {
+			for l := 0; l < 4; l++ {
+				lu[i*4+l] = v
+			}
+		}
+		x := make([]float64, 4*n)
+		row.TriSolveLanesNs = best(func() {
+			for i := range x {
+				x[i] = 1
+			}
+			la.TriSolveLanes(lu, x, n, 4)
+		}) / 4
 		flops := 2 * float64(n*n*n) / 3
 		row.GEGflops, row.FactorGflops = flops/row.GENs, flops/row.FactorNs
 		rows = append(rows, row)
@@ -514,10 +531,10 @@ func FprintKernel(w io.Writer, cfg KernelConfig, rows []KernelRow) {
 // FprintLA writes the dense-solve table and the uncached order-3 row.
 func FprintLA(w io.Writer, cfg KernelConfig, rows []LARow, uncachedNs float64) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "n\tGE (ns)\tFactor (ns)\ttrisolve (ns)\tGE Gflop/s\tFactor Gflop/s\n")
+	fmt.Fprintf(tw, "n\tGE (ns)\tFactor (ns)\ttrisolve (ns)\ttrisolve x4 lanes (ns/system)\tGE Gflop/s\tFactor Gflop/s\n")
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%.0f\t%.0f\t%.0f\t%.2f\t%.2f\n",
-			r.N, r.GENs, r.FactorNs, r.TriSolveNs, r.GEGflops, r.FactorGflops)
+		fmt.Fprintf(tw, "%d\t%.0f\t%.0f\t%.0f\t%.0f\t%.2f\t%.2f\n",
+			r.N, r.GENs, r.FactorNs, r.TriSolveNs, r.TriSolveLanesNs, r.GEGflops, r.FactorGflops)
 	}
 	tw.Flush()
 	p := cfg.Uncached

@@ -18,7 +18,9 @@
 //     in-order arithmetic, now register-blocked the way a compiler's
 //     unroll-and-jam would leave the paper's simd loop.
 //   - Factor + SolveFactored / SolveFactoredMulti: eliminate with the
-//     pivot record, then permuted triangular solves per right-hand side.
+//     pivot record, then permuted triangular solves per right-hand side;
+//     TriSolveLanes runs those solves for up to four factored systems at
+//     once.
 //   - FactorBlocked, SolveDGESV: the LAPACK-style stand-in for Intel
 //     MKL's dgesv (closed source): blocked right-looking LU (getrf) whose
 //     panels go through eliminate, whose block-row solve is the panel's
@@ -61,7 +63,7 @@
 //
 // # Vector kernels
 //
-// Five loops have an AVX2 form in kernels_amd64.s, called from inside
+// Six loops have an AVX2 form in kernels_amd64.s, called from inside
 // the Go functions that own them, so no caller and no signature knows:
 // pairUpdate's four-row trailing update t = (t - l0*u) - l1*v
 // (update2AVX2: the eight multipliers broadcast, the pivot rows loaded
@@ -72,20 +74,39 @@
 // n mod 4 columns left over by one more four-column pass ending at the
 // last column, and the m mod 4 rows by one more four-row block ending at
 // the last row — both rewrite entries already written with the bits
-// they hold, so no access leaves the operands and no tail is scalar).
-// In each, a lane is one matrix entry and performs exactly the IEEE-754
-// operations the Go loop performs on that entry — VMULPD, then VSUBPD
-// or VADDPD, operands in the same order, each result rounded to float64
-// before the next uses it — under the same (default, untouched) MXCSR, so the vector
-// path is bitwise the scalar one. A fused multiply-add is not: VFMADD
+// they hold, so no access leaves the operands and no tail is scalar),
+// and TriSolveLanes (triSolveLanesAVX2: the triangular solves of four
+// systems on Y registers, or two on X registers).
+// In each but the last, a lane is one matrix entry and performs exactly
+// the IEEE-754 operations the Go loop performs on that entry — VMULPD,
+// then VSUBPD or VADDPD, operands in the same order, each result rounded
+// to float64 before the next uses it — under the same (default,
+// untouched) MXCSR, so the vector path is bitwise the scalar one. A fused multiply-add is not: VFMADD
 // rounds t - l*u once where the loop rounds the product and then the
 // difference, and would move the last bit of most entries (scripts/ci.sh
 // greps the assembly for FMA mnemonics). AVX-512 would be the same
 // argument over eight lanes and is left out only for want of a workload
 // that needs it.
 //
-// What is not vectorised, and why: the triangular solves and MatVec are
-// ordered reductions (lanes would reassociate the sum); the pivot search
+// TriSolveLanes vectorises across systems instead of within one. Its
+// operands are w factors stored lane-interleaved, entry (i, j) of lane l
+// at (i*n+j)*w + l, and w right-hand sides already permuted, x[i*w + l],
+// so one vector load brings the same entry of every system. A lane is one
+// system: row i of the forward pass subtracts VMULPD(l[i][j], x[j]) with
+// VSUBPD for j = 0, 1, ..., i-1, row i of the back pass does the same for
+// j = i+1, ..., n-1 and then VDIVPD by u[i][i] — SolveFactored's loops,
+// term for term, in the same order, each product and difference rounded on
+// its own. The lanes never meet, so each is bitwise SolveFactored on its
+// own system (TestTriSolveLanesBitwise, FuzzTriSolveLanesBitwise). What
+// it buys is latency, not bandwidth: at the sizes the sweep solves the
+// factors sit in L1 and one system is a chain of dependent subtracts and
+// divides; four chains share each instruction. The row interchanges stay
+// outside: the caller gathers each right-hand side through the
+// composition of its pivots, which moves values without arithmetic.
+//
+// What is not vectorised, and why: one triangular solve and MatVec are
+// ordered reductions (lanes within one system would reassociate the
+// sum); the pivot search
 // and the multiplier pass walk a column of a row-major matrix, one cache
 // line per entry; the right-hand sides eliminate carries are one entry
 // per row per step.
@@ -134,6 +155,9 @@
 //     returns SolveGE's bits, the same -0.0 corner aside. The choice is
 //     still an Options knob because the paper's Table II compares the
 //     two; it cannot change a converged flux.
+//   - Lanes == scalar: each lane of TriSolveLanes is bitwise a
+//     SolveFactored of that lane's system, given its right-hand side
+//     permuted by the composed pivots.
 //   - Vector path == scalar path, for every routine above (the bitwise
 //     suite runs each case on both and compares them).
 package la

@@ -41,3 +41,6 @@ func fuse3AVX2(dst, a, b, c []float64, wa, wb, wc float64)
 
 //go:noescape
 func mulTNAVX2(c []float64, ldc int, a []float64, lda int, b []float64, ldb, n, k int)
+
+//go:noescape
+func triSolveLanesAVX2(lu, x []float64, n, w int)

@@ -1,7 +1,7 @@
 // AVX2 kernels of package la. Every lane performs the IEEE-754 multiply
-// and the subtract (or add) the pure-Go loop performs on that element,
-// operands in the same order, each rounded on its own: VMULPD then
-// VSUBPD / VADDPD, never a fused multiply-add (doc.go, "Vector kernels";
+// and the subtract (or add, or divide) the pure-Go loop performs on that
+// element, operands in the same order, each rounded on its own: VMULPD
+// then VSUBPD / VADDPD (VDIVPD), never a fused multiply-add (doc.go, "Vector kernels";
 // ci.sh greps this file for FMA mnemonics). No routine loads or stores
 // outside the ranges named by its arguments, and each ends in VZEROUPPER.
 
@@ -325,5 +325,119 @@ q4:
 	JMP  tail4
 
 done:
+	VZEROUPPER
+	RET
+
+// func triSolveLanesAVX2(lu, x []float64, n, w int)
+//
+// The forward then back substitution of TriSolveLanes for w = 4 (Y
+// registers, 32-byte entries) or w = 2 (X registers, 16-byte entries),
+// n >= 1: lu holds w unit-lower / upper factors interleaved as
+// lu[(i*n+j)*w + lane], x the w permuted right-hand sides as
+// x[i*w + lane]. Row i of the forward pass is
+// x[i] <- (...((x[i] - l[i][0]*x[0]) - l[i][1]*x[1]) ...) - l[i][i-1]*x[i-1],
+// row i of the back pass the same over j = i+1..n-1 in ascending j,
+// then one divide by u[i][i]: SolveFactored's sequence in every lane.
+TEXT ·triSolveLanesAVX2(SB), NOSPLIT, $0-64
+	MOVQ lu_base+0(FP), SI
+	MOVQ x_base+24(FP), DI
+	MOVQ n+48(FP), R8
+	MOVQ w+56(FP), CX
+	CMPQ CX, $4
+	JNE  lanes2
+	SHLQ $5, R8                 // R8: bytes of one factor row, and of x
+	MOVQ SI, R10                // R10: &lu[i][0]
+	MOVQ $32, R11               // R11: byte offset of x[i], i = 1
+
+fwd4:
+	CMPQ R11, R8
+	JGE  back4
+	ADDQ R8, R10
+	VMOVUPD (DI)(R11*1), Y0
+	XORQ AX, AX                 // AX: byte offset of x[j] (and l[i][j] in the row)
+
+fwdj4:
+	VMOVUPD (R10)(AX*1), Y1
+	VMULPD  (DI)(AX*1), Y1, Y1
+	VSUBPD  Y1, Y0, Y0
+	ADDQ $32, AX
+	CMPQ AX, R11
+	JLT  fwdj4
+	VMOVUPD Y0, (DI)(R11*1)
+	ADDQ $32, R11
+	JMP  fwd4
+
+back4:
+	SUBQ $32, R11               // R11: x[n-1]; R10 is already &lu[n-1][0]
+
+row4:
+	VMOVUPD (DI)(R11*1), Y0
+	LEAQ 32(R11), AX
+	CMPQ AX, R8
+	JGE  div4
+
+backj4:
+	VMOVUPD (R10)(AX*1), Y1
+	VMULPD  (DI)(AX*1), Y1, Y1
+	VSUBPD  Y1, Y0, Y0
+	ADDQ $32, AX
+	CMPQ AX, R8
+	JLT  backj4
+
+div4:
+	VDIVPD  (R10)(R11*1), Y0, Y0
+	VMOVUPD Y0, (DI)(R11*1)
+	SUBQ R8, R10
+	SUBQ $32, R11
+	JGE  row4
+	VZEROUPPER
+	RET
+
+lanes2:
+	SHLQ $4, R8
+	MOVQ SI, R10
+	MOVQ $16, R11
+
+fwd2:
+	CMPQ R11, R8
+	JGE  back2
+	ADDQ R8, R10
+	VMOVUPD (DI)(R11*1), X0
+	XORQ AX, AX
+
+fwdj2:
+	VMOVUPD (R10)(AX*1), X1
+	VMULPD  (DI)(AX*1), X1, X1
+	VSUBPD  X1, X0, X0
+	ADDQ $16, AX
+	CMPQ AX, R11
+	JLT  fwdj2
+	VMOVUPD X0, (DI)(R11*1)
+	ADDQ $16, R11
+	JMP  fwd2
+
+back2:
+	SUBQ $16, R11
+
+row2:
+	VMOVUPD (DI)(R11*1), X0
+	LEAQ 16(R11), AX
+	CMPQ AX, R8
+	JGE  div2
+
+backj2:
+	VMOVUPD (R10)(AX*1), X1
+	VMULPD  (DI)(AX*1), X1, X1
+	VSUBPD  X1, X0, X0
+	ADDQ $16, AX
+	CMPQ AX, R8
+	JLT  backj2
+
+div2:
+	VDIVPD  (R10)(R11*1), X0, X0
+	VMOVUPD X0, (DI)(R11*1)
+	SUBQ R8, R10
+	SUBQ $16, R11
+	JGE  row2
 	VZEROUPPER
 	RET
