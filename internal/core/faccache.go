@@ -36,17 +36,20 @@ import (
 //
 // Layout: one float slab and one int slab, n*n floats and n ints per
 // sigma_t run, each entry a contiguous stretch of both. A material's runs
-// are cut into panels (panelPlan): stretches of single-group runs into
-// widths of 4, then 2, then 1; a multi-group run, and every run under the
-// eager policy, is a width-1 panel. A width-1 panel holds the row-major
-// LU factor and LAPACK pivots, solved in place by la.SolveFactoredMulti.
-// A width-w panel holds its w factors lane-interleaved, entry (i, j) of
-// lane l at (i*n+j)*w + l, and each lane's row interchanges composed into
-// one permutation: the task gathers each group's right-hand side through
-// it into a lane, solves the w systems in one la.TriSolveLanes call (one
-// AVX2 vector per entry) and scatters the solutions back. The bytes are
-// those of one factor per run, so the size prediction does not know the
-// plan.
+// are cut into panels by the solver's panel plan (Solver.plan,
+// panelPlan): stretches of single-group runs into widths of 4, then 2,
+// then 1; a multi-group run, and every run under the eager policy, is a
+// width-1 panel. A width-1 panel holds the row-major LU factor and LAPACK
+// pivots, solved in place by la.SolveFactoredMulti. A width-w panel holds
+// its w factors lane-interleaved, entry (i, j) of lane l at
+// (i*n+j)*w + l, and each lane's composed row permutation: the fill forms
+// the w matrices in that layout in the entry itself and factors them
+// there with one la.FactorLanes call (factorPanel, the routine the
+// uncached task uses too), and the task gathers each group's right-hand
+// side through its lane's permutation, solves the w systems in one
+// la.TriSolveLanes call (one AVX2 vector per entry) and scatters the
+// solutions back (solveLanes). The bytes are those of one factor per run,
+// so the size prediction does not know the plan.
 //
 // Bitwise contract: the cached path must reproduce the uncached batched
 // kernel bit for bit (TestAccelFactorCacheBitwise,
@@ -58,8 +61,9 @@ import (
 // right-hand sides carried along, and SolveFactoredMulti's forward solve
 // subtracts the stored multipliers from each right-hand side in the order
 // that loop does, so the split changes nothing. A lane panel changes
-// nothing either: the gather moves values without arithmetic into the
-// order SolveFactored's swaps leave them in, and TriSolveLanes runs
+// nothing either: FactorLanes runs Factor's operation sequence in every
+// lane, the gather moves values without arithmetic into the order
+// SolveFactored's swaps leave them in, and TriSolveLanes runs
 // SolveFactored's operation sequence in every lane. Tangent faces are the one
 // hazard — the lower-element-index tie-break can classify them
 // differently within a class — so each entry records the builder's
@@ -109,7 +113,8 @@ type facEntry struct {
 }
 
 // facPanel is one step of a material's panel plan: runs [r0, r0+w) of
-// its sigtRuns, solved as one la.TriSolveLanes call when w > 1.
+// its sigtRuns, factored as one la.FactorLanes call and solved as one
+// la.TriSolveLanes call when w > 1.
 type facPanel struct {
 	r0, w int32
 }
@@ -119,9 +124,8 @@ type factorCache struct {
 	slotOf  []int32 // class*nMat+mat -> slot index, -1 if the pair never occurs
 	nMat    int
 	nSlots  int
-	n       int          // nodes per element: the order of every stored system
-	plan    [][]facPanel // per material: its runs grouped into panels
-	entries []facEntry   // indexed angle*nSlots + slot
+	n       int        // nodes per element: the order of every stored system
+	entries []facEntry // indexed angle*nSlots + slot
 }
 
 // panelPlan groups a material's sigma_t runs into panels. A lane holds
@@ -150,6 +154,61 @@ func panelPlan(runs []sigtRun, lanes bool) []facPanel {
 		r += w
 	}
 	return plan
+}
+
+// factorPanel forms the w matrices of lane panel p — base + sigma_t,g M
+// for each of its runs, st.base holding the task's base — lane-interleaved
+// into lu in one la.AddScaledToLanes pass, then factors them in place with
+// one la.FactorLanes call, each lane's composed row permutation into perm.
+// Both the uncached task and the store's fill go through it. With instr
+// the formation is charged to st's assembly timer and the factorisation
+// to its solve timer, as the per-run path charges them.
+func (s *Solver) factorPanel(st *workerState, lu []float64, perm []int, e, mat int, p facPanel, instr bool) error {
+	runs := s.sigtRuns[mat]
+	sigt := s.sigtEff[mat]
+	r0, w := int(p.r0), int(p.w)
+	var ws [4]float64
+	for l := range ws[:w] {
+		ws[l] = sigt[runs[r0+l].g0]
+	}
+	var t0 time.Time
+	if instr {
+		t0 = time.Now()
+	}
+	la.AddScaledToLanes(lu, st.base, s.em[e].Mass, ws[:w])
+	if instr {
+		t1 := time.Now()
+		st.asmNS += t1.Sub(t0).Nanoseconds()
+		t0 = t1
+	}
+	err := la.FactorLanes(lu, perm, s.nN, w)
+	if instr {
+		st.solveNS += time.Since(t0).Nanoseconds()
+	}
+	return err
+}
+
+// solveLanes solves the w single-group systems of a factored lane panel
+// (lu and perm as la.FactorLanes leaves them) for the group-major
+// right-hand sides b, in place: each group's right-hand side is gathered
+// through its lane's row permutation into the lane scratch x, the w
+// systems go through one la.TriSolveLanes call and the solutions are
+// scattered back.
+func solveLanes(lu []float64, perm []int, b, x []float64, n, w int) {
+	x = x[: w*n : w*n]
+	for l := 0; l < w; l++ {
+		bl := b[l*n : l*n+n]
+		for i, q := range perm[l*n : l*n+n] {
+			x[i*w+l] = bl[q]
+		}
+	}
+	la.TriSolveLanes(lu, x, n, w)
+	for l := 0; l < w; l++ {
+		bl := b[l*n : l*n+n]
+		for i := range bl {
+			bl[i] = x[i*w+l]
+		}
+	}
 }
 
 // newFactorCache sizes and allocates the store and, under
@@ -206,11 +265,7 @@ func newFactorCache(s *Solver) (*factorCache, error) {
 		nMat:    nMat,
 		nSlots:  nSlots,
 		n:       n,
-		plan:    make([][]facPanel, nMat),
 		entries: make([]facEntry, s.nA*nSlots),
-	}
-	for mat, runs := range s.sigtRuns {
-		c.plan[mat] = panelPlan(runs, !pre)
 	}
 	lu := make([]float64, s.nA*runsTotal*n*n)
 	piv := make([]int, s.nA*runsTotal*n)
@@ -272,14 +327,13 @@ func (c *factorCache) factor(s *Solver, a, e, g int) (la.Matrix, []int) {
 }
 
 // solve overwrites rhs, the task's group-major right-hand sides, with
-// the solutions against the ready entry ent, panel by panel. A wider
-// panel gathers each of its groups' right-hand sides through the lane's
-// row permutation into the worker's lane scratch, solves the w systems
-// in one la.TriSolveLanes call and scatters the solutions back.
+// the solutions against the ready entry ent, panel by panel: a width-1
+// panel through la.SolveFactoredMulti in place, a wider one through
+// solveLanes.
 func (c *factorCache) solve(s *Solver, st *workerState, ent *facEntry, mat int, rhs []float64) {
 	n := c.n
 	runs := s.sigtRuns[mat]
-	for _, p := range c.plan[mat] {
+	for _, p := range s.plan[mat] {
 		r0, w := int(p.r0), int(p.w)
 		g0 := int(runs[r0].g0)
 		if w == 1 {
@@ -288,22 +342,7 @@ func (c *factorCache) solve(s *Solver, st *workerState, ent *facEntry, mat int, 
 			la.SolveFactoredMulti(&m, piv, rhs[g0*n:(g0+k)*n], k)
 			continue
 		}
-		b := rhs[g0*n : (g0+w)*n]
-		perm := ent.piv[r0*n : (r0+w)*n]
-		x := st.lanes[: w*n : w*n]
-		for l := 0; l < w; l++ {
-			bl := b[l*n : l*n+n]
-			for i, q := range perm[l*n : l*n+n] {
-				x[i*w+l] = bl[q]
-			}
-		}
-		la.TriSolveLanes(ent.lu[r0*n*n:(r0+w)*n*n], x, n, w)
-		for l := 0; l < w; l++ {
-			bl := b[l*n : l*n+n]
-			for i := range bl {
-				bl[i] = x[i*w+l]
-			}
-		}
+		solveLanes(ent.lu[r0*n*n:(r0+w)*n*n], ent.piv[r0*n:(r0+w)*n], rhs[g0*n:(g0+w)*n], st.lanes, n, w)
 	}
 }
 
@@ -350,13 +389,13 @@ func (c *factorCache) acquire(s *Solver, st *workerState, a, e, mat int) *facEnt
 
 // fill assembles and factors every sigma_t run of the entry the caller
 // owns (a won CAS, or the eager fill's disjoint index) and publishes it.
-// A width-1 panel is factored in place; a wider one lane by lane in the
-// worker's scratch, each factor then scattered into its lane and its
-// pivots composed into the row permutation the solve gathers through.
-// The whole fill — base assembly included — is charged to the worker's
-// solve timer: it is the factorisation the cached sweeps no longer pay,
-// and counting it as assembly would skew the two shares the trace reads
-// against each other.
+// Every panel is factored in place in the entry: a width-1 panel by
+// la.Factor or la.FactorBlocked, a wider one by factorPanel, which
+// leaves the lanes interleaved and each lane's composed row permutation
+// where the solve gathers through it. The whole fill — base assembly
+// included — is charged to the worker's solve timer: it is the
+// factorisation the cached sweeps no longer pay, and counting it as
+// assembly would skew the two shares the trace reads against each other.
 func (c *factorCache) fill(s *Solver, st *workerState, ent *facEntry, a, e, mat int) error {
 	if s.cfg.Instrument {
 		defer func(t0 time.Time) { st.solveNS += time.Since(t0).Nanoseconds() }(time.Now())
@@ -367,46 +406,27 @@ func (c *factorCache) fill(s *Solver, st *workerState, ent *facEntry, a, e, mat 
 	runs := s.sigtRuns[mat]
 	blocked := s.cfg.Solver != SolverGE
 	n := c.n
-	for _, p := range c.plan[mat] {
+	for _, p := range s.plan[mat] {
 		r0, w := int(p.r0), int(p.w)
-		for l := 0; l < w; l++ {
-			m, piv := st.ws.A, st.ws.Piv
-			if w == 1 {
-				rm, rp := c.run(ent, r0)
-				m, piv = &rm, rp
-			}
-			g0 := int(runs[r0+l].g0)
+		g0 := int(runs[r0].g0)
+		var err error
+		if w > 1 {
+			err = s.factorPanel(st, ent.lu[r0*n*n:(r0+w)*n*n], ent.piv[r0*n:(r0+w)*n], e, mat, p, false)
+		} else {
+			m, piv := c.run(ent, r0)
 			la.AddScaledTo(m.Data, st.base, mass, sigt[g0])
-			var err error
 			if blocked {
 				// SolverDGESV's uncached path factors with FactorBlocked;
 				// SolverGE's runs SolveGEMulti, which is Factor's own
 				// elimination loop with the right-hand sides carried.
-				err = la.FactorBlocked(m, piv, la.DefaultBlockSize)
+				err = la.FactorBlocked(&m, piv, la.DefaultBlockSize)
 			} else {
-				err = la.Factor(m, piv)
+				err = la.Factor(&m, piv)
 			}
-			if err != nil {
-				ent.state.Store(facFailed)
-				return fmt.Errorf("core: factorising angle %d elem %d group %d: %w", a, e, g0, err)
-			}
-			if w == 1 {
-				continue
-			}
-			lu := ent.lu[r0*n*n : (r0+w)*n*n]
-			for i, v := range m.Data {
-				lu[i*w+l] = v
-			}
-			// Apply the recorded interchanges to the identity: the
-			// solve's lane entry i is then b[perm[i]], exactly the
-			// vector SolveFactored's swaps leave.
-			perm := ent.piv[(r0+l)*n : (r0+l+1)*n]
-			for i := range perm {
-				perm[i] = i
-			}
-			for k, q := range piv {
-				perm[k], perm[q] = perm[q], perm[k]
-			}
+		}
+		if err != nil {
+			ent.state.Store(facFailed)
+			return fmt.Errorf("core: factorising angle %d elem %d group %d: %w", a, e, g0, err)
 		}
 	}
 	ent.mask = s.outflowMask(a, e)

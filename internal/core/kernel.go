@@ -30,10 +30,17 @@ import (
 //     factors once per run of equal-sigma_t groups and solves the run's
 //     RHS block with the multi-RHS routines (la.SolveGEMulti /
 //     la.SolveFactoredMulti), amortising the O(n^3) factor across the
-//     run. On libraries with a per-group sigma_t ramp the runs are length
-//     one and only the RHS batching pays; on flat-sigma_t groups (and
-//     any within-material group structure with repeats) the whole task
-//     costs one factorisation.
+//     run; on flat-sigma_t groups (and any within-material group
+//     structure with repeats) the whole task costs one factorisation.
+//     Runs of one group — every group of a library with a per-group
+//     sigma_t ramp — batch across groups instead: the solver's panel
+//     plan cuts them into panels of four (or two), and each panel is
+//     formed and factored as one la.FactorLanes call (factorPanel, one
+//     system per vector lane) and solved as one la.TriSolveLanes call
+//     (solveLanes), so ramped libraries pay once per four groups on the
+//     uncached path too. A width-1 panel — a multi-group run, a leftover
+//     single run, a one-group problem — and a panel whose factorisation
+//     meets a zero pivot run per run as above.
 //   - Factor store: the matrices themselves repeat across tasks and
 //     across inners — base + sigma_t,g M is a pure function of (ordinate,
 //     element-geometry class, outflow set, material) — so the solver's
@@ -41,12 +48,11 @@ import (
 //     distinct matrix once, per solver, and matching tasks skip assembly
 //     and factorisation entirely. Filled by the first task to need an
 //     entry, or all at once at New under Config.PreAssembled; either way
-//     this body is the one that runs. The store's panel plan sets the
-//     solve (factorCache.solve): single-group runs go four (or two) at a
-//     time through one la.TriSolveLanes call, the groups' right-hand
-//     sides gathered through each run's composed row permutation into
-//     the lanes and scattered back; a width-1 panel runs
-//     la.SolveFactoredMulti in place.
+//     this body is the one that runs. The same panel plan lays out the
+//     store's entries and sets the solve (factorCache.solve): a lane
+//     panel's fill factors in place in the entry, and its solve is the
+//     uncached panel's; a width-1 panel runs la.SolveFactoredMulti in
+//     place.
 //   - Zero steady-state allocations: every buffer the body touches is
 //     pre-sized in workerState at New from the artifact's
 //     KernelDims (pinned by TestSweepTaskAllocFree).
@@ -133,29 +139,51 @@ func (s *Solver) solveElemBatched(st *workerState, a, e int) error {
 	}
 	mass := s.em[e].Mass
 	sigt := s.sigtEff[mat]
+	runs := s.sigtRuns[mat]
 	ge := s.cfg.Solver == SolverGE
 	var firstErr error
-	for _, run := range s.sigtRuns[mat] {
-		g0, k := int(run.g0), int(run.k)
-		if instr {
-			t0 = time.Now()
+	for _, p := range s.plan[mat] {
+		r0, w := int(p.r0), int(p.w)
+		if w > 1 {
+			// A lane panel: formed and factored as one la.FactorLanes
+			// call in worker scratch, then solved as the store's
+			// panels are. A singular panel falls through to the per-run
+			// path, which reports (and leaves behind) what it always has.
+			lu, perm := st.panel[:w*n*n], st.perm[:w*n]
+			if s.factorPanel(st, lu, perm, e, mat, p, instr) == nil {
+				if instr {
+					t0 = time.Now()
+				}
+				g0 := int(runs[r0].g0)
+				solveLanes(lu, perm, rhs[g0*n:(g0+w)*n], st.lanes, n, w)
+				if instr {
+					st.solveNS += time.Since(t0).Nanoseconds()
+				}
+				continue
+			}
 		}
-		la.AddScaledTo(st.ws.A.Data, st.base, mass, sigt[g0])
-		if instr {
-			st.asmNS += time.Since(t0).Nanoseconds()
-			t0 = time.Now()
-		}
-		var err error
-		if ge {
-			err = la.SolveGEMulti(st.ws.A, rhs[g0*n:(g0+k)*n], k)
-		} else if err = la.FactorBlocked(st.ws.A, st.ws.Piv, la.DefaultBlockSize); err == nil {
-			la.SolveFactoredMulti(st.ws.A, st.ws.Piv, rhs[g0*n:(g0+k)*n], k)
-		}
-		if instr {
-			st.solveNS += time.Since(t0).Nanoseconds()
-		}
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("core: angle %d elem %d group %d: %w", a, e, g0, err)
+		for _, run := range runs[r0 : r0+w] {
+			g0, k := int(run.g0), int(run.k)
+			if instr {
+				t0 = time.Now()
+			}
+			la.AddScaledTo(st.ws.A.Data, st.base, mass, sigt[g0])
+			if instr {
+				st.asmNS += time.Since(t0).Nanoseconds()
+				t0 = time.Now()
+			}
+			var err error
+			if ge {
+				err = la.SolveGEMulti(st.ws.A, rhs[g0*n:(g0+k)*n], k)
+			} else if err = la.FactorBlocked(st.ws.A, st.ws.Piv, la.DefaultBlockSize); err == nil {
+				la.SolveFactoredMulti(st.ws.A, st.ws.Piv, rhs[g0*n:(g0+k)*n], k)
+			}
+			if instr {
+				st.solveNS += time.Since(t0).Nanoseconds()
+			}
+			if err != nil && firstErr == nil {
+				firstErr = fmt.Errorf("core: angle %d elem %d group %d: %w", a, e, g0, err)
+			}
 		}
 	}
 	return firstErr

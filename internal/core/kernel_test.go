@@ -5,14 +5,17 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"unsnap/internal/fem"
+	"unsnap/internal/la"
 	"unsnap/internal/mesh"
 	"unsnap/internal/quadrature"
 	"unsnap/internal/xs"
@@ -218,10 +221,20 @@ func TestSweepTaskAllocFree(t *testing.T) {
 	}
 	for _, p := range widthPlans {
 		groups := p.groups
-		variants = append(variants, struct {
-			name string
-			cfg  func(t *testing.T) Config
-		}{fmt.Sprintf("plan%d", groups), func(t *testing.T) Config { return rampedProblem(t, groups) }})
+		for _, noCache := range []bool{false, true} {
+			name := fmt.Sprintf("plan%d", groups)
+			if noCache {
+				name += "/uncached"
+			}
+			variants = append(variants, struct {
+				name string
+				cfg  func(t *testing.T) Config
+			}{name, func(t *testing.T) Config {
+				cfg := rampedProblem(t, groups)
+				cfg.noFactorCache = noCache
+				return cfg
+			}})
+		}
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
@@ -623,14 +636,22 @@ var widthPlans = []struct {
 }
 
 // rampedProblem is cyclicProblem on the default ramped library of the
-// given group count. Its strong twist leaves a few element matrices far
-// enough from diagonal dominance that partial pivoting swaps rows, so
-// some lane permutations are not the identity.
+// given group count, every odd group's total cross section raised 50-fold
+// (so still one sigma_t run per group). Its strong twist leaves a few
+// element matrices far enough from diagonal dominance that partial
+// pivoting swaps rows, so some lane permutations are not the identity;
+// the mass-dominated odd groups pivot elsewhere than their neighbours, so
+// some lanes of one panel disagree.
 func rampedProblem(t *testing.T, groups int) Config {
 	cfg := cyclicProblem(t)
 	lib, err := xs.NewLibrary(groups)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, row := range lib.Total {
+		for g := 1; g < len(row); g += 2 {
+			row[g] *= 50
+		}
 	}
 	cfg.Lib = lib
 	return cfg
@@ -664,7 +685,7 @@ func TestFactorCacheWidthPlans(t *testing.T) {
 				if s.fc == nil {
 					t.Fatal("no factor store on a small ramped problem")
 				}
-				for mat, plan := range s.fc.plan {
+				for mat, plan := range s.plan {
 					var widths []int32
 					for _, pn := range plan {
 						widths = append(widths, pn.w)
@@ -676,8 +697,11 @@ func TestFactorCacheWidthPlans(t *testing.T) {
 				if _, err := s.Run(); err != nil {
 					t.Fatal(err)
 				}
-				if p.groups > 1 && !lanePivots(s, s.fc.plan[0]) {
+				if p.groups > 1 && !lanePivots(s, s.plan[0]) {
 					t.Fatal("every lane permutation is the identity: the gather is not exercised")
+				}
+				if p.groups > 1 && !panelsDisagree(t, s) {
+					t.Fatal("every uncached panel's lanes share one permutation: the masked row exchange is not exercised")
 				}
 				want := fluxDigest(mk(KernelScalar, true))
 				for _, noCache := range []bool{true, false} {
@@ -712,6 +736,134 @@ func lanePivots(s *Solver, plan []facPanel) bool {
 		}
 	}
 	return false
+}
+
+// panelsDisagree forms and factors every lane panel of every task the way
+// the uncached batched task does (factorPanel over the task's base) and
+// reports whether some panel holds a lane whose row permutation differs
+// from its neighbour's — lanes that pivot on different rows, so the
+// lane-masked row exchange runs with a partial mask.
+func panelsDisagree(t *testing.T, s *Solver) bool {
+	t.Helper()
+	st := s.workers[0]
+	n := s.nN
+	for a := 0; a < s.nA; a++ {
+		for e := 0; e < s.nE; e++ {
+			mat := s.cfg.Mesh.Elems[e].Material
+			s.assembleBase(a, e, st.base)
+			for _, p := range s.plan[mat] {
+				w := int(p.w)
+				if w == 1 {
+					continue
+				}
+				perm := st.perm[:w*n]
+				if err := s.factorPanel(st, st.panel[:w*n*n], perm, e, mat, p, false); err != nil {
+					t.Fatal(err)
+				}
+				for l := 1; l < w; l++ {
+					if !slices.Equal(perm[l*n:l*n+n], perm[(l-1)*n:l*n]) {
+						return true
+					}
+				}
+			}
+		}
+	}
+	return false
+}
+
+// TestKernelSingularPanel zeroes one element's matrices, so every group's
+// local matrix is singular, and requires the sweep on a four-group lane
+// panel to fail exactly as the per-run path does: the panel's
+// la.FactorLanes error sends its runs through the per-run loop, whose
+// error names the angle, the element and the panel's first group —
+// uncached and through a factor store whose fill fails.
+func TestKernelSingularPanel(t *testing.T) {
+	const bad = 5
+	sweep := func(noCache, perRun bool) error {
+		cfg := rampedProblem(t, 4)
+		cfg.Scheme = SchemeEngine
+		cfg.Threads = 1
+		cfg.noFactorCache = noCache
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if (s.fc == nil) != noCache {
+			t.Fatalf("uncached %v: factor store %v", noCache, s.fc)
+		}
+		if perRun {
+			for mat, runs := range s.sigtRuns {
+				s.plan[mat] = panelPlan(runs, false)
+			}
+		} else if len(s.plan[0]) != 1 || s.plan[0][0].w != 4 {
+			t.Fatalf("plan %v, want one four-lane panel", s.plan[0])
+		}
+		em := *s.em[bad]
+		zero := func(m []float64) []float64 { return make([]float64, len(m)) }
+		em.Mass = zero(em.Mass)
+		for d := range em.Grad {
+			em.Grad[d] = zero(em.Grad[d])
+		}
+		for f := range em.Face {
+			for d := range em.Face[f] {
+				em.Face[f][d] = zero(em.Face[f][d])
+			}
+		}
+		s.em[bad] = &em
+		s.ComputeOuterSource()
+		s.PrepareInner()
+		return s.SweepAllAngles()
+	}
+	for _, noCache := range []bool{true, false} {
+		want := sweep(noCache, true)
+		if want == nil || !errors.Is(want, la.ErrSingular) || !strings.Contains(want.Error(), fmt.Sprintf("elem %d group 0:", bad)) {
+			t.Fatalf("uncached %v: per-run path returned %v, want a singular matrix at elem %d group 0", noCache, want, bad)
+		}
+		if got := sweep(noCache, false); got == nil || got.Error() != want.Error() {
+			t.Fatalf("uncached %v: lane panel returned %v, per-run path %v", noCache, got, want)
+		}
+	}
+}
+
+// TestKernelChargesPanelSplit: an uncached lane panel splits its time as
+// the per-run loop does — forming the w matrices is assembly, the
+// factorisation (and the task's solves) are solve — so the traced
+// assemble and solve shares stay comparable across the two paths; and
+// without Instrument the panel costs no timer calls.
+func TestKernelChargesPanelSplit(t *testing.T) {
+	cfg := rampedProblem(t, 4)
+	cfg.Scheme = SchemeEngine
+	cfg.Threads = 1
+	cfg.noFactorCache = true
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	st := s.workers[0]
+	n := s.nN
+	p := s.plan[0][0]
+	s.assembleBase(0, 0, st.base)
+	for _, instr := range []bool{false, true} {
+		st.asmNS, st.solveNS = 0, 0
+		if err := s.factorPanel(st, st.panel[:4*n*n], st.perm[:4*n], 0, 0, p, instr); err != nil {
+			t.Fatal(err)
+		}
+		if instr != (st.asmNS > 0) || instr != (st.solveNS > 0) {
+			t.Fatalf("instrument=%v: panel charged formation %d ns to assembly, factorisation %d ns to solve", instr, st.asmNS, st.solveNS)
+		}
+	}
+	st.asmNS, st.solveNS = 0, 0
+	s.cfg.Instrument = true
+	s.ComputeOuterSource()
+	s.PrepareInner()
+	if err := s.solveElemBatched(st, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if st.asmNS <= 0 || st.solveNS <= 0 {
+		t.Fatalf("uncached task charged assembly %d ns, solve %d ns", st.asmNS, st.solveNS)
+	}
 }
 
 // TestFactorCacheRefusesHighOrder pins the store's all-or-nothing budget

@@ -61,6 +61,12 @@ type Solver struct {
 	// run's group block (kernel.go).
 	sigtRuns [][]sigtRun
 
+	// plan[m] groups material m's runs into lane panels (panelPlan): the
+	// uncached batched task and the factor store's fill both form and
+	// factor a wider panel as one la.FactorLanes call, and the store's
+	// entries are laid out by it.
+	plan [][]facPanel
+
 	// DSA acceleration state (Config.Accelerate == AccelDSA): the
 	// per-group SPD coarse accelerator assembled over the artifact's
 	// geometric skeleton, plus the cell-sized scratch Accelerate reuses
@@ -185,6 +191,10 @@ func New(cfg Config) (*Solver, error) {
 		s.sigtEff = cfg.Lib.Total
 	}
 	s.sigtRuns = buildSigtRuns(s.sigtEff)
+	s.plan = make([][]facPanel, len(s.sigtRuns))
+	for mat, runs := range s.sigtRuns {
+		s.plan[mat] = panelPlan(runs, !cfg.PreAssembled)
+	}
 
 	if cfg.Accelerate == AccelDSA {
 		if art.Accel == nil {

@@ -31,7 +31,9 @@ type workerState struct {
 	fb      []float64 // engine: the face block subInflowPanel fuses per inflow face
 	up      []float64 // upwind nodal values in our face ordering, group-major
 	tmp     []float64 // massApply's copy of its operand (the source passes)
-	lanes   []float64 // engine: four groups' right-hand sides, lane-interleaved (the factor store's panels)
+	lanes   []float64 // engine: four groups' right-hand sides, lane-interleaved (a lane panel's solve)
+	panel   []float64 // engine: an uncached lane panel's four matrices, lane-interleaved, factored in place
+	perm    []int     // engine: the uncached panel's per-lane row permutations
 	asmNS   int64
 	solveNS int64
 }
@@ -39,8 +41,8 @@ type workerState struct {
 // newWorkerState allocates one worker's scratch, sized from the
 // artifact's kernel dimensions and the group count (the batched kernel
 // gathers one face's upwind values for all groups at once); the gather
-// indices and fused-block scratch are engine-only and skipped for the
-// legacy bucket schemes (which still need base: the factor store's eager
+// indices, fused-block and lane-panel scratch are engine-only and skipped
+// for the legacy bucket schemes (which still need base: the factor store's eager
 // fill runs under every scheme).
 func newWorkerState(dims build.KernelDims, nG int, engine bool) *workerState {
 	st := &workerState{
@@ -53,6 +55,8 @@ func newWorkerState(dims build.KernelDims, nG int, engine bool) *workerState {
 		st.gather = make([]int32, dims.NF)
 		st.fb = make([]float64, dims.NF*dims.NF)
 		st.lanes = make([]float64, 4*dims.NN)
+		st.panel = make([]float64, 4*dims.NN*dims.NN)
+		st.perm = make([]int, 4*dims.NN)
 	}
 	return st
 }

@@ -12,7 +12,7 @@ import (
 // before/after pair — once, from another commit on the same machine.
 func TestKernelSectionLAAndPrevious(t *testing.T) {
 	rows := RunLA([]int{27, 64})
-	if len(rows) != 2 || rows[1].N != 64 || rows[1].GENs <= 0 || rows[1].FactorNs <= 0 || rows[1].TriSolveNs <= 0 || rows[1].TriSolveLanesNs <= 0 {
+	if len(rows) != 2 || rows[1].N != 64 || rows[1].GENs <= 0 || rows[1].FactorNs <= 0 || rows[1].FactorLanesNs <= 0 || rows[1].TriSolveNs <= 0 || rows[1].TriSolveLanesNs <= 0 {
 		t.Fatalf("la rows not measured: %+v", rows)
 	}
 	path := filepath.Join(t.TempDir(), "bench.json")

@@ -5,11 +5,12 @@
 //
 // # One elimination core
 //
-// All Gaussian elimination in the package is one loop, eliminate: LU with
-// partial pivoting, multipliers stored in place below the diagonal, whole
-// rows exchanged so a swap carries them, optionally recording the pivots
-// and optionally carrying k right-hand sides through the same row
-// operations. The exported solvers are thin wrappers over it:
+// All Gaussian elimination of one system in the package is one loop,
+// eliminate: LU with partial pivoting, multipliers stored in place below
+// the diagonal, whole rows exchanged so a swap carries them, optionally
+// recording the pivots and optionally carrying k right-hand sides through
+// the same row operations. The exported solvers are thin wrappers over
+// it:
 //
 //   - SolveGE / SolveGEMulti: the paper's hand-written Gaussian
 //     elimination (UnSNAP's built-in solver) — eliminate with the
@@ -21,6 +22,11 @@
 //     pivot record, then permuted triangular solves per right-hand side;
 //     TriSolveLanes runs those solves for up to four factored systems at
 //     once.
+//   - FactorLanes: up to four systems factored at once, one per vector
+//     lane — not a wrapper but a second loop, eliminate's operation
+//     sequence run across systems instead of within one, held to Factor
+//     lane by lane bit for bit (TestFactorLanesBitwise,
+//     FuzzFactorLanesBitwise). AddScaledToLanes forms its operands.
 //   - FactorBlocked, SolveDGESV: the LAPACK-style stand-in for Intel
 //     MKL's dgesv (closed source): blocked right-looking LU (getrf) whose
 //     panels go through eliminate, whose block-row solve is the panel's
@@ -63,7 +69,7 @@
 //
 // # Vector kernels
 //
-// Six loops have an AVX2 form in kernels_amd64.s, called from inside
+// Eight loops have an AVX2 form in kernels_amd64.s, called from inside
 // the Go functions that own them, so no caller and no signature knows:
 // pairUpdate's four-row trailing update t = (t - l0*u) - l1*v
 // (update2AVX2: the eight multipliers broadcast, the pivot rows loaded
@@ -75,9 +81,11 @@
 // last column, and the m mod 4 rows by one more four-row block ending at
 // the last row — both rewrite entries already written with the bits
 // they hold, so no access leaves the operands and no tail is scalar),
-// and TriSolveLanes (triSolveLanesAVX2: the triangular solves of four
-// systems on Y registers, or two on X registers).
-// In each but the last, a lane is one matrix entry and performs exactly
+// TriSolveLanes (triSolveLanesAVX2: the triangular solves of four
+// systems on Y registers, or two on X registers), FactorLanes
+// (factorLanesAVX2, the same registers) and AddScaledToLanes
+// (addScaledToLanesAVX2).
+// In each but the last three, a lane is one matrix entry and performs exactly
 // the IEEE-754 operations the Go loop performs on that entry — VMULPD,
 // then VSUBPD or VADDPD, operands in the same order, each result rounded
 // to float64 before the next uses it — under the same (default,
@@ -104,12 +112,40 @@
 // outside: the caller gathers each right-hand side through the
 // composition of its pivots, which moves values without arithmetic.
 //
+// FactorLanes does the same for the factorisation, in the same layout:
+// one vector holds entry (i, j) of every system, so the parts of
+// elimination that are scalar within one system — the pivot search down
+// a column, the multiplier pass, the zero-multiplier tests — become
+// vector operations across systems. Every lane runs eliminate's
+// sequence: the search keeps the first strict maximum of |a[i][k]|
+// (VCMPPD greater-than-ordered is false and VMAXPD keeps the incumbent
+// when either operand is a NaN, so a NaN never displaces it), the exchange swaps whole rows, the
+// multiplier is a[i][k]*(1/a[k][k]) (one VDIVPD per step for all lanes)
+// and a[i][j] -= l*a[k][j] is VMULPD then VSUBPD, with VBLENDVPD keeping
+// the old entry in the lanes whose l is zero, as the scalar loop skips
+// the row. Steps go in pairs as in eliminate: the step opening a pair
+// stores its multipliers and updates column k+1 alone, the step closing
+// it applies both row operations in one pass over each row below, and
+// each pass searches the first column it leaves final for the next
+// pivot as it goes, so no pass over a column but column 0's is spent on
+// the search alone. Lanes may pivot on different rows: the exchange is a blend of
+// the two rows under the mask of the lanes that chose that row, one pass
+// per distinct pivot row, and each lane's composed permutation is
+// swapped as its rows are. The whole factorisation is one call — per
+// step calls from Go cost more than an n = 8 factorisation — and a row
+// pass whose multipliers hold no zero skips the blends. Pairing is what
+// pays at n = 64, where four systems (128 KiB) outgrow L1: an unpaired
+// lane kernel streams the trailing block from L2 twice as often and
+// measured slower there than four scalar factorisations.
+//
 // What is not vectorised, and why: one triangular solve and MatVec are
 // ordered reductions (lanes within one system would reassociate the
-// sum); the pivot search
-// and the multiplier pass walk a column of a row-major matrix, one cache
-// line per entry; the right-hand sides eliminate carries are one entry
-// per row per step.
+// sum). Within one system, eliminate's pivot search and multiplier pass
+// walk a column of a row-major matrix, one cache line per entry, and the
+// right-hand sides it carries are one entry per row per step; across
+// systems FactorLanes vectorises all three, so only a width-1 panel — a
+// lone system, or one factor serving several right-hand sides — still
+// pays them scalar.
 //
 // Dispatch is one unexported variable, useAVX2, set at package
 // initialisation from CPUID (leaf 1 OSXSAVE and AVX, XCR0 bits 1-2 via
@@ -124,7 +160,8 @@
 // pairUpdate scans the two multiplier columns first, hands the zero-free
 // leading rows to the kernel (which subtracts unconditionally) and the
 // rest to the per-block loop, which knows how to skip. MulTN declines
-// only shapes below one block (m or n under 4) and k = 0.
+// only shapes below one block (m or n under 4) and k = 0; FactorLanes and
+// AddScaledToLanes only width 1.
 //
 // Matrices are dense row-major; all routines are allocation-free given a
 // Workspace so they can run inside sweep worker pools.
@@ -149,7 +186,11 @@
 //     each right-hand side in the order elimination does. (One corner:
 //     elimination skips a zero multiplier where the triangular solve
 //     subtracts 0*b, so a -0.0 in the right-hand side can come back +0.0
-//     from the factored path. Equal as numbers, not as bits.)
+//     from the factored path. Equal as numbers, not as bits. The sweep
+//     meets it wherever a lane panel replaces SolveGEMulti: the factor
+//     store's panels and, since the uncached task factors four groups
+//     per FactorLanes call, its uncached panels too; the flux pins pass
+//     on both.)
 //   - DGESV == GE: FactorBlocked is bitwise Factor at every size and
 //     block width (TestFactorBlockedMatchesUnblocked), so SolveDGESV
 //     returns SolveGE's bits, the same -0.0 corner aside. The choice is
@@ -157,7 +198,11 @@
 //     two; it cannot change a converged flux.
 //   - Lanes == scalar: each lane of TriSolveLanes is bitwise a
 //     SolveFactored of that lane's system, given its right-hand side
-//     permuted by the composed pivots.
+//     permuted by the composed pivots; each lane of FactorLanes is
+//     bitwise Factor's factor of that lane's matrix, its permutation
+//     Factor's pivots composed, and FactorLanes fails exactly when some
+//     lane's Factor does; each lane of AddScaledToLanes is bitwise
+//     AddScaledTo with that lane's weight.
 //   - Vector path == scalar path, for every routine above (the bitwise
 //     suite runs each case on both and compares them).
 package la

@@ -44,3 +44,9 @@ func mulTNAVX2(c []float64, ldc int, a []float64, lda int, b []float64, ldb, n, 
 
 //go:noescape
 func triSolveLanesAVX2(lu, x []float64, n, w int)
+
+//go:noescape
+func factorLanesAVX2(lu []float64, perm []int, n, w int) int
+
+//go:noescape
+func addScaledToLanesAVX2(dst, base, x, w []float64)

@@ -1,6 +1,9 @@
 package la
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // TriSolveLanes runs the triangular solves of w factored systems at once
 // (w is 1, 2 or 4). lu holds w n x n LU factors as left by Factor or
@@ -46,6 +49,108 @@ func TriSolveLanes(lu, x []float64, n, w int) {
 				s -= row[j] * x[j]
 			}
 			x[i*w+l] = s / row[i*w+l]
+		}
+	}
+}
+
+// FactorLanes factors w n x n systems at once (w is 1, 2 or 4), in
+// place, in TriSolveLanes' layout: entry (i, j) of lane l's matrix is
+// lu[(i*n+j)*w + l]. Each lane's composed row permutation — the identity
+// with the recorded interchanges applied in step order, so entry i of
+// the permuted right-hand side is b[perm[i]] — goes to perm[l*n:(l+1)*n].
+// Every lane runs Factor's operation sequence on its own system: the
+// first strict maximum of |a[i][k]| (a NaN never displaces the
+// incumbent), a whole-row exchange, the multiplier a[i][k]*(1/a[k][k])
+// and a[i][j] -= l*a[k][j] skipped where l == 0 — so each lane's factor
+// and permutation are bitwise Factor's (and FactorBlocked's) with its
+// pivots composed. It returns ErrSingular if any lane meets a pivot
+// column that is exactly zero, which happens exactly when Factor fails
+// on some lane's system; the contents of lu and perm are then
+// unspecified. With AVX2 the lanes of one entry are one vector and the
+// whole factorisation is one kernel call (doc.go, "Vector kernels").
+func FactorLanes(lu []float64, perm []int, n, w int) error {
+	if w != 1 && w != 2 && w != 4 {
+		panic(fmt.Sprintf("la: FactorLanes width %d, want 1, 2 or 4", w))
+	}
+	if n <= 0 {
+		return nil
+	}
+	// Index, not reslice: a reslice may run past len up to cap.
+	_ = lu[n*n*w-1]
+	_ = perm[n*w-1]
+	for i := range perm[:n*w] {
+		perm[i] = i % n
+	}
+	if useAVX2 && w > 1 {
+		if factorLanesAVX2(lu[:n*n*w], perm[:n*w], n, w) != 0 {
+			return ErrSingular
+		}
+		return nil
+	}
+	rs := n * w // one row of all lanes
+	var inv [4]float64
+	for k := 0; k < n; k++ {
+		rk := lu[k*rs : k*rs+rs]
+		for l := 0; l < w; l++ {
+			p, pv := k, math.Abs(rk[k*w+l])
+			for i, o := k+1, (k+1)*rs+k*w+l; i < n; i, o = i+1, o+rs {
+				if v := math.Abs(lu[o]); v > pv {
+					p, pv = i, v
+				}
+			}
+			if pv == 0 {
+				return ErrSingular
+			}
+			if p != k {
+				rp := lu[p*rs : p*rs+rs]
+				for j := l; j < rs; j += w {
+					rk[j], rp[j] = rp[j], rk[j]
+				}
+				pl := perm[l*n : l*n+n]
+				pl[k], pl[p] = pl[p], pl[k]
+			}
+			inv[l] = 1 / rk[k*w+l]
+		}
+		for i := k + 1; i < n; i++ {
+			ri := lu[i*rs : i*rs+rs]
+			for l := 0; l < w; l++ {
+				m := ri[k*w+l] * inv[l]
+				ri[k*w+l] = m
+				if m == 0 {
+					continue
+				}
+				for j := (k+1)*w + l; j < rs; j += w {
+					ri[j] -= m * rk[j]
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// AddScaledToLanes forms len(w) matrices at once in FactorLanes' layout:
+// dst[i*len(w) + l] = base[i] + w[l]*x[i], each lane bitwise
+// AddScaledTo(dst_l, base, x, w[l]). len(w) is 1, 2 or 4; base and x
+// have the length of one matrix, dst len(w) times that.
+func AddScaledToLanes(dst, base, x, w []float64) {
+	nw := len(w)
+	if nw != 1 && nw != 2 && nw != 4 {
+		panic(fmt.Sprintf("la: AddScaledToLanes width %d, want 1, 2 or 4", nw))
+	}
+	x = x[:len(base)]
+	dst = dst[:len(base)*nw]
+	if nw == 1 {
+		AddScaledTo(dst, base, x, w[0])
+		return
+	}
+	if useAVX2 && len(base) > 0 {
+		addScaledToLanesAVX2(dst, base, x, w)
+		return
+	}
+	for i, b := range base {
+		d := dst[i*nw : i*nw+nw]
+		for l, wl := range w[:len(d)] {
+			d[l] = b + wl*x[i]
 		}
 	}
 }
