@@ -94,7 +94,10 @@ type Artifact struct {
 
 	Re   *fem.RefElement
 	Conn *mesh.Connectivity
-	EM   []*fem.ElementMatrices
+	// EM holds each element's matrices: one shared set per geometry
+	// class (GeomClass), so elements of a class share a pointer. Read
+	// only, like the whole artifact.
+	EM []*fem.ElementMatrices
 	// Topos holds the per-ordinate sweep topologies (deduplicated
 	// pointers: ordinates with identical classifications share one).
 	Topos []*Topology
@@ -174,10 +177,32 @@ func Build(spec Spec) (*Artifact, error) {
 	nE := spec.Mesh.NumElems()
 	nA := spec.Quad.NumAngles()
 
-	em := make([]*fem.ElementMatrices, nE)
+	// Element geometry classes first: elements of one class have
+	// bitwise-identical matrices (axis-aligned boxes of equal extents;
+	// every other element is a class of its own), so each class's are
+	// computed once, from its first element, and shared by pointer.
+	class := make([]int32, nE)
+	var first []int // each class's first element
+	boxClasses := make(map[[3]float64]int32, 16)
+	for e := 0; e < nE; e++ {
+		if _, ext, ok := spec.Mesh.Elems[e].Geometry().IsAxisAlignedBox(); ok {
+			id, seen := boxClasses[ext]
+			if !seen {
+				id = int32(len(first))
+				first = append(first, e)
+				boxClasses[ext] = id
+			}
+			class[e] = id
+			continue
+		}
+		class[e] = int32(len(first))
+		first = append(first, e)
+	}
+	classEM := make([]*fem.ElementMatrices, len(first))
 	var emErr error
 	var emMu sync.Mutex
-	parallelFor(threads, nE, func(_, e int) {
+	parallelFor(threads, len(first), func(_, c int) {
+		e := first[c]
 		m, err := re.ComputeMatrices(spec.Mesh.Elems[e].Geometry())
 		if err != nil {
 			emMu.Lock()
@@ -187,10 +212,14 @@ func Build(spec Spec) (*Artifact, error) {
 			emMu.Unlock()
 			return
 		}
-		em[e] = m
+		classEM[c] = m
 	})
 	if emErr != nil {
 		return nil, emErr
+	}
+	em := make([]*fem.ElementMatrices, nE)
+	for e, c := range class {
+		em[e] = classEM[c]
 	}
 
 	topos, distinct, err := buildTopologies(&spec, em, nE, nA)
@@ -215,29 +244,13 @@ func Build(spec Spec) (*Artifact, error) {
 		art.Key = spec.Key()
 	}
 
-	// DSA geometric operator and element geometry classes: both are pure
-	// functions of the mesh and element matrices already in hand, cheap
-	// next to classification, and free on every warm-cache solve.
+	// DSA geometric operator: a pure function of the mesh and element
+	// matrices already in hand, cheap next to classification, and free on
+	// every warm-cache solve.
 	accelGeoms.Add(1)
 	art.Accel = accel.BuildGeometry(spec.Mesh, em)
-	art.GeomClass = make([]int32, nE)
-	boxClasses := make(map[[3]float64]int32, 16)
-	next := int32(0)
-	for e := 0; e < nE; e++ {
-		if _, ext, ok := spec.Mesh.Elems[e].Geometry().IsAxisAlignedBox(); ok {
-			id, seen := boxClasses[ext]
-			if !seen {
-				id = next
-				next++
-				boxClasses[ext] = id
-			}
-			art.GeomClass[e] = id
-			continue
-		}
-		art.GeomClass[e] = next
-		next++
-	}
-	art.GeomClasses = int(next)
+	art.GeomClass = class
+	art.GeomClasses = len(first)
 	art.size = artifactSize(art)
 	return art, nil
 }
@@ -388,10 +401,16 @@ func buildTopologies(spec *Spec, em []*fem.ElementMatrices, nE, nA int) ([]*Topo
 }
 
 // artifactSize sums the artifact's large allocations (float64 and int32
-// payloads; struct headers and small slices are noise at cache scale).
+// payloads; struct headers and small slices are noise at cache scale),
+// each geometry class's shared element matrices once.
 func artifactSize(a *Artifact) int64 {
 	var n int64
+	seenEM := make(map[*fem.ElementMatrices]bool, a.GeomClasses)
 	for _, em := range a.EM {
+		if seenEM[em] {
+			continue
+		}
+		seenEM[em] = true
 		n += int64(len(em.Mass)) * 8
 		for d := 0; d < 3; d++ {
 			n += int64(len(em.Grad[d])) * 8

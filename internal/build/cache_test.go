@@ -2,10 +2,12 @@ package build
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"unsnap/internal/fem"
 	"unsnap/internal/mesh"
 	"unsnap/internal/quadrature"
 )
@@ -249,5 +251,66 @@ func TestCacheUncacheableSpecBypasses(t *testing.T) {
 	}
 	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
 		t.Fatalf("uncacheable spec moved cache counters: %+v", st)
+	}
+}
+
+// TestBuildSharesClassMatrices: on an axis-aligned box mesh (one geometry
+// class) every element points at one matrix set, computed once, and the
+// artifact's size counts it once; on a twisted mesh every element is a
+// class of its own. Each shared set is bitwise what ComputeMatrices gives
+// every element of its class.
+func TestBuildSharesClassMatrices(t *testing.T) {
+	for _, twist := range []float64{0, 0.2} {
+		m, err := mesh.New(mesh.Config{NX: 4, NY: 2, NZ: 2, LX: 1, LY: 1, LZ: 1, Twist: twist})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := quadrature.NewSNAP(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, err := Build(Spec{Mesh: m, Order: 2, Quad: q, Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets := make(map[*fem.ElementMatrices]bool)
+		classSet := make(map[int32]*fem.ElementMatrices)
+		for e, em := range art.EM {
+			sets[em] = true
+			c := art.GeomClass[e]
+			if classSet[c] == nil {
+				classSet[c] = em
+			}
+			if classSet[c] != em {
+				t.Fatalf("twist %v: element %d does not share its class's matrices", twist, e)
+			}
+			want, err := art.Re.ComputeMatrices(m.Elems[e].Geometry())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(em, want) {
+				t.Fatalf("twist %v: element %d's shared matrices differ from its own", twist, e)
+			}
+		}
+		if len(sets) != art.GeomClasses {
+			t.Fatalf("twist %v: %d matrix sets for %d classes", twist, len(sets), art.GeomClasses)
+		}
+		if twist == 0 && art.GeomClasses != 1 {
+			t.Fatalf("box mesh: %d geometry classes, want 1", art.GeomClasses)
+		}
+		if twist != 0 && art.GeomClasses != len(art.EM) {
+			t.Fatalf("twisted mesh: %d geometry classes for %d elements", art.GeomClasses, len(art.EM))
+		}
+		em := art.EM[0]
+		one := int64(len(em.Mass)+len(em.Grad[0])*3) * 8
+		for f := range em.Face {
+			one += int64(len(em.Face[f][0])*3) * 8
+		}
+		// The rest of a 16-element artifact is far below one order-2
+		// matrix set (35 kB): counted once, the set leaves the total
+		// under two.
+		if got := art.SizeBytes(); twist == 0 && got >= 2*one {
+			t.Fatalf("box mesh artifact counts %d B, one matrix set is %d B: the shared set is counted more than once", got, one)
+		}
 	}
 }

@@ -81,7 +81,7 @@ func (s *Solver) ComputeBalance() Balance {
 				for g := 0; g < s.nG; g++ {
 					base := s.psiIdx(a, e, g)
 					for l, node := range fn {
-						b.Leakage += w * s.psi[base+node] * colSum[l]
+						b.Leakage += w * s.psi[base+node*s.stride] * colSum[l]
 					}
 				}
 			}

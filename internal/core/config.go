@@ -13,9 +13,10 @@ import (
 	"unsnap/internal/xs"
 )
 
-// Layout selects the ordering of the element and group extents in the
-// angular flux, scalar flux and source arrays. Node index is always
-// fastest; the paper pairs each loop order with the matching layout.
+// Layout selects the ordering of the element, group and node extents in
+// the angular flux, scalar flux and source arrays. The paper pairs each
+// loop order with the matching layout, node fastest; the engine, whose
+// task is one element's every group, keeps the groups fastest instead.
 type Layout int
 
 const (
@@ -26,6 +27,13 @@ const (
 	// LayoutGE stores [angle][group][element][node]: adjacent elements are
 	// numNodes apart (the "64 byte stride" layout for linear elements).
 	LayoutGE
+	// LayoutLanes is the engine's: the angular flux psi (and its lagged
+	// snapshot, the stored M psi_prev) and the stored source products mq
+	// and mq1 are [angle][element][node][group], so one node's groups are
+	// contiguous — the vector lanes of the task's kernels (kernel.go). The
+	// scalar flux and the outer sources keep LayoutEG's order. With one
+	// group it is LayoutEG.
+	LayoutLanes
 )
 
 // Scheme names a concurrency scheme from the paper's Figures 3 and 4. The
@@ -108,6 +116,8 @@ func (s Scheme) Layout() Layout {
 	switch s {
 	case SchemeAGe, SchemeAGE, SchemeAgE:
 		return LayoutGE
+	case SchemeEngine:
+		return LayoutLanes
 	default:
 		return LayoutEG
 	}

@@ -83,6 +83,9 @@ func TestSchemeLayouts(t *testing.T) {
 	if SchemeAGe.Layout() != LayoutGE || SchemeAGE.Layout() != LayoutGE || SchemeAgE.Layout() != LayoutGE {
 		t.Fatal("GE-family scheme has wrong layout")
 	}
+	if SchemeEngine.Layout() != LayoutLanes {
+		t.Fatal("the engine does not keep the lane-major layout")
+	}
 }
 
 // TestConstantSolutionConsistency is the strongest single check of the

@@ -16,16 +16,33 @@
 //
 // The paper's question — which part of the local operator A(a,e,g) is
 // worth keeping and which is cheaper to rebuild — has one answer here:
-// LU factors, in the factor store (faccache.go), and nothing else. Face
-// blocks om·Fx + om·Fy + om·Fz are fused per task into worker scratch,
-// the base matrix is assembled per task, and the build artifact carries
-// no per-ordinate matrix. The store has two fill policies over one
-// layout and one fill routine: lazy (the engine's batched kernel; keyed
-// on geometry class, so repeated geometries share factors; all or
-// nothing under a 128 MiB prediction) and eager (Config.PreAssembled;
-// every element its own class, filled in parallel at New, refused above
-// 16 GiB). The engine runs the same cached batched body under both; the
-// bucket schemes read the eager store one group at a time.
+// the factor store (faccache.go), and nothing else. It keeps LU factors
+// and, beside the factors of an entry with lane panels, the task's fused
+// inflow face blocks om·Fx + om·Fy + om·Fz; an uncached task fuses its
+// face blocks into worker scratch and assembles its base matrix, and the
+// build artifact carries no per-ordinate matrix (its element matrices
+// are one shared set per geometry class). The store has two fill
+// policies over one layout and one fill routine: lazy (the engine's
+// batched kernel; keyed on geometry class, so repeated geometries share
+// factors; all or nothing under a 128 MiB prediction) and eager
+// (Config.PreAssembled; every element its own class, filled in parallel
+// at New, refused above 16 GiB). The engine runs the same cached batched
+// body under both; the bucket schemes read the eager store one group at
+// a time.
+//
+// # Layouts
+//
+// The bucket schemes keep the paper's layouts, node fastest (LayoutEG,
+// LayoutGE). The engine keeps its own, LayoutLanes: psi, its lagged
+// snapshot, M psi_prev and the stored source products mq, mq1 are
+// [angle][element][node][group], so a task's source is one contiguous
+// copy, an upwind node's groups are one contiguous run and a lane
+// panel's solutions land as one column stripe of the task's psi block —
+// the task runs on group lanes end to end (kernel.go). The scalar flux
+// and the outer sources keep LayoutEG's order; the scalar kernel, the
+// flux reduction, the balance and the accessors read psi strided, each
+// value's operations unchanged. With one group every layout of the
+// element-major family is the same.
 //
 // # Determinism and parity contract
 //

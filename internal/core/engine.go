@@ -500,6 +500,9 @@ func (e *engine) exec(w int, t int64) {
 // (and, for P1 scattering, the current) from the freshly swept angular
 // flux: phi += sum_a w_a psi_a, accumulated in fixed ordinate order for
 // every node so the result is bitwise reproducible across runs and
-// thread counts. Both layouts place psi of angle a at a*len(phi) plus
-// the scalar-flux offset, so the reduction is a strided daxpy stream.
+// thread counts. Where psi of angle a sits at a*len(phi) plus the
+// scalar-flux offset (the bucket layouts, and LayoutLanes with one
+// group) the reduction is a strided daxpy stream; under LayoutLanes with
+// several groups it goes element by element through worker scratch
+// (reduceElem), with the same sum per entry.
 func (s *Solver) reduceFluxFromPsi() { s.pool.run(s.reduceRoundFn) }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -15,9 +16,11 @@ import (
 // sigma_t), so it is factored (LU) once per distinct key and sigma_t run
 // and every task that matches runs only the O(n^2) triangular solves,
 // skipping its base assembly, per-run matrix formation and O(n^3)
-// factorisation. Nothing else derived from an ordinate is stored
-// anywhere: face blocks are fused per task (subInflowPanel) and the
-// build artifact holds topology and element matrices only.
+// factorisation. An entry with lane panels also keeps the task's fused
+// inflow face blocks, so its tasks form no face block either. Nothing
+// else derived from an ordinate is stored anywhere: an uncached task
+// fuses its face blocks itself, and the build artifact holds topology
+// and element matrices only.
 //
 // Two fill policies share the layout, the lookup and the fill routine:
 //
@@ -34,22 +37,25 @@ import (
 //     the ordinary cached batched path; the bucket schemes, which have no
 //     batched body, look their per-group factor up here (factor).
 //
-// Layout: one float slab and one int slab, n*n floats and n ints per
-// sigma_t run, each entry a contiguous stretch of both. A material's runs
-// are cut into panels by the solver's panel plan (Solver.plan,
+// Layout: one float slab, one int slab and one int32 slab, each entry a
+// contiguous stretch of each: n*n floats per sigma_t run, then — in an
+// entry whose plan has a lane panel — nf*nf floats per inflow face of the
+// entry's outflow mask (the fused blocks, ascending face); n ints per run
+// of a width-1 panel and n int32s per run of a lane panel. A material's
+// runs are cut into panels by the solver's panel plan (Solver.plan,
 // panelPlan): stretches of single-group runs into widths of 4, then 2,
 // then 1; a multi-group run, and every run under the eager policy, is a
 // width-1 panel. A width-1 panel holds the row-major LU factor and LAPACK
-// pivots, solved in place by la.SolveFactoredMulti. A width-w panel holds
-// its w factors lane-interleaved, entry (i, j) of lane l at
-// (i*n+j)*w + l, and each lane's composed row permutation: the fill forms
-// the w matrices in that layout in the entry itself and factors them
-// there with one la.FactorLanes call (factorPanel, the routine the
-// uncached task uses too), and the task gathers each group's right-hand
-// side through its lane's permutation, solves the w systems in one
-// la.TriSolveLanes call (one AVX2 vector per entry) and scatters the
-// solutions back (solveLanes). The bytes are those of one factor per run,
-// so the size prediction does not know the plan.
+// pivots, solved by la.SolveFactoredMulti. A width-w panel holds its w
+// factors lane-interleaved, entry (i, j) of lane l at (i*n+j)*w + l, and
+// each lane's composed row permutation as gather offsets into the task's
+// lane-major right-hand sides (laneOffsets): the fill forms the w
+// matrices in that layout in the entry itself and factors them there
+// with one la.FactorLanes call (factorPanel, the routine the uncached
+// task uses too), and the task gathers each group's permuted right-hand
+// side straight into its psi block and solves the w systems there in one
+// la.TriSolveLanes call (one AVX2 vector per entry; solveLanes). The size
+// prediction follows the plan and the entries' masks.
 //
 // Bitwise contract: the cached path must reproduce the uncached batched
 // kernel bit for bit (TestAccelFactorCacheBitwise,
@@ -64,11 +70,13 @@ import (
 // nothing either: FactorLanes runs Factor's operation sequence in every
 // lane, the gather moves values without arithmetic into the order
 // SolveFactored's swaps leave them in, and TriSolveLanes runs
-// SolveFactored's operation sequence in every lane. Tangent faces are the one
-// hazard — the lower-element-index tie-break can classify them
-// differently within a class — so each entry records the builder's
-// outflow-face mask and a reader with a different mask falls back to the
-// private path.
+// SolveFactored's operation sequence in every lane. A stored face block
+// is the la.Fuse3 sum the task forms, over the same (class-shared)
+// matrices. Tangent faces are the one hazard — the lower-element-index
+// tie-break can classify them differently within a class — so each entry
+// keeps the outflow-face mask of its slot's first element, set at New,
+// and a task with a different mask neither fills nor reads it: it takes
+// the private path.
 //
 // Concurrency: each entry carries an atomic state (empty, building,
 // ready, failed). The first task to claim an empty entry assembles and
@@ -84,10 +92,10 @@ import (
 // problem over it runs uncached, all or nothing. Geometry classes need
 // not repeat for it to pay: on a twisted mesh every element is its own class,
 // yet an order-1 problem still fits (the benchmark's solve_lo — 8^3, 32
-// ordinates, 8 groups, n = 8 — predicts 75 MB and runs cached, each task
-// reusing across inners the factors it built in the first), while an
-// order-3 one does not (solve_ho predicts 136 MB and refactors every
-// task every inner). preAssembledLimit is the eager policy's refusal: the
+// ordinates, 8 groups, n = 8 — predicts about 78 MB with its face blocks
+// and runs cached, each task reusing across inners the factors it built
+// in the first), while an order-3 one does not (solve_ho predicts about
+// 142 MB and refactors every task every inner). preAssembledLimit is the eager policy's refusal: the
 // paper prices those matrices at a factor of numNodes over the (already
 // large) angular flux array.
 const (
@@ -103,13 +111,20 @@ const (
 )
 
 // facEntry holds the factored per-run matrices of one (ordinate,
-// geometry class, material) key: n*n floats and n ints per sigma_t run,
-// run r's at r*n*n and r*n, laid out by the material's panel plan.
+// geometry class, material) key, laid out by the material's panel plan:
+// n*n floats per sigma_t run, run r's at r*n*n, then, when the plan has a
+// lane panel, the task's fused inflow face blocks (blocks); its n LAPACK
+// pivots per run of a width-1 panel and n gather offsets per run of a
+// lane panel sit in the store's piv and off slabs from piv and off on,
+// each in plan order (pivots).
 type facEntry struct {
-	state atomic.Uint32
-	mask  uint8     // outflow-face set baked into the factors
-	lu    []float64 // width-1 panel: row-major LU; width w: lane-interleaved, (i*n+j)*w + lane
-	piv   []int     // width-1 panel: the LAPACK pivots; width w: each lane's composed row permutation
+	state    atomic.Uint32
+	mask     uint8 // outflow-face set of the slot's first element: only a task with this set reads or fills the entry
+	piv, off int32 // start of the entry's pivots in factorCache.piv, of its gather offsets in factorCache.off
+	// lu: width-1 panel, row-major LU; width w, lane-interleaved,
+	// (i*n+j)*w + lane; then nf*nf per inflow face of mask, ascending
+	// face, when the plan has a lane panel.
+	lu []float64
 }
 
 // facPanel is one step of a material's panel plan: runs [r0, r0+w) of
@@ -126,6 +141,8 @@ type factorCache struct {
 	nSlots  int
 	n       int        // nodes per element: the order of every stored system
 	entries []facEntry // indexed angle*nSlots + slot
+	piv     []int      // width-1 panels' LAPACK pivots, every entry's
+	off     []int32    // lane panels' gather offsets (laneOffsets), every entry's
 }
 
 // panelPlan groups a material's sigma_t runs into panels. A lane holds
@@ -188,27 +205,43 @@ func (s *Solver) factorPanel(st *workerState, lu []float64, perm []int, e, mat i
 	return err
 }
 
-// solveLanes solves the w single-group systems of a factored lane panel
-// (lu and perm as la.FactorLanes leaves them) for the group-major
-// right-hand sides b, in place: each group's right-hand side is gathered
-// through its lane's row permutation into the lane scratch x, the w
-// systems go through one la.TriSolveLanes call and the solutions are
-// scattered back.
-func solveLanes(lu []float64, perm []int, b, x []float64, n, w int) {
-	x = x[: w*n : w*n]
+// laneOffsets turns a factored lane panel's per-lane row permutations
+// (perm as la.FactorLanes leaves them) into gather offsets into a
+// lane-major right-hand side of nG groups that starts at the panel's
+// first group: off[i*w + l] is the offset of entry i of lane l's
+// permuted right-hand side, b_l[perm_l(i)].
+func laneOffsets(off []int32, perm []int, n, w, nG int) {
 	for l := 0; l < w; l++ {
-		bl := b[l*n : l*n+n]
 		for i, q := range perm[l*n : l*n+n] {
-			x[i*w+l] = bl[q]
+			off[i*w+l] = int32(q*nG + l)
 		}
 	}
-	la.TriSolveLanes(lu, x, n, w)
-	for l := 0; l < w; l++ {
-		bl := b[l*n : l*n+n]
-		for i := range bl {
-			bl[i] = x[i*w+l]
+}
+
+// solveLanes solves the w single-group systems of a factored lane panel
+// (lu as la.FactorLanes leaves it, off from laneOffsets): each lane's
+// right-hand side is gathered through the offsets from the lane-major rhs
+// straight into x, the task's psi slab, and one la.TriSolveLanes call
+// solves the w systems in place there — the lanes a stripe of rows nG
+// apart, so nothing is scattered back. rhs and x start at the panel's
+// first group.
+func solveLanes(lu []float64, off []int32, rhs, x []float64, n, w, nG int) {
+	off = off[:n*w]
+	switch w {
+	case 4:
+		for i := 0; i < n; i++ {
+			o := off[i*4 : i*4+4 : i*4+4]
+			xi := x[i*nG : i*nG+4 : i*nG+4]
+			xi[0], xi[1], xi[2], xi[3] = rhs[o[0]], rhs[o[1]], rhs[o[2]], rhs[o[3]]
+		}
+	case 2:
+		for i := 0; i < n; i++ {
+			o := off[i*2 : i*2+2 : i*2+2]
+			xi := x[i*nG : i*nG+2 : i*nG+2]
+			xi[0], xi[1] = rhs[o[0]], rhs[o[1]]
 		}
 	}
+	la.TriSolveLanes(lu, x, n, w, nG)
 }
 
 // newFactorCache sizes and allocates the store and, under
@@ -238,27 +271,50 @@ func newFactorCache(s *Solver) (*factorCache, error) {
 	for i := range slotOf {
 		slotOf[i] = -1
 	}
-	var slotMat []int32
-	runsTotal := 0
+	var slotElem []int32 // each slot's first element, whose outflow sets the entries keep
 	for e := 0; e < s.nE; e++ {
-		mat := cfg.Mesh.Elems[e].Material
-		key := int(class[e])*nMat + mat
+		key := int(class[e])*nMat + cfg.Mesh.Elems[e].Material
 		if slotOf[key] < 0 {
-			slotOf[key] = int32(len(slotMat))
-			slotMat = append(slotMat, int32(mat))
-			runsTotal += len(s.sigtRuns[mat])
+			slotOf[key] = int32(len(slotElem))
+			slotElem = append(slotElem, int32(e))
 		}
 	}
-	n := s.nN
-	perRun := int64(n*n)*8 + int64(n)*8
-	bytes := int64(s.nA) * int64(runsTotal) * perRun
+	// Per material: its runs, how many sit in width-1 and in lane panels.
+	n, nf := s.nN, s.re.NF
+	runs1 := make([]int, nMat)
+	runsL := make([]int, nMat)
+	for mat, plan := range s.plan {
+		for _, p := range plan {
+			if p.w == 1 {
+				runs1[mat]++
+			} else {
+				runsL[mat] += int(p.w)
+			}
+		}
+	}
+	nSlots := len(slotElem)
+	masks := make([]uint8, s.nA*nSlots)
+	var floats, ints, offs int64
+	for a := 0; a < s.nA; a++ {
+		for sl, e := range slotElem {
+			mat := cfg.Mesh.Elems[e].Material
+			m := s.outflowMask(a, int(e))
+			masks[a*nSlots+sl] = m
+			floats += int64((runs1[mat] + runsL[mat]) * n * n)
+			if runsL[mat] > 0 {
+				floats += int64(inflowFaces(m) * nf * nf)
+			}
+			ints += int64(runs1[mat] * n)
+			offs += int64(runsL[mat] * n)
+		}
+	}
+	bytes := floats*8 + ints*8 + offs*4
 	if pre && bytes > preAssembledLimit {
 		return nil, fmt.Errorf("core: pre-assembled matrices would need %d GiB; refuse above %d GiB", bytes>>30, preAssembledLimit>>30)
 	}
 	if !pre && bytes > factorCacheLimit {
 		return nil, nil
 	}
-	nSlots := len(slotMat)
 	c := &factorCache{
 		class:   class,
 		slotOf:  slotOf,
@@ -266,17 +322,26 @@ func newFactorCache(s *Solver) (*factorCache, error) {
 		nSlots:  nSlots,
 		n:       n,
 		entries: make([]facEntry, s.nA*nSlots),
+		// Under the 16 GiB refusal the int slabs stay below 2^31 entries:
+		// every run stores n*n floats beside its n pivots or offsets.
+		piv: make([]int, ints),
+		off: make([]int32, offs),
 	}
-	lu := make([]float64, s.nA*runsTotal*n*n)
-	piv := make([]int, s.nA*runsTotal*n)
-	idx := 0
+	lu := make([]float64, floats)
+	var piv, off int32
 	for a := 0; a < s.nA; a++ {
-		for sl := 0; sl < nSlots; sl++ {
-			nr := len(s.sigtRuns[slotMat[sl]])
+		for sl, e := range slotElem {
+			mat := cfg.Mesh.Elems[e].Material
 			ent := &c.entries[a*nSlots+sl]
-			ent.lu = lu[idx*n*n : (idx+nr)*n*n : (idx+nr)*n*n]
-			ent.piv = piv[idx*n : (idx+nr)*n : (idx+nr)*n]
-			idx += nr
+			ent.mask = masks[a*nSlots+sl]
+			k := (runs1[mat] + runsL[mat]) * n * n
+			if runsL[mat] > 0 {
+				k += inflowFaces(ent.mask) * nf * nf
+			}
+			ent.lu, lu = lu[:k:k], lu[k:]
+			ent.piv, ent.off = piv, off
+			piv += int32(runs1[mat] * n)
+			off += int32(runsL[mat] * n)
 		}
 	}
 	if pre {
@@ -305,11 +370,34 @@ func (c *factorCache) entry(a, e, mat int) *facEntry {
 	return &c.entries[a*c.nSlots+int(c.slotOf[int(c.class[e])*c.nMat+mat])]
 }
 
-// run returns the row-major LU factor and pivots of run r of ent, which
-// the plan must hold in a width-1 panel.
+// inflowFaces counts the faces an outflow mask leaves inflow.
+func inflowFaces(mask uint8) int {
+	return fem.NumFaces - bits.OnesCount8(mask)
+}
+
+// run returns the row-major LU factor and pivots of run r of ent under a
+// plan of width-1 panels only (the eager policy's), where run r's pivots
+// are the r-th.
 func (c *factorCache) run(ent *facEntry, r int) (la.Matrix, []int) {
 	n := c.n
-	return la.Matrix{N: n, Data: ent.lu[r*n*n : (r+1)*n*n]}, ent.piv[r*n : (r+1)*n]
+	piv, _ := c.pivots(ent)
+	return la.Matrix{N: n, Data: ent.lu[r*n*n : (r+1)*n*n]}, piv[r*n : (r+1)*n]
+}
+
+// pivots returns ent's width-1 pivots and lane gather offsets, each from
+// the entry's first on, in plan order; a reader consumes n per run.
+func (c *factorCache) pivots(ent *facEntry) ([]int, []int32) {
+	return c.piv[ent.piv:], c.off[ent.off:]
+}
+
+// blocks returns the fused inflow face blocks of ent, an entry of a
+// material with nRuns sigma_t runs, or nil when its plan has no lane
+// panel.
+func (c *factorCache) blocks(ent *facEntry, nRuns int) []float64 {
+	if fb := ent.lu[nRuns*c.n*c.n:]; len(fb) > 0 {
+		return fb
+	}
+	return nil
 }
 
 // factor returns the stored LU factor of (angle, elem, group). Only the
@@ -326,23 +414,29 @@ func (c *factorCache) factor(s *Solver, a, e, g int) (la.Matrix, []int) {
 	return c.run(c.entry(a, e, mat), r)
 }
 
-// solve overwrites rhs, the task's group-major right-hand sides, with
-// the solutions against the ready entry ent, panel by panel: a width-1
-// panel through la.SolveFactoredMulti in place, a wider one through
-// solveLanes.
-func (c *factorCache) solve(s *Solver, st *workerState, ent *facEntry, mat int, rhs []float64) {
-	n := c.n
+// solve writes the task's solutions against the ready entry ent into its
+// psi slab, panel by panel, from rhs, its lane-major right-hand sides
+// (the slab itself when the task has one group): a width-1 panel through
+// la.SolveFactoredMulti on runBlock's group-major view, a wider one
+// through solveLanes.
+func (c *factorCache) solve(s *Solver, st *workerState, ent *facEntry, mat int, rhs, slab []float64) {
+	n, nG := c.n, s.nG
 	runs := s.sigtRuns[mat]
+	piv, off := c.pivots(ent)
 	for _, p := range s.plan[mat] {
 		r0, w := int(p.r0), int(p.w)
 		g0 := int(runs[r0].g0)
 		if w == 1 {
 			k := int(runs[r0].k)
-			m, piv := c.run(ent, r0)
-			la.SolveFactoredMulti(&m, piv, rhs[g0*n:(g0+k)*n], k)
+			m := la.Matrix{N: n, Data: ent.lu[r0*n*n : (r0+1)*n*n]}
+			blk := s.runBlock(st, rhs, g0, k)
+			la.SolveFactoredMulti(&m, piv[:n], blk, k)
+			s.storeRun(blk, slab, g0, k)
+			piv = piv[n:]
 			continue
 		}
-		solveLanes(ent.lu[r0*n*n:(r0+w)*n*n], ent.piv[r0*n:(r0+w)*n], rhs[g0*n:(g0+w)*n], st.lanes, n, w)
+		solveLanes(ent.lu[r0*n*n:(r0+w)*n*n], off[:w*n], rhs[g0:], slab[g0:], n, w, nG)
+		off = off[w*n:]
 	}
 }
 
@@ -362,16 +456,16 @@ func (s *Solver) outflowMask(a, e int) uint8 {
 // acquire returns the ready factored entry for (angle, elem, material),
 // filling it first if this task is the one that catches it empty. A nil
 // return means the task must run the private assemble-and-solve path:
-// the entry is mid-build by another task, its factorisation failed, or
-// its outflow mask does not match this element's.
+// its outflow mask does not match the entry's, the entry is mid-build by
+// another task, or its factorisation failed.
 func (c *factorCache) acquire(s *Solver, st *workerState, a, e, mat int) *facEntry {
 	ent := c.entry(a, e, mat)
+	if ent.mask != s.outflowMask(a, e) {
+		return nil
+	}
 	switch ent.state.Load() {
 	case facReady:
-		if ent.mask == s.outflowMask(a, e) {
-			return ent
-		}
-		return nil
+		return ent
 	case facEmpty:
 		if !ent.state.CompareAndSwap(facEmpty, facBuilding) {
 			return nil
@@ -391,11 +485,13 @@ func (c *factorCache) acquire(s *Solver, st *workerState, a, e, mat int) *facEnt
 // owns (a won CAS, or the eager fill's disjoint index) and publishes it.
 // Every panel is factored in place in the entry: a width-1 panel by
 // la.Factor or la.FactorBlocked, a wider one by factorPanel, which
-// leaves the lanes interleaved and each lane's composed row permutation
-// where the solve gathers through it. The whole fill — base assembly
-// included — is charged to the worker's solve timer: it is the
-// factorisation the cached sweeps no longer pay, and counting it as
-// assembly would skew the two shares the trace reads against each other.
+// leaves the lanes interleaved, its row permutations becoming the gather
+// offsets the solve reads (laneOffsets). An entry with lane panels also
+// takes the task's fused inflow face blocks, each the la.Fuse3 sum the
+// task would form. The whole fill — base assembly included — is charged
+// to the worker's solve timer: it is the factorisation the cached sweeps
+// no longer pay, and counting it as assembly would skew the two shares
+// the trace reads against each other.
 func (c *factorCache) fill(s *Solver, st *workerState, ent *facEntry, a, e, mat int) error {
 	if s.cfg.Instrument {
 		defer func(t0 time.Time) { st.solveNS += time.Since(t0).Nanoseconds() }(time.Now())
@@ -406,30 +502,47 @@ func (c *factorCache) fill(s *Solver, st *workerState, ent *facEntry, a, e, mat 
 	runs := s.sigtRuns[mat]
 	blocked := s.cfg.Solver != SolverGE
 	n := c.n
+	piv, off := c.pivots(ent)
 	for _, p := range s.plan[mat] {
 		r0, w := int(p.r0), int(p.w)
 		g0 := int(runs[r0].g0)
 		var err error
 		if w > 1 {
-			err = s.factorPanel(st, ent.lu[r0*n*n:(r0+w)*n*n], ent.piv[r0*n:(r0+w)*n], e, mat, p, false)
+			perm := st.perm[:w*n]
+			err = s.factorPanel(st, ent.lu[r0*n*n:(r0+w)*n*n], perm, e, mat, p, false)
+			laneOffsets(off[:w*n], perm, n, w, s.nG)
+			off = off[w*n:]
 		} else {
-			m, piv := c.run(ent, r0)
+			m := la.Matrix{N: n, Data: ent.lu[r0*n*n : (r0+1)*n*n]}
+			pv := piv[:n]
 			la.AddScaledTo(m.Data, st.base, mass, sigt[g0])
 			if blocked {
 				// SolverDGESV's uncached path factors with FactorBlocked;
 				// SolverGE's runs SolveGEMulti, which is Factor's own
 				// elimination loop with the right-hand sides carried.
-				err = la.FactorBlocked(&m, piv, la.DefaultBlockSize)
+				err = la.FactorBlocked(&m, pv, la.DefaultBlockSize)
 			} else {
-				err = la.Factor(&m, piv)
+				err = la.Factor(&m, pv)
 			}
+			piv = piv[n:]
 		}
 		if err != nil {
 			ent.state.Store(facFailed)
 			return fmt.Errorf("core: factorising angle %d elem %d group %d: %w", a, e, g0, err)
 		}
 	}
-	ent.mask = s.outflowMask(a, e)
+	if fb := c.blocks(ent, len(runs)); fb != nil {
+		om := s.cfg.Quad.Angles[a].Omega
+		t := s.topos[a]
+		k := s.re.NF * s.re.NF
+		for f := 0; f < fem.NumFaces; f++ {
+			if t.IsInflow(e, f) {
+				face := &s.em[e].Face[f]
+				la.Fuse3(fb[:k], face[0], face[1], face[2], om[0], om[1], om[2])
+				fb = fb[k:]
+			}
+		}
+	}
 	ent.state.Store(facReady)
 	return nil
 }

@@ -10,21 +10,24 @@ import (
 
 // This file is the engine's batched task kernel (Config.Kernel ==
 // KernelBatched, the default): all energy groups of one (ordinate,
-// element) task executed as one group-batched, allocation-free body.
+// element) task executed as one group-batched, allocation-free body, on
+// group lanes end to end — the engine's LayoutLanes keeps psi, psiLag,
+// mPrev and the stored source products [angle][element][node][group].
 //
 //   - RHS batching: the right-hand sides of every group are assembled in
-//     one pass over the element. The volumetric term does not depend on
-//     the angle, so no task forms it: PrepareInner stores M q_tot once per
-//     inner and the task starts from a copy of its element's block
-//     (loadSource; P1 and time-dependent runs add their angle-dependent
-//     remainders from the same kind of stored product). The face pass is
-//     face-outer: the per-face bookkeeping the scalar kernel repeats per
-//     group — inflow classification, neighbour lookup, the conforming-face
-//     permutation chase, fusing the face block om·Fx + om·Fy + om·Fz —
-//     happens once per face, every group's upwind face values are
-//     gathered into one group-major panel, and the face block is applied
-//     to the panel four groups at a time with each block row held in
-//     registers (subInflowPanel, the one face-apply loop of this kernel).
+//     one pass over the element, lane-major (node-major, groups fastest).
+//     The volumetric term does not depend on the angle, so no task forms
+//     it: PrepareInner stores M q_tot once per inner and the task starts
+//     from one contiguous copy of its element's block (loadSourceLanes;
+//     P1 and time-dependent runs add their angle-dependent remainders
+//     from the same kind of stored product). The face pass is face-outer:
+//     the per-face bookkeeping the scalar kernel repeats per group —
+//     inflow classification, neighbour lookup, the conforming-face
+//     permutation chase, the face block om·Fx + om·Fy + om·Fz — happens
+//     once per face, each upwind node's groups are gathered as one
+//     contiguous run into a lane-major panel, and one la.FaceApplyLanes
+//     call applies the block to every group (the one face-apply routine
+//     of this kernel: four block rows per pass, four groups per vector).
 //   - Factorisation batching: the per-group matrix is base + sigma_t,g M,
 //     so groups with equal sigma_t share the matrix bitwise. The kernel
 //     factors once per run of equal-sigma_t groups and solves the run's
@@ -36,11 +39,16 @@ import (
 //     sigma_t ramp — batch across groups instead: the solver's panel
 //     plan cuts them into panels of four (or two), and each panel is
 //     formed and factored as one la.FactorLanes call (factorPanel, one
-//     system per vector lane) and solved as one la.TriSolveLanes call
-//     (solveLanes), so ramped libraries pay once per four groups on the
-//     uncached path too. A width-1 panel — a multi-group run, a leftover
-//     single run, a one-group problem — and a panel whose factorisation
-//     meets a zero pivot run per run as above.
+//     system per vector lane) and solved as one la.TriSolveLanes call on
+//     the task's psi block itself (solveLanes: the permuted right-hand
+//     sides are gathered straight into the panel's column stripe of the
+//     block, solved in place with the block's row stride, and nothing is
+//     scattered back), so ramped libraries pay once per four groups on
+//     the uncached path too. A width-1 panel — a multi-group run, a
+//     leftover single run, a one-group problem — and a panel whose
+//     factorisation meets a zero pivot run per run as above, on a
+//     group-major copy of their groups (runBlock, storeRun; a one-group
+//     task solves in its psi slab).
 //   - Factor store: the matrices themselves repeat across tasks and
 //     across inners — base + sigma_t,g M is a pure function of (ordinate,
 //     element-geometry class, outflow set, material) — so the solver's
@@ -51,16 +59,19 @@ import (
 //     this body is the one that runs. The same panel plan lays out the
 //     store's entries and sets the solve (factorCache.solve): a lane
 //     panel's fill factors in place in the entry, and its solve is the
-//     uncached panel's; a width-1 panel runs la.SolveFactoredMulti in
-//     place.
+//     uncached panel's; a width-1 panel runs la.SolveFactoredMulti. An
+//     entry with lane panels also holds the task's fused inflow face
+//     blocks, so a cached lane task forms no face block and reads no
+//     face matrix.
 //   - Zero steady-state allocations: every buffer the body touches is
 //     pre-sized in workerState at New from the artifact's
 //     KernelDims (pinned by TestSweepTaskAllocFree).
 //
 // Bitwise contract: for every group the floating-point operation
 // sequence is identical to the scalar kernel's — batching reorders work
-// across independent groups only. TestKernelBatchedBitwise pins batched
-// == scalar flux bit for bit across the boundary-condition matrix.
+// across independent groups only, and the layout moves values without
+// arithmetic. TestKernelBatchedBitwise pins batched == scalar flux bit
+// for bit across the boundary-condition matrix.
 
 // sigtRun is one maximal run of consecutive groups sharing a sigma_t
 // value within one material: groups [g0, g0+k) of the effective totals.
@@ -88,13 +99,17 @@ func buildSigtRuns(sigtEff [][]float64) [][]sigtRun {
 
 // solveElemBatched is the batched engine task body; see the file comment.
 //
-// The RHS block is assembled and solved directly in the task's psi slab:
-// the engine layout ([angle][element][group][node]) makes the task's
-// groups contiguous, no task of the current phase reads psi(a, e) before
-// this task's counters resolve, and every in-task read (the stored
-// source products, upwind neighbours, psiLag, streamed halos, reflective
-// mirrors) comes from a different slab — so the solve lands in place and
-// the scalar kernel's X-to-psi block store disappears.
+// The task's solutions land directly in its psi slab: under LayoutLanes
+// ([angle][element][node][group]) the slab is one contiguous block, no
+// task of the current phase reads psi(a, e) before this task's counters
+// resolve, and every in-task read (the stored source products, upwind
+// neighbours, psiLag, streamed halos, reflective mirrors) comes from a
+// different slab. With one group the right-hand side is assembled and
+// solved in the slab itself; with several it is assembled lane-major in
+// worker scratch, and each lane panel gathers its permuted right-hand
+// sides from there straight into the slab and solves them in place
+// (solveLanes), while a width-1 panel solves a group-major copy of its
+// groups and stores the solutions (runBlock, storeRun).
 //
 // On a solve failure the remaining sigma_t runs still execute (matching
 // the scalar kernel, where every group runs) and the first error is
@@ -107,9 +122,10 @@ func (s *Solver) solveElemBatched(st *workerState, a, e int) error {
 	// Factor store: a ready entry for this task's (ordinate, geometry
 	// class, material) key replaces base assembly, per-run matrix
 	// formation and factorisation with pure triangular solves — bitwise
-	// identical output (see faccache.go). The lookup runs before the
-	// assembly timer starts: a task that fills the entry charges the fill
-	// to the solve timer itself.
+	// identical output (see faccache.go) — and, holding lane panels, the
+	// face blocks too. The lookup runs before the assembly timer starts:
+	// a task that fills the entry charges the fill to the solve timer
+	// itself.
 	var fent *facEntry
 	if s.fc != nil {
 		fent = s.fc.acquire(s, st, a, e, mat)
@@ -121,17 +137,26 @@ func (s *Solver) solveElemBatched(st *workerState, a, e int) error {
 	if fent == nil {
 		s.assembleBase(a, e, st.base)
 	}
-	rhs := s.psi[s.psiIdx(a, e, 0) : s.psiIdx(a, e, 0)+s.nG*s.nN]
-	s.assembleRHSAll(st, rhs, a, e)
+	n, nG := s.nN, s.nG
+	pb := s.psiIdx(a, e, 0)
+	slab := s.psi[pb : pb+nG*n : pb+nG*n]
+	rhs := slab
+	if nG > 1 {
+		rhs = st.rhs[: nG*n : nG*n]
+	}
+	var blocks []float64
+	if fent != nil {
+		blocks = s.fc.blocks(fent, len(s.sigtRuns[mat]))
+	}
+	s.assembleRHSAll(st, rhs, blocks, a, e)
 	if instr {
 		st.asmNS += time.Since(t0).Nanoseconds()
 	}
-	n := s.nN
 	if fent != nil {
 		if instr {
 			t0 = time.Now()
 		}
-		s.fc.solve(s, st, fent, mat, rhs)
+		s.fc.solve(s, st, fent, mat, rhs, slab)
 		if instr {
 			st.solveNS += time.Since(t0).Nanoseconds()
 		}
@@ -155,7 +180,9 @@ func (s *Solver) solveElemBatched(st *workerState, a, e int) error {
 					t0 = time.Now()
 				}
 				g0 := int(runs[r0].g0)
-				solveLanes(lu, perm, rhs[g0*n:(g0+w)*n], st.lanes, n, w)
+				off := st.off[:w*n]
+				laneOffsets(off, perm, n, w, nG)
+				solveLanes(lu, off, rhs[g0:], slab[g0:], n, w, nG)
 				if instr {
 					st.solveNS += time.Since(t0).Nanoseconds()
 				}
@@ -172,12 +199,14 @@ func (s *Solver) solveElemBatched(st *workerState, a, e int) error {
 				st.asmNS += time.Since(t0).Nanoseconds()
 				t0 = time.Now()
 			}
+			blk := s.runBlock(st, rhs, g0, k)
 			var err error
 			if ge {
-				err = la.SolveGEMulti(st.ws.A, rhs[g0*n:(g0+k)*n], k)
+				err = la.SolveGEMulti(st.ws.A, blk, k)
 			} else if err = la.FactorBlocked(st.ws.A, st.ws.Piv, la.DefaultBlockSize); err == nil {
-				la.SolveFactoredMulti(st.ws.A, st.ws.Piv, rhs[g0*n:(g0+k)*n], k)
+				la.SolveFactoredMulti(st.ws.A, st.ws.Piv, blk, k)
 			}
+			s.storeRun(blk, slab, g0, k)
 			if instr {
 				st.solveNS += time.Since(t0).Nanoseconds()
 			}
@@ -189,145 +218,151 @@ func (s *Solver) solveElemBatched(st *workerState, a, e int) error {
 	return firstErr
 }
 
+// runBlock returns the right-hand sides of the k groups from g0 on as
+// the multi-RHS routines take them, group-major: the task's lane-major
+// rhs itself when the task has one group (solved in place), else a
+// transposed copy in worker scratch, which storeRun puts back.
+func (s *Solver) runBlock(st *workerState, rhs []float64, g0, k int) []float64 {
+	n, nG := s.nN, s.nG
+	if nG == 1 {
+		return rhs[:n]
+	}
+	blk := st.cols[: k*n : k*n]
+	for j := 0; j < k; j++ {
+		bj := blk[j*n : j*n+n]
+		for i := range bj {
+			bj[i] = rhs[i*nG+g0+j]
+		}
+	}
+	return blk
+}
+
+// storeRun writes the k group-major solutions runBlock's copy holds into
+// the task's psi slab; a one-group task solved in place already.
+func (s *Solver) storeRun(blk, slab []float64, g0, k int) {
+	n, nG := s.nN, s.nG
+	if nG == 1 {
+		return
+	}
+	for j := 0; j < k; j++ {
+		for i, v := range blk[j*n : j*n+n] {
+			slab[i*nG+g0+j] = v
+		}
+	}
+}
+
 // assembleRHSAll builds the right-hand sides of every group of one
-// (angle, elem) task into rhs (group-major, node fastest — the caller
-// passes the task's own psi slab): the hoisted volumetric source
-// (loadSource) minus the upwind inflow terms. Per group the arithmetic is
-// identical to assembleRHS; the face pass runs face-outer with one
-// face's upwind values of all groups gathered into a group-major panel
-// and the face block applied to the whole panel (subInflowPanel).
-func (s *Solver) assembleRHSAll(st *workerState, rhs []float64, a, e int) {
-	n := s.nN
+// (angle, elem) task into rhs (lane-major: node-major with the groups
+// fastest): the hoisted volumetric source (loadSourceLanes) minus the
+// upwind inflow terms. Per group the arithmetic is identical to
+// assembleRHS's; the face pass runs face-outer, one face's upwind values
+// of every group gathered into one lane-major panel — an upwind node's
+// groups are one contiguous run of psi, for interior, lagged and
+// reflective faces alike; External slots are group-major and transposed —
+// and the face block applied to all groups by one la.FaceApplyLanes call.
+// blocks, when not nil, holds the fused block of each inflow face in
+// ascending face order (a store entry's); otherwise each is fused into
+// worker scratch here, the same la.Fuse3 sum.
+func (s *Solver) assembleRHSAll(st *workerState, rhs, blocks []float64, a, e int) {
 	nf := s.re.NF
 	nG := s.nG
-	rhs = rhs[: nG*n : nG*n]
-	s.loadSource(rhs, a, e, 0)
+	s.loadSourceLanes(rhs, a, e)
 
-	// Face pass: subtract the upwind inflow of each inflow face from
-	// every group's RHS while the face's block and gather indices are
-	// hot. Faces are visited in ascending order, so each group sees its
-	// face terms in the scalar kernel's order.
+	// Faces are visited in ascending order, so each group sees its face
+	// terms in the scalar kernel's order.
 	t := s.topos[a]
-	panel := st.up[: nG*nf : nG*nf]
+	panel := st.up[: nf*nG : nf*nG]
+	in := 0 // inflow faces so far: the index of this face's stored block
 	for f := 0; f < fem.NumFaces; f++ {
 		if !t.IsInflow(e, f) {
 			continue
 		}
+		in++
 		fc := &s.cfg.Mesh.Elems[e].Faces[f]
+		var up []float64
 		switch {
 		case fc.Neighbor >= 0:
-			// Interior (or lagged) upwind neighbour: resolve the
-			// conforming-face gather indices once, then gather every
-			// group's face values into the panel.
+			// Interior (or lagged) upwind neighbour: its coincident nodes
+			// through the conforming-face permutation, reordered into our
+			// face-node ordering.
 			src := s.psi
 			if t.Lagged != nil && t.IsLagged(e, f) {
 				src = s.psiLag
 			}
 			perm := s.conn.Perm[e][f]
 			nbNodes := s.re.FaceNodes[fc.NeighborFace]
-			gather := st.gather[:nf:nf]
-			for l := range gather {
-				gather[l] = int32(nbNodes[perm[l]])
-			}
 			pb := s.psiIdx(a, fc.Neighbor, 0)
-			for g := 0; g < nG; g++ {
-				pslab := src[pb+g*n : pb+g*n+n]
-				up := panel[g*nf : g*nf+nf][:len(gather)]
-				for l, node := range gather {
-					up[l] = pslab[node]
+			if nG == 1 {
+				for l := range panel {
+					panel[l] = src[pb+nbNodes[perm[l]]]
+				}
+			} else {
+				for l := 0; l < nf; l++ {
+					o := pb + nbNodes[perm[l]]*nG
+					gatherRun(panel[l*nG:l*nG+nG], src[o:o+nG])
 				}
 			}
-			s.subInflowPanel(st, rhs, panel, a, e, f)
+			up = panel
 		case s.ext != nil:
 			// External inflow: slots were filled before the sweep (block
-			// Jacobi) or before ResolveExternal made this task ready, and
-			// a (face, angle) slot is already group-major — no gather.
+			// Jacobi) or before ResolveExternal made this task ready; a
+			// (face, angle) slot is group-major.
 			fi := s.ext.faceIdx[e*fem.NumFaces+f]
 			if fi < 0 {
 				continue // vacuum
 			}
 			off := (int(fi)*s.nA + a) * nG * nf
-			s.subInflowPanel(st, rhs, s.ext.data[off:off+nG*nf], a, e, f)
-		case s.cfg.Reflect[fem.FaceDim(f)]:
-			// Reflective face: gather the mirror ordinate's flux on the
-			// same face nodes of this element, every group, into the panel.
-			src, ma := s.mirror(a, f)
-			fn := s.re.FaceNodes[f]
-			pb := s.psiIdx(ma, e, 0)
-			for g := 0; g < nG; g++ {
-				pslab := src[pb+g*n : pb+g*n+n]
-				up := panel[g*nf : g*nf+nf][:len(fn)]
-				for l, node := range fn {
-					up[l] = pslab[node]
+			up = s.ext.data[off : off+nG*nf]
+			if nG > 1 {
+				for g := 0; g < nG; g++ {
+					for l, v := range up[g*nf : g*nf+nf] {
+						panel[l*nG+g] = v
+					}
 				}
+				up = panel
 			}
-			s.subInflowPanel(st, rhs, panel, a, e, f)
+		case s.cfg.Reflect[fem.FaceDim(f)]:
+			// Reflective face: the mirror ordinate's flux on the same
+			// face nodes of this element.
+			src, ma := s.mirror(a, f)
+			pb := s.psiIdx(ma, e, 0)
+			for l, node := range s.re.FaceNodes[f] {
+				o := pb + node*nG
+				gatherRun(panel[l*nG:l*nG+nG], src[o:o+nG])
+			}
+			up = panel
+		default:
+			continue // vacuum
 		}
+		var fb []float64
+		if blocks != nil {
+			fb = blocks[(in-1)*nf*nf : in*nf*nf]
+		} else {
+			fb = st.fb[: nf*nf : nf*nf]
+			face := &s.em[e].Face[f]
+			om := s.cfg.Quad.Angles[a].Omega
+			la.Fuse3(fb, face[0], face[1], face[2], om[0], om[1], om[2])
+		}
+		// Inflow faces have Omega . n < 0, so subtracting the surface
+		// term adds the upwind in-flow.
+		la.FaceApplyLanes(rhs, fb, up, s.re.FaceNodes[f], nG)
 	}
 }
 
-// subInflowPanel subtracts one inflow face's surface term from the RHS of
-// len(up)/nf consecutive groups: rhs holds their nN-vectors and up their
-// upwind face values (nf each, in our face-node ordering), both
-// group-major. The nf x nf face block om·Fx + om·Fy + om·Fz is fused into
-// worker scratch first, once for all groups (the same sum the scalar
-// kernel forms entry by entry). Groups go four at a time: each block row
-// is loaded once and feeds four independent accumulators, which is what
-// lifts the pass off the one-add-latency-per-term chain of a single dot
-// product; the nG mod 4 tail runs one group at a time. Per (group, row)
-// the order over l, and per RHS entry the order over faces, are the
-// scalar kernel's, so the result is bit for bit assembleRHS's. (Inflow
-// faces have Omega . n < 0, so subtracting the surface term adds the
-// upwind in-flow.)
-func (s *Solver) subInflowPanel(st *workerState, rhs, up []float64, a, e, f int) {
-	n := s.nN
-	nf := s.re.NF
-	k := len(up) / nf
-	if k == 0 {
-		return
-	}
-	om := s.cfg.Quad.Angles[a].Omega
-	face := &s.em[e].Face[f]
-	fb := st.fb[: nf*nf : nf*nf]
-	la.Fuse3(fb, face[0], face[1], face[2], om[0], om[1], om[2])
-	fn := s.re.FaceNodes[f]
-	g := 0
-	for ; g+4 <= k; g += 4 {
-		b0 := rhs[g*n : g*n+n]
-		b1 := rhs[(g+1)*n : (g+1)*n+n]
-		b2 := rhs[(g+2)*n : (g+2)*n+n]
-		b3 := rhs[(g+3)*n : (g+3)*n+n]
-		// Length-matched reslices: the prove pass drops the inner loop's
-		// bounds checks (check_bce).
-		u0 := up[g*nf : g*nf+nf]
-		u1 := up[(g+1)*nf : (g+1)*nf+nf][:len(u0)]
-		u2 := up[(g+2)*nf : (g+2)*nf+nf][:len(u0)]
-		u3 := up[(g+3)*nf : (g+3)*nf+nf][:len(u0)]
-		for r, gi := range fn {
-			fr := fb[r*nf : r*nf+nf][:len(u0)]
-			var a0, a1, a2, a3 float64
-			for l, m := range fr {
-				a0 += m * u0[l]
-				a1 += m * u1[l]
-				a2 += m * u2[l]
-				a3 += m * u3[l]
-			}
-			b0[gi] -= a0
-			b1[gi] -= a1
-			b2[gi] -= a2
-			b3[gi] -= a3
-		}
-	}
-	for ; g < k; g++ {
-		b := rhs[g*n : g*n+n]
-		u := up[g*nf : g*nf+nf]
-		for r, gi := range fn {
-			fr := fb[r*nf : r*nf+nf][:len(u)]
-			acc := 0.0
-			for l, v := range u {
-				acc += fr[l] * v
-			}
-			b[gi] -= acc
+// gatherRun copies one upwind node's groups: moves, not copy, because
+// the runs are a few entries long and a runtime memmove call costs more
+// than moving them.
+func gatherRun(dst, src []float64) {
+	switch len(dst) {
+	case 2:
+		dst[0], dst[1] = src[0], src[1]
+	case 4:
+		s := src[:4:4]
+		dst[0], dst[1], dst[2], dst[3] = s[0], s[1], s[2], s[3]
+	default:
+		src = src[:len(dst)]
+		for g, v := range src {
+			dst[g] = v
 		}
 	}
 }

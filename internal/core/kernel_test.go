@@ -697,6 +697,9 @@ func TestFactorCacheWidthPlans(t *testing.T) {
 				if _, err := s.Run(); err != nil {
 					t.Fatal(err)
 				}
+				if !fusedBlocksMatch(t, s) {
+					t.Fatal("no ready lane entry: the stored face blocks are not exercised")
+				}
 				if p.groups > 1 && !lanePivots(s, s.plan[0]) {
 					t.Fatal("every lane permutation is the identity: the gather is not exercised")
 				}
@@ -714,9 +717,139 @@ func TestFactorCacheWidthPlans(t *testing.T) {
 	}
 }
 
+// fusedBlocksMatch holds every ready entry's stored face blocks to the
+// blocks a task of the entry fuses itself: a lane entry keeps one
+// la.Fuse3 block per inflow face of its outflow mask, in ascending face
+// order, bitwise those of the slot's first element (every element of the
+// slot forms the same ones); an entry without lane panels keeps none. It
+// reports whether some lane entry was ready — with one group there is
+// none, and it reports true.
+func fusedBlocksMatch(t *testing.T, s *Solver) bool {
+	t.Helper()
+	lanes := false
+	for _, p := range s.plan[0] {
+		lanes = lanes || p.w > 1
+	}
+	nf := s.re.NF
+	want := make([]float64, nf*nf)
+	seen := false
+	for a := 0; a < s.nA; a++ {
+		for e := 0; e < s.nE; e++ {
+			mat := s.cfg.Mesh.Elems[e].Material
+			ent := s.fc.entry(a, e, mat)
+			fb := s.fc.blocks(ent, len(s.sigtRuns[mat]))
+			if !lanes {
+				if fb != nil {
+					t.Fatalf("angle %d elem %d: an entry without lane panels stores face blocks", a, e)
+				}
+				continue
+			}
+			if ent.state.Load() != facReady || ent.mask != s.outflowMask(a, e) {
+				continue
+			}
+			seen = true
+			om := s.cfg.Quad.Angles[a].Omega
+			for f := 0; f < fem.NumFaces; f++ {
+				if ent.mask&(1<<f) != 0 {
+					continue
+				}
+				face := &s.em[e].Face[f]
+				la.Fuse3(want, face[0], face[1], face[2], om[0], om[1], om[2])
+				for i, v := range want {
+					if math.Float64bits(fb[i]) != math.Float64bits(v) {
+						t.Fatalf("angle %d elem %d face %d: stored block entry %d %v, the task fuses %v", a, e, f, i, fb[i], v)
+					}
+				}
+				fb = fb[nf*nf:]
+			}
+			if len(fb) != 0 {
+				t.Fatalf("angle %d elem %d: %d stored block entries beyond the inflow faces", a, e, len(fb))
+			}
+		}
+	}
+	return seen || !lanes
+}
+
+// TestFactorCacheMaskMismatch: a task whose outflow set differs from its
+// entry's — a tangent face classified the other way within a geometry
+// class — takes the private path and neither reads nor fills the entry.
+// Every entry of ordinate 0 is given a foreign mask: they stay empty, and
+// the flux is still bitwise the uncached kernel's.
+func TestFactorCacheMaskMismatch(t *testing.T) {
+	for _, groups := range []int{1, 4} {
+		run := func(noCache, foreign bool) ([]float64, []float64) {
+			cfg := rampedProblem(t, groups)
+			cfg.Scheme = SchemeEngine
+			cfg.Threads = 2
+			cfg.noFactorCache = noCache
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if foreign {
+				for sl := 0; sl < s.fc.nSlots; sl++ {
+					s.fc.entries[sl].mask ^= 0x3f
+				}
+			}
+			if _, err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if foreign {
+				for sl := 0; sl < s.fc.nSlots; sl++ {
+					if st := s.fc.entries[sl].state.Load(); st != facEmpty {
+						t.Fatalf("groups %d: entry with a foreign mask left in state %d", groups, st)
+					}
+				}
+				if s.fc.entries[s.fc.nSlots].state.Load() != facReady {
+					t.Fatalf("groups %d: ordinate 1's first entry was not filled", groups)
+				}
+			}
+			return snapshotSolver(s)
+		}
+		want := fluxDigest(run(true, false))
+		if got := fluxDigest(run(false, true)); got != want {
+			t.Fatalf("groups %d: mask-mismatched store flux %s, uncached %s", groups, got, want)
+		}
+	}
+}
+
+// TestKernelLanesMatchBuckets holds the engine, on its lane-major layout
+// and the batched kernel, cached and uncached, to the bucket executor on
+// LayoutEG at 1e-12 — scalar and angular flux, read through the
+// layout-independent accessors — at one, two, four and eight groups, on
+// the cyclic ramped problem (lagged couplings read psiLag through the
+// lane-major gather).
+func TestKernelLanesMatchBuckets(t *testing.T) {
+	for _, groups := range []int{1, 2, 4, 8} {
+		legacy := rampedProblem(t, groups)
+		legacy.Scheme = SchemeAEg
+		legacy.Threads = 1
+		refPhi, refPsi := runAndSnapshot(t, legacy)
+		for _, noCache := range []bool{false, true} {
+			cfg := rampedProblem(t, groups)
+			cfg.Scheme = SchemeEngine
+			cfg.Threads = 3
+			cfg.noFactorCache = noCache
+			phi, psi := runAndSnapshot(t, cfg)
+			for i := range refPhi {
+				if math.Abs(phi[i]-refPhi[i]) > 1e-12*(1+math.Abs(refPhi[i])) {
+					t.Fatalf("groups %d uncached %v: phi[%d] engine %v vs buckets %v", groups, noCache, i, phi[i], refPhi[i])
+				}
+			}
+			for i := range refPsi {
+				if math.Abs(psi[i]-refPsi[i]) > 1e-12*(1+math.Abs(refPsi[i])) {
+					t.Fatalf("groups %d uncached %v: psi[%d] engine %v vs buckets %v", groups, noCache, i, psi[i], refPsi[i])
+				}
+			}
+		}
+	}
+}
+
 // lanePivots reports whether some ready entry holds, in a panel wider
-// than one, a lane permutation other than the identity. Every material
-// has the same plan on a ramped library; the caller passes it.
+// than one, a gather offset other than the identity permutation's
+// (i*nG + l for row i of lane l). Every material has the same plan on a
+// ramped library; the caller passes it.
 func lanePivots(s *Solver, plan []facPanel) bool {
 	n := s.fc.n
 	for i := range s.fc.entries {
@@ -724,15 +857,18 @@ func lanePivots(s *Solver, plan []facPanel) bool {
 		if ent.state.Load() != facReady {
 			continue
 		}
+		_, off := s.fc.pivots(ent)
 		for _, p := range plan {
-			if p.w == 1 {
+			w := int(p.w)
+			if w == 1 {
 				continue
 			}
-			for i, q := range ent.piv[int(p.r0)*n : int(p.r0+p.w)*n] {
-				if q != i%n {
+			for k, o := range off[:w*n] {
+				if int(o) != k/w*s.nG+k%w {
 					return true
 				}
 			}
+			off = off[w*n:]
 		}
 	}
 	return false
@@ -793,8 +929,14 @@ func TestKernelSingularPanel(t *testing.T) {
 			t.Fatalf("uncached %v: factor store %v", noCache, s.fc)
 		}
 		if perRun {
+			// The store is laid out by the plan: rebuild it for the new one.
 			for mat, runs := range s.sigtRuns {
 				s.plan[mat] = panelPlan(runs, false)
+			}
+			if !noCache {
+				if s.fc, err = newFactorCache(s); err != nil {
+					t.Fatal(err)
+				}
 			}
 		} else if len(s.plan[0]) != 1 || s.plan[0][0].w != 4 {
 			t.Fatalf("plan %v, want one four-lane panel", s.plan[0])
@@ -863,6 +1005,38 @@ func TestKernelChargesPanelSplit(t *testing.T) {
 	}
 	if st.asmNS <= 0 || st.solveNS <= 0 {
 		t.Fatalf("uncached task charged assembly %d ns, solve %d ns", st.asmNS, st.solveNS)
+	}
+
+	// The cached lane path: the fill is solve time; a task on the ready
+	// entry charges its right-hand side (source, gathers, face applies)
+	// to assembly and its gathers into psi and lane solve to solve.
+	cfg.noFactorCache = false
+	cfg.Instrument = true
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ct := c.workers[0]
+	c.ComputeOuterSource()
+	c.PrepareInner()
+	ct.asmNS, ct.solveNS = 0, 0
+	if err := c.solveElemBatched(ct, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if ent := c.fc.entry(0, 0, c.cfg.Mesh.Elems[0].Material); ent.state.Load() != facReady || c.fc.blocks(ent, len(c.sigtRuns[c.cfg.Mesh.Elems[0].Material])) == nil {
+		t.Fatal("the first task did not fill a lane entry with its face blocks")
+	}
+	fillSolve := ct.solveNS
+	if fillSolve <= 0 {
+		t.Fatalf("filling task charged %d ns to solve", fillSolve)
+	}
+	ct.asmNS, ct.solveNS = 0, 0
+	if err := c.solveElemBatched(ct, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if ct.asmNS <= 0 || ct.solveNS <= 0 {
+		t.Fatalf("cached lane task charged assembly %d ns, solve %d ns", ct.asmNS, ct.solveNS)
 	}
 }
 

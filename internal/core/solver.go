@@ -30,10 +30,13 @@ type Solver struct {
 	em   []*fem.ElementMatrices
 
 	nE, nG, nN, nA int // elements, groups, nodes/element, angles
+	// stride is the distance between two nodes of one group in psi,
+	// psiLag, mPrev, mq and mq1: nG under LayoutLanes, else 1.
+	stride int
 
 	topos []*build.Topology // per angle (deduplicated pointers)
 
-	psi []float64 // angular flux, layout per scheme
+	psi []float64 // angular flux, layout per scheme (psiIdx)
 	// psiLag is the previous sweep's angular flux (cyclic meshes only):
 	// rotateLagSnapshot swaps it with psi at the start of every sweep, so
 	// lagged couplings, and reflective mirrors in a later octant, read an
@@ -46,7 +49,9 @@ type Solver struct {
 	// mq is the mass-weighted total source M (qOuter + within-group
 	// scattering): the angle-independent volumetric right-hand side of
 	// every task, formed once per inner by PrepareInner so no task
-	// multiplies by the mass matrix (see loadSource).
+	// multiplies by the mass matrix (see loadSource). It is laid out like
+	// one ordinate of psi (srcIdx), so under LayoutLanes a task's source
+	// is one contiguous block.
 	mq []float64
 
 	// Time-dependent state: the mass-weighted previous-step angular flux
@@ -84,8 +89,8 @@ type Solver struct {
 
 	// P1 scattering state (ScatOrder 1): the current J per dimension, its
 	// outer source and the mass-weighted total first-moment source
-	// mq1[d] = M (qOuter1[d] + within-group P1 scattering), all in the
-	// scalar-flux layout; nil when isotropic.
+	// mq1[d] = M (qOuter1[d] + within-group P1 scattering), the first two
+	// in the scalar-flux layout and mq1 in mq's; nil when isotropic.
 	cur     [3][]float64
 	qOuter1 [3][]float64
 	mq1     [3][]float64
@@ -145,16 +150,20 @@ func New(cfg Config) (*Solver, error) {
 		return nil, err
 	}
 	s := &Solver{
-		cfg:   cfg,
-		art:   art,
-		re:    art.Re,
-		conn:  art.Conn,
-		em:    art.EM,
-		topos: art.Topos,
-		nE:    cfg.Mesh.NumElems(),
-		nG:    cfg.Lib.NumGroups,
-		nN:    art.Re.N,
-		nA:    cfg.Quad.NumAngles(),
+		cfg:    cfg,
+		art:    art,
+		re:     art.Re,
+		conn:   art.Conn,
+		em:     art.EM,
+		topos:  art.Topos,
+		nE:     cfg.Mesh.NumElems(),
+		nG:     cfg.Lib.NumGroups,
+		nN:     art.Re.N,
+		nA:     cfg.Quad.NumAngles(),
+		stride: 1,
+	}
+	if cfg.Scheme.Layout() == LayoutLanes {
+		s.stride = s.nG
 	}
 
 	// Per-solve view of the streamed halo faces (the classification
@@ -256,6 +265,14 @@ func (s *Solver) initRoundBodies() {
 			s.prevStep(s.workers[w], idx/s.nE, idx%s.nE)
 		}
 	}
+	if s.stride > 1 {
+		s.reduceRoundFn = func(w int) {
+			for e, hi := p.chunk(w, s.nE); e < hi; e++ {
+				s.reduceElem(s.workers[w], e)
+			}
+		}
+		return
+	}
 	angles := s.cfg.Quad.Angles
 	p1 := s.cfg.ScatOrder >= 1
 	size := s.nE * s.nG * s.nN
@@ -277,17 +294,60 @@ func (s *Solver) initRoundBodies() {
 	}
 }
 
+// reduceElem is the flux reduction of element e under LayoutLanes, where
+// psi keeps the groups fastest and phi the nodes: phi += w_a psi_a and,
+// for P1, J_d += (w_a Omega_d) psi_a, ordinate by ordinate (reduceBlock).
+func (s *Solver) reduceElem(st *workerState, e int) {
+	blk := s.nN * s.nG
+	acc := st.rhs[:blk:blk]
+	s.reduceBlock(acc, s.phi[e*blk:e*blk+blk], e, -1)
+	if s.cfg.ScatOrder >= 1 {
+		for d := 0; d < 3; d++ {
+			s.reduceBlock(acc, s.cur[d][e*blk:e*blk+blk], e, d)
+		}
+	}
+}
+
+// reduceBlock adds every ordinate's weighted psi block of element e —
+// weight w_a, times Omega_a,d for d >= 0 — to y, the element's block of
+// a scalar-flux array: y is transposed into acc (psi's order), each
+// ordinate added with one la.AddScaled, and the sum transposed back.
+// Every entry gets the sum the daxpy stream forms over the other
+// layouts, term for term in the same order.
+func (s *Solver) reduceBlock(acc, y []float64, e, d int) {
+	n, nG := s.nN, s.nG
+	for g := 0; g < nG; g++ {
+		for i, v := range y[g*n : g*n+n] {
+			acc[i*nG+g] = v
+		}
+	}
+	for a, ang := range s.cfg.Quad.Angles {
+		w := ang.Weight
+		if d >= 0 {
+			w *= ang.Omega[d]
+		}
+		o := (a*s.nE + e) * len(acc)
+		la.AddScaled(acc, s.psi[o:o+len(acc)], w)
+	}
+	for g := 0; g < nG; g++ {
+		yg := y[g*n : g*n+n]
+		for i := range yg {
+			yg[i] = acc[i*nG+g]
+		}
+	}
+}
+
 // prepInner is PrepareInner's pass over element e.
 func (s *Solver) prepInner(st *workerState, e int) {
 	lib := s.cfg.Lib
 	p1 := s.cfg.ScatOrder >= 1
 	mat := s.cfg.Mesh.Elems[e].Material
-	n := s.nN
+	n, ns := s.nN, s.stride
 	for g := 0; g < s.nG; g++ {
-		base := s.phiIdx(e, g)
+		base, src := s.phiIdx(e, g), s.srcIdx(e, g)
 		sc := lib.Scatter[mat][g][g]
 		for i := 0; i < n; i++ {
-			s.mq[base+i] = s.qOuter[base+i] + sc*s.phi[base+i]
+			s.mq[src+i*ns] = s.qOuter[base+i] + sc*s.phi[base+i]
 			s.phiOld[base+i] = s.phi[base+i]
 			s.phi[base+i] = 0
 		}
@@ -295,7 +355,7 @@ func (s *Solver) prepInner(st *workerState, e int) {
 			sc1 := lib.ScatterP1[mat][g][g]
 			for d := 0; d < 3; d++ {
 				for i := 0; i < n; i++ {
-					s.mq1[d][base+i] = s.qOuter1[d][base+i] + sc1*s.cur[d][base+i]
+					s.mq1[d][src+i*ns] = s.qOuter1[d][base+i] + sc1*s.cur[d][base+i]
 					s.cur[d][base+i] = 0
 				}
 			}
@@ -310,11 +370,11 @@ func (s *Solver) prepInner(st *workerState, e int) {
 	}
 	mass := s.em[e].Mass
 	for g := 0; g < s.nG; g++ {
-		base := s.phiIdx(e, g)
-		massApply(s.mq[base:base+n], mass, st.tmp)
+		src := s.srcIdx(e, g)
+		massApply(s.mq[src:], ns, mass, st.tmp)
 		if p1 {
 			for d := 0; d < 3; d++ {
-				massApply(s.mq1[d][base:base+n], mass, st.tmp)
+				massApply(s.mq1[d][src:], ns, mass, st.tmp)
 			}
 		}
 	}
@@ -436,7 +496,8 @@ func (s *Solver) rotateLagSnapshot() {
 // ---- layout index helpers ----
 
 // phiIdx returns the offset of node 0 of (elem, group) in the scalar-flux
-// sized arrays (phi, phiOld, qOuter, mq).
+// arrays (phi, phiOld, qOuter, cur, qOuter1): node fastest in every
+// layout, LayoutLanes keeping LayoutEG's order.
 func (s *Solver) phiIdx(e, g int) int {
 	if s.cfg.Scheme.Layout() == LayoutGE {
 		return (g*s.nE + e) * s.nN
@@ -444,12 +505,25 @@ func (s *Solver) phiIdx(e, g int) int {
 	return (e*s.nG + g) * s.nN
 }
 
-// psiIdx returns the offset of node 0 of (angle, elem, group) in psi.
+// psiIdx returns the offset of node 0 of (angle, elem, group) in psi
+// (and psiLag, mPrev); node i sits stride entries further per node.
 func (s *Solver) psiIdx(a, e, g int) int {
-	if s.cfg.Scheme.Layout() == LayoutGE {
+	switch s.cfg.Scheme.Layout() {
+	case LayoutGE:
 		return ((a*s.nG+g)*s.nE + e) * s.nN
+	case LayoutLanes:
+		return (a*s.nE+e)*s.nN*s.nG + g
 	}
 	return ((a*s.nE+e)*s.nG + g) * s.nN
+}
+
+// srcIdx returns the offset of node 0 of (elem, group) in the stored
+// source products mq and mq1, laid out like one ordinate of psi.
+func (s *Solver) srcIdx(e, g int) int {
+	if s.stride > 1 {
+		return e*s.nN*s.nG + g
+	}
+	return s.phiIdx(e, g)
 }
 
 // ---- public accessors ----
@@ -483,7 +557,7 @@ func (s *Solver) Phi(e, g, node int) float64 {
 
 // Psi returns the angular flux at (angle, elem, group, node).
 func (s *Solver) Psi(a, e, g, node int) float64 {
-	return s.psi[s.psiIdx(a, e, g)+node]
+	return s.psi[s.psiIdx(a, e, g)+node*s.stride]
 }
 
 // Current returns component d of the P1 current J at (elem, group, node).
@@ -500,7 +574,7 @@ func (s *Solver) Current(d, e, g, node int) float64 {
 func (s *Solver) PsiFaceValues(a, e, g, f int, out []float64) {
 	base := s.psiIdx(a, e, g)
 	for k, node := range s.re.FaceNodes[f] {
-		out[k] = s.psi[base+node]
+		out[k] = s.psi[base+node*s.stride]
 	}
 }
 

@@ -16,34 +16,35 @@ import (
 var errEngineStalled = errors.New("core: sweep engine stalled with unfinished elements")
 
 // workerState is the per-worker scratch of the sweep loops: one dense
-// workspace plus the group-independent matrix base, the batched kernel's
-// gather-index scratch, face gather buffers and local nanosecond
-// accumulators (flushed into the solver's totals after each sweep to
-// avoid contention). Every buffer is pre-sized at New from the
-// artifact's kernel dimensions — the steady-state task path performs
-// zero allocations (pinned by TestSweepTaskAllocFree). The batched
-// kernel needs no RHS scratch: it assembles and solves the group block
-// directly in the task's psi slab (see solveElemBatched).
+// workspace plus the group-independent matrix base, face gather buffers
+// and local nanosecond accumulators (flushed into the solver's totals
+// after each sweep to avoid contention). Every buffer is pre-sized at New
+// from the artifact's kernel dimensions — the steady-state task path
+// performs zero allocations (pinned by TestSweepTaskAllocFree). A
+// one-group batched task needs no RHS scratch: it assembles and solves in
+// the task's psi slab (see solveElemBatched).
 type workerState struct {
 	ws      *la.Workspace
 	base    []float64 // -Omega·G + outflow faces, reused per group (engine tasks, store fills)
-	gather  []int32   // engine: upwind gather node offsets of one face
-	fb      []float64 // engine: the face block subInflowPanel fuses per inflow face
-	up      []float64 // upwind nodal values in our face ordering, group-major
+	fb      []float64 // engine: an inflow face's block, fused where no store entry holds it
+	up      []float64 // upwind nodal values in our face ordering, node-major with the groups fastest
 	tmp     []float64 // massApply's copy of its operand (the source passes)
-	lanes   []float64 // engine: four groups' right-hand sides, lane-interleaved (a lane panel's solve)
+	rhs     []float64 // engine, several groups: the task's right-hand sides, lane-major
+	cols    []float64 // engine, several groups: a width-1 panel's right-hand sides, group-major
 	panel   []float64 // engine: an uncached lane panel's four matrices, lane-interleaved, factored in place
-	perm    []int     // engine: the uncached panel's per-lane row permutations
+	perm    []int     // engine: a lane panel's per-lane row permutations, as la.FactorLanes leaves them
+	off     []int32   // engine: an uncached lane panel's gather offsets (laneOffsets)
 	asmNS   int64
 	solveNS int64
 }
 
 // newWorkerState allocates one worker's scratch, sized from the
 // artifact's kernel dimensions and the group count (the batched kernel
-// gathers one face's upwind values for all groups at once); the gather
-// indices, fused-block and lane-panel scratch are engine-only and skipped
-// for the legacy bucket schemes (which still need base: the factor store's eager
-// fill runs under every scheme).
+// gathers one face's upwind values for all groups at once); the
+// fused-block, right-hand-side and lane-panel scratch are engine-only and
+// skipped for the legacy bucket schemes (which still need base: the
+// factor store's eager fill, all width-1 panels, runs under every
+// scheme).
 func newWorkerState(dims build.KernelDims, nG int, engine bool) *workerState {
 	st := &workerState{
 		ws:   la.NewWorkspace(dims.NN),
@@ -52,24 +53,29 @@ func newWorkerState(dims build.KernelDims, nG int, engine bool) *workerState {
 		tmp:  make([]float64, dims.NN),
 	}
 	if engine {
-		st.gather = make([]int32, dims.NF)
 		st.fb = make([]float64, dims.NF*dims.NF)
-		st.lanes = make([]float64, 4*dims.NN)
 		st.panel = make([]float64, 4*dims.NN*dims.NN)
 		st.perm = make([]int, 4*dims.NN)
+		st.off = make([]int32, 4*dims.NN)
+		if nG > 1 {
+			st.rhs = make([]float64, nG*dims.NN)
+			st.cols = make([]float64, nG*dims.NN)
+		}
 	}
 	return st
 }
 
-// massApply overwrites v with M v: row by row, one ascending dot product
-// per entry. That order is part of the bitwise contract — it is what
-// TestKernelFluxDigest's recorded digest was computed with — so it must
-// not be blocked or reordered. tmp (len >= len(v)) receives the operand.
-func massApply(v, mass, tmp []float64) {
-	n := len(v)
-	tmp = tmp[:n:n]
-	copy(tmp, v)
-	for i := range v {
+// massApply overwrites the n = len(tmp) entries v[0], v[stride], ...,
+// v[(n-1)*stride] with M times them: row by row, one ascending dot
+// product per entry. That order is part of the bitwise contract — it is
+// what TestKernelFluxDigest's recorded digest was computed with — so it
+// must not be blocked or reordered. tmp receives the operand.
+func massApply(v []float64, stride int, mass, tmp []float64) {
+	n := len(tmp)
+	for i := range tmp {
+		tmp[i] = v[i*stride]
+	}
+	for i := 0; i < n; i++ {
 		// Length-matched reslice: the prove pass drops the tmp[j] bounds
 		// check from the dot product (check_bce).
 		row := mass[i*n : i*n+n][:len(tmp)]
@@ -77,20 +83,47 @@ func massApply(v, mass, tmp []float64) {
 		for j, m := range row {
 			acc += m * tmp[j]
 		}
-		v[i] = acc
+		v[i*stride] = acc
 	}
 }
 
-// loadSource writes the volumetric right-hand side of (angle, elem) for
-// the len(b)/nN groups starting at g0 into b: the mass-weighted total
-// source PrepareInner stored, plus — by linearity of M — the P1 term
-// 3 Omega . (M q1) and the BDF1 term vdelt_g (M psi_prev). No task
-// multiplies by the mass matrix. Both task kernels build their RHS from
-// this one expression, which is what keeps them bitwise equal. More than
-// one group needs the engine layout, where an element's groups are
-// contiguous.
-func (s *Solver) loadSource(b []float64, a, e, g0 int) {
-	base := s.phiIdx(e, g0)
+// loadSource writes the volumetric right-hand side of (angle, elem,
+// group) into b (nN entries): the mass-weighted total source PrepareInner
+// stored, plus — by linearity of M — the P1 term 3 Omega . (M q1) and the
+// BDF1 term vdelt_g (M psi_prev). No task multiplies by the mass matrix.
+// Every task kernel builds its RHS from this one expression (the batched
+// kernel through loadSourceLanes, every group at once), which is what
+// keeps them bitwise equal.
+func (s *Solver) loadSource(b []float64, a, e, g int) {
+	ns := s.stride
+	src := s.srcIdx(e, g)
+	b = b[:s.nN]
+	for i := range b {
+		b[i] = s.mq[src+i*ns]
+	}
+	if s.cfg.ScatOrder >= 1 {
+		om := s.cfg.Quad.Angles[a].Omega
+		m1x, m1y, m1z := s.mq1[0][src:], s.mq1[1][src:], s.mq1[2][src:]
+		for i := range b {
+			b[i] += 3 * (om[0]*m1x[i*ns] + om[1]*m1y[i*ns] + om[2]*m1z[i*ns])
+		}
+	}
+	if s.mPrev != nil {
+		// BDF1: the previous step's angular flux enters the source with
+		// the time-absorption coefficient (SNAP's vdelt * psi_prev).
+		vd := s.vdelt(g)
+		prev := s.mPrev[s.psiIdx(a, e, g):]
+		for i := range b {
+			b[i] += vd * prev[i*ns]
+		}
+	}
+}
+
+// loadSourceLanes is loadSource for every group of (angle, elem) at once
+// under LayoutLanes: b is the task's block, node-major with the groups
+// fastest, and mq's block of the element is one contiguous copy.
+func (s *Solver) loadSourceLanes(b []float64, a, e int) {
+	base := s.srcIdx(e, 0)
 	copy(b, s.mq[base:base+len(b)])
 	if s.cfg.ScatOrder >= 1 {
 		om := s.cfg.Quad.Angles[a].Omega
@@ -102,15 +135,11 @@ func (s *Solver) loadSource(b []float64, a, e, g0 int) {
 		}
 	}
 	if s.mPrev != nil {
-		// BDF1: the previous step's angular flux enters the source with
-		// the time-absorption coefficient (SNAP's vdelt * psi_prev).
-		n := s.nN
-		prev := s.mPrev[s.psiIdx(a, e, g0):]
-		for g := 0; g*n < len(b); g++ {
-			vd := s.vdelt(g0 + g)
-			bg := b[g*n : g*n+n]
-			for i, p := range prev[g*n : g*n+n] {
-				bg[i] += vd * p
+		prev := s.mPrev[s.psiIdx(a, e, 0):][:len(b)]
+		for g := 0; g < s.nG; g++ {
+			vd := s.vdelt(g)
+			for k := g; k < len(b); k += s.nG {
+				b[k] += vd * prev[k]
 			}
 		}
 	}
@@ -171,10 +200,9 @@ func (s *Solver) addOutflowFaces(a, e int, dst []float64) {
 func (s *Solver) assembleRHS(st *workerState, a, e, g int) {
 	em := s.em[e]
 	om := s.cfg.Quad.Angles[a].Omega
-	n := s.nN
 	nf := s.re.NF
 	b := st.ws.B
-	s.loadSource(b[:n], a, e, g)
+	s.loadSource(b, a, e, g)
 	t := s.topos[a]
 	for f := 0; f < fem.NumFaces; f++ {
 		if !t.IsInflow(e, f) {
@@ -197,7 +225,7 @@ func (s *Solver) assembleRHS(st *workerState, a, e, g int) {
 			base := s.psiIdx(a, fc.Neighbor, g)
 			up = st.up
 			for l := 0; l < nf; l++ {
-				up[l] = src[base+nbNodes[perm[l]]]
+				up[l] = src[base+nbNodes[perm[l]]*s.stride]
 			}
 		} else if s.ext != nil {
 			if fi := s.ext.faceIdx[e*fem.NumFaces+f]; fi >= 0 {
@@ -213,7 +241,7 @@ func (s *Solver) assembleRHS(st *workerState, a, e, g int) {
 			base := s.psiIdx(ma, e, g)
 			up = st.up
 			for k, node := range s.re.FaceNodes[f] {
-				up[k] = src[base+node]
+				up[k] = src[base+node*s.stride]
 			}
 		}
 		if up == nil {
@@ -376,7 +404,10 @@ func (s *Solver) solveElemScalar(st *workerState, a, e int) error {
 			}
 			continue
 		}
-		copy(s.psi[s.psiIdx(a, e, g):s.psiIdx(a, e, g)+s.nN], st.ws.X)
+		pb := s.psiIdx(a, e, g)
+		for i, v := range st.ws.X[:s.nN] {
+			s.psi[pb+i*s.stride] = v
+		}
 	}
 	return firstErr
 }

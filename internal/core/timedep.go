@@ -106,10 +106,8 @@ func (s *Solver) prevStep(st *workerState, a, e int) {
 	if s.cfg.Instrument {
 		t0 = time.Now()
 	}
-	n := s.nN
 	for g := 0; g < s.nG; g++ {
-		pb := s.psiIdx(a, e, g)
-		massApply(s.mPrev[pb:pb+n], s.em[e].Mass, st.tmp)
+		massApply(s.mPrev[s.psiIdx(a, e, g):], s.stride, s.em[e].Mass, st.tmp)
 	}
 	if s.cfg.Instrument {
 		st.asmNS += time.Since(t0).Nanoseconds()

@@ -453,7 +453,7 @@ func RunLA(sizes []int) []LARow {
 			for i := range x {
 				x[i] = 1
 			}
-			la.TriSolveLanes(lu, x, n, 4)
+			la.TriSolveLanes(lu, x, n, 4, 4)
 		}) / 4
 		flops := 2 * float64(n*n*n) / 3
 		row.GEGflops, row.FactorGflops = flops/row.GENs, flops/row.FactorNs

@@ -69,7 +69,7 @@
 //
 // # Vector kernels
 //
-// Eight loops have an AVX2 form in kernels_amd64.s, called from inside
+// Nine loops have an AVX2 form in kernels_amd64.s, called from inside
 // the Go functions that own them, so no caller and no signature knows:
 // pairUpdate's four-row trailing update t = (t - l0*u) - l1*v
 // (update2AVX2: the eight multipliers broadcast, the pivot rows loaded
@@ -83,9 +83,9 @@
 // they hold, so no access leaves the operands and no tail is scalar),
 // TriSolveLanes (triSolveLanesAVX2: the triangular solves of four
 // systems on Y registers, or two on X registers), FactorLanes
-// (factorLanesAVX2, the same registers) and AddScaledToLanes
-// (addScaledToLanesAVX2).
-// In each but the last three, a lane is one matrix entry and performs exactly
+// (factorLanesAVX2, the same registers), AddScaledToLanes
+// (addScaledToLanesAVX2) and FaceApplyLanes (faceApplyLanesAVX2).
+// In each but the last four, a lane is one matrix entry and performs exactly
 // the IEEE-754 operations the Go loop performs on that entry — VMULPD,
 // then VSUBPD or VADDPD, operands in the same order, each result rounded
 // to float64 before the next uses it — under the same (default,
@@ -93,8 +93,9 @@
 // rounds t - l*u once where the loop rounds the product and then the
 // difference, and would move the last bit of most entries (scripts/ci.sh
 // greps the assembly for FMA mnemonics). AVX-512 would be the same
-// argument over eight lanes and is left out only for want of a workload
-// that needs it.
+// argument over eight lanes; on a Xeon reporting AVX-512 F/DQ/BW/VL a
+// ZMM rank-2 lane update measured about 1.3x the YMM loop on the n = 64
+// panel, short of what would justify a second kernel family.
 //
 // TriSolveLanes vectorises across systems instead of within one. Its
 // operands are w factors stored lane-interleaved, entry (i, j) of lane l
@@ -110,7 +111,23 @@
 // factors sit in L1 and one system is a chain of dependent subtracts and
 // divides; four chains share each instruction. The row interchanges stay
 // outside: the caller gathers each right-hand side through the
-// composition of its pivots, which moves values without arithmetic.
+// composition of its pivots, which moves values without arithmetic. The
+// rows of x may be ldx >= w apart, so the w lanes can be a column stripe
+// of a wider row-major block — the sweep's psi block of one element,
+// node-major with every group of the element in a row — solved in place
+// there.
+//
+// FaceApplyLanes is a face's surface term on w right-hand sides stored
+// the same way, node-major with the w lanes of a node contiguous: per
+// block row r and lane l, acc = +0, then acc = acc + fb[r][k]*u[k][l]
+// for ascending k (VMULPD, VADDPD), then b[rows[r]][l] -= acc (VSUBPD) —
+// the scalar row sum of each lane's right-hand side, term for term. Four
+// lanes go to a Y register, then two to an X register, then one (the
+// scalar forms); within a chunk four block rows run per pass in four
+// accumulators sharing each load of u, which is what takes the pass off
+// one add latency per term (TestFaceApplyLanesBitwise,
+// FuzzFaceApplyLanesBitwise: widths 1 to 16, every chunk tail, the
+// specials).
 //
 // FactorLanes does the same for the factorisation, in the same layout:
 // one vector holds entry (i, j) of every system, so the parts of
@@ -160,8 +177,8 @@
 // pairUpdate scans the two multiplier columns first, hands the zero-free
 // leading rows to the kernel (which subtracts unconditionally) and the
 // rest to the per-block loop, which knows how to skip. MulTN declines
-// only shapes below one block (m or n under 4) and k = 0; FactorLanes and
-// AddScaledToLanes only width 1.
+// only shapes below one block (m or n under 4) and k = 0; FactorLanes,
+// AddScaledToLanes and FaceApplyLanes only width 1.
 //
 // Matrices are dense row-major; all routines are allocation-free given a
 // Workspace so they can run inside sweep worker pools.
@@ -202,7 +219,8 @@
 //     bitwise Factor's factor of that lane's matrix, its permutation
 //     Factor's pivots composed, and FactorLanes fails exactly when some
 //     lane's Factor does; each lane of AddScaledToLanes is bitwise
-//     AddScaledTo with that lane's weight.
+//     AddScaledTo with that lane's weight; each lane of FaceApplyLanes is
+//     bitwise the scalar row sums of its own right-hand side.
 //   - Vector path == scalar path, for every routine above (the bitwise
 //     suite runs each case on both and compares them).
 package la

@@ -43,10 +43,13 @@ func fuse3AVX2(dst, a, b, c []float64, wa, wb, wc float64)
 func mulTNAVX2(c []float64, ldc int, a []float64, lda int, b []float64, ldb, n, k int)
 
 //go:noescape
-func triSolveLanesAVX2(lu, x []float64, n, w int)
+func triSolveLanesAVX2(lu, x []float64, n, w, ldx int)
 
 //go:noescape
 func factorLanesAVX2(lu []float64, perm []int, n, w int) int
 
 //go:noescape
 func addScaledToLanesAVX2(dst, base, x, w []float64)
+
+//go:noescape
+func faceApplyLanesAVX2(b, fb, u []float64, rows []int, w int)

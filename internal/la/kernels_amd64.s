@@ -328,117 +328,338 @@ done:
 	VZEROUPPER
 	RET
 
-// func triSolveLanesAVX2(lu, x []float64, n, w int)
+// func triSolveLanesAVX2(lu, x []float64, n, w, ldx int)
 //
 // The forward then back substitution of TriSolveLanes for w = 4 (Y
 // registers, 32-byte entries) or w = 2 (X registers, 16-byte entries),
 // n >= 1: lu holds w unit-lower / upper factors interleaved as
 // lu[(i*n+j)*w + lane], x the w permuted right-hand sides as
-// x[i*w + lane]. Row i of the forward pass is
+// x[i*ldx + lane]. Row i of the forward pass is
 // x[i] <- (...((x[i] - l[i][0]*x[0]) - l[i][1]*x[1]) ...) - l[i][i-1]*x[i-1],
 // row i of the back pass the same over j = i+1..n-1 in ascending j,
 // then one divide by u[i][i]: SolveFactored's sequence in every lane.
-TEXT ·triSolveLanesAVX2(SB), NOSPLIT, $0-64
+// AX walks a factor row and BX the rows of x in step with it.
+TEXT ·triSolveLanesAVX2(SB), NOSPLIT, $0-72
 	MOVQ lu_base+0(FP), SI
 	MOVQ x_base+24(FP), DI
 	MOVQ n+48(FP), R8
-	MOVQ w+56(FP), CX
-	CMPQ CX, $4
-	JNE  lanes2
-	SHLQ $5, R8                 // R8: bytes of one factor row, and of x
+	MOVQ ldx+64(FP), R9
+	SHLQ $3, R9                 // R9: bytes between two rows of x
+	MOVQ R9, R11                // R11: byte offset of x[i], i = 1
 	MOVQ SI, R10                // R10: &lu[i][0]
-	MOVQ $32, R11               // R11: byte offset of x[i], i = 1
+	CMPQ w+56(FP), $4
+	JNE  lanes2
+	SHLQ $5, R8                 // R8: bytes of one factor row
+	MOVQ $32, R13               // R13: byte offset of column i in a factor row
 
 fwd4:
-	CMPQ R11, R8
+	CMPQ R13, R8
 	JGE  back4
 	ADDQ R8, R10
 	VMOVUPD (DI)(R11*1), Y0
-	XORQ AX, AX                 // AX: byte offset of x[j] (and l[i][j] in the row)
+	XORQ AX, AX
+	XORQ BX, BX
 
 fwdj4:
 	VMOVUPD (R10)(AX*1), Y1
-	VMULPD  (DI)(AX*1), Y1, Y1
+	VMULPD  (DI)(BX*1), Y1, Y1
 	VSUBPD  Y1, Y0, Y0
 	ADDQ $32, AX
-	CMPQ AX, R11
+	ADDQ R9, BX
+	CMPQ AX, R13
 	JLT  fwdj4
 	VMOVUPD Y0, (DI)(R11*1)
-	ADDQ $32, R11
+	ADDQ $32, R13
+	ADDQ R9, R11
 	JMP  fwd4
 
 back4:
-	SUBQ $32, R11               // R11: x[n-1]; R10 is already &lu[n-1][0]
+	SUBQ $32, R13               // row n-1; R10 is already &lu[n-1][0]
+	SUBQ R9, R11
 
 row4:
 	VMOVUPD (DI)(R11*1), Y0
-	LEAQ 32(R11), AX
+	LEAQ 32(R13), AX
+	LEAQ (R11)(R9*1), BX
 	CMPQ AX, R8
 	JGE  div4
 
 backj4:
 	VMOVUPD (R10)(AX*1), Y1
-	VMULPD  (DI)(AX*1), Y1, Y1
+	VMULPD  (DI)(BX*1), Y1, Y1
 	VSUBPD  Y1, Y0, Y0
 	ADDQ $32, AX
+	ADDQ R9, BX
 	CMPQ AX, R8
 	JLT  backj4
 
 div4:
-	VDIVPD  (R10)(R11*1), Y0, Y0
+	VDIVPD  (R10)(R13*1), Y0, Y0
 	VMOVUPD Y0, (DI)(R11*1)
 	SUBQ R8, R10
-	SUBQ $32, R11
+	SUBQ R9, R11
+	SUBQ $32, R13
 	JGE  row4
 	VZEROUPPER
 	RET
 
 lanes2:
 	SHLQ $4, R8
-	MOVQ SI, R10
-	MOVQ $16, R11
+	MOVQ $16, R13
 
 fwd2:
-	CMPQ R11, R8
+	CMPQ R13, R8
 	JGE  back2
 	ADDQ R8, R10
 	VMOVUPD (DI)(R11*1), X0
 	XORQ AX, AX
+	XORQ BX, BX
 
 fwdj2:
 	VMOVUPD (R10)(AX*1), X1
-	VMULPD  (DI)(AX*1), X1, X1
+	VMULPD  (DI)(BX*1), X1, X1
 	VSUBPD  X1, X0, X0
 	ADDQ $16, AX
-	CMPQ AX, R11
+	ADDQ R9, BX
+	CMPQ AX, R13
 	JLT  fwdj2
 	VMOVUPD X0, (DI)(R11*1)
-	ADDQ $16, R11
+	ADDQ $16, R13
+	ADDQ R9, R11
 	JMP  fwd2
 
 back2:
-	SUBQ $16, R11
+	SUBQ $16, R13
+	SUBQ R9, R11
 
 row2:
 	VMOVUPD (DI)(R11*1), X0
-	LEAQ 16(R11), AX
+	LEAQ 16(R13), AX
+	LEAQ (R11)(R9*1), BX
 	CMPQ AX, R8
 	JGE  div2
 
 backj2:
 	VMOVUPD (R10)(AX*1), X1
-	VMULPD  (DI)(AX*1), X1, X1
+	VMULPD  (DI)(BX*1), X1, X1
 	VSUBPD  X1, X0, X0
 	ADDQ $16, AX
+	ADDQ R9, BX
 	CMPQ AX, R8
 	JLT  backj2
 
 div2:
-	VDIVPD  (R10)(R11*1), X0, X0
+	VDIVPD  (R10)(R13*1), X0, X0
 	VMOVUPD X0, (DI)(R11*1)
 	SUBQ R8, R10
-	SUBQ $16, R11
+	SUBQ R9, R11
+	SUBQ $16, R13
 	JGE  row2
+	VZEROUPPER
+	RET
+
+// b[rows[r+K/8]][lanes] -= ACC for the lane chunk at byte offset R10:
+// LD loads and stores T, SUB is the subtract of the chunk's width.
+#define FA_STORE(K, ACC, T, LD, SUB) \
+	MOVQ  K(BX)(R11*8), DX; \
+	IMULQ R9, DX; \
+	ADDQ  R10, DX; \
+	LD    (DI)(DX*1), T; \
+	SUB   ACC, T, T; \
+	LD    T, (DI)(DX*1)
+
+// func faceApplyLanesAVX2(b, fb, u []float64, rows []int, w int)
+//
+// FaceApplyLanes for w >= 2, nf = len(rows) >= 1: per block row r and
+// lane l, acc = +0, acc = acc + fb[r][k]*u[k*w + l] for ascending k
+// (VMULPD then VADDPD), then b[rows[r]*w + l] = b[...] - acc. Lanes go
+// four to a Y register, then two to an X register, then one (the scalar
+// forms); within a chunk block rows go four per pass, each in its own
+// accumulator and all four sharing each load of u, then one at a time.
+// R12 (and R13, two rows on) walk the block rows in step with AX down u,
+// so a pass leaves R12 on the next row.
+TEXT ·faceApplyLanesAVX2(SB), NOSPLIT, $0-104
+	MOVQ b_base+0(FP), DI
+	MOVQ rows_base+72(FP), BX
+	MOVQ rows_len+80(FP), R8    // R8: nf
+	MOVQ w+96(FP), R9
+	SHLQ $3, R9                 // R9: bytes between two rows of b and of u
+	MOVQ R8, R14
+	SHLQ $3, R14                // R14: bytes of one block row
+	XORQ R10, R10               // R10: byte offset of the lane chunk
+
+chunk4:
+	LEAQ 32(R10), DX
+	CMPQ DX, R9
+	JGT  chunk2
+	MOVQ fb_base+24(FP), R12
+	MOVQ u_base+48(FP), SI
+	ADDQ R10, SI                // SI: &u[0][chunk]
+	XORQ R11, R11               // R11: block row r
+
+blk4:
+	LEAQ 4(R11), DX
+	CMPQ DX, R8
+	JGT  one4
+	LEAQ (R12)(R14*2), R13
+	MOVQ SI, AX
+	MOVQ R8, CX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+
+blk4k:
+	VMOVUPD      (AX), Y4
+	VBROADCASTSD (R12), Y5
+	VMULPD       Y4, Y5, Y5
+	VADDPD       Y5, Y0, Y0
+	VBROADCASTSD (R12)(R14*1), Y6
+	VMULPD       Y4, Y6, Y6
+	VADDPD       Y6, Y1, Y1
+	VBROADCASTSD (R13), Y7
+	VMULPD       Y4, Y7, Y7
+	VADDPD       Y7, Y2, Y2
+	VBROADCASTSD (R13)(R14*1), Y8
+	VMULPD       Y4, Y8, Y8
+	VADDPD       Y8, Y3, Y3
+	ADDQ $8, R12
+	ADDQ $8, R13
+	ADDQ R9, AX
+	DECQ CX
+	JNZ  blk4k
+	FA_STORE(0, Y0, Y9, VMOVUPD, VSUBPD)
+	FA_STORE(8, Y1, Y9, VMOVUPD, VSUBPD)
+	FA_STORE(16, Y2, Y9, VMOVUPD, VSUBPD)
+	FA_STORE(24, Y3, Y9, VMOVUPD, VSUBPD)
+	LEAQ (R13)(R14*1), R12      // &fb[r+4][0]
+	ADDQ $4, R11
+	JMP  blk4
+
+one4:
+	CMPQ R11, R8
+	JGE  next4
+	MOVQ SI, AX
+	MOVQ R8, CX
+	VXORPD Y0, Y0, Y0
+
+one4k:
+	VMOVUPD      (AX), Y4
+	VBROADCASTSD (R12), Y5
+	VMULPD       Y4, Y5, Y5
+	VADDPD       Y5, Y0, Y0
+	ADDQ $8, R12
+	ADDQ R9, AX
+	DECQ CX
+	JNZ  one4k
+	FA_STORE(0, Y0, Y9, VMOVUPD, VSUBPD)
+	INCQ R11
+	JMP  one4
+
+next4:
+	ADDQ $32, R10
+	JMP  chunk4
+
+chunk2:
+	LEAQ 16(R10), DX
+	CMPQ DX, R9
+	JGT  chunk1
+	MOVQ fb_base+24(FP), R12
+	MOVQ u_base+48(FP), SI
+	ADDQ R10, SI
+	XORQ R11, R11
+
+blk2:
+	LEAQ 4(R11), DX
+	CMPQ DX, R8
+	JGT  one2
+	LEAQ (R12)(R14*2), R13
+	MOVQ SI, AX
+	MOVQ R8, CX
+	VXORPD X0, X0, X0
+	VXORPD X1, X1, X1
+	VXORPD X2, X2, X2
+	VXORPD X3, X3, X3
+
+blk2k:
+	VMOVUPD  (AX), X4
+	VMOVDDUP (R12), X5
+	VMULPD   X4, X5, X5
+	VADDPD   X5, X0, X0
+	VMOVDDUP (R12)(R14*1), X6
+	VMULPD   X4, X6, X6
+	VADDPD   X6, X1, X1
+	VMOVDDUP (R13), X7
+	VMULPD   X4, X7, X7
+	VADDPD   X7, X2, X2
+	VMOVDDUP (R13)(R14*1), X8
+	VMULPD   X4, X8, X8
+	VADDPD   X8, X3, X3
+	ADDQ $8, R12
+	ADDQ $8, R13
+	ADDQ R9, AX
+	DECQ CX
+	JNZ  blk2k
+	FA_STORE(0, X0, X9, VMOVUPD, VSUBPD)
+	FA_STORE(8, X1, X9, VMOVUPD, VSUBPD)
+	FA_STORE(16, X2, X9, VMOVUPD, VSUBPD)
+	FA_STORE(24, X3, X9, VMOVUPD, VSUBPD)
+	LEAQ (R13)(R14*1), R12
+	ADDQ $4, R11
+	JMP  blk2
+
+one2:
+	CMPQ R11, R8
+	JGE  next2
+	MOVQ SI, AX
+	MOVQ R8, CX
+	VXORPD X0, X0, X0
+
+one2k:
+	VMOVUPD  (AX), X4
+	VMOVDDUP (R12), X5
+	VMULPD   X4, X5, X5
+	VADDPD   X5, X0, X0
+	ADDQ $8, R12
+	ADDQ R9, AX
+	DECQ CX
+	JNZ  one2k
+	FA_STORE(0, X0, X9, VMOVUPD, VSUBPD)
+	INCQ R11
+	JMP  one2
+
+next2:
+	ADDQ $16, R10
+
+chunk1:
+	CMPQ R10, R9
+	JGE  fadone
+	MOVQ fb_base+24(FP), R12
+	MOVQ u_base+48(FP), SI
+	ADDQ R10, SI
+	XORQ R11, R11
+
+one1:
+	CMPQ R11, R8
+	JGE  fadone
+	MOVQ SI, AX
+	MOVQ R8, CX
+	VXORPD X0, X0, X0
+
+one1k:
+	VMOVSD (AX), X4
+	VMOVSD (R12), X5
+	VMULSD X4, X5, X5
+	VADDSD X5, X0, X0
+	ADDQ $8, R12
+	ADDQ R9, AX
+	DECQ CX
+	JNZ  one1k
+	FA_STORE(0, X0, X9, VMOVSD, VSUBSD)
+	INCQ R11
+	JMP  one1
+
+fadone:
 	VZEROUPPER
 	RET
 

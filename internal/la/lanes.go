@@ -8,47 +8,106 @@ import (
 // TriSolveLanes runs the triangular solves of w factored systems at once
 // (w is 1, 2 or 4). lu holds w n x n LU factors as left by Factor or
 // FactorBlocked, lane-interleaved: entry (i, j) of lane l's factor is
-// lu[(i*n+j)*w + l]. x holds the w right-hand sides the same way,
-// x[i*w + l], each already permuted by its factorisation's row
-// interchanges (entry i of lane l is b_l[p_l(i)], p_l the composition of
-// the recorded pivots); it is overwritten with the solutions. Every lane
-// undergoes exactly the floating-point operation sequence SolveFactored
-// applies to its system — the forward pass subtracts l[i][j]*x[j] in
-// ascending j, the back pass u[i][j]*x[j] in ascending j and then divides
-// by u[i][i] — so each lane's solution is bitwise SolveFactored's. With
-// AVX2 the lanes of one entry are one vector (doc.go, "Vector kernels").
-func TriSolveLanes(lu, x []float64, n, w int) {
+// lu[(i*n+j)*w + l]. x holds the w right-hand sides row by row, ldx
+// (>= w) apart: entry i of lane l is x[i*ldx + l], already permuted by
+// its factorisation's row interchanges (b_l[p_l(i)], p_l the composition
+// of the recorded pivots); it is overwritten with the solutions and
+// nothing between the rows is touched, so the w lanes may be a column
+// stripe of a wider row-major block. Every lane undergoes exactly the
+// floating-point operation sequence SolveFactored applies to its system
+// — the forward pass subtracts l[i][j]*x[j] in ascending j, the back
+// pass u[i][j]*x[j] in ascending j and then divides by u[i][i] — so each
+// lane's solution is bitwise SolveFactored's. With AVX2 the lanes of one
+// entry are one vector (doc.go, "Vector kernels").
+func TriSolveLanes(lu, x []float64, n, w, ldx int) {
 	if w != 1 && w != 2 && w != 4 {
 		panic(fmt.Sprintf("la: TriSolveLanes width %d, want 1, 2 or 4", w))
+	}
+	if ldx < w {
+		panic(fmt.Sprintf("la: TriSolveLanes row stride %d below width %d", ldx, w))
 	}
 	if n <= 0 {
 		return
 	}
 	// Index, not reslice: a reslice may run past len up to cap.
 	_ = lu[n*n*w-1]
-	_ = x[n*w-1]
+	_ = x[(n-1)*ldx+w-1]
 	if useAVX2 && w > 1 {
-		triSolveLanesAVX2(lu[:n*n*w], x[:n*w], n, w)
+		triSolveLanesAVX2(lu[:n*n*w], x[:(n-1)*ldx+w], n, w, ldx)
 		return
 	}
 	for i := 1; i < n; i++ {
 		row := lu[i*n*w : i*n*w+i*w]
 		for l := 0; l < w; l++ {
-			s := x[i*w+l]
-			for j := l; j < len(row); j += w {
-				s -= row[j] * x[j]
+			s := x[i*ldx+l]
+			for j, o := l, l; j < len(row); j, o = j+w, o+ldx {
+				s -= row[j] * x[o]
 			}
-			x[i*w+l] = s
+			x[i*ldx+l] = s
 		}
 	}
 	for i := n - 1; i >= 0; i-- {
 		row := lu[i*n*w : (i+1)*n*w]
 		for l := 0; l < w; l++ {
-			s := x[i*w+l]
-			for j := (i+1)*w + l; j < len(row); j += w {
-				s -= row[j] * x[j]
+			s := x[i*ldx+l]
+			for j, o := (i+1)*w+l, (i+1)*ldx+l; j < len(row); j, o = j+w, o+ldx {
+				s -= row[j] * x[o]
 			}
-			x[i*w+l] = s / row[i*w+l]
+			x[i*ldx+l] = s / row[i*w+l]
+		}
+	}
+}
+
+// FaceApplyLanes subtracts one face's surface term from w right-hand
+// sides at once: for every row r of the nf x nf block fb (row-major,
+// nf = len(rows)) and every lane l,
+//
+//	acc = 0; acc += fb[r][k]*u[k*w + l] for k = 0, 1, ..., nf-1; b[rows[r]*w + l] -= acc
+//
+// u holds the face's nf upwind values of every lane, node-major (w
+// apart), and b the right-hand sides the same way, rows[r] naming the
+// row of b that block row r updates. Each product and sum is rounded on
+// its own, in that order, so every lane is bitwise the scalar row sum of
+// its own right-hand side. With AVX2 and w > 1 it is one kernel call
+// (faceApplyLanesAVX2: four block rows per pass in separate
+// accumulators, four lanes to a Y register, then two, then one).
+func FaceApplyLanes(b, fb, u []float64, rows []int, w int) {
+	nf := len(rows)
+	if nf == 0 || w <= 0 {
+		return
+	}
+	fb = fb[: nf*nf : nf*nf]
+	u = u[: nf*w : nf*w]
+	if w == 1 {
+		for r, gi := range rows {
+			fr := fb[r*nf : r*nf+nf][:len(u)]
+			acc := 0.0
+			for k, v := range u {
+				acc += fr[k] * v
+			}
+			b[gi] -= acc
+		}
+		return
+	}
+	if useAVX2 {
+		top := len(b) / w
+		for _, gi := range rows {
+			if uint(gi) >= uint(top) {
+				panic(fmt.Sprintf("la: FaceApplyLanes row %d outside %d rows", gi, top))
+			}
+		}
+		faceApplyLanesAVX2(b, fb, u, rows, w)
+		return
+	}
+	for r, gi := range rows {
+		fr := fb[r*nf : r*nf+nf]
+		bi := b[gi*w : gi*w+w]
+		for l := range bi {
+			acc := 0.0
+			for k, m := range fr {
+				acc += m * u[k*w+l]
+			}
+			bi[l] -= acc
 		}
 	}
 }

@@ -34,10 +34,13 @@ func lanePanel(facs []*Matrix, pivs [][]int, bs [][]float64) (lu, x []float64) {
 
 // checkTriSolveLanes factors w systems and holds every lane of
 // TriSolveLanes to SolveFactored on that lane's system alone, bit for
-// bit, on each kernel path, and the paths to each other. The solution
-// sits in a poisoned slab that must keep its poison outside the window,
-// and the factors must come back unchanged. It reports false, having
-// checked nothing, when a matrix is singular.
+// bit, on each kernel path, and the paths to each other — with the
+// right-hand sides packed (row stride w) and as a column stripe of a
+// wider block (row stride w+3, the entries between the stripes poisoned
+// and required to keep their poison). The solution sits in a poisoned
+// slab that must keep its poison outside the window, and the factors must
+// come back unchanged. It reports false, having checked nothing, when a
+// matrix is singular.
 func checkTriSolveLanes(t *testing.T, mats []*Matrix, bs [][]float64) bool {
 	t.Helper()
 	w, n := len(mats), mats[0].N
@@ -56,32 +59,41 @@ func checkTriSolveLanes(t *testing.T, mats []*Matrix, bs [][]float64) bool {
 	}
 	lu, x0 := lanePanel(facs, pivs, bs)
 	keep := append([]float64(nil), lu...)
-	var first []float64
-	off := 0 // the paths see the slab at different alignments
-	eachKernelPath(t, func(path string) {
-		off++
-		x, slab := poisoned(len(x0), off)
-		copy(x, x0)
-		TriSolveLanes(lu, x, n, w)
-		for l := range mats {
+	for _, ldx := range []int{w, w + 3} {
+		var first []float64
+		off := 0 // the paths see the slab at different alignments
+		eachKernelPath(t, func(path string) {
+			off++
+			x, slab := poisoned((n-1)*ldx+w, off)
 			for i := 0; i < n; i++ {
-				if math.Float64bits(x[i*w+l]) != math.Float64bits(want[l][i]) {
-					t.Fatalf("n=%d w=%d lane %d row %d (%s): %v, SolveFactored %v", n, w, l, i, path, x[i*w+l], want[l][i])
+				copy(x[i*ldx:i*ldx+w], x0[i*w:i*w+w])
+			}
+			TriSolveLanes(lu, x, n, w, ldx)
+			for i := range x {
+				if l := i % ldx; l >= w && math.Float64bits(x[i]) != math.Float64bits(poison) {
+					t.Fatalf("n=%d w=%d ldx=%d (%s): wrote entry %d between the rows", n, w, ldx, path, i)
 				}
 			}
-		}
-		if !untouched(slab, len(x0), off) {
-			t.Fatalf("n=%d w=%d (%s): wrote outside the right-hand sides", n, w, path)
-		}
-		if !sameBits(lu, keep) {
-			t.Fatalf("n=%d w=%d (%s): factors modified", n, w, path)
-		}
-		if first == nil {
-			first = append([]float64(nil), x...)
-		} else if !sameBits(x, first) {
-			t.Fatalf("n=%d w=%d: %s path differs from the generic path", n, w, path)
-		}
-	})
+			for l := range mats {
+				for i := 0; i < n; i++ {
+					if math.Float64bits(x[i*ldx+l]) != math.Float64bits(want[l][i]) {
+						t.Fatalf("n=%d w=%d ldx=%d lane %d row %d (%s): %v, SolveFactored %v", n, w, ldx, l, i, path, x[i*ldx+l], want[l][i])
+					}
+				}
+			}
+			if !untouched(slab, len(x), off) {
+				t.Fatalf("n=%d w=%d ldx=%d (%s): wrote outside the right-hand sides", n, w, ldx, path)
+			}
+			if !sameBits(lu, keep) {
+				t.Fatalf("n=%d w=%d ldx=%d (%s): factors modified", n, w, ldx, path)
+			}
+			if first == nil {
+				first = append([]float64(nil), x...)
+			} else if !sameBits(x, first) {
+				t.Fatalf("n=%d w=%d ldx=%d: %s path differs from the generic path", n, w, ldx, path)
+			}
+		})
+	}
 	return true
 }
 
@@ -398,4 +410,134 @@ func TestAddScaledToLanesBitwise(t *testing.T) {
 			})
 		}
 	}
+}
+
+// faceApplyRef is FaceApplyLanes' one-line definition, lane by lane: the
+// scalar row sum each lane must reproduce bit for bit.
+func faceApplyRef(b, fb, u []float64, rows []int, w int) {
+	nf := len(rows)
+	for l := 0; l < w; l++ {
+		for r, gi := range rows {
+			acc := 0.0
+			for k := 0; k < nf; k++ {
+				acc += fb[r*nf+k] * u[k*w+l]
+			}
+			b[gi*w+l] -= acc
+		}
+	}
+}
+
+// checkFaceApplyLanes applies one nf x nf block to w lanes on each kernel
+// path and holds every lane to faceApplyRef, bit for bit, and the paths
+// to each other. b has nb rows, rows picks nf distinct ones of them in
+// the order given; every operand sits in a poisoned slab at an alignment
+// of its own, the rows rows does not name and everything outside the
+// windows must keep their poison, and fb and u must come back unchanged.
+func checkFaceApplyLanes(t *testing.T, fb0, u0, b0 []float64, rows []int, w int) {
+	t.Helper()
+	want := append([]float64(nil), b0...)
+	faceApplyRef(want, fb0, u0, rows, w)
+	named := make(map[int]bool, len(rows))
+	for _, r := range rows {
+		named[r] = true
+	}
+	var first []float64
+	off := 0
+	eachKernelPath(t, func(path string) {
+		off++
+		fb, fbSlab := poisoned(len(fb0), off%4)
+		u, uSlab := poisoned(len(u0), (off+1)%4)
+		b, bSlab := poisoned(len(b0), (off+2)%4)
+		copy(fb, fb0)
+		copy(u, u0)
+		copy(b, b0)
+		FaceApplyLanes(b, fb, u, rows, w)
+		for i := range b {
+			if math.Float64bits(b[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("nf=%d w=%d row %d lane %d (%s, row named %v): %v, want %v", len(rows), w, i/w, i%w, path, named[i/w], b[i], want[i])
+			}
+		}
+		if !untouched(bSlab, len(b), (off+2)%4) {
+			t.Fatalf("nf=%d w=%d (%s): wrote outside the right-hand sides", len(rows), w, path)
+		}
+		if !untouched(fbSlab, len(fb), off%4) || !untouched(uSlab, len(u), (off+1)%4) || !sameBits(fb, fb0) || !sameBits(u, u0) {
+			t.Fatalf("nf=%d w=%d (%s): an operand was modified", len(rows), w, path)
+		}
+		if first == nil {
+			first = append([]float64(nil), b...)
+		} else if !sameBits(b, first) {
+			t.Fatalf("nf=%d w=%d: %s path differs from the generic path", len(rows), w, path)
+		}
+	})
+}
+
+// TestFaceApplyLanesBitwise: every lane width the engine's group counts
+// produce and then some (1, 2, 3, 4, 5, 8, 16: each chunk width and its
+// tails) at the face sizes of orders 0 to 3 (nf = 1, 4, 9, 16: each
+// row-block count and its tails), with the face rows scattered through a
+// taller right-hand side and operands drawn from the specials — both
+// zeros, subnormals, the infinities, the hardware NaN — and ordinary
+// sevenths and eighths.
+func TestFaceApplyLanesBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	draw := func() float64 {
+		if rng.Intn(8) == 0 {
+			return laneValue(byte(rng.Intn(8)))
+		}
+		return elementValue(rng)
+	}
+	for _, w := range []int{1, 2, 3, 4, 5, 8, 16} {
+		for _, nf := range []int{1, 4, 9, 16} {
+			for trial := 0; trial < 4; trial++ {
+				nb := nf + 3
+				rows := rng.Perm(nb)[:nf]
+				fb := make([]float64, nf*nf)
+				u := make([]float64, nf*w)
+				b := make([]float64, nb*w)
+				for _, v := range [][]float64{fb, u, b} {
+					for i := range v {
+						if trial == 0 {
+							v[i] = rng.NormFloat64()
+						} else {
+							v[i] = draw()
+						}
+					}
+				}
+				checkFaceApplyLanes(t, fb, u, b, rows, w)
+			}
+		}
+	}
+}
+
+// FuzzFaceApplyLanesBitwise draws the width, the face size, the row map
+// and every operand (laneValue's specials among them) and holds each
+// lane to faceApplyRef.
+func FuzzFaceApplyLanesBitwise(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3} {
+		for _, data := range elimCases(4, 4, seed) {
+			f.Add(uint8(4), uint8(4), int64(seed), data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, w, nf uint8, perm int64, data []byte) {
+		ww, nn := 1+int(w%17), 1+int(nf%16)
+		at := func(i int) float64 {
+			if len(data) == 0 {
+				return 0
+			}
+			return laneValue(data[i%len(data)])
+		}
+		nb := nn + int(perm&3)
+		rows := rand.New(rand.NewSource(perm)).Perm(nb)[:nn]
+		fb := make([]float64, nn*nn)
+		u := make([]float64, nn*ww)
+		b := make([]float64, nb*ww)
+		i := 0
+		for _, v := range [][]float64{fb, u, b} {
+			for j := range v {
+				v[j] = at(i)
+				i++
+			}
+		}
+		checkFaceApplyLanes(t, fb, u, b, rows, ww)
+	})
 }

@@ -66,16 +66,18 @@ go run ./cmd/unsnap-serve -smoke \
 # or internal/la change can break the benchmark unseen.
 (cd benchmark && go test .)
 # Dense-solve bitwise suite: every wrapper over la's one elimination core,
-# MulTN, the lane factorisation and formation and the lane triangular
-# solve against the reference loops (each lane against Factor /
-# AddScaledTo / SolveFactored on its own system) — on the pure-Go loops and
-# on the AVX2 kernels, the two also against each other — and the kernels'
+# MulTN, the lane factorisation and formation, the lane triangular solve
+# (packed and strided) and the lane face apply against the reference
+# loops (each lane against Factor / AddScaledTo / SolveFactored on its
+# own system, or its own scalar row sums) — on the pure-Go loops and on
+# the AVX2 kernels, the two also against each other — and the kernels'
 # window (canary) tests, uncached and under the race detector, then a
 # short fuzz of each oracle.
-go test -race -count=1 -run 'Eliminate|Bitwise|Window|FactorBlocked|MulTN|TriSolveLanes|FactorLanes|AddScaledToLanes' ./internal/la
+go test -race -count=1 -run 'Eliminate|Bitwise|Window|FactorBlocked|MulTN|TriSolveLanes|FactorLanes|AddScaledToLanes|FaceApplyLanes' ./internal/la
 go test -run '^$' -fuzz=FuzzEliminateBitwise -fuzztime=5s ./internal/la
 go test -run '^$' -fuzz=FuzzTriSolveLanesBitwise -fuzztime=5s ./internal/la
 go test -run '^$' -fuzz=FuzzFactorLanesBitwise -fuzztime=5s ./internal/la
+go test -run '^$' -fuzz=FuzzFaceApplyLanesBitwise -fuzztime=5s ./internal/la
 # Element-matrix bitwise suite: fem's la.MulTN integration against the
 # scalar quadrature loop it replaced (every field bit for bit, faces with
 # exact-zero normal components included), the allocation and heap-bytes pin and
@@ -91,8 +93,11 @@ go test -run '^$' -fuzz=FuzzComputeMatricesBitwise -fuzztime=5s ./internal/fem
 # line: the factor store's eager fill is a parallel writer over that
 # per-worker scratch, and the unclosed-solver leak test only means
 # something with the detector on. The lane panels ride it too: every
-# width plan, cached == uncached == scalar, allocation-free either way, a
-# singular panel failing as the per-run path does and its timer split.
+# width plan, cached == uncached == scalar, the store's fused face blocks
+# bitwise the task's, a mask mismatch on the private path,
+# allocation-free either way, a singular panel failing as the per-run
+# path does, its timer split, and the lane-major engine against the
+# bucket executor at one to eight groups.
 go test -race -count=1 -run 'Kernel|SweepTaskAllocFree|ResetState|BuildSigtRuns|PreAssembled|Preassembled|UnclosedSolver|FactorCache' ./internal/core
 go test -run '^$' -fuzz=FuzzKernelBatchedBitwise -fuzztime=5s ./internal/core
 # Wire-format fuzz: ParseSpec never panics, and every spec it accepts
