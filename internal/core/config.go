@@ -130,7 +130,9 @@ func (s Scheme) Layout() Layout {
 // block a whole wavefront level on them).
 func (s Scheme) EngineBacked() bool { return s == SchemeEngine }
 
-// SolverKind selects the local dense solver (Table II).
+// SolverKind selects the local dense solver (Table II) of the scalar
+// kernel and the bucket schemes. The batched kernel has one solve path
+// (la.FactorLanes + la.TriSolveLanes, kernel.go), bitwise both kinds.
 type SolverKind int
 
 const (
@@ -160,9 +162,10 @@ const (
 	// KernelBatched (the default) runs all energy groups of a task as one
 	// batched kernel: the RHS block is assembled for every group in one
 	// pass (upwind gather indices and face-matrix blocks hoisted out of
-	// the group loop), and groups sharing a sigma_t value share one
-	// factorisation, solved as a multi-RHS block (la.SolveGEMulti /
-	// la.SolveFactoredMulti). Bitwise identical to KernelScalar: the
+	// the group loop), and groups are factored and solved in panels of up
+	// to four, one group per vector lane (la.FactorLanes,
+	// la.TriSolveLanes); groups sharing a sigma_t value share one
+	// factorisation. Bitwise identical to KernelScalar: the
 	// batching reorders work across independent groups, never the
 	// floating-point sequence within one.
 	KernelBatched KernelMode = iota

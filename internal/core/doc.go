@@ -9,16 +9,17 @@
 // The package exposes the paper's experimental knobs directly: the six
 // on-node concurrency schemes of Figures 3/4 (which loops are threaded and
 // the matching array layouts), the choice of local solver (hand-written
-// Gaussian elimination vs. the blocked-LU dgesv stand-in) of Table II, and
-// the pre-assembled-matrix mode discussed as future work in section IV-B1.
+// Gaussian elimination vs. the blocked-LU dgesv stand-in) of Table II for
+// the scalar kernel and the bucket schemes, and the pre-assembled-matrix
+// mode discussed as future work in section IV-B1.
 //
 // # One resident local operator
 //
 // The paper's question — which part of the local operator A(a,e,g) is
 // worth keeping and which is cheaper to rebuild — has one answer here:
 // the factor store (faccache.go), and nothing else. It keeps LU factors
-// and, beside the factors of an entry with lane panels, the task's fused
-// inflow face blocks om·Fx + om·Fy + om·Fz; an uncached task fuses its
+// and, beside them, the task's fused inflow face blocks
+// om·Fx + om·Fy + om·Fz; an uncached task fuses its
 // face blocks into worker scratch and assembles its base matrix, and the
 // build artifact carries no per-ordinate matrix (its element matrices
 // are one shared set per geometry class). The store has two fill
@@ -28,7 +29,8 @@
 // (Config.PreAssembled; every element its own class, filled in parallel
 // at New, refused above 16 GiB). The engine runs the same cached batched
 // body under both; the bucket schemes read the eager store one group at
-// a time.
+// a time. Every panel of every task, cached or not, is solved one way:
+// la.FactorLanes, int32 gather offsets, la.TriSolveLanes in place in psi.
 //
 // # Layouts
 //
@@ -125,7 +127,7 @@
 // holds an isotropic steady-state flux to a recorded sha256.
 //
 // With Config.Instrument the assembly timer therefore covers three
-// places: the in-task assembly (base matrix, face pass, per-run matrix
+// places: the in-task assembly (base matrix, face pass, panel matrix
 // formation), the per-inner source pass inside PrepareInner, and the
 // per-step M psi_prev pass. Filling a factor-store entry is charged to
 // the solve timer, whole (its base assembly included): it is the

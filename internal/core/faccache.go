@@ -15,9 +15,9 @@ import (
 // function of (ordinate, element geometry, outflow-face set, material,
 // sigma_t), so it is factored (LU) once per distinct key and sigma_t run
 // and every task that matches runs only the O(n^2) triangular solves,
-// skipping its base assembly, per-run matrix formation and O(n^3)
-// factorisation. An entry with lane panels also keeps the task's fused
-// inflow face blocks, so its tasks form no face block either. Nothing
+// skipping its base assembly, panel formation and O(n^3) factorisation.
+// Every entry also keeps the task's fused inflow face blocks, so its
+// tasks form no face block either. Nothing
 // else derived from an ordinate is stored anywhere: an uncached task
 // fuses its face blocks itself, and the build artifact holds topology
 // and element matrices only.
@@ -37,41 +37,35 @@ import (
 //     the ordinary cached batched path; the bucket schemes, which have no
 //     batched body, look their per-group factor up here (factor).
 //
-// Layout: one float slab, one int slab and one int32 slab, each entry a
-// contiguous stretch of each: n*n floats per sigma_t run, then — in an
-// entry whose plan has a lane panel — nf*nf floats per inflow face of the
-// entry's outflow mask (the fused blocks, ascending face); n ints per run
-// of a width-1 panel and n int32s per run of a lane panel. A material's
-// runs are cut into panels by the solver's panel plan (Solver.plan,
-// panelPlan): stretches of single-group runs into widths of 4, then 2,
-// then 1; a multi-group run, and every run under the eager policy, is a
-// width-1 panel. A width-1 panel holds the row-major LU factor and LAPACK
-// pivots, solved by la.SolveFactoredMulti. A width-w panel holds its w
-// factors lane-interleaved, entry (i, j) of lane l at (i*n+j)*w + l, and
-// each lane's composed row permutation as gather offsets into the task's
-// lane-major right-hand sides (laneOffsets): the fill forms the w
-// matrices in that layout in the entry itself and factors them there
-// with one la.FactorLanes call (factorPanel, the routine the uncached
-// task uses too), and the task gathers each group's permuted right-hand
-// side straight into its psi block and solves the w systems there in one
-// la.TriSolveLanes call (one AVX2 vector per entry; solveLanes). The size
-// prediction follows the plan and the entries' masks.
+// Layout: one float slab and one int32 slab, each entry a contiguous
+// stretch of each: n*n floats per sigma_t run, then nf*nf floats per
+// inflow face of the entry's outflow mask (the fused blocks, ascending
+// face); n int32 gather offsets per run. A material's runs are cut into
+// panels by the solver's panel plan (Solver.plan, panelPlan): stretches
+// of single-group runs into widths of 4, then 2, then 1; a multi-group
+// run, and every run under the eager policy, is a width-1 panel. A
+// width-w panel holds its w factors lane-interleaved, entry (i, j) of
+// lane l at (i*n+j)*w + l — row-major at w = 1 — and each lane's composed
+// row permutation as gather offsets into the task's lane-major
+// right-hand sides (laneOffsets): the fill forms the w matrices in that
+// layout in the entry itself and factors them there with one
+// la.FactorLanes call (factorPanel, the routine the uncached task uses
+// too), and the task gathers each group's permuted right-hand side
+// straight into its psi block and solves there with la.TriSolveLanes
+// (one AVX2 vector per entry at w > 1; solveLanes). The size prediction
+// follows the runs and the entries' masks.
 //
 // Bitwise contract: the cached path must reproduce the uncached batched
 // kernel bit for bit (TestAccelFactorCacheBitwise,
-// TestFactorCacheWidthPlans). Two elements of one
-// geometry class have bitwise-identical element matrices (build.GeomClass
-// guarantees it), so the builder's assembled matrix is the matrix every
-// reader would have assembled; SolverGE's elimination (SolveGEMulti) and
-// Factor are the same loop in la (eliminate) with and without the
-// right-hand sides carried along, and SolveFactoredMulti's forward solve
-// subtracts the stored multipliers from each right-hand side in the order
-// that loop does, so the split changes nothing. A lane panel changes
-// nothing either: FactorLanes runs Factor's operation sequence in every
-// lane, the gather moves values without arithmetic into the order
-// SolveFactored's swaps leave them in, and TriSolveLanes runs
-// SolveFactored's operation sequence in every lane. A stored face block
-// is the la.Fuse3 sum the task forms, over the same (class-shared)
+// TestFactorCacheWidthPlans). Two elements of one geometry class have
+// bitwise-identical element matrices (build.GeomClass guarantees it), so
+// the builder's assembled matrix is the matrix every reader would have
+// assembled, and the fill and the uncached task run the same routines on
+// it (factorPanel, solveLanes): FactorLanes runs Factor's operation
+// sequence in every lane, the gather moves values without arithmetic
+// into the order SolveFactored's swaps leave them in, and TriSolveLanes
+// runs SolveFactored's operation sequence in every lane. A stored face
+// block is the la.Fuse3 sum the task forms, over the same (class-shared)
 // matrices. Tangent faces are the one hazard — the lower-element-index
 // tie-break can classify them differently within a class — so each entry
 // keeps the outflow-face mask of its slot's first element, set at New,
@@ -112,24 +106,21 @@ const (
 
 // facEntry holds the factored per-run matrices of one (ordinate,
 // geometry class, material) key, laid out by the material's panel plan:
-// n*n floats per sigma_t run, run r's at r*n*n, then, when the plan has a
-// lane panel, the task's fused inflow face blocks (blocks); its n LAPACK
-// pivots per run of a width-1 panel and n gather offsets per run of a
-// lane panel sit in the store's piv and off slabs from piv and off on,
-// each in plan order (pivots).
+// n*n floats per sigma_t run, run r's at r*n*n, then the task's fused
+// inflow face blocks (blocks); its n gather offsets per run sit in the
+// store's off slab from off on, in plan order.
 type facEntry struct {
-	state    atomic.Uint32
-	mask     uint8 // outflow-face set of the slot's first element: only a task with this set reads or fills the entry
-	piv, off int32 // start of the entry's pivots in factorCache.piv, of its gather offsets in factorCache.off
-	// lu: width-1 panel, row-major LU; width w, lane-interleaved,
-	// (i*n+j)*w + lane; then nf*nf per inflow face of mask, ascending
-	// face, when the plan has a lane panel.
+	state atomic.Uint32
+	mask  uint8 // outflow-face set of the slot's first element: only a task with this set reads or fills the entry
+	off   int32 // start of the entry's gather offsets in factorCache.off
+	// lu: each panel's w factors lane-interleaved, (i*n+j)*w + lane; then
+	// nf*nf per inflow face of mask, ascending face.
 	lu []float64
 }
 
 // facPanel is one step of a material's panel plan: runs [r0, r0+w) of
-// its sigtRuns, factored as one la.FactorLanes call and solved as one
-// la.TriSolveLanes call when w > 1.
+// its sigtRuns, factored as one la.FactorLanes call and solved by
+// la.TriSolveLanes, one call per right-hand side of a lane.
 type facPanel struct {
 	r0, w int32
 }
@@ -141,8 +132,7 @@ type factorCache struct {
 	nSlots  int
 	n       int        // nodes per element: the order of every stored system
 	entries []facEntry // indexed angle*nSlots + slot
-	piv     []int      // width-1 panels' LAPACK pivots, every entry's
-	off     []int32    // lane panels' gather offsets (laneOffsets), every entry's
+	off     []int32    // every entry's gather offsets (laneOffsets)
 }
 
 // panelPlan groups a material's sigma_t runs into panels. A lane holds
@@ -173,13 +163,13 @@ func panelPlan(runs []sigtRun, lanes bool) []facPanel {
 	return plan
 }
 
-// factorPanel forms the w matrices of lane panel p — base + sigma_t,g M
+// factorPanel forms the w matrices of panel p — base + sigma_t,g M
 // for each of its runs, st.base holding the task's base — lane-interleaved
 // into lu in one la.AddScaledToLanes pass, then factors them in place with
 // one la.FactorLanes call, each lane's composed row permutation into perm.
 // Both the uncached task and the store's fill go through it. With instr
 // the formation is charged to st's assembly timer and the factorisation
-// to its solve timer, as the per-run path charges them.
+// to its solve timer.
 func (s *Solver) factorPanel(st *workerState, lu []float64, perm []int, e, mat int, p facPanel, instr bool) error {
 	runs := s.sigtRuns[mat]
 	sigt := s.sigtEff[mat]
@@ -218,30 +208,38 @@ func laneOffsets(off []int32, perm []int, n, w, nG int) {
 	}
 }
 
-// solveLanes solves the w single-group systems of a factored lane panel
-// (lu as la.FactorLanes leaves it, off from laneOffsets): each lane's
-// right-hand side is gathered through the offsets from the lane-major rhs
-// straight into x, the task's psi slab, and one la.TriSolveLanes call
-// solves the w systems in place there — the lanes a stripe of rows nG
-// apart, so nothing is scattered back. rhs and x start at the panel's
-// first group.
-func solveLanes(lu []float64, off []int32, rhs, x []float64, n, w, nG int) {
+// solveLanes solves the right-hand sides of a factored panel (lu as
+// la.FactorLanes leaves it, off from laneOffsets) whose first sigma_t
+// run is run: each lane's right-hand side is gathered through the
+// offsets from the lane-major rhs straight into x, the task's psi slab,
+// and one la.TriSolveLanes call solves the w systems in place there —
+// the lanes a stripe of rows nG apart, so nothing is scattered back. The
+// lanes of a wider panel are single-group runs; a width-1 panel's run of
+// k groups shares its one factor, solved as k single-lane columns.
+func solveLanes(lu []float64, off []int32, rhs, x []float64, run sigtRun, n, w, nG int) {
 	off = off[:n*w]
-	switch w {
-	case 4:
-		for i := 0; i < n; i++ {
-			o := off[i*4 : i*4+4 : i*4+4]
-			xi := x[i*nG : i*nG+4 : i*nG+4]
-			xi[0], xi[1], xi[2], xi[3] = rhs[o[0]], rhs[o[1]], rhs[o[2]], rhs[o[3]]
+	for g := int(run.g0); g < int(run.g0+run.k); g++ {
+		b, xg := rhs[g:], x[g:]
+		switch w {
+		case 4:
+			for i := 0; i < n; i++ {
+				o := off[i*4 : i*4+4 : i*4+4]
+				xi := xg[i*nG : i*nG+4 : i*nG+4]
+				xi[0], xi[1], xi[2], xi[3] = b[o[0]], b[o[1]], b[o[2]], b[o[3]]
+			}
+		case 2:
+			for i := 0; i < n; i++ {
+				o := off[i*2 : i*2+2 : i*2+2]
+				xi := xg[i*nG : i*nG+2 : i*nG+2]
+				xi[0], xi[1] = b[o[0]], b[o[1]]
+			}
+		default:
+			for i, o := range off {
+				xg[i*nG] = b[o]
+			}
 		}
-	case 2:
-		for i := 0; i < n; i++ {
-			o := off[i*2 : i*2+2 : i*2+2]
-			xi := x[i*nG : i*nG+2 : i*nG+2]
-			xi[0], xi[1] = rhs[o[0]], rhs[o[1]]
-		}
+		la.TriSolveLanes(lu, xg, n, w, nG)
 	}
-	la.TriSolveLanes(lu, x, n, w, nG)
 }
 
 // newFactorCache sizes and allocates the store and, under
@@ -279,36 +277,22 @@ func newFactorCache(s *Solver) (*factorCache, error) {
 			slotElem = append(slotElem, int32(e))
 		}
 	}
-	// Per material: its runs, how many sit in width-1 and in lane panels.
+	// Every run holds n*n factor floats and n offsets, every entry a
+	// fused block per inflow face.
 	n, nf := s.nN, s.re.NF
-	runs1 := make([]int, nMat)
-	runsL := make([]int, nMat)
-	for mat, plan := range s.plan {
-		for _, p := range plan {
-			if p.w == 1 {
-				runs1[mat]++
-			} else {
-				runsL[mat] += int(p.w)
-			}
-		}
-	}
 	nSlots := len(slotElem)
 	masks := make([]uint8, s.nA*nSlots)
-	var floats, ints, offs int64
+	var floats, offs int64
 	for a := 0; a < s.nA; a++ {
 		for sl, e := range slotElem {
-			mat := cfg.Mesh.Elems[e].Material
+			runs := len(s.sigtRuns[cfg.Mesh.Elems[e].Material])
 			m := s.outflowMask(a, int(e))
 			masks[a*nSlots+sl] = m
-			floats += int64((runs1[mat] + runsL[mat]) * n * n)
-			if runsL[mat] > 0 {
-				floats += int64(inflowFaces(m) * nf * nf)
-			}
-			ints += int64(runs1[mat] * n)
-			offs += int64(runsL[mat] * n)
+			floats += int64(runs*n*n + inflowFaces(m)*nf*nf)
+			offs += int64(runs * n)
 		}
 	}
-	bytes := floats*8 + ints*8 + offs*4
+	bytes := floats*8 + offs*4
 	if pre && bytes > preAssembledLimit {
 		return nil, fmt.Errorf("core: pre-assembled matrices would need %d GiB; refuse above %d GiB", bytes>>30, preAssembledLimit>>30)
 	}
@@ -322,26 +306,21 @@ func newFactorCache(s *Solver) (*factorCache, error) {
 		nSlots:  nSlots,
 		n:       n,
 		entries: make([]facEntry, s.nA*nSlots),
-		// Under the 16 GiB refusal the int slabs stay below 2^31 entries:
-		// every run stores n*n floats beside its n pivots or offsets.
-		piv: make([]int, ints),
+		// Under the 16 GiB refusal the offset slab stays below 2^31
+		// entries: every run stores n*n floats beside its n offsets.
 		off: make([]int32, offs),
 	}
 	lu := make([]float64, floats)
-	var piv, off int32
+	var off int32
 	for a := 0; a < s.nA; a++ {
 		for sl, e := range slotElem {
-			mat := cfg.Mesh.Elems[e].Material
+			runs := len(s.sigtRuns[cfg.Mesh.Elems[e].Material])
 			ent := &c.entries[a*nSlots+sl]
 			ent.mask = masks[a*nSlots+sl]
-			k := (runs1[mat] + runsL[mat]) * n * n
-			if runsL[mat] > 0 {
-				k += inflowFaces(ent.mask) * nf * nf
-			}
+			k := runs*n*n + inflowFaces(ent.mask)*nf*nf
 			ent.lu, lu = lu[:k:k], lu[k:]
-			ent.piv, ent.off = piv, off
-			piv += int32(runs1[mat] * n)
-			off += int32(runsL[mat] * n)
+			ent.off = off
+			off += int32(runs * n)
 		}
 	}
 	if pre {
@@ -375,36 +354,26 @@ func inflowFaces(mask uint8) int {
 	return fem.NumFaces - bits.OnesCount8(mask)
 }
 
-// run returns the row-major LU factor and pivots of run r of ent under a
-// plan of width-1 panels only (the eager policy's), where run r's pivots
-// are the r-th.
-func (c *factorCache) run(ent *facEntry, r int) (la.Matrix, []int) {
+// run returns the factor and gather offsets of run r of ent under a plan
+// of width-1 panels only (the eager policy's): a row-major LU factor, and
+// offsets q*nG for row q of the permuted right-hand side.
+func (c *factorCache) run(ent *facEntry, r int) ([]float64, []int32) {
 	n := c.n
-	piv, _ := c.pivots(ent)
-	return la.Matrix{N: n, Data: ent.lu[r*n*n : (r+1)*n*n]}, piv[r*n : (r+1)*n]
-}
-
-// pivots returns ent's width-1 pivots and lane gather offsets, each from
-// the entry's first on, in plan order; a reader consumes n per run.
-func (c *factorCache) pivots(ent *facEntry) ([]int, []int32) {
-	return c.piv[ent.piv:], c.off[ent.off:]
+	o := int(ent.off) + r*n
+	return ent.lu[r*n*n : (r+1)*n*n], c.off[o : o+n]
 }
 
 // blocks returns the fused inflow face blocks of ent, an entry of a
-// material with nRuns sigma_t runs, or nil when its plan has no lane
-// panel.
+// material with nRuns sigma_t runs.
 func (c *factorCache) blocks(ent *facEntry, nRuns int) []float64 {
-	if fb := ent.lu[nRuns*c.n*c.n:]; len(fb) > 0 {
-		return fb
-	}
-	return nil
+	return ent.lu[nRuns*c.n*c.n:]
 }
 
-// factor returns the stored LU factor of (angle, elem, group). Only the
-// eager policy may call it: there every entry is ready once New returns,
-// every element owns its entry, so no mask can mismatch, and every run is
-// a width-1 panel.
-func (c *factorCache) factor(s *Solver, a, e, g int) (la.Matrix, []int) {
+// factor returns the stored factor and gather offsets of (angle, elem,
+// group) (run). Only the eager policy may call it: there every entry is
+// ready once New returns, every element owns its entry, so no mask can
+// mismatch, and every run is a width-1 panel.
+func (c *factorCache) factor(s *Solver, a, e, g int) ([]float64, []int32) {
 	mat := s.cfg.Mesh.Elems[e].Material
 	runs := s.sigtRuns[mat]
 	r := 0
@@ -416,26 +385,14 @@ func (c *factorCache) factor(s *Solver, a, e, g int) (la.Matrix, []int) {
 
 // solve writes the task's solutions against the ready entry ent into its
 // psi slab, panel by panel, from rhs, its lane-major right-hand sides
-// (the slab itself when the task has one group): a width-1 panel through
-// la.SolveFactoredMulti on runBlock's group-major view, a wider one
-// through solveLanes.
-func (c *factorCache) solve(s *Solver, st *workerState, ent *facEntry, mat int, rhs, slab []float64) {
-	n, nG := c.n, s.nG
+// (solveLanes).
+func (c *factorCache) solve(s *Solver, ent *facEntry, mat int, rhs, slab []float64) {
+	n := c.n
 	runs := s.sigtRuns[mat]
-	piv, off := c.pivots(ent)
+	off := c.off[ent.off:]
 	for _, p := range s.plan[mat] {
 		r0, w := int(p.r0), int(p.w)
-		g0 := int(runs[r0].g0)
-		if w == 1 {
-			k := int(runs[r0].k)
-			m := la.Matrix{N: n, Data: ent.lu[r0*n*n : (r0+1)*n*n]}
-			blk := s.runBlock(st, rhs, g0, k)
-			la.SolveFactoredMulti(&m, piv[:n], blk, k)
-			s.storeRun(blk, slab, g0, k)
-			piv = piv[n:]
-			continue
-		}
-		solveLanes(ent.lu[r0*n*n:(r0+w)*n*n], off[:w*n], rhs[g0:], slab[g0:], n, w, nG)
+		solveLanes(ent.lu[r0*n*n:(r0+w)*n*n], off, rhs, slab, runs[r0], n, w, s.nG)
 		off = off[w*n:]
 	}
 }
@@ -483,64 +440,41 @@ func (c *factorCache) acquire(s *Solver, st *workerState, a, e, mat int) *facEnt
 
 // fill assembles and factors every sigma_t run of the entry the caller
 // owns (a won CAS, or the eager fill's disjoint index) and publishes it.
-// Every panel is factored in place in the entry: a width-1 panel by
-// la.Factor or la.FactorBlocked, a wider one by factorPanel, which
+// Every panel is factored in place in the entry by factorPanel, which
 // leaves the lanes interleaved, its row permutations becoming the gather
-// offsets the solve reads (laneOffsets). An entry with lane panels also
-// takes the task's fused inflow face blocks, each the la.Fuse3 sum the
-// task would form. The whole fill — base assembly included — is charged
-// to the worker's solve timer: it is the factorisation the cached sweeps
-// no longer pay, and counting it as assembly would skew the two shares
-// the trace reads against each other.
+// offsets the solve reads (laneOffsets). The entry also takes the task's
+// fused inflow face blocks, each the la.Fuse3 sum the task would form.
+// The whole fill — base assembly included — is charged to the worker's
+// solve timer: it is the factorisation the cached sweeps no longer pay,
+// and counting it as assembly would skew the two shares the trace reads
+// against each other.
 func (c *factorCache) fill(s *Solver, st *workerState, ent *facEntry, a, e, mat int) error {
 	if s.cfg.Instrument {
 		defer func(t0 time.Time) { st.solveNS += time.Since(t0).Nanoseconds() }(time.Now())
 	}
 	s.assembleBase(a, e, st.base)
-	mass := s.em[e].Mass
-	sigt := s.sigtEff[mat]
 	runs := s.sigtRuns[mat]
-	blocked := s.cfg.Solver != SolverGE
 	n := c.n
-	piv, off := c.pivots(ent)
+	off := c.off[ent.off:]
 	for _, p := range s.plan[mat] {
 		r0, w := int(p.r0), int(p.w)
-		g0 := int(runs[r0].g0)
-		var err error
-		if w > 1 {
-			perm := st.perm[:w*n]
-			err = s.factorPanel(st, ent.lu[r0*n*n:(r0+w)*n*n], perm, e, mat, p, false)
-			laneOffsets(off[:w*n], perm, n, w, s.nG)
-			off = off[w*n:]
-		} else {
-			m := la.Matrix{N: n, Data: ent.lu[r0*n*n : (r0+1)*n*n]}
-			pv := piv[:n]
-			la.AddScaledTo(m.Data, st.base, mass, sigt[g0])
-			if blocked {
-				// SolverDGESV's uncached path factors with FactorBlocked;
-				// SolverGE's runs SolveGEMulti, which is Factor's own
-				// elimination loop with the right-hand sides carried.
-				err = la.FactorBlocked(&m, pv, la.DefaultBlockSize)
-			} else {
-				err = la.Factor(&m, pv)
-			}
-			piv = piv[n:]
-		}
-		if err != nil {
+		perm := st.perm[:w*n]
+		if err := s.factorPanel(st, ent.lu[r0*n*n:(r0+w)*n*n], perm, e, mat, p, false); err != nil {
 			ent.state.Store(facFailed)
-			return fmt.Errorf("core: factorising angle %d elem %d group %d: %w", a, e, g0, err)
+			return fmt.Errorf("core: factorising angle %d elem %d group %d: %w", a, e, runs[r0].g0, err)
 		}
+		laneOffsets(off[:w*n], perm, n, w, s.nG)
+		off = off[w*n:]
 	}
-	if fb := c.blocks(ent, len(runs)); fb != nil {
-		om := s.cfg.Quad.Angles[a].Omega
-		t := s.topos[a]
-		k := s.re.NF * s.re.NF
-		for f := 0; f < fem.NumFaces; f++ {
-			if t.IsInflow(e, f) {
-				face := &s.em[e].Face[f]
-				la.Fuse3(fb[:k], face[0], face[1], face[2], om[0], om[1], om[2])
-				fb = fb[k:]
-			}
+	fb := c.blocks(ent, len(runs))
+	om := s.cfg.Quad.Angles[a].Omega
+	t := s.topos[a]
+	k := s.re.NF * s.re.NF
+	for f := 0; f < fem.NumFaces; f++ {
+		if t.IsInflow(e, f) {
+			face := &s.em[e].Face[f]
+			la.Fuse3(fb[:k], face[0], face[1], face[2], om[0], om[1], om[2])
+			fb = fb[k:]
 		}
 	}
 	ent.state.Store(facReady)

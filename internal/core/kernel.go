@@ -29,26 +29,20 @@ import (
 //     call applies the block to every group (the one face-apply routine
 //     of this kernel: four block rows per pass, four groups per vector).
 //   - Factorisation batching: the per-group matrix is base + sigma_t,g M,
-//     so groups with equal sigma_t share the matrix bitwise. The kernel
-//     factors once per run of equal-sigma_t groups and solves the run's
-//     RHS block with the multi-RHS routines (la.SolveGEMulti /
-//     la.SolveFactoredMulti), amortising the O(n^3) factor across the
-//     run; on flat-sigma_t groups (and any within-material group
-//     structure with repeats) the whole task costs one factorisation.
-//     Runs of one group — every group of a library with a per-group
-//     sigma_t ramp — batch across groups instead: the solver's panel
-//     plan cuts them into panels of four (or two), and each panel is
-//     formed and factored as one la.FactorLanes call (factorPanel, one
-//     system per vector lane) and solved as one la.TriSolveLanes call on
-//     the task's psi block itself (solveLanes: the permuted right-hand
-//     sides are gathered straight into the panel's column stripe of the
-//     block, solved in place with the block's row stride, and nothing is
-//     scattered back), so ramped libraries pay once per four groups on
-//     the uncached path too. A width-1 panel — a multi-group run, a
-//     leftover single run, a one-group problem — and a panel whose
-//     factorisation meets a zero pivot run per run as above, on a
-//     group-major copy of their groups (runBlock, storeRun; a one-group
-//     task solves in its psi slab).
+//     so groups with equal sigma_t share the matrix bitwise. The solver's
+//     panel plan cuts each material's equal-sigma_t runs into panels:
+//     stretches of single-group runs into panels of four (or two), and
+//     every other run — a multi-group run, a leftover single one, the
+//     one group of a one-group problem — into a panel of width 1. Every
+//     panel is formed and factored as one la.FactorLanes call
+//     (factorPanel, one system per vector lane) and solved by
+//     la.TriSolveLanes on the task's psi block itself (solveLanes: the
+//     permuted right-hand sides are gathered straight into the panel's
+//     column stripe of the block, solved in place with the block's row
+//     stride, and nothing is scattered back). A ramped library pays one
+//     factorisation per four groups; a width-1 panel's run of k groups
+//     pays one for all k, solved as k single-lane columns, so on a
+//     flat-sigma_t library the whole task costs one factorisation.
 //   - Factor store: the matrices themselves repeat across tasks and
 //     across inners — base + sigma_t,g M is a pure function of (ordinate,
 //     element-geometry class, outflow set, material) — so the solver's
@@ -57,11 +51,10 @@ import (
 //     and factorisation entirely. Filled by the first task to need an
 //     entry, or all at once at New under Config.PreAssembled; either way
 //     this body is the one that runs. The same panel plan lays out the
-//     store's entries and sets the solve (factorCache.solve): a lane
-//     panel's fill factors in place in the entry, and its solve is the
-//     uncached panel's; a width-1 panel runs la.SolveFactoredMulti. An
-//     entry with lane panels also holds the task's fused inflow face
-//     blocks, so a cached lane task forms no face block and reads no
+//     store's entries and sets the solve (factorCache.solve): the fill
+//     factors each panel in place in the entry, and its solve is the
+//     uncached panel's. Every entry also holds the task's fused inflow
+//     face blocks, so a cached task forms no face block and reads no
 //     face matrix.
 //   - Zero steady-state allocations: every buffer the body touches is
 //     pre-sized in workerState at New from the artifact's
@@ -99,33 +92,29 @@ func buildSigtRuns(sigtEff [][]float64) [][]sigtRun {
 
 // solveElemBatched is the batched engine task body; see the file comment.
 //
-// The task's solutions land directly in its psi slab: under LayoutLanes
-// ([angle][element][node][group]) the slab is one contiguous block, no
-// task of the current phase reads psi(a, e) before this task's counters
-// resolve, and every in-task read (the stored source products, upwind
-// neighbours, psiLag, streamed halos, reflective mirrors) comes from a
-// different slab. With one group the right-hand side is assembled and
-// solved in the slab itself; with several it is assembled lane-major in
-// worker scratch, and each lane panel gathers its permuted right-hand
-// sides from there straight into the slab and solves them in place
-// (solveLanes), while a width-1 panel solves a group-major copy of its
-// groups and stores the solutions (runBlock, storeRun).
+// The task assembles its right-hand sides lane-major in worker scratch
+// (st.rhs) and each panel gathers its permuted right-hand sides from
+// there straight into the task's psi slab and solves them in place
+// (solveLanes): under LayoutLanes ([angle][element][node][group]) the
+// slab is one contiguous block, no task of the current phase reads
+// psi(a, e) before this task's counters resolve, and every in-task read
+// (the stored source products, upwind neighbours, psiLag, streamed halos,
+// reflective mirrors) comes from a different slab.
 //
-// On a solve failure the remaining sigma_t runs still execute (matching
-// the scalar kernel, where every group runs) and the first error is
-// returned; the failed run's groups are left holding their right-hand
-// sides rather than the previous iterate's psi, which only a sweep that
-// already returned an error can observe.
+// On a solve failure the remaining panels still execute (matching the
+// scalar kernel, where every group runs) and the first error is
+// returned, naming the failed panel's first group; that panel's groups
+// keep the previous iterate's psi, which only a sweep that already
+// returned an error can observe.
 func (s *Solver) solveElemBatched(st *workerState, a, e int) error {
 	instr := s.cfg.Instrument
 	mat := s.cfg.Mesh.Elems[e].Material
 	// Factor store: a ready entry for this task's (ordinate, geometry
-	// class, material) key replaces base assembly, per-run matrix
-	// formation and factorisation with pure triangular solves — bitwise
-	// identical output (see faccache.go) — and, holding lane panels, the
-	// face blocks too. The lookup runs before the assembly timer starts:
-	// a task that fills the entry charges the fill to the solve timer
-	// itself.
+	// class, material) key replaces base assembly, panel formation,
+	// factorisation and the face blocks' fusion with stored results —
+	// bitwise identical output (see faccache.go). The lookup runs before
+	// the assembly timer starts: a task that fills the entry charges the
+	// fill to the solve timer itself.
 	var fent *facEntry
 	if s.fc != nil {
 		fent = s.fc.acquire(s, st, a, e, mat)
@@ -140,10 +129,7 @@ func (s *Solver) solveElemBatched(st *workerState, a, e int) error {
 	n, nG := s.nN, s.nG
 	pb := s.psiIdx(a, e, 0)
 	slab := s.psi[pb : pb+nG*n : pb+nG*n]
-	rhs := slab
-	if nG > 1 {
-		rhs = st.rhs[: nG*n : nG*n]
-	}
+	rhs := st.rhs[: nG*n : nG*n]
 	var blocks []float64
 	if fent != nil {
 		blocks = s.fc.blocks(fent, len(s.sigtRuns[mat]))
@@ -156,99 +142,36 @@ func (s *Solver) solveElemBatched(st *workerState, a, e int) error {
 		if instr {
 			t0 = time.Now()
 		}
-		s.fc.solve(s, st, fent, mat, rhs, slab)
+		s.fc.solve(s, fent, mat, rhs, slab)
 		if instr {
 			st.solveNS += time.Since(t0).Nanoseconds()
 		}
 		return nil
 	}
-	mass := s.em[e].Mass
-	sigt := s.sigtEff[mat]
 	runs := s.sigtRuns[mat]
-	ge := s.cfg.Solver == SolverGE
 	var firstErr error
 	for _, p := range s.plan[mat] {
-		r0, w := int(p.r0), int(p.w)
-		if w > 1 {
-			// A lane panel: formed and factored as one la.FactorLanes
-			// call in worker scratch, then solved as the store's
-			// panels are. A singular panel falls through to the per-run
-			// path, which reports (and leaves behind) what it always has.
-			lu, perm := st.panel[:w*n*n], st.perm[:w*n]
-			if s.factorPanel(st, lu, perm, e, mat, p, instr) == nil {
-				if instr {
-					t0 = time.Now()
-				}
-				g0 := int(runs[r0].g0)
-				off := st.off[:w*n]
-				laneOffsets(off, perm, n, w, nG)
-				solveLanes(lu, off, rhs[g0:], slab[g0:], n, w, nG)
-				if instr {
-					st.solveNS += time.Since(t0).Nanoseconds()
-				}
-				continue
+		// Formed and factored as one la.FactorLanes call in worker
+		// scratch, then solved as the store's panels are.
+		w := int(p.w)
+		lu, perm := st.panel[:w*n*n], st.perm[:w*n]
+		if err := s.factorPanel(st, lu, perm, e, mat, p, instr); err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("core: angle %d elem %d group %d: %w", a, e, runs[p.r0].g0, err)
 			}
+			continue
 		}
-		for _, run := range runs[r0 : r0+w] {
-			g0, k := int(run.g0), int(run.k)
-			if instr {
-				t0 = time.Now()
-			}
-			la.AddScaledTo(st.ws.A.Data, st.base, mass, sigt[g0])
-			if instr {
-				st.asmNS += time.Since(t0).Nanoseconds()
-				t0 = time.Now()
-			}
-			blk := s.runBlock(st, rhs, g0, k)
-			var err error
-			if ge {
-				err = la.SolveGEMulti(st.ws.A, blk, k)
-			} else if err = la.FactorBlocked(st.ws.A, st.ws.Piv, la.DefaultBlockSize); err == nil {
-				la.SolveFactoredMulti(st.ws.A, st.ws.Piv, blk, k)
-			}
-			s.storeRun(blk, slab, g0, k)
-			if instr {
-				st.solveNS += time.Since(t0).Nanoseconds()
-			}
-			if err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("core: angle %d elem %d group %d: %w", a, e, g0, err)
-			}
+		if instr {
+			t0 = time.Now()
+		}
+		off := st.off[:w*n]
+		laneOffsets(off, perm, n, w, nG)
+		solveLanes(lu, off, rhs, slab, runs[p.r0], n, w, nG)
+		if instr {
+			st.solveNS += time.Since(t0).Nanoseconds()
 		}
 	}
 	return firstErr
-}
-
-// runBlock returns the right-hand sides of the k groups from g0 on as
-// the multi-RHS routines take them, group-major: the task's lane-major
-// rhs itself when the task has one group (solved in place), else a
-// transposed copy in worker scratch, which storeRun puts back.
-func (s *Solver) runBlock(st *workerState, rhs []float64, g0, k int) []float64 {
-	n, nG := s.nN, s.nG
-	if nG == 1 {
-		return rhs[:n]
-	}
-	blk := st.cols[: k*n : k*n]
-	for j := 0; j < k; j++ {
-		bj := blk[j*n : j*n+n]
-		for i := range bj {
-			bj[i] = rhs[i*nG+g0+j]
-		}
-	}
-	return blk
-}
-
-// storeRun writes the k group-major solutions runBlock's copy holds into
-// the task's psi slab; a one-group task solved in place already.
-func (s *Solver) storeRun(blk, slab []float64, g0, k int) {
-	n, nG := s.nN, s.nG
-	if nG == 1 {
-		return
-	}
-	for j := 0; j < k; j++ {
-		for i, v := range blk[j*n : j*n+n] {
-			slab[i*nG+g0+j] = v
-		}
-	}
 }
 
 // assembleRHSAll builds the right-hand sides of every group of one

@@ -589,13 +589,14 @@ func TestPreAssembledStoreOneFactorPerRun(t *testing.T) {
 		if ent.state.Load() != facReady {
 			t.Fatalf("entry %d not ready after New", i)
 		}
-		if m, _ := s.fc.run(ent, 0); len(ent.lu) != len(m.Data) {
-			t.Fatalf("entry %d holds %d factors on a flat library of %d groups, want 1", i, len(ent.lu)/len(m.Data), s.nG)
+		factors := len(ent.lu) - len(s.fc.blocks(ent, 1))
+		if lu, _ := s.fc.run(ent, 0); factors != len(lu) {
+			t.Fatalf("entry %d holds %d factors on a flat library of %d groups, want 1", i, factors/len(lu), s.nG)
 		}
 	}
 	want, _ := s.fc.run(&s.fc.entries[0], 0)
 	for g := 0; g < s.nG; g++ {
-		if m, _ := s.fc.factor(s, 0, 0, g); &m.Data[0] != &want.Data[0] {
+		if lu, _ := s.fc.factor(s, 0, 0, g); &lu[0] != &want[0] {
 			t.Fatalf("group %d does not resolve to the element's one run", g)
 		}
 	}
@@ -717,19 +718,92 @@ func TestFactorCacheWidthPlans(t *testing.T) {
 	}
 }
 
+// mixedPlans are libraries whose sigma_t has a shared run beside single
+// ones: group g takes the total of ramped group pattern[g], so equal
+// entries form one run. [a,a,b,c,d,e] plans a width-1 run of two groups,
+// then a four-lane panel; [b,c,a,a] a two-lane panel, then a width-1 run
+// of two groups at g0 = 2, its columns solved at row stride nG past the
+// panel's.
+var mixedPlans = []struct {
+	pattern []int
+	widths  []int32
+}{
+	{[]int{0, 0, 1, 2, 3, 4}, []int32{1, 4}},
+	{[]int{1, 2, 0, 0}, []int32{2, 1}},
+}
+
+// mixedProblem is rampedProblem with its totals rearranged by pattern.
+func mixedProblem(t *testing.T, pattern []int) Config {
+	cfg := rampedProblem(t, len(pattern))
+	for _, row := range cfg.Lib.Total {
+		ramp := slices.Clone(row)
+		for g, r := range pattern {
+			row[g] = ramp[r]
+		}
+	}
+	return cfg
+}
+
+// TestFactorCacheMixedPlans runs the plans that mix a shared-factor run
+// with lane panels through the cached path: the store cuts the runs as
+// mixedPlans says, its face blocks are the task's, and the flux matches
+// the uncached batched kernel and the scalar kernel bit for bit, on both
+// solver kinds.
+func TestFactorCacheMixedPlans(t *testing.T) {
+	for _, p := range mixedPlans {
+		for _, solver := range []SolverKind{SolverGE, SolverDGESV} {
+			t.Run(fmt.Sprintf("%v/%v", p.pattern, solver), func(t *testing.T) {
+				mk := func(k KernelMode, noCache bool) ([]float64, []float64) {
+					cfg := mixedProblem(t, p.pattern)
+					cfg.Solver = solver
+					cfg.Threads = 3
+					cfg.noFactorCache = noCache
+					return runKernel(t, cfg, k, false)
+				}
+				cfg := mixedProblem(t, p.pattern)
+				cfg.Scheme = SchemeEngine
+				cfg.Solver = solver
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				if s.fc == nil {
+					t.Fatal("no factor store on a small mixed problem")
+				}
+				for mat, plan := range s.plan {
+					var widths []int32
+					for _, pn := range plan {
+						widths = append(widths, pn.w)
+					}
+					if !slices.Equal(widths, p.widths) {
+						t.Fatalf("material %d: panel widths %v, want %v", mat, widths, p.widths)
+					}
+				}
+				if _, err := s.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if !fusedBlocksMatch(t, s) {
+					t.Fatal("no ready entry: the stored face blocks are not exercised")
+				}
+				want := fluxDigest(mk(KernelScalar, true))
+				for _, noCache := range []bool{true, false} {
+					if fluxDigest(mk(KernelBatched, noCache)) != want {
+						t.Fatalf("batched (uncached %v) flux is not bitwise the scalar kernel's", noCache)
+					}
+				}
+			})
+		}
+	}
+}
+
 // fusedBlocksMatch holds every ready entry's stored face blocks to the
-// blocks a task of the entry fuses itself: a lane entry keeps one
-// la.Fuse3 block per inflow face of its outflow mask, in ascending face
-// order, bitwise those of the slot's first element (every element of the
-// slot forms the same ones); an entry without lane panels keeps none. It
-// reports whether some lane entry was ready — with one group there is
-// none, and it reports true.
+// blocks a task of the entry fuses itself: an entry keeps one la.Fuse3
+// block per inflow face of its outflow mask, in ascending face order,
+// bitwise those of the slot's first element (every element of the slot
+// forms the same ones). It reports whether some entry was ready.
 func fusedBlocksMatch(t *testing.T, s *Solver) bool {
 	t.Helper()
-	lanes := false
-	for _, p := range s.plan[0] {
-		lanes = lanes || p.w > 1
-	}
 	nf := s.re.NF
 	want := make([]float64, nf*nf)
 	seen := false
@@ -738,12 +812,6 @@ func fusedBlocksMatch(t *testing.T, s *Solver) bool {
 			mat := s.cfg.Mesh.Elems[e].Material
 			ent := s.fc.entry(a, e, mat)
 			fb := s.fc.blocks(ent, len(s.sigtRuns[mat]))
-			if !lanes {
-				if fb != nil {
-					t.Fatalf("angle %d elem %d: an entry without lane panels stores face blocks", a, e)
-				}
-				continue
-			}
 			if ent.state.Load() != facReady || ent.mask != s.outflowMask(a, e) {
 				continue
 			}
@@ -767,7 +835,7 @@ func fusedBlocksMatch(t *testing.T, s *Solver) bool {
 			}
 		}
 	}
-	return seen || !lanes
+	return seen
 }
 
 // TestFactorCacheMaskMismatch: a task whose outflow set differs from its
@@ -857,10 +925,11 @@ func lanePivots(s *Solver, plan []facPanel) bool {
 		if ent.state.Load() != facReady {
 			continue
 		}
-		_, off := s.fc.pivots(ent)
+		off := s.fc.off[ent.off:]
 		for _, p := range plan {
 			w := int(p.w)
 			if w == 1 {
+				off = off[n:]
 				continue
 			}
 			for k, o := range off[:w*n] {
@@ -909,10 +978,10 @@ func panelsDisagree(t *testing.T, s *Solver) bool {
 
 // TestKernelSingularPanel zeroes one element's matrices, so every group's
 // local matrix is singular, and requires the sweep on a four-group lane
-// panel to fail exactly as the per-run path does: the panel's
-// la.FactorLanes error sends its runs through the per-run loop, whose
-// error names the angle, the element and the panel's first group —
-// uncached and through a factor store whose fill fails.
+// panel to fail exactly as a plan of width-1 panels does: the first
+// failing panel's la.FactorLanes error names the angle, the element and
+// that panel's first group — uncached and through a factor store whose
+// fill fails.
 func TestKernelSingularPanel(t *testing.T) {
 	const bad = 5
 	sweep := func(noCache, perRun bool) error {

@@ -62,13 +62,13 @@ type Solver struct {
 	sigtEff [][]float64
 
 	// sigtRuns[m] is the equal-sigma_t run decomposition of sigtEff[m] —
-	// the batched kernel factors once per run and multi-RHS-solves the
-	// run's group block (kernel.go).
+	// the batched kernel factors once per run and solves each of the
+	// run's groups against that factor (kernel.go).
 	sigtRuns [][]sigtRun
 
 	// plan[m] groups material m's runs into lane panels (panelPlan): the
 	// uncached batched task and the factor store's fill both form and
-	// factor a wider panel as one la.FactorLanes call, and the store's
+	// factor each panel as one la.FactorLanes call, and the store's
 	// entries are laid out by it.
 	plan [][]facPanel
 

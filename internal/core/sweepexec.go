@@ -20,20 +20,17 @@ var errEngineStalled = errors.New("core: sweep engine stalled with unfinished el
 // and local nanosecond accumulators (flushed into the solver's totals
 // after each sweep to avoid contention). Every buffer is pre-sized at New
 // from the artifact's kernel dimensions — the steady-state task path
-// performs zero allocations (pinned by TestSweepTaskAllocFree). A
-// one-group batched task needs no RHS scratch: it assembles and solves in
-// the task's psi slab (see solveElemBatched).
+// performs zero allocations (pinned by TestSweepTaskAllocFree).
 type workerState struct {
 	ws      *la.Workspace
 	base    []float64 // -Omega·G + outflow faces, reused per group (engine tasks, store fills)
 	fb      []float64 // engine: an inflow face's block, fused where no store entry holds it
 	up      []float64 // upwind nodal values in our face ordering, node-major with the groups fastest
 	tmp     []float64 // massApply's copy of its operand (the source passes)
-	rhs     []float64 // engine, several groups: the task's right-hand sides, lane-major
-	cols    []float64 // engine, several groups: a width-1 panel's right-hand sides, group-major
-	panel   []float64 // engine: an uncached lane panel's four matrices, lane-interleaved, factored in place
-	perm    []int     // engine: a lane panel's per-lane row permutations, as la.FactorLanes leaves them
-	off     []int32   // engine: an uncached lane panel's gather offsets (laneOffsets)
+	rhs     []float64 // engine: the task's right-hand sides, lane-major
+	panel   []float64 // engine: an uncached panel's (up to four) matrices, lane-interleaved, factored in place
+	perm    []int     // a panel's per-lane row permutations, as la.FactorLanes leaves them
+	off     []int32   // engine: an uncached panel's gather offsets (laneOffsets)
 	asmNS   int64
 	solveNS int64
 }
@@ -41,9 +38,9 @@ type workerState struct {
 // newWorkerState allocates one worker's scratch, sized from the
 // artifact's kernel dimensions and the group count (the batched kernel
 // gathers one face's upwind values for all groups at once); the
-// fused-block, right-hand-side and lane-panel scratch are engine-only and
-// skipped for the legacy bucket schemes (which still need base: the
-// factor store's eager fill, all width-1 panels, runs under every
+// fused-block, right-hand-side and panel scratch are engine-only and
+// skipped for the legacy bucket schemes (which still need base and perm:
+// the factor store's eager fill, all width-1 panels, runs under every
 // scheme).
 func newWorkerState(dims build.KernelDims, nG int, engine bool) *workerState {
 	st := &workerState{
@@ -51,16 +48,13 @@ func newWorkerState(dims build.KernelDims, nG int, engine bool) *workerState {
 		base: make([]float64, dims.NN*dims.NN),
 		up:   make([]float64, nG*dims.NF),
 		tmp:  make([]float64, dims.NN),
+		perm: make([]int, 4*dims.NN),
 	}
 	if engine {
 		st.fb = make([]float64, dims.NF*dims.NF)
+		st.rhs = make([]float64, nG*dims.NN)
 		st.panel = make([]float64, 4*dims.NN*dims.NN)
-		st.perm = make([]int, 4*dims.NN)
 		st.off = make([]int32, 4*dims.NN)
-		if nG > 1 {
-			st.rhs = make([]float64, nG*dims.NN)
-			st.cols = make([]float64, nG*dims.NN)
-		}
 	}
 	return st
 }
@@ -279,9 +273,10 @@ func (s *Solver) mirror(a, f int) (src []float64, ma int) {
 }
 
 // solveLocal runs the configured dense solver on the system prepared in
-// st.ws (under PreAssembled, the triangular solves on the factor store's
-// matrix), leaving the solution in st.ws.X, and charges the time to the
-// worker's solve accumulator.
+// st.ws (under PreAssembled, the factor store's width-1 lane solve: the
+// right-hand side gathered through the entry's offsets, then the
+// triangular solves), leaving the solution in st.ws.X, and charges the
+// time to the worker's solve accumulator.
 func (s *Solver) solveLocal(st *workerState, a, e, g int) error {
 	var t1 time.Time
 	if s.cfg.Instrument {
@@ -290,9 +285,13 @@ func (s *Solver) solveLocal(st *workerState, a, e, g int) error {
 	x := st.ws.X
 	switch {
 	case s.cfg.PreAssembled:
-		m, piv := s.fc.factor(s, a, e, g)
-		la.SolveFactored(&m, piv, st.ws.B)
-		copy(x, st.ws.B)
+		// The offsets index a lane-major block of nG groups, q*nG for
+		// row q; B holds this group's rows alone.
+		lu, off := s.fc.factor(s, a, e, g)
+		for i, o := range off {
+			x[i] = st.ws.B[int(o)/s.nG]
+		}
+		la.TriSolveLanes(lu, x, s.nN, 1, 1)
 	case s.cfg.Solver == SolverGE:
 		if err := la.SolveGE(st.ws.A, st.ws.B, x); err != nil {
 			return fmt.Errorf("core: angle %d elem %d group %d: %w", a, e, g, err)
@@ -355,7 +354,7 @@ func (s *Solver) solveOne(st *workerState, a, e, g int) error {
 
 // solveElem is the engine's unit of work: all energy groups of one
 // (angle, elem) task. The default batched kernel (kernel.go) factors
-// once per sigma_t run and solves the run's groups as a multi-RHS block;
+// up to four groups per lane panel, once per sigma_t run;
 // the scalar kernel below is the pre-batching baseline, kept for A/B
 // benchmarking and as the bitwise-parity reference. Config.Kernel alone
 // chooses; PreAssembled is a fill policy of the factor store either

@@ -23,7 +23,7 @@ import (
 // per-group body on the same problem, across thread counts, on both the
 // standard library (per-group sigma_t ramp — only the RHS batching and
 // allocation elimination pay) and a flat-sigma_t variant (every group of
-// a material shares one factorisation — the full multi-RHS regime).
+// a material shares one factorisation, solved as one column per group).
 type KernelConfig struct {
 	Problem unsnap.Problem
 	Threads []int

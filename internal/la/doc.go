@@ -8,25 +8,30 @@
 // All Gaussian elimination of one system in the package is one loop,
 // eliminate: LU with partial pivoting, multipliers stored in place below
 // the diagonal, whole rows exchanged so a swap carries them, optionally
-// recording the pivots and optionally carrying k right-hand sides through
+// recording the pivots and optionally carrying right-hand sides through
 // the same row operations. The exported solvers are thin wrappers over
 // it:
 //
-//   - SolveGE / SolveGEMulti: the paper's hand-written Gaussian
-//     elimination (UnSNAP's built-in solver) — eliminate with the
-//     right-hand sides carried along, then back substitution. "GE" in the
-//     Table II reproduction means this: unblocked, right-looking,
-//     in-order arithmetic, now register-blocked the way a compiler's
-//     unroll-and-jam would leave the paper's simd loop.
-//   - Factor + SolveFactored / SolveFactoredMulti: eliminate with the
-//     pivot record, then permuted triangular solves per right-hand side;
-//     TriSolveLanes runs those solves for up to four factored systems at
-//     once.
-//   - FactorLanes: up to four systems factored at once, one per vector
-//     lane — not a wrapper but a second loop, eliminate's operation
-//     sequence run across systems instead of within one, held to Factor
-//     lane by lane bit for bit (TestFactorLanesBitwise,
-//     FuzzFactorLanesBitwise). AddScaledToLanes forms its operands.
+//   - SolveGE: the paper's hand-written Gaussian elimination (UnSNAP's
+//     built-in solver) — eliminate with the right-hand side carried
+//     along, then back substitution. "GE" in the Table II reproduction
+//     means this: unblocked, right-looking, in-order arithmetic, now
+//     register-blocked the way a compiler's unroll-and-jam would leave
+//     the paper's simd loop.
+//   - Factor + SolveFactored: eliminate with the pivot record, then the
+//     permuted triangular solves. SolveFactored is the row-major oracle
+//     each lane of TriSolveLanes is held to.
+//   - FactorLanes + TriSolveLanes: the sweep's one solve path. Up to four
+//     systems factored at once, one per vector lane, then their
+//     triangular solves at once on right-hand sides the caller gathers
+//     through each lane's composed row permutation. At w = 1 the layout
+//     is row-major and FactorLanes is eliminate itself, its pivot record
+//     composed in place; at w = 2 and 4 it is a second loop,
+//     eliminate's operation sequence run across systems instead of
+//     within one. Either way each lane is held to Factor and
+//     SolveFactored bit for bit (TestFactorLanesBitwise,
+//     FuzzFactorLanesBitwise, TestTriSolveLanesBitwise,
+//     FuzzTriSolveLanesBitwise). AddScaledToLanes forms the operands.
 //   - FactorBlocked, SolveDGESV: the LAPACK-style stand-in for Intel
 //     MKL's dgesv (closed source): blocked right-looking LU (getrf) whose
 //     panels go through eliminate, whose block-row solve is the panel's
@@ -162,7 +167,8 @@
 // right-hand sides it carries are one entry per row per step; across
 // systems FactorLanes vectorises all three, so only a width-1 panel — a
 // lone system, or one factor serving several right-hand sides — still
-// pays them scalar.
+// pays them scalar (its trailing update is eliminate's AVX2 pair
+// update).
 //
 // Dispatch is one unexported variable, useAVX2, set at package
 // initialisation from CPUID (leaf 1 OSXSAVE and AVX, XCR0 bits 1-2 via
@@ -194,20 +200,16 @@
 //
 // Bitwise identities the sweep's reproducibility pins rest on:
 //
-//   - Multi-RHS == scalar: each column of SolveGEMulti /
-//     SolveFactoredMulti undergoes exactly the operation sequence SolveGE
-//     / SolveFactored would apply to it alone.
 //   - GE == Factor + SolveFactored, by construction rather than by two
 //     loops kept in sync: the matrix goes through the same code either
 //     way, and the forward solve subtracts the stored multipliers from
 //     each right-hand side in the order elimination does. (One corner:
 //     elimination skips a zero multiplier where the triangular solve
 //     subtracts 0*b, so a -0.0 in the right-hand side can come back +0.0
-//     from the factored path. Equal as numbers, not as bits. The sweep
-//     meets it wherever a lane panel replaces SolveGEMulti: the factor
-//     store's panels and, since the uncached task factors four groups
-//     per FactorLanes call, its uncached panels too; the flux pins pass
-//     on both.)
+//     from the factored path. Equal as numbers, not as bits. The sweep's
+//     batched kernel runs the factored path on every panel, cached or
+//     not, against the scalar kernel's SolveGE; the flux pins pass on
+//     both.)
 //   - DGESV == GE: FactorBlocked is bitwise Factor at every size and
 //     block width (TestFactorBlockedMatchesUnblocked), so SolveDGESV
 //     returns SolveGE's bits, the same -0.0 corner aside. The choice is

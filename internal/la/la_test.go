@@ -513,16 +513,20 @@ func checkEliminatePath(t *testing.T, n, k int, data []byte) (out []float64) {
 		return true
 	}
 
-	// Gaussian elimination: multi-RHS, then column by column with x
-	// aliasing b and apart from it.
+	// Gaussian elimination: the core carrying all k right-hand sides,
+	// then SolveGE column by column with x aliasing b and apart from it.
 	aRef, want := fresh()
 	errRef := geReference(aRef, want, k)
 	a, bs := fresh()
-	if err := SolveGEMulti(a, bs, k); err != errRef {
-		t.Fatalf("SolveGEMulti err %v, reference %v", err, errRef)
+	err := eliminate(a, nil, bs, 0, n)
+	if err == nil {
+		backSolve(a, bs)
+	}
+	if err != errRef {
+		t.Fatalf("eliminate err %v, reference %v", err, errRef)
 	}
 	if errRef == nil && !sameBits(bs, want) {
-		t.Fatalf("SolveGEMulti not bitwise the reference")
+		t.Fatalf("eliminate + backSolve not bitwise the reference")
 	}
 	out = append(append(out, a.Data...), bs...)
 	for r := 0; r < k; r++ {
@@ -572,13 +576,8 @@ func checkEliminatePath(t *testing.T, n, k int, data []byte) (out []float64) {
 			finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
 		}
 		_, got := fresh()
-		SolveFactoredMulti(lu, piv, got, k)
-		_, got1 := fresh()
 		for r := 0; r < k; r++ {
-			SolveFactored(lu, piv, got1[r*n:(r+1)*n])
-		}
-		if !sameBits(got, got1) {
-			t.Fatalf("SolveFactoredMulti not bitwise SolveFactored")
+			SolveFactored(lu, piv, got[r*n:(r+1)*n])
 		}
 		for i := range got {
 			if !finite {
@@ -810,10 +809,6 @@ func TestEliminateArguments(t *testing.T) {
 		{"SolveGE short b", func(a *Matrix) error { return SolveGE(a, f[:n-1], f[:n]) }},
 		{"SolveGE long b", func(a *Matrix) error { return SolveGE(a, f[:n+1], f[:n]) }},
 		{"SolveGE short x", func(a *Matrix) error { return SolveGE(a, f[:n], f[:n-1]) }},
-		{"SolveGEMulti short bs", func(a *Matrix) error { return SolveGEMulti(a, f[:2*n-1], 2) }},
-		{"SolveGEMulti long bs", func(a *Matrix) error { return SolveGEMulti(a, f[:2*n+1], 2) }},
-		{"SolveGEMulti negative k", func(a *Matrix) error { return SolveGEMulti(a, nil, -1) }},
-		{"SolveGEMulti zero k", func(a *Matrix) error { return SolveGEMulti(a, nil, 0) }},
 	} {
 		a := NewMatrix(n)
 		for i := 0; i < n; i++ {
@@ -823,6 +818,24 @@ func TestEliminateArguments(t *testing.T) {
 			t.Errorf("%s: err = %v, want a size error", tc.name, err)
 		}
 	}
+}
+
+// randomSystem builds a well-conditioned (diagonally dominated) n x n
+// matrix and k right-hand sides from a fixed seed.
+func randomSystem(t *testing.T, rng *rand.Rand, n, k int) (*Matrix, []float64) {
+	t.Helper()
+	a := NewMatrix(n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			a.Set(i, j, rng.NormFloat64())
+		}
+		a.Add(i, i, float64(n)) // dominate the diagonal
+	}
+	bs := make([]float64, k*n)
+	for i := range bs {
+		bs[i] = rng.NormFloat64()
+	}
+	return a, bs
 }
 
 // TestEliminateAllocFree: the sweep's zero-allocation contract reaches
@@ -837,7 +850,6 @@ func TestEliminateAllocFree(t *testing.T) {
 	piv := make([]int, n)
 	for name, fn := range map[string]func() error{
 		"SolveGE":       func() error { return SolveGE(a, bs[:n], x) },
-		"SolveGEMulti":  func() error { return SolveGEMulti(a, bs, k) },
 		"Factor":        func() error { return Factor(a, piv) },
 		"FactorBlocked": func() error { return FactorBlocked(a, piv, 8) },
 		"SolveDGESV":    func() error { return SolveDGESV(a, bs[:n], piv) },

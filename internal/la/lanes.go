@@ -18,7 +18,8 @@ import (
 // — the forward pass subtracts l[i][j]*x[j] in ascending j, the back
 // pass u[i][j]*x[j] in ascending j and then divides by u[i][i] — so each
 // lane's solution is bitwise SolveFactored's. With AVX2 the lanes of one
-// entry are one vector (doc.go, "Vector kernels").
+// entry are one vector (doc.go, "Vector kernels"); one packed system
+// (w = ldx = 1) is row-major and runs contiguous loops (triSolve).
 func TriSolveLanes(lu, x []float64, n, w, ldx int) {
 	if w != 1 && w != 2 && w != 4 {
 		panic(fmt.Sprintf("la: TriSolveLanes width %d, want 1, 2 or 4", w))
@@ -34,6 +35,10 @@ func TriSolveLanes(lu, x []float64, n, w, ldx int) {
 	_ = x[(n-1)*ldx+w-1]
 	if useAVX2 && w > 1 {
 		triSolveLanesAVX2(lu[:n*n*w], x[:(n-1)*ldx+w], n, w, ldx)
+		return
+	}
+	if w == 1 && ldx == 1 {
+		triSolve(lu[:n*n], x[:n])
 		return
 	}
 	for i := 1; i < n; i++ {
@@ -55,6 +60,32 @@ func TriSolveLanes(lu, x []float64, n, w, ldx int) {
 			}
 			x[i*ldx+l] = s / row[i*w+l]
 		}
+	}
+}
+
+// triSolve is TriSolveLanes on one packed system (w = ldx = 1), which is
+// row-major: contiguous loops, the operands resliced to the loop lengths
+// so the prove pass drops the bounds checks.
+func triSolve(lu, x []float64) {
+	n := len(x)
+	for i := 1; i < n; i++ {
+		row := lu[i*n : i*n+i]
+		head := x[:len(row)]
+		s := x[i]
+		for j, v := range row {
+			s -= v * head[j]
+		}
+		x[i] = s
+	}
+	for i := n - 1; i >= 0; i-- {
+		row := lu[i*n+i : i*n+n]
+		tail := x[i+1:]
+		tail = tail[:len(row)-1]
+		s := x[i]
+		for j, v := range row[1:] {
+			s -= v * tail[j]
+		}
+		x[i] = s / row[0]
 	}
 }
 
@@ -126,7 +157,9 @@ func FaceApplyLanes(b, fb, u []float64, rows []int, w int) {
 // column that is exactly zero, which happens exactly when Factor fails
 // on some lane's system; the contents of lu and perm are then
 // unspecified. With AVX2 the lanes of one entry are one vector and the
-// whole factorisation is one kernel call (doc.go, "Vector kernels").
+// whole factorisation is one kernel call (doc.go, "Vector kernels"). One
+// system (w = 1) is row-major: it runs Factor's own loop, eliminate, with
+// perm as the pivot record, and composes that record in place.
 func FactorLanes(lu []float64, perm []int, n, w int) error {
 	if w != 1 && w != 2 && w != 4 {
 		panic(fmt.Sprintf("la: FactorLanes width %d, want 1, 2 or 4", w))
@@ -137,10 +170,20 @@ func FactorLanes(lu []float64, perm []int, n, w int) error {
 	// Index, not reslice: a reslice may run past len up to cap.
 	_ = lu[n*n*w-1]
 	_ = perm[n*w-1]
+	if w == 1 {
+		// One system is row-major: Factor's own loop, its pivot record
+		// composed in place.
+		m := Matrix{N: n, Data: lu[:n*n]}
+		if err := eliminate(&m, perm[:n], nil, 0, n); err != nil {
+			return err
+		}
+		composePivots(perm[:n])
+		return nil
+	}
 	for i := range perm[:n*w] {
 		perm[i] = i % n
 	}
-	if useAVX2 && w > 1 {
+	if useAVX2 {
 		if factorLanesAVX2(lu[:n*n*w], perm[:n*w], n, w) != 0 {
 			return ErrSingular
 		}
@@ -185,6 +228,27 @@ func FactorLanes(lu []float64, perm []int, n, w int) error {
 		}
 	}
 	return nil
+}
+
+// composePivots turns a pivot record (p[k] the row exchanged with row k
+// at step k) into the composed row permutation, in place: entry i of the
+// permuted right-hand side is b[p[i]]. Step k exchanges rows k and
+// p[k] >= k, so row i's entry comes through steps i, i-1, ..., 0 only;
+// walking i down, each record is read for the last time before it is
+// overwritten.
+func composePivots(p []int) {
+	for i := len(p) - 1; i > 0; i-- {
+		x := p[i]
+		for k := i - 1; k >= 0; k-- {
+			switch x {
+			case k:
+				x = p[k]
+			case p[k]:
+				x = k
+			}
+		}
+		p[i] = x
+	}
 }
 
 // AddScaledToLanes forms len(w) matrices at once in FactorLanes' layout:

@@ -44,6 +44,17 @@ if [ "$(cat $CORE_SRC | grep -c '^[[:space:]]*go [a-zA-Z_(]')" != 1 ] ||
 	echo "internal/core must hold one go statement and one runtime.AddCleanup" >&2
 	exit 1
 fi
+# One solve path: every panel of the batched task and every entry of the
+# factor store is factored by la.FactorLanes and solved by
+# la.TriSolveLanes. No non-test file in internal/core calls a row-major
+# factorisation, and internal/la defines no multi-RHS solve, so a second
+# path cannot come back unseen (the scalar kernel and the bucket schemes
+# keep la.SolveGE / la.SolveDGESV as the reference).
+if grep -n 'la\.Factor(\|la\.FactorBlocked(' $CORE_SRC ||
+	grep -n 'func SolveGEMulti\|func SolveFactoredMulti' internal/la/*.go; then
+	echo "internal/core must solve on the lane kernels alone; internal/la must define no multi-RHS solve" >&2
+	exit 1
+fi
 # Bench-tool smoke pass: the kernel experiment (the one BENCH_sweep.json
 # section) executes end to end on tiny problems — seconds, not minutes —
 # so the bench plumbing cannot bit-rot between real refreshes. -smoke
