@@ -280,6 +280,7 @@ func run(args []string) error {
 			cfg.Uncached.NX, cfg.Uncached.NY, cfg.Uncached.NZ = 2, 2, 2
 			cfg.Uncached.AnglesPerOctant, cfg.Uncached.Groups = 1, 1
 			cfg.MatrixOrders = []int{1, 2}
+			cfg.OneGroup.NX, cfg.OneGroup.NY, cfg.OneGroup.NZ = 2, 2, 2
 		}
 		override(&cfg.Problem)
 		cfg.Threads = threads
@@ -306,8 +307,13 @@ func run(args []string) error {
 			return err
 		}
 		harness.FprintMatrices(os.Stdout, cfg.Uncached, matrices)
+		oneGroup, err := harness.RunOneGroup(cfg)
+		if err != nil {
+			return err
+		}
+		harness.FprintOneGroup(os.Stdout, cfg, oneGroup)
 		fmt.Println()
-		kernel = harness.KernelSectionOf(cfg, rows, laRows, uncached, matrices)
+		kernel = harness.KernelSectionOf(cfg, rows, laRows, uncached, matrices, oneGroup)
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q", *experiment)

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"unsnap/internal/core"
+	"unsnap/internal/quadrature"
+	"unsnap/internal/xs"
 )
 
 // TestPipelinedMatchesSingleDomainExactly is the protocol's core parity
@@ -80,6 +82,67 @@ func TestPipelinedMatchesSingleDomainExactly(t *testing.T) {
 			t.Fatalf("%dx%d ranks: balance residual %v", grid[0], grid[1], res.Balance.Residual)
 		}
 		d.Close()
+	}
+}
+
+// TestPipelinedAngleSetsMatchSingleDomain: on a box mesh with two angles
+// per octant and one group, both ordinates of an octant share one sweep
+// topology on every rank, so each rank's engine runs them as one
+// two-lane set task that waits for both ordinates' streamed inflow and
+// publishes both outflows. The 1x2 pipelined run must still match the
+// single domain to 1e-12, inner for inner and point by point.
+func TestPipelinedAngleSetsMatchSingleDomain(t *testing.T) {
+	const epsi = 1e-8
+	rank := func(q *quadrature.Set, lib *xs.Library) core.Config {
+		return core.Config{Order: 1, Quad: q, Lib: lib, Scheme: core.SchemeEngine, Threads: 2,
+			Epsi: epsi, MaxInners: 60, MaxOuters: 4}
+	}
+	m, q, lib := testParts(t, 4, 1, 2, 0)
+	cfg := rank(q, lib)
+	cfg.Mesh = m
+	ss, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	sres, err := ss.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, q, lib = testParts(t, 4, 1, 2, 0)
+	d, err := New(Config{Mesh: m, PY: 1, PZ: 2, Protocol: Pipelined, Rank: rank(q, lib)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	res, err := d.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Inners != sres.Inners || res.Outers != sres.Outers {
+		t.Fatalf("%d inners / %d outers, single domain %d / %d", res.Inners, res.Outers, sres.Inners, sres.Outers)
+	}
+	for i, df := range res.DFHistory {
+		if rel := math.Abs(df-sres.DFHistory[i]) / (1 + math.Abs(sres.DFHistory[i])); rel > 1e-12 {
+			t.Fatalf("inner %d df %v vs single %v", i, df, sres.DFHistory[i])
+		}
+	}
+	for r := 0; r < d.NumRanks(); r++ {
+		rs := d.Rank(r)
+		for le, ge := range d.part.Subs[r].Global {
+			for n := 0; n < rs.NumNodes(); n++ {
+				a, b := rs.Phi(le, 0, n), ss.Phi(ge, 0, n)
+				if math.Abs(a-b) > 1e-12*(1+math.Abs(b)) {
+					t.Fatalf("rank %d elem %d (global %d) node %d: %v vs %v", r, le, ge, n, a, b)
+				}
+				for a := 0; a < q.NumAngles(); a++ {
+					pa, pb := rs.Psi(a, le, 0, n), ss.Psi(a, ge, 0, n)
+					if math.Abs(pa-pb) > 1e-12*(1+math.Abs(pb)) {
+						t.Fatalf("rank %d elem %d ordinate %d node %d: psi %v vs %v", r, le, a, n, pa, pb)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -30,7 +30,28 @@
 // at New, refused above 16 GiB). The engine runs the same cached batched
 // body under both; the bucket schemes read the eager store one group at
 // a time. Every panel of every task, cached or not, is solved one way:
-// la.FactorLanes, int32 gather offsets, la.TriSolveLanes in place in psi.
+// la.FactorLanes, int32 gather offsets, la.TriSolveLanes — in place in
+// psi for a single ordinate, in worker scratch for an angle set.
+//
+// # Angle sets
+//
+// An engine task is every (ordinate, group) lane of one (angle set,
+// element) pair. A set is consecutive ordinates of one octant with the
+// same sweep topology (the same build.Artifact.Topos pointer), at most
+// four lanes (s*nG <= 4), cut greedily into sets of 4, then 2, then 1:
+// one group gives sets of up to four ordinates, two groups up to two,
+// more groups one ordinate per task (buildAngleSets). It is a pure
+// function of the artifact and the configuration, with no knob of its
+// own. Every set is one ordinate where topologies differ (a cyclic
+// twisted mesh), under PreAssembled and outside the engine, and under
+// Config.Reflect unless the set's mirror ordinates form a set. The set's
+// ordinates share one task graph, so the engine's counters, seeds,
+// External schedule and mirror edges are per set task; a streamed
+// ResolveExternal for (a, e) counts down the task of a's set, and a
+// finished set task publishes every one of its ordinates' outflow. The
+// scalar kernel runs a set's ordinates one after another. psi, the flux
+// reduction, the halo protocols and every reader of psi outside the task
+// see ordinates, never sets.
 //
 // # Layouts
 //
@@ -40,7 +61,9 @@
 // [angle][element][node][group], so a task's source is one contiguous
 // copy, an upwind node's groups are one contiguous run and a lane
 // panel's solutions land as one column stripe of the task's psi block —
-// the task runs on group lanes end to end (kernel.go). The scalar flux
+// the task runs on group lanes end to end (kernel.go); an angle set's
+// task lays its lanes out [node][ordinate in set][group] in worker
+// scratch and moves each ordinate's solutions to its own block. The scalar flux
 // and the outer sources keep LayoutEG's order; the scalar kernel, the
 // flux reduction, the balance and the accessors read psi strided, each
 // value's operations unchanged. With one group every layout of the

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"unsnap/internal/build"
 	"unsnap/internal/fem"
 	"unsnap/internal/sweep"
 )
@@ -13,12 +14,15 @@ import (
 // workers (doc.go, "Worker pool and lifecycle") execute the whole of
 // SweepAllAngles as one task graph:
 //
-//   - Counter-driven wavefronts: a task is all energy groups of one
-//     (ordinate, element) pair. Workers pop ready tasks from per-worker
+//   - Counter-driven wavefronts: a task is every (ordinate, group) lane
+//     of one (angle set, element) pair — an angle set being up to four
+//     consecutive ordinates of one octant that share a sweep topology
+//     (angleSet), so one- and two-group problems fill the vector lanes
+//     that groups fill on multi-group ones. Workers pop ready tasks from per-worker
 //     Chase-Lev work-stealing deques and, on completion, decrement the
 //     remaining-upwind counters of the downwind tasks (sweep.Graph),
 //     pushing the ones that reach zero. No bucket barriers.
-//   - One fused phase: task ids span (octant, ordinate, element), and
+//   - One fused phase: task ids span (octant, angle set, element), and
 //     every ordinate of all eight octants is in flight at once (their
 //     dependency graphs are independent), multiplying the available
 //     parallelism on shallow-bucket meshes and removing the per-octant
@@ -28,7 +32,7 @@ import (
 //     External slot holds one value for the whole sweep, and a reflective
 //     face (Config.Reflect) reads its mirror ordinate's flux on the same
 //     element, which newEngine turns into one more graph edge between the
-//     two tasks (see mirOff).
+//     two tasks (see mirOff; a set's mirror ordinates form a set).
 //   - Lock-free deterministic flux reduction: tasks store only the
 //     angular flux; the scalar flux (and P1 current) is reduced from psi
 //     once per sweep in fixed ordinate order, so results are bitwise
@@ -110,31 +114,133 @@ func (d *wsDeque) steal() (int64, bool) {
 
 func (d *wsDeque) size() int64 { return d.bottom.Load() - d.top.Load() }
 
+// ---- angle sets ----
+
+// angleSet is one engine task's ordinates: [a0, a0+s) of one octant, all
+// with the same sweep topology (the same build.Artifact.Topos pointer),
+// so they share one task graph and every inflow / outflow / lagged
+// classification. A set task runs s*nG lanes, one per (ordinate, group),
+// ordinate-major.
+type angleSet struct {
+	a0, s int32
+}
+
+// maxSetLanes caps a set's lanes, s*nG: one AVX2 register of float64.
+const maxSetLanes = 4
+
+// buildAngleSets partitions the ordinates into angle sets — a pure
+// function of the artifact and the configuration. Each octant's runs of
+// consecutive ordinates with one topology are cut greedily into widths
+// of 4, then 2, then 1, with s*nG <= maxSetLanes (one group: up to four
+// ordinates; two: up to two; more: one, every task an ordinate). Only
+// the engine's sweeps run sets; under the bucket schemes and
+// PreAssembled (whose entries the bucket schemes read per ordinate) every
+// set is one ordinate. Under Config.Reflect a set whose mirror ordinates
+// (Quad.MirrorAngle, per reflected dimension) do not form a set is split
+// into single ordinates, until every set's mirror is a set: one mirror
+// edge then joins two set tasks (buildMirrorEdges).
+func buildAngleSets(cfg *Config, topos []*build.Topology, nG int) (sets []angleSet, setOf []int32) {
+	q := cfg.Quad
+	nA := q.NumAngles()
+	maxS := 1
+	if cfg.Scheme.EngineBacked() && !cfg.PreAssembled {
+		maxS = max(1, maxSetLanes/nG)
+	}
+	width := make([]int32, nA) // width of the set starting at a; 0 inside a set
+	for o := 0; o < 8; o++ {
+		for m := 0; m < q.PerOctant; {
+			a := q.AngleIndex(o, m)
+			run := 1
+			for m+run < q.PerOctant && topos[a+run] == topos[a] {
+				run++
+			}
+			for run > 0 {
+				w := 4
+				for w > run || w > maxS {
+					w /= 2
+				}
+				width[a] = int32(w)
+				a, m, run = a+w, m+w, run-w
+			}
+		}
+	}
+	isSet := func(a, w int) bool { return width[a] == int32(w) }
+	for changed := cfg.Reflect != [3]bool{}; changed; {
+		changed = false
+		for a := 0; a < nA; a++ {
+			w := int(width[a])
+			if w < 2 {
+				continue
+			}
+			for d := 0; d < 3; d++ {
+				if cfg.Reflect[d] && !isSet(q.MirrorAngle(a, d), w) {
+					for i := a; i < a+w; i++ {
+						width[i] = 1
+					}
+					changed = true
+					break
+				}
+			}
+		}
+	}
+	setOf = make([]int32, nA)
+	for a := 0; a < nA; {
+		w := int(width[a])
+		for i := a; i < a+w; i++ {
+			setOf[i] = int32(len(sets))
+		}
+		sets = append(sets, angleSet{a0: int32(a), s: int32(w)})
+		a += w
+	}
+	return sets, setOf
+}
+
+// maxSetWidth is the widest angle set's ordinate count.
+func (s *Solver) maxSetWidth() int {
+	m := 1
+	for _, as := range s.sets {
+		m = max(m, int(as.s))
+	}
+	return m
+}
+
+// blockLanes is the lane count of a set task's face blocks: one block
+// shared by every lane where the set is one ordinate (its groups see one
+// matrix), one per (ordinate, group) lane, interleaved, where it is
+// several.
+func (s *Solver) blockLanes(as angleSet) int {
+	if as.s == 1 {
+		return 1
+	}
+	return int(as.s) * s.nG
+}
+
 // ---- engine ----
 
 // engine owns the scheduling state of the engine-backed schemes for one
-// Solver: the per-ordinate task graphs, the whole-sweep schedule (initial
+// Solver: the per-set task graphs, the whole-sweep schedule (initial
 // remaining-upwind counters and seed list over global task ids), the
 // worker deques and the state of the one phase in flight. It owns no
 // goroutines: a phase is a round of the solver's worker pool.
 //
-// Task ids are global across the whole sweep: task a*nE+e is all energy
-// groups of (ordinate a, element e), and one phase executes all of them.
-// An armed sweep must be one phase (streamed resolutions address tasks of
-// any octant), and a self-driven one resolves every External slot of that
-// phase up front (resolveAll).
+// Task ids are global across the whole sweep: task set*nE+e is every lane
+// of (angle set, element e) (Solver.sets), and one phase executes all of
+// them. An armed sweep must be one phase (streamed resolutions address
+// tasks of any octant), and a self-driven one resolves every External
+// slot of that phase up front (resolveAll).
 type engine struct {
 	s      *Solver
 	nw     int
 	deques []*wsDeque
-	graphs []*sweep.Graph // per angle, shared across angles of one topo
+	graphs []*sweep.Graph // per set: the shared topology's graph
 
 	// External-coupling schedule (Config.External only): extDeg[t] is the
-	// number of streamed upwind faces folded into task t's initial
-	// counter, totalExt their sum (one sweep's expected ResolveExternal
-	// calls), and pubOff/pubFace the CSR lists of external faces each
-	// task publishes on completion. armed marks a phase begun by ArmSweep
-	// and not yet ended by FinishSweep (driver goroutine only).
+	// number of streamed upwind (ordinate, face) slots folded into task
+	// t's initial counter — every ordinate of the set counts — totalExt
+	// their sum (one sweep's expected ResolveExternal calls), and
+	// pubOff/pubFace the CSR lists of external faces each task publishes,
+	// for each of its ordinates, on completion. armed marks a phase begun
+	// by ArmSweep and not yet ended by FinishSweep (driver goroutine only).
 	extDeg   []int32
 	pubOff   []int32
 	pubFace  []int32
@@ -143,19 +249,21 @@ type engine struct {
 
 	// Reflective coupling (Config.Reflect only): mirDown[mirOff[t]:
 	// mirOff[t+1]] lists the tasks task t releases besides its downwind
-	// neighbours. A reflective inflow face of task (a, e) reads the mirror
-	// ordinate ma's flux on the same element, so the pair is ordered from
-	// the lower octant to the higher one: (ma, e) first when ma's octant
-	// is earlier (the face reads this sweep's value), (a, e) first when it
-	// is later (the face reads ma's value before ma's task overwrites it).
-	// Edges only climb octants, so the fused graph stays acyclic.
+	// neighbours. A reflective inflow face of task (S, e) reads, for each
+	// ordinate a of set S, the mirror ordinate ma's flux on the same
+	// element, and the mirrors of S form one set S' (buildAngleSets), so
+	// the pair of tasks is ordered from the lower octant to the higher one:
+	// (S', e) first when its octant is earlier (the face reads this sweep's
+	// value), (S, e) first when it is later (the face reads ma's value
+	// before S' overwrites it). Edges only climb octants, so the fused
+	// graph stays acyclic.
 	mirOff  []int32
 	mirDown []int32
 
-	// Immutable whole-sweep schedule: initCounts[a*nE+e] is the initial
-	// remaining counter of task (a, e) (upwind neighbours, streamed faces
-	// and lower-octant mirror partners); seeds lists the initially-ready
-	// tasks in ordinate order.
+	// Immutable whole-sweep schedule: initCounts[set*nE+e] is the initial
+	// remaining counter of task (set, e) (upwind neighbours, streamed
+	// faces and lower-octant mirror partners); seeds lists the
+	// initially-ready tasks in set order.
 	initCounts []int32
 	seeds      []int32
 
@@ -187,7 +295,7 @@ type engine struct {
 
 // newEngine builds the schedule of s's engine-backed sweeps.
 func newEngine(s *Solver) *engine {
-	total := s.nA * s.nE
+	total := len(s.sets) * s.nE
 	e := &engine{s: s, nw: s.cfg.Threads}
 	e.cond = sync.NewCond(&e.mu)
 	e.runFn = e.run
@@ -198,10 +306,10 @@ func newEngine(s *Solver) *engine {
 	}
 	e.counts = make([]int32, total)
 	e.initCounts = make([]int32, total)
-	e.graphs = make([]*sweep.Graph, s.nA)
-	for a := range e.graphs {
-		e.graphs[a] = s.topos[a].Graph
-		copy(e.initCounts[a*s.nE:(a+1)*s.nE], e.graphs[a].Indeg)
+	e.graphs = make([]*sweep.Graph, len(s.sets))
+	for k, as := range s.sets {
+		e.graphs[k] = s.topos[as.a0].Graph
+		copy(e.initCounts[k*s.nE:(k+1)*s.nE], e.graphs[k].Indeg)
 	}
 	if s.ext != nil {
 		// Streamed upwind faces join the counters; tasks holding any are
@@ -214,9 +322,9 @@ func newEngine(s *Solver) *engine {
 	if s.cfg.Reflect != [3]bool{} {
 		e.buildMirrorEdges(s)
 	}
-	for a, g := range e.graphs {
+	for k, g := range e.graphs {
 		for _, r := range g.Roots {
-			if t := int32(a*s.nE) + r; e.initCounts[t] == 0 {
+			if t := int32(k*s.nE) + r; e.initCounts[t] == 0 {
 				e.seeds = append(e.seeds, t)
 			}
 		}
@@ -224,23 +332,23 @@ func newEngine(s *Solver) *engine {
 	return e
 }
 
-// buildMirrorEdges adds one edge per (ordinate, reflective inflow face)
-// between the task and its mirror ordinate's task on the same element,
-// from the lower octant to the higher (see mirOff), and folds the edges
-// into the initial counters. Ordinates are numbered octant by octant, so
-// the lower octant is the lower ordinate.
+// buildMirrorEdges adds one edge per (set, reflective inflow face)
+// between the task and its mirror set's task on the same element, from
+// the lower octant to the higher (see mirOff), and folds the edges into
+// the initial counters. Ordinates are numbered octant by octant and sets
+// in ordinate order, so the lower octant is the lower set.
 func (e *engine) buildMirrorEdges(s *Solver) {
-	nT := s.nA * s.nE
+	nT := len(s.sets) * s.nE
 	var from, to []int32
-	for a := 0; a < s.nA; a++ {
-		t := s.topos[a]
+	for k, as := range s.sets {
+		t := s.topos[as.a0]
 		for el := 0; el < s.nE; el++ {
 			for f := 0; f < fem.NumFaces; f++ {
 				d := fem.FaceDim(f)
 				if !s.cfg.Reflect[d] || s.cfg.Mesh.Elems[el].Faces[f].Neighbor >= 0 || !t.IsInflow(el, f) {
 					continue
 				}
-				lo, hi := a, s.cfg.Quad.MirrorAngle(a, d)
+				lo, hi := k, int(s.setOf[s.cfg.Quad.MirrorAngle(int(as.a0), d)])
 				if hi < lo {
 					lo, hi = hi, lo
 				}
@@ -447,31 +555,34 @@ func (e *engine) hasWork() bool {
 	return false
 }
 
-// exec solves all groups of one task and releases its downwind tasks.
-// Task ids are global, so the decode needs no phase context: the ordinate
-// is t/nE and the element t%nE.
+// exec solves every lane of one task and releases its downwind tasks.
+// Task ids are global, so the decode needs no phase context: the set is
+// t/nE and the element t%nE.
 func (e *engine) exec(w int, t int64) {
 	s := e.s
 	nE := int64(s.nE)
-	a := int(t / nE)
+	k := int(t / nE)
 	el := int(t % nE)
-	if err := s.solveElem(s.workers[w], a, el); err != nil {
+	as := s.sets[k]
+	if err := s.solveElem(s.workers[w], as, el); err != nil {
 		s.pool.record(err)
 	}
 	if e.pubOff != nil && s.ext.publish != nil {
-		// Stream the finished boundary outflow to downstream ranks before
-		// releasing local downwind work: the cross-rank edge is the
-		// pipeline's critical path. The task's psi is final (written by
-		// this worker just above), and publishes happen even after a solve
-		// error so peer message accounting stays intact.
-		for _, fi := range e.pubFace[e.pubOff[t]:e.pubOff[t+1]] {
-			s.ext.publish(a, el, s.ext.faces[fi].Face)
+		// Stream the finished boundary outflow of every ordinate of the set
+		// to downstream ranks before releasing local downwind work: the
+		// cross-rank edge is the pipeline's critical path. The task's psi is
+		// final (written by this worker just above), and publishes happen
+		// even after a solve error so peer message accounting stays intact.
+		for a := int(as.a0); a < int(as.a0+as.s); a++ {
+			for _, fi := range e.pubFace[e.pubOff[t]:e.pubOff[t+1]] {
+				s.ext.publish(a, el, s.ext.faces[fi].Face)
+			}
 		}
 	}
-	base := int64(a) * nE
+	base := int64(k) * nE
 	own := e.deques[w]
 	pushed := false
-	for _, d := range e.graphs[a].DownwindOf(el) {
+	for _, d := range e.graphs[k].DownwindOf(el) {
 		if atomic.AddInt32(&e.counts[base+int64(d)], -1) == 0 {
 			own.push(base + int64(d))
 			pushed = true

@@ -105,16 +105,17 @@ func (s *Solver) ExternalInflowBuffer(face, angle int) []float64 {
 	return s.ext.data[off : off+s.nG*nf]
 }
 
-// ResolveExternal marks one external upwind face of task (angle, elem)
-// resolved: its streamed inflow is in place and will not change for the
-// rest of the sweep. When the last dependency of the task (external or
-// in-rank upwind) resolves, the task is injected into the running engine
+// ResolveExternal marks one external upwind face of ordinate angle on
+// element elem resolved: its streamed inflow is in place and will not
+// change for the rest of the sweep. It counts down the task of the angle
+// set holding angle. When the last dependency of the task (external or
+// in-rank upwind, of any of its ordinates) resolves, the task is injected into the running engine
 // and a parked worker is woken. Must only be called between ArmSweep and
 // the completion of FinishSweep, after the matching ExternalInflowBuffer
 // was filled; it is safe to call from any goroutine.
 func (s *Solver) ResolveExternal(angle, elem int) {
 	eng := s.engine
-	t := int64(angle)*int64(s.nE) + int64(elem)
+	t := int64(s.setOf[angle])*int64(s.nE) + int64(elem)
 	ready := atomic.AddInt32(&eng.counts[t], -1) == 0
 	eng.mu.Lock()
 	if eng.active {
@@ -228,7 +229,7 @@ func (s *Solver) SweepProgress() (remaining, extPending int64) {
 
 // FirstBlockedExternal scans the phase in flight for the first task that
 // both depends on a streamed cross-rank face and has not fired, returning
-// its (ordinate, local element). It is a diagnostic for the deadline
+// its (first ordinate, local element). It is a diagnostic for the deadline
 // watchdog — the task it names is blocked on (at least transitively) an
 // external resolution that never arrived. The scan runs under the engine
 // mutex with atomic counter reads: begin's non-atomic counter reset
@@ -246,29 +247,30 @@ func (s *Solver) FirstBlockedExternal() (angle, elem int, ok bool) {
 	}
 	for t := range eng.extDeg {
 		if eng.extDeg[t] > 0 && atomic.LoadInt32(&eng.counts[t]) > 0 {
-			return t / s.nE, t % s.nE, true
+			return int(s.sets[t/s.nE].a0), t % s.nE, true
 		}
 	}
 	return 0, 0, false
 }
 
 // buildExternalSchedule derives the engine-side coupling tables from the
-// per-ordinate classifications: extDeg[t] counts the external upwind faces
-// of task t (folded into the initial remaining-upwind counters, so
-// externally-blocked tasks are simply not ready until ResolveExternal
-// says so), and pubOff/pubFace list, per task, the external faces to
-// publish on completion.
+// per-set classifications: extDeg[t] counts the external upwind
+// (ordinate, face) slots of task t (folded into the initial
+// remaining-upwind counters, so externally-blocked tasks are simply not
+// ready until ResolveExternal says so; every ordinate of a set has the
+// set's classification), and pubOff/pubFace list, per task, the external
+// faces to publish, for each of its ordinates, on completion.
 func (e *engine) buildExternalSchedule(s *Solver) {
-	nT := s.nA * s.nE
+	nT := len(s.sets) * s.nE
 	e.extDeg = make([]int32, nT)
 	pubCount := make([]int32, nT)
-	for a := 0; a < s.nA; a++ {
-		t := s.topos[a]
-		base := a * s.nE
+	for k, as := range s.sets {
+		t := s.topos[as.a0]
+		base := k * s.nE
 		for _, ef := range s.ext.faces {
 			if t.IsInflow(ef.Elem, ef.Face) {
-				e.extDeg[base+ef.Elem]++
-				e.totalExt++
+				e.extDeg[base+ef.Elem] += as.s
+				e.totalExt += int64(as.s)
 			} else {
 				pubCount[base+ef.Elem]++
 			}
@@ -289,9 +291,9 @@ func (e *engine) buildExternalSchedule(s *Solver) {
 	e.pubFace = make([]int32, e.pubOff[nT])
 	fill := make([]int32, nT)
 	copy(fill, e.pubOff[:nT])
-	for a := 0; a < s.nA; a++ {
-		t := s.topos[a]
-		base := a * s.nE
+	for k, as := range s.sets {
+		t := s.topos[as.a0]
+		base := k * s.nE
 		for i, ef := range s.ext.faces {
 			if !t.IsInflow(ef.Elem, ef.Face) {
 				tid := base + ef.Elem

@@ -14,7 +14,8 @@ import (
 // resident. The per-group local matrix base + sigma_t,g M is a pure
 // function of (ordinate, element geometry, outflow-face set, material,
 // sigma_t), so it is factored (LU) once per distinct key and sigma_t run
-// and every task that matches runs only the O(n^2) triangular solves,
+// (once per lane in an angle set's entry), and every task that matches
+// runs only the O(n^2) triangular solves,
 // skipping its base assembly, panel formation and O(n^3) factorisation.
 // Every entry also keeps the task's fused inflow face blocks, so its
 // tasks form no face block either. Nothing
@@ -24,7 +25,7 @@ import (
 //
 // Two fill policies share the layout, the lookup and the fill routine:
 //
-//   - Lazy (the default, engine + batched kernel): keyed on (ordinate,
+//   - Lazy (the default, engine + batched kernel): keyed on (angle set,
 //     geometry class, material), so on meshes with repeated element
 //     geometries — any untwisted box grid — thousands of tasks share a
 //     handful of factors. The first task to reach an empty entry fills
@@ -38,9 +39,16 @@ import (
 //     batched body, look their per-group factor up here (factor).
 //
 // Layout: one float slab and one int32 slab, each entry a contiguous
-// stretch of each: n*n floats per sigma_t run, then nf*nf floats per
-// inflow face of the entry's outflow mask (the fused blocks, ascending
-// face); n int32 gather offsets per run. A material's runs are cut into
+// stretch of each. An entry of a single ordinate holds n*n floats per
+// sigma_t run, then nf*nf floats per inflow face of the entry's outflow
+// mask (the fused blocks, ascending face), and n int32 gather offsets per
+// run. An entry of a set of s ordinates (angleSet) holds one panel of
+// its w = s*nG lanes, one per (ordinate, group) — w lane-interleaved
+// factors, then per inflow face the lanes' blocks interleaved (each
+// ordinate's block on each of its group lanes) — and w*n offsets: s
+// single-ordinate entries become one, of the same size on a ramped
+// library, except that with two groups each face block sits on both of
+// its ordinate's lanes. A material's runs are cut into
 // panels by the solver's panel plan (Solver.plan, panelPlan): stretches
 // of single-group runs into widths of 4, then 2, then 1; a multi-group
 // run, and every run under the eager policy, is a width-1 panel. A
@@ -104,17 +112,18 @@ const (
 	facFailed
 )
 
-// facEntry holds the factored per-run matrices of one (ordinate,
-// geometry class, material) key, laid out by the material's panel plan:
-// n*n floats per sigma_t run, run r's at r*n*n, then the task's fused
-// inflow face blocks (blocks); its n gather offsets per run sit in the
+// facEntry holds the factored matrices of one (angle set, geometry class,
+// material) key: for a single ordinate, laid out by the material's panel
+// plan — n*n floats per sigma_t run, run r's at r*n*n — for a set, one
+// panel of all its lanes; then the task's fused inflow face blocks
+// (blocks). Its n gather offsets per run (per lane, for a set) sit in the
 // store's off slab from off on, in plan order.
 type facEntry struct {
 	state atomic.Uint32
 	mask  uint8 // outflow-face set of the slot's first element: only a task with this set reads or fills the entry
 	off   int32 // start of the entry's gather offsets in factorCache.off
 	// lu: each panel's w factors lane-interleaved, (i*n+j)*w + lane; then
-	// nf*nf per inflow face of mask, ascending face.
+	// nf*nf*blockLanes per inflow face of mask, ascending face.
 	lu []float64
 }
 
@@ -128,10 +137,11 @@ type facPanel struct {
 type factorCache struct {
 	class   []int32 // per-element class: the artifact's geometry classes, or the identity when eager
 	slotOf  []int32 // class*nMat+mat -> slot index, -1 if the pair never occurs
+	setOf   []int32 // ordinate -> angle set (Solver.setOf)
 	nMat    int
 	nSlots  int
 	n       int        // nodes per element: the order of every stored system
-	entries []facEntry // indexed angle*nSlots + slot
+	entries []facEntry // indexed set*nSlots + slot
 	off     []int32    // every entry's gather offsets (laneOffsets)
 }
 
@@ -165,30 +175,55 @@ func panelPlan(runs []sigtRun, lanes bool) []facPanel {
 
 // factorPanel forms the w matrices of panel p — base + sigma_t,g M
 // for each of its runs, st.base holding the task's base — lane-interleaved
-// into lu in one la.AddScaledToLanes pass, then factors them in place with
-// one la.FactorLanes call, each lane's composed row permutation into perm.
-// Both the uncached task and the store's fill go through it. With instr
-// the formation is charged to st's assembly timer and the factorisation
-// to its solve timer.
+// into lu and factors them in place (factorLanes), each lane's composed
+// row permutation into perm. Both the uncached task and the store's fill
+// go through it.
 func (s *Solver) factorPanel(st *workerState, lu []float64, perm []int, e, mat int, p facPanel, instr bool) error {
 	runs := s.sigtRuns[mat]
 	sigt := s.sigtEff[mat]
 	r0, w := int(p.r0), int(p.w)
-	var ws [4]float64
+	var ws [maxSetLanes]float64
 	for l := range ws[:w] {
 		ws[l] = sigt[runs[r0+l].g0]
+		st.bases[l] = st.base[:s.nN*s.nN]
 	}
+	return s.factorLanes(st, lu, perm, st.bases[:w], ws[:w], e, instr)
+}
+
+// factorSet forms and factors the one panel of a set of several
+// ordinates: lane o*nG+g is base_o + sigma_t,g M, base_o the ordinate's
+// base in st.base[o*n*n:]. Both the uncached task and the store's fill go
+// through it.
+func (s *Solver) factorSet(st *workerState, lu []float64, perm []int, as angleSet, e, mat int, instr bool) error {
+	nn, nG := s.nN*s.nN, s.nG
+	sigt := s.sigtEff[mat]
+	w := int(as.s) * nG
+	var ws [maxSetLanes]float64
+	for l := range ws[:w] {
+		o := l / nG
+		ws[l] = sigt[l%nG]
+		st.bases[l] = st.base[o*nn : o*nn+nn]
+	}
+	return s.factorLanes(st, lu, perm, st.bases[:w], ws[:w], e, instr)
+}
+
+// factorLanes forms the len(ws) matrices bases[l] + ws[l] M of element e
+// lane-interleaved into lu in one la.AddScaledToLanes pass, then factors
+// them in place with one la.FactorLanes call, each lane's composed row
+// permutation into perm. With instr the formation is charged to st's
+// assembly timer and the factorisation to its solve timer.
+func (s *Solver) factorLanes(st *workerState, lu []float64, perm []int, bases [][]float64, ws []float64, e int, instr bool) error {
 	var t0 time.Time
 	if instr {
 		t0 = time.Now()
 	}
-	la.AddScaledToLanes(lu, st.base, s.em[e].Mass, ws[:w])
+	la.AddScaledToLanes(lu, bases, s.em[e].Mass, ws)
 	if instr {
 		t1 := time.Now()
 		st.asmNS += t1.Sub(t0).Nanoseconds()
 		t0 = t1
 	}
-	err := la.FactorLanes(lu, perm, s.nN, w)
+	err := la.FactorLanes(lu, perm, s.nN, len(ws))
 	if instr {
 		st.solveNS += time.Since(t0).Nanoseconds()
 	}
@@ -242,6 +277,16 @@ func solveLanes(lu []float64, off []int32, rhs, x []float64, run sigtRun, n, w, 
 	}
 }
 
+// setFactors is the number of n x n factors an entry of set as and
+// material mat holds: one per sigma_t run for a single ordinate, one per
+// lane for a set of several.
+func (s *Solver) setFactors(as angleSet, mat int) int {
+	if as.s == 1 {
+		return len(s.sigtRuns[mat])
+	}
+	return int(as.s) * s.nG
+}
+
 // newFactorCache sizes and allocates the store and, under
 // Config.PreAssembled, fills it. It returns nil when the solver keeps no
 // factors: the lazy policy serves only the engine's batched task body,
@@ -277,19 +322,27 @@ func newFactorCache(s *Solver) (*factorCache, error) {
 			slotElem = append(slotElem, int32(e))
 		}
 	}
-	// Every run holds n*n factor floats and n offsets, every entry a
-	// fused block per inflow face.
-	n, nf := s.nN, s.re.NF
+	// Every factor holds n*n floats and n offsets, every entry a fused
+	// block per inflow face and lane of a block.
+	n := s.nN
 	nSlots := len(slotElem)
-	masks := make([]uint8, s.nA*nSlots)
+	c := &factorCache{
+		class:   class,
+		slotOf:  slotOf,
+		setOf:   s.setOf,
+		nMat:    nMat,
+		nSlots:  nSlots,
+		n:       n,
+		entries: make([]facEntry, len(s.sets)*nSlots),
+	}
 	var floats, offs int64
-	for a := 0; a < s.nA; a++ {
+	for k, as := range s.sets {
 		for sl, e := range slotElem {
-			runs := len(s.sigtRuns[cfg.Mesh.Elems[e].Material])
-			m := s.outflowMask(a, int(e))
-			masks[a*nSlots+sl] = m
-			floats += int64(runs*n*n + inflowFaces(m)*nf*nf)
-			offs += int64(runs * n)
+			ent := &c.entries[k*nSlots+sl]
+			ent.mask = s.outflowMask(int(as.a0), int(e))
+			floats += int64(c.entryFloats(s, as, e, ent.mask))
+			ent.off = int32(offs) // below 2^31 under the 16 GiB refusal: every offset has n floats beside it
+			offs += int64(s.setFactors(as, cfg.Mesh.Elems[e].Material) * n)
 		}
 	}
 	bytes := floats*8 + offs*4
@@ -299,28 +352,13 @@ func newFactorCache(s *Solver) (*factorCache, error) {
 	if !pre && bytes > factorCacheLimit {
 		return nil, nil
 	}
-	c := &factorCache{
-		class:   class,
-		slotOf:  slotOf,
-		nMat:    nMat,
-		nSlots:  nSlots,
-		n:       n,
-		entries: make([]facEntry, s.nA*nSlots),
-		// Under the 16 GiB refusal the offset slab stays below 2^31
-		// entries: every run stores n*n floats beside its n offsets.
-		off: make([]int32, offs),
-	}
-	lu := make([]float64, floats)
-	var off int32
-	for a := 0; a < s.nA; a++ {
+	c.off = make([]int32, offs)
+	slab := make([]float64, floats)
+	for k, as := range s.sets {
 		for sl, e := range slotElem {
-			runs := len(s.sigtRuns[cfg.Mesh.Elems[e].Material])
-			ent := &c.entries[a*nSlots+sl]
-			ent.mask = masks[a*nSlots+sl]
-			k := runs*n*n + inflowFaces(ent.mask)*nf*nf
-			ent.lu, lu = lu[:k:k], lu[k:]
-			ent.off = off
-			off += int32(runs * n)
+			ent := &c.entries[k*nSlots+sl]
+			m := c.entryFloats(s, as, e, ent.mask)
+			ent.lu, slab = slab[:m:m], slab[m:]
 		}
 	}
 	if pre {
@@ -331,22 +369,31 @@ func newFactorCache(s *Solver) (*factorCache, error) {
 	return c, nil
 }
 
+// entryFloats is the length of an entry of set as on slot element e with
+// outflow mask: its factors, then a block per inflow face and block lane.
+func (c *factorCache) entryFloats(s *Solver, as angleSet, e int32, mask uint8) int {
+	nf := s.re.NF
+	return s.setFactors(as, s.cfg.Mesh.Elems[e].Material)*c.n*c.n + inflowFaces(mask)*nf*nf*s.blockLanes(as)
+}
+
 // fillAll is the eager policy: every (ordinate, element) entry, in
 // parallel, each worker over its own scratch. The fill time is flushed
 // into the solver's totals here: PhaseTimes must show it before a sweep.
+// Under the eager policy every set is one ordinate.
 func (c *factorCache) fillAll(s *Solver) error {
 	s.pool.each(s.nA*s.nE, func(w, t int) {
 		a, e := t/s.nE, t%s.nE
 		mat := s.cfg.Mesh.Elems[e].Material
-		s.pool.record(c.fill(s, s.workers[w], c.entry(a, e, mat), a, e, mat))
+		s.pool.record(c.fill(s, s.workers[w], c.entry(a, e, mat), s.sets[s.setOf[a]], e, mat))
 	})
 	s.flushPhaseTimes()
 	return s.pool.takeErr()
 }
 
-// entry returns the store's entry for (angle, elem, material).
+// entry returns the store's entry for (angle, elem, material): the entry
+// of the angle's set.
 func (c *factorCache) entry(a, e, mat int) *facEntry {
-	return &c.entries[a*c.nSlots+int(c.slotOf[int(c.class[e])*c.nMat+mat])]
+	return &c.entries[int(c.setOf[a])*c.nSlots+int(c.slotOf[int(c.class[e])*c.nMat+mat])]
 }
 
 // inflowFaces counts the faces an outflow mask leaves inflow.
@@ -363,10 +410,10 @@ func (c *factorCache) run(ent *facEntry, r int) ([]float64, []int32) {
 	return ent.lu[r*n*n : (r+1)*n*n], c.off[o : o+n]
 }
 
-// blocks returns the fused inflow face blocks of ent, an entry of a
-// material with nRuns sigma_t runs.
-func (c *factorCache) blocks(ent *facEntry, nRuns int) []float64 {
-	return ent.lu[nRuns*c.n*c.n:]
+// blocks returns the fused inflow face blocks of ent, an entry holding
+// nFactors factors (setFactors).
+func (c *factorCache) blocks(ent *facEntry, nFactors int) []float64 {
+	return ent.lu[nFactors*c.n*c.n:]
 }
 
 // factor returns the stored factor and gather offsets of (angle, elem,
@@ -383,16 +430,24 @@ func (c *factorCache) factor(s *Solver, a, e, g int) ([]float64, []int32) {
 	return c.run(c.entry(a, e, mat), r)
 }
 
-// solve writes the task's solutions against the ready entry ent into its
-// psi slab, panel by panel, from rhs, its lane-major right-hand sides
-// (solveLanes).
-func (c *factorCache) solve(s *Solver, ent *facEntry, mat int, rhs, slab []float64) {
-	n := c.n
-	runs := s.sigtRuns[mat]
+// solve writes the solutions of the task (as, e) against the ready entry
+// ent, from rhs, its lane-major right-hand sides: a single ordinate's
+// panel by panel into its psi slab (solveLanes), a set's one panel through
+// worker scratch (solveSet).
+func (c *factorCache) solve(s *Solver, st *workerState, ent *facEntry, as angleSet, e, mat int, rhs []float64) {
+	n, nG := c.n, s.nG
 	off := c.off[ent.off:]
+	if as.s > 1 {
+		w := int(as.s) * nG
+		s.solveSet(ent.lu[:w*n*n], off[:w*n], rhs, st.x[:w*n], as, e)
+		return
+	}
+	pb := s.psiIdx(int(as.a0), e, 0)
+	slab := s.psi[pb : pb+nG*n : pb+nG*n]
+	runs := s.sigtRuns[mat]
 	for _, p := range s.plan[mat] {
 		r0, w := int(p.r0), int(p.w)
-		solveLanes(ent.lu[r0*n*n:(r0+w)*n*n], off, rhs, slab, runs[r0], n, w, s.nG)
+		solveLanes(ent.lu[r0*n*n:(r0+w)*n*n], off, rhs, slab, runs[r0], n, w, nG)
 		off = off[w*n:]
 	}
 }
@@ -410,11 +465,11 @@ func (s *Solver) outflowMask(a, e int) uint8 {
 	return m
 }
 
-// acquire returns the ready factored entry for (angle, elem, material),
-// filling it first if this task is the one that catches it empty. A nil
-// return means the task must run the private assemble-and-solve path:
-// its outflow mask does not match the entry's, the entry is mid-build by
-// another task, or its factorisation failed.
+// acquire returns the ready factored entry of the set holding angle a on
+// (elem, material), filling it first if this task is the one that
+// catches it empty. A nil return means the task must run the private
+// assemble-and-solve path: its outflow mask does not match the entry's,
+// the entry is mid-build by another task, or its factorisation failed.
 func (c *factorCache) acquire(s *Solver, st *workerState, a, e, mat int) *facEntry {
 	ent := c.entry(a, e, mat)
 	if ent.mask != s.outflowMask(a, e) {
@@ -429,7 +484,7 @@ func (c *factorCache) acquire(s *Solver, st *workerState, a, e, mat int) *facEnt
 		}
 		// A failed fill poisons the entry; the private path will surface
 		// the same singularity with the kernel's error context.
-		if c.fill(s, st, ent, a, e, mat) != nil {
+		if c.fill(s, st, ent, s.sets[s.setOf[a]], e, mat) != nil {
 			return nil
 		}
 		return ent
@@ -438,42 +493,55 @@ func (c *factorCache) acquire(s *Solver, st *workerState, a, e, mat int) *facEnt
 	}
 }
 
-// fill assembles and factors every sigma_t run of the entry the caller
-// owns (a won CAS, or the eager fill's disjoint index) and publishes it.
-// Every panel is factored in place in the entry by factorPanel, which
-// leaves the lanes interleaved, its row permutations becoming the gather
-// offsets the solve reads (laneOffsets). The entry also takes the task's
-// fused inflow face blocks, each the la.Fuse3 sum the task would form.
-// The whole fill — base assembly included — is charged to the worker's
-// solve timer: it is the factorisation the cached sweeps no longer pay,
-// and counting it as assembly would skew the two shares the trace reads
+// fill assembles and factors every lane of the entry the caller owns (a
+// won CAS, or the eager fill's disjoint index) and publishes it. A
+// single ordinate's panels are factored in place in the entry by
+// factorPanel, a set's one panel by factorSet; either leaves the lanes
+// interleaved, its row permutations becoming the gather offsets the solve
+// reads (laneOffsets). The entry also takes the task's fused inflow face
+// blocks, each the la.Fuse3 sum the task would form (fuseFaceBlock). The
+// whole fill — base assembly included — is charged to the worker's solve
+// timer: it is the factorisation the cached sweeps no longer pay, and
+// counting it as assembly would skew the two shares the trace reads
 // against each other.
-func (c *factorCache) fill(s *Solver, st *workerState, ent *facEntry, a, e, mat int) error {
+func (c *factorCache) fill(s *Solver, st *workerState, ent *facEntry, as angleSet, e, mat int) error {
 	if s.cfg.Instrument {
 		defer func(t0 time.Time) { st.solveNS += time.Since(t0).Nanoseconds() }(time.Now())
 	}
-	s.assembleBase(a, e, st.base)
-	runs := s.sigtRuns[mat]
-	n := c.n
-	off := c.off[ent.off:]
-	for _, p := range s.plan[mat] {
-		r0, w := int(p.r0), int(p.w)
-		perm := st.perm[:w*n]
-		if err := s.factorPanel(st, ent.lu[r0*n*n:(r0+w)*n*n], perm, e, mat, p, false); err != nil {
-			ent.state.Store(facFailed)
-			return fmt.Errorf("core: factorising angle %d elem %d group %d: %w", a, e, runs[r0].g0, err)
-		}
-		laneOffsets(off[:w*n], perm, n, w, s.nG)
-		off = off[w*n:]
+	n, nG := c.n, s.nG
+	nn := n * n
+	a := int(as.a0)
+	for o := 0; o < int(as.s); o++ {
+		s.assembleBase(a+o, e, st.base[o*nn:o*nn+nn])
 	}
-	fb := c.blocks(ent, len(runs))
-	om := s.cfg.Quad.Angles[a].Omega
+	off := c.off[ent.off:]
+	if as.s > 1 {
+		w := int(as.s) * nG
+		perm := st.perm[:w*n]
+		if err := s.factorSet(st, ent.lu[:w*nn], perm, as, e, mat, false); err != nil {
+			ent.state.Store(facFailed)
+			return fmt.Errorf("core: factorising angle %d elem %d group 0: %w", a, e, err)
+		}
+		laneOffsets(off[:w*n], perm, n, w, w)
+	} else {
+		runs := s.sigtRuns[mat]
+		for _, p := range s.plan[mat] {
+			r0, w := int(p.r0), int(p.w)
+			perm := st.perm[:w*n]
+			if err := s.factorPanel(st, ent.lu[r0*nn:(r0+w)*nn], perm, e, mat, p, false); err != nil {
+				ent.state.Store(facFailed)
+				return fmt.Errorf("core: factorising angle %d elem %d group %d: %w", a, e, runs[r0].g0, err)
+			}
+			laneOffsets(off[:w*n], perm, n, w, nG)
+			off = off[w*n:]
+		}
+	}
+	fb := c.blocks(ent, s.setFactors(as, mat))
 	t := s.topos[a]
-	k := s.re.NF * s.re.NF
+	k := s.re.NF * s.re.NF * s.blockLanes(as)
 	for f := 0; f < fem.NumFaces; f++ {
 		if t.IsInflow(e, f) {
-			face := &s.em[e].Face[f]
-			la.Fuse3(fb[:k], face[0], face[1], face[2], om[0], om[1], om[2])
+			s.fuseFaceBlock(fb[:k], st.fb, as, e, f)
 			fb = fb[k:]
 		}
 	}

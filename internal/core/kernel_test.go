@@ -173,9 +173,11 @@ func TestKernelFlatSigtSingleRun(t *testing.T) {
 	}
 }
 
-// TestKernelDGESVBatchedBitwise covers the factor+multi-solve branch
-// (SolverDGESV) of the batched kernel, which TestKernelBatchedBitwise's
-// default-SolverGE variants never reach.
+// TestKernelDGESVBatchedBitwise holds the batched kernel to the scalar
+// kernel under SolverDGESV on a flat-sigma_t library. The batched kernel
+// does not read Config.Solver, so the DGESV setting varies the scalar
+// reference only (la.SolveDGESV where TestKernelBatchedBitwise's
+// variants run la.SolveGE).
 func TestKernelDGESVBatchedBitwise(t *testing.T) {
 	mk := func(k KernelMode) ([]float64, []float64) {
 		cfg := flatSigtConfig(t, 4)
@@ -662,8 +664,9 @@ func rampedProblem(t *testing.T, groups int) Config {
 // path: the store cuts the runs as widthPlans says, some lane of a wider
 // panel gathers through a row permutation that is not the identity, and
 // the flux matches the uncached batched kernel and the scalar kernel bit
-// for bit, on both solver kinds (SolverDGESV fills with FactorBlocked,
-// SolverGE with Factor).
+// for bit, on both solver kinds (the batched kernel and the store fill
+// the same way under both; the solver kind varies the scalar reference
+// only: SolverGE runs la.SolveGE, SolverDGESV la.SolveDGESV).
 func TestFactorCacheWidthPlans(t *testing.T) {
 	for _, p := range widthPlans {
 		for _, solver := range []SolverKind{SolverGE, SolverDGESV} {

@@ -36,6 +36,14 @@ type Solver struct {
 
 	topos []*build.Topology // per angle (deduplicated pointers)
 
+	// sets partitions the ordinates into the engine's angle sets, in
+	// ordinate order (buildAngleSets): task set*nE+e runs every lane of
+	// (set, element e), and the factor store keys its entries on the set.
+	// setOf maps an ordinate to its set. Every set is one ordinate outside
+	// the engine and under PreAssembled.
+	sets  []angleSet
+	setOf []int32
+
 	psi []float64 // angular flux, layout per scheme (psiIdx)
 	// psiLag is the previous sweep's angular flux (cyclic meshes only):
 	// rotateLagSnapshot swaps it with psi at the start of every sweep, so
@@ -199,6 +207,7 @@ func New(cfg Config) (*Solver, error) {
 	} else {
 		s.sigtEff = cfg.Lib.Total
 	}
+	s.sets, s.setOf = buildAngleSets(&cfg, s.topos, s.nG)
 	s.sigtRuns = buildSigtRuns(s.sigtEff)
 	s.plan = make([][]facPanel, len(s.sigtRuns))
 	for mat, runs := range s.sigtRuns {
@@ -229,7 +238,7 @@ func New(cfg Config) (*Solver, error) {
 
 	s.workers = make([]*workerState, cfg.Threads)
 	for w := range s.workers {
-		s.workers[w] = newWorkerState(art.KernelDims(), s.nG, cfg.Scheme.EngineBacked())
+		s.workers[w] = newWorkerState(art.KernelDims(), s.nG, s.maxSetWidth(), cfg.Scheme.EngineBacked())
 	}
 	// The one GC-path stop: an unreachable solver's parked workers return.
 	// It must not wait for them — that would block the cleanup goroutine.

@@ -22,12 +22,16 @@ var errEngineStalled = errors.New("core: sweep engine stalled with unfinished el
 // from the artifact's kernel dimensions — the steady-state task path
 // performs zero allocations (pinned by TestSweepTaskAllocFree).
 type workerState struct {
-	ws      *la.Workspace
-	base    []float64 // -Omega·G + outflow faces, reused per group (engine tasks, store fills)
+	ws   *la.Workspace
+	base []float64 // -Omega·G + outflow faces, one per ordinate of a set, reused per group (engine tasks, store fills)
+	// bases names each lane's base (a slice of base) for la.AddScaledToLanes.
+	bases   [maxSetLanes][]float64
 	fb      []float64 // engine: an inflow face's block, fused where no store entry holds it
-	up      []float64 // upwind nodal values in our face ordering, node-major with the groups fastest
+	fbl     []float64 // engine, sets only: the set's face blocks lane-interleaved, fused where no store entry holds them
+	up      []float64 // upwind nodal values in our face ordering, node-major with the lanes fastest
 	tmp     []float64 // massApply's copy of its operand (the source passes)
 	rhs     []float64 // engine: the task's right-hand sides, lane-major
+	x       []float64 // engine, sets only: the set's solutions, lane-major, before they move to psi
 	panel   []float64 // engine: an uncached panel's (up to four) matrices, lane-interleaved, factored in place
 	perm    []int     // a panel's per-lane row permutations, as la.FactorLanes leaves them
 	off     []int32   // engine: an uncached panel's gather offsets (laneOffsets)
@@ -36,25 +40,30 @@ type workerState struct {
 }
 
 // newWorkerState allocates one worker's scratch, sized from the
-// artifact's kernel dimensions and the group count (the batched kernel
-// gathers one face's upwind values for all groups at once); the
-// fused-block, right-hand-side and panel scratch are engine-only and
+// artifact's kernel dimensions, the group count and the widest angle set
+// (a task gathers one face's upwind values for all its lanes at once);
+// the fused-block, right-hand-side and panel scratch are engine-only and
 // skipped for the legacy bucket schemes (which still need base and perm:
 // the factor store's eager fill, all width-1 panels, runs under every
 // scheme).
-func newWorkerState(dims build.KernelDims, nG int, engine bool) *workerState {
+func newWorkerState(dims build.KernelDims, nG, maxSet int, engine bool) *workerState {
+	lanes := maxSet * nG
 	st := &workerState{
 		ws:   la.NewWorkspace(dims.NN),
-		base: make([]float64, dims.NN*dims.NN),
-		up:   make([]float64, nG*dims.NF),
+		base: make([]float64, maxSet*dims.NN*dims.NN),
+		up:   make([]float64, lanes*dims.NF),
 		tmp:  make([]float64, dims.NN),
 		perm: make([]int, 4*dims.NN),
 	}
 	if engine {
 		st.fb = make([]float64, dims.NF*dims.NF)
-		st.rhs = make([]float64, nG*dims.NN)
+		st.rhs = make([]float64, lanes*dims.NN)
 		st.panel = make([]float64, 4*dims.NN*dims.NN)
 		st.off = make([]int32, 4*dims.NN)
+		if maxSet > 1 {
+			st.fbl = make([]float64, lanes*dims.NF*dims.NF)
+			st.x = make([]float64, lanes*dims.NN)
+		}
 	}
 	return st
 }
@@ -114,26 +123,45 @@ func (s *Solver) loadSource(b []float64, a, e, g int) {
 }
 
 // loadSourceLanes is loadSource for every group of (angle, elem) at once
-// under LayoutLanes: b is the task's block, node-major with the groups
-// fastest, and mq's block of the element is one contiguous copy.
-func (s *Solver) loadSourceLanes(b []float64, a, e int) {
+// under LayoutLanes: b is the ordinate's column stripe of the task's
+// block, node-major with the groups fastest and its rows ldb apart (ldb =
+// nG for a single ordinate, whose block is one contiguous copy of mq's;
+// s*nG for an ordinate of a set of s, every one of which reads the same
+// block of mq).
+func (s *Solver) loadSourceLanes(b []float64, a, e, ldb int) {
+	n, nG := s.nN, s.nG
 	base := s.srcIdx(e, 0)
-	copy(b, s.mq[base:base+len(b)])
+	mq := s.mq[base : base+n*nG]
+	switch {
+	case ldb == nG:
+		copy(b[:n*nG], mq)
+	case nG == 1:
+		for i, v := range mq {
+			b[i*ldb] = v
+		}
+	default:
+		for i := 0; i < n; i++ {
+			gatherRun(b[i*ldb:i*ldb+nG], mq[i*nG:i*nG+nG])
+		}
+	}
 	if s.cfg.ScatOrder >= 1 {
 		om := s.cfg.Quad.Angles[a].Omega
-		m1x := s.mq1[0][base : base+len(b)]
-		m1y := s.mq1[1][base : base+len(b)]
-		m1z := s.mq1[2][base : base+len(b)]
-		for i := range b {
-			b[i] += 3 * (om[0]*m1x[i] + om[1]*m1y[i] + om[2]*m1z[i])
+		m1x := s.mq1[0][base : base+n*nG]
+		m1y := s.mq1[1][base : base+n*nG]
+		m1z := s.mq1[2][base : base+n*nG]
+		for i := 0; i < n; i++ {
+			for g := 0; g < nG; g++ {
+				k := i*nG + g
+				b[i*ldb+g] += 3 * (om[0]*m1x[k] + om[1]*m1y[k] + om[2]*m1z[k])
+			}
 		}
 	}
 	if s.mPrev != nil {
-		prev := s.mPrev[s.psiIdx(a, e, 0):][:len(b)]
-		for g := 0; g < s.nG; g++ {
+		prev := s.mPrev[s.psiIdx(a, e, 0):][:n*nG]
+		for g := 0; g < nG; g++ {
 			vd := s.vdelt(g)
-			for k := g; k < len(b); k += s.nG {
-				b[k] += vd * prev[k]
+			for i := 0; i < n; i++ {
+				b[i*ldb+g] += vd * prev[i*nG+g]
 			}
 		}
 	}
@@ -176,13 +204,17 @@ func (s *Solver) addOutflowFaces(a, e int, dst []float64) {
 		if t.IsInflow(e, f) {
 			continue
 		}
-		fn := s.re.FaceNodes[f]
+		fn := s.re.FaceNodes[f][:nf]
 		fx, fy, fz := em.Face[f][0], em.Face[f][1], em.Face[f][2]
 		for k, gi := range fn {
 			row := dst[gi*n : (gi+1)*n]
-			fr := k * nf
+			// Length-matched reslices: the prove pass drops the face
+			// rows' bounds checks.
+			rx := fx[k*nf : k*nf+nf][:len(fn)]
+			ry := fy[k*nf : k*nf+nf][:len(fn)]
+			rz := fz[k*nf : k*nf+nf][:len(fn)]
 			for l, gj := range fn {
-				row[gj] += om[0]*fx[fr+l] + om[1]*fy[fr+l] + om[2]*fz[fr+l]
+				row[gj] += om[0]*rx[l] + om[1]*ry[l] + om[2]*rz[l]
 			}
 		}
 	}
@@ -352,20 +384,28 @@ func (s *Solver) solveOne(st *workerState, a, e, g int) error {
 	return nil
 }
 
-// solveElem is the engine's unit of work: all energy groups of one
-// (angle, elem) task. The default batched kernel (kernel.go) factors
-// up to four groups per lane panel, once per sigma_t run;
-// the scalar kernel below is the pre-batching baseline, kept for A/B
-// benchmarking and as the bitwise-parity reference. Config.Kernel alone
-// chooses; PreAssembled is a fill policy of the factor store either
-// kernel reads. The scalar flux is NOT accumulated here — the engine
-// reduces it from psi once per sweep, in deterministic ordinate order
-// (see reduceFluxFromPsi).
-func (s *Solver) solveElem(st *workerState, a, e int) error {
+// solveElem is the engine's unit of work: every (ordinate, group) lane
+// of one (angle set, elem) task. The default batched kernel (kernel.go)
+// runs the set's lanes together — up to four groups of one ordinate, or
+// up to four (ordinate, group) pairs of a set, per lane panel; the scalar
+// kernel below is the pre-batching baseline, kept for A/B benchmarking
+// and as the bitwise-parity reference, and runs the set's ordinates one
+// after another in ordinate order. Config.Kernel alone chooses;
+// PreAssembled is a fill policy of the factor store either kernel reads.
+// The scalar flux is NOT accumulated here — the engine reduces it from
+// psi once per sweep, in deterministic ordinate order (see
+// reduceFluxFromPsi).
+func (s *Solver) solveElem(st *workerState, as angleSet, e int) error {
 	if s.cfg.Kernel == KernelBatched {
-		return s.solveElemBatched(st, a, e)
+		return s.solveElemBatched(st, int(as.a0), e)
 	}
-	return s.solveElemScalar(st, a, e)
+	var firstErr error
+	for a := int(as.a0); a < int(as.a0+as.s); a++ {
+		if err := s.solveElemScalar(st, a, e); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
 }
 
 // solveElemScalar assembles and solves each group of one (angle, elem)
@@ -380,8 +420,9 @@ func (s *Solver) solveElemScalar(st *workerState, a, e int) error {
 	if instr {
 		t0 = time.Now()
 	}
+	base := st.base[:s.nN*s.nN]
 	if !pre {
-		s.assembleBase(a, e, st.base)
+		s.assembleBase(a, e, base)
 	}
 	mass := s.em[e].Mass
 	sigt := s.sigtEff[s.cfg.Mesh.Elems[e].Material]
@@ -391,7 +432,7 @@ func (s *Solver) solveElemScalar(st *workerState, a, e int) error {
 			t0 = time.Now()
 		}
 		if !pre {
-			la.AddScaledTo(st.ws.A.Data, st.base, mass, sigt[g])
+			la.AddScaledTo(st.ws.A.Data, base, mass, sigt[g])
 		}
 		s.assembleRHS(st, a, e, g)
 		if instr {

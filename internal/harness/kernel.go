@@ -39,6 +39,10 @@ type KernelConfig struct {
 	// MatrixOrders are the element orders of the element-matrix table,
 	// timed on Uncached's (twisted) mesh.
 	MatrixOrders []int
+	// OneGroup is a one-group problem whose ordinates of an octant share
+	// one sweep topology, so its engine tasks run angle sets: the row
+	// that moves with the ordinate lanes.
+	OneGroup unsnap.Problem
 }
 
 // DefaultKernel measures on a Figure 3-style workload at bench scale:
@@ -55,6 +59,12 @@ func DefaultKernel() KernelConfig {
 	ho := unsnap.DefaultProblem()
 	ho.NX, ho.NY, ho.NZ = 4, 4, 4
 	ho.Order, ho.AnglesPerOctant, ho.Groups = 3, 2, 4
+	// The benchmark's median serve_cold job: order 2 on a 5^3 mesh with a
+	// slight twist, 2 angles per octant, one group — two-ordinate sets.
+	one := unsnap.DefaultProblem()
+	one.NX, one.NY, one.NZ = 5, 5, 5
+	one.Twist, one.TwistPeriods = 0.001, 0
+	one.Order, one.AnglesPerOctant, one.Groups = 2, 2, 1
 	return KernelConfig{
 		Problem: p,
 		Threads: []int{1, 2, 4},
@@ -67,6 +77,7 @@ func DefaultKernel() KernelConfig {
 		LASizes:      []int{8, 27, 64, 125},
 		Uncached:     ho,
 		MatrixOrders: []int{1, 2, 3},
+		OneGroup:     one,
 	}
 }
 
@@ -143,7 +154,8 @@ func machineInfo() *MachineInfo {
 
 // KernelSection is the serialised kernel comparison for BENCH_sweep.json.
 // UncachedTaskNs is the batched kernel's per-task time on Uncached, the
-// high-order problem the factor cache refuses. Previous is the
+// high-order problem the factor cache refuses, OneGroupTaskNs its
+// per-(ordinate, element) time on OneGroup. Previous is the
 // measurement this one replaced, kept when it came from another commit
 // on the same machine: the before/after pair a speedup claim needs.
 // LAKernels is la.Kernels() at measure time ("avx2" or "generic"): which
@@ -162,12 +174,14 @@ type KernelSection struct {
 	Uncached       *ProblemShape  `json:"uncached_problem,omitempty"`
 	UncachedTaskNs float64        `json:"uncached_task_ns,omitempty"`
 	Matrices       []MatricesRow  `json:"matrices,omitempty"`
+	OneGroup       *ProblemShape  `json:"one_group_problem,omitempty"`
+	OneGroupTaskNs float64        `json:"one_group_task_ns,omitempty"`
 	Previous       *KernelSection `json:"previous,omitempty"`
 }
 
 // KernelSectionOf packages a kernel run for WriteSweepJSON.
-func KernelSectionOf(cfg KernelConfig, rows []KernelRow, laRows []LARow, uncachedNs float64, matrices []MatricesRow) *KernelSection {
-	shape := shapeOf(cfg.Uncached)
+func KernelSectionOf(cfg KernelConfig, rows []KernelRow, laRows []LARow, uncachedNs float64, matrices []MatricesRow, oneGroupNs float64) *KernelSection {
+	shape, one := shapeOf(cfg.Uncached), shapeOf(cfg.OneGroup)
 	return &KernelSection{
 		LAKernels:      la.Kernels(),
 		Problem:        shapeOf(cfg.Problem),
@@ -177,6 +191,8 @@ func KernelSectionOf(cfg KernelConfig, rows []KernelRow, laRows []LARow, uncache
 		Uncached:       &shape,
 		UncachedTaskNs: uncachedNs,
 		Matrices:       matrices,
+		OneGroup:       &one,
+		OneGroupTaskNs: oneGroupNs,
 	}
 }
 
@@ -530,6 +546,30 @@ func RunUncached(cfg KernelConfig) (float64, error) {
 		}
 	}
 	return best, nil
+}
+
+// RunOneGroup times the batched kernel on cfg.OneGroup at one thread:
+// the best per-(ordinate, element) ns of kernelTaskRepeats runs of
+// cfg.Inners inners (the first fills the factor store, the rest read it).
+func RunOneGroup(cfg KernelConfig) (float64, error) {
+	best := 0.0
+	for r := 0; r < kernelTaskRepeats; r++ {
+		ns, err := kernelTaskNs(cfg.OneGroup, 1, cfg.Inners, core.KernelBatched, false)
+		if err != nil {
+			return 0, fmt.Errorf("harness: kernel experiment one-group row: %w", err)
+		}
+		if r == 0 || ns < best {
+			best = ns
+		}
+	}
+	return best, nil
+}
+
+// FprintOneGroup writes the one-group row.
+func FprintOneGroup(w io.Writer, cfg KernelConfig, ns float64) {
+	p := cfg.OneGroup
+	fmt.Fprintf(w, "one group order %d (%d^3, twist %g, %d ang/oct): %.0f ns per ordinate-element\n",
+		p.Order, p.NX, p.Twist, p.AnglesPerOctant, ns)
 }
 
 // FprintKernel writes the kernel comparison table.

@@ -8,8 +8,8 @@
 // All Gaussian elimination of one system in the package is one loop,
 // eliminate: LU with partial pivoting, multipliers stored in place below
 // the diagonal, whole rows exchanged so a swap carries them, optionally
-// recording the pivots and optionally carrying right-hand sides through
-// the same row operations. The exported solvers are thin wrappers over
+// recording the pivots and optionally carrying one right-hand side (its
+// one caller, SolveGE's) through the same row operations. The exported solvers are thin wrappers over
 // it:
 //
 //   - SolveGE: the paper's hand-written Gaussian elimination (UnSNAP's
@@ -31,7 +31,9 @@
 //     within one. Either way each lane is held to Factor and
 //     SolveFactored bit for bit (TestFactorLanesBitwise,
 //     FuzzFactorLanesBitwise, TestTriSolveLanesBitwise,
-//     FuzzTriSolveLanesBitwise). AddScaledToLanes forms the operands.
+//     FuzzTriSolveLanesBitwise). AddScaledToLanes forms the operands,
+//     each lane from its own base matrix (the lanes of an angle set
+//     carry different ordinates' matrices; lanes may share a base).
 //   - FactorBlocked, SolveDGESV: the LAPACK-style stand-in for Intel
 //     MKL's dgesv (closed source): blocked right-looking LU (getrf) whose
 //     panels go through eliminate, whose block-row solve is the panel's
@@ -89,8 +91,11 @@
 // TriSolveLanes (triSolveLanesAVX2: the triangular solves of four
 // systems on Y registers, or two on X registers), FactorLanes
 // (factorLanesAVX2, the same registers), AddScaledToLanes
-// (addScaledToLanesAVX2) and FaceApplyLanes (faceApplyLanesAVX2).
-// In each but the last four, a lane is one matrix entry and performs exactly
+// (addScaledToLanesAVX2: four entries of every lane's base per pass,
+// transposed into the interleaved layout), FaceApplyLanes
+// (faceApplyLanesAVX2) and FaceApplyLanesPerLane
+// (faceApplyLanesPerLaneAVX2). In each but the last five, a lane is one
+// matrix entry and performs exactly
 // the IEEE-754 operations the Go loop performs on that entry — VMULPD,
 // then VSUBPD or VADDPD, operands in the same order, each result rounded
 // to float64 before the next uses it — under the same (default,
@@ -132,7 +137,12 @@
 // accumulators sharing each load of u, which is what takes the pass off
 // one add latency per term (TestFaceApplyLanesBitwise,
 // FuzzFaceApplyLanesBitwise: widths 1 to 16, every chunk tail, the
-// specials).
+// specials). FaceApplyLanesPerLane is the same pass with a block per lane,
+// lane-interleaved like TriSolveLanes' factors (entry (r, k) of lane l at
+// (r*nf+k)*w + l), for w = 2 or 4 lanes that belong to different
+// ordinates: each block load is one vector of every lane's entry, each
+// lane's sum the scalar row sum of its own block
+// (TestFaceApplyLanesPerLaneBitwise, FuzzFaceApplyLanesPerLaneBitwise).
 //
 // FactorLanes does the same for the factorisation, in the same layout:
 // one vector holds entry (i, j) of every system, so the parts of
@@ -164,7 +174,7 @@
 // ordered reductions (lanes within one system would reassociate the
 // sum). Within one system, eliminate's pivot search and multiplier pass
 // walk a column of a row-major matrix, one cache line per entry, and the
-// right-hand sides it carries are one entry per row per step; across
+// right-hand side it carries is one entry per row per step; across
 // systems FactorLanes vectorises all three, so only a width-1 panel — a
 // lone system, or one factor serving several right-hand sides — still
 // pays them scalar (its trailing update is eliminate's AVX2 pair
@@ -184,7 +194,8 @@
 // leading rows to the kernel (which subtracts unconditionally) and the
 // rest to the per-block loop, which knows how to skip. MulTN declines
 // only shapes below one block (m or n under 4) and k = 0; FactorLanes,
-// AddScaledToLanes and FaceApplyLanes only width 1.
+// AddScaledToLanes, FaceApplyLanes and FaceApplyLanesPerLane only width
+// 1 (AddScaledToLanes also runs its len mod 4 tail entries in Go).
 //
 // Matrices are dense row-major; all routines are allocation-free given a
 // Workspace so they can run inside sweep worker pools.
@@ -221,8 +232,10 @@
 //     bitwise Factor's factor of that lane's matrix, its permutation
 //     Factor's pivots composed, and FactorLanes fails exactly when some
 //     lane's Factor does; each lane of AddScaledToLanes is bitwise
-//     AddScaledTo with that lane's weight; each lane of FaceApplyLanes is
-//     bitwise the scalar row sums of its own right-hand side.
+//     AddScaledTo with that lane's base and weight; each lane of
+//     FaceApplyLanes is bitwise the scalar row sums of its own
+//     right-hand side, and each lane of FaceApplyLanesPerLane those of
+//     its own block and right-hand side.
 //   - Vector path == scalar path, for every routine above (the bitwise
 //     suite runs each case on both and compares them).
 package la

@@ -9,9 +9,10 @@ import (
 // k0..k1-1 of LU with partial pivoting, in place. Multipliers are stored
 // below the diagonal and swaps exchange whole rows, so a swap carries a
 // row's multipliers (and any update still owed to it) along. piv, when
-// non-nil, records the row exchanged with row k at step k; bs carries
-// len(bs)/n right-hand sides (RHS-major, column r is bs[r*n:(r+1)*n])
-// through the same row operations. Only columns below k1 are updated:
+// non-nil, records the row exchanged with row k at step k; b, when not
+// empty, is one right-hand side of length n carried through the same row
+// operations (SolveGE's; the factorisations pass none). Only columns
+// below k1 are updated:
 // k1 < n factors a panel whose trailing update is FactorBlocked's.
 //
 // Steps go two at a time: step k touches only column k+1 (all the next
@@ -23,9 +24,9 @@ import (
 // leaves its row untouched (x - 0*y is not x when x is -0 or y is not
 // finite), so the result is bitwise that of the textbook loops
 // (geReference, factorReference in la_test.go); doc.go has the argument.
-func eliminate(a *Matrix, piv []int, bs []float64, k0, k1 int) error {
+func eliminate(a *Matrix, piv []int, b []float64, k0, k1 int) error {
 	n := a.N
-	if (piv != nil || len(bs) == 0) && len(piv) != n {
+	if (piv != nil || len(b) == 0) && len(piv) != n {
 		return fmt.Errorf("la: pivot length %d, want %d", len(piv), n)
 	}
 	ad := a.Data[:n*n]
@@ -35,7 +36,7 @@ func eliminate(a *Matrix, piv []int, bs []float64, k0, k1 int) error {
 		// but pick its pivot.
 		owed := (k-k0)&1 == 1
 		var err error
-		if inv, err = pivot(ad, n, k, owed, inv, piv, bs); err != nil {
+		if inv, err = pivot(ad, n, k, owed, inv, piv, b); err != nil {
 			return err
 		}
 		if !owed && k+1 < k1 {
@@ -45,13 +46,13 @@ func eliminate(a *Matrix, piv []int, bs []float64, k0, k1 int) error {
 			ad[o] *= inv
 		}
 		if owed {
-			update2(ad, n, k, k1, bs)
+			update2(ad, n, k, k1, b)
 			continue
 		}
 		// Unpaired last step: no column below k1 is left, only the
 		// right-hand sides.
 		for i := k + 1; i < n; i++ {
-			rowSub(ad, n, bs, i, k, k1, k1)
+			rowSub(ad, n, b, i, k, k1, k1)
 		}
 	}
 	return nil
@@ -62,8 +63,8 @@ func eliminate(a *Matrix, piv []int, bs []float64, k0, k1 int) error {
 // it and applies its row operation to this column alone. pivot then finds
 // the largest |a[i][k]|, i >= k, fails with ErrSingular if that is zero,
 // records and performs the row exchange (whole rows, and the right-hand
-// sides) and returns the reciprocal of the pivot.
-func pivot(ad []float64, n, k int, owed bool, inv float64, piv []int, bs []float64) (float64, error) {
+// side) and returns the reciprocal of the pivot.
+func pivot(ad []float64, n, k int, owed bool, inv float64, piv []int, b []float64) (float64, error) {
 	if owed {
 		u := ad[(k-1)*n+k]
 		for o := k*n + k; o < len(ad); o += n {
@@ -94,8 +95,8 @@ func pivot(ad []float64, n, k int, owed bool, inv float64, piv []int, bs []float
 		for j, v := range rowK {
 			rowK[j], rowP[j] = rowP[j], v
 		}
-		for o := 0; o < len(bs); o += n {
-			bs[o+k], bs[o+p] = bs[o+p], bs[o+k]
+		if len(b) > 0 {
+			b[k], b[p] = b[p], b[k]
 		}
 	}
 	return 1 / ad[k*n+k], nil
@@ -103,12 +104,12 @@ func pivot(ad []float64, n, k int, owed bool, inv float64, piv []int, bs []float
 
 // update2 closes a pair: with the multipliers of steps k-1 and k stored,
 // it applies both row operations to columns k+1..k1-1 of every row below
-// k and to the right-hand sides.
-func update2(ad []float64, n, k, k1 int, bs []float64) {
+// k and to the right-hand side.
+func update2(ad []float64, n, k, k1 int, b []float64) {
 	// The pivot row itself owes step k-1 only.
 	c := k + 1
-	rowSub(ad, n, bs, k, k-1, c, k1)
-	pairUpdate(ad, n, bs, k, c, k1, c, n)
+	rowSub(ad, n, b, k, k-1, c, k1)
+	pairUpdate(ad, n, b, k, c, k1, c, n)
 }
 
 // minUpdateWidth is the narrowest column range pairUpdate hands to the
@@ -120,13 +121,13 @@ func update2(ad []float64, n, k, k1 int, bs []float64) {
 const minUpdateWidth = 4
 
 // pairUpdate applies steps k-1 and k (multipliers stored) to columns
-// lo..hi-1 of rows i0..i1-1 and to the right-hand sides, four rows to a
+// lo..hi-1 of rows i0..i1-1 and to the right-hand side, four rows to a
 // pass: the leading rows whose multipliers are all non-zero go to
 // update2AVX2 where the CPU has it, everything else — narrow column
 // ranges, blocks holding an exact-zero multiplier (which must skip, not
 // subtract 0*y), the rows a block of four leaves over — through the Go
 // loops below, which are also the whole path on other CPUs.
-func pairUpdate(ad []float64, n int, bs []float64, k, lo, hi, i0, i1 int) {
+func pairUpdate(ad []float64, n int, b []float64, k, lo, hi, i0, i1 int) {
 	i := i0
 	if useAVX2 && hi-lo >= minUpdateWidth {
 		rows := 0
@@ -136,9 +137,9 @@ func pairUpdate(ad []float64, n int, bs []float64, k, lo, hi, i0, i1 int) {
 		if rows &^= 3; rows > 0 {
 			update2AVX2(ad, n, k, lo, hi, i0, rows)
 			i += rows
-			// The right-hand sides stay scalar: one entry per row.
-			for r := i0; r < i && len(bs) > 0; r++ {
-				rhsSub2(bs, n, r, k, ad[r*n+k-1], ad[r*n+k])
+			// The right-hand side stays scalar: one entry per row.
+			for r := i0; r < i && len(b) > 0; r++ {
+				rhsSub2(b, r, k, ad[r*n+k-1], ad[r*n+k])
 			}
 		}
 	}
@@ -157,7 +158,7 @@ func pairUpdate(ad []float64, n int, bs []float64, k, lo, hi, i0, i1 int) {
 		if l00 == 0 || l01 == 0 || l10 == 0 || l11 == 0 ||
 			l20 == 0 || l21 == 0 || l30 == 0 || l31 == 0 {
 			for ii := i; ii < i+4; ii++ {
-				rowSub2(ad, n, bs, ii, k, lo, hi)
+				rowSub2(ad, n, b, ii, k, lo, hi)
 			}
 			continue
 		}
@@ -172,25 +173,25 @@ func pairUpdate(ad []float64, n int, bs []float64, k, lo, hi, i0, i1 int) {
 			t2[j] = t2[j] - l20*u - l21*v
 			t3[j] = t3[j] - l30*u - l31*v
 		}
-		for o := 0; o < len(bs); o += n {
-			u, v := bs[o+k-1], bs[o+k]
-			b := bs[o+i : o+i+4]
-			b[0] = b[0] - l00*u - l01*v
-			b[1] = b[1] - l10*u - l11*v
-			b[2] = b[2] - l20*u - l21*v
-			b[3] = b[3] - l30*u - l31*v
+		if len(b) > 0 {
+			u, v := b[k-1], b[k]
+			bi := b[i : i+4]
+			bi[0] = bi[0] - l00*u - l01*v
+			bi[1] = bi[1] - l10*u - l11*v
+			bi[2] = bi[2] - l20*u - l21*v
+			bi[3] = bi[3] - l30*u - l31*v
 		}
 	}
 	for ; i < i1; i++ {
-		rowSub2(ad, n, bs, i, k, lo, hi)
+		rowSub2(ad, n, b, i, k, lo, hi)
 	}
 }
 
 // rowSub applies pivot step k's row operation to row i over columns
-// lo..hi-1 and to every right-hand side: a[i][j] -= l*a[k][j] with
+// lo..hi-1 and to the right-hand side: a[i][j] -= l*a[k][j] with
 // l = a[i][k] the stored multiplier. A zero multiplier leaves the row
 // untouched.
-func rowSub(ad []float64, n int, bs []float64, i, k, lo, hi int) {
+func rowSub(ad []float64, n int, b []float64, i, k, lo, hi int) {
 	l := ad[i*n+k]
 	if l == 0 {
 		return
@@ -201,19 +202,19 @@ func rowSub(ad []float64, n int, bs []float64, i, k, lo, hi int) {
 	for j, v := range src {
 		dst[j] -= l * v
 	}
-	for o := 0; o < len(bs); o += n {
-		bs[o+i] -= l * bs[o+k]
+	if len(b) > 0 {
+		b[i] -= l * b[k]
 	}
 }
 
 // rowSub2 applies steps k-1 and k to row i, in that order per element:
 // the one-row form of the blocked update, for the rows a block of four
 // leaves over and for blocks that hold a zero multiplier.
-func rowSub2(ad []float64, n int, bs []float64, i, k, lo, hi int) {
+func rowSub2(ad []float64, n int, b []float64, i, k, lo, hi int) {
 	l0, l1 := ad[i*n+k-1], ad[i*n+k]
 	if l0 == 0 || l1 == 0 {
-		rowSub(ad, n, bs, i, k-1, lo, hi)
-		rowSub(ad, n, bs, i, k, lo, hi)
+		rowSub(ad, n, b, i, k-1, lo, hi)
+		rowSub(ad, n, b, i, k, lo, hi)
 		return
 	}
 	p0 := ad[(k-1)*n+lo : (k-1)*n+hi]
@@ -223,13 +224,13 @@ func rowSub2(ad []float64, n int, bs []float64, i, k, lo, hi int) {
 	for j, u := range p0 {
 		dst[j] = dst[j] - l0*u - l1*p1[j]
 	}
-	rhsSub2(bs, n, i, k, l0, l1)
+	rhsSub2(b, i, k, l0, l1)
 }
 
 // rhsSub2 applies steps k-1 and k, multipliers l0 and l1, to entry i of
-// every right-hand side.
-func rhsSub2(bs []float64, n, i, k int, l0, l1 float64) {
-	for o := 0; o < len(bs); o += n {
-		bs[o+i] = bs[o+i] - l0*bs[o+k-1] - l1*bs[o+k]
+// the right-hand side, if there is one.
+func rhsSub2(b []float64, i, k int, l0, l1 float64) {
+	if len(b) > 0 {
+		b[i] = b[i] - l0*b[k-1] - l1*b[k]
 	}
 }

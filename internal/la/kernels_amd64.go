@@ -49,7 +49,10 @@ func triSolveLanesAVX2(lu, x []float64, n, w, ldx int)
 func factorLanesAVX2(lu []float64, perm []int, n, w int) int
 
 //go:noescape
-func addScaledToLanesAVX2(dst, base, x, w []float64)
+func addScaledToLanesAVX2(dst []float64, base [][]float64, x, w []float64)
 
 //go:noescape
 func faceApplyLanesAVX2(b, fb, u []float64, rows []int, w int)
+
+//go:noescape
+func faceApplyLanesPerLaneAVX2(b, fb, u []float64, rows []int, w int)

@@ -663,50 +663,232 @@ fadone:
 	VZEROUPPER
 	RET
 
+// func faceApplyLanesPerLaneAVX2(b, fb, u []float64, rows []int, w int)
+//
+// FaceApplyLanesPerLane for w = 4 (Y registers) or 2 (X registers),
+// nf = len(rows) >= 1: per block row r, acc = +0, acc = acc +
+// fb[(r*nf+k)*w + lanes]*u[k*w + lanes] for ascending k (VMULPD then
+// VADDPD), then b[rows[r]*w + lanes] -= acc. Block rows go four per
+// pass, each in its own accumulator and all four sharing each load of u,
+// then one at a time. R12 (and R13, two rows on) walk the block rows in
+// step with AX down u, so a pass leaves R12 on the next row.
+TEXT ·faceApplyLanesPerLaneAVX2(SB), NOSPLIT, $0-104
+	MOVQ b_base+0(FP), DI
+	MOVQ fb_base+24(FP), R12
+	MOVQ u_base+48(FP), SI
+	MOVQ rows_base+72(FP), BX
+	MOVQ rows_len+80(FP), R8    // R8: nf
+	MOVQ w+96(FP), R9
+	SHLQ $3, R9                 // R9: bytes of one row of u and b, and of one block entry
+	MOVQ R8, R14
+	IMULQ R9, R14               // R14: bytes of one block row
+	XORQ R10, R10               // FA_STORE's lane chunk: all lanes at once
+	XORQ R11, R11               // R11: block row r
+	CMPQ R9, $32
+	JNE  pl2
+
+pl4:
+	LEAQ 4(R11), DX
+	CMPQ DX, R8
+	JGT  pl4one
+	LEAQ (R12)(R14*2), R13
+	MOVQ SI, AX
+	MOVQ R8, CX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+
+pl4k:
+	VMOVUPD (AX), Y4
+	VMOVUPD (R12), Y5
+	VMULPD  Y4, Y5, Y5
+	VADDPD  Y5, Y0, Y0
+	VMOVUPD (R12)(R14*1), Y6
+	VMULPD  Y4, Y6, Y6
+	VADDPD  Y6, Y1, Y1
+	VMOVUPD (R13), Y7
+	VMULPD  Y4, Y7, Y7
+	VADDPD  Y7, Y2, Y2
+	VMOVUPD (R13)(R14*1), Y8
+	VMULPD  Y4, Y8, Y8
+	VADDPD  Y8, Y3, Y3
+	ADDQ R9, R12
+	ADDQ R9, R13
+	ADDQ R9, AX
+	DECQ CX
+	JNZ  pl4k
+	FA_STORE(0, Y0, Y9, VMOVUPD, VSUBPD)
+	FA_STORE(8, Y1, Y9, VMOVUPD, VSUBPD)
+	FA_STORE(16, Y2, Y9, VMOVUPD, VSUBPD)
+	FA_STORE(24, Y3, Y9, VMOVUPD, VSUBPD)
+	LEAQ (R13)(R14*1), R12      // &fb[r+4][0]
+	ADDQ $4, R11
+	JMP  pl4
+
+pl4one:
+	CMPQ R11, R8
+	JGE  pldone
+	MOVQ SI, AX
+	MOVQ R8, CX
+	VXORPD Y0, Y0, Y0
+
+pl4onek:
+	VMOVUPD (AX), Y4
+	VMOVUPD (R12), Y5
+	VMULPD  Y4, Y5, Y5
+	VADDPD  Y5, Y0, Y0
+	ADDQ R9, R12
+	ADDQ R9, AX
+	DECQ CX
+	JNZ  pl4onek
+	FA_STORE(0, Y0, Y9, VMOVUPD, VSUBPD)
+	INCQ R11
+	JMP  pl4one
+
+pl2:
+	LEAQ 4(R11), DX
+	CMPQ DX, R8
+	JGT  pl2one
+	LEAQ (R12)(R14*2), R13
+	MOVQ SI, AX
+	MOVQ R8, CX
+	VXORPD X0, X0, X0
+	VXORPD X1, X1, X1
+	VXORPD X2, X2, X2
+	VXORPD X3, X3, X3
+
+pl2k:
+	VMOVUPD (AX), X4
+	VMOVUPD (R12), X5
+	VMULPD  X4, X5, X5
+	VADDPD  X5, X0, X0
+	VMOVUPD (R12)(R14*1), X6
+	VMULPD  X4, X6, X6
+	VADDPD  X6, X1, X1
+	VMOVUPD (R13), X7
+	VMULPD  X4, X7, X7
+	VADDPD  X7, X2, X2
+	VMOVUPD (R13)(R14*1), X8
+	VMULPD  X4, X8, X8
+	VADDPD  X8, X3, X3
+	ADDQ R9, R12
+	ADDQ R9, R13
+	ADDQ R9, AX
+	DECQ CX
+	JNZ  pl2k
+	FA_STORE(0, X0, X9, VMOVUPD, VSUBPD)
+	FA_STORE(8, X1, X9, VMOVUPD, VSUBPD)
+	FA_STORE(16, X2, X9, VMOVUPD, VSUBPD)
+	FA_STORE(24, X3, X9, VMOVUPD, VSUBPD)
+	LEAQ (R13)(R14*1), R12
+	ADDQ $4, R11
+	JMP  pl2
+
+pl2one:
+	CMPQ R11, R8
+	JGE  pldone
+	MOVQ SI, AX
+	MOVQ R8, CX
+	VXORPD X0, X0, X0
+
+pl2onek:
+	VMOVUPD (AX), X4
+	VMOVUPD (R12), X5
+	VMULPD  X4, X5, X5
+	VADDPD  X5, X0, X0
+	ADDQ R9, R12
+	ADDQ R9, AX
+	DECQ CX
+	JNZ  pl2onek
+	FA_STORE(0, X0, X9, VMOVUPD, VSUBPD)
+	INCQ R11
+	JMP  pl2one
+
+pldone:
+	VZEROUPPER
+	RET
+
 DATA lanesOne<>+0(SB)/8, $0x3ff0000000000000
 GLOBL lanesOne<>(SB), RODATA|NOPTR, $8
 
-// func addScaledToLanesAVX2(dst, base, x, w []float64)
+// func addScaledToLanesAVX2(dst []float64, base [][]float64, x, w []float64)
 //
-// dst[i*len(w) + l] = base[i] + w[l]*x[i] for len(w) = 4 (Y registers)
-// or 2 (X registers), len(base) >= 1: base[i] and x[i] broadcast, the
-// product formed in every lane at once.
+// dst[i*len(w) + l] = base[l][i] + w[l]*x[i] for len(w) = 4 (four lanes)
+// or 2, len(x) a positive multiple of four: per pass four entries of x
+// and of every lane's base, each lane's four products w[l]*x and sums
+// base[l] + product formed in one Y register, then the lanes transposed
+// into the interleaved layout (VUNPCKLPD / VUNPCKHPD, then VPERM2F128).
 TEXT ·addScaledToLanesAVX2(SB), NOSPLIT, $0-96
 	MOVQ dst_base+0(FP), DI
-	MOVQ base_base+24(FP), DX
-	MOVQ base_len+32(FP), CX
+	MOVQ base_base+24(FP), R8
 	MOVQ x_base+48(FP), SI
+	MOVQ x_len+56(FP), CX
 	MOVQ w_base+72(FP), BX
-	SHLQ $3, CX
-	XORQ AX, AX
+	SHLQ $3, CX                 // CX: bytes of x and of each base
+	XORQ AX, AX                 // AX: byte offset of the entry
+	MOVQ 0(R8), R9              // &base[0][0]
+	MOVQ 24(R8), R10            // &base[1][0]
+	VBROADCASTSD 0(BX), Y12
+	VBROADCASTSD 8(BX), Y13
 	CMPQ w_len+80(FP), $4
 	JNE  form2
-	VMOVUPD (BX), Y0
+	MOVQ 48(R8), R11
+	MOVQ 72(R8), R12
+	VBROADCASTSD 16(BX), Y14
+	VBROADCASTSD 24(BX), Y15
 
 form4:
-	VBROADCASTSD (SI)(AX*1), Y1
-	VMULPD  Y1, Y0, Y1
-	VBROADCASTSD (DX)(AX*1), Y2
-	VADDPD  Y1, Y2, Y2
-	VMOVUPD Y2, (DI)(AX*4)
-	ADDQ $8, AX
+	VMOVUPD (SI)(AX*1), Y8
+	VMULPD  Y8, Y12, Y0
+	VMOVUPD (R9)(AX*1), Y4
+	VADDPD  Y0, Y4, Y0
+	VMULPD  Y8, Y13, Y1
+	VMOVUPD (R10)(AX*1), Y5
+	VADDPD  Y1, Y5, Y1
+	VMULPD  Y8, Y14, Y2
+	VMOVUPD (R11)(AX*1), Y6
+	VADDPD  Y2, Y6, Y2
+	VMULPD  Y8, Y15, Y3
+	VMOVUPD (R12)(AX*1), Y7
+	VADDPD  Y3, Y7, Y3
+	VUNPCKLPD  Y1, Y0, Y4       // l0[0] l1[0] l0[2] l1[2]
+	VUNPCKHPD  Y1, Y0, Y5       // l0[1] l1[1] l0[3] l1[3]
+	VUNPCKLPD  Y3, Y2, Y6       // l2[0] l3[0] l2[2] l3[2]
+	VUNPCKHPD  Y3, Y2, Y7       // l2[1] l3[1] l2[3] l3[3]
+	VPERM2F128 $0x20, Y6, Y4, Y0
+	VPERM2F128 $0x20, Y7, Y5, Y1
+	VPERM2F128 $0x31, Y6, Y4, Y2
+	VPERM2F128 $0x31, Y7, Y5, Y3
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $32, AX
 	CMPQ AX, CX
 	JLT  form4
 	VZEROUPPER
 	RET
 
 form2:
-	VMOVUPD (BX), X0
-
-form2loop:
-	VMOVDDUP (SI)(AX*1), X1
-	VMULPD  X1, X0, X1
-	VMOVDDUP (DX)(AX*1), X2
-	VADDPD  X1, X2, X2
-	VMOVUPD X2, (DI)(AX*2)
-	ADDQ $8, AX
+	VMOVUPD (SI)(AX*1), Y8
+	VMULPD  Y8, Y12, Y0
+	VMOVUPD (R9)(AX*1), Y4
+	VADDPD  Y0, Y4, Y0
+	VMULPD  Y8, Y13, Y1
+	VMOVUPD (R10)(AX*1), Y5
+	VADDPD  Y1, Y5, Y1
+	VUNPCKLPD  Y1, Y0, Y4       // l0[0] l1[0] l0[2] l1[2]
+	VUNPCKHPD  Y1, Y0, Y5       // l0[1] l1[1] l0[3] l1[3]
+	VPERM2F128 $0x20, Y5, Y4, Y0
+	VPERM2F128 $0x31, Y5, Y4, Y1
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ $64, DI
+	ADDQ $32, AX
 	CMPQ AX, CX
-	JLT  form2loop
+	JLT  form2
 	VZEROUPPER
 	RET
 

@@ -93,27 +93,22 @@ func SolveGE(a *Matrix, b, x []float64) error {
 	return nil
 }
 
-// backSolve solves U X = Y in place for the len(bs)/n right-hand sides in
-// bs (RHS-major), U the upper triangle eliminate leaves in a. Row-outer,
-// column-inner, so each row of U is read once and streamed against every
-// column.
-func backSolve(a *Matrix, bs []float64) {
+// backSolve solves U x = y in place for the one right-hand side b, U the
+// upper triangle eliminate leaves in a.
+func backSolve(a *Matrix, b []float64) {
 	n := a.N
 	ad := a.Data
+	b = b[:n]
 	for i := n - 1; i >= 0; i-- {
 		row := ad[i*n : i*n+n]
-		inv := row[i]
 		tail := row[i+1:]
-		for o := 0; o < len(bs); o += n {
-			b := bs[o : o+n]
-			bt := b[i+1:]
-			bt = bt[:len(tail)]
-			s := b[i]
-			for j, v := range tail {
-				s -= v * bt[j]
-			}
-			b[i] = s / inv
+		bt := b[i+1:]
+		bt = bt[:len(tail)]
+		s := b[i]
+		for j, v := range tail {
+			s -= v * bt[j]
 		}
+		b[i] = s / row[i]
 	}
 }
 

@@ -513,22 +513,26 @@ func checkEliminatePath(t *testing.T, n, k int, data []byte) (out []float64) {
 		return true
 	}
 
-	// Gaussian elimination: the core carrying all k right-hand sides,
-	// then SolveGE column by column with x aliasing b and apart from it.
+	// Gaussian elimination: the core carrying each of the k right-hand
+	// sides in turn (it takes one at a time), then SolveGE column by
+	// column with x aliasing b and apart from it.
 	aRef, want := fresh()
 	errRef := geReference(aRef, want, k)
-	a, bs := fresh()
-	err := eliminate(a, nil, bs, 0, n)
-	if err == nil {
-		backSolve(a, bs)
+	for r := 0; r < k; r++ {
+		a, bs := fresh()
+		b := bs[r*n : (r+1)*n]
+		err := eliminate(a, nil, b, 0, n)
+		if err == nil {
+			backSolve(a, b)
+		}
+		if err != errRef {
+			t.Fatalf("eliminate err %v, reference %v", err, errRef)
+		}
+		if errRef == nil && !sameBits(b, want[r*n:(r+1)*n]) {
+			t.Fatalf("eliminate + backSolve column %d not bitwise the reference", r)
+		}
+		out = append(append(out, a.Data...), b...)
 	}
-	if err != errRef {
-		t.Fatalf("eliminate err %v, reference %v", err, errRef)
-	}
-	if errRef == nil && !sameBits(bs, want) {
-		t.Fatalf("eliminate + backSolve not bitwise the reference")
-	}
-	out = append(append(out, a.Data...), bs...)
 	for r := 0; r < k; r++ {
 		for _, alias := range []bool{true, false} {
 			a, bs := fresh()

@@ -252,28 +252,90 @@ func composePivots(p []int) {
 }
 
 // AddScaledToLanes forms len(w) matrices at once in FactorLanes' layout:
-// dst[i*len(w) + l] = base[i] + w[l]*x[i], each lane bitwise
-// AddScaledTo(dst_l, base, x, w[l]). len(w) is 1, 2 or 4; base and x
-// have the length of one matrix, dst len(w) times that.
-func AddScaledToLanes(dst, base, x, w []float64) {
+// dst[i*len(w) + l] = base[l][i] + w[l]*x[i], each lane bitwise
+// AddScaledTo(dst_l, base[l], x, w[l]). len(w) is 1, 2 or 4, base holds
+// one matrix per lane (lanes may share one), and x and every base have
+// the length of one matrix, dst len(w) times that. With AVX2 and
+// len(w) > 1 the entries go four at a time (addScaledToLanesAVX2: each
+// lane's four sums formed in one vector, then transposed into the
+// interleaved layout); the len(x) mod 4 left over run the loop below.
+func AddScaledToLanes(dst []float64, base [][]float64, x, w []float64) {
 	nw := len(w)
 	if nw != 1 && nw != 2 && nw != 4 {
 		panic(fmt.Sprintf("la: AddScaledToLanes width %d, want 1, 2 or 4", nw))
 	}
-	x = x[:len(base)]
-	dst = dst[:len(base)*nw]
+	if len(base) != nw {
+		panic(fmt.Sprintf("la: AddScaledToLanes has %d bases for %d lanes", len(base), nw))
+	}
+	m := len(x)
+	for _, b := range base {
+		if len(b) != m {
+			panic(fmt.Sprintf("la: AddScaledToLanes base of %d entries, x of %d", len(b), m))
+		}
+	}
+	dst = dst[:m*nw]
 	if nw == 1 {
-		AddScaledTo(dst, base, x, w[0])
+		AddScaledTo(dst, base[0], x, w[0])
 		return
 	}
-	if useAVX2 && len(base) > 0 {
-		addScaledToLanesAVX2(dst, base, x, w)
-		return
+	i := 0
+	if useAVX2 && m >= 4 {
+		i = m &^ 3
+		addScaledToLanesAVX2(dst, base, x[:i], w)
 	}
-	for i, b := range base {
+	for ; i < m; i++ {
 		d := dst[i*nw : i*nw+nw]
 		for l, wl := range w[:len(d)] {
-			d[l] = b + wl*x[i]
+			d[l] = base[l][i] + wl*x[i]
+		}
+	}
+}
+
+// FaceApplyLanesPerLane is FaceApplyLanes with a block per lane: fb holds
+// w nf x nf blocks lane-interleaved, entry (r, k) of lane l at
+// fb[(r*nf+k)*w + l], and for every row r and lane l
+//
+//	acc = 0; acc += fb_l[r][k]*u[k*w + l] for k = 0, 1, ..., nf-1; b[rows[r]*w + l] -= acc
+//
+// each product and sum rounded on its own, in that order, so every lane
+// is bitwise the scalar row sum of its own block and right-hand side
+// (FaceApplyLanes on that lane alone). w is 1, 2 or 4. With AVX2 and
+// w > 1 it is one kernel call (faceApplyLanesPerLaneAVX2: four block rows
+// per pass in separate accumulators sharing each load of u, the w lanes
+// one Y or X register).
+func FaceApplyLanesPerLane(b, fb, u []float64, rows []int, w int) {
+	if w != 1 && w != 2 && w != 4 {
+		panic(fmt.Sprintf("la: FaceApplyLanesPerLane width %d, want 1, 2 or 4", w))
+	}
+	nf := len(rows)
+	if nf == 0 {
+		return
+	}
+	if w == 1 {
+		FaceApplyLanes(b, fb, u, rows, 1)
+		return
+	}
+	fb = fb[: nf*nf*w : nf*nf*w]
+	u = u[: nf*w : nf*w]
+	if useAVX2 {
+		top := len(b) / w
+		for _, gi := range rows {
+			if uint(gi) >= uint(top) {
+				panic(fmt.Sprintf("la: FaceApplyLanesPerLane row %d outside %d rows", gi, top))
+			}
+		}
+		faceApplyLanesPerLaneAVX2(b, fb, u, rows, w)
+		return
+	}
+	for r, gi := range rows {
+		fr := fb[r*nf*w : (r+1)*nf*w]
+		bi := b[gi*w : gi*w+w]
+		for l := range bi {
+			acc := 0.0
+			for k := 0; k < nf; k++ {
+				acc += fr[k*w+l] * u[k*w+l]
+			}
+			bi[l] -= acc
 		}
 	}
 }

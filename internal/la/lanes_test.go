@@ -368,9 +368,10 @@ func FuzzFactorLanesBitwise(f *testing.F) {
 }
 
 // TestAddScaledToLanesBitwise holds every lane of AddScaledToLanes to
-// AddScaledTo with that lane's weight, bit for bit, on both kernel paths,
-// for every width and lengths around the vector width, writing nothing
-// outside the destination.
+// AddScaledTo with that lane's base and weight, bit for bit, on both
+// kernel paths, for every width and lengths around the vector width, with
+// a base per lane and with lanes sharing one (an angle set's groups),
+// writing nothing outside the destination.
 func TestAddScaledToLanesBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	lengths := []int{4096}
@@ -378,36 +379,48 @@ func TestAddScaledToLanesBitwise(t *testing.T) {
 		lengths = append(lengths, n)
 	}
 	for _, nw := range []int{1, 2, 4} {
-		for _, n := range lengths {
-			base := make([]float64, n)
-			x := make([]float64, n)
-			for i := range base {
-				base[i], x[i] = elementValue(rng), elementValue(rng)
-			}
-			w := make([]float64, nw)
-			for l := range w {
-				w[l] = elementValue(rng)
-			}
-			want := make([]float64, n*nw)
-			lane := make([]float64, n)
-			for l, wl := range w {
-				AddScaledTo(lane, base, x, wl)
-				for i, v := range lane {
-					want[i*nw+l] = v
+		for _, shared := range []bool{false, true} {
+			for _, n := range lengths {
+				x := make([]float64, n)
+				for i := range x {
+					x[i] = elementValue(rng)
 				}
+				base := make([][]float64, nw)
+				for l := range base {
+					if shared && l%2 == 1 {
+						base[l] = base[l-1]
+						continue
+					}
+					base[l] = make([]float64, n)
+					for i := range base[l] {
+						base[l][i] = elementValue(rng)
+					}
+				}
+				w := make([]float64, nw)
+				for l := range w {
+					w[l] = elementValue(rng)
+				}
+				want := make([]float64, n*nw)
+				lane := make([]float64, n)
+				for l, wl := range w {
+					AddScaledTo(lane, base[l], x, wl)
+					for i, v := range lane {
+						want[i*nw+l] = v
+					}
+				}
+				off := 0
+				eachKernelPath(t, func(path string) {
+					off++
+					dst, slab := poisoned(n*nw, off)
+					AddScaledToLanes(dst, base, x, w)
+					if !sameBits(dst, want) {
+						t.Fatalf("w=%d n=%d shared=%v (%s): not bitwise AddScaledTo per lane", nw, n, shared, path)
+					}
+					if !untouched(slab, n*nw, off) {
+						t.Fatalf("w=%d n=%d shared=%v (%s): wrote outside its destination", nw, n, shared, path)
+					}
+				})
 			}
-			off := 0
-			eachKernelPath(t, func(path string) {
-				off++
-				dst, slab := poisoned(n*nw, off)
-				AddScaledToLanes(dst, base, x, w)
-				if !sameBits(dst, want) {
-					t.Fatalf("w=%d n=%d (%s): not bitwise AddScaledTo per lane", nw, n, path)
-				}
-				if !untouched(slab, n*nw, off) {
-					t.Fatalf("w=%d n=%d (%s): wrote outside its destination", nw, n, path)
-				}
-			})
 		}
 	}
 }
@@ -539,5 +552,133 @@ func FuzzFaceApplyLanesBitwise(f *testing.F) {
 			}
 		}
 		checkFaceApplyLanes(t, fb, u, b, rows, ww)
+	})
+}
+
+// checkFaceApplyLanesPerLane applies w lane-interleaved nf x nf blocks to
+// w lanes on each kernel path and holds every lane to faceApplyRef on
+// that lane alone — its own block, its own column of u and b — bit for
+// bit, and the paths to each other; operands sit in poisoned slabs as in
+// checkFaceApplyLanes, and everything the call may not write keeps its
+// bits.
+func checkFaceApplyLanesPerLane(t *testing.T, fb0, u0, b0 []float64, rows []int, w int) {
+	t.Helper()
+	nf, nb := len(rows), len(b0)/w
+	want := append([]float64(nil), b0...)
+	blk := make([]float64, nf*nf)
+	ul := make([]float64, nf)
+	bl := make([]float64, nb)
+	for l := 0; l < w; l++ {
+		for i := range blk {
+			blk[i] = fb0[i*w+l]
+		}
+		for k := range ul {
+			ul[k] = u0[k*w+l]
+		}
+		for i := range bl {
+			bl[i] = want[i*w+l]
+		}
+		faceApplyRef(bl, blk, ul, rows, 1)
+		for i, v := range bl {
+			want[i*w+l] = v
+		}
+	}
+	var first []float64
+	off := 0
+	eachKernelPath(t, func(path string) {
+		off++
+		fb, fbSlab := poisoned(len(fb0), off%4)
+		u, uSlab := poisoned(len(u0), (off+1)%4)
+		b, bSlab := poisoned(len(b0), (off+2)%4)
+		copy(fb, fb0)
+		copy(u, u0)
+		copy(b, b0)
+		FaceApplyLanesPerLane(b, fb, u, rows, w)
+		for i := range b {
+			if math.Float64bits(b[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("nf=%d w=%d row %d lane %d (%s): %v, want %v", nf, w, i/w, i%w, path, b[i], want[i])
+			}
+		}
+		if !untouched(bSlab, len(b), (off+2)%4) {
+			t.Fatalf("nf=%d w=%d (%s): wrote outside the right-hand sides", nf, w, path)
+		}
+		if !untouched(fbSlab, len(fb), off%4) || !untouched(uSlab, len(u), (off+1)%4) || !sameBits(fb, fb0) || !sameBits(u, u0) {
+			t.Fatalf("nf=%d w=%d (%s): an operand was modified", nf, w, path)
+		}
+		if first == nil {
+			first = append([]float64(nil), b...)
+		} else if !sameBits(b, first) {
+			t.Fatalf("nf=%d w=%d: %s path differs from the generic path", nf, w, path)
+		}
+	})
+}
+
+// TestFaceApplyLanesPerLaneBitwise: every width an angle set produces
+// (1, 2, 4) at the face sizes of orders 1 to 3 (nf = 4, 9, 16: each
+// row-block count and its tail), the face rows scattered through a
+// taller right-hand side, operands drawn from the specials (both zeros,
+// subnormals, the infinities, the hardware NaN) and ordinary sevenths
+// and eighths, and lanes whose blocks differ.
+func TestFaceApplyLanesPerLaneBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	draw := func() float64 {
+		if rng.Intn(8) == 0 {
+			return laneValue(byte(rng.Intn(8)))
+		}
+		return elementValue(rng)
+	}
+	for _, w := range []int{1, 2, 4} {
+		for _, nf := range []int{4, 9, 16} {
+			for trial := 0; trial < 4; trial++ {
+				nb := nf + 3
+				rows := rng.Perm(nb)[:nf]
+				fb := make([]float64, nf*nf*w)
+				u := make([]float64, nf*w)
+				b := make([]float64, nb*w)
+				for _, v := range [][]float64{fb, u, b} {
+					for i := range v {
+						if trial == 0 {
+							v[i] = rng.NormFloat64()
+						} else {
+							v[i] = draw()
+						}
+					}
+				}
+				checkFaceApplyLanesPerLane(t, fb, u, b, rows, w)
+			}
+		}
+	}
+}
+
+// FuzzFaceApplyLanesPerLaneBitwise draws the width, the face size, the
+// row map and every operand (laneValue's specials among them) and holds
+// each lane to the scalar row sum of its own block.
+func FuzzFaceApplyLanesPerLaneBitwise(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3} {
+		for _, data := range elimCases(4, 4, seed) {
+			f.Add(uint8(2), uint8(8), int64(seed), data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, w, nf uint8, perm int64, data []byte) {
+		ww, nn := []int{1, 2, 4}[w%3], 1+int(nf%16)
+		at := func(i int) float64 {
+			if len(data) == 0 {
+				return 0
+			}
+			return laneValue(data[i%len(data)])
+		}
+		nb := nn + int(perm&3)
+		rows := rand.New(rand.NewSource(perm)).Perm(nb)[:nn]
+		fb := make([]float64, nn*nn*ww)
+		u := make([]float64, nn*ww)
+		b := make([]float64, nb*ww)
+		i := 0
+		for _, v := range [][]float64{fb, u, b} {
+			for j := range v {
+				v[j] = at(i)
+				i++
+			}
+		}
+		checkFaceApplyLanesPerLane(t, fb, u, b, rows, ww)
 	})
 }

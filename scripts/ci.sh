@@ -78,7 +78,8 @@ go run ./cmd/unsnap-serve -smoke \
 (cd benchmark && go test .)
 # Dense-solve bitwise suite: every wrapper over la's one elimination core,
 # MulTN, the lane factorisation and formation, the lane triangular solve
-# (packed and strided) and the lane face apply against the reference
+# (packed and strided) and the lane face apply (one block for every lane,
+# or one block per lane) against the reference
 # loops (each lane against Factor / AddScaledTo / SolveFactored on its
 # own system, or its own scalar row sums) — on the pure-Go loops and on
 # the AVX2 kernels, the two also against each other — and the kernels'
@@ -89,6 +90,7 @@ go test -run '^$' -fuzz=FuzzEliminateBitwise -fuzztime=5s ./internal/la
 go test -run '^$' -fuzz=FuzzTriSolveLanesBitwise -fuzztime=5s ./internal/la
 go test -run '^$' -fuzz=FuzzFactorLanesBitwise -fuzztime=5s ./internal/la
 go test -run '^$' -fuzz=FuzzFaceApplyLanesBitwise -fuzztime=5s ./internal/la
+go test -run '^$' -fuzz=FuzzFaceApplyLanesPerLaneBitwise -fuzztime=5s ./internal/la
 # Element-matrix bitwise suite: fem's la.MulTN integration against the
 # scalar quadrature loop it replaced (every field bit for bit, faces with
 # exact-zero normal components included), the allocation and heap-bytes pin and
@@ -108,7 +110,9 @@ go test -run '^$' -fuzz=FuzzComputeMatricesBitwise -fuzztime=5s ./internal/fem
 # bitwise the task's, a mask mismatch on the private path,
 # allocation-free either way, a singular panel failing as the per-run
 # path does, its timer split, and the lane-major engine against the
-# bucket executor at one to eight groups.
+# bucket executor at one to eight groups. The angle-set tasks ride it
+# too: sets of one to four ordinates of one- and two-group problems on
+# every boundary kind, batched == scalar, cached and uncached.
 go test -race -count=1 -run 'Kernel|SweepTaskAllocFree|ResetState|BuildSigtRuns|PreAssembled|Preassembled|UnclosedSolver|FactorCache' ./internal/core
 go test -run '^$' -fuzz=FuzzKernelBatchedBitwise -fuzztime=5s ./internal/core
 # Wire-format fuzz: ParseSpec never panics, and every spec it accepts
