@@ -28,6 +28,8 @@ func main() {
 }
 
 func run(args []string) error {
+	var opts unsnap.Options
+	var failureMode unsnap.FailureMode
 	fs := flag.NewFlagSet("unsnap", flag.ContinueOnError)
 	deckPath := fs.String("deck", "", "path to a SNAP-style input deck (flags below override it)")
 	nx := fs.Int("nx", 0, "elements in x")
@@ -39,9 +41,9 @@ func run(args []string) error {
 	twist := fs.Float64("twist", -1, "mesh twist in radians")
 	periods := fs.Float64("periods", 0, "oscillating-twist periods (0 = monotone ramp; cyclic meshes need -allow-cycles)")
 	allowCycles := fs.Bool("allow-cycles", false, "accept cyclic upwind graphs (cycle-aware sweep topologies)")
-	cycleOrder := fs.String("cycle-order", "", "within-SCC cut rule for cyclic meshes: element-index or feedback-arc")
-	protocol := fs.String("protocol", "", "halo protocol for multi-rank runs: lagged or pipelined")
-	accelerate := fs.String("accelerate", "", "between-inner acceleration: none or dsa (synthetic diffusion)")
+	fs.TextVar(&opts.CycleOrder, "cycle-order", opts.CycleOrder, "within-SCC cut rule for cyclic meshes: element-index or feedback-arc")
+	fs.TextVar(&opts.Protocol, "protocol", opts.Protocol, "halo protocol for multi-rank runs: lagged or pipelined")
+	fs.TextVar(&opts.Accelerate, "accelerate", opts.Accelerate, "between-inner acceleration: none or dsa (synthetic diffusion)")
 	scatRatio := fs.Float64("scat-ratio", 0, "pin every group's scattering ratio sigs/sigt to this value (0 = library defaults)")
 	epsi := fs.Float64("epsi", 0, "convergence tolerance")
 	iitm := fs.Int("iitm", 0, "max inner iterations per outer")
@@ -54,7 +56,7 @@ func run(args []string) error {
 	force := fs.Bool("force-iterations", false, "run exactly iitm x oitm sweeps (timing mode)")
 	fdRun := fs.Bool("fd", false, "run the finite-difference SNAP baseline instead")
 	deadline := fs.Float64("deadline", 0, "wall-clock deadline in seconds; the run fails with a structured error instead of hanging (unset = none)")
-	failurePolicy := fs.String("failure-policy", "", "pipelined sweep failure handling: fail, retry or degrade (multi-rank pipelined runs only)")
+	fs.TextVar(&failureMode, "failure-policy", failureMode, "pipelined sweep failure handling: fail, retry or degrade (multi-rank pipelined runs only)")
 	retries := fs.Int("retries", 2, "max sweep retries under -failure-policy retry/degrade")
 	backoff := fs.Duration("backoff", 5*time.Millisecond, "base backoff between sweep retries")
 	health := fs.Bool("health", false, "scan the flux for NaN/Inf and divergence every inner iteration")
@@ -128,55 +130,22 @@ func run(args []string) error {
 		ScatOrder: deck.ScatOrder,
 		ScatRatio: *scatRatio,
 	}
-	schemeVal, err := unsnap.ParseScheme(deck.Scheme)
-	if err != nil {
+	var err error
+	if opts.Scheme, err = unsnap.ParseScheme(deck.Scheme); err != nil {
 		return err
 	}
-	solverVal := unsnap.GE
-	if deck.Solver == "DGESV" {
-		solverVal = unsnap.DGESV
+	if err = opts.Solver.UnmarshalText([]byte(deck.Solver)); err != nil {
+		return err
 	}
-	opts := unsnap.Options{
-		Scheme: schemeVal, Threads: deck.Threads, Solver: solverVal,
-		Epsi: deck.Epsi, MaxInners: deck.IITM, MaxOuters: deck.OITM,
-		ForceIterations: *force, Instrument: true,
-		AllowCycles: *allowCycles,
-		Reflect:     [3]bool{deck.ReflX, deck.ReflY, deck.ReflZ},
-	}
-	if *cycleOrder != "" {
-		ord, err := unsnap.ParseCycleOrder(*cycleOrder)
-		if err != nil {
-			return err
-		}
-		opts.CycleOrder = ord
-	}
-	switch *protocol {
-	case "", "lagged":
-	case "pipelined":
-		opts.Protocol = unsnap.CommPipelined
-	default:
-		return fmt.Errorf("unknown protocol %q (lagged|pipelined)", *protocol)
-	}
-	switch *accelerate {
-	case "", "none":
-	case "dsa":
-		opts.Accelerate = unsnap.AccelDSA
-	default:
-		return fmt.Errorf("unknown acceleration %q (none|dsa)", *accelerate)
-	}
+	opts.Threads, opts.Epsi, opts.MaxInners, opts.MaxOuters = deck.Threads, deck.Epsi, deck.IITM, deck.OITM
+	opts.ForceIterations, opts.Instrument, opts.AllowCycles = *force, true, *allowCycles
+	opts.Reflect = [3]bool{deck.ReflX, deck.ReflY, deck.ReflZ}
 	if *deadline > 0 {
 		opts.Deadline = time.Duration(*deadline * float64(time.Second))
 	}
 	opts.HealthChecks = *health
-	switch *failurePolicy {
-	case "", "fail":
-		// FailFast is the zero policy.
-	case "retry":
-		opts.FailurePolicy = unsnap.FailurePolicy{Mode: unsnap.FailRetry, MaxRetries: *retries, Backoff: *backoff}
-	case "degrade":
-		opts.FailurePolicy = unsnap.FailurePolicy{Mode: unsnap.FailDegrade, MaxRetries: *retries, Backoff: *backoff}
-	default:
-		return fmt.Errorf("unknown failure policy %q (fail|retry|degrade)", *failurePolicy)
+	if failureMode != unsnap.FailFast { // FailFast is the zero policy
+		opts.FailurePolicy = unsnap.FailurePolicy{Mode: failureMode, MaxRetries: *retries, Backoff: *backoff}
 	}
 
 	fmt.Println("UnSNAP — discontinuous Galerkin Sn transport on unstructured meshes")
@@ -190,7 +159,7 @@ func run(args []string) error {
 		prob.Order, (prob.Order+1)*(prob.Order+1)*(prob.Order+1),
 		prob.AnglesPerOctant, 8*prob.AnglesPerOctant, prob.Groups)
 	fmt.Printf("  scheme %s  solver %s  epsi %.1e  iitm %d  oitm %d\n",
-		schemeVal, solverVal, deck.Epsi, deck.IITM, deck.OITM)
+		opts.Scheme, opts.Solver, deck.Epsi, deck.IITM, deck.OITM)
 	if opts.AllowCycles {
 		fmt.Printf("  cycles allowed  cycle-order %s\n", opts.CycleOrder)
 	}

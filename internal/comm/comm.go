@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"unsnap/internal/core"
+	"unsnap/internal/enum"
 	"unsnap/internal/fault"
 	"unsnap/internal/fem"
 	"unsnap/internal/mesh"
@@ -31,17 +32,16 @@ const (
 	Pipelined
 )
 
+var protocolNames = []string{Lagged: "lagged", Pipelined: "pipelined"}
+
 // String names the protocol.
-func (p Protocol) String() string {
-	switch p {
-	case Lagged:
-		return "lagged"
-	case Pipelined:
-		return "pipelined"
-	default:
-		return fmt.Sprintf("Protocol(%d)", int(p))
-	}
-}
+func (p Protocol) String() string { return enum.Name(protocolNames, p) }
+
+// MarshalText spells p as String does.
+func (p Protocol) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+// UnmarshalText parses a String spelling; the empty text is Lagged.
+func (p *Protocol) UnmarshalText(text []byte) error { return enum.Unmarshal(protocolNames, p, text) }
 
 // Config describes a partitioned run: the global mesh and rank grid, the
 // protocol coupling the ranks, and one core.Config template stamped onto

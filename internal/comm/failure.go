@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"unsnap/internal/core"
+	"unsnap/internal/enum"
 )
 
 // This file is the failure-domain layer of the partitioned drivers: the
@@ -126,18 +127,17 @@ const (
 	FailDegrade
 )
 
+var failureModeNames = []string{FailFast: "fail", FailRetry: "retry", FailDegrade: "degrade"}
+
 // String names the mode.
-func (m FailureMode) String() string {
-	switch m {
-	case FailFast:
-		return "fail"
-	case FailRetry:
-		return "retry"
-	case FailDegrade:
-		return "degrade"
-	default:
-		return fmt.Sprintf("FailureMode(%d)", int(m))
-	}
+func (m FailureMode) String() string { return enum.Name(failureModeNames, m) }
+
+// MarshalText spells m as String does.
+func (m FailureMode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText parses a String spelling; the empty text is FailFast.
+func (m *FailureMode) UnmarshalText(text []byte) error {
+	return enum.Unmarshal(failureModeNames, m, text)
 }
 
 // FailurePolicy bounds the retry/degrade state machine of pipelined runs.

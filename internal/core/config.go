@@ -6,6 +6,7 @@ import (
 	"runtime"
 
 	"unsnap/internal/build"
+	"unsnap/internal/enum"
 	"unsnap/internal/fem"
 	"unsnap/internal/mesh"
 	"unsnap/internal/quadrature"
@@ -79,37 +80,28 @@ func Schemes() []Scheme {
 	return out
 }
 
-// String returns the paper-style name with threaded loops capitalised.
-func (s Scheme) String() string {
-	switch s {
-	case SchemeEngine:
-		return "engine"
-	case SchemeAEg:
-		return "angle/ELEMENT/group"
-	case SchemeAEG:
-		return "angle/ELEMENT/GROUP"
-	case SchemeAeG:
-		return "angle/element/GROUP"
-	case SchemeAGe:
-		return "angle/GROUP/element"
-	case SchemeAGE:
-		return "angle/GROUP/ELEMENT"
-	case SchemeAgE:
-		return "angle/group/ELEMENT"
-	default:
-		return fmt.Sprintf("Scheme(%d)", int(s))
-	}
+// schemeNames are the paper-style names, threaded loops capitalised.
+var schemeNames = []string{
+	SchemeEngine: "engine",
+	SchemeAEg:    "angle/ELEMENT/group",
+	SchemeAEG:    "angle/ELEMENT/GROUP",
+	SchemeAeG:    "angle/element/GROUP",
+	SchemeAGe:    "angle/GROUP/element",
+	SchemeAGE:    "angle/GROUP/ELEMENT",
+	SchemeAgE:    "angle/group/ELEMENT",
 }
 
+// String returns the paper-style name with threaded loops capitalised.
+func (s Scheme) String() string { return enum.Name(schemeNames, s) }
+
+// MarshalText spells s as String does.
+func (s Scheme) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText parses a String spelling; the empty text is SchemeEngine.
+func (s *Scheme) UnmarshalText(text []byte) error { return enum.Unmarshal(schemeNames, s, text) }
+
 // ParseScheme resolves a scheme name (as produced by String, case-exact).
-func ParseScheme(name string) (Scheme, error) {
-	for _, s := range Schemes() {
-		if s.String() == name {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown scheme %q", name)
-}
+func ParseScheme(name string) (Scheme, error) { return enum.Parse[Scheme](schemeNames, name) }
 
 // Layout returns the array layout that matches the scheme's loop order.
 func (s Scheme) Layout() Layout {
@@ -142,17 +134,16 @@ const (
 	SolverDGESV
 )
 
+var solverNames = []string{SolverGE: "GE", SolverDGESV: "DGESV"}
+
 // String names the solver kind.
-func (k SolverKind) String() string {
-	switch k {
-	case SolverGE:
-		return "GE"
-	case SolverDGESV:
-		return "DGESV"
-	default:
-		return fmt.Sprintf("SolverKind(%d)", int(k))
-	}
-}
+func (k SolverKind) String() string { return enum.Name(solverNames, k) }
+
+// MarshalText spells k as String does.
+func (k SolverKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText parses a String spelling; the empty text is SolverGE.
+func (k *SolverKind) UnmarshalText(text []byte) error { return enum.Unmarshal(solverNames, k, text) }
 
 // KernelMode selects the engine task-body implementation (the assemble +
 // small-dense-solve kernel run for every (ordinate, element) task).
@@ -192,17 +183,16 @@ const (
 	AccelDSA
 )
 
+var accelNames = []string{AccelNone: "none", AccelDSA: "dsa"}
+
 // String names the acceleration mode.
-func (m AccelMode) String() string {
-	switch m {
-	case AccelNone:
-		return "none"
-	case AccelDSA:
-		return "dsa"
-	default:
-		return fmt.Sprintf("AccelMode(%d)", int(m))
-	}
-}
+func (m AccelMode) String() string { return enum.Name(accelNames, m) }
+
+// MarshalText spells m as String does.
+func (m AccelMode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText parses a String spelling; the empty text is AccelNone.
+func (m *AccelMode) UnmarshalText(text []byte) error { return enum.Unmarshal(accelNames, m, text) }
 
 // Config assembles a solver.
 type Config struct {

@@ -236,7 +236,7 @@ type statsView struct {
 	Tenants map[string]tenantStatsView `json:"tenants,omitempty"`
 	// Jobs counts every job the server has seen, by state.
 	Jobs map[string]int `json:"jobs"`
-	// InFlight is the number of jobs currently holding a worker.
+	// InFlight is the number of running jobs, each holding a worker.
 	InFlight int `json:"in_flight"`
 	// Builds is the process-wide topology-build counter (build.Builds):
 	// a warm-path submission must not move it.

@@ -20,7 +20,10 @@
 //	                            unsnap.Spec plus an optional tenant; the
 //	                            X-Tenant header wins over the body field).
 //	                            202 {id, state} on accept; 400 on an
-//	                            invalid spec; 429 (with Retry-After) when
+//	                            invalid spec; 422 on a valid spec above the
+//	                            service's bounds (threads over GOMAXPROCS,
+//	                            or a problem predicted to need more than
+//	                            maxSolveBytes); 429 (with Retry-After) when
 //	                            the queue is full; 503 when shutting down.
 //	GET    /v1/jobs/{id}        job status; terminal states carry the
 //	                            result (balance, per-group flux integrals,
@@ -118,8 +121,6 @@ type Server struct {
 
 	wg sync.WaitGroup // workers
 
-	inFlight int // jobs currently executing (mu-guarded)
-
 	// onProgress, when set, runs on the job goroutine after every inner
 	// iteration's event is published: the package tests' seam for
 	// injecting a fault into a running job. Set it before submitting.
@@ -185,6 +186,15 @@ func (s *Server) submit(tenant string, spec unsnap.Spec) (*job, error) {
 	if opts.TimeSteps > 0 {
 		return nil, &submitError{status: 400, msg: "unsnap: time-dependent runs are not supported by the solve service"}
 	}
+	// A solver starts one worker per thread and allocates the problem's
+	// arrays up front, so an oversized spec must be refused before one
+	// exists.
+	if procs := runtime.GOMAXPROCS(0); opts.Threads > procs {
+		return nil, &submitError{status: 422, msg: fmt.Sprintf("serve: threads %d above the bound of %d (GOMAXPROCS)", opts.Threads, procs)}
+	}
+	if need := solveBytes(prob); need > maxSolveBytes {
+		return nil, &submitError{status: 422, msg: fmt.Sprintf("serve: the problem needs about %.4g bytes per solve, above the bound of %d", need, maxSolveBytes)}
+	}
 	if tenant == "" {
 		tenant = "default"
 	}
@@ -222,6 +232,27 @@ func (s *Server) submit(tenant string, spec unsnap.Spec) (*job, error) {
 	s.jobs[j.id] = j
 	s.mu.Unlock()
 	return j, nil
+}
+
+// maxSolveBytes bounds the memory one job may ask for. Every benchmark
+// spec needs tens of megabytes at most; {"nx":1000,"groups":1000} or a
+// high element order would exhaust the host.
+const maxSolveBytes = 1 << 30
+
+// solveBytes predicts a solve's dominant allocations from the problem
+// alone, in float64 so that no product overflows: the angular flux (8
+// bytes per element, ordinate, node and group) and the element matrices
+// at one geometry class per element (about 4 n^2 + 18 nf^2 doubles for
+// n nodes and nf nodes per face).
+func solveBytes(p unsnap.Problem) float64 {
+	elems := float64(p.NX) * float64(p.NY) * float64(p.NZ)
+	angles := 8 * float64(p.AnglesPerOctant)
+	if p.PGCPolar > 0 && p.PGCAzi > 0 {
+		angles = 8 * float64(p.PGCPolar) * float64(p.PGCAzi)
+	}
+	k := float64(p.Order) + 1
+	n, nf := k*k*k, k*k
+	return 8 * elems * (angles*n*float64(p.Groups) + 4*n*n + 18*nf*nf)
 }
 
 // submitError maps a rejected submission onto an HTTP status.
@@ -270,16 +301,10 @@ func (s *Server) runJob(j *job) {
 	j.bumpLocked()
 	j.mu.Unlock()
 
-	s.mu.Lock()
-	s.inFlight++
-	s.mu.Unlock()
 	defer func() {
 		if r := recover(); r != nil {
 			j.finish(nil, nil, &internalError{value: r})
 		}
-		s.mu.Lock()
-		s.inFlight--
-		s.mu.Unlock()
 		j.cancel() // release the context's resources
 	}()
 
@@ -345,7 +370,9 @@ func (s *Server) cancelJob(id string) (*job, bool) {
 	return j, true
 }
 
-// jobCounts tallies jobs by state (for /v1/stats).
+// jobCounts tallies jobs by state (for /v1/stats), and the jobs in
+// flight: the running ones, each of which holds a worker. Counting them
+// from the states keeps the two numbers consistent.
 func (s *Server) jobCounts() (map[string]int, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -355,7 +382,7 @@ func (s *Server) jobCounts() (map[string]int, int) {
 		counts[string(j.state)]++
 		j.mu.Unlock()
 	}
-	return counts, s.inFlight
+	return counts, counts[string(StateRunning)]
 }
 
 // State names a job's position in its lifecycle.

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -442,6 +444,7 @@ func TestServeBadRequests(t *testing.T) {
 		"not json":       `{"problem":`,
 		"unknown field":  `{"problem":{"nx":4,"ny":4,"nz":4,"lx":1,"ly":1,"lz":1,"order":1,"angles_per_octant":2,"groups":2},"optoins":{}}`,
 		"unknown scheme": `{"problem":{"nx":4,"ny":4,"nz":4,"lx":1,"ly":1,"lz":1,"order":1,"angles_per_octant":2,"groups":2},"options":{"scheme":"warp"}}`,
+		"unknown option": `{"problem":{"nx":4,"ny":4,"nz":4,"lx":1,"ly":1,"lz":1,"order":1,"angles_per_octant":2,"groups":2},"options":{"octants":"sequential"}}`,
 		"zero grid":      `{"problem":{"nx":0,"ny":4,"nz":4,"lx":1,"ly":1,"lz":1,"order":1,"angles_per_octant":2,"groups":2}}`,
 		"time dependent": `{"problem":{"nx":4,"ny":4,"nz":4,"lx":1,"ly":1,"lz":1,"order":1,"angles_per_octant":2,"groups":2},"options":{"time_steps":3,"time_dt":0.1}}`,
 		"empty body":     ``,
@@ -470,6 +473,41 @@ func TestServeBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("%s %s: status %d, want 404", probe.method, probe.path, resp.StatusCode)
 		}
+	}
+}
+
+// TestServeBoundsSpecs pins the 422 bounds: a thread count above
+// GOMAXPROCS, and problems predicted to need more than maxSolveBytes (a
+// fine grid with many groups, a high element order), are refused before
+// any solver exists: no build runs and no goroutine starts.
+func TestServeBoundsSpecs(t *testing.T) {
+	s, ts := startServer(t, Config{MaxConcurrent: 1})
+	box := `"lx":1,"ly":1,"lz":1,"angles_per_octant":2`
+	cases := map[string]struct{ body, want string }{
+		"threads": {`{"problem":{"nx":4,"ny":4,"nz":4,"order":1,"groups":2,` + box + `},"options":{"threads":100000000}}`,
+			fmt.Sprintf("bound of %d", runtime.GOMAXPROCS(0))},
+		"grid and groups": {`{"problem":{"nx":1000,"ny":1000,"nz":1000,"order":1,"groups":1000,` + box + `}}`,
+			fmt.Sprintf("bound of %d", maxSolveBytes)},
+		"order": {`{"problem":{"nx":1,"ny":1,"nz":1,"order":60,"groups":1,` + box + `}}`,
+			fmt.Sprintf("bound of %d", maxSolveBytes)},
+	}
+	builds, goroutines := build.Builds(), runtime.NumGoroutine()
+	for name, c := range cases {
+		sp, err := unsnap.ParseSpec([]byte(c.body))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		_, err = s.submit("", sp)
+		var se *submitError
+		if !errors.As(err, &se) || se.status != http.StatusUnprocessableEntity || !strings.Contains(se.msg, c.want) {
+			t.Errorf("%s: got %v, want a 422 naming the %s", name, err, c.want)
+		}
+	}
+	if b, g := build.Builds(), runtime.NumGoroutine(); b != builds || g != goroutines {
+		t.Errorf("a refused spec built %d artifacts and started %d goroutines", b-builds, g-goroutines)
+	}
+	if status, m := submit(t, ts, cases["threads"].body, ""); status != http.StatusUnprocessableEntity || m["error"] == "" {
+		t.Errorf("POST /v1/jobs: status %d (%v), want 422 with an error", status, m)
 	}
 }
 

@@ -23,6 +23,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"unsnap/internal/core"
 )
 
 // Deck is the parsed input: the problem shape plus solver settings, using
@@ -204,8 +206,11 @@ func (d *Deck) Validate() error {
 		return fmt.Errorf("snapinput: iitm and oitm must be >= 1")
 	case d.NPEY < 1 || d.NPEZ < 1:
 		return fmt.Errorf("snapinput: npey and npez must be >= 1")
-	case d.Solver != "GE" && d.Solver != "DGESV":
-		return fmt.Errorf("snapinput: solver must be GE or DGESV, got %q", d.Solver)
+	case d.Solver == "": // the codec's empty default is not a deck spelling
+		return fmt.Errorf("snapinput: solver must be set")
+	}
+	if err := new(core.SolverKind).UnmarshalText([]byte(d.Solver)); err != nil {
+		return fmt.Errorf("snapinput: solver: %w", err)
 	}
 	return nil
 }

@@ -3,6 +3,8 @@ package sweep
 import (
 	"fmt"
 	"hash/fnv"
+
+	"unsnap/internal/enum"
 )
 
 // This file is the shared cycle-analysis layer of the sweep topology: a
@@ -69,26 +71,23 @@ func CycleOrders() []CycleOrder {
 	return out
 }
 
+var cycleOrderNames = []string{OrderElementIndex: "element-index", OrderFeedbackArc: "feedback-arc"}
+
 // String names the strategy (the -cycle-order flag spelling).
-func (o CycleOrder) String() string {
-	switch o {
-	case OrderElementIndex:
-		return "element-index"
-	case OrderFeedbackArc:
-		return "feedback-arc"
-	default:
-		return fmt.Sprintf("CycleOrder(%d)", int(o))
-	}
+func (o CycleOrder) String() string { return enum.Name(cycleOrderNames, o) }
+
+// MarshalText spells o as String does.
+func (o CycleOrder) MarshalText() ([]byte, error) { return []byte(o.String()), nil }
+
+// UnmarshalText parses a String spelling; the empty text is
+// OrderElementIndex.
+func (o *CycleOrder) UnmarshalText(text []byte) error {
+	return enum.Unmarshal(cycleOrderNames, o, text)
 }
 
 // ParseCycleOrder resolves a strategy name (as produced by String).
 func ParseCycleOrder(name string) (CycleOrder, error) {
-	for _, o := range CycleOrders() {
-		if o.String() == name {
-			return o, nil
-		}
-	}
-	return 0, fmt.Errorf("sweep: unknown cycle order %q (element-index|feedback-arc)", name)
+	return enum.Parse[CycleOrder](cycleOrderNames, name)
 }
 
 // Condensation is the SCC structure of one ordinate's upwind graph and the

@@ -55,6 +55,17 @@ if grep -n 'la\.Factor(\|la\.FactorBlocked(' $CORE_SRC ||
 	echo "internal/core must solve on the lane kernels alone; internal/la must define no multi-RHS solve" >&2
 	exit 1
 fi
+# One spelling per enum value: the option enums spell themselves from one
+# table in their own files (String, MarshalText, UnmarshalText over
+# internal/enum), and specs, flags and decks parse through that codec. No
+# other non-test file branches on a spelling, so a second parser cannot
+# come back unseen.
+if grep -rn --include='*.go' --exclude='*_test.go' \
+	-e 'case .*"\(GE\|DGESV\|none\|dsa\|lagged\|pipelined\|fail\|retry\|degrade\)"' -e '== "DGESV"' . |
+	grep -v '^\./internal/core/config\.go:\|^\./internal/sweep/condense\.go:\|^\./internal/comm/comm\.go:\|^\./internal/comm/failure\.go:'; then
+	echo "option spellings must be parsed by their enum's text codec, not by a switch" >&2
+	exit 1
+fi
 # Bench-tool smoke pass: the kernel experiment (the one BENCH_sweep.json
 # section) executes end to end on tiny problems — seconds, not minutes —
 # so the bench plumbing cannot bit-rot between real refreshes. -smoke

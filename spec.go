@@ -8,60 +8,33 @@ import (
 )
 
 // Spec is the wire-format description of one solve: a Problem plus the
-// serializable subset of Options, both as plain JSON-taggable data. It is
-// the job-submission payload of the solve service (cmd/unsnap-serve), and
+// Options, both encoded by their own JSON tags. It is the
+// job-submission payload of the solve service (cmd/unsnap-serve), and
 // useful anywhere a solve configuration must cross a process boundary —
 // queues, config files, test fixtures.
 //
 // Enumerated knobs travel as their String() spellings ("engine", "dsa",
 // "feedback-arc", ...), so specs stay readable and stable across releases
-// even if the internal enum values move. Knobs that cannot cross a
-// process boundary — injected artifacts, caches, callbacks, fault
-// schedules — are deliberately absent: the receiving process supplies
-// those (the service attaches its shared cache and progress hook).
+// even if the internal enum values move. The Options fields that cannot
+// cross a process boundary — injected artifacts, caches, callbacks, fault
+// schedules, the distributed driver's knobs — are tagged json:"-" and
+// never travel: the receiving process supplies those (the service
+// attaches its shared cache and progress hook).
 //
-// A zero SpecOptions resolves to the library defaults, so the minimal
-// useful spec is just a problem:
+// Zero Options resolve to the library defaults, so the minimal useful
+// spec is just a problem:
 //
 //	{"problem": {"nx":8,"ny":8,"nz":8,"lx":1,"ly":1,"lz":1,
 //	             "order":1,"angles_per_octant":4,"groups":4}}
 type Spec struct {
-	Problem Problem     `json:"problem"`
-	Options SpecOptions `json:"options,omitzero"`
+	Problem Problem `json:"problem"`
+	Options Options `json:"options,omitzero"`
 }
 
-// SpecOptions is the serializable subset of Options. Field semantics
-// match the Options field of the same name; see Options for the full
-// documentation.
-type SpecOptions struct {
-	// Scheme is the sweep executor by paper-style name: "engine" (the
-	// default), "angle/ELEMENT/group", ... (see ParseScheme).
-	Scheme  string `json:"scheme,omitempty"`
-	Threads int    `json:"threads,omitempty"`
-	// Solver is "GE" (default) or "DGESV".
-	Solver string `json:"solver,omitempty"`
-	// Accelerate is "none" (default) or "dsa".
-	Accelerate string `json:"accelerate,omitempty"`
-
-	Epsi            float64 `json:"epsi,omitempty"`
-	MaxInners       int     `json:"max_inners,omitempty"`
-	MaxOuters       int     `json:"max_outers,omitempty"`
-	ForceIterations bool    `json:"force_iterations,omitempty"`
-
-	AllowCycles bool `json:"allow_cycles,omitempty"`
-	// CycleOrder is "element-index" (default) or "feedback-arc".
-	CycleOrder string `json:"cycle_order,omitempty"`
-
-	Reflect [3]bool `json:"reflect,omitzero"`
-
-	TimeSteps int     `json:"time_steps,omitempty"`
-	TimeDt    float64 `json:"time_dt,omitempty"`
-
-	// DeadlineSeconds bounds the run's wall-clock time (Options.Deadline);
-	// zero means no deadline.
-	DeadlineSeconds float64 `json:"deadline_seconds,omitempty"`
-	HealthChecks    bool    `json:"health_checks,omitempty"`
-}
+// SpecOptions was the serializable subset of Options.
+//
+// Deprecated: Options carries its own wire tags; use Options.
+type SpecOptions = Options
 
 // ParseSpec decodes a JSON spec strictly: unknown fields are rejected (a
 // typo in a knob name means the caller's intent would be silently
@@ -80,110 +53,82 @@ func ParseSpec(data []byte) (Spec, error) {
 }
 
 // Validate checks the spec without building anything: the problem's
-// dimensional sanity plus every enumerated option spelling and option
-// combination Resolve would reject.
+// dimensional sanity plus every option combination Resolve would reject.
 func (sp Spec) Validate() error {
 	_, _, err := sp.Resolve()
 	return err
 }
 
-// Resolve translates the spec into the (Problem, Options) pair NewSolver
-// accepts, resolving every enumerated spelling and validating the
-// combination. The returned Options carries no cache, artifact or hook —
-// the caller attaches process-local resources.
+// Resolve returns the (Problem, Options) pair NewSolver accepts,
+// validating the combination. The returned Options carries no
+// process-local field (cache, artifact, hook, ...): the caller attaches
+// its own.
 func (sp Spec) Resolve() (Problem, Options, error) {
-	p := sp.Problem
-	if err := p.Validate(); err != nil {
+	if err := sp.Problem.Validate(); err != nil {
 		return Problem{}, Options{}, err
 	}
-	so := sp.Options
-	o := Options{
-		Threads:         so.Threads,
-		Epsi:            so.Epsi,
-		MaxInners:       so.MaxInners,
-		MaxOuters:       so.MaxOuters,
-		ForceIterations: so.ForceIterations,
-		AllowCycles:     so.AllowCycles,
-		Reflect:         so.Reflect,
-		TimeSteps:       so.TimeSteps,
-		TimeDt:          so.TimeDt,
-		HealthChecks:    so.HealthChecks,
-	}
-	if so.Scheme != "" {
-		s, err := ParseScheme(so.Scheme)
-		if err != nil {
-			return Problem{}, Options{}, err
-		}
-		o.Scheme = s
-	}
-	switch so.Solver {
-	case "", "GE":
-	case "DGESV":
-		o.Solver = DGESV
-	default:
-		return Problem{}, Options{}, fmt.Errorf("unsnap: unknown solver %q (GE|DGESV)", so.Solver)
-	}
-	switch so.Accelerate {
-	case "", "none":
-	case "dsa":
-		o.Accelerate = AccelDSA
-	default:
-		return Problem{}, Options{}, fmt.Errorf("unsnap: unknown acceleration %q (none|dsa)", so.Accelerate)
-	}
-	if so.CycleOrder != "" {
-		ord, err := ParseCycleOrder(so.CycleOrder)
-		if err != nil {
-			return Problem{}, Options{}, err
-		}
-		o.CycleOrder = ord
-	}
-	if so.DeadlineSeconds != 0 {
-		if !(so.DeadlineSeconds > 0) || so.DeadlineSeconds > 1e9 {
-			return Problem{}, Options{}, fmt.Errorf("unsnap: deadline_seconds %v invalid (need a finite positive number)", so.DeadlineSeconds)
-		}
-		o.Deadline = time.Duration(so.DeadlineSeconds * float64(time.Second))
-		if o.Deadline == 0 {
-			// Below the clock's resolution: resolving it to "no deadline"
-			// would silently drop the caller's bound.
-			return Problem{}, Options{}, fmt.Errorf("unsnap: deadline_seconds %v invalid (below one nanosecond)", so.DeadlineSeconds)
-		}
-	}
+	o := onWire(sp.Options)
 	if err := validateOptions(o, false); err != nil {
 		return Problem{}, Options{}, err
 	}
-	return p, o, nil
+	return sp.Problem, o, nil
 }
 
-// SpecOf is Resolve's inverse for the serializable subset: it captures a
-// (Problem, Options) pair as a Spec, dropping the process-local knobs
-// (Artifact, Cache, Progress, fault schedules, failure policies). Useful
-// for recording what a solve ran as, or for forwarding a locally
-// configured solve to the service.
-func SpecOf(p Problem, o Options) Spec {
-	so := SpecOptions{
-		Threads:         o.Threads,
-		Epsi:            o.Epsi,
-		MaxInners:       o.MaxInners,
-		MaxOuters:       o.MaxOuters,
-		ForceIterations: o.ForceIterations,
-		AllowCycles:     o.AllowCycles,
-		Reflect:         o.Reflect,
-		TimeSteps:       o.TimeSteps,
-		TimeDt:          o.TimeDt,
-		HealthChecks:    o.HealthChecks,
-		DeadlineSeconds: o.Deadline.Seconds(),
+// SpecOf is Resolve's inverse: it captures a (Problem, Options) pair as a
+// Spec, dropping the process-local fields (Artifact, Cache, Progress,
+// fault schedules, failure policies, ...). Useful for recording what a
+// solve ran as, or for forwarding a locally configured solve to the
+// service.
+func SpecOf(p Problem, o Options) Spec { return Spec{Problem: p, Options: onWire(o)} }
+
+// onWire returns o without its process-local fields, the ones tagged
+// json:"-".
+func onWire(o Options) Options {
+	o.Protocol, o.PreAssembled, o.Instrument, o.FailurePolicy = 0, false, false, FailurePolicy{}
+	o.Fault, o.Artifact, o.Cache, o.CacheTenant, o.CacheTenantBytes, o.Progress = nil, nil, nil, "", 0, nil
+	return o
+}
+
+// optionsWire is the JSON form of Options: Deadline travels as float
+// seconds, and health_checks is restated after deadline_seconds to keep
+// the wire's field order. The outer fields shadow the embedded ones.
+type optionsWire struct {
+	optionsFields
+	DeadlineSeconds float64 `json:"deadline_seconds,omitempty"`
+	HealthChecks    bool    `json:"health_checks,omitempty"`
+}
+
+// optionsFields is Options without its JSON methods.
+type optionsFields Options
+
+// MarshalJSON encodes the wire fields of o.
+func (o Options) MarshalJSON() ([]byte, error) {
+	return json.Marshal(optionsWire{optionsFields(o), o.Deadline.Seconds(), o.HealthChecks})
+}
+
+// UnmarshalJSON decodes the wire fields strictly: an unknown key is an
+// error, and so is a deadline_seconds that is not a positive number of at
+// most 1e9 seconds and at least one nanosecond.
+func (o *Options) UnmarshalJSON(data []byte) error {
+	// An enclosing decoder's DisallowUnknownFields does not reach a custom
+	// unmarshaler: restate it.
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var w optionsWire
+	if err := dec.Decode(&w); err != nil {
+		return err
 	}
-	if o.Scheme != Engine {
-		so.Scheme = o.Scheme.String()
+	*o = Options(w.optionsFields)
+	o.HealthChecks = w.HealthChecks
+	if s := w.DeadlineSeconds; s != 0 {
+		if !(s > 0) || s > 1e9 {
+			return fmt.Errorf("unsnap: deadline_seconds %v invalid (need a finite positive number)", s)
+		}
+		// Below the clock's resolution the deadline would silently become
+		// "no deadline".
+		if o.Deadline = time.Duration(s * float64(time.Second)); o.Deadline == 0 {
+			return fmt.Errorf("unsnap: deadline_seconds %v invalid (below one nanosecond)", s)
+		}
 	}
-	if o.Solver != GE {
-		so.Solver = o.Solver.String()
-	}
-	if o.Accelerate != AccelNone {
-		so.Accelerate = o.Accelerate.String()
-	}
-	if o.CycleOrder != OrderElementIndex {
-		so.CycleOrder = o.CycleOrder.String()
-	}
-	return Spec{Problem: p, Options: so}
+	return nil
 }

@@ -7,65 +7,23 @@ import (
 	"time"
 )
 
-// specLegal gives every SpecOptions field a legal non-default value. A
-// field added to SpecOptions without an entry here fails
-// TestSpecResolveRoundTrip, which is the point: the new field must be
-// carried through Resolve and SpecOf before the test can pass.
-var specLegal = map[string]any{
-	"Scheme":          AEG.String(),
-	"Threads":         2,
-	"Solver":          DGESV.String(),
-	"Accelerate":      AccelDSA.String(),
-	"Epsi":            1e-5,
-	"MaxInners":       7,
-	"MaxOuters":       3,
-	"ForceIterations": true,
-	"AllowCycles":     true,
-	"CycleOrder":      OrderFeedbackArc.String(),
-	"Reflect":         [3]bool{true, false, true},
-	"TimeSteps":       2,
-	"TimeDt":          0.25,
-	"DeadlineSeconds": 30.0,
-	"HealthChecks":    true,
-}
-
-// optionsOffWire lists the Options fields that deliberately have no
-// SpecOptions counterpart: process-local resources, distributed-driver
-// knobs and the paper-ablation switches the service does not expose.
-// Deadline travels as DeadlineSeconds.
-var optionsOffWire = map[string]bool{
-	"Protocol": true, "FailurePolicy": true, "Fault": true,
-	"Artifact": true, "Cache": true, "CacheTenant": true, "CacheTenantBytes": true,
-	"Progress": true, "PreAssembled": true, "Instrument": true, "Deadline": true,
-}
-
-// TestSpecResolveRoundTrip pins the wire format by reflection: with every
-// SpecOptions field set to a non-default legal value, a spec survives the
-// JSON round trip and Resolve -> SpecOf reproduces it exactly, so a field
-// that exists at one level and is not carried to the other fails here.
-// DSA excludes reflective and time-dependent runs, so the fields are
-// covered by two variants.
+// TestSpecResolveRoundTrip pins the wire format's round trip: with every
+// wire field of Options set to a non-default legal value, a spec survives
+// JSON, and Resolve -> SpecOf reproduces it exactly. DSA excludes
+// reflective and time-dependent runs, so the fields are covered by two
+// variants.
 func TestSpecResolveRoundTrip(t *testing.T) {
-	var full SpecOptions
-	fv := reflect.ValueOf(&full).Elem()
-	for i := 0; i < fv.NumField(); i++ {
-		name := fv.Type().Field(i).Name
-		val, ok := specLegal[name]
-		if !ok {
-			t.Fatalf("SpecOptions.%s has no legal non-default value in specLegal", name)
-		}
-		fv.Field(i).Set(reflect.ValueOf(val))
-	}
+	full := legalOptions(t)
 	noAccel, noTime := full, full
-	noAccel.Accelerate = ""
+	noAccel.Accelerate = AccelNone
 	noTime.Reflect, noTime.TimeSteps, noTime.TimeDt = [3]bool{}, 0, 0
 
 	p := DefaultProblem()
 	p.TwistPeriods = 2
 	p.Twist = 0.35
 	covered := make(map[string]bool)
-	for _, so := range []SpecOptions{noAccel, noTime} {
-		sp := Spec{Problem: p, Options: so}
+	for _, o := range []Options{noAccel, noTime} {
+		sp := SpecOf(p, o)
 		data, err := json.Marshal(sp)
 		if err != nil {
 			t.Fatal(err)
@@ -74,40 +32,60 @@ func TestSpecResolveRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("spec rejected: %v\n%s", err, data)
 		}
-		if parsed != sp {
+		if !reflect.DeepEqual(parsed, sp) {
 			t.Fatalf("JSON round trip: got %+v, want %+v", parsed, sp)
 		}
 		gotP, gotO, err := parsed.Resolve()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if back := SpecOf(gotP, gotO); back != sp {
+		if back := SpecOf(gotP, gotO); !reflect.DeepEqual(back, sp) {
 			t.Fatalf("Resolve -> SpecOf: got %+v, want %+v", back, sp)
 		}
-		sv := reflect.ValueOf(so)
+		sv := reflect.ValueOf(sp.Options)
 		for i := 0; i < sv.NumField(); i++ {
 			if !sv.Field(i).IsZero() {
 				covered[sv.Type().Field(i).Name] = true
 			}
 		}
 	}
-	ot := reflect.TypeOf(Options{})
-	for i := 0; i < ot.NumField(); i++ {
-		name := ot.Field(i).Name
-		if _, onWire := specLegal[name]; onWire == optionsOffWire[name] {
-			t.Errorf("Options.%s must be either a SpecOptions field or listed in optionsOffWire", name)
-		}
-	}
-	for name := range specLegal {
-		if !covered[name] {
-			t.Errorf("SpecOptions.%s was never set to a non-default value", name)
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Options{})) {
+		if f.Tag.Get("json") != "-" && !covered[f.Name] {
+			t.Errorf("wire field Options.%s was never set to a non-default value", f.Name)
 		}
 	}
 }
 
-// optionsLegal gives every Options field a legal non-default value, as
-// specLegal does for the wire form. A field added to Options without an
-// entry here fails TestOptionsReachCoreConfig.
+// TestOptionsWireTags pins the one options type's wire tags: every
+// Options field has a json tag, so none reaches the wire under its Go
+// name by accident, and SpecOf and Resolve zero every json:"-" field and
+// keep every other.
+func TestOptionsWireTags(t *testing.T) {
+	o := legalOptions(t)
+	o.Accelerate = AccelNone // DSA excludes Reflect and TimeSteps
+	_, resolved, err := Spec{Problem: DefaultProblem(), Options: o}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string]Options{"SpecOf": SpecOf(DefaultProblem(), o).Options, "Resolve": resolved} {
+		v := reflect.ValueOf(got)
+		for i, f := range reflect.VisibleFields(v.Type()) {
+			tag, ok := f.Tag.Lookup("json")
+			switch {
+			case !ok:
+				t.Errorf("Options.%s has no json tag", f.Name)
+			case tag == "-" && !v.Field(i).IsZero():
+				t.Errorf("%s keeps the process-local Options.%s", name, f.Name)
+			case tag != "-" && v.Field(i).IsZero() && f.Name != "Accelerate":
+				t.Errorf("%s drops the wire field Options.%s", name, f.Name)
+			}
+		}
+	}
+}
+
+// optionsLegal gives every Options field a legal non-default value. A
+// field added to Options without an entry here fails legalOptions, so
+// every test built on it.
 var optionsLegal = map[string]any{
 	"Scheme": AEG, "Threads": 2, "Solver": DGESV, "Protocol": CommPipelined,
 	"Accelerate": AccelDSA, "Epsi": 1e-5, "MaxInners": 7, "MaxOuters": 3,
@@ -136,16 +114,8 @@ var (
 // added to Options and forgotten in coreConfig — how PR 7 found ScatOrder
 // silently dropped on the distributed path — fails here.
 func TestOptionsReachCoreConfig(t *testing.T) {
-	var o Options
-	ov := reflect.ValueOf(&o).Elem()
-	for i := 0; i < ov.NumField(); i++ {
-		name := ov.Type().Field(i).Name
-		val, ok := optionsLegal[name]
-		if !ok {
-			t.Fatalf("Options.%s has no legal non-default value in optionsLegal", name)
-		}
-		ov.Field(i).Set(reflect.ValueOf(val))
-	}
+	o := legalOptions(t)
+	ov := reflect.ValueOf(o)
 	p := DefaultProblem()
 	p.ScatOrder = 1
 	cfg := coreConfig(p, o, nil, nil, nil)
@@ -169,6 +139,22 @@ func TestOptionsReachCoreConfig(t *testing.T) {
 			t.Errorf("Options.%s is set but core.Config.%s is zero: coreConfig drops it", name, core)
 		}
 	}
+}
+
+// legalOptions returns Options with every field set from optionsLegal.
+func legalOptions(t *testing.T) Options {
+	t.Helper()
+	var o Options
+	ov := reflect.ValueOf(&o).Elem()
+	for i := 0; i < ov.NumField(); i++ {
+		name := ov.Type().Field(i).Name
+		val, ok := optionsLegal[name]
+		if !ok {
+			t.Fatalf("Options.%s has no legal non-default value in optionsLegal", name)
+		}
+		ov.Field(i).Set(reflect.ValueOf(val))
+	}
+	return o
 }
 
 // TestSpecMinimal pins that a problem-only spec resolves to the library
@@ -217,10 +203,10 @@ func TestSpecRejections(t *testing.T) {
 	}
 }
 
-// FuzzParseSpec: ParseSpec never panics, and every spec it accepts
-// round-trips through SpecOf(Resolve()) to an equal spec — up to the
-// explicit spellings of the defaults, which SpecOf omits, and the
-// nanosecond resolution of the deadline.
+// FuzzParseSpec: ParseSpec never panics, every spec it accepts
+// round-trips through SpecOf(Resolve()) to an equal spec, and its bytes
+// parse back to that spec — up to the nanosecond resolution of the
+// deadline, which travels as float seconds.
 func FuzzParseSpec(f *testing.F) {
 	problem := `"problem":{"nx":4,"ny":4,"nz":4,"lx":1,"ly":1,"lz":1,"order":1,"angles_per_octant":2,"groups":2}`
 	for _, seed := range []string{
@@ -247,23 +233,24 @@ func FuzzParseSpec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("ParseSpec accepted a spec Resolve rejects: %v\n%s", err, data)
 		}
-		want := sp
-		for _, def := range []struct {
-			field    *string
-			spelling string
-		}{
-			{&want.Options.Scheme, Engine.String()},
-			{&want.Options.Solver, GE.String()},
-			{&want.Options.Accelerate, AccelNone.String()},
-			{&want.Options.CycleOrder, OrderElementIndex.String()},
-		} {
-			if *def.field == def.spelling {
-				*def.field = ""
-			}
+		got := SpecOf(p, o)
+		if !reflect.DeepEqual(got, sp) {
+			t.Fatalf("SpecOf(Resolve()): got %+v, want %+v\n%s", got, sp, data)
 		}
-		want.Options.DeadlineSeconds = o.Deadline.Seconds()
-		if got := SpecOf(p, o); got != want {
-			t.Fatalf("SpecOf(Resolve()): got %+v, want %+v\n%s", got, want, data)
+		wire, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseSpec(wire)
+		if err != nil {
+			t.Fatalf("SpecOf's bytes rejected: %v\n%s", err, wire)
+		}
+		if d := back.Options.Deadline - got.Options.Deadline; d < -1 || d > 1 {
+			t.Fatalf("deadline %v came back as %v\n%s", got.Options.Deadline, back.Options.Deadline, wire)
+		}
+		back.Options.Deadline = got.Options.Deadline
+		if !reflect.DeepEqual(back, got) {
+			t.Fatalf("bytes round trip: got %+v, want %+v\n%s", back, got, wire)
 		}
 	})
 }

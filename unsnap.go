@@ -268,17 +268,19 @@ func PaperTable2Problem(order int) Problem {
 	}
 }
 
-// Options are the solver-side knobs.
+// Options are the solver-side knobs. Their JSON tags are the wire format
+// of Spec; the fields tagged json:"-" are process-local and never travel
+// (see Spec).
 type Options struct {
-	Scheme  Scheme
-	Threads int
-	Solver  SolverKind
+	Scheme  Scheme     `json:"scheme,omitempty"`
+	Threads int        `json:"threads,omitempty"`
+	Solver  SolverKind `json:"solver,omitempty"`
 
 	// Protocol selects the cross-rank communication scheme of
 	// NewDistributed (ignored by the single-domain solver): CommLagged is
 	// the paper's BSP block Jacobi, CommPipelined streams angular flux
 	// across ranks mid-sweep.
-	Protocol CommProtocol
+	Protocol CommProtocol `json:"-"`
 
 	// Accelerate selects the between-inner acceleration: AccelNone
 	// (default) or AccelDSA, the synthetic diffusion correction. DSA is
@@ -286,14 +288,14 @@ type Options struct {
 	// NewDistributed reject it combined with TimeSteps, ScatOrder >= 1 or
 	// Reflect. Distributed drivers apply the correction rank-locally on
 	// both protocols.
-	Accelerate AccelMode
+	Accelerate AccelMode `json:"accelerate,omitempty"`
 
-	Epsi      float64
-	MaxInners int
-	MaxOuters int
+	Epsi      float64 `json:"epsi,omitempty"`
+	MaxInners int     `json:"max_inners,omitempty"`
+	MaxOuters int     `json:"max_outers,omitempty"`
 	// ForceIterations runs exactly MaxOuters x MaxInners sweeps with no
 	// convergence exits (the paper's timing methodology).
-	ForceIterations bool
+	ForceIterations bool `json:"force_iterations,omitempty"`
 
 	// AllowCycles enables cycle-aware sweep topologies for meshes whose
 	// upwind dependency graphs contain cycles (strongly twisted meshes;
@@ -306,7 +308,7 @@ type Options struct {
 	// eight-octant phase, bitwise-reproducible results, and (via
 	// CommPipelined) mid-sweep cross-rank streaming.
 	// Without it a cyclic mesh fails at solver construction.
-	AllowCycles bool
+	AllowCycles bool `json:"allow_cycles,omitempty"`
 	// CycleOrder picks which intra-SCC couplings AllowCycles lags (the
 	// within-SCC cut rule): OrderElementIndex (default) or the smaller
 	// OrderFeedbackArc set. One Options value configures the strategy for
@@ -314,22 +316,22 @@ type Options struct {
 	// the legacy bucket path, and the distributed drivers (the pipelined
 	// protocol's global condensation and the decisions it distributes to
 	// the ranks) — so no two components can disagree on the lag set.
-	CycleOrder   CycleOrder
-	PreAssembled bool
-	Instrument   bool
+	CycleOrder   CycleOrder `json:"cycle_order,omitempty"`
+	PreAssembled bool       `json:"-"`
+	Instrument   bool       `json:"-"`
 
 	// Reflect enables specular reflective boundary conditions on the
 	// domain faces normal to each dimension (SNAP's reflective BC);
 	// unset dimensions keep the vacuum condition. Only supported by the
 	// single-domain solver.
-	Reflect [3]bool
+	Reflect [3]bool `json:"reflect,omitzero"`
 
 	// TimeSteps > 0 enables SNAP's time-dependent mode: backward-Euler
 	// steps of length TimeDt from the zero initial condition, each
 	// converged like a steady solve. Group speeds default to
 	// SNAP-style synthetic values (fastest at the highest energy).
-	TimeSteps int
-	TimeDt    float64
+	TimeSteps int     `json:"time_steps,omitempty"`
+	TimeDt    float64 `json:"time_dt,omitempty"`
 
 	// Deadline bounds each Run's wall-clock time, and each
 	// RunTimeDependent's across all its steps. When it expires the run
@@ -338,26 +340,27 @@ type Options struct {
 	// ordinate and remaining task count for a distributed sweep, or a
 	// context deadline error for the single-domain iteration (checked
 	// between inners). Zero means no deadline; RunContext composes an
-	// external context with it.
-	Deadline time.Duration
+	// external context with it. On the wire it is deadline_seconds, a
+	// float number of seconds (Options.MarshalJSON).
+	Deadline time.Duration `json:"deadline_seconds,omitempty"`
 
 	// FailurePolicy decides what a distributed pipelined driver does when
 	// a sweep fails or times out: fail fast (default), retry with bounded
 	// backoff, or degrade to the lagged BSP protocol for the remainder of
 	// the driver's life. Ignored by the single-domain solver and the
 	// lagged protocol (which have no retryable failure domain).
-	FailurePolicy FailurePolicy
+	FailurePolicy FailurePolicy `json:"-"`
 
 	// HealthChecks scans the scalar flux for NaN/Inf after every inner
 	// iteration and monitors the convergence history for divergence,
 	// surfacing problems as a typed *HealthError instead of silently
 	// iterating on poisoned data. Costs one pass over phi per inner.
-	HealthChecks bool
+	HealthChecks bool `json:"health_checks,omitempty"`
 
 	// Fault installs a deterministic fault-injection schedule on the
 	// distributed pipelined transport (chaos testing; see FaultSchedule).
 	// Only valid with NewDistributed and CommPipelined.
-	Fault *FaultSchedule
+	Fault *FaultSchedule `json:"-"`
 
 	// Artifact injects a pre-built topology artifact (from Build) so the
 	// solver skips mesh matching, face classification and cycle
@@ -365,13 +368,13 @@ type Options struct {
 	// problem — same mesh content, element order, quadrature and cycle
 	// settings — or NewSolver fails. Only supported by the single-domain
 	// solver; distributed drivers share builds through Cache instead.
-	Artifact *Artifact
+	Artifact *Artifact `json:"-"`
 	// Cache, when set, is consulted for the problem's build artifact
 	// before building one (and populated on a miss). Solvers for the same
 	// mesh/order/quadrature share one artifact; a distributed driver's
 	// ranks likewise share one entry per distinct rank topology plus the
 	// global cycle lag sets. Ignored when Artifact is set.
-	Cache *ArtifactCache
+	Cache *ArtifactCache `json:"-"`
 
 	// CacheTenant attributes this solver's Cache traffic to a named
 	// tenant, and CacheTenantBytes bounds the bytes resident on that
@@ -381,8 +384,8 @@ type Options struct {
 	// (cache.TenantStatsSnapshot reports per-tenant usage). Zero values
 	// mean unattributed and unbounded; both are meaningless without
 	// Cache.
-	CacheTenant      string
-	CacheTenantBytes int64
+	CacheTenant      string `json:"-"`
+	CacheTenantBytes int64  `json:"-"`
 
 	// Progress, when non-nil, is called after every completed inner
 	// iteration with the iteration indices and the flux change — the hook
@@ -393,7 +396,7 @@ type Options struct {
 	// super-step, the pipelined protocol from rank 0's iteration (whose
 	// flux change is the all-rank maximum, except under ForceIterations,
 	// where no reduction runs and it is rank 0's own).
-	Progress func(Progress)
+	Progress func(Progress) `json:"-"`
 }
 
 // Progress reports one completed inner iteration to Options.Progress;
