@@ -59,7 +59,7 @@ func run(args []string) error {
 	fs.TextVar(&failureMode, "failure-policy", failureMode, "pipelined sweep failure handling: fail, retry or degrade (multi-rank pipelined runs only)")
 	retries := fs.Int("retries", 2, "max sweep retries under -failure-policy retry/degrade")
 	backoff := fs.Duration("backoff", 5*time.Millisecond, "base backoff between sweep retries")
-	health := fs.Bool("health", false, "scan the flux for NaN/Inf and divergence every inner iteration")
+	health := fs.Bool("health", false, "no-op: every run scans the flux for NaN/Inf and divergence every inner iteration")
 	cacheStats := fs.Bool("cache-stats", false, "solve twice through one artifact cache and report build reuse (single-domain only)")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -414,7 +414,7 @@ func TestFaultHealthChecksPipelined(t *testing.T) {
 	d, err := New(Config{Mesh: m, PY: 2, PZ: 1, Protocol: Pipelined,
 		Policy: FailurePolicy{Mode: FailRetry, MaxRetries: 3, Backoff: time.Millisecond},
 		Rank: core.Config{Order: 1, Quad: q, Lib: lib,
-			Scheme: core.SchemeEngine, HealthChecks: true,
+			Scheme:    core.SchemeEngine,
 			MaxInners: 3, MaxOuters: 1, ForceIterations: true}})
 	if err != nil {
 		t.Fatal(err)
@@ -436,7 +436,7 @@ func TestFaultHealthChecksLagged(t *testing.T) {
 	m.Elems[0].Source = math.NaN()
 	d, err := New(Config{Mesh: m, PY: 2, PZ: 1,
 		Rank: core.Config{Order: 1, Quad: q, Lib: lib,
-			Scheme: core.SchemeAEG, HealthChecks: true,
+			Scheme:    core.SchemeAEG,
 			MaxInners: 3, MaxOuters: 1, ForceIterations: true}})
 	if err != nil {
 		t.Fatal(err)

@@ -57,7 +57,7 @@ type Config struct {
 	// every rank: set the solver knobs — Order, Quad, Lib, Scheme,
 	// Threads (per rank), Solver, Kernel, AllowCycles, CycleOrder,
 	// PreAssembled, Epsi, MaxInners, MaxOuters, ForceIterations,
-	// Instrument, HealthChecks, ScatOrder, Accelerate, Progress (reported
+	// Instrument, ScatOrder, Accelerate, Progress (reported
 	// once per inner) and Cache — exactly as for a single-domain
 	// core.Config. Leave Mesh and the coupling fields (Reflect, External,
 	// CycleLag/CycleLagKey, Artifact, Time) unset: the driver owns those

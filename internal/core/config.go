@@ -269,13 +269,6 @@ type Config struct {
 	// inners — the hook for per-inner streaming in long-running services.
 	Progress func(Progress)
 
-	// HealthChecks enables the numerical-health guards: a NaN/Inf scan of
-	// the scalar flux after every inner iteration and a divergence monitor
-	// over the inner flux-change sequence, both surfaced as a typed
-	// *HealthError (see health.go). Off by default — a healthy sweep pays
-	// one extra pass over phi per inner when enabled.
-	HealthChecks bool
-
 	// Reflect selects specular reflection (SNAP's reflective boundary
 	// condition) on the domain faces normal to each marked dimension; the
 	// others are vacuum. A reflective inflow face of ordinate a reads the

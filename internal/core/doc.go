@@ -107,7 +107,12 @@
 // solver between rounds, so two things stop them: Close (stops and joins
 // them; the solver stays usable and the next round starts them again) and
 // the one runtime cleanup registered at New, which lets the workers of a
-// solver dropped without Close return once it is collected. A sweep's
+// solver dropped without Close return once it is collected. The factor
+// store's slabs, a mapping outside the GC heap (faccache.go), share that
+// lifecycle: Close and the cleanup release them, and the next sweep maps
+// them again — empty under the lazy policy, refilled under PreAssembled
+// — before any task runs, so a closed solver's next Run is bitwise the
+// Run of a solver never closed. A sweep's
 // first error — a task's failed solve, a stall, a cancel — collects in
 // the pool and is handed over by the call that ends the sweep. A panic in
 // any body on any worker, the caller's slot included, is recovered in the
@@ -124,7 +129,7 @@
 // change clears Epsi (or MaxInners), Jacobi outers over the scattering
 // source until the change across an outer is within ten times Epsi (or
 // MaxOuters), neither exit under ForceIterations; the context check
-// before every inner, the divergence monitor of HealthChecks, and the
+// before every inner, the divergence monitor, and the
 // Progress hook invoked synchronously after every inner — the hook's cost
 // is the caller's, and it must not call back into the solver. The limits
 // and Epsi are defaulted in Config.withDefaults and nowhere else. What an
@@ -133,7 +138,7 @@
 // internal/comm supplies one for the lagged protocol's super-step and one
 // per rank of a pipelined run, whose decisions agree through the
 // max-reduction Iterate accepts. FinishInner is the tail every one of
-// them shares: DSA correction, the HealthChecks NaN/Inf scan, the flux
+// them shares: DSA correction, the NaN/Inf scan, the flux
 // change. A cancelled solve returns a structured error within one inner,
 // with the solver still safe to Close.
 //

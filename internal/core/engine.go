@@ -381,16 +381,21 @@ func (s *Solver) ensureEngine() *engine {
 	return s.engine
 }
 
-// Close stops the solver's background workers and joins them. Without it
-// they are only reclaimed when the garbage collector notices the solver is
-// unreachable — fine for short-lived solvers, but a process that holds
-// many solvers alive should Close the ones it is done sweeping with. The
-// solver remains fully usable: state queries work, and a later sweep
-// restarts the workers. Safe to call multiple times, including
-// concurrently. (Close concurrent with an in-flight sweep remains the
-// caller's responsibility — the comm driver aborts and joins its run
-// first.)
-func (s *Solver) Close() { s.pool.halt(true) }
+// Close stops the solver's background workers, joins them and releases
+// the factor store's slabs. Without it both are only reclaimed when the
+// garbage collector notices the solver is unreachable — fine for
+// short-lived solvers, but a process that holds many solvers alive should
+// Close the ones it is done sweeping with. The solver remains fully
+// usable: state queries work, and a later sweep restarts the workers and
+// maps the store again (empty under the lazy policy, refilled under
+// PreAssembled; the flux is bitwise unchanged). Safe to call multiple
+// times, including concurrently. (Close concurrent with an in-flight
+// sweep remains the caller's responsibility — the comm driver aborts and
+// joins its run first.)
+func (s *Solver) Close() {
+	s.pool.halt(true)
+	s.fc.release()
+}
 
 // runSweep executes one full self-driven sweep as the one fused phase,
 // with every External slot read as the caller left it. Per-element solve

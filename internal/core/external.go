@@ -149,6 +149,9 @@ func (s *Solver) ArmSweep() error {
 	if eng.armed {
 		return fmt.Errorf("core: ArmSweep called with a sweep already armed")
 	}
+	if err := s.fc.ensureMapped(s); err != nil {
+		return err
+	}
 	// Cyclic topologies: expose the just-finished sweep to lagged local
 	// couplings before any task of the new sweep can run.
 	s.rotateLagSnapshot()

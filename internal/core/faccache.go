@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -87,8 +88,20 @@ import (
 // catch an entry mid-build just run the private path — nobody blocks.
 // The eager fill writes disjoint entries from the pool's workers, each
 // over its own workerState scratch, and is joined before New returns.
-// All entry storage is allocated at New, keeping the steady-state task
-// body allocation-free (TestSweepTaskAllocFree).
+//
+// Storage: the two slabs come from one anonymous private mapping per
+// solver (allocStore), taken at New, so the steady-state task body stays
+// allocation-free (TestSweepTaskAllocFree). Its pages arrive zeroed and
+// are touched first by the fill; they hold no pointers, so the collector
+// neither scans them nor counts them toward its heap target, and a
+// service's peak RSS follows the stores its jobs hold rather than the
+// heap target they raise. Close releases the mapping (release), and so
+// does the solver's cleanup when it is dropped without Close; the next
+// sweep maps it again (ensureMapped), every entry empty under the lazy
+// policy and filled again under the eager one. Where no mapping is used
+// (no mmap, or the race detector, which checks only heap and data
+// addresses) the slabs are heap slices with the same lifecycle.
+// StoreMappedBytes counts the slab bytes live in the process.
 
 // factorCacheLimit caps the lazy store's predicted resident size; a
 // problem over it runs uncached, all or nothing. Geometry classes need
@@ -135,15 +148,32 @@ type facPanel struct {
 }
 
 type factorCache struct {
-	class   []int32 // per-element class: the artifact's geometry classes, or the identity when eager
-	slotOf  []int32 // class*nMat+mat -> slot index, -1 if the pair never occurs
-	setOf   []int32 // ordinate -> angle set (Solver.setOf)
-	nMat    int
-	nSlots  int
-	n       int        // nodes per element: the order of every stored system
-	entries []facEntry // indexed set*nSlots + slot
-	off     []int32    // every entry's gather offsets (laneOffsets)
+	class    []int32 // per-element class: the artifact's geometry classes, or the identity when eager
+	slotOf   []int32 // class*nMat+mat -> slot index, -1 if the pair never occurs
+	slotElem []int32 // each slot's first element, whose outflow sets the entries keep
+	setOf    []int32 // ordinate -> angle set (Solver.setOf)
+	nMat     int
+	nSlots   int
+	n        int        // nodes per element: the order of every stored system
+	entries  []facEntry // indexed set*nSlots + slot
+	off      []int32    // every entry's gather offsets (laneOffsets)
+
+	// The slabs' lengths, and their backing while mapped (under mu:
+	// Close may race Close, and the cleanup of a dropped solver runs on
+	// its own goroutine).
+	floats, offs int
+	mu           sync.Mutex
+	mapped       bool
+	mem          storeMem
 }
+
+// storeBytes counts the slab bytes of every store mapped in the process.
+var storeBytes atomic.Int64
+
+// StoreMappedBytes returns the bytes of factor-store slabs live in the
+// process: mapped by a solver and not yet released by its Close or
+// cleanup. runtime.MemStats does not see them.
+func StoreMappedBytes() int64 { return storeBytes.Load() }
 
 // panelPlan groups a material's sigma_t runs into panels. A lane holds
 // one right-hand side, so only single-group runs share a panel: each maximal stretch of
@@ -287,7 +317,7 @@ func (s *Solver) setFactors(as angleSet, mat int) int {
 	return int(as.s) * s.nG
 }
 
-// newFactorCache sizes and allocates the store and, under
+// newFactorCache sizes the store, maps its slabs (mapSlabs) and, under
 // Config.PreAssembled, fills it. It returns nil when the solver keeps no
 // factors: the lazy policy serves only the engine's batched task body,
 // Config.noFactorCache is the A/B test knob, and the byte budget rejects
@@ -314,7 +344,7 @@ func newFactorCache(s *Solver) (*factorCache, error) {
 	for i := range slotOf {
 		slotOf[i] = -1
 	}
-	var slotElem []int32 // each slot's first element, whose outflow sets the entries keep
+	var slotElem []int32
 	for e := 0; e < s.nE; e++ {
 		key := int(class[e])*nMat + cfg.Mesh.Elems[e].Material
 		if slotOf[key] < 0 {
@@ -327,13 +357,14 @@ func newFactorCache(s *Solver) (*factorCache, error) {
 	n := s.nN
 	nSlots := len(slotElem)
 	c := &factorCache{
-		class:   class,
-		slotOf:  slotOf,
-		setOf:   s.setOf,
-		nMat:    nMat,
-		nSlots:  nSlots,
-		n:       n,
-		entries: make([]facEntry, len(s.sets)*nSlots),
+		class:    class,
+		slotOf:   slotOf,
+		slotElem: slotElem,
+		setOf:    s.setOf,
+		nMat:     nMat,
+		nSlots:   nSlots,
+		n:        n,
+		entries:  make([]facEntry, len(s.sets)*nSlots),
 	}
 	var floats, offs int64
 	for k, as := range s.sets {
@@ -352,22 +383,84 @@ func newFactorCache(s *Solver) (*factorCache, error) {
 	if !pre && bytes > factorCacheLimit {
 		return nil, nil
 	}
-	c.off = make([]int32, offs)
-	slab := make([]float64, floats)
-	for k, as := range s.sets {
-		for sl, e := range slotElem {
-			ent := &c.entries[k*nSlots+sl]
-			m := c.entryFloats(s, as, e, ent.mask)
-			ent.lu, slab = slab[:m:m], slab[m:]
-		}
-	}
-	if pre {
-		if err := c.fillAll(s); err != nil {
-			return nil, err
-		}
+	c.floats, c.offs = int(floats), int(offs)
+	if err := c.mapSlabs(s); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
+
+// ensureMapped maps the store again after release: the next sweep of a
+// closed solver calls it before any task can reach an entry. A no-op on
+// a mapped store or a solver without one.
+func (c *factorCache) ensureMapped(s *Solver) error {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.mapped {
+		return nil
+	}
+	return c.mapSlabs(s)
+}
+
+// mapSlabs takes the two slabs (allocStore), lays every entry out on
+// them, empty, and under the eager policy fills them all. A failed fill
+// releases them again.
+func (c *factorCache) mapSlabs(s *Solver) error {
+	slab, off, mem, err := allocStore(c.floats, c.offs)
+	if err != nil {
+		return err
+	}
+	c.off, c.mem, c.mapped = off, mem, true
+	storeBytes.Add(c.bytes())
+	for k, as := range s.sets {
+		for sl, e := range c.slotElem {
+			ent := &c.entries[k*c.nSlots+sl]
+			m := c.entryFloats(s, as, e, ent.mask)
+			ent.lu, slab = slab[:m:m], slab[m:]
+			ent.state.Store(facEmpty)
+		}
+	}
+	if s.cfg.PreAssembled {
+		if err := c.fillAll(s); err != nil {
+			c.unmap()
+			return err
+		}
+	}
+	return nil
+}
+
+// release returns the slabs: Close, and the cleanup of a solver dropped
+// without it, call it once no round is in flight. Safe on a nil or
+// released store.
+func (c *factorCache) release() {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.mapped {
+		c.unmap()
+	}
+}
+
+// unmap frees the mapped slabs and leaves every entry without storage,
+// so a read that bypassed ensureMapped fails a bounds check instead of
+// touching a page that is gone.
+func (c *factorCache) unmap() {
+	for i := range c.entries {
+		c.entries[i].lu = nil
+	}
+	c.off = nil
+	c.mem.free()
+	c.mem, c.mapped = storeMem{}, false
+	storeBytes.Add(-c.bytes())
+}
+
+// bytes is the size of the store's two slabs.
+func (c *factorCache) bytes() int64 { return int64(c.floats)*8 + int64(c.offs)*4 }
 
 // entryFloats is the length of an entry of set as on slot element e with
 // outflow mask: its factors, then a block per inflow face and block lane.

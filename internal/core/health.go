@@ -5,13 +5,12 @@ import (
 	"math"
 )
 
-// This file implements the optional numerical-health guards
-// (Config.HealthChecks): a NaN/Inf scan of the scalar flux after every
-// inner iteration, and a divergence monitor over the inner flux-change
-// sequence. Both surface a typed *HealthError that names where the
-// iteration went bad, instead of letting a poisoned flux propagate
-// silently (or, under the pipelined protocol, letting a diverging rank
-// burn its whole iteration budget).
+// This file implements the numerical-health guards every solve runs: a
+// NaN/Inf scan of the scalar flux after every inner iteration, and a
+// divergence monitor over the inner flux-change sequence. Both surface a
+// typed *HealthError that names where the iteration went bad, instead of
+// letting a poisoned flux propagate silently or a diverging iteration
+// burn its whole budget and return a wrong flux with a nil error.
 
 // HealthKind names one numerical-health failure.
 type HealthKind int
@@ -36,8 +35,7 @@ func (k HealthKind) String() string {
 	}
 }
 
-// HealthError is a numerical-health failure detected by the optional
-// Config.HealthChecks guards.
+// HealthError is a numerical-health failure detected by the guards.
 type HealthError struct {
 	Kind HealthKind
 
@@ -64,11 +62,11 @@ func (e *HealthError) Error() string {
 
 // ScanFluxHealth scans the scalar flux for NaN/Inf and returns a
 // *HealthError naming the first poisoned entry, or nil. Cost is one pass
-// over phi (small next to a sweep); the comm drivers and Run call it per
-// inner when Config.HealthChecks is set.
+// over phi (small next to a sweep); FinishInner, and so every driver,
+// calls it once per inner.
 func (s *Solver) ScanFluxHealth() error {
 	for i, v := range s.phi {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if v-v != 0 { // NaN for a NaN or an infinity, 0 for every finite v
 			node := i % s.nN
 			rest := i / s.nN
 			var e, g int

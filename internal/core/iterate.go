@@ -121,15 +121,14 @@ type Stepper interface {
 // outer exit once the change across the outer is within 10x Epsi (SNAP
 // uses a looser outer criterion), neither exit under ForceIterations. It
 // reads Epsi, MaxInners, MaxOuters (defaulted as New defaults them),
-// ForceIterations, HealthChecks and Progress from cfg and fills the
+// ForceIterations and Progress from cfg and fills the
 // iteration record of the Result (Outers, Inners, Converged, FinalDF,
 // DFHistory); timings and balance are the caller's.
 //
 // ctx is checked before every inner, so cancellation is answered within
-// one inner and surfaces wrapped around ctx.Err(). With HealthChecks the
-// sequence of flux changes st reports is watched for divergence (the
-// NaN/Inf scan of the flux itself is part of a solver's inner, see
-// FinishInner).
+// one inner and surfaces wrapped around ctx.Err(). The sequence of flux
+// changes st reports is always watched for divergence (the NaN/Inf scan
+// of the flux itself is part of a solver's inner, see FinishInner).
 //
 // agree, when non-nil, is a max-reduction across concurrent Iterate calls
 // that must take identical decisions (the ranks of a pipelined run): every
@@ -153,10 +152,8 @@ func Iterate(ctx context.Context, cfg Config, st Stepper, agree func(float64) (f
 			if err != nil {
 				return nil, err
 			}
-			if cfg.HealthChecks {
-				if err := mon.Observe(df); err != nil {
-					return nil, err
-				}
+			if err := mon.Observe(df); err != nil {
+				return nil, err
 			}
 			if df, err = agree(df); err != nil {
 				return nil, err
@@ -206,17 +203,14 @@ func (s *Solver) Inner() (float64, error) {
 }
 
 // FinishInner closes an inner iteration whose sweep has completed — under
-// any driver, however the sweep was run: the configured acceleration, with
-// Config.HealthChecks the NaN/Inf scan of the flux, and the inner's flux
-// change.
+// any driver, however the sweep was run: the configured acceleration, the
+// NaN/Inf scan of the flux, and the inner's flux change.
 func (s *Solver) FinishInner() (float64, error) {
 	if err := s.Accelerate(); err != nil {
 		return 0, err
 	}
-	if s.cfg.HealthChecks {
-		if err := s.ScanFluxHealth(); err != nil {
-			return 0, err
-		}
+	if err := s.ScanFluxHealth(); err != nil {
+		return 0, err
 	}
 	return s.MaxRelChange(), nil
 }
@@ -231,9 +225,9 @@ func (s *Solver) Run() (*Result, error) { return s.RunContext(context.Background
 // RunContext is Run under a context: cancellation (or a deadline on ctx)
 // is checked between inner iterations — a single-domain sweep cannot
 // block on anything external, so per-inner granularity bounds the
-// response time by one sweep — and surfaces as ctx.Err(). With
-// Config.HealthChecks a NaN/Inf flux or a diverging flux-change sequence
-// is reported as a typed *HealthError.
+// response time by one sweep — and surfaces as ctx.Err(). A NaN/Inf flux
+// or a diverging flux-change sequence is reported as a typed
+// *HealthError.
 func (s *Solver) RunContext(ctx context.Context) (*Result, error) {
 	s.asmNS, s.solveNS, s.sweepTime = 0, 0, 0
 	res, err := Iterate(ctx, s.cfg, s, nil)

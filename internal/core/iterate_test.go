@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -48,9 +49,7 @@ func TestIterate(t *testing.T) {
 	force := base
 	force.ForceIterations = true
 	health := base
-	health.MaxInners, health.MaxOuters, health.HealthChecks = 10, 1, true
-	noHealth := health
-	noHealth.HealthChecks = false
+	health.MaxInners, health.MaxOuters = 10, 1
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -95,11 +94,11 @@ func TestIterate(t *testing.T) {
 				}
 			}},
 			wantErr: context.Canceled, stepperInnersOnErr: 2},
-		{name: "five consecutive df >= 1 diverge under HealthChecks", cfg: health,
+		{name: "five consecutive df >= 1 diverge", cfg: health,
 			st:           scriptStepper{dfs: []float64{2}, outer: 9},
 			wantDiverged: true, stepperInnersOnErr: 6}, // the first observation is skipped
-		{name: "and are ignored without them", cfg: noHealth,
-			st:     scriptStepper{dfs: []float64{2}, outer: 9},
+		{name: "four do not", cfg: health,
+			st:     scriptStepper{dfs: []float64{2, 2, 2, 2, 2, 0.5, 2, 2, 2, 2}, outer: 9},
 			inners: 10, outers: 1, converged: false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -184,5 +183,34 @@ func TestIterateAgree(t *testing.T) {
 		func(float64) (float64, error) { return 0, boom })
 	if err != boom {
 		t.Fatalf("got %v, want agree's error", err)
+	}
+}
+
+// TestScanFluxHealth pins the flux scan every inner runs: a NaN and
+// either infinity are found and located, the largest finite values are
+// not.
+func TestScanFluxHealth(t *testing.T) {
+	cfg := engineProblem(t)
+	cfg.Scheme, cfg.Threads = SchemeEngine, 1
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const e, g, node = 5, 1, 3
+	i := s.phiIdx(e, g) + node
+	for _, v := range []float64{math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64} {
+		s.phi[i] = v
+		if err := s.ScanFluxHealth(); err != nil {
+			t.Fatalf("finite %g flagged: %v", v, err)
+		}
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		s.phi[i] = v
+		var he *HealthError
+		if err := s.ScanFluxHealth(); !errors.As(err, &he) || he.Kind != HealthNaN ||
+			he.Elem != e || he.Group != g || he.Node != node {
+			t.Fatalf("%g: got %v, want HealthNaN at elem %d group %d node %d", v, err, e, g, node)
+		}
 	}
 }

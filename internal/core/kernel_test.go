@@ -1191,7 +1191,7 @@ func TestUnclosedSolverIsCollected(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		collect()
 	}
-	base := runtime.NumGoroutine()
+	base, storeBase := runtime.NumGoroutine(), StoreMappedBytes()
 	for i := 0; i < 5; i++ {
 		cfg := engineProblem(t)
 		cfg.Scheme = SchemeEngine
@@ -1200,15 +1200,24 @@ func TestUnclosedSolverIsCollected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if s.fc == nil {
+			t.Fatal("no factor store")
+		}
 		if _, err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if StoreMappedBytes() <= storeBase {
+		t.Fatal("the five live stores do not count")
+	}
 	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+	for (runtime.NumGoroutine() > base || StoreMappedBytes() > storeBase) && time.Now().Before(deadline) {
 		collect()
 	}
 	if n := runtime.NumGoroutine(); n > base {
 		t.Fatalf("%d goroutines after dropping five Threads=3 solvers and collecting, baseline %d", n, base)
+	}
+	if b := StoreMappedBytes(); b > storeBase {
+		t.Fatalf("%d store bytes after dropping five solvers and collecting, baseline %d", b, storeBase)
 	}
 }

@@ -141,6 +141,14 @@ type Solver struct {
 	setupTime time.Duration
 }
 
+// held is what a solver holds outside the collector's reach: its
+// workers' goroutines and its store's slabs. Close releases both, and so
+// does the cleanup of a solver dropped without Close.
+type held struct {
+	pool *workerPool
+	fc   *factorCache
+}
+
 // New builds a solver: acquires the problem's build artifact — injected
 // (Config.Artifact), cached (Config.Cache) or built privately — and
 // allocates the per-solve state arrays in the scheme's layout. The
@@ -240,16 +248,19 @@ func New(cfg Config) (*Solver, error) {
 	for w := range s.workers {
 		s.workers[w] = newWorkerState(art.KernelDims(), s.nG, s.maxSetWidth(), cfg.Scheme.EngineBacked())
 	}
-	// The one GC-path stop: an unreachable solver's parked workers return.
-	// It must not wait for them — that would block the cleanup goroutine.
 	s.pool = newWorkerPool(cfg.Threads)
-	runtime.AddCleanup(s, func(p *workerPool) { p.halt(false) }, s.pool)
-
 	s.initRoundBodies()
 	if s.fc, err = newFactorCache(s); err != nil {
 		s.Close() // the eager fill may have started the workers
 		return nil, err
 	}
+	// The one GC-path stop: an unreachable solver's parked workers return
+	// and its store's slabs are released. It must not wait for the
+	// workers — that would block the cleanup goroutine.
+	runtime.AddCleanup(s, func(r held) {
+		r.pool.halt(false)
+		r.fc.release()
+	}, held{s.pool, s.fc})
 	s.setupTime = time.Since(start)
 	return s, nil
 }

@@ -464,6 +464,9 @@ func (s *Solver) solveElemScalar(st *workerState, a, e int) error {
 // The scalar flux accumulates the weighted angular fluxes; callers zero it
 // first via PrepareInner.
 func (s *Solver) SweepAllAngles() error {
+	if err := s.fc.ensureMapped(s); err != nil {
+		return err
+	}
 	s.rotateLagSnapshot()
 	if s.cfg.Scheme.EngineBacked() {
 		s.ensureEngine().runSweep()

@@ -9,6 +9,7 @@ import (
 
 	"unsnap"
 	"unsnap/internal/build"
+	"unsnap/internal/core"
 )
 
 // maxBodyBytes bounds a submission body; a Problem+Options spec is a few
@@ -241,6 +242,11 @@ type statsView struct {
 	// Builds is the process-wide topology-build counter (build.Builds):
 	// a warm-path submission must not move it.
 	Builds int64 `json:"builds"`
+	// StoreMappedBytes is the process-wide size of the factor stores that
+	// running solvers hold (core.StoreMappedBytes). The stores live
+	// outside the GC heap, so runtime.MemStats does not count them; a
+	// drained server holds none.
+	StoreMappedBytes int64 `json:"store_mapped_bytes"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -250,7 +256,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions,
 			Entries: st.Entries, Bytes: st.Bytes,
 		},
-		Builds: build.Builds(),
+		Builds:           build.Builds(),
+		StoreMappedBytes: core.StoreMappedBytes(),
 	}
 	if ts := s.cache.TenantStatsSnapshot(); len(ts) > 0 {
 		v.Tenants = make(map[string]tenantStatsView, len(ts))

@@ -324,17 +324,19 @@ func (s *Server) runJob(j *job) {
 		j.finish(nil, nil, err)
 		return
 	}
-	defer solver.Close()
+	defer solver.Close() // a panic's path; Close is idempotent
 	res, err := solver.RunContext(j.ctx)
-	if err != nil {
-		j.finish(nil, nil, err)
-		return
+	var flux []float64
+	if err == nil {
+		flux = make([]float64, j.prob.Groups)
+		for g := range flux {
+			flux[g] = solver.FluxIntegral(g)
+		}
 	}
-	flux := make([]float64, j.prob.Groups)
-	for g := range flux {
-		flux[g] = solver.FluxIntegral(g)
-	}
-	j.finish(res, flux, nil)
+	// Release the workers and the factor store before the job turns
+	// terminal: a finished job holds neither.
+	solver.Close()
+	j.finish(res, flux, err)
 }
 
 // get looks a job up by id.

@@ -254,6 +254,59 @@ func TestServeWarmCacheSharedBuild(t *testing.T) {
 	}
 }
 
+// getStats fetches GET /v1/stats.
+func getStats(t *testing.T, ts *httptest.Server) statsView {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st statsView
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestServeStoreBytesDrain pins store_mapped_bytes, the one view of the
+// factor stores runtime.MemStats cannot see: a running job's store shows
+// in it, and a job that has turned terminal — done or cancelled — holds
+// none, so a drained server reports 0.
+func TestServeStoreBytesDrain(t *testing.T) {
+	_, ts := startServer(t, Config{MaxConcurrent: 1})
+	_, m := submit(t, ts, longSpec, "")
+	id := m["id"].(string)
+	waitState(t, ts, id, StateRunning)
+	deadline := time.Now().Add(30 * time.Second)
+	for getJob(t, ts, id).Inners == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("job never recorded an inner")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if b := getStats(t, ts).StoreMappedBytes; b <= 0 {
+		t.Fatalf("a running job's store shows %d bytes", b)
+	}
+	req, _ := http.NewRequest("DELETE", ts.URL+"/v1/jobs/"+id, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if v := waitTerminal(t, ts, id); v.State != StateCancelled {
+		t.Fatalf("cancelled job ended %q", v.State)
+	}
+	if b := getStats(t, ts).StoreMappedBytes; b != 0 {
+		t.Fatalf("cancelled job left %d store bytes mapped", b)
+	}
+	_, m = submit(t, ts, tinySpec, "")
+	waitState(t, ts, m["id"].(string), StateDone)
+	if b := getStats(t, ts).StoreMappedBytes; b != 0 {
+		t.Fatalf("a drained server reports %d store bytes", b)
+	}
+}
+
 // TestServeCancelMidSweepNoLeak pins the cancellation contract under
 // -race: a DELETE lands between inners, the job reports cancelled, and
 // after shutdown the process has the same goroutine population it

@@ -29,6 +29,9 @@ go build ./examples/...
 # against the Go declarations.)
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/la
+# The factor store's heap fallback (faccache_heap.go) is the build where
+# there is no mmap: cross-vet it with its tests.
+GOOS=darwin go vet ./internal/core
 # The vector kernels are bitwise the scalar loops only while every lane
 # rounds its product before the subtract: no fused multiply-add, ever.
 if grep -n 'VFMADD\|VFNMADD\|VFMSUB\|VFNMSUB' internal/la/*.s; then
@@ -125,6 +128,12 @@ go test -run '^$' -fuzz=FuzzComputeMatricesBitwise -fuzztime=5s ./internal/fem
 # too: sets of one to four ordinates of one- and two-group problems on
 # every boundary kind, batched == scalar, cached and uncached.
 go test -race -count=1 -run 'Kernel|SweepTaskAllocFree|ResetState|BuildSigtRuns|PreAssembled|Preassembled|UnclosedSolver|FactorCache' ./internal/core
+# The factor store's lifecycle — Run -> Close -> Run bitwise, nothing
+# reading a released store, the live-bytes counter back at its baseline
+# after Close and after a dropped solver's cleanup — repeated and without
+# the race detector: only there is the store a mapping, whose pages fault
+# when read after release.
+go test -count=3 -run 'StoreLifecycle|UnclosedSolver' ./internal/core
 go test -run '^$' -fuzz=FuzzKernelBatchedBitwise -fuzztime=5s ./internal/core
 # Wire-format fuzz: ParseSpec never panics, and every spec it accepts
 # round-trips through SpecOf(Resolve()).

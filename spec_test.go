@@ -98,12 +98,14 @@ var optionsLegal = map[string]any{
 }
 
 // optionsFacadeOnly lists the Options fields the facade consumes itself
-// (the distributed driver's knobs, the run deadline); every other field
+// (the distributed driver's knobs, the run deadline) or keeps only for
+// the wire (HealthChecks, a no-op: the guards always run); every other field
 // must reach core.Config, under its own name unless optionsCoreName
 // renames it.
 var (
 	optionsFacadeOnly = map[string]bool{
 		"Protocol": true, "Deadline": true, "FailurePolicy": true, "Fault": true,
+		"HealthChecks": true,
 	}
 	optionsCoreName = map[string]string{"TimeSteps": "Time", "TimeDt": "Time"}
 )

@@ -351,10 +351,11 @@ type Options struct {
 	// lagged protocol (which have no retryable failure domain).
 	FailurePolicy FailurePolicy `json:"-"`
 
-	// HealthChecks scans the scalar flux for NaN/Inf after every inner
-	// iteration and monitors the convergence history for divergence,
-	// surfacing problems as a typed *HealthError instead of silently
-	// iterating on poisoned data. Costs one pass over phi per inner.
+	// HealthChecks is a no-op kept for the wire key health_checks: every
+	// solve scans the scalar flux for NaN/Inf after every inner iteration
+	// and monitors the convergence history for divergence, surfacing
+	// problems as a typed *HealthError instead of silently iterating on
+	// poisoned data.
 	HealthChecks bool `json:"health_checks,omitempty"`
 
 	// Fault installs a deterministic fault-injection schedule on the
@@ -460,8 +461,8 @@ type (
 	// naming the stuck rank, upstream peer, ordinate and remaining
 	// tasks. Unwraps to context.DeadlineExceeded on deadline expiry.
 	SweepError = comm.SweepError
-	// HealthError reports a NaN/Inf flux or a diverging iteration
-	// detected by Options.HealthChecks.
+	// HealthError reports a NaN/Inf flux or a diverging iteration,
+	// which every solve checks for after every inner.
 	HealthError = core.HealthError
 )
 
@@ -614,7 +615,6 @@ func coreConfig(p Problem, o Options, m *mesh.Mesh, q *quadrature.Set, lib *xs.L
 		Instrument:       o.Instrument,
 		ScatOrder:        p.ScatOrder,
 		Accelerate:       o.Accelerate,
-		HealthChecks:     o.HealthChecks,
 		Artifact:         o.Artifact,
 		Cache:            o.Cache,
 		CacheTenant:      o.CacheTenant,
