@@ -388,7 +388,7 @@ func buildTopologies(spec *Spec, em []*fem.ElementMatrices, nE, nA int) ([]*Topo
 				}
 			}
 		}
-		t.Lagged = lagBits
+		t.setLagged(lagBits)
 		t.Graph, err = sweep.BuildGraph(in, sched.Lagged)
 		if err != nil {
 			return nil, 0, fmt.Errorf("build: task graph for angle %d (omega %v): %w", a, om, err)
@@ -435,6 +435,7 @@ func artifactSize(a *Artifact) int64 {
 		}
 		seen[t] = true
 		n += int64(len(t.Inflow)+len(t.Lagged)) * 8
+		n += int64(len(t.lagRank)) * 4
 		if t.Sched != nil {
 			n += int64(len(t.Sched.Lagged)) * 16
 			for _, b := range t.Sched.Buckets {

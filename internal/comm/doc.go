@@ -23,9 +23,10 @@
 //     meshes ride the same path (AllowCycles): a single global SCC
 //     condensation decides, identically to the single-domain solver,
 //     which couplings are lagged to the previous iterate — intra-rank
-//     ones read the rank's psi snapshot, cross-rank ones are consumed one
-//     sweep late on a dedicated channel — while everything off-cycle
-//     still streams mid-sweep. Iteration counts and fluxes match the
+//     ones read the rank solver's lag store (the previous sweep's values
+//     on the cut faces), cross-rank ones are consumed one sweep late on
+//     a dedicated channel — while everything off-cycle still streams
+//     mid-sweep. Iteration counts and fluxes match the
 //     single-domain solver exactly.
 //
 // Neither protocol has an iteration loop of its own. core.Iterate — the

@@ -49,19 +49,19 @@ import (
 // single-domain solver runs (sweep.Condense, deduplicated over the bitmap
 // classification) is computed once for the whole global mesh, and its lag
 // set is distributed: intra-rank lagged couplings reach each rank solver
-// through core.Config.CycleLag (they read the local previous-iterate psi
-// snapshot), while cross-rank lagged couplings travel on a second per-edge
-// channel whose consumption is shifted by one sweep — sweep n reads the
-// values the upstream rank published during sweep n-1 (zero on the first
-// sweep, matching the zero initial flux), which is exactly what the
-// single-domain snapshot read sees. Everything not on a cycle still
-// streams mid-sweep, so cyclic meshes keep the fused cross-octant graph
-// and rank overlap; because the condensation is a pure function of SCC
-// membership and global element ids, no rank can break a cycle
-// differently than the single-domain solver, and the 1e-12 flux parity
-// carries over. (The 1e-12 parity statement is for a Run from fresh
+// through core.Config.CycleLag (they read the rank solver's lag store,
+// the previous sweep's values on the cut faces), while cross-rank lagged
+// couplings travel on a second per-edge channel whose consumption is
+// shifted by one sweep — sweep n reads the values the upstream rank
+// published during sweep n-1 (zero on the first sweep, matching the zero
+// initial flux), which is exactly what the single-domain lag store read
+// sees. Everything not on a cycle still streams mid-sweep, so cyclic
+// meshes keep the fused cross-octant graph and rank overlap; because the
+// condensation is a pure function of SCC membership and global element
+// ids, no rank can break a cycle differently than the single-domain
+// solver, and the 1e-12 flux parity carries over. (The 1e-12 parity statement is for a Run from fresh
 // state. On a repeat Run every lagged coupling — cross-rank slot and
-// per-rank psi snapshot alike — deterministically restarts from the zero
+// per-rank lag store alike — deterministically restarts from the zero
 // iterate, while a single-domain repeat Run reads its own final psi;
 // both converge to the same fixed point, but the iterates differ.)
 //
@@ -604,7 +604,7 @@ func (d *Driver) runPipelined(ctx context.Context) (*Result, error) {
 	}
 	for ei, ed := range d.pipe.edges {
 		// Lagged slots restart every run from the zero initial iterate,
-		// the state a fresh solver's psi snapshot holds.
+		// the state a fresh solver's lag store holds.
 		for _, ld := range d.pipe.lagResolve[ei] {
 			buf := d.solvers[ed.to].ExternalInflowBuffer(ld.face, ld.a)
 			for i := range buf {

@@ -141,7 +141,7 @@ func TestReflectiveMultigroup(t *testing.T) {
 // bitwise equal) and under AEG, at 1 and 3 threads. The move into the
 // fused graph changed no bit. The cyclic rows were recorded again when a
 // later-octant mirror on a cyclic mesh started reading the previous sweep
-// (psiLag) instead of the sweep before last; see TestReflectiveCyclicLag.
+// instead of the sweep before last; see TestReflectiveCyclicLag.
 func TestReflectiveFluxDigest(t *testing.T) {
 	want := map[string]string{
 		"engine/x/engine":    "6/8d657808b48819591751c5ca1ab184f4b39319562a430859c8ab2ddb981336d9",
@@ -222,7 +222,7 @@ func TestReflectiveFluxDigest(t *testing.T) {
 
 // TestReflectiveCyclicLag pins the reflective lag on a cyclic mesh to one
 // sweep: a mirror in a later octant reads the previous sweep's flux from
-// psiLag, not the sweep before last that rotateLagSnapshot leaves in psi.
+// psi, as on an acyclic mesh, not the sweep before last.
 // Reading the older iterate (lag2) converged to the same flux more
 // slowly, in 267 inners reflecting x and 720 reflecting xyz; its flux
 // integrals must still agree within the outer tolerance, 10 Epsi.

@@ -28,9 +28,9 @@ const (
 	// LayoutGE stores [angle][group][element][node]: adjacent elements are
 	// numNodes apart (the "64 byte stride" layout for linear elements).
 	LayoutGE
-	// LayoutLanes is the engine's: the angular flux psi (and its lagged
-	// snapshot, the stored M psi_prev) and the stored source products mq
-	// and mq1 are [angle][element][node][group], so one node's groups are
+	// LayoutLanes is the engine's: the angular flux psi (and the stored
+	// M psi_prev) and the stored source products mq and mq1 are
+	// [angle][element][node][group], so one node's groups are
 	// contiguous — the vector lanes of the task's kernels (kernel.go). The
 	// scalar flux and the outer sources keep LayoutEG's order. With one
 	// group it is LayoutEG.
@@ -217,14 +217,15 @@ type Config struct {
 	// future-work extension): each ordinate's upwind graph is condensed
 	// into its strongly connected components once, up front
 	// (sweep.Condense), and the intra-SCC back edges are demoted to lagged
-	// couplings that read a double-buffered previous-iterate angular-flux
-	// snapshot instead of imposing an ordering. Lagged edges therefore
-	// cost no scheduling at all: cyclic meshes keep the counter-driven
-	// engine, its fused eight-octant phase, and the deterministic ordered
-	// flux reduction; the legacy bucket executors
-	// share the identical lag set and snapshot reads, so both paths agree
-	// to machine precision iteration by iteration. Without this flag a
-	// cyclic mesh fails at setup with sweep.ErrCycle.
+	// couplings that read the previous iterate's upwind values on the cut
+	// faces (the solver's lag store, refilled from psi after every sweep)
+	// instead of imposing an ordering. Lagged edges therefore cost no
+	// scheduling at all: cyclic meshes keep the counter-driven engine,
+	// its fused eight-octant phase, and the deterministic ordered flux
+	// reduction; the legacy bucket executors share the identical lag set
+	// and lagged reads, so both paths agree to machine precision
+	// iteration by iteration. Without this flag a cyclic mesh fails at
+	// setup with sweep.ErrCycle.
 	AllowCycles bool
 
 	// CycleLag overrides the solver's own cycle analysis with externally
@@ -273,12 +274,14 @@ type Config struct {
 	// condition) on the domain faces normal to each marked dimension; the
 	// others are vacuum. A reflective inflow face of ordinate a reads the
 	// outgoing flux of the mirror ordinate on the same element's face
-	// nodes. Ordinates are swept octant by octant in a fixed order, so a
-	// mirror in an earlier octant gives this sweep's value and one in a
-	// later octant the previous sweep's; the engine orders each such pair
-	// of tasks by one graph edge inside its fused phase (engine.go). The
-	// fixed point is the one of the exact reflection, reached in a few more
-	// inners than a vacuum problem needs.
+	// nodes, read from psi, which holds one iterate. Ordinates are swept
+	// octant by octant in a fixed order, so a mirror in an earlier octant
+	// gives this sweep's value and one in a later octant (not yet swept)
+	// the previous sweep's, on cyclic meshes as on acyclic ones; the
+	// engine orders each such pair of tasks by one graph edge inside its
+	// fused phase (engine.go). The fixed point is the one of the exact
+	// reflection, reached in a few more inners than a vacuum problem
+	// needs.
 	Reflect [3]bool
 
 	// External declares subdomain-boundary faces whose upwind angular flux
@@ -291,8 +294,9 @@ type Config struct {
 	// arrives, and publishes outgoing flux through the SetPublish hook the
 	// moment the owning task completes. Reflect must be unset: the
 	// partitioned runs External faces serve do not reflect. Combines with
-	// AllowCycles: lagged local couplings read the previous-iterate
-	// snapshot. See external.go.
+	// AllowCycles: lagged local couplings read the lag store, the previous
+	// sweep's values on the cut faces, and an armed sweep refills it in
+	// FinishSweep. See external.go.
 	External []ExternalFace
 
 	// Time enables SNAP's time-dependent mode (backward-Euler stepping);

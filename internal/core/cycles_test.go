@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
+	"unsnap/internal/fem"
 	"unsnap/internal/mesh"
 	"unsnap/internal/quadrature"
 	"unsnap/internal/sweep"
@@ -245,5 +247,111 @@ func TestCyclicConvergence(t *testing.T) {
 	}
 	if s.FluxIntegral(0) <= 0 {
 		t.Fatal("converged flux integral must be positive")
+	}
+}
+
+// TestCyclicLagStore pins the lag store on both cyclic problems under the
+// engine (LayoutLanes) and two bucket schemes (LayoutEG, LayoutGE): it
+// holds one slot of nf*nG values per (ordinate, lagged inflow face), and
+// after a sweep each slot is, bit for bit, the upwind element's psi on
+// that face in the downwind face-node order with the groups fastest,
+// slots in ascending (ordinate, element, face) order. ResetState and
+// ResetLagSnapshot zero it, and an acyclic solver holds none.
+func TestCyclicLagStore(t *testing.T) {
+	problems := []struct {
+		name string
+		cfg  func(t *testing.T) Config
+	}{
+		{"cyclic", cyclicProblem},
+		{"ramped4", func(t *testing.T) Config { return rampedProblem(t, 4) }},
+	}
+	for _, p := range problems {
+		for _, scheme := range []Scheme{SchemeEngine, SchemeAEG, SchemeAGe} {
+			t.Run(fmt.Sprintf("%s/%v", p.name, scheme), func(t *testing.T) {
+				cfg := p.cfg(t)
+				cfg.Scheme = scheme
+				cfg.Threads = 2
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				nf := s.re.NF
+				lagged := 0
+				for a := 0; a < s.nA; a++ {
+					for e := 0; e < s.nE; e++ {
+						for f := 0; f < fem.NumFaces; f++ {
+							if s.topos[a].Lagged != nil && s.topos[a].IsLagged(e, f) {
+								lagged++
+							}
+						}
+					}
+				}
+				if lagged == 0 {
+					t.Fatal("cyclic problem lags no face")
+				}
+				if want := lagged * nf * s.nG; len(s.lag) != want {
+					t.Fatalf("lag store holds %d values, want %d", len(s.lag), want)
+				}
+				sweep := func() {
+					s.ComputeOuterSource()
+					s.PrepareInner()
+					if err := s.SweepAllAngles(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sweep()
+				slot := 0
+				nonzero := false
+				for a := 0; a < s.nA; a++ {
+					for e := 0; e < s.nE; e++ {
+						for f := 0; f < fem.NumFaces; f++ {
+							if s.topos[a].Lagged == nil || !s.topos[a].IsLagged(e, f) {
+								continue
+							}
+							fc := s.cfg.Mesh.Elems[e].Faces[f]
+							nb := s.re.FaceNodes[fc.NeighborFace]
+							for l := 0; l < nf; l++ {
+								for g := 0; g < s.nG; g++ {
+									got := s.lag[(slot*nf+l)*s.nG+g]
+									want := s.Psi(a, fc.Neighbor, g, nb[s.conn.Perm[e][f][l]])
+									if math.Float64bits(got) != math.Float64bits(want) {
+										t.Fatalf("angle %d elem %d face %d node %d group %d: slot %v, upwind psi %v", a, e, f, l, g, got, want)
+									}
+									nonzero = nonzero || got != 0
+								}
+							}
+							slot++
+						}
+					}
+				}
+				if !nonzero {
+					t.Fatal("every slot is zero after a sweep")
+				}
+				allZero := func(when string) {
+					for i, v := range s.lag {
+						if v != 0 {
+							t.Fatalf("after %s: lag[%d] = %v, want 0", when, i, v)
+						}
+					}
+				}
+				s.ResetState()
+				allZero("ResetState")
+				sweep()
+				s.ResetLagSnapshot()
+				allZero("ResetLagSnapshot")
+			})
+		}
+	}
+
+	cfg := engineProblem(t)
+	cfg.Scheme = SchemeEngine
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.lag != nil || s.lagOff != nil {
+		t.Fatalf("acyclic solver holds a lag store of %d values", len(s.lag))
 	}
 }

@@ -56,18 +56,20 @@
 // # Layouts
 //
 // The bucket schemes keep the paper's layouts, node fastest (LayoutEG,
-// LayoutGE). The engine keeps its own, LayoutLanes: psi, its lagged
-// snapshot, M psi_prev and the stored source products mq, mq1 are
-// [angle][element][node][group], so a task's source is one contiguous
-// copy, an upwind node's groups are one contiguous run and a lane
-// panel's solutions land as one column stripe of the task's psi block —
-// the task runs on group lanes end to end (kernel.go); an angle set's
-// task lays its lanes out [node][ordinate in set][group] in worker
-// scratch and moves each ordinate's solutions to its own block. The scalar flux
-// and the outer sources keep LayoutEG's order; the scalar kernel, the
-// flux reduction, the balance and the accessors read psi strided, each
-// value's operations unchanged. With one group every layout of the
-// element-major family is the same.
+// LayoutGE). The engine keeps its own, LayoutLanes: psi, M psi_prev and
+// the stored source products mq, mq1 are [angle][element][node][group],
+// so a task's source is one contiguous copy, an upwind node's groups are
+// one contiguous run and a lane panel's solutions land as one column
+// stripe of the task's psi block — the task runs on group lanes end to
+// end (kernel.go); an angle set's task lays its lanes out [node][ordinate
+// in set][group] in worker scratch and moves each ordinate's solutions to
+// its own block. The scalar flux and the outer sources keep LayoutEG's
+// order; the scalar kernel, the flux reduction, the balance and the
+// accessors read psi strided, each value's operations unchanged. With one
+// group every layout of the element-major family is the same. The lag
+// store of a cyclic mesh keeps one slot per (ordinate, lagged face),
+// face nodes in the downwind element's order and groups fastest, under
+// every layout.
 //
 // # Determinism and parity contract
 //
@@ -77,7 +79,10 @@
 // one edge of the task graph) or External — and the batched task kernel
 // and its in-package scalar reference (Config.Kernel) all update disjoint
 // per-element angular-flux storage and reduce into the scalar flux at
-// fixed points of the iteration, so for a given (problem, options) the
+// fixed points of the iteration. psi holds one iterate: every in-sweep
+// read of it is ordered by the schedule (upwind neighbours, reflective
+// mirrors), and a lagged coupling reads the lag store, which only the
+// end of a sweep rewrites. So for a given (problem, options) the
 // flux trajectory is bitwise reproducible across runs and thread counts,
 // and the equivalence suites pin the executors against each other (and
 // against the legacy bucket path on cyclic meshes) at 1e-12 or bitwise.

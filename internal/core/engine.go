@@ -28,9 +28,10 @@ import (
 //     parallelism on shallow-bucket meshes and removing the per-octant
 //     quiesce barriers and wavefront starvation behind the paper's
 //     Figure 3 strong-scaling wall. Nothing pins the octant order: a
-//     lagged coupling reads the immutable previous-iterate snapshot, an
-//     External slot holds one value for the whole sweep, and a reflective
-//     face (Config.Reflect) reads its mirror ordinate's flux on the same
+//     lagged coupling reads the lag store, which only the end of the
+//     sweep rewrites, an External slot holds one value for the whole
+//     sweep, and a reflective face (Config.Reflect) reads its mirror
+//     ordinate's flux on the same
 //     element, which newEngine turns into one more graph edge between the
 //     two tasks (see mirOff; a set's mirror ordinates form a set).
 //   - Lock-free deterministic flux reduction: tasks store only the

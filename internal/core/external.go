@@ -152,9 +152,6 @@ func (s *Solver) ArmSweep() error {
 	if err := s.fc.ensureMapped(s); err != nil {
 		return err
 	}
-	// Cyclic topologies: expose the just-finished sweep to lagged local
-	// couplings before any task of the new sweep can run.
-	s.rotateLagSnapshot()
 	eng.begin()
 	eng.armed = true
 	if s.cancelled.Load() {
@@ -168,10 +165,10 @@ func (s *Solver) ArmSweep() error {
 
 // FinishSweep joins the sweep armed by ArmSweep: the calling goroutine
 // works as worker 0 until every task has completed (or the sweep is
-// cancelled), quiesces the pool and reduces the scalar flux from psi. It
-// returns the first per-element solve error, errSweepCancelled after
-// CancelSweep, or the stall error if the cross-rank dependencies can never
-// resolve.
+// cancelled), quiesces the pool, reduces the scalar flux from psi and
+// refills the lag store from it for the next sweep. It returns the first
+// per-element solve error, errSweepCancelled after CancelSweep, or the
+// stall error if the cross-rank dependencies can never resolve.
 func (s *Solver) FinishSweep() error {
 	eng := s.engine
 	if eng == nil || !eng.armed {
@@ -180,6 +177,7 @@ func (s *Solver) FinishSweep() error {
 	eng.armed = false
 	eng.end()
 	s.reduceFluxFromPsi()
+	s.refillLagStore()
 	s.flushPhaseTimes()
 	return s.pool.takeErr()
 }

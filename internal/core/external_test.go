@@ -295,59 +295,35 @@ func TestCancelSweep(t *testing.T) {
 // reusable one and the inbox is sized for a whole sweep. Threads = 1 is
 // the no-goroutine case whose worker 0 still parks on the condition
 // variable; at 3 the background workers drain the inbox concurrently. A
+// cyclic mesh with the same boundary externals adds the lag store's
+// refill, a pool round at the end of FinishSweep and SweepAllAngles. A
 // reflective self-driven sweep, whose mirror edges are released through
 // the same counters, allocates nothing either.
 func TestArmedSweepAllocFree(t *testing.T) {
+	re, err := fem.NewRefElement(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, threads := range []int{1, 3} {
 		m, q, lib := externalParts(t, 3, 0.002)
-		re, err := fem.NewRefElement(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ext := boundaryExternals(m, re)
-		s, err := New(Config{Mesh: m, Order: 1, Quad: q, Lib: lib,
-			Scheme: SchemeEngine, Threads: threads, External: ext})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		type dep struct{ a, e int }
-		var deps []dep
-		for a := 0; a < q.NumAngles(); a++ {
-			for _, ef := range ext {
-				if ExternalInflow(q.Angles[a].Omega, ef.Normal, ef.Canonical) {
-					deps = append(deps, dep{a, ef.Elem})
-				}
-			}
-		}
-		sweep := func() {
-			s.ComputeOuterSource()
-			s.PrepareInner()
-			if err := s.ArmSweep(); err != nil {
+		plain := Config{Mesh: m, Order: 1, Quad: q, Lib: lib,
+			Scheme: SchemeEngine, Threads: threads, External: boundaryExternals(m, re)}
+		cyclic := cyclicProblem(t)
+		cyclic.Scheme, cyclic.Threads = SchemeEngine, threads
+		cyclic.External = boundaryExternals(cyclic.Mesh, re)
+		for _, c := range []struct {
+			name string
+			cfg  Config
+		}{{"external", plain}, {"cyclic external", cyclic}} {
+			s, err := New(c.cfg)
+			if err != nil {
 				t.Fatal(err)
 			}
-			for _, d := range deps {
-				s.ResolveExternal(d.a, d.e)
+			defer s.Close()
+			if (s.lag != nil) != c.cfg.AllowCycles {
+				t.Fatalf("threads=%d %s: lag store of %d values", threads, c.name, len(s.lag))
 			}
-			if err := s.FinishSweep(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sweep() // warm-up: builds the engine, starts the workers
-		if avg := testing.AllocsPerRun(10, sweep); avg != 0 {
-			t.Fatalf("threads=%d: an armed sweep allocates %.1f objects, want 0", threads, avg)
-		}
-		// The self-driven sweep resolves the same dependencies in one pass
-		// through the same inbox.
-		selfDriven := func() {
-			s.ComputeOuterSource()
-			s.PrepareInner()
-			if err := s.SweepAllAngles(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if avg := testing.AllocsPerRun(10, selfDriven); avg != 0 {
-			t.Fatalf("threads=%d: a self-driven External sweep allocates %.1f objects, want 0", threads, avg)
+			pinArmedSweepAllocs(t, s, fmt.Sprintf("threads=%d %s", threads, c.name))
 		}
 
 		cfg := engineProblem(t)
@@ -368,6 +344,51 @@ func TestArmedSweepAllocFree(t *testing.T) {
 		if avg := testing.AllocsPerRun(10, reflective); avg != 0 {
 			t.Fatalf("threads=%d: a reflective self-driven sweep allocates %.1f objects, want 0", threads, avg)
 		}
+	}
+}
+
+// pinArmedSweepAllocs fails unless an armed sweep of s (ArmSweep, every
+// ResolveExternal, FinishSweep) and a self-driven one, each with its
+// source passes, allocate nothing after a warm-up sweep.
+func pinArmedSweepAllocs(t *testing.T, s *Solver, label string) {
+	t.Helper()
+	type dep struct{ a, e int }
+	var deps []dep
+	for a, ang := range s.cfg.Quad.Angles {
+		for _, ef := range s.cfg.External {
+			if ExternalInflow(ang.Omega, ef.Normal, ef.Canonical) {
+				deps = append(deps, dep{a, ef.Elem})
+			}
+		}
+	}
+	armed := func() {
+		s.ComputeOuterSource()
+		s.PrepareInner()
+		if err := s.ArmSweep(); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range deps {
+			s.ResolveExternal(d.a, d.e)
+		}
+		if err := s.FinishSweep(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	armed() // warm-up: builds the engine, starts the workers
+	if avg := testing.AllocsPerRun(10, armed); avg != 0 {
+		t.Fatalf("%s: an armed sweep allocates %.1f objects, want 0", label, avg)
+	}
+	// The self-driven sweep resolves the same dependencies in one pass
+	// through the same inbox.
+	selfDriven := func() {
+		s.ComputeOuterSource()
+		s.PrepareInner()
+		if err := s.SweepAllAngles(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if avg := testing.AllocsPerRun(10, selfDriven); avg != 0 {
+		t.Fatalf("%s: a self-driven External sweep allocates %.1f objects, want 0", label, avg)
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 // ordinates of one octant that share a sweep topology when the problem
 // has one or two groups (angleSet, engine.go), so a one-group problem
 // gets the vector lanes that groups give a multi-group one. The
-// engine's LayoutLanes keeps psi, psiLag, mPrev and the stored source
-// products [angle][element][node][group].
+// engine's LayoutLanes keeps psi, mPrev and the stored source products
+// [angle][element][node][group].
 //
 //   - RHS batching: the right-hand sides of every lane are assembled in
 //     one pass over the element, lane-major ([node][ordinate in
@@ -29,7 +29,8 @@ import (
 //     kernel repeats per group — inflow classification, neighbour lookup,
 //     the conforming-face permutation chase — happens once per face for
 //     every lane, each upwind node's groups are gathered as one contiguous
-//     run of its ordinate's psi into a lane-major panel, and one call
+//     run of its ordinate's psi (or lag-store slot) into a lane-major
+//     panel by the one upwind gather (assembleRHSLanes), and one call
 //     applies the face to every lane: la.FaceApplyLanes with the one
 //     block om·Fx + om·Fy + om·Fz a single ordinate's groups share,
 //     la.FaceApplyLanesPerLane with each lane's own ordinate's block,
@@ -114,7 +115,7 @@ func buildSigtRuns(sigtEff [][]float64) [][]sigtRun {
 // ([angle][element][node][group]) the slab is one contiguous block, no
 // task of the current phase reads psi(a, e) before this task's counters
 // resolve, and every in-task read (the stored source products, upwind
-// neighbours, psiLag, streamed halos, reflective mirrors) comes from a
+// neighbours, the lag store, streamed halos, reflective mirrors) comes from a
 // different slab. A set of several ordinates solves its lanes in worker
 // scratch and moves each ordinate's solutions to its own slab
 // (solveSet).
@@ -156,11 +157,7 @@ func (s *Solver) solveElemBatched(st *workerState, a, e int) error {
 	if fent != nil {
 		blocks = s.fc.blocks(fent, s.setFactors(as, mat))
 	}
-	if as.s == 1 {
-		s.assembleRHSAll(st, rhs, blocks, a, e)
-	} else {
-		s.assembleRHSSet(st, rhs, blocks, as, e)
-	}
+	s.assembleRHSLanes(st, rhs, blocks, as, e)
 	if instr {
 		st.asmNS += time.Since(t0).Nanoseconds()
 	}
@@ -243,118 +240,26 @@ func (s *Solver) solveSet(lu []float64, off []int32, rhs, x []float64, as angleS
 	}
 }
 
-// assembleRHSAll builds the right-hand sides of every group of one
-// (angle, elem) task of a single ordinate into rhs (lane-major:
-// node-major with the groups fastest): the hoisted volumetric source
-// (loadSourceLanes) minus the upwind inflow terms. Per group the
-// arithmetic is identical to assembleRHS's; the face pass runs
-// face-outer, one face's upwind values of every group gathered into one
-// lane-major panel — an upwind node's groups are one contiguous run of
-// psi, for interior, lagged and reflective faces alike; External slots
-// are group-major and transposed — and the face block applied to all
-// groups by one la.FaceApplyLanes call. blocks, when not nil, holds the
-// fused block of each inflow face in ascending face order (a store
-// entry's); otherwise each is fused into worker scratch here, the same
-// la.Fuse3 sum. A set of several ordinates runs assembleRHSSet.
-func (s *Solver) assembleRHSAll(st *workerState, rhs, blocks []float64, a, e int) {
-	nf := s.re.NF
-	nG := s.nG
-	s.loadSourceLanes(rhs, a, e, nG)
-
-	// Faces are visited in ascending order, so each group sees its face
-	// terms in the scalar kernel's order.
-	t := s.topos[a]
-	panel := st.up[: nf*nG : nf*nG]
-	in := 0 // inflow faces so far: the index of this face's stored block
-	for f := 0; f < fem.NumFaces; f++ {
-		if !t.IsInflow(e, f) {
-			continue
-		}
-		in++
-		fc := &s.cfg.Mesh.Elems[e].Faces[f]
-		var up []float64
-		switch {
-		case fc.Neighbor >= 0:
-			// Interior (or lagged) upwind neighbour: its coincident nodes
-			// through the conforming-face permutation, reordered into our
-			// face-node ordering.
-			src := s.psi
-			if t.Lagged != nil && t.IsLagged(e, f) {
-				src = s.psiLag
-			}
-			perm := s.conn.Perm[e][f]
-			nbNodes := s.re.FaceNodes[fc.NeighborFace]
-			pb := s.psiIdx(a, fc.Neighbor, 0)
-			if nG == 1 {
-				for l := range panel {
-					panel[l] = src[pb+nbNodes[perm[l]]]
-				}
-			} else {
-				for l := 0; l < nf; l++ {
-					o := pb + nbNodes[perm[l]]*nG
-					gatherRun(panel[l*nG:l*nG+nG], src[o:o+nG])
-				}
-			}
-			up = panel
-		case s.ext != nil:
-			// External inflow: slots were filled before the sweep (block
-			// Jacobi) or before ResolveExternal made this task ready; a
-			// (face, angle) slot is group-major.
-			fi := s.ext.faceIdx[e*fem.NumFaces+f]
-			if fi < 0 {
-				continue // vacuum
-			}
-			off := (int(fi)*s.nA + a) * nG * nf
-			up = s.ext.data[off : off+nG*nf]
-			if nG > 1 {
-				for g := 0; g < nG; g++ {
-					for l, v := range up[g*nf : g*nf+nf] {
-						panel[l*nG+g] = v
-					}
-				}
-				up = panel
-			}
-		case s.cfg.Reflect[fem.FaceDim(f)]:
-			// Reflective face: the mirror ordinate's flux on the same
-			// face nodes of this element.
-			src, ma := s.mirror(a, f)
-			pb := s.psiIdx(ma, e, 0)
-			for l, node := range s.re.FaceNodes[f] {
-				o := pb + node*nG
-				gatherRun(panel[l*nG:l*nG+nG], src[o:o+nG])
-			}
-			up = panel
-		default:
-			continue // vacuum
-		}
-		var fb []float64
-		if blocks != nil {
-			fb = blocks[(in-1)*nf*nf : in*nf*nf]
-		} else {
-			fb = st.fb[: nf*nf : nf*nf]
-			face := &s.em[e].Face[f]
-			om := s.cfg.Quad.Angles[a].Omega
-			la.Fuse3(fb, face[0], face[1], face[2], om[0], om[1], om[2])
-		}
-		// Inflow faces have Omega . n < 0, so subtracting the surface
-		// term adds the upwind in-flow.
-		la.FaceApplyLanes(rhs, fb, up, s.re.FaceNodes[f], nG)
-	}
-}
-
-// assembleRHSSet is assembleRHSAll for a set of several ordinates: rhs
-// is [node][ordinate in set][group], each ordinate's lanes start from
-// its source (loadSourceLanes at row stride w) and gather their upwind
-// values from the ordinate's own psi slab, psiLag, External slot or
-// mirror, and each face is applied to every lane by one
-// la.FaceApplyLanesPerLane call with the lanes' interleaved blocks —
-// each lane its own ordinate's block. blocks, when not nil, holds those
-// interleaved blocks per inflow face (a store entry's); otherwise they
-// are fused into worker scratch (fuseFaceBlock). Per lane the arithmetic
-// is assembleRHS's.
-func (s *Solver) assembleRHSSet(st *workerState, rhs, blocks []float64, as angleSet, e int) {
-	nf := s.re.NF
-	nG := s.nG
+// assembleRHSLanes builds the right-hand sides of every lane of one
+// (angle set, elem) task into rhs, [node][ordinate in set][group]: each
+// ordinate's lanes start from its hoisted volumetric source
+// (loadSourceLanes at row stride w) and lose the upwind inflow terms. Per
+// lane the arithmetic is assembleRHS's. The face pass runs face-outer:
+// the one upwind gather classifies a face once and writes the upwind
+// values of every lane into a lane-major panel, rows w apart and ordinate
+// o at lane offset o*nG — an interior neighbour's psi through the
+// conforming-face permutation, a lagged neighbour's lag-store slot, an
+// External slot (group-major, so transposed) or, on a reflective face,
+// the mirror ordinate's psi on the same face nodes of this element (see
+// Config.Reflect); under LayoutLanes an upwind node's groups are one
+// contiguous run. One call then applies the face to every lane:
+// la.FaceApplyLanes with the one block a single ordinate's groups share,
+// la.FaceApplyLanesPerLane with each lane's own ordinate's block,
+// lane-interleaved, for a set of several. blocks, when not nil, holds
+// those blocks per inflow face in ascending face order (a store entry's);
+// otherwise they are fused into worker scratch here (fuseFaceBlock).
+func (s *Solver) assembleRHSLanes(st *workerState, rhs, blocks []float64, as angleSet, e int) {
+	nf, nG := s.re.NF, s.nG
 	a0, ns := int(as.a0), int(as.s)
 	w := ns * nG
 	for o := 0; o < ns; o++ {
@@ -362,9 +267,16 @@ func (s *Solver) assembleRHSSet(st *workerState, rhs, blocks []float64, as angle
 	}
 
 	// One classification serves every lane: the set's ordinates share
-	// its topology.
+	// its topology. Faces are visited in ascending order, so each lane
+	// sees its face terms in the scalar kernel's order.
 	t := s.topos[a0]
 	panel := st.up[: nf*w : nf*w]
+	k := nf * nf // one inflow face's stored blocks
+	fb := st.fb[:k:k]
+	if ns > 1 {
+		k *= w
+		fb = st.fbl[:k:k]
+	}
 	in := 0 // inflow faces so far: the index of this face's stored blocks
 	for f := 0; f < fem.NumFaces; f++ {
 		if !t.IsInflow(e, f) {
@@ -373,27 +285,32 @@ func (s *Solver) assembleRHSSet(st *workerState, rhs, blocks []float64, as angle
 		in++
 		fc := &s.cfg.Mesh.Elems[e].Faces[f]
 		switch {
-		case fc.Neighbor >= 0:
-			src := s.psi
-			if t.Lagged != nil && t.IsLagged(e, f) {
-				src = s.psiLag
+		case fc.Neighbor >= 0 && t.Lagged != nil && t.IsLagged(e, f):
+			for o := 0; o < ns; o++ {
+				slot := s.lagSlot(t, a0+o, e, f)
+				for l := 0; l < nf; l++ {
+					gatherRun(panel[l*w+o*nG:l*w+o*nG+nG], slot[l*nG:l*nG+nG])
+				}
 			}
+		case fc.Neighbor >= 0:
 			perm := s.conn.Perm[e][f]
 			nbNodes := s.re.FaceNodes[fc.NeighborFace]
 			for o := 0; o < ns; o++ {
 				pb := s.psiIdx(a0+o, fc.Neighbor, 0)
 				if nG == 1 {
 					for l := 0; l < nf; l++ {
-						panel[l*w+o] = src[pb+nbNodes[perm[l]]]
+						panel[l*w+o] = s.psi[pb+nbNodes[perm[l]]]
 					}
 					continue
 				}
 				for l := 0; l < nf; l++ {
 					q := pb + nbNodes[perm[l]]*nG
-					gatherRun(panel[l*w+o*nG:l*w+o*nG+nG], src[q:q+nG])
+					gatherRun(panel[l*w+o*nG:l*w+o*nG+nG], s.psi[q:q+nG])
 				}
 			}
 		case s.ext != nil:
+			// The slots were filled before the sweep (block Jacobi) or
+			// before ResolveExternal made this task ready.
 			fi := s.ext.faceIdx[e*fem.NumFaces+f]
 			if fi < 0 {
 				continue // vacuum
@@ -409,25 +326,28 @@ func (s *Solver) assembleRHSSet(st *workerState, rhs, blocks []float64, as angle
 			}
 		case s.cfg.Reflect[fem.FaceDim(f)]:
 			for o := 0; o < ns; o++ {
-				src, ma := s.mirror(a0+o, f)
-				pb := s.psiIdx(ma, e, 0)
+				pb := s.psiIdx(s.cfg.Quad.MirrorAngle(a0+o, fem.FaceDim(f)), e, 0)
 				for l, node := range s.re.FaceNodes[f] {
 					q := pb + node*nG
-					gatherRun(panel[l*w+o*nG:l*w+o*nG+nG], src[q:q+nG])
+					gatherRun(panel[l*w+o*nG:l*w+o*nG+nG], s.psi[q:q+nG])
 				}
 			}
 		default:
 			continue // vacuum
 		}
-		k := nf * nf * w
-		var fb []float64
+		blk := fb
 		if blocks != nil {
-			fb = blocks[(in-1)*k : in*k]
+			blk = blocks[(in-1)*k : in*k]
 		} else {
-			fb = st.fbl[:k:k]
 			s.fuseFaceBlock(fb, st.fb, as, e, f)
 		}
-		la.FaceApplyLanesPerLane(rhs, fb, panel, s.re.FaceNodes[f], w)
+		// Inflow faces have Omega . n < 0, so subtracting the surface
+		// term adds the upwind in-flow.
+		if ns == 1 {
+			la.FaceApplyLanes(rhs, blk, panel, s.re.FaceNodes[f], nG)
+		} else {
+			la.FaceApplyLanesPerLane(rhs, blk, panel, s.re.FaceNodes[f], w)
+		}
 	}
 }
 

@@ -889,8 +889,8 @@ func TestFactorCacheMaskMismatch(t *testing.T) {
 // and the batched kernel, cached and uncached, to the bucket executor on
 // LayoutEG at 1e-12 — scalar and angular flux, read through the
 // layout-independent accessors — at one, two, four and eight groups, on
-// the cyclic ramped problem (lagged couplings read psiLag through the
-// lane-major gather).
+// the cyclic ramped problem (lagged couplings read the lag store through
+// the lane-major gather).
 func TestKernelLanesMatchBuckets(t *testing.T) {
 	for _, groups := range []int{1, 2, 4, 8} {
 		legacy := rampedProblem(t, groups)

@@ -107,7 +107,7 @@ func runAngleSets(t *testing.T, cfg Config, bc string, k KernelMode, noCache boo
 // 6 angles per octant — sets of 1, 2, 2+1, 4 (two groups: 2+2) and 4+2
 // (2+2+2) ordinates — on every boundary kind a set task reads upwind
 // values from: vacuum, a reflective x face (mirror sets), a cyclic mesh
-// (lagged couplings through psiLag) and a prescribed inflow on External
+// (lagged couplings through the lag store) and a prescribed inflow on External
 // faces. The batched flux, cached and uncached, must equal the scalar
 // kernel's bit for bit, and every octant must be cut greedily where its
 // ordinates share one topology (the mildly twisted mesh) and follow the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -31,7 +32,7 @@ type Solver struct {
 
 	nE, nG, nN, nA int // elements, groups, nodes/element, angles
 	// stride is the distance between two nodes of one group in psi,
-	// psiLag, mPrev, mq and mq1: nG under LayoutLanes, else 1.
+	// mPrev, mq and mq1: nG under LayoutLanes, else 1.
 	stride int
 
 	topos []*build.Topology // per angle (deduplicated pointers)
@@ -45,12 +46,16 @@ type Solver struct {
 	setOf []int32
 
 	psi []float64 // angular flux, layout per scheme (psiIdx)
-	// psiLag is the previous sweep's angular flux (cyclic meshes only):
-	// rotateLagSnapshot swaps it with psi at the start of every sweep, so
-	// lagged couplings, and reflective mirrors in a later octant, read an
-	// immutable previous-iterate snapshot while the sweep overwrites psi.
-	// Nil when no topology has lagged edges.
-	psiLag []float64
+	// lag is the lag store (cyclic meshes only): one slot of nf*nG values
+	// per (ordinate, lagged inflow face), holding the upwind element's psi
+	// on that face in this element's face-node order (through conn.Perm),
+	// groups fastest. Ordinate a's slots start at slot lagOff[a] and are
+	// numbered by Topology.LagIndex. refillLag rewrites every slot from
+	// psi at the end of each sweep, so a lagged coupling reads the
+	// previous iterate whatever order the tasks run in. Nil when no
+	// topology has lagged faces.
+	lag    []float64
+	lagOff []int
 	phi    []float64 // scalar flux
 	phiOld []float64
 	qOuter []float64 // fixed + group-to-group source (per outer)
@@ -121,13 +126,15 @@ type Solver struct {
 	cancelled atomic.Bool
 
 	// The statically-chunked round bodies of ComputeOuterSource,
-	// PrepareInner, the flux reduction and storePrevStep, built once at New
-	// so the steady-state iteration creates no garbage (pinned by
-	// TestSweepTaskAllocFree): a closure literal at the call site would be
-	// allocated on every round.
+	// PrepareInner, the flux reduction, the lag store's refill and
+	// storePrevStep, built once at New so the steady-state iteration
+	// creates no garbage (pinned by TestSweepTaskAllocFree and
+	// TestArmedSweepAllocFree): a closure literal at the call site would
+	// be allocated on every round.
 	outerSrcRoundFn func(w int)
 	prepRoundFn     func(w int)
 	reduceRoundFn   func(w int)
+	lagRoundFn      func(w int)
 	prevStepRoundFn func(w int)
 
 	// instrumentation totals (nanoseconds)
@@ -188,11 +195,7 @@ func New(cfg Config) (*Solver, error) {
 
 	size := s.nE * s.nG * s.nN
 	s.psi = make([]float64, s.nA*size)
-	if s.hasLaggedTopo() {
-		// Cyclic topology: double-buffer the angular flux so lagged
-		// couplings read the previous sweep through rotateLagSnapshot.
-		s.psiLag = make([]float64, s.nA*size)
-	}
+	s.buildLagStore()
 	s.phi = make([]float64, size)
 	s.phiOld = make([]float64, size)
 	s.qOuter = make([]float64, size)
@@ -285,6 +288,11 @@ func (s *Solver) initRoundBodies() {
 			s.prevStep(s.workers[w], idx/s.nE, idx%s.nE)
 		}
 	}
+	s.lagRoundFn = func(w int) {
+		for a, hi := p.chunk(w, s.nA); a < hi; a++ {
+			s.refillLag(a)
+		}
+	}
 	if s.stride > 1 {
 		s.reduceRoundFn = func(w int) {
 			for e, hi := p.chunk(w, s.nE); e < hi; e++ {
@@ -298,8 +306,6 @@ func (s *Solver) initRoundBodies() {
 	size := s.nE * s.nG * s.nN
 	s.reduceRoundFn = func(w int) {
 		lo, hi := p.chunk(w, size)
-		// Read s.psi through the solver: rotateLagSnapshot swaps the
-		// buffers, so a captured slice would go stale.
 		for a := range angles {
 			wt := angles[a].Weight
 			ps := s.psi[a*size+lo : a*size+hi]
@@ -430,48 +436,82 @@ func BuildArtifact(cfg Config) (*build.Artifact, error) {
 	return build.Build(spec)
 }
 
-// hasLaggedTopo reports whether any ordinate's topology carries lagged
-// (cycle-broken) couplings, which require the psiLag snapshot buffer.
-func (s *Solver) hasLaggedTopo() bool {
-	for _, t := range s.topos {
-		if t.Lagged != nil {
-			return true
+// buildLagStore sizes the lag store: ordinate a's slots follow those of
+// the ordinates before it, one per lagged face of its topology. It stays
+// nil when no topology lags a face.
+func (s *Solver) buildLagStore() {
+	off := make([]int, s.nA+1)
+	for a, t := range s.topos {
+		n := 0
+		for _, word := range t.Lagged {
+			n += bits.OnesCount64(word)
+		}
+		off[a+1] = off[a] + n
+	}
+	if off[s.nA] > 0 {
+		s.lag = make([]float64, off[s.nA]*s.re.NF*s.nG)
+		s.lagOff = off
+	}
+}
+
+// lagSlot returns ordinate a's lag-store slot of lagged face f of element
+// e (t is a's topology).
+func (s *Solver) lagSlot(t *build.Topology, a, e, f int) []float64 {
+	k := s.re.NF * s.nG
+	o := (s.lagOff[a] + t.LagIndex(e, f)) * k
+	return s.lag[o : o+k]
+}
+
+// refillLag rewrites ordinate a's lag-store slots from psi, in slot order
+// (ascending (element, face), the order LagIndex counts): each lagged
+// face's upwind neighbour values through the conforming-face
+// permutation, as the interior gather reads them.
+func (s *Solver) refillLag(a int) {
+	t := s.topos[a]
+	nf, nG := s.re.NF, s.nG
+	slot := s.lag[s.lagOff[a]*nf*nG:]
+	for w, word := range t.Lagged {
+		for ; word != 0; word &= word - 1 {
+			bit := w*64 + bits.TrailingZeros64(word)
+			e, f := bit/fem.NumFaces, bit%fem.NumFaces
+			fc := &s.cfg.Mesh.Elems[e].Faces[f]
+			perm := s.conn.Perm[e][f]
+			nbNodes := s.re.FaceNodes[fc.NeighborFace]
+			for g := 0; g < nG; g++ {
+				pb := s.psiIdx(a, fc.Neighbor, g)
+				for l := 0; l < nf; l++ {
+					slot[l*nG+g] = s.psi[pb+nbNodes[perm[l]]*s.stride]
+				}
+			}
+			slot = slot[nf*nG:]
 		}
 	}
-	return false
 }
 
-// ResetLagSnapshot zeroes the angular-flux double buffer, so the next
-// sweep's lagged couplings read the zero initial iterate (the state of a
-// fresh solver). Both buffers are cleared because rotateLagSnapshot swaps
-// the current psi into the snapshot at sweep start; every other read of
-// psi — upwind neighbours, and reflective mirrors in an earlier octant
-// (later ones read psiLag) — only ever sees values written earlier in the
-// same sweep, so the clear cannot change anything else. The pipelined comm
-// driver calls it at the start of every Run: its cross-rank lagged slots
-// restart from zero per Run (their channels are per-run), and resetting
-// the intra-rank snapshot keeps both kinds of lagged coupling on identical
-// semantics. A no-op on acyclic problems.
-func (s *Solver) ResetLagSnapshot() {
-	if s.psiLag == nil {
-		return
-	}
-	for i := range s.psiLag {
-		s.psiLag[i] = 0
-	}
-	for i := range s.psi {
-		s.psi[i] = 0
+// refillLagStore rewrites the lag store from the sweep that just
+// finished, one round of the pool; a no-op on acyclic problems.
+func (s *Solver) refillLagStore() {
+	if s.lag != nil {
+		s.pool.run(s.lagRoundFn)
 	}
 }
+
+// ResetLagSnapshot zeroes the lag store, so the next sweep's lagged
+// couplings read the zero initial iterate (the state of a fresh solver).
+// The pipelined comm driver calls it at the start of every Run: its
+// cross-rank lagged slots restart from zero per Run (their channels are
+// per-run), and resetting the intra-rank store keeps both kinds of lagged
+// coupling on identical semantics. A no-op on acyclic problems.
+func (s *Solver) ResetLagSnapshot() { clear(s.lag) }
 
 // ResetState zeroes every iterate the solver accumulates across sweeps —
-// angular flux (psi and the psiLag snapshot lagged couplings and
-// later-octant mirrors read), scalar flux, the source arrays, the P1
-// current state, the time-stepping history and the streamed-inflow slots —
-// returning the solver to the state of a fresh New. The comm driver's
-// retry policy calls it between attempts so a rerun after a failed or
-// timed-out sweep starts from the identical zero iterate a fresh solver
-// would, preserving the determinism guarantees of the retried run.
+// angular flux (psi and the lag store lagged couplings read), scalar
+// flux, the source arrays, the P1 current state, the time-stepping
+// history and the streamed-inflow slots — returning the solver to the
+// state of a fresh New. The comm driver's retry policy calls it between
+// attempts so a rerun after a failed or timed-out sweep starts from the
+// identical zero iterate a fresh solver would, preserving the
+// determinism guarantees of the retried run.
 func (s *Solver) ResetState() {
 	zero := func(v []float64) {
 		for i := range v {
@@ -479,9 +519,7 @@ func (s *Solver) ResetState() {
 		}
 	}
 	zero(s.psi)
-	if s.psiLag != nil {
-		zero(s.psiLag)
-	}
+	zero(s.lag)
 	zero(s.phi)
 	zero(s.phiOld)
 	zero(s.qOuter)
@@ -501,18 +539,6 @@ func (s *Solver) ResetState() {
 	}
 }
 
-// rotateLagSnapshot swaps the previous-iterate snapshot into psiLag at the
-// start of a sweep: psi (about to be fully overwritten) takes the stale
-// buffer, psiLag holds the sweep that just finished. Lagged couplings and
-// later-octant reflective mirrors read psiLag, so lagged values are
-// immutable for the whole sweep no matter which order the tasks execute
-// in, and no read sees the sweep before last. A no-op on acyclic problems.
-func (s *Solver) rotateLagSnapshot() {
-	if s.psiLag != nil {
-		s.psi, s.psiLag = s.psiLag, s.psi
-	}
-}
-
 // ---- layout index helpers ----
 
 // phiIdx returns the offset of node 0 of (elem, group) in the scalar-flux
@@ -526,7 +552,7 @@ func (s *Solver) phiIdx(e, g int) int {
 }
 
 // psiIdx returns the offset of node 0 of (angle, elem, group) in psi
-// (and psiLag, mPrev); node i sits stride entries further per node.
+// (and mPrev); node i sits stride entries further per node.
 func (s *Solver) psiIdx(a, e, g int) int {
 	switch s.cfg.Scheme.Layout() {
 	case LayoutGE:

@@ -236,22 +236,26 @@ func (s *Solver) assembleRHS(st *workerState, a, e, g int) {
 		}
 		fc := s.cfg.Mesh.Elems[e].Faces[f]
 		var up []float64
-		if fc.Neighbor >= 0 {
+		if fc.Neighbor >= 0 && t.Lagged != nil && t.IsLagged(e, f) {
+			// Lagged (cycle-broken) coupling: the previous sweep's
+			// neighbour values, already in our face-node ordering in the
+			// lag store, which no task writes, so the read is
+			// order-independent.
+			slot := s.lagSlot(t, a, e, f)
+			up = st.up
+			for l := 0; l < nf; l++ {
+				up[l] = slot[l*s.nG+g]
+			}
+		} else if fc.Neighbor >= 0 {
 			// Gather the neighbour's coincident nodal values via the
 			// conforming-face permutation, reordered into our face-node
-			// ordering. Lagged (cycle-broken) couplings gather from the
-			// previous-iterate snapshot instead: its values are immutable
-			// for the whole sweep, so the read is order-independent.
-			src := s.psi
-			if t.Lagged != nil && t.IsLagged(e, f) {
-				src = s.psiLag
-			}
+			// ordering.
 			perm := s.conn.Perm[e][f]
 			nbNodes := s.re.FaceNodes[fc.NeighborFace]
 			base := s.psiIdx(a, fc.Neighbor, g)
 			up = st.up
 			for l := 0; l < nf; l++ {
-				up[l] = src[base+nbNodes[perm[l]]*s.stride]
+				up[l] = s.psi[base+nbNodes[perm[l]]*s.stride]
 			}
 		} else if s.ext != nil {
 			if fi := s.ext.faceIdx[e*fem.NumFaces+f]; fi >= 0 {
@@ -262,12 +266,11 @@ func (s *Solver) assembleRHS(st *workerState, a, e, g int) {
 			}
 		} else if s.cfg.Reflect[fem.FaceDim(f)] {
 			// Reflective face: the mirror ordinate's flux on the same
-			// face nodes of this element.
-			src, ma := s.mirror(a, f)
-			base := s.psiIdx(ma, e, g)
+			// face nodes of this element (see Config.Reflect).
+			base := s.psiIdx(s.cfg.Quad.MirrorAngle(a, fem.FaceDim(f)), e, g)
 			up = st.up
 			for k, node := range s.re.FaceNodes[f] {
-				up[k] = src[base+node*s.stride]
+				up[k] = s.psi[base+node*s.stride]
 			}
 		}
 		if up == nil {
@@ -286,22 +289,6 @@ func (s *Solver) assembleRHS(st *workerState, a, e, g int) {
 			b[gi] -= acc
 		}
 	}
-}
-
-// mirror returns the ordinate whose flux reflective face f of an
-// ordinate-a task reads — the mirror of a across the face's dimension,
-// taken on the same face nodes of the same element — and the buffer that
-// holds the value the task must see: this sweep's for a mirror in an
-// earlier octant, the previous sweep's for one in a later octant (see
-// Config.Reflect and the engine's mirOff). psi holds both while the
-// task's ordering stands, except where rotateLagSnapshot has swapped the
-// previous sweep into psiLag: there a later-octant mirror reads psiLag.
-func (s *Solver) mirror(a, f int) (src []float64, ma int) {
-	ma = s.cfg.Quad.MirrorAngle(a, fem.FaceDim(f))
-	if ma > a && s.psiLag != nil {
-		return s.psiLag, ma
-	}
-	return s.psi, ma
 }
 
 // solveLocal runs the configured dense solver on the system prepared in
@@ -455,19 +442,19 @@ func (s *Solver) solveElemScalar(st *workerState, a, e int) error {
 // SweepAllAngles performs one full transport sweep over all ordinates.
 // Engine-backed schemes run one counter-driven task graph covering all
 // eight octants (cyclic and reflective problems included: lagged couplings
-// read the previous-iterate snapshot, and each reflective mirror read is
-// one edge of the graph) and reduce the scalar flux from psi afterwards;
-// legacy schemes follow each ordinate's bucketed schedule, octant by
-// octant, under the scheme's threading choice. On a solver with External
-// faces the sweep reads every inflow slot as the caller left it (block
-// Jacobi: the slots hold the previous iterate's halo), under every scheme.
-// The scalar flux accumulates the weighted angular fluxes; callers zero it
-// first via PrepareInner.
+// read the lag store, and each reflective mirror read is one edge of the
+// graph) and reduce the scalar flux from psi afterwards; legacy schemes
+// follow each ordinate's bucketed schedule, octant by octant, under the
+// scheme's threading choice. On a solver with External faces the sweep
+// reads every inflow slot as the caller left it (block Jacobi: the slots
+// hold the previous iterate's halo), under every scheme. The scalar flux
+// accumulates the weighted angular fluxes; callers zero it first via
+// PrepareInner. The lag store is refilled from psi last, for the next
+// sweep.
 func (s *Solver) SweepAllAngles() error {
 	if err := s.fc.ensureMapped(s); err != nil {
 		return err
 	}
-	s.rotateLagSnapshot()
 	if s.cfg.Scheme.EngineBacked() {
 		s.ensureEngine().runSweep()
 		s.reduceFluxFromPsi()
@@ -478,6 +465,7 @@ func (s *Solver) SweepAllAngles() error {
 			}
 		}
 	}
+	s.refillLagStore()
 	s.flushPhaseTimes()
 	return s.pool.takeErr()
 }

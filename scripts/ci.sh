@@ -58,6 +58,14 @@ if grep -n 'la\.Factor(\|la\.FactorBlocked(' $CORE_SRC ||
 	echo "internal/core must solve on the lane kernels alone; internal/la must define no multi-RHS solve" >&2
 	exit 1
 fi
+# One angular-flux buffer: psi holds one iterate and is never swapped.
+# Lagged couplings read the lag store, so no non-test file in
+# internal/core assigns s.psi anywhere but its allocation in New, and a
+# second buffer cannot come back unseen.
+if [ "$(cat $CORE_SRC | grep -cE '\.psi([[:space:]]*,[^=]*)?[[:space:]]*=[^=]|,[[:space:]]*[[:alnum:]_]+\.psi[[:space:]]*=[^=]')" != 1 ]; then
+	echo "internal/core must assign s.psi once, in New" >&2
+	exit 1
+fi
 # One spelling per enum value: the option enums spell themselves from one
 # table in their own files (String, MarshalText, UnmarshalText over
 # internal/enum), and specs, flags and decks parse through that codec. No
@@ -141,8 +149,10 @@ go test -run '^$' -fuzz=FuzzParseSpec -fuzztime=5s .
 # Cyclic-mesh equivalence first (engine vs legacy bucket path, pipelined
 # vs single domain, 1e-12 — including the per-cycle-order strategy
 # equivalence tests) under the race detector: the cycle-aware engine's
-# lagged snapshot reads and the shifted cross-rank channel are exactly
-# the kind of concurrency the detector exists for.
+# lag-store reads during a sweep, its refill round after the sweep and
+# the shifted cross-rank channel are exactly the kind of concurrency the
+# detector exists for. The lag store's own pin (TestCyclicLagStore)
+# rides the line.
 go test -race -run 'Cyclic|CycleOrder|FeedbackArc' ./internal/core ./internal/comm .
 # Acceleration suite under the race detector: the factor cache's
 # lock-free entry states (first-builder CAS, release-store publish) and
