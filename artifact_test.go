@@ -1,6 +1,7 @@
 package unsnap
 
 import (
+	"fmt"
 	"testing"
 
 	"unsnap/internal/build"
@@ -152,46 +153,90 @@ func TestArtifactInjection(t *testing.T) {
 }
 
 // TestDistributedCacheSharing pins the per-rank contract: a second
-// 4-rank driver on the same mesh through the same cache performs zero
-// new builds and zero new condensations (the ranks join the first
-// driver's artifact and lag-set entries) and reproduces its flux
-// bitwise.
+// pipelined driver on the same mesh and grid through the same cache
+// performs zero new builds and zero new condensations (the ranks join the
+// first driver's artifact and lag-set entries) and reproduces its flux
+// bitwise — on an acyclic mesh and on a cyclic one, whose ranks are keyed
+// by their cut of the global condensation. On the cyclic mesh a 1x2 and a
+// 2x1 driver sharing one cache share no rank artifact, and each matches
+// its own uncached run bitwise.
 func TestDistributedCacheSharing(t *testing.T) {
-	p := artifactProblem()
-	opts := artifactOpts(nil)
-	opts.Threads = 2
-	opts.Protocol = CommPipelined
-	opts.Cache = NewCache(0)
+	cyclic := artifactProblem()
+	cyclic.Twist, cyclic.TwistPeriods = 0.8, 3
+	if _, err := NewSolver(cyclic, artifactOpts(nil)); err == nil {
+		t.Fatal("the cyclic row's mesh is acyclic: the row would test nothing")
+	}
+	for _, tc := range []struct {
+		name   string
+		p      Problem
+		cycles bool
+		py, pz int
+	}{
+		{"acyclic/2x2", artifactProblem(), false, 2, 2},
+		{"cyclic/1x2", cyclic, true, 1, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := artifactOpts(nil)
+			opts.Threads = 2
+			opts.Protocol = CommPipelined
+			opts.AllowCycles = tc.cycles
+			opts.Cache = NewCache(0)
 
-	run := func() []float64 {
-		t.Helper()
-		d, err := NewDistributed(p, opts, 2, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer d.Close()
-		if _, err := d.Run(); err != nil {
-			t.Fatal(err)
-		}
-		out := make([]float64, p.Groups)
-		for g := range out {
-			out[g] = d.FluxIntegral(g)
-		}
-		return out
+			want := distributedFlux(t, tc.p, opts, tc.py, tc.pz)
+			if st := opts.Cache.Stats(); st.Misses == 0 {
+				t.Fatalf("first driver never consulted the cache: %+v", st)
+			}
+			b0, co0 := build.Builds(), build.Condensations()
+			got := distributedFlux(t, tc.p, opts, tc.py, tc.pz)
+			if b, co := build.Builds(), build.Condensations(); b != b0 || co != co0 {
+				t.Fatalf("second driver did build work: builds %+d condensations %+d", b-b0, co-co0)
+			}
+			assertBitwise(t, "second-driver", got, want)
+		})
 	}
 
-	want := run()
-	if st := opts.Cache.Stats(); st.Misses == 0 {
-		t.Fatalf("first driver never consulted the cache: %+v", st)
+	t.Run("cyclic/grids", func(t *testing.T) {
+		opts := artifactOpts(nil)
+		opts.Threads = 2
+		opts.Protocol = CommPipelined
+		opts.AllowCycles = true
+		uncached := opts
+		opts.Cache = NewCache(0)
+		for _, g := range [][2]int{{1, 2}, {2, 1}} {
+			b0 := build.Builds()
+			got := distributedFlux(t, cyclic, opts, g[0], g[1])
+			if b := build.Builds() - b0; b != 2 {
+				t.Fatalf("%dx%d driver ran %d rank builds through the shared cache, want 2 (one per rank)", g[0], g[1], b)
+			}
+			assertBitwise(t, fmt.Sprintf("%dx%d cached", g[0], g[1]), got, distributedFlux(t, cyclic, uncached, g[0], g[1]))
+		}
+	})
+}
+
+// distributedFlux runs one distributed driver and returns its per-group
+// flux integrals.
+func distributedFlux(t *testing.T, p Problem, opts Options, py, pz int) []float64 {
+	t.Helper()
+	d, err := NewDistributed(p, opts, py, pz)
+	if err != nil {
+		t.Fatal(err)
 	}
-	b0, co0 := build.Builds(), build.Condensations()
-	got := run()
-	if b, co := build.Builds(), build.Condensations(); b != b0 || co != co0 {
-		t.Fatalf("second driver did build work: builds %+d condensations %+d", b-b0, co-co0)
+	defer d.Close()
+	if _, err := d.Run(); err != nil {
+		t.Fatal(err)
 	}
+	out := make([]float64, p.Groups)
+	for g := range out {
+		out[g] = d.FluxIntegral(g)
+	}
+	return out
+}
+
+func assertBitwise(t *testing.T, what string, got, want []float64) {
+	t.Helper()
 	for g := range got {
 		if got[g] != want[g] {
-			t.Fatalf("group %d second-driver flux %v != first %v (must be bitwise)", g, got[g], want[g])
+			t.Fatalf("group %d %s flux %v != %v (must be bitwise)", g, what, got[g], want[g])
 		}
 	}
 }

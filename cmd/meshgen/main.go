@@ -25,6 +25,7 @@ import (
 	"math"
 	"os"
 
+	"unsnap/internal/build"
 	"unsnap/internal/fem"
 	"unsnap/internal/mesh"
 	"unsnap/internal/quadrature"
@@ -111,82 +112,6 @@ func run(args []string) error {
 	}
 }
 
-// upwindPairs precomputes the interior face pairs with their
-// lower-element-side normals, the classification every ordinate shares.
-type upwindPair struct {
-	e, nb int
-	n     [3]float64
-}
-
-func buildPairs(m *mesh.Mesh, re *fem.RefElement) ([]upwindPair, error) {
-	var pairs []upwindPair
-	for e := range m.Elems {
-		geo := m.Elems[e].Geometry()
-		for f := 0; f < fem.NumFaces; f++ {
-			if nb := m.Elems[e].Faces[f].Neighbor; nb > e {
-				// FaceUnitNormal matches em.Normal's direction exactly (the
-				// invariant the pipelined protocol pins) without paying the
-				// full element-matrix integration per element.
-				pairs = append(pairs, upwindPair{e: e, nb: nb, n: re.FaceUnitNormal(geo, f)})
-			}
-		}
-	}
-	return pairs, nil
-}
-
-func upwindInput(m *mesh.Mesh, pairs []upwindPair, om [3]float64) sweep.Input {
-	up := make([][]int, m.NumElems())
-	for _, p := range pairs {
-		if om[0]*p.n[0]+om[1]*p.n[1]+om[2]*p.n[2] < 0 {
-			up[p.e] = append(up[p.e], p.nb)
-		} else {
-			up[p.nb] = append(up[p.nb], p.e)
-		}
-	}
-	return sweep.Input{NumElems: m.NumElems(), Upwind: up}
-}
-
-// cycleStats condenses every ordinate's upwind graph (deduplicated over
-// identical classifications) under the given within-SCC cut rule and
-// accumulates the cycle summary.
-func cycleStats(m *mesh.Mesh, re *fem.RefElement, q *quadrature.Set, order sweep.CycleOrder) (cyclicAngles, laggedEdges, maxSCC int, err error) {
-	pairs, err := buildPairs(m, re)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	words := (len(pairs) + 63) / 64
-	dedup := sweep.NewBitmapDedup()
-	var distinct []*sweep.Condensation
-	for a := 0; a < q.NumAngles(); a++ {
-		om := q.Angles[a].Omega
-		bits := make([]uint64, words)
-		for p, pr := range pairs {
-			if om[0]*pr.n[0]+om[1]*pr.n[1]+om[2]*pr.n[2] < 0 {
-				bits[p/64] |= 1 << (p % 64)
-			}
-		}
-		var cond *sweep.Condensation
-		if idx := dedup.Lookup(bits); idx >= 0 {
-			cond = distinct[idx]
-		} else {
-			cond, err = sweep.Condense(upwindInput(m, pairs, om), order)
-			if err != nil {
-				return 0, 0, 0, fmt.Errorf("angle %d (omega %v): %w", a, om, err)
-			}
-			dedup.Insert(bits, len(distinct))
-			distinct = append(distinct, cond)
-		}
-		if len(cond.Lagged) > 0 {
-			cyclicAngles++
-			laggedEdges += len(cond.Lagged)
-		}
-		if cond.MaxComp > maxSCC {
-			maxSCC = cond.MaxComp
-		}
-	}
-	return cyclicAngles, laggedEdges, maxSCC, nil
-}
-
 // requireCyclic fails loudly when the requested twist does not actually
 // produce a cyclic upwind graph for any ordinate of the quadrature.
 func requireCyclic(m *mesh.Mesh, order, nang int) error {
@@ -198,24 +123,44 @@ func requireCyclic(m *mesh.Mesh, order, nang int) error {
 	if err != nil {
 		return err
 	}
-	cyc, lagged, maxSCC, err := cycleStats(m, re, q, sweep.OrderElementIndex)
+	ls, err := build.GlobalLagSets(m, re, q, sweep.OrderElementIndex, true)
 	if err != nil {
 		return err
 	}
+	cyc, lagged := lagCounts(ls)
 	if cyc == 0 {
 		return fmt.Errorf("-cyclic: twist %g (periods %g) yields an ACYCLIC upwind graph for all %d ordinates; raise -twist or -periods (e.g. -twist 0.35 -periods 2 on a 6^3 grid)",
 			m.Twist, m.TwistPeriods, q.NumAngles())
 	}
 	fmt.Fprintf(os.Stderr, "meshgen: cyclic verified: %d/%d ordinates cyclic, %d lagged couplings, largest SCC %d elements\n",
-		cyc, q.NumAngles(), lagged, maxSCC)
+		cyc, q.NumAngles(), lagged, ls.MaxComp)
 	return nil
 }
 
+// lagCounts counts the cyclic ordinates of a whole-domain condensation
+// and their lagged couplings.
+func lagCounts(ls *build.LagSets) (cyclicAngles, laggedEdges int) {
+	for _, of := range ls.Of {
+		if of != nil {
+			cyclicAngles++
+			laggedEdges += len(of)
+		}
+	}
+	return cyclicAngles, laggedEdges
+}
+
 func stats(m *mesh.Mesh, order, nang int, schedOrder sweep.CycleOrder) error {
-	re, err := fem.NewRefElement(order)
+	q, err := quadrature.NewSNAP(nang)
 	if err != nil {
 		return err
 	}
+	// The build classifies and condenses every ordinate exactly as a
+	// solver with AllowCycles would, under the requested -cycle-order.
+	art, err := build.Build(build.Spec{Mesh: m, Order: order, Quad: q, AllowCycles: true, CycleOrder: schedOrder})
+	if err != nil {
+		return err
+	}
+	re := art.Re
 	boundary := 0
 	for e := range m.Elems {
 		for f := 0; f < fem.NumFaces; f++ {
@@ -239,24 +184,10 @@ func stats(m *mesh.Mesh, order, nang int, schedOrder sweep.CycleOrder) error {
 	fmt.Printf("  element order %d: %d nodes/element, %d DoF/group/angle\n",
 		order, re.N, re.N*m.NumElems())
 
-	q, err := quadrature.NewSNAP(nang)
-	if err != nil {
-		return err
-	}
-	pairs, err := buildPairs(m, re)
-	if err != nil {
-		return err
-	}
-	// Schedule statistics per octant for the first angle of each octant
-	// (cycle-broken via the condensation where needed, under the
-	// requested -cycle-order).
+	// Schedule statistics per octant for the first angle of each octant.
 	fmt.Printf("  sweep schedules (first angle of each octant, cycle-order %s):\n", schedOrder)
 	for o := 0; o < 8; o++ {
-		ang := q.Angles[q.AngleIndex(o, 0)]
-		sched, err := sweep.BuildWithLagging(upwindInput(m, pairs, ang.Omega), schedOrder)
-		if err != nil {
-			return fmt.Errorf("octant %d: %w", o, err)
-		}
+		sched := art.Topos[q.AngleIndex(o, 0)].Sched
 		lag := ""
 		if n := len(sched.Lagged); n > 0 {
 			lag = fmt.Sprintf(", %d lagged couplings", n)
@@ -266,20 +197,19 @@ func stats(m *mesh.Mesh, order, nang int, schedOrder sweep.CycleOrder) error {
 	}
 	// The cycle summary reports every cut rule side by side, so the lag
 	// reduction of the feedback-arc strategy is visible without re-running.
-	first := true
-	for _, co := range sweep.CycleOrders() {
-		cyc, lagged, maxSCC, err := cycleStats(m, re, q, co)
+	for i, co := range sweep.CycleOrders() {
+		ls, err := build.GlobalLagSets(m, re, q, co, true)
 		if err != nil {
 			return err
 		}
+		cyc, lagged := lagCounts(ls)
 		if cyc == 0 {
 			fmt.Printf("  cyclic: none (all %d ordinates acyclic)\n", q.NumAngles())
 			break
 		}
-		if first {
+		if i == 0 {
 			fmt.Printf("  cyclic: %d/%d ordinates, largest SCC %d elements (requires AllowCycles)\n",
-				cyc, q.NumAngles(), maxSCC)
-			first = false
+				cyc, q.NumAngles(), ls.MaxComp)
 		}
 		fmt.Printf("    cycle-order %-14s %d lagged couplings\n", co.String()+":", lagged)
 	}

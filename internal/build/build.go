@@ -33,16 +33,9 @@ type Spec struct {
 	AllowCycles bool
 	CycleOrder  sweep.CycleOrder
 
-	// CycleLag overrides the build's own condensation with externally
-	// computed lag decisions (see core.Config.CycleLag). A closure is
-	// opaque, so a Spec carrying one is only cacheable when CycleLagKey
-	// names its content.
-	CycleLag func(angle, from, to int) bool
-	// CycleLagKey is the canonical name of CycleLag's decision content
-	// (the distributed driver derives it from the global lag-set key and
-	// the rank coordinates). Empty with a non-nil CycleLag marks the Spec
-	// uncacheable.
-	CycleLagKey string
+	// Cut replaces the build's own condensation with one rank's share of
+	// a whole-domain condensation (see Cut); its content joins the key.
+	Cut *Cut
 
 	// External declares the streamed subdomain-boundary faces whose
 	// canonical normals join the inflow classification (and therefore the
@@ -50,23 +43,18 @@ type Spec struct {
 	External []ExternalFace
 }
 
-// Cacheable reports whether the Spec's build product is fully described
-// by Key: false only when an anonymous CycleLag closure is in play.
-func (s *Spec) Cacheable() bool {
-	return s.CycleLag == nil || s.CycleLagKey != ""
-}
-
 // Key returns the canonical content fingerprint of the Spec: mesh
-// geometry and connectivity, quadrature, cycle handling and external
-// faces. Two Specs with equal keys build interchangeable Artifacts.
+// geometry and connectivity, quadrature, cycle handling (a Cut by its lag
+// sets' key and its global ids) and external faces. Two Specs with equal
+// keys build interchangeable Artifacts.
 func (s *Spec) Key() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "v1|mesh:%s|o:%d|q:%s", s.Mesh.Fingerprint(), s.Order, quadFingerprint(s.Quad))
 	if s.AllowCycles {
 		fmt.Fprintf(&b, "|cy:%d", int(s.CycleOrder))
 	}
-	if s.CycleLag != nil {
-		fmt.Fprintf(&b, "|lag:%s", s.CycleLagKey)
+	if s.Cut != nil {
+		fmt.Fprintf(&b, "|lag:%s|g:%s", s.Cut.Sets.Key, intsFingerprint(s.Cut.Global))
 	}
 	if len(s.External) > 0 {
 		fmt.Fprintf(&b, "|ext:%s", externalFingerprint(s.External))
@@ -75,22 +63,15 @@ func (s *Spec) Key() string {
 }
 
 // Artifact is the immutable product of one Build: everything a solver
-// needs that is a pure function of (mesh, quadrature, cycle order,
-// external faces). Safe to share across solvers, ranks and goroutines;
-// nothing in it is written after Build returns.
+// needs that is a pure function of (mesh, quadrature, cycle order or
+// cut, external faces). Safe to share across solvers, ranks and
+// goroutines; nothing in it is written after Build returns.
 type Artifact struct {
-	// Key is the Spec's content fingerprint, empty when the Spec was
-	// uncacheable (anonymous CycleLag closure).
+	// Key is the content fingerprint of the Spec it was built from.
 	Key string
-	// MeshFP is the mesh fingerprint alone (always set), for structural
-	// compatibility checks on injected artifacts.
-	MeshFP string
 
-	NumElems    int
-	NumAngles   int
-	Order       int
-	AllowCycles bool
-	CycleOrder  sweep.CycleOrder
+	NumElems  int
+	NumAngles int
 
 	Re   *fem.RefElement
 	Conn *mesh.Connectivity
@@ -125,30 +106,11 @@ type Artifact struct {
 // the Cache's byte budget is accounted in.
 func (a *Artifact) SizeBytes() int64 { return a.size }
 
-// Compatible reports whether the artifact can serve the given Spec. With
-// both sides cacheable it is an exact key comparison; a Spec carrying an
-// anonymous CycleLag closure can only be checked structurally, and the
-// caller owns the guarantee that the closure matches the one the
-// artifact was built with.
+// Compatible reports whether the artifact can serve the given Spec: an
+// exact key comparison.
 func (a *Artifact) Compatible(s *Spec) error {
-	if s.Cacheable() && a.Key != "" {
-		if k := s.Key(); k != a.Key {
-			return fmt.Errorf("build: artifact key %s does not match problem key %s", a.Key, k)
-		}
-		return nil
-	}
-	if fp := s.Mesh.Fingerprint(); fp != a.MeshFP {
-		return fmt.Errorf("build: artifact mesh %s does not match problem mesh %s", a.MeshFP, fp)
-	}
-	if s.Order != a.Order {
-		return fmt.Errorf("build: artifact order %d does not match problem order %d", a.Order, s.Order)
-	}
-	if n := s.Quad.NumAngles(); n != a.NumAngles {
-		return fmt.Errorf("build: artifact has %d angles, problem has %d", a.NumAngles, n)
-	}
-	if s.AllowCycles != a.AllowCycles || s.CycleOrder != a.CycleOrder {
-		return fmt.Errorf("build: artifact cycle handling (allow %t, order %v) does not match problem (allow %t, order %v)",
-			a.AllowCycles, a.CycleOrder, s.AllowCycles, s.CycleOrder)
+	if k := s.Key(); k != a.Key {
+		return fmt.Errorf("build: artifact key %s does not match problem key %s", a.Key, k)
 	}
 	return nil
 }
@@ -228,20 +190,14 @@ func Build(spec Spec) (*Artifact, error) {
 	}
 
 	art := &Artifact{
-		MeshFP:      spec.Mesh.Fingerprint(),
-		NumElems:    nE,
-		NumAngles:   nA,
-		Order:       spec.Order,
-		AllowCycles: spec.AllowCycles,
-		CycleOrder:  spec.CycleOrder,
-		Re:          re,
-		Conn:        conn,
-		EM:          em,
-		Topos:       topos,
-		Distinct:    distinct,
-	}
-	if spec.Cacheable() {
-		art.Key = spec.Key()
+		Key:       spec.Key(),
+		NumElems:  nE,
+		NumAngles: nA,
+		Re:        re,
+		Conn:      conn,
+		EM:        em,
+		Topos:     topos,
+		Distinct:  distinct,
 	}
 
 	// DSA geometric operator: a pure function of the mesh and element
@@ -259,18 +215,18 @@ func Build(spec Spec) (*Artifact, error) {
 // (or reuses) the sweep schedule, cycle condensation and counter graph
 // for each distinct classification, deduplicated through the shared
 // bitmap mechanism (sweep.BitmapDedup). This is the former
-// core.Solver.buildTopologies, verbatim in structure; see
-// core.Config.CycleLag and CycleOrder for the semantics of the lag
-// decisions and the dedup key. The counter graph is always built — the
-// concurrency scheme is a solve-time choice and must not join the cache
-// key — so one artifact serves engine-backed and bucket executors alike.
+// core.Solver.buildTopologies, verbatim in structure; see Cut and
+// core.Config.CycleOrder for the semantics of the lag decisions and the
+// dedup key. The counter graph is always built — the concurrency scheme
+// is a solve-time choice and must not join the cache key — so one
+// artifact serves engine-backed and bucket executors alike.
 func buildTopologies(spec *Spec, em []*fem.ElementMatrices, nE, nA int) ([]*Topology, int, error) {
 	m := spec.Mesh
 	words := (nE*fem.NumFaces + 63) / 64
 	dedup := sweep.NewBitmapDedup()
 	var distinct []*Topology
 	topos := make([]*Topology, nA)
-	lagCB := spec.CycleLag
+	cut := spec.Cut
 
 	// External-face index: boundary faces listed in spec.External are
 	// classified by their canonical pair normal instead of the local one.
@@ -293,11 +249,11 @@ func buildTopologies(spec *Spec, em []*fem.ElementMatrices, nE, nA int) ([]*Topo
 		var lagEdges []sweep.Edge
 		up := make([][]int, nE)
 		// addDep records the dependency of element e on upwind neighbour u
-		// through face f of e, consulting the external lag decisions when
-		// a partitioned run supplies them.
+		// through face f of e, consulting the rank's cut when a
+		// partitioned run supplies one.
 		addDep := func(u, e, f int) {
 			up[e] = append(up[e], u)
-			if lagCB != nil && lagCB(a, u, e) {
+			if cut != nil && cut.Lagged(a, u, e) {
 				if lagBits == nil {
 					lagBits = make([]uint64, words)
 				}
@@ -367,7 +323,7 @@ func buildTopologies(spec *Spec, em []*fem.ElementMatrices, nE, nA int) ([]*Topo
 		switch {
 		case !spec.AllowCycles:
 			sched, err = sweep.Build(in)
-		case lagCB != nil:
+		case cut != nil:
 			sched, err = sweep.BuildCut(in, lagEdges)
 		default:
 			sched, err = sweep.BuildWithLagging(in, spec.CycleOrder)
@@ -376,9 +332,9 @@ func buildTopologies(spec *Spec, em []*fem.ElementMatrices, nE, nA int) ([]*Topo
 			return nil, 0, fmt.Errorf("build: scheduling angle %d (omega %v): %w", a, om, err)
 		}
 		t.Sched = sched
-		if lagCB == nil && len(sched.Lagged) > 0 {
+		if cut == nil && len(sched.Lagged) > 0 {
 			// Own-condensation path: derive the per-face lag marks from the
-			// lag set (the callback path set them during the scan).
+			// lag set (the cut path set them during the scan).
 			lagBits = make([]uint64, words)
 			for _, l := range sched.Lagged {
 				for f := 0; f < fem.NumFaces; f++ {

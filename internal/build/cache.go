@@ -92,9 +92,7 @@ func NewCache(limitBytes int64) *Cache {
 }
 
 // GetOrBuild returns the cached artifact for spec, building and
-// inserting it on a miss. Specs carrying an anonymous CycleLag closure
-// are not content-addressable and bypass the cache entirely (no counter
-// movement).
+// inserting it on a miss.
 func (c *Cache) GetOrBuild(spec Spec) (*Artifact, error) {
 	return c.GetOrBuildTenant("", 0, spec)
 }
@@ -107,7 +105,7 @@ func (c *Cache) GetOrBuild(spec Spec) (*Artifact, error) {
 // global budget still applies to everyone). An empty tenant with zero
 // limit is exactly GetOrBuild.
 func (c *Cache) GetOrBuildTenant(tenant string, tenantLimit int64, spec Spec) (*Artifact, error) {
-	if c == nil || !spec.Cacheable() {
+	if c == nil {
 		return Build(spec)
 	}
 	v, err := c.getOrBuild(spec.Key(), tenant, tenantLimit, func() (sized, error) { return Build(spec) })

@@ -10,6 +10,7 @@ import (
 	"unsnap/internal/fem"
 	"unsnap/internal/mesh"
 	"unsnap/internal/quadrature"
+	"unsnap/internal/sweep"
 )
 
 type fakeSized int64
@@ -229,28 +230,61 @@ func TestCacheWarmBuildDoesZeroWork(t *testing.T) {
 	}
 }
 
-// TestCacheUncacheableSpecBypasses pins that a spec carrying an opaque
-// CycleLag closure (no CycleLagKey naming its decisions) never enters
-// the cache: the closure's behaviour is not part of any key, so caching
-// it could alias two different topologies.
-func TestCacheUncacheableSpecBypasses(t *testing.T) {
-	c := NewCache(0)
+// TestSpecKeyPinned holds Spec.Key of specs without a Cut to recorded
+// strings (a moved key cold-starts every cached artifact), and pins that
+// a Cut's content — its lag sets' key and its global ids — joins the key
+// and that a build carries the key it was built under.
+func TestSpecKeyPinned(t *testing.T) {
+	ext := []ExternalFace{{Elem: 0, Face: 0, Normal: [3]float64{-1, 0, 0}, Canonical: true},
+		{Elem: 2, Face: 1, Normal: [3]float64{0.6, 0.8, 0}}}
+	const base = "v1|mesh:m9d00427fd6c04eb2718e661c|o:1|q:qb6dfc318a586a707"
+	for _, tc := range []struct {
+		mod  func(*Spec)
+		want string
+	}{
+		{func(*Spec) {}, base},
+		{func(s *Spec) { s.AllowCycles = true }, base + "|cy:0"},
+		{func(s *Spec) { s.AllowCycles, s.CycleOrder = true, sweep.OrderFeedbackArc }, base + "|cy:1"},
+		{func(s *Spec) { s.External = ext }, base + "|ext:x22251b33ba3df00f"},
+		{func(s *Spec) { s.AllowCycles, s.External = true, ext }, base + "|cy:0|ext:x22251b33ba3df00f"},
+	} {
+		s := testSpec(t)
+		tc.mod(&s)
+		if got := s.Key(); got != tc.want {
+			t.Errorf("key %q, want %q", got, tc.want)
+		}
+	}
+
 	spec := testSpec(t)
 	spec.AllowCycles = true
-	spec.CycleLag = func(angle, from, to int) bool { return false }
-	a1, err := c.GetOrBuild(spec)
+	ids := make([]int, spec.Mesh.NumElems())
+	for e := range ids {
+		ids[e] = e
+	}
+	sets := &LagSets{Key: "lagsets|a", Of: make([]map[sweep.Edge]bool, spec.Quad.NumAngles())}
+	keyOf := func(c *Cut) string {
+		s := spec
+		s.Cut = c
+		return s.Key()
+	}
+	k := keyOf(&Cut{Sets: sets, Global: ids})
+	if k == spec.Key() || k != keyOf(&Cut{Sets: sets, Global: append([]int(nil), ids...)}) {
+		t.Fatalf("a cut's key is not a function of its content: %q", k)
+	}
+	shifted := append([]int(nil), ids...)
+	shifted[0], shifted[1] = ids[1], ids[0]
+	other := *sets
+	other.Key = "lagsets|b"
+	if keyOf(&Cut{Sets: sets, Global: shifted}) == k || keyOf(&Cut{Sets: &other, Global: ids}) == k {
+		t.Fatal("cuts of different content share a key")
+	}
+	spec.Cut = &Cut{Sets: sets, Global: ids}
+	art, err := Build(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := c.GetOrBuild(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a1 == a2 {
-		t.Fatal("uncacheable spec was cached")
-	}
-	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
-		t.Fatalf("uncacheable spec moved cache counters: %+v", st)
+	if art.Key != k || art.Compatible(&spec) != nil {
+		t.Fatalf("artifact key %q, want %q", art.Key, k)
 	}
 }
 

@@ -43,48 +43,58 @@ func AccelGeoms() int64 { return accelGeoms.Load() }
 // quadFingerprint hashes the quadrature set's content: octant layout and
 // every ordinate's direction and weight at exact float64 bits.
 func quadFingerprint(q *quadrature.Set) string {
-	h := sha256.New()
-	var buf [8]byte
-	writeU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	writeU64(uint64(q.PerOctant))
-	for i := range q.Angles {
-		a := &q.Angles[i]
-		for d := 0; d < 3; d++ {
-			writeU64(math.Float64bits(a.Omega[d]))
+	return fingerprint("q", func(put func(uint64)) {
+		put(uint64(q.PerOctant))
+		for i := range q.Angles {
+			a := &q.Angles[i]
+			for d := 0; d < 3; d++ {
+				put(math.Float64bits(a.Omega[d]))
+			}
+			put(math.Float64bits(a.Weight))
+			put(uint64(int64(a.Octant)))
 		}
-		writeU64(math.Float64bits(a.Weight))
-		writeU64(uint64(int64(a.Octant)))
-	}
-	sum := h.Sum(nil)
-	return fmt.Sprintf("q%x", sum[:8])
+	})
 }
 
 // externalFingerprint hashes the external-face declarations: location,
 // canonical normal bits and side.
 func externalFingerprint(ext []ExternalFace) string {
+	return fingerprint("x", func(put func(uint64)) {
+		put(uint64(len(ext)))
+		for i := range ext {
+			ef := &ext[i]
+			put(uint64(int64(ef.Elem)))
+			put(uint64(int64(ef.Face)))
+			for d := 0; d < 3; d++ {
+				put(math.Float64bits(ef.Normal[d]))
+			}
+			if ef.Canonical {
+				put(1)
+			} else {
+				put(0)
+			}
+		}
+	})
+}
+
+// intsFingerprint hashes an id list (a Cut's local-to-global map).
+func intsFingerprint(ids []int) string {
+	return fingerprint("i", func(put func(uint64)) {
+		put(uint64(len(ids)))
+		for _, v := range ids {
+			put(uint64(int64(v)))
+		}
+	})
+}
+
+// fingerprint hashes the words put emits and names them by tag and the
+// first 8 bytes of their sha256.
+func fingerprint(tag string, words func(put func(uint64))) string {
 	h := sha256.New()
 	var buf [8]byte
-	writeU64 := func(v uint64) {
+	words(func(v uint64) {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
-	}
-	writeU64(uint64(len(ext)))
-	for i := range ext {
-		ef := &ext[i]
-		writeU64(uint64(int64(ef.Elem)))
-		writeU64(uint64(int64(ef.Face)))
-		for d := 0; d < 3; d++ {
-			writeU64(math.Float64bits(ef.Normal[d]))
-		}
-		if ef.Canonical {
-			writeU64(1)
-		} else {
-			writeU64(0)
-		}
-	}
-	sum := h.Sum(nil)
-	return fmt.Sprintf("x%x", sum[:8])
+	})
+	return fmt.Sprintf("%s%x", tag, h.Sum(nil)[:8])
 }

@@ -28,13 +28,14 @@
 // # Contract
 //
 // The cache is content-addressed, not identity-addressed: two Specs that
-// fingerprint equal describe the same topology, and a Spec whose
-// behaviour cannot be captured in a key (an opaque CycleLag closure with
-// no CycleLagKey) bypasses the cache entirely rather than risk aliasing.
-// A warm lookup returns the identical Artifact pointer and performs zero
-// topology work — the process-wide Builds, Classifications,
-// Condensations and AccelGeoms counters are the audit trail, and the
-// cache tests pin that a warm build moves none of them. Solves through a
+// fingerprint equal describe the same topology. Every Spec input that
+// shapes the product is data that joins the key — a partitioned rank's
+// share of the whole-domain cycle condensation (Cut) included — so every
+// Artifact carries its key and none bypasses the cache. A warm lookup
+// returns the identical Artifact pointer and performs zero topology work
+// — the process-wide Builds, Classifications, Condensations and
+// AccelGeoms counters are the audit trail, and the cache tests pin that
+// a warm build moves none of them. Solves through a
 // cached artifact match solves through a freshly built one bitwise.
 //
 // Concurrent misses on one key are single-flighted: exactly one build

@@ -11,10 +11,10 @@ import (
 
 // LagSets is the cached product of a whole-domain cycle condensation:
 // the per-angle cycle-closing edge sets (global element ids, nil for
-// acyclic ordinates) the pipelined distributed protocol distributes to
-// its ranks as cut rules. It joins the artifact cache under its own key
-// so a partitioned driver rebuilt on a hot mesh skips the global
-// condensation too.
+// acyclic ordinates) the pipelined distributed protocol hands each rank
+// as its Cut. It joins the artifact cache under its own key so a
+// partitioned driver rebuilt on a hot mesh skips the global condensation
+// too.
 type LagSets struct {
 	// Key is the content fingerprint the sets were computed under.
 	Key string
@@ -23,12 +23,30 @@ type LagSets struct {
 	Of []map[sweep.Edge]bool
 	// AnyLag reports whether any ordinate needed lagging.
 	AnyLag bool
+	// MaxComp is the element count of the largest strongly connected
+	// component over all ordinates (1 on an acyclic mesh).
+	MaxComp int
 
 	size int64
 }
 
 // SizeBytes reports the approximate resident size for cache accounting.
 func (l *LagSets) SizeBytes() int64 { return l.size }
+
+// Cut is one rank's share of a whole-domain condensation: the global lag
+// sets and the rank's local-to-global element ids (mesh.Sub.Global). A
+// rank built with it lags exactly the intra-rank couplings the
+// single-domain solver lags. It is data, so Spec.Key names it by content.
+type Cut struct {
+	Sets   *LagSets
+	Global []int
+}
+
+// Lagged reports whether the dependency of local element to on local
+// element from is lagged for ordinate a.
+func (c *Cut) Lagged(a, from, to int) bool {
+	return c.Sets.Of[a][sweep.Edge{From: c.Global[from], To: c.Global[to]}]
+}
 
 // LagSetsKey returns the content fingerprint of a whole-domain lag-set
 // computation. It shares the cache keyspace with artifact keys under a
@@ -100,6 +118,7 @@ func GlobalLagSets(m *mesh.Mesh, re *fem.RefElement, q *quadrature.Set, cycleOrd
 		if err != nil {
 			return nil, fmt.Errorf("build: condensing angle %d (omega %v): %w", a, om, err)
 		}
+		out.MaxComp = max(out.MaxComp, cond.MaxComp)
 		var ls map[sweep.Edge]bool
 		if len(cond.Lagged) > 0 {
 			if !allowCycles {

@@ -503,8 +503,8 @@ func TestChaosSlotWrittenOncePerSweep(t *testing.T) {
 	}
 	msg := func(tr transfer, epoch, sweep int, fill float64) pipeMsg {
 		m := pipeMsg{epoch: epoch, sweep: sweep, a: tr.a, elem: tr.elem, face: tr.face, data: d.pipe.getBuf()}
-		for i := range m.data {
-			m.data[i] = fill
+		for i := range *m.data {
+			(*m.data)[i] = fill
 		}
 		return m
 	}

@@ -60,7 +60,7 @@ type Config struct {
 	// Instrument, ScatOrder, Accelerate, Progress (reported
 	// once per inner) and Cache — exactly as for a single-domain
 	// core.Config. Leave Mesh and the coupling fields (Reflect, External,
-	// CycleLag/CycleLagKey, Artifact, Time) unset: the driver owns those
+	// Cut, Artifact, Time) unset: the driver owns those
 	// per rank and rejects a template that sets them. Rank.Cache, when
 	// set, is consulted by every rank's build — ranks whose subdomains
 	// share a topology and External faces share one artifact, and the
@@ -68,8 +68,8 @@ type Config struct {
 	//
 	// Every engine-backed rank runs the fused cross-octant phase under
 	// both protocols. Under the pipelined protocol one global SCC
-	// condensation is computed up front (AllowCycles) and distributed via
-	// each rank's CycleLag, preserving single-domain flux parity; under
+	// condensation is computed up front (AllowCycles) and each rank gets
+	// its share as Cut, preserving single-domain flux parity; under
 	// the lagged protocol each rank condenses its own subdomain.
 	Rank core.Config
 
@@ -105,8 +105,8 @@ func (cfg Config) validate() error {
 		return fmt.Errorf("comm: Rank.Reflect is not supported: the partitioned driver does not reflect; cross-rank faces are declared External by the driver")
 	case cfg.Rank.External != nil:
 		return fmt.Errorf("comm: Rank.External is set per rank by the driver from the partition; it cannot be set in the template")
-	case cfg.Rank.CycleLag != nil || cfg.Rank.CycleLagKey != "":
-		return fmt.Errorf("comm: Rank.CycleLag is owned by the pipelined protocol's global condensation; it cannot be set in the template")
+	case cfg.Rank.Cut != nil:
+		return fmt.Errorf("comm: Rank.Cut is owned by the pipelined protocol's global condensation; it cannot be set in the template")
 	case cfg.Rank.Artifact != nil:
 		return fmt.Errorf("comm: Rank.Artifact cannot serve every subdomain; share builds across ranks via Rank.Cache instead")
 	case cfg.Rank.Time != nil:

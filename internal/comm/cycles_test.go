@@ -68,7 +68,7 @@ func TestPipelinedCyclicMatchesSingleDomain(t *testing.T) {
 		t.Fatal("reference problem must actually be cyclic")
 	}
 
-	// 1x1 pins the CycleLag-distributed decisions against the single
+	// 1x1 pins the decisions each rank gets as its Cut against the single
 	// domain's own condensation; the Y-splits cut the cycles of this mesh
 	// (they ring around the twist axis), so 2 and 4 ranks both carry
 	// cross-rank lagged transfers.

@@ -21,11 +21,14 @@
 //     task graph per sweep in wavefront order, with no halo barrier,
 //     each rank in its one fused eight-octant phase. Cyclic
 //     meshes ride the same path (AllowCycles): a single global SCC
-//     condensation decides, identically to the single-domain solver,
-//     which couplings are lagged to the previous iterate — intra-rank
-//     ones read the rank solver's lag store (the previous sweep's values
-//     on the cut faces), cross-rank ones are consumed one sweep late on
-//     a dedicated channel — while everything off-cycle still streams
+//     condensation (build.GlobalLagSets) decides, identically to the
+//     single-domain solver, which couplings are lagged to the previous
+//     iterate, and each rank gets its share as data (core.Config.Cut:
+//     the global lag sets and the rank's global element ids, named in
+//     the rank artifact's key by content) — intra-rank lagged couplings
+//     read the rank solver's lag store (the previous sweep's values on
+//     the cut faces), cross-rank ones are consumed one sweep late on a
+//     dedicated channel — while everything off-cycle still streams
 //     mid-sweep. Iteration counts and fluxes match the
 //     single-domain solver exactly.
 //

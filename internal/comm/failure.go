@@ -250,8 +250,8 @@ func (d *Driver) runPipelinedPolicy(ctx context.Context) (*Result, error) {
 // sweeps it self-driven against slots its exchange fills. Only the
 // publish hooks, the transport and the injector go (the retry loop has
 // already reset every rank to the zero iterate). On a cyclic mesh the
-// ranks keep the global condensation's CycleLag: that cut, restricted to
-// one rank, leaves the rank's graph acyclic, which is all block Jacobi
+// ranks keep their Cut of the global condensation: restricted to one
+// rank, it leaves the rank's graph acyclic, which is all block Jacobi
 // needs. The degradation is sticky: Run routes to the lagged path from
 // here on.
 func (d *Driver) degradeToLagged() {

@@ -171,8 +171,8 @@ func TestLaggedCanonicalClassification(t *testing.T) {
 // TestDegradeKeepsRankSolvers pins that FailDegrade swaps the stepper, not
 // the solvers: the demotion builds nothing and keeps every rank solver,
 // which then sweeps block Jacobi in the fused octant phase. On this cyclic
-// mesh the ranks keep the pipelined protocol's global CycleLag, whose cut
-// restricted to one rank leaves it acyclic; the degraded run converges to
+// mesh the ranks keep their Cut of the pipelined protocol's global
+// condensation, which leaves each rank acyclic; the degraded run converges to
 // the single-domain fixed point like a lagged driver built from scratch
 // (TestLaggedProtocolCyclicMesh). TestChaosDegradeToLagged covers the
 // acyclic case.

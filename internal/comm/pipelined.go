@@ -48,9 +48,10 @@ import (
 // Cyclic meshes (AllowCycles): the same SCC condensation the
 // single-domain solver runs (sweep.Condense, deduplicated over the bitmap
 // classification) is computed once for the whole global mesh, and its lag
-// set is distributed: intra-rank lagged couplings reach each rank solver
-// through core.Config.CycleLag (they read the rank solver's lag store,
-// the previous sweep's values on the cut faces), while cross-rank lagged
+// set is distributed: each rank solver gets it as data, core.Config.Cut
+// (the global lag sets and the rank's global element ids), and its
+// intra-rank lagged couplings read the rank solver's lag store (the
+// previous sweep's values on the cut faces), while cross-rank lagged
 // couplings travel on a second per-edge channel whose consumption is
 // shifted by one sweep — sweep n reads the values the upstream rank
 // published during sweep n-1 (zero on the first sweep, matching the zero
@@ -86,11 +87,12 @@ type pipeEdgeDef struct {
 // in the sender's face-node order; elem/face address the receiver's side.
 // epoch names the run (attempt) and sweep the sending rank's sweep within
 // it. The data buffer comes from the driver's message pool and is
-// returned by the consuming receiver.
+// returned by the consuming receiver; it travels as the pointer the pool
+// holds, so returning it boxes nothing.
 type pipeMsg struct {
 	epoch, sweep  int
 	a, elem, face int
-	data          []float64 // [group][sender face node]
+	data          *[]float64 // [group][sender face node]
 }
 
 // lagDep is one lagged cross-rank dependency on the downstream rank:
@@ -114,10 +116,10 @@ type pipelinedState struct {
 	lagOut     [][][]uint64
 	lagResolve [][]lagDep
 
-	// pool recycles publish message buffers (nG*nF floats each): the
-	// engine publishes one per (ordinate, face) per sweep, which at paper
-	// scale is tens of thousands of short-lived allocations per inner
-	// without it.
+	// pool recycles publish message buffers (nG*nF floats each, held by
+	// pointer): the engine publishes one per (ordinate, face) per sweep,
+	// which at paper scale is tens of thousands of short-lived
+	// allocations per inner without it.
 	pool   sync.Pool
 	msgLen int
 
@@ -125,14 +127,15 @@ type pipelinedState struct {
 	epoch int      // runs started so far; stamps the active run's messages
 }
 
-func (ps *pipelinedState) getBuf() []float64 {
+func (ps *pipelinedState) getBuf() *[]float64 {
 	if v := ps.pool.Get(); v != nil {
-		return v.([]float64)
+		return v.(*[]float64)
 	}
-	return make([]float64, ps.msgLen)
+	b := make([]float64, ps.msgLen)
+	return &b
 }
 
-func (ps *pipelinedState) putBuf(b []float64) { ps.pool.Put(b) }
+func (ps *pipelinedState) putBuf(b *[]float64) { ps.pool.Put(b) }
 
 // isLagOut reports whether the publish of (external face i, ordinate a)
 // by rank r is routed to the lagged channel.
@@ -214,16 +217,7 @@ func (d *Driver) buildPipelined() error {
 			// Distribute the global condensation: a rank lags exactly the
 			// intra-rank edges the single-domain solver would, looked up by
 			// global element ids.
-			subG := sub.Global
-			cfg.CycleLag = func(a, from, to int) bool {
-				ls := lagOf[a]
-				return ls != nil && ls[sweep.Edge{From: subG[from], To: subG[to]}]
-			}
-			// The closure's decision content is fully named by the global
-			// lag-set key plus this rank's place in the partition, so the
-			// rank's build stays content-addressable (and cache-shareable
-			// across drivers on the same mesh and grid).
-			cfg.CycleLagKey = fmt.Sprintf("%s|p%dx%d|r%d", lagSets.Key, d.cfg.PY, d.cfg.PZ, r)
+			cfg.Cut = &core.Cut{Sets: lagSets, Global: sub.Global}
 		}
 		s, err := core.New(cfg)
 		if err != nil {
@@ -276,7 +270,7 @@ func (d *Driver) publishFace(rank, a, e, f int) {
 	ref := d.part.Subs[rank].Remote[key]
 	msg := pipeMsg{epoch: pr.epoch, sweep: pr.sweep[rank],
 		a: a, elem: ref.Elem, face: ref.Face, data: d.pipe.getBuf()}
-	d.gatherFace(d.solvers[rank], a, e, f, msg.data)
+	d.gatherFace(d.solvers[rank], a, e, f, *msg.data)
 	ei := d.pipe.outIdx[rank][ref.Rank]
 	lagged := d.pipe.isLagOut(rank, d.pipe.extIdx[rank][key], a)
 	pr.tr.Send(ei, lagged, msg)
@@ -357,7 +351,7 @@ func (pr *pipeRun) applyMsg(ei, n int, m pipeMsg) bool {
 		return false
 	}
 	*wrote = int32(n + 1)
-	d.permuteInflow(s.ExternalInflowBuffer(idx, m.a), m.data, d.remote[ed.to][idx].Perm)
+	d.permuteInflow(s.ExternalInflowBuffer(idx, m.a), *m.data, d.remote[ed.to][idx].Perm)
 	d.pipe.putBuf(m.data)
 	s.ResolveExternal(m.a, m.elem)
 	return true

@@ -214,12 +214,12 @@ type Config struct {
 	ForceIterations bool
 
 	// AllowCycles enables cycle-aware sweep topologies (the paper's
-	// future-work extension): each ordinate's upwind graph is condensed
-	// into its strongly connected components once, up front
-	// (sweep.Condense), and the intra-SCC back edges are demoted to lagged
-	// couplings that read the previous iterate's upwind values on the cut
-	// faces (the solver's lag store, refilled from psi after every sweep)
-	// instead of imposing an ordering. Lagged edges therefore cost no
+	// future-work extension): the build layer condenses each ordinate's
+	// upwind graph into its strongly connected components once, up front
+	// (or reads a Cut's decisions), and the intra-SCC back edges are
+	// demoted to lagged couplings that read the previous iterate's upwind
+	// values on the cut faces (the solver's lag store, refilled from psi
+	// after every sweep) instead of imposing an ordering. Lagged edges therefore cost no
 	// scheduling at all: cyclic meshes keep the counter-driven engine,
 	// its fused eight-octant phase, and the deterministic ordered flux
 	// reduction; the legacy bucket executors share the identical lag set
@@ -228,16 +228,15 @@ type Config struct {
 	// setup with sweep.ErrCycle.
 	AllowCycles bool
 
-	// CycleLag overrides the solver's own cycle analysis with externally
-	// computed lag decisions (AllowCycles must be set): it reports whether
-	// the dependency of local element to on local element from — an
-	// interior upwind edge for some ordinate angle — is lagged. The
-	// partitioned pipelined protocol uses it to distribute one global SCC
-	// condensation across ranks, so a rank never breaks a cross-rank cycle
-	// differently than the single-domain solver would; the supplied
-	// decisions must leave every ordinate's remaining local graph acyclic.
-	// Nil means the solver condenses its own (sub)mesh.
-	CycleLag func(angle, from, to int) bool
+	// Cut replaces the solver's own cycle analysis with one rank's share
+	// of a whole-domain condensation (AllowCycles must be set): the global
+	// lag sets and the rank's local-to-global element ids. The pipelined
+	// protocol builds its ranks with it, so a rank never breaks a
+	// cross-rank cycle differently than the single-domain solver would;
+	// the cut must leave every ordinate's remaining local graph acyclic.
+	// It is data and joins the artifact's content key. Nil means the
+	// solver condenses its own (sub)mesh.
+	Cut *Cut
 
 	// CycleOrder selects the within-SCC ordering strategy of the cycle
 	// condensation (meaningful with AllowCycles): OrderElementIndex (the
@@ -247,12 +246,12 @@ type Config struct {
 	// meshes, shrinking both the per-sweep lagged reads and the
 	// fixed-point error the lag introduces. Every strategy is a pure
 	// function of SCC membership and element ids, so a partitioned
-	// pipelined run — which condenses the global mesh once and
-	// distributes the decisions via CycleLag — reproduces the
-	// single-domain lag set exactly, as long as every rank and the comm
-	// layer run the same CycleOrder; the solver folds the strategy into
-	// its topology deduplication key so two components can never silently
-	// disagree about which edges a shared topology lags.
+	// pipelined run — which condenses the global mesh once and hands each
+	// rank its Cut — reproduces the single-domain lag set exactly, as long
+	// as every rank and the comm layer run the same CycleOrder; the build
+	// folds the strategy into its topology deduplication key and the
+	// artifact key so two components can never silently disagree about
+	// which edges a shared topology lags.
 	CycleOrder sweep.CycleOrder
 
 	// PreAssembled pre-assembles and pre-factorises every local matrix at
@@ -324,7 +323,7 @@ type Config struct {
 	// BuildArtifact): New skips the whole build phase — matching, element
 	// integration, classification, condensation — and only allocates the
 	// per-solve state. The artifact must be compatible with the rest of
-	// the configuration (checked by content key where possible).
+	// the configuration (checked by content key).
 	Artifact *build.Artifact
 
 	// Cache, when set (and Artifact is nil), is consulted for the
@@ -343,13 +342,6 @@ type Config struct {
 	// unbounded; both are meaningless without Cache.
 	CacheTenant      string
 	CacheTenantBytes int64
-
-	// CycleLagKey names the decision content of CycleLag canonically (the
-	// distributed driver derives it from its global lag-set key and the
-	// rank coordinates). A CycleLag closure is opaque, so without a key
-	// the build product is uncacheable and Cache is bypassed; with one it
-	// joins the artifact's content key. Meaningless without CycleLag.
-	CycleLagKey string
 }
 
 // buildSpec projects the topology-relevant configuration into the build
@@ -363,8 +355,7 @@ func (c Config) buildSpec() build.Spec {
 		Threads:     c.Threads,
 		AllowCycles: c.AllowCycles,
 		CycleOrder:  c.CycleOrder,
-		CycleLag:    c.CycleLag,
-		CycleLagKey: c.CycleLagKey,
+		Cut:         c.Cut,
 		External:    c.External,
 	}
 }
@@ -414,11 +405,8 @@ func (c Config) validate() error {
 			return fmt.Errorf("core: element references unknown material %d", e.Material)
 		}
 	}
-	if c.CycleLag != nil && !c.AllowCycles {
-		return fmt.Errorf("core: CycleLag decisions are only meaningful with AllowCycles")
-	}
-	if c.CycleLagKey != "" && c.CycleLag == nil {
-		return fmt.Errorf("core: CycleLagKey names CycleLag decisions; set it only alongside CycleLag")
+	if c.Cut != nil && !c.AllowCycles {
+		return fmt.Errorf("core: a Cut is only meaningful with AllowCycles")
 	}
 	if !c.CycleOrder.Valid() {
 		return fmt.Errorf("core: unknown cycle order %d", int(c.CycleOrder))

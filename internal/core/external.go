@@ -33,6 +33,11 @@ import (
 // artifact cache key); this alias keeps the solver API self-contained.
 type ExternalFace = build.ExternalFace
 
+// Cut is one rank's share of a whole-domain cycle condensation (see
+// Config.Cut). Like ExternalFace the type lives in the build layer, whose
+// topology it shapes.
+type Cut = build.Cut
+
 // ExternalInflow is the shared upwind classification of an external face:
 // it reports whether the side described by canonical is downwind of the
 // face (receives inflow) for ordinate direction om. The comm layer uses

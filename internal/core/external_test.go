@@ -209,9 +209,9 @@ func TestExternalConfigValidation(t *testing.T) {
 		s.Close()
 	}
 	bad := base
-	bad.CycleLag = func(a, from, to int) bool { return false }
+	bad.Cut = &Cut{}
 	if _, err := New(bad); err == nil {
-		t.Fatal("CycleLag without AllowCycles should be rejected")
+		t.Fatal("a Cut without AllowCycles should be rejected")
 	}
 	bad = base
 	bad.Reflect = [3]bool{false, false, true}

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // This file implements the numerical-health guards every solve runs: a
 // NaN/Inf scan of the scalar flux after every inner iteration, and a
@@ -54,7 +51,7 @@ func (e *HealthError) Error() string {
 	case HealthNaN:
 		return fmt.Sprintf("core: health check: non-finite scalar flux at elem %d group %d node %d", e.Elem, e.Group, e.Node)
 	case HealthDiverged:
-		return fmt.Sprintf("core: health check: inner iteration diverging (flux change %.3g after %d inners, %d consecutive inners at or above 1)", e.DF, e.Inner, divergenceRun)
+		return fmt.Sprintf("core: health check: inner iteration diverging (flux change %.3g after %d inners, %d consecutive inners at or above 1, not contracting)", e.DF, e.Inner, divergenceRun)
 	default:
 		return fmt.Sprintf("core: health check: %v", e.Kind)
 	}
@@ -82,19 +79,24 @@ func (s *Solver) ScanFluxHealth() error {
 }
 
 // divergenceRun is how many consecutive inners must sit at or above a
-// flux change of 1 before the monitor declares divergence. A diverging
-// source iteration (scattering ratio above one) settles at a relative
-// change of ratio-1 every inner; a converging one decays below 1 within
-// an inner or two. The first observation is skipped: against the zero
-// initial flux the "relative" change is the flux magnitude itself.
+// flux change of 1, without the change contracting across them, before
+// the monitor declares divergence. A diverging source iteration
+// (scattering ratio above one) settles at a relative change of ratio-1
+// every inner; a converging one decays below 1. While the flux is still
+// filling in far from the source the pointwise relative change can stay
+// above 1 for several inners, but it contracts across them. The first
+// observation is skipped: against the zero initial flux the "relative"
+// change is the flux magnitude itself.
 const divergenceRun = 5
 
 // DivergenceMonitor watches the per-inner flux-change sequence of one run
-// and trips after divergenceRun consecutive inners at or above 1. Zero
-// value is ready to use; not safe for concurrent use (hold one per rank).
+// and trips after divergenceRun consecutive inners at or above 1 whose
+// last change is no smaller than their first. Zero value is ready to use;
+// not safe for concurrent use (hold one per rank).
 type DivergenceMonitor struct {
 	inners  int
 	growing int
+	prev    [divergenceRun - 1]float64 // the last changes, by inner modulo the length
 }
 
 // Observe feeds the monitor one inner's flux change and returns a
@@ -104,12 +106,15 @@ func (m *DivergenceMonitor) Observe(df float64) error {
 	if m.inners == 1 {
 		return nil
 	}
-	if df >= 1 || math.IsNaN(df) {
-		m.growing++
-	} else {
+	if df < 1 {
 		m.growing = 0
+	} else {
+		m.growing++ // NaN counts as growth
 	}
-	if m.growing >= divergenceRun {
+	slot := &m.prev[m.inners%len(m.prev)] // the change divergenceRun-1 inners back
+	contracted := df < *slot
+	*slot = df
+	if m.growing >= divergenceRun && !contracted {
 		return &HealthError{Kind: HealthDiverged, Inner: m.inners, DF: df}
 	}
 	return nil

@@ -100,6 +100,14 @@ func TestIterate(t *testing.T) {
 		{name: "four do not", cfg: health,
 			st:     scriptStepper{dfs: []float64{2, 2, 2, 2, 2, 0.5, 2, 2, 2, 2}, outer: 9},
 			inners: 10, outers: 1, converged: false},
+		// A flux still filling in far from the source: five inners at or
+		// above 1 that contract (TestConvergedBalancePinned's sequence).
+		{name: "five df >= 1 that contract do not", cfg: health,
+			st:     scriptStepper{dfs: []float64{0.254, 16.8, 1.35, 1.26, 1.21, 1.53, 0.154}, outer: 9},
+			inners: 7, outers: 1, converged: false},
+		{name: "a run >= 1 that stops contracting diverges", cfg: health,
+			st:           scriptStepper{dfs: []float64{0.254, 16.8, 1.35, 1.26, 1.21, 1.53, 1.35}, outer: 9},
+			wantDiverged: true, stepperInnersOnErr: 7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := tc.ctx

@@ -410,9 +410,8 @@ func (s *Solver) prepInner(st *workerState, e int) {
 }
 
 // BuildArtifact resolves the configuration's build artifact: the
-// injected Config.Artifact after a compatibility check, a cache lookup
-// when Config.Cache is set and the problem is content-addressable, or a
-// private build. The one-shot New routes through it, so cached and
+// injected Config.Artifact after a key check, a cache lookup when
+// Config.Cache is set, or a private build. The one-shot New routes through it, so cached and
 // uncached construction share one code path; drivers that want the
 // build/solve split explicitly call it directly (unsnap.Build).
 func BuildArtifact(cfg Config) (*build.Artifact, error) {

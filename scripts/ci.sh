@@ -77,11 +77,29 @@ if grep -rn --include='*.go' --exclude='*_test.go' \
 	echo "option spellings must be parsed by their enum's text codec, not by a switch" >&2
 	exit 1
 fi
+# One classifier: internal/build is the only code that classifies faces
+# and condenses or schedules an ordinate's graph (internal/sweep defines
+# the algorithms), so no other non-test file of the module calls them and
+# a private copy of the rule cannot come back unseen. The benchmark is its
+# own module and times these calls directly.
+if grep -rn --include='*.go' --exclude='*_test.go' 'sweep\.\(Condense\|BuildWithLagging\|BuildCut\)(' . |
+	grep -v '^\./internal/build/\|^\./internal/sweep/\|^\./benchmark/'; then
+	echo "only internal/build may call sweep.Condense, sweep.BuildWithLagging or sweep.BuildCut" >&2
+	exit 1
+fi
 # Bench-tool smoke pass: the kernel experiment (the one BENCH_sweep.json
 # section) executes end to end on tiny problems — seconds, not minutes —
 # so the bench plumbing cannot bit-rot between real refreshes. -smoke
 # never writes JSON.
 go run ./cmd/unsnap-bench -experiment kernel -smoke
+# meshgen reads its schedules, lag counts and largest SCC from
+# internal/build: its stats must match the recorded output on the default
+# mesh and on a cyclic one under both cut rules (-cyclic's verdict goes to
+# stderr, recorded in line).
+go run ./cmd/meshgen stats | diff - testdata/meshgen/default.txt
+go run ./cmd/meshgen -nx 6 -twist 0.35 -periods 2 stats | diff - testdata/meshgen/twist.txt
+go run ./cmd/meshgen -nx 6 -twist 0.35 -periods 2 -cycle-order feedback-arc -cyclic stats 2>&1 |
+	diff - testdata/meshgen/twist-fas-cyclic.txt
 # Artifact-cache smoke: two solves of one problem through one cache must
 # hit on the second build and match bitwise. The binary prints a
 # machine-checkable verdict line; grep pins it so a silent cache miss
