@@ -4,6 +4,10 @@
 // cyclic dependency structure) and can export the mesh, with its explicit
 // connectivity, to JSON.
 //
+// The schedules come from the build's topology stage (build.Topologies),
+// the lag counts and largest SCC from build.GlobalLagSets; meshgen
+// integrates no element matrices and no DSA geometry.
+//
 // Usage:
 //
 //	meshgen -nx 8 -twist 0.001 stats
@@ -154,13 +158,16 @@ func stats(m *mesh.Mesh, order, nang int, schedOrder sweep.CycleOrder) error {
 	if err != nil {
 		return err
 	}
-	// The build classifies and condenses every ordinate exactly as a
-	// solver with AllowCycles would, under the requested -cycle-order.
-	art, err := build.Build(build.Spec{Mesh: m, Order: order, Quad: q, AllowCycles: true, CycleOrder: schedOrder})
+	re, err := fem.NewRefElement(order)
 	if err != nil {
 		return err
 	}
-	re := art.Re
+	// Classified and condensed exactly as a solver with AllowCycles would,
+	// under the requested -cycle-order.
+	topos, _, err := build.Topologies(build.Spec{Mesh: m, Order: order, Quad: q, AllowCycles: true, CycleOrder: schedOrder}, re)
+	if err != nil {
+		return err
+	}
 	boundary := 0
 	for e := range m.Elems {
 		for f := 0; f < fem.NumFaces; f++ {
@@ -187,7 +194,7 @@ func stats(m *mesh.Mesh, order, nang int, schedOrder sweep.CycleOrder) error {
 	// Schedule statistics per octant for the first angle of each octant.
 	fmt.Printf("  sweep schedules (first angle of each octant, cycle-order %s):\n", schedOrder)
 	for o := 0; o < 8; o++ {
-		sched := art.Topos[q.AngleIndex(o, 0)].Sched
+		sched := topos[q.AngleIndex(o, 0)].Sched
 		lag := ""
 		if n := len(sched.Lagged); n > 0 {
 			lag = fmt.Sprintf(", %d lagged couplings", n)

@@ -116,11 +116,12 @@ func (a *Artifact) Compatible(s *Spec) error {
 }
 
 // Build runs the full problem build for spec: reference element,
-// face-node matching, element matrices (in parallel), per-ordinate
+// face-node matching, the topology stage (Topologies: per-ordinate
 // classification with deduplicated schedules, condensations and counter
-// graphs, the DSA geometry and the element geometry classes. No
-// per-ordinate matrix is stored: a local operator that is worth keeping
-// is kept, factored, by the solve layer (core/faccache.go).
+// graphs), then the element matrices (in parallel), the DSA geometry and
+// the element geometry classes. No per-ordinate matrix is stored: a
+// local operator that is worth keeping is kept, factored, by the solve
+// layer (core/faccache.go).
 func Build(spec Spec) (*Artifact, error) {
 	threads := spec.Threads
 	if threads <= 0 {
@@ -136,10 +137,13 @@ func Build(spec Spec) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
+	topos, distinct, err := Topologies(spec, re)
+	if err != nil {
+		return nil, err
+	}
 	nE := spec.Mesh.NumElems()
-	nA := spec.Quad.NumAngles()
 
-	// Element geometry classes first: elements of one class have
+	// Element geometry classes: elements of one class have
 	// bitwise-identical matrices (axis-aligned boxes of equal extents;
 	// every other element is a class of its own), so each class's are
 	// computed once, from its first element, and shared by pointer.
@@ -184,15 +188,10 @@ func Build(spec Spec) (*Artifact, error) {
 		em[e] = classEM[c]
 	}
 
-	topos, distinct, err := buildTopologies(&spec, em, nE, nA)
-	if err != nil {
-		return nil, err
-	}
-
 	art := &Artifact{
 		Key:       spec.Key(),
 		NumElems:  nE,
-		NumAngles: nA,
+		NumAngles: spec.Quad.NumAngles(),
 		Re:        re,
 		Conn:      conn,
 		EM:        em,
@@ -211,94 +210,34 @@ func Build(spec Spec) (*Artifact, error) {
 	return art, nil
 }
 
-// buildTopologies classifies every face for every ordinate and builds
-// (or reuses) the sweep schedule, cycle condensation and counter graph
-// for each distinct classification, deduplicated through the shared
-// bitmap mechanism (sweep.BitmapDedup). This is the former
-// core.Solver.buildTopologies, verbatim in structure; see Cut and
-// core.Config.CycleOrder for the semantics of the lag decisions and the
-// dedup key. The counter graph is always built — the concurrency scheme
-// is a solve-time choice and must not join the cache key — so one
-// artifact serves engine-backed and bucket executors alike.
-func buildTopologies(spec *Spec, em []*fem.ElementMatrices, nE, nA int) ([]*Topology, int, error) {
-	m := spec.Mesh
-	words := (nE*fem.NumFaces + 63) / 64
+// Topologies is Build's topology stage, a function of the mesh,
+// quadrature, External declarations and cut or cycle order alone: it
+// needs no element matrices (re, the spec's reference element, supplies
+// FaceUnitNormal). It classifies every face for every ordinate and
+// builds the schedule, condensation and counter graph of each distinct
+// classification once; distinct counts them. See Cut and
+// core.Config.CycleOrder for the lag decisions and the dedup key. The
+// counter graph is always built, since the concurrency scheme is a
+// solve-time choice outside the cache key.
+func Topologies(spec Spec, re *fem.RefElement) (topos []*Topology, distinct int, err error) {
+	nE := spec.Mesh.NumElems()
+	cl := newClassifier(spec.Mesh, re, spec.External)
 	dedup := sweep.NewBitmapDedup()
-	var distinct []*Topology
-	topos := make([]*Topology, nA)
+	var uniq []*Topology
+	topos = make([]*Topology, spec.Quad.NumAngles())
 	cut := spec.Cut
 
-	// External-face index: boundary faces listed in spec.External are
-	// classified by their canonical pair normal instead of the local one.
-	var faceIdx []int32
-	if len(spec.External) > 0 {
-		faceIdx = make([]int32, nE*fem.NumFaces)
-		for i := range faceIdx {
-			faceIdx[i] = -1
-		}
-		for i, ef := range spec.External {
-			faceIdx[ef.Elem*fem.NumFaces+ef.Face] = int32(i)
-		}
-	}
-
-	for a := 0; a < nA; a++ {
-		classifications.Add(1)
+	for a := range topos {
 		om := spec.Quad.Angles[a].Omega
-		t := &Topology{Inflow: make([]uint64, words)}
-		var lagBits []uint64
-		var lagEdges []sweep.Edge
-		up := make([][]int, nE)
-		// addDep records the dependency of element e on upwind neighbour u
-		// through face f of e, consulting the rank's cut when a
-		// partitioned run supplies one.
-		addDep := func(u, e, f int) {
-			up[e] = append(up[e], u)
-			if cut != nil && cut.Lagged(a, u, e) {
-				if lagBits == nil {
-					lagBits = make([]uint64, words)
-				}
-				setFaceBit(lagBits, e, f)
-				lagEdges = append(lagEdges, sweep.Edge{From: u, To: e})
-			}
+		t := &Topology{Inflow: cl.inflow(om)}
+		in := sweep.Input{NumElems: nE, Upwind: cl.upwind(t.Inflow)}
+		// A partitioned run's cut decides which couplings are lagged, the
+		// build's own condensation otherwise.
+		var cutEdges []sweep.Edge
+		if cut != nil {
+			cutEdges = cut.edges(a, in.Upwind)
 		}
-		for e := 0; e < nE; e++ {
-			for f := 0; f < fem.NumFaces; f++ {
-				fc := m.Elems[e].Faces[f]
-				nrm := em[e].Normal[f]
-				on := om[0]*nrm[0] + om[1]*nrm[1] + om[2]*nrm[2]
-				if fc.Neighbor < 0 {
-					if faceIdx != nil {
-						if fi := faceIdx[e*fem.NumFaces+f]; fi >= 0 {
-							// Streamed cross-rank face: classify by the pair's
-							// canonical normal so both sides agree exactly (and
-							// match the single-domain lower-element-side rule)
-							// even when the direction is nearly tangent.
-							ef := &spec.External[fi]
-							if ExternalInflow(om, ef.Normal, ef.Canonical) {
-								t.setInflow(e, f)
-							}
-							continue
-						}
-					}
-					if on < 0 {
-						t.setInflow(e, f)
-					}
-					continue
-				}
-				// Classify each interior face once, from the lower element
-				// index side, so both sides always agree even when the
-				// direction is nearly tangent to a twisted face.
-				if fc.Neighbor > e {
-					if on < 0 {
-						t.setInflow(e, f)
-						addDep(fc.Neighbor, e, f)
-					} else {
-						t.setInflow(fc.Neighbor, fc.NeighborFace)
-						addDep(e, fc.Neighbor, fc.NeighborFace)
-					}
-				}
-			}
-		}
+		lagBits := cl.lagFaces(t.Inflow, cutEdges)
 		// Deduplicate on the classification bitmap; externally supplied
 		// lag decisions join the key (with the build's own condensation
 		// the lag set is a pure function of the inflow bits and the
@@ -306,25 +245,23 @@ func buildTopologies(spec *Spec, em []*fem.ElementMatrices, nE, nA int) ([]*Topo
 		// under AllowCycles, so the key stays self-describing.
 		key := t.Inflow
 		if spec.AllowCycles || lagBits != nil {
-			key = append(make([]uint64, 0, 2*words+1), t.Inflow...)
+			key = append(make([]uint64, 0, 2*cl.words+1), t.Inflow...)
 			if lagBits != nil {
 				key = append(key, lagBits...)
 			}
 			key = append(key, uint64(spec.CycleOrder))
 		}
 		if idx := dedup.Lookup(key); idx >= 0 {
-			topos[a] = distinct[idx]
+			topos[a] = uniq[idx]
 			continue
 		}
 		condensations.Add(1)
-		in := sweep.Input{NumElems: nE, Upwind: up}
 		var sched *sweep.Schedule
-		var err error
 		switch {
 		case !spec.AllowCycles:
 			sched, err = sweep.Build(in)
 		case cut != nil:
-			sched, err = sweep.BuildCut(in, lagEdges)
+			sched, err = sweep.BuildCut(in, cutEdges)
 		default:
 			sched, err = sweep.BuildWithLagging(in, spec.CycleOrder)
 		}
@@ -332,28 +269,16 @@ func buildTopologies(spec *Spec, em []*fem.ElementMatrices, nE, nA int) ([]*Topo
 			return nil, 0, fmt.Errorf("build: scheduling angle %d (omega %v): %w", a, om, err)
 		}
 		t.Sched = sched
-		if cut == nil && len(sched.Lagged) > 0 {
-			// Own-condensation path: derive the per-face lag marks from the
-			// lag set (the cut path set them during the scan).
-			lagBits = make([]uint64, words)
-			for _, l := range sched.Lagged {
-				for f := 0; f < fem.NumFaces; f++ {
-					if m.Elems[l.To].Faces[f].Neighbor == l.From && t.IsInflow(l.To, f) {
-						setFaceBit(lagBits, l.To, f)
-					}
-				}
-			}
-		}
-		t.setLagged(lagBits)
+		t.setLagged(cl.lagFaces(t.Inflow, sched.Lagged))
 		t.Graph, err = sweep.BuildGraph(in, sched.Lagged)
 		if err != nil {
 			return nil, 0, fmt.Errorf("build: task graph for angle %d (omega %v): %w", a, om, err)
 		}
-		dedup.Insert(key, len(distinct))
-		distinct = append(distinct, t)
+		dedup.Insert(key, len(uniq))
+		uniq = append(uniq, t)
 		topos[a] = t
 	}
-	return topos, len(distinct), nil
+	return topos, len(uniq), nil
 }
 
 // artifactSize sums the artifact's large allocations (float64 and int32

@@ -13,7 +13,8 @@ import (
 // Package-wide work counters. They count the expensive build phases
 // process-wide — every Build call, every per-ordinate classification
 // scan, every schedule/condensation actually computed (dedup hits and
-// cache hits don't count) — so tests can pin the amortisation contract:
+// cache hits don't count), in Topologies and GlobalLagSets alike — so
+// tests can pin the amortisation contract:
 // a warm-cache solve must move none of them.
 var (
 	builds          atomic.Int64
@@ -27,7 +28,8 @@ var (
 func Builds() int64 { return builds.Load() }
 
 // Classifications returns the process-wide count of per-ordinate face
-// classification scans.
+// classification scans: the topology stage's and GlobalLagSets'
+// whole-mesh scans alike.
 func Classifications() int64 { return classifications.Load() }
 
 // Condensations returns the process-wide count of sweep schedules

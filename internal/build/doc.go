@@ -6,6 +6,12 @@
 // and the element geometry classes — is computed here, once, into an
 // immutable Artifact keyed by a canonical content fingerprint.
 //
+// Build runs its topology stage, Topologies, first: classification,
+// schedules, condensations and counter graphs from the mesh, quadrature,
+// External declarations and cycle handling alone, with no element matrix
+// in hand. The classification is one rule (classify.go) reading
+// fem.RefElement.FaceUnitNormal; GlobalLagSets classifies through it too.
+//
 // An Artifact holds topology and element matrices only. Nothing in it is
 // a product of an ordinate with a matrix: the face blocks om·Fx + om·Fy +
 // om·Fz and the local operators they enter are formed by the sweep
@@ -34,9 +40,11 @@
 // Artifact carries its key and none bypasses the cache. A warm lookup
 // returns the identical Artifact pointer and performs zero topology work
 // — the process-wide Builds, Classifications, Condensations and
-// AccelGeoms counters are the audit trail, and the cache tests pin that
-// a warm build moves none of them. Solves through a
-// cached artifact match solves through a freshly built one bitwise.
+// AccelGeoms counters are the audit trail (Classifications and
+// Condensations count GlobalLagSets' whole-mesh scans and condensations
+// too), and the cache tests pin that a warm build moves none of them.
+// Solves through a cached artifact match solves through a freshly built
+// one bitwise.
 //
 // Concurrent misses on one key are single-flighted: exactly one build
 // runs, every waiter shares its result (or its error; failures are not

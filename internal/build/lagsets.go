@@ -42,10 +42,18 @@ type Cut struct {
 	Global []int
 }
 
-// Lagged reports whether the dependency of local element to on local
-// element from is lagged for ordinate a.
-func (c *Cut) Lagged(a, from, to int) bool {
-	return c.Sets.Of[a][sweep.Edge{From: c.Global[from], To: c.Global[to]}]
+// edges returns the couplings of the upwind lists up (local element ids)
+// that the whole-domain condensation lags for ordinate a.
+func (c *Cut) edges(a int, up [][]int) []sweep.Edge {
+	var lagged []sweep.Edge
+	for e, ups := range up {
+		for _, u := range ups {
+			if c.Sets.Of[a][sweep.Edge{From: c.Global[u], To: c.Global[e]}] {
+				lagged = append(lagged, sweep.Edge{From: u, To: e})
+			}
+		}
+	}
+	return lagged
 }
 
 // LagSetsKey returns the content fingerprint of a whole-domain lag-set
@@ -56,34 +64,17 @@ func LagSetsKey(m *mesh.Mesh, order int, q *quadrature.Set, cycleOrder sweep.Cyc
 		m.Fingerprint(), order, quadFingerprint(q), int(cycleOrder), allowCycles)
 }
 
-// GlobalLagSets classifies every ordinate over the whole-domain mesh —
-// deduplicated through the same bitmap mechanism buildTopologies uses,
-// so identical-topology ordinates are condensed once — and runs the
-// shared SCC condensation on each distinct classification under
-// cycleOrder (the identical strategy each rank solver is configured
-// with, so the distributed decisions can never diverge from a rank's own
-// view of the rule). Without allowCycles a cyclic ordinate is rejected,
-// preserving the old build-time guarantee. The classification replicates
-// the single-domain rule (every interior face judged from its
-// lower-element side), so a mesh condensed here lags exactly the edges
-// the single-domain engine lags.
+// GlobalLagSets condenses every ordinate over the whole-domain mesh
+// under cycleOrder, the strategy each rank solver is configured with, so
+// the distributed decisions cannot diverge from a rank's own view of the
+// rule. It classifies through Topologies' classifier (Classifications
+// counts these scans too) and condenses each distinct classification
+// once, building no schedules and no counter graphs, so it lags exactly
+// the edges the single-domain engine lags. Without allowCycles a cyclic
+// ordinate fails with sweep.ErrCycle.
 func GlobalLagSets(m *mesh.Mesh, re *fem.RefElement, q *quadrature.Set, cycleOrder sweep.CycleOrder, allowCycles bool) (*LagSets, error) {
-	nE := m.NumElems()
 	nA := q.NumAngles()
-	type pair struct {
-		e, nb int
-		n     [3]float64
-	}
-	var pairs []pair
-	for e := 0; e < nE; e++ {
-		geo := m.Elems[e].Geometry()
-		for f := 0; f < fem.NumFaces; f++ {
-			if nb := m.Elems[e].Faces[f].Neighbor; nb > e {
-				pairs = append(pairs, pair{e: e, nb: nb, n: re.FaceUnitNormal(geo, f)})
-			}
-		}
-	}
-	words := (len(pairs) + 63) / 64
+	cl := newClassifier(m, re, nil)
 	dedup := sweep.NewBitmapDedup()
 	var distinct []map[sweep.Edge]bool
 	out := &LagSets{
@@ -92,29 +83,13 @@ func GlobalLagSets(m *mesh.Mesh, re *fem.RefElement, q *quadrature.Set, cycleOrd
 	}
 	for a := 0; a < nA; a++ {
 		om := q.Angles[a].Omega
-		bits := make([]uint64, words)
-		for p, pr := range pairs {
-			if om[0]*pr.n[0]+om[1]*pr.n[1]+om[2]*pr.n[2] < 0 {
-				bits[p/64] |= 1 << (p % 64)
-			}
-		}
-		if idx := dedup.Lookup(bits); idx >= 0 {
+		in := cl.inflow(om)
+		if idx := dedup.Lookup(in); idx >= 0 {
 			out.Of[a] = distinct[idx]
-			if out.Of[a] != nil {
-				out.AnyLag = true
-			}
 			continue
 		}
 		condensations.Add(1)
-		up := make([][]int, nE)
-		for p, pr := range pairs {
-			if bits[p/64]&(1<<(p%64)) != 0 {
-				up[pr.e] = append(up[pr.e], pr.nb)
-			} else {
-				up[pr.nb] = append(up[pr.nb], pr.e)
-			}
-		}
-		cond, err := sweep.Condense(sweep.Input{NumElems: nE, Upwind: up}, cycleOrder)
+		cond, err := sweep.Condense(sweep.Input{NumElems: m.NumElems(), Upwind: cl.upwind(in)}, cycleOrder)
 		if err != nil {
 			return nil, fmt.Errorf("build: condensing angle %d (omega %v): %w", a, om, err)
 		}
@@ -131,7 +106,7 @@ func GlobalLagSets(m *mesh.Mesh, re *fem.RefElement, q *quadrature.Set, cycleOrd
 			}
 			out.AnyLag = true
 		}
-		dedup.Insert(bits, len(distinct))
+		dedup.Insert(in, len(distinct))
 		distinct = append(distinct, ls)
 		out.Of[a] = ls
 	}

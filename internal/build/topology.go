@@ -34,16 +34,10 @@ type Topology struct {
 }
 
 // IsInflow reports whether face f of element e is an inflow face.
-func (t *Topology) IsInflow(e, f int) bool {
-	bit := uint(e*fem.NumFaces + f)
-	return t.Inflow[bit/64]&(1<<(bit%64)) != 0
-}
+func (t *Topology) IsInflow(e, f int) bool { return isFaceBit(t.Inflow, e, f) }
 
 // IsLagged reports whether face f of element e is a lagged inflow face.
-func (t *Topology) IsLagged(e, f int) bool {
-	bit := uint(e*fem.NumFaces + f)
-	return t.Lagged[bit/64]&(1<<(bit%64)) != 0
-}
+func (t *Topology) IsLagged(e, f int) bool { return isFaceBit(t.Lagged, e, f) }
 
 // LagIndex returns the rank of lagged face f of element e among the
 // topology's lagged faces in (elem, face) order: the number of lagged
@@ -69,9 +63,12 @@ func (t *Topology) setLagged(lagged []uint64) {
 	}
 }
 
-func (t *Topology) setInflow(e, f int) { setFaceBit(t.Inflow, e, f) }
-
 func setFaceBit(words []uint64, e, f int) {
 	bit := uint(e*fem.NumFaces + f)
 	words[bit/64] |= 1 << (bit % 64)
+}
+
+func isFaceBit(words []uint64, e, f int) bool {
+	bit := uint(e*fem.NumFaces + f)
+	return words[bit/64]&(1<<(bit%64)) != 0
 }

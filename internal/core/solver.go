@@ -591,10 +591,6 @@ func (s *Solver) NumNodes() int { return s.nN }
 // NumAngles returns the ordinate count.
 func (s *Solver) NumAngles() int { return s.nA }
 
-// SetupTime reports the time spent in New (matching, integration,
-// scheduling, allocation, optional pre-assembly).
-func (s *Solver) SetupTime() time.Duration { return s.setupTime }
-
 // Phi returns the scalar flux at (elem, group, node).
 func (s *Solver) Phi(e, g, node int) float64 {
 	return s.phi[s.phiIdx(e, g)+node]
@@ -678,6 +674,3 @@ func (s *Solver) Artifact() *build.Artifact { return s.art }
 func (s *Solver) PhaseTimes() (assemble, solve time.Duration) {
 	return time.Duration(s.asmNS), time.Duration(s.solveNS)
 }
-
-// ResetPhaseTimes clears the phase-time accumulators.
-func (s *Solver) ResetPhaseTimes() { s.asmNS, s.solveNS = 0, 0 }

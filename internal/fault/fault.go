@@ -172,9 +172,6 @@ func New(s *Schedule, edges []Edge) *Injector {
 // Active reports whether any rule can ever fire.
 func (in *Injector) Active() bool { return in != nil && len(in.rules) > 0 }
 
-// Attempt returns the current attempt number (0-based).
-func (in *Injector) Attempt() int { return in.attempt }
-
 // BeginAttempt starts the next run attempt: the per-edge decision streams
 // are reseeded from (seed, edge, attempt), so each attempt's fault
 // pattern is reproducible on its own. The first attempt is armed by New;

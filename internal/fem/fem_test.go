@@ -264,8 +264,8 @@ func TestBoxMatricesLinearAnalytic(t *testing.T) {
 		t.Fatalf("Gx[0][0] = %v, want %v", got, want)
 	}
 	// +x face: normal (1,0,0); F[x] = area * 2D mass; F[y] = F[z] = 0.
-	if em.Normal[FaceXHi] != [3]float64{1, 0, 0} {
-		t.Fatalf("+x normal = %v", em.Normal[FaceXHi])
+	if n := re.FaceUnitNormal(g, FaceXHi); n != [3]float64{1, 0, 0} {
+		t.Fatalf("+x normal = %v", n)
 	}
 	area := 12.0
 	if got, want := em.Face[FaceXHi][0][0], area/9; math.Abs(got-want) > 1e-12 {
@@ -426,12 +426,8 @@ func TestFaceNormalsUnitLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	re, _ := NewRefElement(2)
 	g := perturbedCube(rng, 0.15)
-	em, err := re.ComputeMatrices(g)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for f := 0; f < NumFaces; f++ {
-		n := em.Normal[f]
+		n := re.FaceUnitNormal(g, f)
 		l := math.Sqrt(n[0]*n[0] + n[1]*n[1] + n[2]*n[2])
 		if math.Abs(l-1) > 1e-12 {
 			t.Fatalf("face %d: |n| = %v", f, l)
@@ -441,17 +437,15 @@ func TestFaceNormalsUnitLength(t *testing.T) {
 
 func TestFaceNormalsOutwardOnCube(t *testing.T) {
 	re, _ := NewRefElement(1)
-	em, err := re.ComputeMatrices(unitCube())
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := unitCube()
 	want := [NumFaces][3]float64{
 		{-1, 0, 0}, {1, 0, 0}, {0, -1, 0}, {0, 1, 0}, {0, 0, -1}, {0, 0, 1},
 	}
 	for f := 0; f < NumFaces; f++ {
+		n := re.FaceUnitNormal(g, f)
 		for d := 0; d < 3; d++ {
-			if math.Abs(em.Normal[f][d]-want[f][d]) > 1e-12 {
-				t.Fatalf("face %d normal %v, want %v", f, em.Normal[f], want[f])
+			if math.Abs(n[d]-want[f][d]) > 1e-12 {
+				t.Fatalf("face %d normal %v, want %v", f, n, want[f])
 			}
 		}
 	}
@@ -579,7 +573,6 @@ func referenceMatrices(re *RefElement, geo *Geometry) (*ElementMatrices, error) 
 				}
 			}
 		}
-		em.Normal[f] = re.faceCentreNormal(geo, f)
 	}
 	return em, nil
 }
@@ -623,11 +616,6 @@ func checkMatricesBitwise(t *testing.T, re *RefElement, g *Geometry) *ElementMat
 			if !sameBits(got.Face[f][d], want.Face[f][d]) {
 				t.Fatalf("p=%d: Face[%d][%d] not bitwise the reference", re.P, f, d)
 			}
-		}
-	}
-	for f := 0; f < NumFaces; f++ {
-		if !sameBits(got.Normal[f][:], want.Normal[f][:]) {
-			t.Fatalf("p=%d: Normal[%d] not bitwise the reference", re.P, f)
 		}
 	}
 	if math.Float64bits(got.Volume) != math.Float64bits(want.Volume) {

@@ -22,9 +22,6 @@ type ElementMatrices struct {
 	Mass  []float64
 	Grad  [3][]float64
 	Face  [NumFaces][3][]float64
-	// Normal is the unit outward normal at each face centre, used for the
-	// upwind inflow/outflow classification of sweep directions.
-	Normal [NumFaces][3]float64
 	// Volume is the integral of det J over the element.
 	Volume float64
 }
@@ -176,12 +173,7 @@ func (re *RefElement) boxMatrices(ext [3]float64) *ElementMatrices {
 		dim := FaceDim(f)
 		t1, t2 := FaceTangents(f)
 		area := ext[t1] * ext[t2]
-		sign := -1.0
-		if FaceSide(f) == 1 {
-			sign = 1.0
-		}
-		em.Normal[f] = [3]float64{}
-		em.Normal[f][dim] = sign
+		sign := float64(2*FaceSide(f) - 1) // -1 on a low face, +1 on a high one
 		fm := em.Face[f][dim]
 		for k2 := 0; k2 < nd; k2++ {
 			for k1 := 0; k1 < nd; k1++ {
@@ -290,33 +282,22 @@ func (re *RefElement) generalMatrices(geo *Geometry) (*ElementMatrices, error) {
 			}
 		}
 		la.MulTN(faces[f*3*nf*nf:], nf, panel, 3*nf, re.FVal[f], nf, 3*nf, nf, nfq)
-		em.Normal[f] = re.faceCentreNormal(geo, f)
 	}
 	return em, nil
 }
 
-// FaceUnitNormal returns the unit outward normal at the centre of face f,
-// exactly as ComputeMatrices records it in ElementMatrices.Normal: the
-// exact axis direction for an axis-aligned box, the face-centre normal of
-// the trilinear geometry otherwise. Callers that classify sweep directions
-// without building the full element matrices (the cross-rank coupling
-// metadata of mesh.Partition) use it so their classification agrees
-// bitwise with the solver's.
+// FaceUnitNormal returns the unit outward normal at the centre of face f:
+// the exact axis direction for an axis-aligned box, the face-centre
+// normal of the trilinear geometry otherwise. It is a face's one normal:
+// internal/build classifies sweep directions by it and mesh.Partition
+// takes the canonical pair normal of a cross-rank face from it, so the
+// two agree bitwise. The element matrices carry none.
 func (re *RefElement) FaceUnitNormal(geo *Geometry, f int) [3]float64 {
 	if _, _, ok := geo.IsAxisAlignedBox(); ok {
 		var n [3]float64
-		sign := -1.0
-		if FaceSide(f) == 1 {
-			sign = 1.0
-		}
-		n[FaceDim(f)] = sign
+		n[FaceDim(f)] = float64(2*FaceSide(f) - 1)
 		return n
 	}
-	return re.faceCentreNormal(geo, f)
-}
-
-// faceCentreNormal returns the unit outward normal at the centre of face f.
-func (re *RefElement) faceCentreNormal(geo *Geometry, f int) [3]float64 {
 	t1, t2 := FaceTangents(f)
 	dim := FaceDim(f)
 	var xi [3]float64

@@ -74,6 +74,10 @@ func measureAssembleSolve(order int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	var normal [fem.NumFaces][3]float64
+	for f := range normal {
+		normal[f] = re.FaceUnitNormal(geo, f)
+	}
 	n := re.N
 	ws := la.NewWorkspace(n)
 	om := [3]float64{0.5, 0.62, 0.6}
@@ -88,7 +92,7 @@ func measureAssembleSolve(order int) (int64, error) {
 			ws.A.Data[idx] = sigt*em.Mass[idx] - om[0]*em.Grad[0][idx] - om[1]*em.Grad[1][idx] - om[2]*em.Grad[2][idx]
 		}
 		for f := 0; f < fem.NumFaces; f++ {
-			nrm := em.Normal[f]
+			nrm := normal[f]
 			if om[0]*nrm[0]+om[1]*nrm[1]+om[2]*nrm[2] <= 0 {
 				continue
 			}

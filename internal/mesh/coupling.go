@@ -21,8 +21,8 @@ type RemoteFace struct {
 	Perm []int
 
 	// Normal is the pair's canonical unit normal: the outward normal of
-	// the canonical side (the element with the lower global index),
-	// computed exactly as the solver computes element face normals. Both
+	// the canonical side (the element with the lower global index), from
+	// fem.RefElement.FaceUnitNormal, the normal the build classifies by. Both
 	// sides of the pair share this one vector, so their per-ordinate
 	// upwind/downwind classification agrees exactly even on near-tangent
 	// twisted faces — the invariant the pipelined halo protocol's message

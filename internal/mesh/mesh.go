@@ -79,13 +79,6 @@ type Config struct {
 	SrcOpt       int // xs source layout option
 }
 
-// DefaultConfig returns the paper's Figure 3 problem shape scaled to unit
-// extents: a 16^3 twisted grid with Material/Source option 1 semantics.
-func DefaultConfig() Config {
-	return Config{NX: 16, NY: 16, NZ: 16, LX: 1, LY: 1, LZ: 1, Twist: 0.001,
-		MatOpt: xs.MatOptCentre, SrcOpt: xs.SrcOptEverywhere}
-}
-
 // New builds the unstructured mesh for cfg.
 func New(cfg Config) (*Mesh, error) {
 	if cfg.NX < 1 || cfg.NY < 1 || cfg.NZ < 1 {

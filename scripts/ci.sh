@@ -81,10 +81,18 @@ fi
 # and condenses or schedules an ordinate's graph (internal/sweep defines
 # the algorithms), so no other non-test file of the module calls them and
 # a private copy of the rule cannot come back unseen. The benchmark is its
-# own module and times these calls directly.
+# own module and times these calls directly. A face has one normal,
+# fem.RefElement.FaceUnitNormal: only fem (which defines it), mesh
+# (cross-rank pair normals), build (the classifier) and harness (Table
+# I's assembly) call it. meshgen reads the build's topology stage and
+# never runs the full build, which would integrate element matrices it
+# does not print.
 if grep -rn --include='*.go' --exclude='*_test.go' 'sweep\.\(Condense\|BuildWithLagging\|BuildCut\)(' . |
-	grep -v '^\./internal/build/\|^\./internal/sweep/\|^\./benchmark/'; then
-	echo "only internal/build may call sweep.Condense, sweep.BuildWithLagging or sweep.BuildCut" >&2
+	grep -v '^\./internal/build/\|^\./internal/sweep/\|^\./benchmark/' ||
+	grep -rn --include='*.go' --exclude='*_test.go' 'FaceUnitNormal(' . |
+	grep -v '^\./internal/fem/\|^\./internal/mesh/\|^\./internal/build/\|^\./internal/harness/' ||
+	grep -n 'build\.Build(' cmd/meshgen/*.go; then
+	echo "only internal/build may call sweep.Condense, sweep.BuildWithLagging or sweep.BuildCut; only internal/fem, internal/mesh, internal/build and internal/harness may call FaceUnitNormal; cmd/meshgen may not call build.Build" >&2
 	exit 1
 fi
 # Bench-tool smoke pass: the kernel experiment (the one BENCH_sweep.json
@@ -94,12 +102,13 @@ fi
 go run ./cmd/unsnap-bench -experiment kernel -smoke
 # meshgen reads its schedules, lag counts and largest SCC from
 # internal/build: its stats must match the recorded output on the default
-# mesh and on a cyclic one under both cut rules (-cyclic's verdict goes to
-# stderr, recorded in line).
+# mesh, on a cyclic one under both cut rules (-cyclic's verdict goes to
+# stderr, recorded in line) and at order 3.
 go run ./cmd/meshgen stats | diff - testdata/meshgen/default.txt
 go run ./cmd/meshgen -nx 6 -twist 0.35 -periods 2 stats | diff - testdata/meshgen/twist.txt
 go run ./cmd/meshgen -nx 6 -twist 0.35 -periods 2 -cycle-order feedback-arc -cyclic stats 2>&1 |
 	diff - testdata/meshgen/twist-fas-cyclic.txt
+go run ./cmd/meshgen -nx 12 -order 3 stats | diff - testdata/meshgen/order3.txt
 # Artifact-cache smoke: two solves of one problem through one cache must
 # hit on the second build and match bitwise. The binary prints a
 # machine-checkable verdict line; grep pins it so a silent cache miss
