@@ -85,34 +85,43 @@ func TestCacheSharingAcrossSolvers(t *testing.T) {
 
 // TestWarmSolveSkipsBuildEntirely is the acceptance pin: a second solve
 // on the same mesh through one cache performs zero builds, zero face
-// classifications and zero cycle condensations — the artifact layer, not
-// the solver, owns all topology-derived setup — while matching the cold
-// solve bitwise.
+// classifications, zero cycle condensations and zero DSA geometry builds
+// — the artifact layer, not the solver, owns all topology-derived setup —
+// while matching the cold solve bitwise, with and without AccelDSA. The
+// cold solve builds the DSA geometry exactly once.
 func TestWarmSolveSkipsBuildEntirely(t *testing.T) {
-	p := artifactProblem()
-	cache := NewCache(0)
+	for _, mode := range []AccelMode{AccelNone, AccelDSA} {
+		p := artifactProblem()
+		cache := NewCache(0)
+		opts := artifactOpts(cache)
+		opts.Accelerate = mode
 
-	s1, err := NewSolver(p, artifactOpts(cache))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s1.Close()
-	want := runFlux(t, s1)
+		ag0 := build.AccelGeoms()
+		s1, err := NewSolver(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s1.Close()
+		want := runFlux(t, s1)
+		if d := build.AccelGeoms() - ag0; d != 1 {
+			t.Fatalf("accel %v: cold solve built the DSA geometry %d times, want 1", mode, d)
+		}
 
-	b0, cl0, co0 := build.Builds(), build.Classifications(), build.Condensations()
-	s2, err := NewSolver(p, artifactOpts(cache))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	got := runFlux(t, s2)
-	if b, cl, co := build.Builds(), build.Classifications(), build.Condensations(); b != b0 || cl != cl0 || co != co0 {
-		t.Fatalf("warm solve did build work: builds %+d classifications %+d condensations %+d",
-			b-b0, cl-cl0, co-co0)
-	}
-	for g := range got {
-		if got[g] != want[g] {
-			t.Fatalf("group %d warm flux %v != cold %v (must be bitwise)", g, got[g], want[g])
+		b0, cl0, co0, ag0 := build.Builds(), build.Classifications(), build.Condensations(), build.AccelGeoms()
+		s2, err := NewSolver(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s2.Close()
+		got := runFlux(t, s2)
+		if b, cl, co, ag := build.Builds(), build.Classifications(), build.Condensations(), build.AccelGeoms(); b != b0 || cl != cl0 || co != co0 || ag != ag0 {
+			t.Fatalf("accel %v: warm solve did build work: builds %+d classifications %+d condensations %+d DSA geometries %+d",
+				mode, b-b0, cl-cl0, co-co0, ag-ag0)
+		}
+		for g := range got {
+			if got[g] != want[g] {
+				t.Fatalf("accel %v: group %d warm flux %v != cold %v (must be bitwise)", mode, g, got[g], want[g])
+			}
 		}
 	}
 }

@@ -98,15 +98,18 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	// -cyclic condenses the whole domain under the element-index rule;
+	// the stats' cycle summary reuses that condensation.
+	var elemIndex *build.LagSets
 	if *cyclic {
-		if err := requireCyclic(m, *order, *nang); err != nil {
+		if elemIndex, err = requireCyclic(m, *order, *nang); err != nil {
 			return err
 		}
 	}
 
 	switch cmd {
 	case "stats":
-		return stats(m, *order, *nang, schedOrder)
+		return stats(m, *order, *nang, schedOrder, elemIndex)
 	case "export":
 		return m.WriteJSON(os.Stdout)
 	case "check":
@@ -117,28 +120,29 @@ func run(args []string) error {
 }
 
 // requireCyclic fails loudly when the requested twist does not actually
-// produce a cyclic upwind graph for any ordinate of the quadrature.
-func requireCyclic(m *mesh.Mesh, order, nang int) error {
+// produce a cyclic upwind graph for any ordinate of the quadrature. It
+// returns the whole-domain lag sets it condensed (element-index rule).
+func requireCyclic(m *mesh.Mesh, order, nang int) (*build.LagSets, error) {
 	re, err := fem.NewRefElement(order)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	q, err := quadrature.NewSNAP(nang)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ls, err := build.GlobalLagSets(m, re, q, sweep.OrderElementIndex, true)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	cyc, lagged := lagCounts(ls)
 	if cyc == 0 {
-		return fmt.Errorf("-cyclic: twist %g (periods %g) yields an ACYCLIC upwind graph for all %d ordinates; raise -twist or -periods (e.g. -twist 0.35 -periods 2 on a 6^3 grid)",
+		return nil, fmt.Errorf("-cyclic: twist %g (periods %g) yields an ACYCLIC upwind graph for all %d ordinates; raise -twist or -periods (e.g. -twist 0.35 -periods 2 on a 6^3 grid)",
 			m.Twist, m.TwistPeriods, q.NumAngles())
 	}
 	fmt.Fprintf(os.Stderr, "meshgen: cyclic verified: %d/%d ordinates cyclic, %d lagged couplings, largest SCC %d elements\n",
 		cyc, q.NumAngles(), lagged, ls.MaxComp)
-	return nil
+	return ls, nil
 }
 
 // lagCounts counts the cyclic ordinates of a whole-domain condensation
@@ -153,7 +157,11 @@ func lagCounts(ls *build.LagSets) (cyclicAngles, laggedEdges int) {
 	return cyclicAngles, laggedEdges
 }
 
-func stats(m *mesh.Mesh, order, nang int, schedOrder sweep.CycleOrder) error {
+// stats prints the mesh, schedule and cycle statistics. elemIndex, when
+// not nil, is the whole-domain condensation under the element-index rule
+// already made for this mesh, order and quadrature; the cycle summary
+// reuses it instead of condensing again.
+func stats(m *mesh.Mesh, order, nang int, schedOrder sweep.CycleOrder, elemIndex *build.LagSets) error {
 	q, err := quadrature.NewSNAP(nang)
 	if err != nil {
 		return err
@@ -205,9 +213,11 @@ func stats(m *mesh.Mesh, order, nang int, schedOrder sweep.CycleOrder) error {
 	// The cycle summary reports every cut rule side by side, so the lag
 	// reduction of the feedback-arc strategy is visible without re-running.
 	for i, co := range sweep.CycleOrders() {
-		ls, err := build.GlobalLagSets(m, re, q, co, true)
-		if err != nil {
-			return err
+		ls := elemIndex
+		if co != sweep.OrderElementIndex || ls == nil {
+			if ls, err = build.GlobalLagSets(m, re, q, co, true); err != nil {
+				return err
+			}
 		}
 		cyc, lagged := lagCounts(ls)
 		if cyc == 0 {

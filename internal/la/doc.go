@@ -90,7 +90,8 @@
 // they hold, so no access leaves the operands and no tail is scalar),
 // TriSolveLanes (triSolveLanesAVX2: the triangular solves of four
 // systems on Y registers, or two on X registers), FactorLanes
-// (factorLanesAVX2, the same registers), AddScaledToLanes
+// (factorLanesAVX, the same registers, its trailing update in Z registers
+// on AVX-512F: see below), AddScaledToLanes
 // (addScaledToLanesAVX2: four entries of every lane's base per pass,
 // transposed into the interleaved layout), FaceApplyLanes
 // (faceApplyLanesAVX2) and FaceApplyLanesPerLane
@@ -102,10 +103,24 @@
 // untouched) MXCSR, so the vector path is bitwise the scalar one. A fused multiply-add is not: VFMADD
 // rounds t - l*u once where the loop rounds the product and then the
 // difference, and would move the last bit of most entries (scripts/ci.sh
-// greps the assembly for FMA mnemonics). AVX-512 would be the same
-// argument over eight lanes; on a Xeon reporting AVX-512 F/DQ/BW/VL a
-// ZMM rank-2 lane update measured about 1.3x the YMM loop on the n = 64
-// panel, short of what would justify a second kernel family.
+// greps the assembly for FMA mnemonics).
+//
+// FactorLanes is blocked: it takes its steps in panels of four pivot
+// columns. A step inside a panel searches, swaps whole rows and stores
+// its multipliers as eliminate does, but brings only the panel's later
+// columns up to date. The step closing a panel makes one pass over the
+// rows below the panel's first: pivot row k0+q applies the panel's first
+// q row operations, every lower row all four, t = (((t - l0*u0) - l1*u1)
+// - l2*u2) - l3*u3, over its trailing columns. That is FactorBlocked's
+// argument over lanes: every entry still receives each step's product,
+// rounded, then the difference, rounded, in step order and with the same
+// operands, since a pivot row is final before any lower row reads it. On
+// a CPU with AVX-512F (and the operating system saving the opmask and ZMM
+// state) that closing pass runs in Z registers, two 4-lane entries or
+// four 2-lane entries per instruction, a lane whose multiplier is zero
+// merge-masked out of its subtract as the scalar loop skips the row; the
+// rest of the kernel, and the whole kernel without AVX-512F, is the Y (X)
+// form, which blends instead. CPUID and XCR0 choose the form, nothing else.
 //
 // TriSolveLanes vectorises across systems instead of within one. Its
 // operands are w factors stored lane-interleaved, entry (i, j) of lane l

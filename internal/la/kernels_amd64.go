@@ -1,9 +1,13 @@
 package la
 
-// useAVX2 selects the vector kernels of kernels_amd64.s. It is set once,
-// here, from what the CPU and the operating system report; nothing
-// outside this package's tests can change it.
-var useAVX2 = detectAVX2()
+// useAVX2 selects the vector kernels of kernels_amd64.s, and useAVX512
+// their Z-register form where one exists (FactorLanes' closing pass).
+// Both are set once, here, from what the CPU and the operating system
+// report; nothing outside this package's tests can change them.
+var (
+	useAVX2   = detectAVX2()
+	useAVX512 = useAVX2 && detectAVX512()
+)
 
 // detectAVX2 reports whether AVX2 instructions may be executed: the CPU
 // has them (CPUID leaf 7) and the operating system saves the YMM state
@@ -21,6 +25,24 @@ func detectAVX2() bool {
 	}
 	_, b, _, _ := cpuid(7, 0)
 	return b&(1<<5) != 0
+}
+
+// detectAVX512 reports whether AVX-512F instructions may be executed: the
+// CPU has them (CPUID leaf 7 EBX bit 16) and the operating system saves
+// the opmask and ZMM state besides the YMM state (XCR0 bits 1, 2 and
+// 5-7). Only AVX-512F is used: Z registers, opmasks and the masked forms.
+func detectAVX512() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	if _, _, c, _ := cpuid(1, 0); c&(1<<27) == 0 {
+		return false
+	}
+	if lo, _ := xgetbv(); lo&0xe6 != 0xe6 {
+		return false
+	}
+	_, b, _, _ := cpuid(7, 0)
+	return b&(1<<16) != 0
 }
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -46,7 +68,7 @@ func mulTNAVX2(c []float64, ldc int, a []float64, lda int, b []float64, ldb, n, 
 func triSolveLanesAVX2(lu, x []float64, n, w, ldx int)
 
 //go:noescape
-func factorLanesAVX2(lu []float64, perm []int, n, w int) int
+func factorLanesAVX(lu []float64, perm []int, n, w int, zmm bool) int
 
 //go:noescape
 func addScaledToLanesAVX2(dst []float64, base [][]float64, x, w []float64)

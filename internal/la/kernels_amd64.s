@@ -1,4 +1,5 @@
-// AVX2 kernels of package la. Every lane performs the IEEE-754 multiply
+// AVX2 kernels of package la (factorLanesAVX's closing pass also in an
+// AVX-512F form on Z registers). Every lane performs the IEEE-754 multiply
 // and the subtract (or add, or divide) the pure-Go loop performs on that
 // element, operands in the same order, each rounded on its own: VMULPD
 // then VSUBPD / VADDPD (VDIVPD), never a fused multiply-add (doc.go, "Vector kernels";
@@ -78,6 +79,7 @@ TEXT ·update2AVX2(SB), NOSPLIT, $0-72
 	MOVQ R11, BX
 	ANDQ $~31, BX               // BX: bytes the four-lane body covers
 	SHRQ $2, R13                // R13: four-row blocks to go
+	PCALIGN $64
 
 rows4:
 	LEAQ (R12)(R8*1), CX
@@ -109,6 +111,7 @@ cols4:
 tail:
 	CMPQ AX, R11
 	JGE  next
+	PCALIGN $64
 
 cols1:
 	VMOVSD (SI)(AX*1), X0
@@ -141,6 +144,7 @@ TEXT ·addScaledAVX2(SB), NOSPLIT, $0-56
 	VBROADCASTSD w+48(FP), Y0
 	SHLQ $3, CX
 	XORQ AX, AX
+	PCALIGN $64
 
 axpy4:
 	VMOVUPD (DI)(AX*1), Y1
@@ -164,6 +168,7 @@ TEXT ·addScaledToAVX2(SB), NOSPLIT, $0-80
 	VBROADCASTSD w+72(FP), Y0
 	SHLQ $3, CX
 	XORQ AX, AX
+	PCALIGN $64
 
 axpyto4:
 	VMOVUPD (DX)(AX*1), Y1
@@ -190,6 +195,7 @@ TEXT ·fuse3AVX2(SB), NOSPLIT, $0-120
 	VBROADCASTSD wc+112(FP), Y2
 	SHLQ $3, CX
 	XORQ AX, AX
+	PCALIGN $64
 
 fuse4:
 	VMULPD  (SI)(AX*1), Y0, Y3
@@ -242,6 +248,7 @@ TEXT ·mulTNAVX2(SB), NOSPLIT, $0-112
 	SHLQ $3, R10
 	SHLQ $3, R11                // R11: bytes of one row's n columns
 	XORQ AX, AX                 // AX: byte offset of the current column
+	PCALIGN $64
 
 cols8:
 	LEAQ 64(AX), CX
@@ -258,6 +265,7 @@ cols8:
 	MOVQ SI, R13                // R13: &a[q][0]
 	LEAQ (DX)(AX*1), BX         // BX: &b[q][j]
 	MOVQ R12, CX
+	PCALIGN $64
 
 q8:
 	VMOVUPD (BX), Y8
@@ -284,6 +292,7 @@ q8:
 	VMOVUPD Y7, 32(BX)
 	ADDQ $64, AX
 	JMP  cols8
+	PCALIGN $64
 
 tail4:
 	CMPQ AX, R11
@@ -302,6 +311,7 @@ cols4:
 	MOVQ SI, R13
 	LEAQ (DX)(AX*1), BX
 	MOVQ R12, CX
+	PCALIGN $64
 
 q4:
 	VMOVUPD (BX), Y8
@@ -351,6 +361,7 @@ TEXT ·triSolveLanesAVX2(SB), NOSPLIT, $0-72
 	JNE  lanes2
 	SHLQ $5, R8                 // R8: bytes of one factor row
 	MOVQ $32, R13               // R13: byte offset of column i in a factor row
+	PCALIGN $64
 
 fwd4:
 	CMPQ R13, R8
@@ -359,6 +370,7 @@ fwd4:
 	VMOVUPD (DI)(R11*1), Y0
 	XORQ AX, AX
 	XORQ BX, BX
+	PCALIGN $64
 
 fwdj4:
 	VMOVUPD (R10)(AX*1), Y1
@@ -376,6 +388,7 @@ fwdj4:
 back4:
 	SUBQ $32, R13               // row n-1; R10 is already &lu[n-1][0]
 	SUBQ R9, R11
+	PCALIGN $64
 
 row4:
 	VMOVUPD (DI)(R11*1), Y0
@@ -383,6 +396,7 @@ row4:
 	LEAQ (R11)(R9*1), BX
 	CMPQ AX, R8
 	JGE  div4
+	PCALIGN $64
 
 backj4:
 	VMOVUPD (R10)(AX*1), Y1
@@ -406,6 +420,7 @@ div4:
 lanes2:
 	SHLQ $4, R8
 	MOVQ $16, R13
+	PCALIGN $64
 
 fwd2:
 	CMPQ R13, R8
@@ -414,6 +429,7 @@ fwd2:
 	VMOVUPD (DI)(R11*1), X0
 	XORQ AX, AX
 	XORQ BX, BX
+	PCALIGN $64
 
 fwdj2:
 	VMOVUPD (R10)(AX*1), X1
@@ -431,6 +447,7 @@ fwdj2:
 back2:
 	SUBQ $16, R13
 	SUBQ R9, R11
+	PCALIGN $64
 
 row2:
 	VMOVUPD (DI)(R11*1), X0
@@ -438,6 +455,7 @@ row2:
 	LEAQ (R11)(R9*1), BX
 	CMPQ AX, R8
 	JGE  div2
+	PCALIGN $64
 
 backj2:
 	VMOVUPD (R10)(AX*1), X1
@@ -487,6 +505,7 @@ TEXT ·faceApplyLanesAVX2(SB), NOSPLIT, $0-104
 	MOVQ R8, R14
 	SHLQ $3, R14                // R14: bytes of one block row
 	XORQ R10, R10               // R10: byte offset of the lane chunk
+	PCALIGN $64
 
 chunk4:
 	LEAQ 32(R10), DX
@@ -496,6 +515,7 @@ chunk4:
 	MOVQ u_base+48(FP), SI
 	ADDQ R10, SI                // SI: &u[0][chunk]
 	XORQ R11, R11               // R11: block row r
+	PCALIGN $64
 
 blk4:
 	LEAQ 4(R11), DX
@@ -508,6 +528,7 @@ blk4:
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
+	PCALIGN $64
 
 blk4k:
 	VMOVUPD      (AX), Y4
@@ -535,6 +556,7 @@ blk4k:
 	LEAQ (R13)(R14*1), R12      // &fb[r+4][0]
 	ADDQ $4, R11
 	JMP  blk4
+	PCALIGN $64
 
 one4:
 	CMPQ R11, R8
@@ -542,6 +564,7 @@ one4:
 	MOVQ SI, AX
 	MOVQ R8, CX
 	VXORPD Y0, Y0, Y0
+	PCALIGN $64
 
 one4k:
 	VMOVUPD      (AX), Y4
@@ -568,6 +591,7 @@ chunk2:
 	MOVQ u_base+48(FP), SI
 	ADDQ R10, SI
 	XORQ R11, R11
+	PCALIGN $64
 
 blk2:
 	LEAQ 4(R11), DX
@@ -580,6 +604,7 @@ blk2:
 	VXORPD X1, X1, X1
 	VXORPD X2, X2, X2
 	VXORPD X3, X3, X3
+	PCALIGN $64
 
 blk2k:
 	VMOVUPD  (AX), X4
@@ -607,6 +632,7 @@ blk2k:
 	LEAQ (R13)(R14*1), R12
 	ADDQ $4, R11
 	JMP  blk2
+	PCALIGN $64
 
 one2:
 	CMPQ R11, R8
@@ -614,6 +640,7 @@ one2:
 	MOVQ SI, AX
 	MOVQ R8, CX
 	VXORPD X0, X0, X0
+	PCALIGN $64
 
 one2k:
 	VMOVUPD  (AX), X4
@@ -638,6 +665,7 @@ chunk1:
 	MOVQ u_base+48(FP), SI
 	ADDQ R10, SI
 	XORQ R11, R11
+	PCALIGN $64
 
 one1:
 	CMPQ R11, R8
@@ -645,6 +673,7 @@ one1:
 	MOVQ SI, AX
 	MOVQ R8, CX
 	VXORPD X0, X0, X0
+	PCALIGN $64
 
 one1k:
 	VMOVSD (AX), X4
@@ -686,6 +715,7 @@ TEXT ·faceApplyLanesPerLaneAVX2(SB), NOSPLIT, $0-104
 	XORQ R11, R11               // R11: block row r
 	CMPQ R9, $32
 	JNE  pl2
+	PCALIGN $64
 
 pl4:
 	LEAQ 4(R11), DX
@@ -698,6 +728,7 @@ pl4:
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
+	PCALIGN $64
 
 pl4k:
 	VMOVUPD (AX), Y4
@@ -725,6 +756,7 @@ pl4k:
 	LEAQ (R13)(R14*1), R12      // &fb[r+4][0]
 	ADDQ $4, R11
 	JMP  pl4
+	PCALIGN $64
 
 pl4one:
 	CMPQ R11, R8
@@ -732,6 +764,7 @@ pl4one:
 	MOVQ SI, AX
 	MOVQ R8, CX
 	VXORPD Y0, Y0, Y0
+	PCALIGN $64
 
 pl4onek:
 	VMOVUPD (AX), Y4
@@ -745,6 +778,7 @@ pl4onek:
 	FA_STORE(0, Y0, Y9, VMOVUPD, VSUBPD)
 	INCQ R11
 	JMP  pl4one
+	PCALIGN $64
 
 pl2:
 	LEAQ 4(R11), DX
@@ -757,6 +791,7 @@ pl2:
 	VXORPD X1, X1, X1
 	VXORPD X2, X2, X2
 	VXORPD X3, X3, X3
+	PCALIGN $64
 
 pl2k:
 	VMOVUPD (AX), X4
@@ -784,6 +819,7 @@ pl2k:
 	LEAQ (R13)(R14*1), R12
 	ADDQ $4, R11
 	JMP  pl2
+	PCALIGN $64
 
 pl2one:
 	CMPQ R11, R8
@@ -791,6 +827,7 @@ pl2one:
 	MOVQ SI, AX
 	MOVQ R8, CX
 	VXORPD X0, X0, X0
+	PCALIGN $64
 
 pl2onek:
 	VMOVUPD (AX), X4
@@ -837,6 +874,7 @@ TEXT ·addScaledToLanesAVX2(SB), NOSPLIT, $0-96
 	MOVQ 72(R8), R12
 	VBROADCASTSD 16(BX), Y14
 	VBROADCASTSD 24(BX), Y15
+	PCALIGN $64
 
 form4:
 	VMOVUPD (SI)(AX*1), Y8
@@ -870,6 +908,7 @@ form4:
 	JLT  form4
 	VZEROUPPER
 	RET
+	PCALIGN $64
 
 form2:
 	VMOVUPD (SI)(AX*1), Y8
@@ -893,55 +932,124 @@ form2:
 	RET
 
 // The pivot search of one row: V holds |a[i][k]| of every lane, I the
-// row i. A lane takes row i where V is strictly greater than its best
-// so far (VCMPPD GT_OQ is false and VMAXPD keeps BEST when either is a
-// NaN, so a NaN never displaces the incumbent); M is scratch.
-#define SEARCH(V, M, I, IDX, BEST) \
+// row i and F all ones on the first row a search visits (every lane takes
+// it) and zero after. A lane takes row i where V is strictly greater
+// than its best so far (VCMPPD GT_OQ is false when either is a NaN, so a
+// NaN never displaces the incumbent); M is scratch.
+#define SEARCH(V, M, F, I, IDX, BEST) \
 	VCMPPD $0x1e, BEST, V, M; \
-	VMAXPD BEST, V, BEST; \
-	VBLENDVPD M, I, IDX, IDX
+	VORPD F, M, M; \
+	VBLENDVPD M, V, BEST, BEST; \
+	VBLENDVPD M, I, IDX, IDX; \
+	VXORPD F, F, F
 
-// One row of the pass that opens a pair, DX = &a[i][0], R12 the byte
-// offset of column k: the multiplier l = a[i][k]*(1/a[k][k]) is stored
-// and a[i][k+1] -= l*a[k][k+1] except in the lanes where l == 0 (the
-// blend keeps the old value there). Leaves |a[i][k+1]| in Y1 / X1.
-#define OPEN4 \
-	VMULPD (DX)(R12*1), Y11, Y0; \
-	VMOVUPD Y0, (DX)(R12*1); \
-	VMOVUPD 32(DX)(R12*1), Y1; \
-	VMULPD Y10, Y0, Y2; \
-	VSUBPD Y2, Y1, Y2; \
-	VCMPPD $0, Y9, Y0, Y3; \
-	VBLENDVPD Y3, Y1, Y2, Y1; \
-	VMOVUPD Y1, 32(DX)(R12*1); \
-	VANDPD Y15, Y1, Y1
+// One column of a step inside a panel, at byte offset OFF past column k
+// of row DX (R11 the pivot row): T <- T - L*u, the lanes whose L is zero
+// (mask M) keeping T, with P scratch. The result is left in T.
+#define PANEL(OFF, L, M, T, P) \
+	VMOVUPD OFF(DX)(R12*1), T; \
+	VMULPD OFF(R11)(R12*1), L, P; \
+	VSUBPD P, T, P; \
+	VBLENDVPD M, T, P, T; \
+	VMOVUPD T, OFF(DX)(R12*1)
 
-#define OPEN2 \
-	VMULPD (DX)(R12*1), X11, X0; \
-	VMOVUPD X0, (DX)(R12*1); \
-	VMOVUPD 16(DX)(R12*1), X1; \
-	VMULPD X10, X0, X2; \
-	VSUBPD X2, X1, X2; \
-	VCMPPD $0, X9, X0, X3; \
-	VBLENDVPD X3, X1, X2, X1; \
-	VMOVUPD X1, 16(DX)(R12*1); \
-	VANDPD X15, X1, X1
+// The four row operations of a panel on one chunk of the target row DX
+// at byte offset AX: t <- (((t - l0*u0) - l1*u1) - l2*u2) - l3*u3, u0..u3
+// the panel's pivot rows R14, CX, BX, R11, each product rounded before
+// its subtract. P is scratch.
+#define RANK4(T, P, L0, L1, L2, L3) \
+	VMOVUPD (DX)(AX*1), T; \
+	VMULPD (R14)(AX*1), L0, P; \
+	VSUBPD P, T, T; \
+	VMULPD (CX)(AX*1), L1, P; \
+	VSUBPD P, T, T; \
+	VMULPD (BX)(AX*1), L2, P; \
+	VSUBPD P, T, T; \
+	VMULPD (R11)(AX*1), L3, P; \
+	VSUBPD P, T, T; \
+	VMOVUPD T, (DX)(AX*1)
 
-// func factorLanesAVX2(lu []float64, perm []int, n, w int) int
+// RANK4 for a row with a zero multiplier: each difference is blended
+// under M0..M3, the lanes whose l0..l3 are zero, which keep t as the
+// scalar loop skips the row.
+#define RANK4B(T, P, L0, L1, L2, L3, M0, M1, M2, M3) \
+	VMOVUPD (DX)(AX*1), T; \
+	VMULPD (R14)(AX*1), L0, P; \
+	VSUBPD P, T, P; \
+	VBLENDVPD M0, T, P, T; \
+	VMULPD (CX)(AX*1), L1, P; \
+	VSUBPD P, T, P; \
+	VBLENDVPD M1, T, P, T; \
+	VMULPD (BX)(AX*1), L2, P; \
+	VSUBPD P, T, P; \
+	VBLENDVPD M2, T, P, T; \
+	VMULPD (R11)(AX*1), L3, P; \
+	VSUBPD P, T, P; \
+	VBLENDVPD M3, T, P, T; \
+	VMOVUPD T, (DX)(AX*1)
+
+// RANK4 on a 64-byte chunk in Z registers, l0..l3 in Z2..Z5: each
+// subtract merge-masked by K1..K4, the lanes whose multiplier is not
+// zero, so the others keep t.
+#define RANK4Z \
+	VMOVUPD (DX)(AX*1), Z0; \
+	VMULPD (R14)(AX*1), Z2, Z1; \
+	VSUBPD Z1, Z0, K1, Z0; \
+	VMULPD (CX)(AX*1), Z3, Z1; \
+	VSUBPD Z1, Z0, K2, Z0; \
+	VMULPD (BX)(AX*1), Z4, Z1; \
+	VSUBPD Z1, Z0, K3, Z0; \
+	VMULPD (R11)(AX*1), Z5, Z1; \
+	VSUBPD Z1, Z0, K4, Z0; \
+	VMOVUPD Z0, (DX)(AX*1)
+
+// RANK4Z on the row's last, partial chunk: K5 selects its entries, and
+// every load and the store are masked by it, so nothing past the row is
+// touched.
+#define RANK4ZT \
+	VMOVUPD.Z (DX)(AX*1), K5, Z0; \
+	VMULPD.Z (R14)(AX*1), Z2, K5, Z1; \
+	VSUBPD Z1, Z0, K1, Z0; \
+	VMULPD.Z (CX)(AX*1), Z3, K5, Z1; \
+	VSUBPD Z1, Z0, K2, Z0; \
+	VMULPD.Z (BX)(AX*1), Z4, K5, Z1; \
+	VSUBPD Z1, Z0, K3, Z0; \
+	VMULPD.Z (R11)(AX*1), Z5, K5, Z1; \
+	VSUBPD Z1, Z0, K4, Z0; \
+	VMOVUPD Z0, K5, (DX)(AX*1)
+
+// tailMask: entry e is (1<<e) - 1, the K mask of a chunk's first e
+// entries.
+DATA tailMask<>+0(SB)/8, $0x0007000300010000
+DATA tailMask<>+8(SB)/8, $0x007f003f001f000f
+GLOBL tailMask<>(SB), RODATA|NOPTR, $16
+
+// func factorLanesAVX(lu []float64, perm []int, n, w int, zmm bool) int
 //
 // FactorLanes for w = 4 (Y registers, 32-byte entries) or w = 2 (X
 // registers, 16-byte entries), n >= 1, perm already the identity per
 // lane; returns 1 if some lane meets a zero pivot column, else 0. Every
-// lane runs eliminate's sequence. Steps go in pairs: the step opening a
-// pair stores its multipliers and updates column k+1 alone (searching it
-// for the next pivot as it goes); the step closing it applies both row
-// operations in one pass over each row below, l0 then l1, and searches
-// the first column it leaves final for the next pair's pivot. A lane
-// whose multiplier is zero keeps its entry (VBLENDVPD), as the scalar
-// loop skips the row. Row exchanges are masked blends of the two rows,
-// one pass per distinct pivot row; each lane's permutation is swapped in
-// place as its row is.
-TEXT ·factorLanesAVX2(SB), NOSPLIT, $32-72
+// lane runs eliminate's sequence, its steps taken in panels of four
+// columns k0..k0+3 (the last panel k0..n-1 may be narrower). A step
+// inside a panel stores each lower row's multiplier and brings the
+// panel's later columns of that row up to date, searching column k+1 for
+// the next pivot as it goes. The step closing a full panel (k = k0+3,
+// with columns right of the panel) makes one pass over rows k0+1..n-1:
+// pivot row k0+q applies the panel's first q row operations, every lower
+// row forms its step-k multiplier and applies all four, l0 then l1, l2,
+// l3, to each of its trailing columns in one pass (RANK4), and column
+// k0+4 is searched for the next panel's first pivot. The column order
+// of each entry's subtracts is eliminate's, with the same operands: the
+// pivot rows are final before any lower row reads them. A lane whose
+// multiplier is zero keeps its entry, as the scalar loop skips the row:
+// VBLENDVPD inside a panel and on rows with a zero multiplier, a merge
+// mask on the Z path. Row exchanges are masked blends of the two whole
+// rows, one pass per distinct pivot row; each lane's permutation is
+// swapped in place as its row is. With zmm (AVX-512F) the closing pass
+// runs on Z registers, two 4-lane or four 2-lane entries per
+// instruction; everything else, and the closing pass without zmm, is Y
+// (2 entries of 2 lanes in its closing pass) or X.
+TEXT ·factorLanesAVX(SB), NOSPLIT, $64-80
 	MOVQ lu_base+0(FP), SI
 	MOVQ perm_base+24(FP), DI
 	MOVQ n+48(FP), R8
@@ -958,25 +1066,22 @@ lanes4:
 	IMULQ R8, R13
 	ADDQ SI, R13                // R13: end of the matrix
 	// Column 0's pivot search, rows 0..n-1.
-	VANDPD (SI), Y15, Y14       // Y14: largest |a[i][k]| so far
-	VPXOR Y13, Y13, Y13         // Y13: its row, per lane
-	VMOVDQU Y7, Y8              // Y8: the row being searched
-	LEAQ (SI)(R9*1), DX
-	CMPQ DX, R13
-	JGE  step04
+	VPCMPEQQ Y10, Y10, Y10      // Y10: all ones for the first row searched
+	VPXOR Y8, Y8, Y8            // Y8: the row being searched
+	MOVQ SI, DX
+	PCALIGN $64
 
 search04:
 	VANDPD (DX), Y15, Y1
-	SEARCH(Y1, Y2, Y8, Y13, Y14)
+	SEARCH(Y1, Y2, Y10, Y8, Y13, Y14) // Y13: the best row, Y14: its |a[i][k]|
 	VPADDQ Y7, Y8, Y8
 	ADDQ R9, DX
 	CMPQ DX, R13
 	JLT  search04
-
-step04:
 	XORQ R10, R10               // R10: step k
 	MOVQ SI, R11                // R11: &a[k][0]
 	XORQ R12, R12               // R12: byte offset of column k
+	PCALIGN $64
 
 step4:
 	// Y13 holds step k's pivot rows. Any lane without a non-zero pivot?
@@ -996,6 +1101,7 @@ step4:
 	LEAQ piv-32(SP), R13
 	XORQ BX, BX                 // BX: lane
 	XORQ R14, R14               // R14: mask of the lanes below BX
+	PCALIGN $64
 
 lane4:
 	MOVQ (R13)(BX*8), CX        // CX: the lane's pivot row p
@@ -1018,6 +1124,7 @@ lane4:
 	IMULQ R9, DX
 	ADDQ SI, DX                 // DX: &a[p][0]
 	XORQ AX, AX
+	PCALIGN $64
 
 swap4:
 	VMOVUPD (R11)(AX*1), Y1
@@ -1047,101 +1154,194 @@ inv4:
 	LEAQ 1(R10), AX
 	CMPQ AX, R8
 	JGE  done
+	VMOVUPD Y11, inv-64(SP)
 	VXORPD Y9, Y9, Y9           // Y9: zero
 	VMOVQ AX, X8
-	VPBROADCASTQ X8, Y8         // Y8: row k+1
+	VPBROADCASTQ X8, Y8         // Y8: row k+1, the first searched
+	VPCMPEQQ Y10, Y10, Y10
 	LEAQ (R11)(R9*1), DX        // DX: &a[k+1][0]
-	TESTQ $1, R10
-	JNZ  close4
+	MOVQ R10, BX
+	ANDQ $3, BX
+	CMPQ BX, $3
+	JEQ  close4
+	// Step k inside a panel: every row below stores its multiplier and
+	// brings columns k+1..kend-1 up to date, kend = min((k|3)+1, n),
+	// searching column k+1 for step k+1's pivots.
+	MOVQ R10, BX
+	ORQ  $3, BX
+	INCQ BX
+	CMPQ BX, R8
+	CMOVQGT R8, BX
+	SUBQ R10, BX
+	DECQ BX                     // BX: kend-k-1 columns, 1, 2 or 3
+	PCALIGN $64
 
-	// Step k opens a pair: store its multipliers and bring column k+1
-	// alone up to date, searching it for step k+1's pivots.
-	VMOVUPD 32(R11)(R12*1), Y10 // Y10: a[k][k+1]
-	OPEN4
-	VMOVAPD Y1, Y14
-	VMOVDQU Y8, Y13
-	ADDQ R9, DX
-	CMPQ DX, R13
-	JGE  next4
+panel4:
+	VMULPD (DX)(R12*1), Y11, Y0 // Y0: l = a[i][k]/a[k][k]
+	VMOVUPD Y0, (DX)(R12*1)
+	VCMPPD $0, Y9, Y0, Y3       // Y3: the lanes whose l is zero
+	PANEL(32, Y0, Y3, Y1, Y2)
+	VANDPD Y15, Y1, Y4          // Y4: |a[i][k+1]|
+	CMPQ BX, $2
+	JLT  psearch4
+	PANEL(64, Y0, Y3, Y1, Y2)
+	JEQ  psearch4
+	PANEL(96, Y0, Y3, Y1, Y2)
 
-open4:
+psearch4:
+	SEARCH(Y4, Y2, Y10, Y8, Y13, Y14)
 	VPADDQ Y7, Y8, Y8
-	OPEN4
-	SEARCH(Y1, Y2, Y8, Y13, Y14)
 	ADDQ R9, DX
 	CMPQ DX, R13
-	JLT  open4
+	JLT  panel4
 	JMP  next4
 
 close4:
-	// Step k closes the pair (k-1, k). Row k owes step k-1 from column
-	// k+1 on; every row below owes both, and its column k+1 is searched
-	// for step k+1's pivots.
-	MOVQ R11, CX
-	SUBQ R9, CX                 // CX: &a[k-1][0]
-	VMOVUPD -32(R11)(R12*1), Y4 // Y4: the multiplier a[k][k-1]
-	VCMPPD $0, Y9, Y4, Y6
-	LEAQ 32(R12), AX
+	// Step k closes the panel k0 = k-3: rows k-2..n-1 owe it the
+	// columns right of k.
+	MOVQ R11, BX
+	SUBQ R9, BX                 // BX: &a[k-1][0]
+	MOVQ BX, CX
+	SUBQ R9, CX                 // CX: &a[k-2][0]
+	MOVQ CX, R14
+	SUBQ R9, R14                // R14: &a[k-3][0]
+	MOVQ CX, DX                 // DX: row k-2, the first that owes the panel
+	CMPB zmm+64(FP), $0
+	JNE  close4z
+	PCALIGN $64
 
-pivrow4:
-	VMOVUPD (R11)(AX*1), Y2
-	VMULPD (CX)(AX*1), Y4, Y0
-	VSUBPD Y0, Y2, Y0
-	VBLENDVPD Y6, Y2, Y0, Y2
-	VMOVUPD Y2, (R11)(AX*1)
-	ADDQ $32, AX
-	CMPQ AX, R9
-	JLT  pivrow4
-	VPCMPEQQ Y10, Y10, Y10      // Y10: all ones for the first row searched
+trow4:
+	VXORPD Y9, Y9, Y9
+	VMOVUPD -96(DX)(R12*1), Y2  // Y2..Y4: l0..l2, the row's multipliers of steps k-3..k-1
+	VMOVUPD -64(DX)(R12*1), Y3
+	VMOVUPD -32(DX)(R12*1), Y4
+	CMPQ DX, R11
+	JHI  tlow4
+	// Row k-3+q (q = 1, 2, 3) is a pivot row of the panel: it owes steps
+	// k-3..k-4+q alone, so the later multipliers read as zero.
+	VXORPD Y5, Y5, Y5
+	CMPQ DX, BX
+	JHI  tmask4
+	VXORPD Y4, Y4, Y4
+	CMPQ DX, CX
+	JHI  tmask4
+	VXORPD Y3, Y3, Y3
+	JMP  tmask4
 
-row4:
-	VMOVUPD -32(DX)(R12*1), Y4  // Y4: l0 = a[i][k-1]
-	VMULPD (DX)(R12*1), Y11, Y5 // Y5: l1 = a[i][k]/a[k][k]
+tlow4:
+	VMOVUPD inv-64(SP), Y5
+	VMULPD (DX)(R12*1), Y5, Y5  // Y5: l3 = a[i][k]/a[k][k]
 	VMOVUPD Y5, (DX)(R12*1)
-	VCMPPD $0, Y9, Y4, Y6       // Y6, Y12: the lanes whose l0, l1 are zero
-	VCMPPD $0, Y9, Y5, Y12
+
+tmask4:
+	VCMPPD $0, Y9, Y2, Y6       // Y6, Y12, Y11, Y9: the lanes whose l0..l3 are zero
+	VCMPPD $0, Y9, Y3, Y12
+	VCMPPD $0, Y9, Y4, Y11
+	VCMPPD $0, Y9, Y5, Y9
 	VORPD Y6, Y12, Y0
-	VMOVMSKPD Y0, BX
+	VORPD Y11, Y9, Y1
+	VORPD Y0, Y1, Y0
 	LEAQ 32(R12), AX
-	TESTQ BX, BX
-	JNZ  skip4
+	VPTEST Y0, Y0
+	JZ   tfast4
+	JMP  tskip4
+	PCALIGN $64
 
-both4:
-	VMOVUPD (DX)(AX*1), Y2
-	VMULPD (CX)(AX*1), Y4, Y0
-	VSUBPD Y0, Y2, Y2
-	VMULPD (R11)(AX*1), Y5, Y1
-	VSUBPD Y1, Y2, Y2
-	VMOVUPD Y2, (DX)(AX*1)
+tfast4:
+	RANK4(Y0, Y1, Y2, Y3, Y4, Y5)
 	ADDQ $32, AX
 	CMPQ AX, R9
-	JLT  both4
-	JMP  found4
+	JLT  tfast4
+	JMP  tfound4
+	PCALIGN $64
 
-skip4:
-	VMOVUPD (DX)(AX*1), Y2
-	VMULPD (CX)(AX*1), Y4, Y0
-	VSUBPD Y0, Y2, Y0
-	VBLENDVPD Y6, Y2, Y0, Y2
-	VMULPD (R11)(AX*1), Y5, Y1
-	VSUBPD Y1, Y2, Y1
-	VBLENDVPD Y12, Y2, Y1, Y2
-	VMOVUPD Y2, (DX)(AX*1)
+tskip4:
+	RANK4B(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y12, Y11, Y9)
 	ADDQ $32, AX
 	CMPQ AX, R9
-	JLT  skip4
+	JLT  tskip4
 
-found4:
+tfound4:
+	CMPQ DX, R11
+	JLS  tnext4
 	VANDPD 32(DX)(R12*1), Y15, Y1
-	VCMPPD $0x1e, Y14, Y1, Y2
-	VORPD Y10, Y2, Y2
-	VBLENDVPD Y2, Y1, Y14, Y14
-	VBLENDVPD Y2, Y8, Y13, Y13
-	VXORPD Y10, Y10, Y10
+	SEARCH(Y1, Y2, Y10, Y8, Y13, Y14)
 	VPADDQ Y7, Y8, Y8
+
+tnext4:
 	ADDQ R9, DX
 	CMPQ DX, R13
-	JLT  row4
+	JLT  trow4
+	JMP  next4
+
+close4z:
+	// K5: the entries of the row's last, partial Z chunk (none when the
+	// columns right of k fill whole chunks).
+	MOVQ R9, R10
+	SUBQ R12, R10
+	SUBQ $32, R10
+	ANDQ $63, R10
+	SHRQ $3, R10
+	LEAQ tailMask<>(SB), AX
+	KMOVW (AX)(R10*2), K5
+	LEAQ -32(R9), R10           // R10: a chunk starting below it is whole
+	PCALIGN $64
+
+trowz4:
+	VBROADCASTF64X4 -96(DX)(R12*1), Z2 // Z2..Z4: l0..l2, each twice
+	VBROADCASTF64X4 -64(DX)(R12*1), Z3
+	VBROADCASTF64X4 -32(DX)(R12*1), Z4
+	CMPQ DX, R11
+	JHI  tlowz4
+	VXORPD Y5, Y5, Y5           // a pivot row of the panel, as in trow4
+	CMPQ DX, BX
+	JHI  tmaskz4
+	VXORPD Y4, Y4, Y4
+	CMPQ DX, CX
+	JHI  tmaskz4
+	VXORPD Y3, Y3, Y3
+	JMP  tmaskz4
+
+tlowz4:
+	VMULPD (DX)(R12*1), Y11, Y5 // Y5: l3 = a[i][k]/a[k][k]
+	VMOVUPD Y5, (DX)(R12*1)
+	VSHUFF64X2 $0x44, Z5, Z5, Z5
+
+tmaskz4:
+	VCMPPD $4, Z9, Z2, K1       // K1..K4: the lanes whose l0..l3 are not zero
+	VCMPPD $4, Z9, Z3, K2
+	VCMPPD $4, Z9, Z4, K3
+	VCMPPD $4, Z9, Z5, K4
+	LEAQ 32(R12), AX
+	CMPQ AX, R10
+	JLT  tz4
+	JMP  ttailz4
+	PCALIGN $64
+
+tz4:
+	RANK4Z
+	ADDQ $64, AX
+	CMPQ AX, R10
+	JLT  tz4
+
+ttailz4:
+	CMPQ AX, R9
+	JGE  tfoundz4
+	RANK4ZT
+
+tfoundz4:
+	CMPQ DX, R11
+	JLS  tnextz4
+	VANDPD 32(DX)(R12*1), Y15, Y1
+	SEARCH(Y1, Y2, Y10, Y8, Y13, Y14)
+	VPADDQ Y7, Y8, Y8
+
+tnextz4:
+	ADDQ R9, DX
+	CMPQ DX, R13
+	JLT  trowz4
+	MOVQ R12, R10
+	SHRQ $5, R10                // R10: step k again
 
 next4:
 	INCQ R10
@@ -1156,25 +1356,22 @@ lanes2:
 	IMULQ R8, R13
 	ADDQ SI, R13                // R13: end of the matrix
 	// Column 0's pivot search, rows 0..n-1.
-	VANDPD (SI), X15, X14       // X14: largest |a[i][k]| so far
-	VPXOR X13, X13, X13         // X13: its row, per lane
-	VMOVDQU X7, X8              // X8: the row being searched
-	LEAQ (SI)(R9*1), DX
-	CMPQ DX, R13
-	JGE  step02
+	VPCMPEQQ X10, X10, X10      // X10: all ones for the first row searched
+	VPXOR X8, X8, X8            // X8: the row being searched
+	MOVQ SI, DX
+	PCALIGN $64
 
 search02:
 	VANDPD (DX), X15, X1
-	SEARCH(X1, X2, X8, X13, X14)
+	SEARCH(X1, X2, X10, X8, X13, X14) // X13: the best row, X14: its |a[i][k]|
 	VPADDQ X7, X8, X8
 	ADDQ R9, DX
 	CMPQ DX, R13
 	JLT  search02
-
-step02:
 	XORQ R10, R10               // R10: step k
 	MOVQ SI, R11                // R11: &a[k][0]
 	XORQ R12, R12               // R12: byte offset of column k
+	PCALIGN $64
 
 step2:
 	// X13 holds step k's pivot rows. Any lane without a non-zero pivot?
@@ -1194,6 +1391,7 @@ step2:
 	LEAQ piv-32(SP), R13
 	XORQ BX, BX                 // BX: lane
 	XORQ R14, R14               // R14: mask of the lanes below BX
+	PCALIGN $64
 
 lane2:
 	MOVQ (R13)(BX*8), CX        // CX: the lane's pivot row p
@@ -1216,6 +1414,7 @@ lane2:
 	IMULQ R9, DX
 	ADDQ SI, DX                 // DX: &a[p][0]
 	XORQ AX, AX
+	PCALIGN $64
 
 swap2:
 	VMOVUPD (R11)(AX*1), X1
@@ -1245,101 +1444,209 @@ inv2:
 	LEAQ 1(R10), AX
 	CMPQ AX, R8
 	JGE  done
+	VMOVUPD X11, inv-64(SP)
 	VXORPD X9, X9, X9           // X9: zero
 	VMOVQ AX, X8
-	VPBROADCASTQ X8, X8         // X8: row k+1
+	VPBROADCASTQ X8, X8         // X8: row k+1, the first searched
+	VPCMPEQQ X10, X10, X10
 	LEAQ (R11)(R9*1), DX        // DX: &a[k+1][0]
-	TESTQ $1, R10
-	JNZ  close2
+	MOVQ R10, BX
+	ANDQ $3, BX
+	CMPQ BX, $3
+	JEQ  close2
+	// Step k inside a panel, as panel4.
+	MOVQ R10, BX
+	ORQ  $3, BX
+	INCQ BX
+	CMPQ BX, R8
+	CMOVQGT R8, BX
+	SUBQ R10, BX
+	DECQ BX                     // BX: kend-k-1 columns, 1, 2 or 3
+	PCALIGN $64
 
-	// Step k opens a pair: store its multipliers and bring column k+1
-	// alone up to date, searching it for step k+1's pivots.
-	VMOVUPD 16(R11)(R12*1), X10 // X10: a[k][k+1]
-	OPEN2
-	VMOVAPD X1, X14
-	VMOVDQU X8, X13
-	ADDQ R9, DX
-	CMPQ DX, R13
-	JGE  next2
+panel2:
+	VMULPD (DX)(R12*1), X11, X0 // X0: l = a[i][k]/a[k][k]
+	VMOVUPD X0, (DX)(R12*1)
+	VCMPPD $0, X9, X0, X3       // X3: the lanes whose l is zero
+	PANEL(16, X0, X3, X1, X2)
+	VANDPD X15, X1, X4          // X4: |a[i][k+1]|
+	CMPQ BX, $2
+	JLT  psearch2
+	PANEL(32, X0, X3, X1, X2)
+	JEQ  psearch2
+	PANEL(48, X0, X3, X1, X2)
 
-open2:
+psearch2:
+	SEARCH(X4, X2, X10, X8, X13, X14)
 	VPADDQ X7, X8, X8
-	OPEN2
-	SEARCH(X1, X2, X8, X13, X14)
 	ADDQ R9, DX
 	CMPQ DX, R13
-	JLT  open2
+	JLT  panel2
 	JMP  next2
 
 close2:
-	// Step k closes the pair (k-1, k). Row k owes step k-1 from column
-	// k+1 on; every row below owes both, and its column k+1 is searched
-	// for step k+1's pivots.
-	MOVQ R11, CX
-	SUBQ R9, CX                 // CX: &a[k-1][0]
-	VMOVUPD -16(R11)(R12*1), X4 // X4: the multiplier a[k][k-1]
-	VCMPPD $0, X9, X4, X6
-	LEAQ 16(R12), AX
+	// Step k closes the panel k0 = k-3, as close4; the trailing columns
+	// go two entries (32 bytes) to a Y register, an odd last one in X.
+	MOVQ R11, BX
+	SUBQ R9, BX                 // BX: &a[k-1][0]
+	MOVQ BX, CX
+	SUBQ R9, CX                 // CX: &a[k-2][0]
+	MOVQ CX, R14
+	SUBQ R9, R14                // R14: &a[k-3][0]
+	MOVQ CX, DX                 // DX: row k-2, the first that owes the panel
+	CMPB zmm+64(FP), $0
+	JNE  close2z
+	LEAQ -16(R9), R10           // R10: a Y chunk starting below it is whole
+	PCALIGN $64
 
-pivrow2:
-	VMOVUPD (R11)(AX*1), X2
-	VMULPD (CX)(AX*1), X4, X0
-	VSUBPD X0, X2, X0
-	VBLENDVPD X6, X2, X0, X2
-	VMOVUPD X2, (R11)(AX*1)
-	ADDQ $16, AX
-	CMPQ AX, R9
-	JLT  pivrow2
-	VPCMPEQQ X10, X10, X10      // X10: all ones for the first row searched
+trow2:
+	VXORPD Y9, Y9, Y9
+	VBROADCASTF128 -48(DX)(R12*1), Y2 // Y2..Y4: l0..l2, each twice
+	VBROADCASTF128 -32(DX)(R12*1), Y3
+	VBROADCASTF128 -16(DX)(R12*1), Y4
+	CMPQ DX, R11
+	JHI  tlow2
+	VXORPD Y5, Y5, Y5           // a pivot row of the panel, as in trow4
+	CMPQ DX, BX
+	JHI  tmask2
+	VXORPD Y4, Y4, Y4
+	CMPQ DX, CX
+	JHI  tmask2
+	VXORPD Y3, Y3, Y3
+	JMP  tmask2
 
-row2:
-	VMOVUPD -16(DX)(R12*1), X4  // X4: l0 = a[i][k-1]
-	VMULPD (DX)(R12*1), X11, X5 // X5: l1 = a[i][k]/a[k][k]
+tlow2:
+	VMOVUPD inv-64(SP), X5
+	VMULPD (DX)(R12*1), X5, X5  // X5: l3 = a[i][k]/a[k][k]
 	VMOVUPD X5, (DX)(R12*1)
-	VCMPPD $0, X9, X4, X6       // X6, X12: the lanes whose l0, l1 are zero
-	VCMPPD $0, X9, X5, X12
-	VORPD X6, X12, X0
-	VMOVMSKPD X0, BX
+	VINSERTF128 $1, X5, Y5, Y5
+
+tmask2:
+	VCMPPD $0, Y9, Y2, Y6       // Y6, Y12, Y11, Y9: the lanes whose l0..l3 are zero
+	VCMPPD $0, Y9, Y3, Y12
+	VCMPPD $0, Y9, Y4, Y11
+	VCMPPD $0, Y9, Y5, Y9
+	VORPD Y6, Y12, Y0
+	VORPD Y11, Y9, Y1
+	VORPD Y0, Y1, Y0
 	LEAQ 16(R12), AX
-	TESTQ BX, BX
-	JNZ  skip2
+	VPTEST Y0, Y0
+	JNZ  tskip2
+	CMPQ AX, R10
+	JLT  tfast2
+	JMP  tfastt2
+	PCALIGN $64
 
-both2:
-	VMOVUPD (DX)(AX*1), X2
-	VMULPD (CX)(AX*1), X4, X0
-	VSUBPD X0, X2, X2
-	VMULPD (R11)(AX*1), X5, X1
-	VSUBPD X1, X2, X2
-	VMOVUPD X2, (DX)(AX*1)
-	ADDQ $16, AX
+tfast2:
+	RANK4(Y0, Y1, Y2, Y3, Y4, Y5)
+	ADDQ $32, AX
+	CMPQ AX, R10
+	JLT  tfast2
+
+tfastt2:
 	CMPQ AX, R9
-	JLT  both2
-	JMP  found2
+	JGE  tfound2
+	RANK4(X0, X1, X2, X3, X4, X5)
+	JMP  tfound2
 
-skip2:
-	VMOVUPD (DX)(AX*1), X2
-	VMULPD (CX)(AX*1), X4, X0
-	VSUBPD X0, X2, X0
-	VBLENDVPD X6, X2, X0, X2
-	VMULPD (R11)(AX*1), X5, X1
-	VSUBPD X1, X2, X1
-	VBLENDVPD X12, X2, X1, X2
-	VMOVUPD X2, (DX)(AX*1)
-	ADDQ $16, AX
+tskip2:
+	CMPQ AX, R10
+	JLT  tskipl2
+	JMP  tskipt2
+	PCALIGN $64
+
+tskipl2:
+	RANK4B(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y12, Y11, Y9)
+	ADDQ $32, AX
+	CMPQ AX, R10
+	JLT  tskipl2
+
+tskipt2:
 	CMPQ AX, R9
-	JLT  skip2
+	JGE  tfound2
+	RANK4B(X0, X1, X2, X3, X4, X5, X6, X12, X11, X9)
 
-found2:
+tfound2:
+	CMPQ DX, R11
+	JLS  tnext2
 	VANDPD 16(DX)(R12*1), X15, X1
-	VCMPPD $0x1e, X14, X1, X2
-	VORPD X10, X2, X2
-	VBLENDVPD X2, X1, X14, X14
-	VBLENDVPD X2, X8, X13, X13
-	VXORPD X10, X10, X10
+	SEARCH(X1, X2, X10, X8, X13, X14)
 	VPADDQ X7, X8, X8
+
+tnext2:
 	ADDQ R9, DX
 	CMPQ DX, R13
-	JLT  row2
+	JLT  trow2
+	JMP  tdone2
+
+close2z:
+	MOVQ R9, R10                // K5 and R10 as in close4z
+	SUBQ R12, R10
+	SUBQ $16, R10
+	ANDQ $63, R10
+	SHRQ $3, R10
+	LEAQ tailMask<>(SB), AX
+	KMOVW (AX)(R10*2), K5
+	LEAQ -48(R9), R10
+	PCALIGN $64
+
+trowz2:
+	VBROADCASTF32X4 -48(DX)(R12*1), Z2 // Z2..Z4: l0..l2, each four times
+	VBROADCASTF32X4 -32(DX)(R12*1), Z3
+	VBROADCASTF32X4 -16(DX)(R12*1), Z4
+	CMPQ DX, R11
+	JHI  tlowz2
+	VXORPD Y5, Y5, Y5           // a pivot row of the panel, as in trow4
+	CMPQ DX, BX
+	JHI  tmaskz2
+	VXORPD Y4, Y4, Y4
+	CMPQ DX, CX
+	JHI  tmaskz2
+	VXORPD Y3, Y3, Y3
+	JMP  tmaskz2
+
+tlowz2:
+	VMULPD (DX)(R12*1), X11, X5 // X5: l3 = a[i][k]/a[k][k]
+	VMOVUPD X5, (DX)(R12*1)
+	VSHUFF64X2 $0, Z5, Z5, Z5
+
+tmaskz2:
+	VCMPPD $4, Z9, Z2, K1       // K1..K4: the lanes whose l0..l3 are not zero
+	VCMPPD $4, Z9, Z3, K2
+	VCMPPD $4, Z9, Z4, K3
+	VCMPPD $4, Z9, Z5, K4
+	LEAQ 16(R12), AX
+	CMPQ AX, R10
+	JLT  tz2
+	JMP  ttailz2
+	PCALIGN $64
+
+tz2:
+	RANK4Z
+	ADDQ $64, AX
+	CMPQ AX, R10
+	JLT  tz2
+
+ttailz2:
+	CMPQ AX, R9
+	JGE  tfoundz2
+	RANK4ZT
+
+tfoundz2:
+	CMPQ DX, R11
+	JLS  tnextz2
+	VANDPD 16(DX)(R12*1), X15, X1
+	SEARCH(X1, X2, X10, X8, X13, X14)
+	VPADDQ X7, X8, X8
+
+tnextz2:
+	ADDQ R9, DX
+	CMPQ DX, R13
+	JLT  trowz2
+
+tdone2:
+	MOVQ R12, R10
+	SHRQ $4, R10                // R10: step k again
 
 next2:
 	INCQ R10
@@ -1349,10 +1656,10 @@ next2:
 
 done:
 	VZEROUPPER
-	MOVQ $0, ret+64(FP)
+	MOVQ $0, ret+72(FP)
 	RET
 
 singular:
 	VZEROUPPER
-	MOVQ $1, ret+64(FP)
+	MOVQ $1, ret+72(FP)
 	RET

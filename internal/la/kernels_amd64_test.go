@@ -3,16 +3,23 @@ package la
 import "testing"
 
 // eachKernelPath runs fn once per implementation this machine can
-// execute: on the pure-Go loops, then on the vector kernels.
+// execute: on the pure-Go loops, on the AVX2 kernels, then on the AVX2
+// kernels with their AVX-512 forms.
 func eachKernelPath(t testing.TB, fn func(path string)) {
-	have := useAVX2
-	defer func() { useAVX2 = have }()
-	useAVX2 = false
+	have, have512 := useAVX2, useAVX512
+	defer func() { useAVX2, useAVX512 = have, have512 }()
+	useAVX2, useAVX512 = false, false
 	fn("generic")
 	if !have {
-		t.Log("this CPU lacks AVX2: vector path not run")
+		t.Log("this CPU lacks AVX2: vector paths not run")
 		return
 	}
 	useAVX2 = true
 	fn("avx2")
+	if !have512 {
+		t.Log("this CPU lacks AVX-512F: avx512 path not run")
+		return
+	}
+	useAVX512 = true
+	fn("avx512")
 }

@@ -231,10 +231,15 @@ func SolveDGESV(a *Matrix, b []float64, piv []int) error {
 const minVectorLen = 8
 
 // Kernels names the implementation behind the trailing update of the
-// elimination core, the element-wise passes and MulTN on this CPU: "avx2" (the
-// assembly kernels of kernels_amd64.s) or "generic" (the pure-Go loops).
-// Both produce the same bits; the bench ledger records which one it timed.
+// elimination core, the element-wise passes and MulTN on this CPU:
+// "avx512" (the assembly kernels of kernels_amd64.s, FactorLanes' trailing
+// update in Z registers), "avx2" (the same kernels, all in Y registers) or
+// "generic" (the pure-Go loops). All produce the same bits; the bench
+// ledger records which one it timed.
 func Kernels() string {
+	if useAVX512 {
+		return "avx512"
+	}
 	if useAVX2 {
 		return "avx2"
 	}

@@ -326,9 +326,24 @@ func TestFactorLanesBitwise(t *testing.T) {
 			}
 			return m
 		},
+		"block-zeros": func(n, l int) *Matrix {
+			// Odd lanes only: row i's first max(0, i-1-i%4) entries are
+			// zero below a dominant diagonal, so its multipliers are
+			// exactly zero up to a step that sits at every position of a
+			// four-column block as i runs, and non-zero after it.
+			m := elim(n, elimCases(n, 0, int64(5*n+l))["dominant"])
+			if l%2 == 1 {
+				for i := 1; i < n; i++ {
+					clear(m.Data[i*n : i*n+max(0, i-1-i%4)])
+				}
+			}
+			return m
+		},
 	}
+	// Every residue of n mod 4, block boundaries (4, 8, 12) and sizes
+	// one past them.
 	for _, w := range []int{1, 2, 4} {
-		for _, n := range []int{1, 2, 3, 5, 8, 27, 64, 125} {
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 27, 64, 125} {
 			for name, build := range cases {
 				mats := make([]*Matrix, w)
 				for l := range mats {

@@ -138,6 +138,13 @@ go test -race -count=1 -run 'Eliminate|Bitwise|Window|FactorBlocked|MulTN|TriSol
 go test -run '^$' -fuzz=FuzzEliminateBitwise -fuzztime=5s ./internal/la
 go test -run '^$' -fuzz=FuzzTriSolveLanesBitwise -fuzztime=5s ./internal/la
 go test -run '^$' -fuzz=FuzzFactorLanesBitwise -fuzztime=5s ./internal/la
+# The blocked lane factorisation has a Z-register form: on a CPU that
+# reports AVX-512F the bitwise suite must have run it, not logged it away.
+if grep -qw avx512f /proc/cpuinfo 2>/dev/null &&
+	go test -count=1 -v -run '^TestFactorLanesBitwise$' ./internal/la | grep -q 'avx512 path not run'; then
+	echo "internal/la: the CPU has AVX-512F but the avx512 kernel path was skipped" >&2
+	exit 1
+fi
 go test -run '^$' -fuzz=FuzzFaceApplyLanesBitwise -fuzztime=5s ./internal/la
 go test -run '^$' -fuzz=FuzzFaceApplyLanesPerLaneBitwise -fuzztime=5s ./internal/la
 # Element-matrix bitwise suite: fem's la.MulTN integration against the
