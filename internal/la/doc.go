@@ -90,8 +90,9 @@
 // they hold, so no access leaves the operands and no tail is scalar),
 // TriSolveLanes (triSolveLanesAVX2: the triangular solves of four
 // systems on Y registers, or two on X registers), FactorLanes
-// (factorLanesAVX, the same registers, its trailing update in Z registers
-// on AVX-512F: see below), AddScaledToLanes
+// (factorLanesPaired and factorLanesBlocked, the same registers, the
+// blocked kernel's trailing update in Z registers on AVX-512F: see
+// below), AddScaledToLanes
 // (addScaledToLanesAVX2: four entries of every lane's base per pass,
 // transposed into the interleaved layout), FaceApplyLanes
 // (faceApplyLanesAVX2) and FaceApplyLanesPerLane
@@ -105,8 +106,12 @@
 // difference, and would move the last bit of most entries (scripts/ci.sh
 // greps the assembly for FMA mnemonics).
 //
-// FactorLanes is blocked: it takes its steps in panels of four pivot
-// columns. A step inside a panel searches, swaps whole rows and stores
+// FactorLanes has two kernels, chosen by n alone (blockedMinN, 16). The
+// paired kernel takes steps two at a time: the step opening a pair
+// updates only column k+1, the step closing it applies both row
+// operations, t = (t - l0*u0) - l1*u1, in one pass over each lower row.
+// From n = 16 on the blocked kernel takes its steps in panels of four
+// pivot columns. A step inside a panel searches, swaps whole rows and stores
 // its multipliers as eliminate does, but brings only the panel's later
 // columns up to date. The step closing a panel makes one pass over the
 // rows below the panel's first: pivot row k0+q applies the panel's first
@@ -121,6 +126,12 @@
 // merge-masked out of its subtract as the scalar loop skips the row; the
 // rest of the kernel, and the whole kernel without AVX-512F, is the Y (X)
 // form, which blends instead. CPUID and XCR0 choose the form, nothing else.
+// Below n = 16 a blocked step's fixed cost (the panel bookkeeping, the
+// masked pivot rows of the closing pass) is not repaid: at n = 8,
+// solve_lo's and serve_hot's size, the blocked kernel measured up to 10%
+// slower than the paired one; at n = 27 it is 15-30% faster and at
+// n = 64 35-60% (Z form). Without AVX-512F the w = 4 crossover is nearer
+// n = 27, a size between no workload's sizes.
 //
 // TriSolveLanes vectorises across systems instead of within one. Its
 // operands are w factors stored lane-interleaved, entry (i, j) of lane l

@@ -1,12 +1,15 @@
 package la
 
 // useAVX2 selects the vector kernels of kernels_amd64.s, and useAVX512
-// their Z-register form where one exists (FactorLanes' closing pass).
-// Both are set once, here, from what the CPU and the operating system
-// report; nothing outside this package's tests can change them.
+// their Z-register form where one exists (the blocked FactorLanes'
+// closing pass). Both are set once, here, from what the CPU and the
+// operating system report; blockedMinN is the smallest n whose lane
+// factorisation takes the blocked kernel rather than the paired one.
+// Nothing outside this package's tests can change them.
 var (
-	useAVX2   = detectAVX2()
-	useAVX512 = useAVX2 && detectAVX512()
+	useAVX2     = detectAVX2()
+	useAVX512   = useAVX2 && detectAVX512()
+	blockedMinN = 16
 )
 
 // detectAVX2 reports whether AVX2 instructions may be executed: the CPU
@@ -68,7 +71,10 @@ func mulTNAVX2(c []float64, ldc int, a []float64, lda int, b []float64, ldb, n, 
 func triSolveLanesAVX2(lu, x []float64, n, w, ldx int)
 
 //go:noescape
-func factorLanesAVX(lu []float64, perm []int, n, w int, zmm bool) int
+func factorLanesPaired(lu []float64, perm []int, n, w int) int
+
+//go:noescape
+func factorLanesBlocked(lu []float64, perm []int, n, w int, zmm bool) int
 
 //go:noescape
 func addScaledToLanesAVX2(dst []float64, base [][]float64, x, w []float64)

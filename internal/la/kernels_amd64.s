@@ -1,5 +1,5 @@
-// AVX2 kernels of package la (factorLanesAVX's closing pass also in an
-// AVX-512F form on Z registers). Every lane performs the IEEE-754 multiply
+// AVX2 kernels of package la (factorLanesBlocked's closing pass also in
+// an AVX-512F form on Z registers). Every lane performs the IEEE-754 multiply
 // and the subtract (or add, or divide) the pure-Go loop performs on that
 // element, operands in the same order, each rounded on its own: VMULPD
 // then VSUBPD / VADDPD (VDIVPD), never a fused multiply-add (doc.go, "Vector kernels";
@@ -96,6 +96,7 @@ rows4:
 	XORQ AX, AX
 	CMPQ AX, BX
 	JGE  tail
+	PCALIGN $64
 
 cols4:
 	VMOVUPD (SI)(AX*1), Y0
@@ -932,25 +933,513 @@ form2:
 	RET
 
 // The pivot search of one row: V holds |a[i][k]| of every lane, I the
-// row i and F all ones on the first row a search visits (every lane takes
-// it) and zero after. A lane takes row i where V is strictly greater
-// than its best so far (VCMPPD GT_OQ is false when either is a NaN, so a
-// NaN never displaces the incumbent); M is scratch.
-#define SEARCH(V, M, F, I, IDX, BEST) \
+// row i, and IDX, BEST the best row so far and its |a[i][k]|, seeded with
+// the search's first row. A lane takes row i where V is strictly greater
+// than BEST (VCMPPD GT_OQ is false when either is a NaN, so a NaN never
+// displaces the incumbent); VMAXPD keeps BEST where V is not greater,
+// NaNs included, so BEST's chain is one instruction per row. M is
+// scratch.
+#define SEARCH(V, M, I, IDX, BEST) \
+	VCMPPD $0x1e, BEST, V, M; \
+	VMAXPD BEST, V, BEST; \
+	VBLENDVPD M, I, IDX, IDX
+
+// SEARCH for a loop whose first searched row is not known before it:
+// F is all ones on that row (every lane takes it) and zero after.
+#define SEARCHF(V, M, F, I, IDX, BEST) \
 	VCMPPD $0x1e, BEST, V, M; \
 	VORPD F, M, M; \
 	VBLENDVPD M, V, BEST, BEST; \
 	VBLENDVPD M, I, IDX, IDX; \
 	VXORPD F, F, F
 
+// One row of the pass that opens a pair, DX = &a[i][0], R12 the byte
+// offset of column k: the multiplier l = a[i][k]*(1/a[k][k]) is stored
+// and a[i][k+1] -= l*a[k][k+1] except in the lanes where l == 0 (the
+// blend keeps the old value there). Leaves |a[i][k+1]| in Y1 / X1.
+#define OPEN4 \
+	VMULPD (DX)(R12*1), Y11, Y0; \
+	VMOVUPD Y0, (DX)(R12*1); \
+	VMOVUPD 32(DX)(R12*1), Y1; \
+	VMULPD Y10, Y0, Y2; \
+	VSUBPD Y2, Y1, Y2; \
+	VCMPPD $0, Y9, Y0, Y3; \
+	VBLENDVPD Y3, Y1, Y2, Y1; \
+	VMOVUPD Y1, 32(DX)(R12*1); \
+	VANDPD Y15, Y1, Y1
+
+#define OPEN2 \
+	VMULPD (DX)(R12*1), X11, X0; \
+	VMOVUPD X0, (DX)(R12*1); \
+	VMOVUPD 16(DX)(R12*1), X1; \
+	VMULPD X10, X0, X2; \
+	VSUBPD X2, X1, X2; \
+	VCMPPD $0, X9, X0, X3; \
+	VBLENDVPD X3, X1, X2, X1; \
+	VMOVUPD X1, 16(DX)(R12*1); \
+	VANDPD X15, X1, X1
+
+// func factorLanesPaired(lu []float64, perm []int, n, w int) int
+//
+// FactorLanes for w = 4 (Y registers, 32-byte entries) or w = 2 (X
+// registers, 16-byte entries), n >= 1, perm already the identity per
+// lane; returns 1 if some lane meets a zero pivot column, else 0. Every
+// lane runs eliminate's sequence. Steps go in pairs: the step opening a
+// pair stores its multipliers and updates column k+1 alone (searching it
+// for the next pivot as it goes); the step closing it applies both row
+// operations in one pass over each row below, l0 then l1, and searches
+// the first column it leaves final for the next pair's pivot. A lane
+// whose multiplier is zero keeps its entry (VBLENDVPD), as the scalar
+// loop skips the row. Row exchanges are masked blends of the two rows,
+// one pass per distinct pivot row; each lane's permutation is swapped in
+// place as its row is. FactorLanes takes it below blockedMinN, where a
+// step's fixed cost outweighs what factorLanesBlocked saves per entry.
+TEXT ·factorLanesPaired(SB), NOSPLIT, $32-72
+	MOVQ lu_base+0(FP), SI
+	MOVQ perm_base+24(FP), DI
+	MOVQ n+48(FP), R8
+	VPCMPEQQ Y15, Y15, Y15
+	VPSRLQ $63, Y15, Y7         // Y7: one per lane, the row step
+	VPSRLQ $1, Y15, Y15         // Y15: the |x| mask
+	CMPQ w+56(FP), $4
+	JNE  lanes2
+
+lanes4:
+	MOVQ R8, R9
+	SHLQ $5, R9                 // R9: bytes of one row (n entries of 32)
+	MOVQ R9, R13
+	IMULQ R8, R13
+	ADDQ SI, R13                // R13: end of the matrix
+	// Column 0's pivot search, rows 0..n-1.
+	VANDPD (SI), Y15, Y14       // Y14: largest |a[i][k]| so far
+	VPXOR Y13, Y13, Y13         // Y13: its row, per lane
+	VMOVDQU Y7, Y8              // Y8: the row being searched
+	LEAQ (SI)(R9*1), DX
+	CMPQ DX, R13
+	JGE  step04
+	PCALIGN $64
+
+search04:
+	VANDPD (DX), Y15, Y1
+	SEARCH(Y1, Y2, Y8, Y13, Y14)
+	VPADDQ Y7, Y8, Y8
+	ADDQ R9, DX
+	CMPQ DX, R13
+	JLT  search04
+
+step04:
+	XORQ R10, R10               // R10: step k
+	MOVQ SI, R11                // R11: &a[k][0]
+	XORQ R12, R12               // R12: byte offset of column k
+	PCALIGN $64
+
+step4:
+	// Y13 holds step k's pivot rows. Any lane without a non-zero pivot?
+	VXORPD Y0, Y0, Y0
+	VCMPPD $0, Y0, Y14, Y0
+	VMOVMSKPD Y0, AX
+	TESTQ AX, AX
+	JNZ  singular
+	// Exchange rows k and p per lane, unless every lane pivots on k.
+	VMOVQ R10, X0
+	VPBROADCASTQ X0, Y0
+	VPCMPEQQ Y0, Y13, Y0
+	VMOVMSKPD Y0, AX
+	CMPQ AX, $15
+	JEQ  inv4
+	VMOVDQU Y13, piv-32(SP)
+	LEAQ piv-32(SP), R13
+	XORQ BX, BX                 // BX: lane
+	XORQ R14, R14               // R14: mask of the lanes below BX
+	PCALIGN $64
+
+lane4:
+	MOVQ (R13)(BX*8), CX        // CX: the lane's pivot row p
+	CMPQ CX, R10
+	JEQ  nextlane4
+	MOVQ BX, AX
+	IMULQ R8, AX
+	LEAQ (DI)(AX*8), AX         // AX: the lane's permutation
+	MOVQ (AX)(R10*8), DX
+	MOVQ (AX)(CX*8), R12
+	MOVQ R12, (AX)(R10*8)
+	MOVQ DX, (AX)(CX*8)
+	// Lanes sharing p swap in one pass, made by the lowest of them.
+	VPBROADCASTQ (R13)(BX*8), Y0
+	VPCMPEQQ Y0, Y13, Y0
+	VMOVMSKPD Y0, AX
+	TESTQ R14, AX
+	JNZ  nextlane4
+	MOVQ CX, DX
+	IMULQ R9, DX
+	ADDQ SI, DX                 // DX: &a[p][0]
+	XORQ AX, AX
+	PCALIGN $64
+
+swap4:
+	VMOVUPD (R11)(AX*1), Y1
+	VMOVUPD (DX)(AX*1), Y2
+	VBLENDVPD Y0, Y2, Y1, Y3
+	VBLENDVPD Y0, Y1, Y2, Y2
+	VMOVUPD Y3, (R11)(AX*1)
+	VMOVUPD Y2, (DX)(AX*1)
+	ADDQ $32, AX
+	CMPQ AX, R9
+	JLT  swap4
+
+nextlane4:
+	LEAQ 1(R14)(R14*1), R14
+	INCQ BX
+	CMPQ BX, $4
+	JLT  lane4
+	MOVQ R10, R12
+	SHLQ $5, R12
+
+inv4:
+	VBROADCASTSD lanesOne<>(SB), Y0
+	VDIVPD (R11)(R12*1), Y0, Y11 // Y11: 1/a[k][k]
+	MOVQ R9, R13
+	IMULQ R8, R13
+	ADDQ SI, R13                // R13: end of the matrix
+	LEAQ 1(R10), AX
+	CMPQ AX, R8
+	JGE  done
+	VXORPD Y9, Y9, Y9           // Y9: zero
+	VMOVQ AX, X8
+	VPBROADCASTQ X8, Y8         // Y8: row k+1
+	LEAQ (R11)(R9*1), DX        // DX: &a[k+1][0]
+	TESTQ $1, R10
+	JNZ  close4
+
+	// Step k opens a pair: store its multipliers and bring column k+1
+	// alone up to date, searching it for step k+1's pivots.
+	VMOVUPD 32(R11)(R12*1), Y10 // Y10: a[k][k+1]
+	OPEN4
+	VMOVAPD Y1, Y14
+	VMOVDQU Y8, Y13
+	ADDQ R9, DX
+	CMPQ DX, R13
+	JGE  next4
+	PCALIGN $64
+
+open4:
+	VPADDQ Y7, Y8, Y8
+	OPEN4
+	SEARCH(Y1, Y2, Y8, Y13, Y14)
+	ADDQ R9, DX
+	CMPQ DX, R13
+	JLT  open4
+	JMP  next4
+
+close4:
+	// Step k closes the pair (k-1, k). Row k owes step k-1 from column
+	// k+1 on; every row below owes both, and its column k+1 is searched
+	// for step k+1's pivots.
+	MOVQ R11, CX
+	SUBQ R9, CX                 // CX: &a[k-1][0]
+	VMOVUPD -32(R11)(R12*1), Y4 // Y4: the multiplier a[k][k-1]
+	VCMPPD $0, Y9, Y4, Y6
+	LEAQ 32(R12), AX
+	PCALIGN $64
+
+pivrow4:
+	VMOVUPD (R11)(AX*1), Y2
+	VMULPD (CX)(AX*1), Y4, Y0
+	VSUBPD Y0, Y2, Y0
+	VBLENDVPD Y6, Y2, Y0, Y2
+	VMOVUPD Y2, (R11)(AX*1)
+	ADDQ $32, AX
+	CMPQ AX, R9
+	JLT  pivrow4
+	VPCMPEQQ Y10, Y10, Y10      // Y10: all ones for the first row searched
+	PCALIGN $64
+
+row4:
+	VMOVUPD -32(DX)(R12*1), Y4  // Y4: l0 = a[i][k-1]
+	VMULPD (DX)(R12*1), Y11, Y5 // Y5: l1 = a[i][k]/a[k][k]
+	VMOVUPD Y5, (DX)(R12*1)
+	VCMPPD $0, Y9, Y4, Y6       // Y6, Y12: the lanes whose l0, l1 are zero
+	VCMPPD $0, Y9, Y5, Y12
+	VORPD Y6, Y12, Y0
+	VMOVMSKPD Y0, BX
+	LEAQ 32(R12), AX
+	TESTQ BX, BX
+	JNZ  skip4
+	PCALIGN $64
+
+both4:
+	VMOVUPD (DX)(AX*1), Y2
+	VMULPD (CX)(AX*1), Y4, Y0
+	VSUBPD Y0, Y2, Y2
+	VMULPD (R11)(AX*1), Y5, Y1
+	VSUBPD Y1, Y2, Y2
+	VMOVUPD Y2, (DX)(AX*1)
+	ADDQ $32, AX
+	CMPQ AX, R9
+	JLT  both4
+	JMP  found4
+	PCALIGN $64
+
+skip4:
+	VMOVUPD (DX)(AX*1), Y2
+	VMULPD (CX)(AX*1), Y4, Y0
+	VSUBPD Y0, Y2, Y0
+	VBLENDVPD Y6, Y2, Y0, Y2
+	VMULPD (R11)(AX*1), Y5, Y1
+	VSUBPD Y1, Y2, Y1
+	VBLENDVPD Y12, Y2, Y1, Y2
+	VMOVUPD Y2, (DX)(AX*1)
+	ADDQ $32, AX
+	CMPQ AX, R9
+	JLT  skip4
+
+found4:
+	VANDPD 32(DX)(R12*1), Y15, Y1
+	SEARCHF(Y1, Y2, Y10, Y8, Y13, Y14)
+	VPADDQ Y7, Y8, Y8
+	ADDQ R9, DX
+	CMPQ DX, R13
+	JLT  row4
+
+next4:
+	INCQ R10
+	ADDQ R9, R11
+	ADDQ $32, R12
+	JMP  step4
+
+lanes2:
+	MOVQ R8, R9
+	SHLQ $4, R9                 // R9: bytes of one row (n entries of 16)
+	MOVQ R9, R13
+	IMULQ R8, R13
+	ADDQ SI, R13                // R13: end of the matrix
+	// Column 0's pivot search, rows 0..n-1.
+	VANDPD (SI), X15, X14       // X14: largest |a[i][k]| so far
+	VPXOR X13, X13, X13         // X13: its row, per lane
+	VMOVDQU X7, X8              // X8: the row being searched
+	LEAQ (SI)(R9*1), DX
+	CMPQ DX, R13
+	JGE  step02
+	PCALIGN $64
+
+search02:
+	VANDPD (DX), X15, X1
+	SEARCH(X1, X2, X8, X13, X14)
+	VPADDQ X7, X8, X8
+	ADDQ R9, DX
+	CMPQ DX, R13
+	JLT  search02
+
+step02:
+	XORQ R10, R10               // R10: step k
+	MOVQ SI, R11                // R11: &a[k][0]
+	XORQ R12, R12               // R12: byte offset of column k
+	PCALIGN $64
+
+step2:
+	// X13 holds step k's pivot rows. Any lane without a non-zero pivot?
+	VXORPD X0, X0, X0
+	VCMPPD $0, X0, X14, X0
+	VMOVMSKPD X0, AX
+	TESTQ AX, AX
+	JNZ  singular
+	// Exchange rows k and p per lane, unless every lane pivots on k.
+	VMOVQ R10, X0
+	VPBROADCASTQ X0, X0
+	VPCMPEQQ X0, X13, X0
+	VMOVMSKPD X0, AX
+	CMPQ AX, $3
+	JEQ  inv2
+	VMOVDQU X13, piv-32(SP)
+	LEAQ piv-32(SP), R13
+	XORQ BX, BX                 // BX: lane
+	XORQ R14, R14               // R14: mask of the lanes below BX
+	PCALIGN $64
+
+lane2:
+	MOVQ (R13)(BX*8), CX        // CX: the lane's pivot row p
+	CMPQ CX, R10
+	JEQ  nextlane2
+	MOVQ BX, AX
+	IMULQ R8, AX
+	LEAQ (DI)(AX*8), AX         // AX: the lane's permutation
+	MOVQ (AX)(R10*8), DX
+	MOVQ (AX)(CX*8), R12
+	MOVQ R12, (AX)(R10*8)
+	MOVQ DX, (AX)(CX*8)
+	// Lanes sharing p swap in one pass, made by the lowest of them.
+	VPBROADCASTQ (R13)(BX*8), X0
+	VPCMPEQQ X0, X13, X0
+	VMOVMSKPD X0, AX
+	TESTQ R14, AX
+	JNZ  nextlane2
+	MOVQ CX, DX
+	IMULQ R9, DX
+	ADDQ SI, DX                 // DX: &a[p][0]
+	XORQ AX, AX
+	PCALIGN $64
+
+swap2:
+	VMOVUPD (R11)(AX*1), X1
+	VMOVUPD (DX)(AX*1), X2
+	VBLENDVPD X0, X2, X1, X3
+	VBLENDVPD X0, X1, X2, X2
+	VMOVUPD X3, (R11)(AX*1)
+	VMOVUPD X2, (DX)(AX*1)
+	ADDQ $16, AX
+	CMPQ AX, R9
+	JLT  swap2
+
+nextlane2:
+	LEAQ 1(R14)(R14*1), R14
+	INCQ BX
+	CMPQ BX, $2
+	JLT  lane2
+	MOVQ R10, R12
+	SHLQ $4, R12
+
+inv2:
+	VMOVDDUP lanesOne<>(SB), X0
+	VDIVPD (R11)(R12*1), X0, X11 // X11: 1/a[k][k]
+	MOVQ R9, R13
+	IMULQ R8, R13
+	ADDQ SI, R13                // R13: end of the matrix
+	LEAQ 1(R10), AX
+	CMPQ AX, R8
+	JGE  done
+	VXORPD X9, X9, X9           // X9: zero
+	VMOVQ AX, X8
+	VPBROADCASTQ X8, X8         // X8: row k+1
+	LEAQ (R11)(R9*1), DX        // DX: &a[k+1][0]
+	TESTQ $1, R10
+	JNZ  close2
+
+	// Step k opens a pair: store its multipliers and bring column k+1
+	// alone up to date, searching it for step k+1's pivots.
+	VMOVUPD 16(R11)(R12*1), X10 // X10: a[k][k+1]
+	OPEN2
+	VMOVAPD X1, X14
+	VMOVDQU X8, X13
+	ADDQ R9, DX
+	CMPQ DX, R13
+	JGE  next2
+	PCALIGN $64
+
+open2:
+	VPADDQ X7, X8, X8
+	OPEN2
+	SEARCH(X1, X2, X8, X13, X14)
+	ADDQ R9, DX
+	CMPQ DX, R13
+	JLT  open2
+	JMP  next2
+
+close2:
+	// Step k closes the pair (k-1, k). Row k owes step k-1 from column
+	// k+1 on; every row below owes both, and its column k+1 is searched
+	// for step k+1's pivots.
+	MOVQ R11, CX
+	SUBQ R9, CX                 // CX: &a[k-1][0]
+	VMOVUPD -16(R11)(R12*1), X4 // X4: the multiplier a[k][k-1]
+	VCMPPD $0, X9, X4, X6
+	LEAQ 16(R12), AX
+	PCALIGN $64
+
+pivrow2:
+	VMOVUPD (R11)(AX*1), X2
+	VMULPD (CX)(AX*1), X4, X0
+	VSUBPD X0, X2, X0
+	VBLENDVPD X6, X2, X0, X2
+	VMOVUPD X2, (R11)(AX*1)
+	ADDQ $16, AX
+	CMPQ AX, R9
+	JLT  pivrow2
+	VPCMPEQQ X10, X10, X10      // X10: all ones for the first row searched
+	PCALIGN $64
+
+row2:
+	VMOVUPD -16(DX)(R12*1), X4  // X4: l0 = a[i][k-1]
+	VMULPD (DX)(R12*1), X11, X5 // X5: l1 = a[i][k]/a[k][k]
+	VMOVUPD X5, (DX)(R12*1)
+	VCMPPD $0, X9, X4, X6       // X6, X12: the lanes whose l0, l1 are zero
+	VCMPPD $0, X9, X5, X12
+	VORPD X6, X12, X0
+	VMOVMSKPD X0, BX
+	LEAQ 16(R12), AX
+	TESTQ BX, BX
+	JNZ  skip2
+	PCALIGN $64
+
+both2:
+	VMOVUPD (DX)(AX*1), X2
+	VMULPD (CX)(AX*1), X4, X0
+	VSUBPD X0, X2, X2
+	VMULPD (R11)(AX*1), X5, X1
+	VSUBPD X1, X2, X2
+	VMOVUPD X2, (DX)(AX*1)
+	ADDQ $16, AX
+	CMPQ AX, R9
+	JLT  both2
+	JMP  found2
+	PCALIGN $64
+
+skip2:
+	VMOVUPD (DX)(AX*1), X2
+	VMULPD (CX)(AX*1), X4, X0
+	VSUBPD X0, X2, X0
+	VBLENDVPD X6, X2, X0, X2
+	VMULPD (R11)(AX*1), X5, X1
+	VSUBPD X1, X2, X1
+	VBLENDVPD X12, X2, X1, X2
+	VMOVUPD X2, (DX)(AX*1)
+	ADDQ $16, AX
+	CMPQ AX, R9
+	JLT  skip2
+
+found2:
+	VANDPD 16(DX)(R12*1), X15, X1
+	SEARCHF(X1, X2, X10, X8, X13, X14)
+	VPADDQ X7, X8, X8
+	ADDQ R9, DX
+	CMPQ DX, R13
+	JLT  row2
+
+next2:
+	INCQ R10
+	ADDQ R9, R11
+	ADDQ $16, R12
+	JMP  step2
+
+done:
+	VZEROUPPER
+	MOVQ $0, ret+64(FP)
+	RET
+
+singular:
+	VZEROUPPER
+	MOVQ $1, ret+64(FP)
+	RET
+
+
 // One column of a step inside a panel, at byte offset OFF past column k
 // of row DX (R11 the pivot row): T <- T - L*u, the lanes whose L is zero
 // (mask M) keeping T, with P scratch. The result is left in T.
 #define PANEL(OFF, L, M, T, P) \
+	PANELV(OFF, L, M, T, P); \
+	VMOVUPD T, OFF(DX)(R12*1)
+
+// PANEL's value alone, nothing stored.
+#define PANELV(OFF, L, M, T, P) \
 	VMOVUPD OFF(DX)(R12*1), T; \
 	VMULPD OFF(R11)(R12*1), L, P; \
 	VSUBPD P, T, P; \
-	VBLENDVPD M, T, P, T; \
+	VBLENDVPD M, T, P, T
+
+// PANEL for a row none of whose lanes has a zero multiplier: no blend.
+#define PANELF(OFF, L, T, P) \
+	VMOVUPD OFF(DX)(R12*1), T; \
+	VMULPD OFF(R11)(R12*1), L, P; \
+	VSUBPD P, T, T; \
 	VMOVUPD T, OFF(DX)(R12*1)
 
 // The four row operations of a panel on one chunk of the target row DX
@@ -1024,7 +1513,7 @@ DATA tailMask<>+0(SB)/8, $0x0007000300010000
 DATA tailMask<>+8(SB)/8, $0x007f003f001f000f
 GLOBL tailMask<>(SB), RODATA|NOPTR, $16
 
-// func factorLanesAVX(lu []float64, perm []int, n, w int, zmm bool) int
+// func factorLanesBlocked(lu []float64, perm []int, n, w int, zmm bool) int
 //
 // FactorLanes for w = 4 (Y registers, 32-byte entries) or w = 2 (X
 // registers, 16-byte entries), n >= 1, perm already the identity per
@@ -1042,14 +1531,14 @@ GLOBL tailMask<>(SB), RODATA|NOPTR, $16
 // of each entry's subtracts is eliminate's, with the same operands: the
 // pivot rows are final before any lower row reads them. A lane whose
 // multiplier is zero keeps its entry, as the scalar loop skips the row:
-// VBLENDVPD inside a panel and on rows with a zero multiplier, a merge
-// mask on the Z path. Row exchanges are masked blends of the two whole
+// VBLENDVPD on rows with a zero multiplier (rows without one take a loop
+// with no blend), a merge mask on the Z path. Row exchanges are masked blends of the two whole
 // rows, one pass per distinct pivot row; each lane's permutation is
 // swapped in place as its row is. With zmm (AVX-512F) the closing pass
 // runs on Z registers, two 4-lane or four 2-lane entries per
 // instruction; everything else, and the closing pass without zmm, is Y
 // (2 entries of 2 lanes in its closing pass) or X.
-TEXT ·factorLanesAVX(SB), NOSPLIT, $64-80
+TEXT ·factorLanesBlocked(SB), NOSPLIT, $64-80
 	MOVQ lu_base+0(FP), SI
 	MOVQ perm_base+24(FP), DI
 	MOVQ n+48(FP), R8
@@ -1065,19 +1554,24 @@ lanes4:
 	MOVQ R9, R13
 	IMULQ R8, R13
 	ADDQ SI, R13                // R13: end of the matrix
-	// Column 0's pivot search, rows 0..n-1.
-	VPCMPEQQ Y10, Y10, Y10      // Y10: all ones for the first row searched
-	VPXOR Y8, Y8, Y8            // Y8: the row being searched
-	MOVQ SI, DX
+	// Column 0's pivot search, seeded with row 0, rows 1..n-1.
+	VANDPD (SI), Y15, Y14       // Y14: largest |a[i][k]| so far
+	VPXOR Y13, Y13, Y13         // Y13: its row, per lane
+	VMOVDQU Y7, Y8              // Y8: the row being searched
+	LEAQ (SI)(R9*1), DX
+	CMPQ DX, R13
+	JGE  step04
 	PCALIGN $64
 
 search04:
 	VANDPD (DX), Y15, Y1
-	SEARCH(Y1, Y2, Y10, Y8, Y13, Y14) // Y13: the best row, Y14: its |a[i][k]|
+	SEARCH(Y1, Y2, Y8, Y13, Y14)
 	VPADDQ Y7, Y8, Y8
 	ADDQ R9, DX
 	CMPQ DX, R13
 	JLT  search04
+
+step04:
 	XORQ R10, R10               // R10: step k
 	MOVQ SI, R11                // R11: &a[k][0]
 	XORQ R12, R12               // R12: byte offset of column k
@@ -1158,7 +1652,6 @@ inv4:
 	VXORPD Y9, Y9, Y9           // Y9: zero
 	VMOVQ AX, X8
 	VPBROADCASTQ X8, Y8         // Y8: row k+1, the first searched
-	VPCMPEQQ Y10, Y10, Y10
 	LEAQ (R11)(R9*1), DX        // DX: &a[k+1][0]
 	MOVQ R10, BX
 	ANDQ $3, BX
@@ -1174,14 +1667,33 @@ inv4:
 	CMOVQGT R8, BX
 	SUBQ R10, BX
 	DECQ BX                     // BX: kend-k-1 columns, 1, 2 or 3
+	// Seed the search with row k+1's new a[k+1][k+1], the bits the
+	// loop's first row computes and stores.
+	VMULPD (DX)(R12*1), Y11, Y0
+	VCMPPD $0, Y9, Y0, Y3
+	PANELV(32, Y0, Y3, Y1, Y2)
+	VANDPD Y15, Y1, Y14
+	VMOVDQU Y8, Y13
 	PCALIGN $64
 
 panel4:
 	VMULPD (DX)(R12*1), Y11, Y0 // Y0: l = a[i][k]/a[k][k]
 	VMOVUPD Y0, (DX)(R12*1)
 	VCMPPD $0, Y9, Y0, Y3       // Y3: the lanes whose l is zero
-	PANEL(32, Y0, Y3, Y1, Y2)
+	VPTEST Y3, Y3
+	JNZ  pskip4
+	PANELF(32, Y0, Y1, Y2)
 	VANDPD Y15, Y1, Y4          // Y4: |a[i][k+1]|
+	CMPQ BX, $2
+	JLT  psearch4
+	PANELF(64, Y0, Y5, Y2)
+	JEQ  psearch4
+	PANELF(96, Y0, Y5, Y2)
+	JMP  psearch4
+
+pskip4:
+	PANEL(32, Y0, Y3, Y1, Y2)
+	VANDPD Y15, Y1, Y4
 	CMPQ BX, $2
 	JLT  psearch4
 	PANEL(64, Y0, Y3, Y1, Y2)
@@ -1189,7 +1701,7 @@ panel4:
 	PANEL(96, Y0, Y3, Y1, Y2)
 
 psearch4:
-	SEARCH(Y4, Y2, Y10, Y8, Y13, Y14)
+	SEARCH(Y4, Y2, Y8, Y13, Y14)
 	VPADDQ Y7, Y8, Y8
 	ADDQ R9, DX
 	CMPQ DX, R13
@@ -1206,6 +1718,7 @@ close4:
 	MOVQ CX, R14
 	SUBQ R9, R14                // R14: &a[k-3][0]
 	MOVQ CX, DX                 // DX: row k-2, the first that owes the panel
+	VPCMPEQQ Y10, Y10, Y10      // Y10: all ones for the first row searched
 	CMPB zmm+64(FP), $0
 	JNE  close4z
 	PCALIGN $64
@@ -1265,7 +1778,7 @@ tfound4:
 	CMPQ DX, R11
 	JLS  tnext4
 	VANDPD 32(DX)(R12*1), Y15, Y1
-	SEARCH(Y1, Y2, Y10, Y8, Y13, Y14)
+	SEARCHF(Y1, Y2, Y10, Y8, Y13, Y14)
 	VPADDQ Y7, Y8, Y8
 
 tnext4:
@@ -1333,7 +1846,7 @@ tfoundz4:
 	CMPQ DX, R11
 	JLS  tnextz4
 	VANDPD 32(DX)(R12*1), Y15, Y1
-	SEARCH(Y1, Y2, Y10, Y8, Y13, Y14)
+	SEARCHF(Y1, Y2, Y10, Y8, Y13, Y14)
 	VPADDQ Y7, Y8, Y8
 
 tnextz4:
@@ -1355,19 +1868,24 @@ lanes2:
 	MOVQ R9, R13
 	IMULQ R8, R13
 	ADDQ SI, R13                // R13: end of the matrix
-	// Column 0's pivot search, rows 0..n-1.
-	VPCMPEQQ X10, X10, X10      // X10: all ones for the first row searched
-	VPXOR X8, X8, X8            // X8: the row being searched
-	MOVQ SI, DX
+	// Column 0's pivot search, seeded with row 0, rows 1..n-1.
+	VANDPD (SI), X15, X14       // X14: largest |a[i][k]| so far
+	VPXOR X13, X13, X13         // X13: its row, per lane
+	VMOVDQU X7, X8              // X8: the row being searched
+	LEAQ (SI)(R9*1), DX
+	CMPQ DX, R13
+	JGE  step02
 	PCALIGN $64
 
 search02:
 	VANDPD (DX), X15, X1
-	SEARCH(X1, X2, X10, X8, X13, X14) // X13: the best row, X14: its |a[i][k]|
+	SEARCH(X1, X2, X8, X13, X14)
 	VPADDQ X7, X8, X8
 	ADDQ R9, DX
 	CMPQ DX, R13
 	JLT  search02
+
+step02:
 	XORQ R10, R10               // R10: step k
 	MOVQ SI, R11                // R11: &a[k][0]
 	XORQ R12, R12               // R12: byte offset of column k
@@ -1448,7 +1966,6 @@ inv2:
 	VXORPD X9, X9, X9           // X9: zero
 	VMOVQ AX, X8
 	VPBROADCASTQ X8, X8         // X8: row k+1, the first searched
-	VPCMPEQQ X10, X10, X10
 	LEAQ (R11)(R9*1), DX        // DX: &a[k+1][0]
 	MOVQ R10, BX
 	ANDQ $3, BX
@@ -1462,14 +1979,33 @@ inv2:
 	CMOVQGT R8, BX
 	SUBQ R10, BX
 	DECQ BX                     // BX: kend-k-1 columns, 1, 2 or 3
+	// Seed the search with row k+1's new a[k+1][k+1], the bits the
+	// loop's first row computes and stores.
+	VMULPD (DX)(R12*1), X11, X0
+	VCMPPD $0, X9, X0, X3
+	PANELV(16, X0, X3, X1, X2)
+	VANDPD X15, X1, X14
+	VMOVDQU X8, X13
 	PCALIGN $64
 
 panel2:
 	VMULPD (DX)(R12*1), X11, X0 // X0: l = a[i][k]/a[k][k]
 	VMOVUPD X0, (DX)(R12*1)
 	VCMPPD $0, X9, X0, X3       // X3: the lanes whose l is zero
-	PANEL(16, X0, X3, X1, X2)
+	VPTEST X3, X3
+	JNZ  pskip2
+	PANELF(16, X0, X1, X2)
 	VANDPD X15, X1, X4          // X4: |a[i][k+1]|
+	CMPQ BX, $2
+	JLT  psearch2
+	PANELF(32, X0, X5, X2)
+	JEQ  psearch2
+	PANELF(48, X0, X5, X2)
+	JMP  psearch2
+
+pskip2:
+	PANEL(16, X0, X3, X1, X2)
+	VANDPD X15, X1, X4
 	CMPQ BX, $2
 	JLT  psearch2
 	PANEL(32, X0, X3, X1, X2)
@@ -1477,7 +2013,7 @@ panel2:
 	PANEL(48, X0, X3, X1, X2)
 
 psearch2:
-	SEARCH(X4, X2, X10, X8, X13, X14)
+	SEARCH(X4, X2, X8, X13, X14)
 	VPADDQ X7, X8, X8
 	ADDQ R9, DX
 	CMPQ DX, R13
@@ -1494,6 +2030,7 @@ close2:
 	MOVQ CX, R14
 	SUBQ R9, R14                // R14: &a[k-3][0]
 	MOVQ CX, DX                 // DX: row k-2, the first that owes the panel
+	VPCMPEQQ Y10, Y10, Y10      // Y10: all ones for the first row searched
 	CMPB zmm+64(FP), $0
 	JNE  close2z
 	LEAQ -16(R9), R10           // R10: a Y chunk starting below it is whole
@@ -1570,7 +2107,7 @@ tfound2:
 	CMPQ DX, R11
 	JLS  tnext2
 	VANDPD 16(DX)(R12*1), X15, X1
-	SEARCH(X1, X2, X10, X8, X13, X14)
+	SEARCHF(X1, X2, X10, X8, X13, X14)
 	VPADDQ X7, X8, X8
 
 tnext2:
@@ -1636,7 +2173,7 @@ tfoundz2:
 	CMPQ DX, R11
 	JLS  tnextz2
 	VANDPD 16(DX)(R12*1), X15, X1
-	SEARCH(X1, X2, X10, X8, X13, X14)
+	SEARCHF(X1, X2, X10, X8, X13, X14)
 	VPADDQ X7, X8, X8
 
 tnextz2:
