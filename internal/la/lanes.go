@@ -163,9 +163,8 @@ func FaceApplyLanes(b, fb, u []float64, rows []int, w int) {
 // taking a panel's four row operations in one pass, in Z registers where
 // the CPU has AVX-512F. Each entry's operations keep their order and
 // operands, so neither grouping moves a bit (doc.go, "Vector kernels").
-// One
-// system (w = 1) is row-major: it runs Factor's own loop, eliminate, with
-// perm as the pivot record, and composes that record in place.
+// One system (w = 1) is row-major: it runs Factor's own loop, eliminate,
+// with perm as the pivot record, and composes that record in place.
 func FactorLanes(lu []float64, perm []int, n, w int) error {
 	if w != 1 && w != 2 && w != 4 {
 		panic(fmt.Sprintf("la: FactorLanes width %d, want 1, 2 or 4", w))
