@@ -90,9 +90,8 @@
 // they hold, so no access leaves the operands and no tail is scalar),
 // TriSolveLanes (triSolveLanesAVX2: the triangular solves of four
 // systems on Y registers, or two on X registers), FactorLanes
-// (factorLanesPaired and factorLanesBlocked, the same registers, the
-// blocked kernel's trailing update in Z registers on AVX-512F: see
-// below), AddScaledToLanes
+// (factorLanesBlocked, the same registers, its closing pass in Z
+// registers on AVX-512F: see below), AddScaledToLanes
 // (addScaledToLanesAVX2: four entries of every lane's base per pass,
 // transposed into the interleaved layout), FaceApplyLanes
 // (faceApplyLanesAVX2) and FaceApplyLanesPerLane
@@ -106,32 +105,32 @@
 // difference, and would move the last bit of most entries (scripts/ci.sh
 // greps the assembly for FMA mnemonics).
 //
-// FactorLanes has two kernels, chosen by n alone (blockedMinN, 16). The
-// paired kernel takes steps two at a time: the step opening a pair
-// updates only column k+1, the step closing it applies both row
-// operations, t = (t - l0*u0) - l1*u1, in one pass over each lower row.
-// From n = 16 on the blocked kernel takes its steps in panels of four
-// pivot columns. A step inside a panel searches, swaps whole rows and stores
-// its multipliers as eliminate does, but brings only the panel's later
-// columns up to date. The step closing a panel makes one pass over the
-// rows below the panel's first: pivot row k0+q applies the panel's first
-// q row operations, every lower row all four, t = (((t - l0*u0) - l1*u1)
-// - l2*u2) - l3*u3, over its trailing columns. That is FactorBlocked's
-// argument over lanes: every entry still receives each step's product,
-// rounded, then the difference, rounded, in step order and with the same
-// operands, since a pivot row is final before any lower row reads it. On
-// a CPU with AVX-512F (and the operating system saving the opmask and ZMM
-// state) that closing pass runs in Z registers, two 4-lane entries or
-// four 2-lane entries per instruction, a lane whose multiplier is zero
-// merge-masked out of its subtract as the scalar loop skips the row; the
-// rest of the kernel, and the whole kernel without AVX-512F, is the Y (X)
-// form, which blends instead. CPUID and XCR0 choose the form, nothing else.
-// Below n = 16 a blocked step's fixed cost (the panel bookkeeping, the
-// masked pivot rows of the closing pass) is not repaid: at n = 8,
-// solve_lo's and serve_hot's size, the blocked kernel measured up to 10%
-// slower than the paired one; at n = 27 it is 15-30% faster and at
-// n = 64 35-60% (Z form). Without AVX-512F the w = 4 crossover is nearer
-// n = 27, a size between no workload's sizes.
+// FactorLanes has one kernel, the same at every n. It takes its steps
+// in panels of four pivot columns. A step inside a panel searches, swaps
+// whole rows and stores its multipliers as eliminate does, but brings
+// only the panel's later columns up to date. The step closing a panel
+// makes one pass over the rows below the panel's first: pivot row k0+q
+// applies the panel's first q row operations, every lower row all four,
+// t = (((t - l0*u0) - l1*u1) - l2*u2) - l3*u3, over its trailing
+// columns. That is FactorBlocked's argument over lanes: every entry
+// still receives each step's product, rounded, then the difference,
+// rounded, in step order and with the same operands, since a pivot row
+// is final before any lower row reads it. On a CPU with AVX-512F (and
+// the operating system saving the opmask and ZMM state) that closing
+// pass runs in Z registers, two 4-lane entries or four 2-lane entries
+// per instruction, a lane whose multiplier is zero merge-masked out of
+// its subtract as the scalar loop skips the row; the rest of the kernel,
+// and the whole kernel without AVX-512F, is the Y (X) form, which blends
+// instead. CPUID and XCR0 choose the form, nothing else. The trade is
+// one kernel for its cost at small n: a panel's fixed cost (its
+// bookkeeping, the masked pivot rows of the closing pass) is paid at
+// every size. At n = 8, solve_lo's and serve_hot's size, a kernel that
+// took steps two at a time measured faster per call: 12% (w = 4) and 4%
+// (w = 2) against the Y form, all a CPU without AVX-512F runs, and 0-15%
+// against the Z form. At n = 27 the panels are 15-30% faster than it and
+// at n = 64 35-60%
+// (Z form). n = 8 factorisations are about 1% of solve_lo's CPU; n = 27
+// and 64, where the local solve is the cost, are where panels pay.
 //
 // TriSolveLanes vectorises across systems instead of within one. Its
 // operands are w factors stored lane-interleaved, entry (i, j) of lane l
@@ -181,20 +180,19 @@
 // multiplier is a[i][k]*(1/a[k][k]) (one VDIVPD per step for all lanes)
 // and a[i][j] -= l*a[k][j] is VMULPD then VSUBPD, with VBLENDVPD keeping
 // the old entry in the lanes whose l is zero, as the scalar loop skips
-// the row. Steps go in pairs as in eliminate: the step opening a pair
-// stores its multipliers and updates column k+1 alone, the step closing
-// it applies both row operations in one pass over each row below, and
-// each pass searches the first column it leaves final for the next
-// pivot as it goes, so no pass over a column but column 0's is spent on
-// the search alone. Lanes may pivot on different rows: the exchange is a blend of
+// the row. Steps go in panels of four (above), and each pass searches
+// the first column it leaves final for the next pivot as it goes, so no
+// pass over a column but column 0's is spent on the search alone. Lanes
+// may pivot on different rows: the exchange is a blend of
 // the two rows under the mask of the lanes that chose that row, one pass
 // per distinct pivot row, and each lane's composed permutation is
 // swapped as its rows are. The whole factorisation is one call — per
 // step calls from Go cost more than an n = 8 factorisation — and a row
-// pass whose multipliers hold no zero skips the blends. Pairing is what
-// pays at n = 64, where four systems (128 KiB) outgrow L1: an unpaired
-// lane kernel streams the trailing block from L2 twice as often and
-// measured slower there than four scalar factorisations.
+// pass whose multipliers hold no zero skips the blends. Blocking is
+// what pays at n = 64, where four systems (128 KiB) outgrow L1: a lane
+// kernel that updates the trailing block once per step streams it from
+// L2 four times as often as one pass per panel, and measured slower
+// there than four scalar factorisations.
 //
 // What is not vectorised, and why: one triangular solve and MatVec are
 // ordered reductions (lanes within one system would reassociate the

@@ -1,15 +1,12 @@
 package la
 
 // useAVX2 selects the vector kernels of kernels_amd64.s, and useAVX512
-// their Z-register form where one exists (the blocked FactorLanes'
-// closing pass). Both are set once, here, from what the CPU and the
-// operating system report; blockedMinN is the smallest n whose lane
-// factorisation takes the blocked kernel rather than the paired one.
-// Nothing outside this package's tests can change them.
+// their Z-register form where one exists (FactorLanes' closing pass).
+// Both are set once, here, from what the CPU and the operating system
+// report. Nothing outside this package's tests can change them.
 var (
-	useAVX2     = detectAVX2()
-	useAVX512   = useAVX2 && detectAVX512()
-	blockedMinN = 16
+	useAVX2   = detectAVX2()
+	useAVX512 = useAVX2 && detectAVX512()
 )
 
 // detectAVX2 reports whether AVX2 instructions may be executed: the CPU
@@ -69,9 +66,6 @@ func mulTNAVX2(c []float64, ldc int, a []float64, lda int, b []float64, ldb, n, 
 
 //go:noescape
 func triSolveLanesAVX2(lu, x []float64, n, w, ldx int)
-
-//go:noescape
-func factorLanesPaired(lu []float64, perm []int, n, w int) int
 
 //go:noescape
 func factorLanesBlocked(lu []float64, perm []int, n, w int, zmm bool) int

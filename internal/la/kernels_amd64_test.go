@@ -1,30 +1,26 @@
 package la
 
 import (
-	"math"
 	"os"
 	"strings"
 	"testing"
 )
 
 // eachKernelPath runs fn once per implementation this machine can
-// execute: on the pure-Go loops; on the AVX2 kernels with FactorLanes'
-// paired kernel at every n ("avx2-paired"), then with its blocked kernel
-// at every n ("avx2"); then with the blocked kernel's AVX-512 form
+// execute: on the pure-Go loops ("generic"); on the AVX2 kernels
+// ("avx2"); then with FactorLanes' closing pass in its AVX-512 form
 // ("avx512"). A CPU whose /proc/cpuinfo lists avx512f but that
 // detectAVX512 rejects fails the test instead of skipping that pass.
 func eachKernelPath(t testing.TB, fn func(path string)) {
-	have, have512, minN := useAVX2, useAVX512, blockedMinN
-	defer func() { useAVX2, useAVX512, blockedMinN = have, have512, minN }()
+	have, have512 := useAVX2, useAVX512
+	defer func() { useAVX2, useAVX512 = have, have512 }()
 	useAVX2, useAVX512 = false, false
 	fn("generic")
 	if !have {
 		t.Log("this CPU lacks AVX2: vector paths not run")
 		return
 	}
-	useAVX2, blockedMinN = true, math.MaxInt
-	fn("avx2-paired")
-	blockedMinN = 0
+	useAVX2 = true
 	fn("avx2")
 	if !have512 {
 		if cpuinfoLists("avx512f") {

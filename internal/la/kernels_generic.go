@@ -5,9 +5,8 @@ package la
 // useAVX2 and useAVX512 are false wherever kernels_amd64.s is not built:
 // the pure-Go loops are the only path and the calls below are dead code.
 const (
-	useAVX2     = false
-	useAVX512   = false
-	blockedMinN = 0
+	useAVX2   = false
+	useAVX512 = false
 )
 
 func update2AVX2(ad []float64, n, k, c, k1, i0, rows int)  { panic("la: no vector kernels") }
@@ -17,8 +16,7 @@ func fuse3AVX2(dst, a, b, c []float64, wa, wb, wc float64) { panic("la: no vecto
 func mulTNAVX2(c []float64, ldc int, a []float64, lda int, b []float64, ldb, n, k int) {
 	panic("la: no vector kernels")
 }
-func triSolveLanesAVX2(lu, x []float64, n, w, ldx int)         { panic("la: no vector kernels") }
-func factorLanesPaired(lu []float64, perm []int, n, w int) int { panic("la: no vector kernels") }
+func triSolveLanesAVX2(lu, x []float64, n, w, ldx int) { panic("la: no vector kernels") }
 func factorLanesBlocked(lu []float64, perm []int, n, w int, zmm bool) int {
 	panic("la: no vector kernels")
 }

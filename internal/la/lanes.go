@@ -157,12 +157,11 @@ func FaceApplyLanes(b, fb, u []float64, rows []int, w int) {
 // column that is exactly zero, which happens exactly when Factor fails
 // on some lane's system; the contents of lu and perm are then
 // unspecified. With AVX2 the lanes of one entry are one vector and the
-// whole factorisation is one kernel call: below n = 16 steps go in
-// pairs, each lower row taking a pair's two row operations in one pass;
-// from n = 16 they go in panels of four pivot columns, each lower row
-// taking a panel's four row operations in one pass, in Z registers where
-// the CPU has AVX-512F. Each entry's operations keep their order and
-// operands, so neither grouping moves a bit (doc.go, "Vector kernels").
+// whole factorisation is one kernel call: steps go in panels of four
+// pivot columns, each lower row taking a panel's four row operations in
+// one pass, in Z registers where the CPU has AVX-512F. Each entry's
+// operations keep their order and operands, so the grouping moves no bit
+// (doc.go, "Vector kernels").
 // One system (w = 1) is row-major: it runs Factor's own loop, eliminate,
 // with perm as the pivot record, and composes that record in place.
 func FactorLanes(lu []float64, perm []int, n, w int) error {
@@ -189,13 +188,7 @@ func FactorLanes(lu []float64, perm []int, n, w int) error {
 		perm[i] = i % n
 	}
 	if useAVX2 {
-		var singular int
-		if n < blockedMinN {
-			singular = factorLanesPaired(lu[:n*n*w], perm[:n*w], n, w)
-		} else {
-			singular = factorLanesBlocked(lu[:n*n*w], perm[:n*w], n, w, useAVX512)
-		}
-		if singular != 0 {
+		if factorLanesBlocked(lu[:n*n*w], perm[:n*w], n, w, useAVX512) != 0 {
 			return ErrSingular
 		}
 		return nil

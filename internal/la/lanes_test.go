@@ -340,10 +340,11 @@ func TestFactorLanesBitwise(t *testing.T) {
 			return m
 		},
 	}
-	// Every residue of n mod 4, block boundaries (4, 8, 12) and sizes
-	// one past them.
+	// Every n up to 17: each residue of n mod 4 with zero to four full
+	// panels before it, block boundaries (4, 8, 12, 16) and sizes one
+	// past them.
 	for _, w := range []int{1, 2, 4} {
-		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 27, 64, 125} {
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 27, 64, 125} {
 			for name, build := range cases {
 				mats := make([]*Matrix, w)
 				for l := range mats {

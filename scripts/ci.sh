@@ -58,6 +58,18 @@ if grep -n 'la\.Factor(\|la\.FactorBlocked(' $CORE_SRC ||
 	echo "internal/core must solve on the lane kernels alone; internal/la must define no multi-RHS solve" >&2
 	exit 1
 fi
+# One lane factorisation kernel: FactorLanes runs factorLanesBlocked at
+# every n, its form chosen by CPUID alone, so internal/la's assembly
+# defines one factorLanes symbol and no non-test file of internal/la
+# names the old size threshold's variable (a bracket pattern, so that a
+# grep of the tree for that name matches code, not this script), and a
+# second kernel cannot come back unseen.
+LA_SRC=$(ls internal/la/*.go | grep -v _test.go)
+if [ "$(cat internal/la/*.s | grep -c '^TEXT ·factorLanes')" != 1 ] ||
+	grep -n 'blocked[M]inN' $LA_SRC; then
+	echo "internal/la must define one TEXT ·factorLanes kernel and no size threshold" >&2
+	exit 1
+fi
 # One angular-flux buffer: psi holds one iterate and is never swapped.
 # Lagged couplings read the lag store, so no non-test file in
 # internal/core assigns s.psi anywhere but its allocation in New, and a
